@@ -119,6 +119,8 @@ fuzzseed:
 # timeline) must not change any output, canonicalized campaign logs and
 # logical timeline exports must be worker-count invariant, and concurrent
 # campaigns must stay byte-identical to solo runs with fully disjoint
-# metrics.
+# metrics. The hot path's channel reuse is held to the same bar: the
+# paired evaluation must equal two single-state ones bit for bit, and the
+# static-prefix cache must notice every in-place edit of its inputs.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated' ./internal/experiments ./internal/sim
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation' ./internal/experiments ./internal/sim ./internal/channel

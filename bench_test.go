@@ -198,24 +198,38 @@ func BenchmarkAblationRobustRate(b *testing.B) {
 
 // --- Substrate hot paths ---
 
-func BenchmarkQueryRound(b *testing.B) {
-	env := channel.NewEnvironment(1)
-	env.AddReflector(channel.Point{X: 4, Y: 3.5}, 60)
-	env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
-	sys, err := core.NewSystem(env,
-		channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
-		channel.Point{X: 2, Y: 0.3}, experiments.TagGain, 1)
+// benchmarkQueryRound times one Monte-Carlo round as the trials run it —
+// people move, then the tag sends fresh bits — on a testbed deployment.
+func benchmarkQueryRound(b *testing.B, sys *core.System, env *channel.Environment, err error) {
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := stats.NewRNG(2)
-	bits := stats.RandomBits(rng, sys.Spec.DataLen)
+	bits := make([][]byte, 64)
+	for i := range bits {
+		bits[i] = stats.RandomBits(rng, sys.Spec.DataLen)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.QueryRound(bits); err != nil {
+		env.Advance(0.05)
+		if _, err := sys.QueryRound(bits[i%len(bits)]); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkQueryRoundLoS is a Figure 5 round, tag mid-span.
+func BenchmarkQueryRoundLoS(b *testing.B) {
+	sys, env, err := experiments.LoSTestbed(4, 1)
+	benchmarkQueryRound(b, sys, env, err)
+}
+
+// BenchmarkQueryRoundNLoS is a Figure 6 round at location B, behind three
+// walls, where the decode model works hardest.
+func BenchmarkQueryRoundNLoS(b *testing.B) {
+	sys, env, err := experiments.NLoSTestbed(experiments.LocationB, 1)
+	benchmarkQueryRound(b, sys, env, err)
 }
 
 func BenchmarkOFDMTransmit(b *testing.B) {
@@ -304,6 +318,27 @@ func BenchmarkChannelEvaluation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := env.Channel(channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0}, tagRef); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChannelPair times the channel phase of one round: both tag
+// states from one shared (cached) prefix, into reused buffers.
+func BenchmarkChannelPair(b *testing.B) {
+	env := channel.NewEnvironment(7)
+	env.AddReflector(channel.Point{X: 4, Y: 3.5}, 60)
+	env.AddReflector(channel.Point{X: 4, Y: -3.5}, 60)
+	env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
+	rest := &channel.TagReflection{Pos: channel.Point{X: 2, Y: 0.3}, Coeff: 68, ExcessPathM: 7.5}
+	flip := &channel.TagReflection{Pos: channel.Point{X: 2, Y: 0.3}, Coeff: -68, ExcessPathM: 7.5}
+	var ha, hb []complex128
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		ha, hb, err = env.ChannelPair(channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0}, rest, flip, ha, hb)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 
 	"witag/internal/obs"
 	"witag/internal/stats"
@@ -42,7 +43,9 @@ type TagReflection struct {
 }
 
 // Environment is the full propagation model. Create with NewEnvironment,
-// then place walls, reflectors and scatterers.
+// then place walls, reflectors and scatterers. An Environment is not safe
+// for concurrent use: Advance moves its scatterers, and every channel
+// evaluation reads and refreshes its static-prefix cache.
 type Environment struct {
 	FreqHz         float64
 	PathLossExp    float64 // direct-path exponent (2 = free space)
@@ -60,6 +63,35 @@ type Environment struct {
 	Spans *obs.Spans
 
 	rng *rand.Rand
+
+	// prefix caches the static part of the last tx→rx channel: the direct
+	// path plus the reflectors, summed in that order.
+	prefix staticPrefix
+	// phasorEvals counts path × subcarrier phasor evaluations.
+	phasorEvals int64
+}
+
+// staticPrefix is the cached direct + reflector sum of one tx→rx link,
+// with a copy of every input it was computed from. The Environment's
+// fields are exported, so callers may edit them between evaluations —
+// Figure 6's harness retunes a wall's attenuation in place after a first
+// SNR call — and the cache is validated against all of them on every use.
+type staticPrefix struct {
+	ok                  bool
+	tx, rx              Point
+	freqHz, pathLossExp float64
+	walls               []Wall
+	reflectors          []Reflector
+	h                   []complex128
+}
+
+// matches reports whether the cached prefix is the one e would compute now
+// for tx→rx.
+func (p *staticPrefix) matches(e *Environment, tx, rx Point) bool {
+	return p.ok && p.tx == tx && p.rx == rx &&
+		p.freqHz == e.FreqHz && p.pathLossExp == e.PathLossExp &&
+		len(p.h) == e.NumSubcarriers &&
+		slices.Equal(p.walls, e.Walls) && slices.Equal(p.reflectors, e.Reflectors)
 }
 
 // NewEnvironment returns an environment with the paper's defaults: 2.4 GHz,
@@ -112,79 +144,151 @@ func (e *Environment) Advance(dt float64) {
 	}
 }
 
-// pathPhase returns the carrier+subcarrier phase of a path of length d at
-// used-subcarrier index k: −2π·d/λ − 2π·f_k·d/c, with f_k the subcarrier
-// offset from band centre. The second term is the delay-induced phase ramp
-// across subcarriers — the frequency selectivity pilots cannot track.
-func (e *Environment) pathPhase(d float64, k int) float64 {
+// addPath adds one path's phasor amp·e^{jθ_k} to every subcarrier of h.
+// θ_k = −2π·d/λ − 2π·f_k·d/c + extraPhase, with f_k the subcarrier offset
+// from band centre; the f_k term is the delay-induced phase ramp across
+// subcarriers — the frequency selectivity pilots cannot track. Sincos
+// gives exactly the terms cmplx.Exp(jθ) would (its e^0 factor is 1).
+func (e *Environment) addPath(h []complex128, amp, dist, extraPhase float64) {
 	lam := Wavelength(e.FreqHz)
-	fk := (float64(k) - float64(e.NumSubcarriers-1)/2) * SubcarrierSpacingHz
-	return -2*math.Pi*d/lam - 2*math.Pi*fk*d/SpeedOfLight
+	for k := range h {
+		fk := (float64(k) - float64(e.NumSubcarriers-1)/2) * SubcarrierSpacingHz
+		s, c := math.Sincos(-2*math.Pi*dist/lam - 2*math.Pi*fk*dist/SpeedOfLight + extraPhase)
+		h[k] += complex(amp*c, amp*s)
+	}
+	e.phasorEvals += int64(len(h))
 }
 
-// Channel returns the per-used-subcarrier complex gain from tx to rx with
-// the tag in the given state (nil tag = absent or open-circuited).
-func (e *Environment) Channel(tx, rx Point, tag *TagReflection) ([]complex128, error) {
-	if e.NumSubcarriers <= 0 {
-		return nil, fmt.Errorf("channel: environment has %d subcarriers", e.NumSubcarriers)
+// addBounce adds the two-hop path tx→p→rx of a reflector or scatterer.
+func (e *Environment) addBounce(h []complex128, tx, rx, p Point, gain float64) error {
+	ds, dr := tx.Dist(p), p.Dist(rx)
+	if ds <= 0 || dr <= 0 {
+		return nil // co-located with an endpoint: ignore
 	}
-	if tx == rx {
-		return nil, fmt.Errorf("channel: tx and rx are co-located at %v", tx)
+	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, gain)
+	if err != nil {
+		return err
 	}
-	h := make([]complex128, e.NumSubcarriers)
+	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
+	e.addPath(h, a, ds+dr, 0)
+	return nil
+}
 
-	add := func(amp, dist, extraPhase float64) {
-		for k := range h {
-			h[k] += complex(amp, 0) * cmplx.Exp(complex(0, e.pathPhase(dist, k)+extraPhase))
-		}
+// addTag adds the tag's backscatter path; a nil tag or a zero coefficient
+// (absent or open-circuited) adds nothing.
+func (e *Environment) addTag(h []complex128, tx, rx Point, tag *TagReflection) error {
+	if tag == nil || tag.Coeff == 0 {
+		return nil
 	}
+	ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
+	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
+	if err != nil {
+		return err
+	}
+	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
+	e.addPath(h, a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
+	return nil
+}
 
-	// Direct path.
+// staticSum returns the direct path plus every reflector for tx→rx,
+// summed in that order: from the cache when nothing it depends on has
+// changed, else freshly computed into the cache.
+func (e *Environment) staticSum(tx, rx Point) ([]complex128, error) {
+	p := &e.prefix
+	if p.matches(e, tx, rx) {
+		return p.h, nil
+	}
+	p.ok = false
+	p.h = resize(p.h, e.NumSubcarriers)
+	clear(p.h)
 	d := tx.Dist(rx)
 	amp, err := FriisAmplitude(d, e.FreqHz, e.PathLossExp)
 	if err != nil {
 		return nil, err
 	}
 	amp *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, rx))
-	add(amp, d, 0)
-
-	// Static reflectors and moving scatterers: two-hop bounce paths.
-	bounce := func(p Point, gain float64) error {
-		ds, dr := tx.Dist(p), p.Dist(rx)
-		if ds <= 0 || dr <= 0 {
-			return nil // co-located with an endpoint: ignore
-		}
-		a, err := BackscatterAmplitude(ds, dr, e.FreqHz, gain)
-		if err != nil {
-			return err
-		}
-		a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
-		add(a, ds+dr, 0)
-		return nil
-	}
+	e.addPath(p.h, amp, d, 0)
 	for _, r := range e.Reflectors {
-		if err := bounce(r.Pos, r.Gain); err != nil {
+		if err := e.addBounce(p.h, tx, rx, r.Pos, r.Gain); err != nil {
 			return nil, err
 		}
 	}
-	for _, s := range e.Scatterers {
-		if err := bounce(s.Pos, s.Gain); err != nil {
-			return nil, err
-		}
-	}
+	p.tx, p.rx, p.freqHz, p.pathLossExp = tx, rx, e.FreqHz, e.PathLossExp
+	p.walls = append(p.walls[:0], e.Walls...)
+	p.reflectors = append(p.reflectors[:0], e.Reflectors...)
+	p.ok = true
+	return p.h, nil
+}
 
-	// The tag's backscatter path.
-	if tag != nil && tag.Coeff != 0 {
-		ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
-		a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
-		if err != nil {
+// resize returns buf with length n, reusing its storage when it has room.
+func resize(buf []complex128, n int) []complex128 {
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
+}
+
+// untaggedSum writes the tx→rx channel without the tag — direct →
+// reflectors → scatterers — into h, reusing its storage when it has room.
+func (e *Environment) untaggedSum(h []complex128, tx, rx Point) ([]complex128, error) {
+	if e.NumSubcarriers <= 0 {
+		return nil, fmt.Errorf("channel: environment has %d subcarriers", e.NumSubcarriers)
+	}
+	if tx == rx {
+		return nil, fmt.Errorf("channel: tx and rx are co-located at %v", tx)
+	}
+	base, err := e.staticSum(tx, rx)
+	if err != nil {
+		return nil, err
+	}
+	h = resize(h, e.NumSubcarriers)
+	copy(h, base)
+	for _, s := range e.Scatterers {
+		if err := e.addBounce(h, tx, rx, s.Pos, s.Gain); err != nil {
 			return nil, err
 		}
-		a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
-		add(a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
 	}
 	return h, nil
 }
+
+// Channel returns the per-used-subcarrier complex gain from tx to rx with
+// the tag in the given state (nil tag = absent or open-circuited).
+func (e *Environment) Channel(tx, rx Point, tag *TagReflection) ([]complex128, error) {
+	h, err := e.untaggedSum(nil, tx, rx)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.addTag(h, tx, rx, tag); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// ChannelPair returns the tx→rx channel with the tag in state a and in
+// state b. Both equal what Channel returns for that state, bit for bit:
+// the sum direct → reflectors → scatterers is formed once and then forks,
+// each copy adding its own tag term. The results are written into bufA
+// and bufB when they have room (nil buffers allocate), so a caller
+// evaluating one pair per round can reuse two buffers.
+func (e *Environment) ChannelPair(tx, rx Point, a, b *TagReflection, bufA, bufB []complex128) (ha, hb []complex128, err error) {
+	if ha, err = e.untaggedSum(bufA, tx, rx); err != nil {
+		return nil, nil, err
+	}
+	hb = resize(bufB, len(ha))
+	copy(hb, ha)
+	if err := e.addTag(ha, tx, rx, a); err != nil {
+		return nil, nil, err
+	}
+	if err := e.addTag(hb, tx, rx, b); err != nil {
+		return nil, nil, err
+	}
+	return ha, hb, nil
+}
+
+// PhasorEvals returns how many path × subcarrier phasors this environment
+// has evaluated. A static-prefix cache hit evaluates none, so the count is
+// a machine-independent measure of channel work.
+func (e *Environment) PhasorEvals() int64 { return e.phasorEvals }
 
 // MeanPower returns the mean |h|² over subcarriers.
 func MeanPower(h []complex128) float64 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"witag/internal/dot11"
@@ -162,6 +163,79 @@ func (q QuerySpec) BoundaryErrors(tick time.Duration, cipherOverhead int) ([]flo
 		out[i] = cum - ideal
 	}
 	return out, nil
+}
+
+// psduLen returns len(BuildQuery(...).Marshal()) without building anything:
+// each subframe is a delimiter plus its MPDU (QoS header, payload sealed
+// with cipherOverhead bytes, FCS), padded to 4 bytes except the last.
+func (q QuerySpec) psduLen(cipherOverhead int) (int, error) {
+	n := 0
+	for i := 0; i < q.Total(); i++ {
+		mpdu := dot11.QoSHeaderLen + max(q.payloadAt(i), 1) + cipherOverhead + 4
+		if mpdu > dot11.MaxMPDULen {
+			return 0, fmt.Errorf("core: subframe %d MPDU of %d bytes exceeds %d", i, mpdu, dot11.MaxMPDULen)
+		}
+		n = (n+3)/4*4 + dot11.DelimiterLen + mpdu
+	}
+	return n, nil
+}
+
+// queryPlan is everything a round needs from its query A-MPDU. All of it
+// is a pure function of the spec and the cipher overhead, so it is
+// computed once per spec rather than by building and marshalling the
+// aggregate every round.
+type queryPlan struct {
+	ok       bool
+	spec     QuerySpec // the spec planned for; PayloadSizes is a private copy
+	overhead int
+
+	airs     []time.Duration // per-subframe airtime, as SubframeAirtimes
+	subBits  []int           // per-subframe on-air bits
+	trigMean time.Duration   // mean trigger subframe airtime
+	psduLen  int             // len(BuildQuery(...).Marshal())
+	ppdu     time.Duration   // PPDU airtime of that PSDU
+}
+
+// matches reports whether the plan was computed for q and overhead.
+func (p *queryPlan) matches(q QuerySpec, overhead int) bool {
+	return p.ok && p.overhead == overhead &&
+		p.spec.TriggerLen == q.TriggerLen && p.spec.DataLen == q.DataLen &&
+		p.spec.MCS == q.MCS && p.spec.Width == q.Width && p.spec.GI == q.GI &&
+		(p.spec.PayloadSizes == nil) == (q.PayloadSizes == nil) &&
+		slices.Equal(p.spec.PayloadSizes, q.PayloadSizes)
+}
+
+// compute fills the plan for q and overhead.
+func (p *queryPlan) compute(q QuerySpec, overhead int) error {
+	p.ok = false
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	airs, err := q.SubframeAirtimes(overhead)
+	if err != nil {
+		return err
+	}
+	psduLen, err := q.psduLen(overhead)
+	if err != nil {
+		return err
+	}
+	ppdu, err := dot11.PPDUAirtime(psduLen, q.MCS, q.Width, q.GI)
+	if err != nil {
+		return err
+	}
+	var trigAir time.Duration
+	for _, a := range airs[:q.TriggerLen] {
+		trigAir += a
+	}
+	p.subBits = p.subBits[:0]
+	for i := range airs {
+		p.subBits = append(p.subBits, q.onAirBytesAt(i, overhead)*8)
+	}
+	p.spec, p.overhead = q, overhead
+	p.spec.PayloadSizes = slices.Clone(q.PayloadSizes)
+	p.airs, p.trigMean, p.psduLen, p.ppdu = airs, trigAir/time.Duration(q.TriggerLen), psduLen, ppdu
+	p.ok = true
+	return nil
 }
 
 // BuildQuery constructs the query A-MPDU via the scheduler. The returned

@@ -76,6 +76,14 @@ type System struct {
 
 	rng      *rand.Rand
 	roundSeq int
+
+	// plan caches the round's spec-only work; QueryRound revalidates it
+	// against Spec and the cipher overhead every round.
+	plan queryPlan
+	// Per-round scratch, reused across rounds. RoundResult never aliases
+	// it.
+	hRest, hFlip, ratios []complex128
+	cov                  tag.CoverageBuffers
 }
 
 // DefaultQuerySpec returns the paper-flavoured query: 4 trigger subframes
@@ -204,16 +212,14 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		}
 	}
 
-	// --- Client side: build and "transmit" the query. ---
-	agg, startSeq, err := s.Spec.BuildQuery(s.Scheduler)
+	// --- Client side: "transmit" the query. Only its shape matters to the
+	// round — airtimes, sizes, the sequence window — so the aggregate is
+	// planned once per spec and its sequence numbers reserved, never built.
+	plan, err := s.queryPlan()
 	if err != nil {
 		return nil, err
 	}
-	psdu, err := agg.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	airs, err := s.Spec.SubframeAirtimes(s.cipherOverhead())
+	startSeq, err := s.Scheduler.Reserve(s.Spec.Total())
 	if err != nil {
 		return nil, err
 	}
@@ -223,11 +229,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// --- Tag side: trigger detection. The tag's run-length measurement
 	// spans all trigger subframes, so its per-subframe estimate is the
 	// trigger mean — which averages out the shaper's size dither.
-	var trigAir time.Duration
-	for _, a := range airs[:s.Spec.TriggerLen] {
-		trigAir += a
-	}
-	detected, timing, err := s.detectTrigger(trigAir / time.Duration(s.Spec.TriggerLen))
+	detected, timing, err := s.detectTrigger(plan.trigMean)
 	if err != nil {
 		return nil, err
 	}
@@ -254,20 +256,22 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	excess := s.Tag.ExcessPathM()
-	hRest, err := s.Env.Channel(s.ClientPos, s.APPos,
-		&channel.TagReflection{Pos: s.TagPos, Coeff: restCoeff, ExcessPathM: excess})
+	phasors := s.Env.PhasorEvals()
+	s.hRest, s.hFlip, err = s.Env.ChannelPair(s.ClientPos, s.APPos,
+		&channel.TagReflection{Pos: s.TagPos, Coeff: restCoeff, ExcessPathM: excess},
+		&channel.TagReflection{Pos: s.TagPos, Coeff: flipCoeff, ExcessPathM: excess},
+		s.hRest, s.hFlip)
 	if err != nil {
 		return nil, err
 	}
-	hFlip, err := s.Env.Channel(s.ClientPos, s.APPos,
-		&channel.TagReflection{Pos: s.TagPos, Coeff: flipCoeff, ExcessPathM: excess})
-	if err != nil {
-		return nil, err
-	}
-	snr := channel.SNRLinear(s.Env.TxPowerDbm, channel.MeanPower(hRest), s.Env.NoiseFloorDbm)
+	phasors = s.Env.PhasorEvals() - phasors
+	snr := channel.SNRLinear(s.Env.TxPowerDbm, channel.MeanPower(s.hRest), s.Env.NoiseFloorDbm)
 	spans.End(obs.PhaseChannel, sp)
 	sp = spans.Start()
-	distortion, err := phy.DistortionAfterCPE(hFlip, hRest)
+	if cap(s.ratios) < len(s.hRest) {
+		s.ratios = make([]complex128, len(s.hRest))
+	}
+	distortion, err := phy.DistortionAfterCPEBuf(s.hFlip, s.hRest, s.ratios)
 	if err != nil {
 		return nil, err
 	}
@@ -275,10 +279,10 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	spans.End(obs.PhaseEqualise, sp)
 	sp = spans.Start()
 
-	// --- Per-subframe corruption coverage. ---
-	coverage := make([]float64, s.Spec.DataLen)
+	// --- Per-subframe corruption coverage; nil when the tag never flips.
+	var coverage []float64
 	if detected {
-		coverage, err = s.Tag.CorruptionCoverageSchedule(timing, txBits, airs[s.Spec.TriggerLen:], s.TempC)
+		coverage, err = s.Tag.CorruptionCoverageInto(&s.cov, timing, txBits, plan.airs[s.Spec.TriggerLen:], s.TempC)
 		if err != nil {
 			return nil, err
 		}
@@ -298,7 +302,17 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	spans.End(obs.PhaseChannel, sp)
 	sp = spans.Start()
 
-	// --- AP side: per-subframe decode, scoreboard, block ACK. ---
+	// --- AP side: per-subframe decode, scoreboard, block ACK. The decode
+	// model sees only two SINRs per round, so its coded BERs are evaluated
+	// once here rather than per subframe segment.
+	cleanBER, err := phy.CodedBER(s.Spec.MCS, snr)
+	if err != nil {
+		return nil, err
+	}
+	dirtyBER, err := phy.CodedBER(s.Spec.MCS, dirtySINR)
+	if err != nil {
+		return nil, err
+	}
 	sb, err := mac.NewScoreboard(startSeq)
 	if err != nil {
 		return nil, err
@@ -306,14 +320,10 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	subOK, subLost := 0, 0
 	for i := 0; i < s.Spec.Total(); i++ {
 		f := 0.0
-		if i >= s.Spec.TriggerLen {
+		if coverage != nil && i >= s.Spec.TriggerLen {
 			f = coverage[i-s.Spec.TriggerLen]
 		}
-		subBits := s.Spec.onAirBytesAt(i, s.cipherOverhead()) * 8
-		ok, err := s.sampleSubframeDecode(snr, dirtySINR, subBits, f)
-		if err != nil {
-			return nil, err
-		}
+		ok := s.sampleSubframeDecode(cleanBER, dirtyBER, plan.subBits[i], f)
 		if s.Faults != nil {
 			// The burst chain steps every subframe so its dwell times are
 			// real time, not conditioned on decode outcomes.
@@ -372,15 +382,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ppdu, err := dot11.PPDUAirtime(len(psdu), s.Spec.MCS, s.Spec.Width, s.Spec.GI)
-	if err != nil {
-		return nil, err
-	}
 	baAir, err := dot11.BlockAckAirtime(s.BARateMbps)
 	if err != nil {
 		return nil, err
 	}
-	res.Airtime = access + ppdu + dot11.SIFS + baAir
+	res.Airtime = access + plan.ppdu + dot11.SIFS + baAir
 	s.Contender.Success()
 	spans.End(obs.PhaseCRC, sp)
 
@@ -407,6 +413,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		m.BackoffSlots.Add(int64(slots))
 		m.BusySlots.Add(int64(busy))
 		m.RoundAirtime.Observe(res.Airtime.Microseconds())
+		m.DecodeModelEvals.Add(2)
+		m.ChannelPathEvals.Add(phasors)
 		o.Trace.Record(obs.Event{
 			Kind:      "round",
 			Trial:     s.TraceID,
@@ -476,8 +484,9 @@ func (s *System) detectTrigger(subAir time.Duration) (bool, tag.QueryTiming, err
 }
 
 // sampleSubframeDecode draws whether a subframe survives, splitting its
-// bits between clean-channel and corrupted-channel segments.
-func (s *System) sampleSubframeDecode(cleanSINR, dirtySINR float64, subBits int, coverage float64) (bool, error) {
+// bits between clean-channel and corrupted-channel segments at the round's
+// two coded BERs — phy.SubframeSuccessProb for each segment, bit for bit.
+func (s *System) sampleSubframeDecode(cleanBER, dirtyBER float64, subBits int, coverage float64) bool {
 	if coverage < 0 {
 		coverage = 0
 	}
@@ -488,34 +497,33 @@ func (s *System) sampleSubframeDecode(cleanSINR, dirtySINR float64, subBits int,
 	cleanBits := int(math.Round(float64(subBits) * (1 - coverage)))
 	dirtyBits := subBits - cleanBits
 	if cleanBits > 0 {
-		pc, err := phy.SubframeSuccessProb(s.Spec.MCS, cleanSINR, cleanBits)
-		if err != nil {
-			return false, err
-		}
-		p *= pc
+		p *= phy.SuccessProbAtBER(cleanBER, cleanBits)
 	}
 	if dirtyBits > 0 {
-		pd, err := phy.SubframeSuccessProb(s.Spec.MCS, dirtySINR, dirtyBits)
-		if err != nil {
-			return false, err
-		}
-		p *= pd
+		p *= phy.SuccessProbAtBER(dirtyBER, dirtyBits)
 	}
-	return stats.Bernoulli(s.rng, p), nil
+	return stats.Bernoulli(s.rng, p)
+}
+
+// queryPlan returns the plan for the current Spec and cipher, recomputing
+// it only when either has changed since the last round.
+func (s *System) queryPlan() (*queryPlan, error) {
+	if overhead := s.cipherOverhead(); !s.plan.matches(s.Spec, overhead) {
+		if err := s.plan.compute(s.Spec, overhead); err != nil {
+			return nil, err
+		}
+	}
+	return &s.plan, nil
 }
 
 // TagRateBps returns the steady-state tag data rate this system achieves:
 // data bits per query divided by round airtime (excluding bit errors).
 func (s *System) TagRateBps() (float64, error) {
-	agg, _, err := s.Spec.BuildQuery(s.Scheduler)
+	plan, err := s.queryPlan()
 	if err != nil {
 		return 0, err
 	}
-	psdu, err := agg.Marshal()
-	if err != nil {
-		return 0, err
-	}
-	ex, err := dot11.QueryRoundAirtime(len(psdu), s.Spec.MCS, s.Spec.Width, s.Spec.GI, s.BARateMbps)
+	ex, err := dot11.QueryRoundAirtime(plan.psduLen, s.Spec.MCS, s.Spec.Width, s.Spec.GI, s.BARateMbps)
 	if err != nil {
 		return 0, err
 	}

@@ -18,6 +18,12 @@ type CoreMetrics struct {
 	BackoffSlots  *Counter   // DCF backoff slots counted down
 	BusySlots     *Counter   // backoff slots frozen by other traffic
 	RoundAirtime  *Histogram // per-round airtime, µs
+
+	// Work counters: machine-independent measures of the round's hot-path
+	// work, so recomputation creeping back fails the gate exactly.
+	DecodeModelEvals *Counter // phy.CodedBER evaluations (two per round)
+	ChannelPathEvals *Counter // path × subcarrier phasors; a cached static prefix adds none
+	QueryBytesBuilt  *Counter // query A-MPDU bytes marshalled; zero, since rounds only plan the query
 }
 
 // NewCoreMetrics registers the core namespace on r.
@@ -34,6 +40,10 @@ func NewCoreMetrics(r *Registry) *CoreMetrics {
 		BackoffSlots:  r.Counter("core.backoff_slots"),
 		BusySlots:     r.Counter("core.busy_slots"),
 		RoundAirtime:  r.Histogram("core.round_airtime_us", Exp2Bounds(256, 14)),
+
+		DecodeModelEvals: r.Counter("core.decode_model_evals"),
+		ChannelPathEvals: r.Counter("core.channel_path_evals"),
+		QueryBytesBuilt:  r.Counter("core.query_bytes_built"),
 	}
 }
 

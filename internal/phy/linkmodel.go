@@ -50,16 +50,24 @@ type spectrumTerm struct {
 	beta float64
 }
 
+var (
+	spectrum12 = []spectrumTerm{{10, 36}, {12, 211}, {14, 1404}, {16, 11633}}
+	spectrum23 = []spectrumTerm{{6, 3}, {7, 70}, {8, 285}, {9, 1276}, {10, 6160}}
+	spectrum34 = []spectrumTerm{{5, 42}, {6, 201}, {7, 1492}, {8, 10469}}
+	spectrum56 = []spectrumTerm{{4, 92}, {5, 528}, {6, 8694}, {7, 79453}}
+)
+
+// distanceSpectrum returns the shared, read-only table for rate.
 func distanceSpectrum(rate dot11.CodeRate) ([]spectrumTerm, error) {
 	switch rate {
 	case dot11.Rate12:
-		return []spectrumTerm{{10, 36}, {12, 211}, {14, 1404}, {16, 11633}}, nil
+		return spectrum12, nil
 	case dot11.Rate23:
-		return []spectrumTerm{{6, 3}, {7, 70}, {8, 285}, {9, 1276}, {10, 6160}}, nil
+		return spectrum23, nil
 	case dot11.Rate34:
-		return []spectrumTerm{{5, 42}, {6, 201}, {7, 1492}, {8, 10469}}, nil
+		return spectrum34, nil
 	case dot11.Rate56:
-		return []spectrumTerm{{4, 92}, {5, 528}, {6, 8694}, {7, 79453}}, nil
+		return spectrum56, nil
 	default:
 		return nil, fmt.Errorf("phy: unsupported code rate %v", rate)
 	}
@@ -136,7 +144,15 @@ func SubframeSuccessProb(mcs dot11.MCS, sinr float64, mpduBits int) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	return math.Pow(1-ber, float64(mpduBits)), nil
+	return SuccessProbAtBER(ber, mpduBits), nil
+}
+
+// SuccessProbAtBER is SubframeSuccessProb's last step, (1 − ber)^bits, for
+// a coded BER the caller already evaluated. A round sees only two SINRs,
+// so its decode model evaluates CodedBER twice and calls this once per
+// subframe segment — bit-equal to SubframeSuccessProb at the same SINR.
+func SuccessProbAtBER(ber float64, bits int) float64 {
+	return math.Pow(1-ber, float64(bits))
 }
 
 // DistortionAfterCPE computes the residual per-subcarrier distortion power
@@ -149,10 +165,20 @@ func SubframeSuccessProb(mcs dot11.MCS, sinr float64, mpduBits int) (float64, er
 // Distortion D = E_k |g_k·e^{-jφ*} − 1|², where g_k = hTrue_k/hEst_k and
 // φ* is the phase of E_k[g_k] (the CPE the pilots remove).
 func DistortionAfterCPE(hTrue, hEst []complex128) (float64, error) {
+	return DistortionAfterCPEBuf(hTrue, hEst, nil)
+}
+
+// DistortionAfterCPEBuf is DistortionAfterCPE computing the per-subcarrier
+// ratios in g when it has room for them, so a caller evaluating one
+// distortion per round can reuse one buffer.
+func DistortionAfterCPEBuf(hTrue, hEst, g []complex128) (float64, error) {
 	if len(hTrue) != len(hEst) || len(hTrue) == 0 {
 		return 0, fmt.Errorf("phy: distortion needs equal non-empty channels (%d vs %d)", len(hTrue), len(hEst))
 	}
-	g := make([]complex128, len(hTrue))
+	if cap(g) < len(hTrue) {
+		g = make([]complex128, len(hTrue))
+	}
+	g = g[:len(hTrue)]
 	var mean complex128
 	for k := range hTrue {
 		den := hEst[k]

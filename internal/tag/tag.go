@@ -74,6 +74,33 @@ func (t *Tag) CorruptionCoverage(timing QueryTiming, bits []byte, trueSubframe t
 // cumulative subframe boundaries aligned to the tag's tick grid even
 // though a single tick-aligned size does not exist at the chosen rate.
 func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
+	return t.CorruptionCoverageInto(nil, timing, bits, trueDurations, tempC)
+}
+
+// CoverageBuffers is reusable storage for CorruptionCoverageInto.
+type CoverageBuffers struct {
+	coverage, starts []float64
+}
+
+// floats returns buf with length n, reusing its storage when it has room.
+func floats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// CorruptionCoverageInto is CorruptionCoverageSchedule computing in buf's
+// storage (nil allocates). The returned slice aliases buf and is valid
+// until the next call with the same buf.
+//
+// Each corruption window is distributed over the true subframes it
+// overlaps. Windows and subframes both advance monotonically in time, so
+// one subframe pointer walks forward across all windows: each window
+// visits only the subframes it can overlap, and every coverage entry
+// receives the same nonzero overlaps, in the same order, as comparing
+// every window with every subframe would give.
+func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
 	if timing.SubframeTicks <= 0 {
 		return nil, fmt.Errorf("tag: non-positive subframe ticks %d", timing.SubframeTicks)
 	}
@@ -95,13 +122,21 @@ func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDu
 	sTag := float64(timing.SubframeTicks) * tick
 	guard := t.GuardFraction * sTag
 
+	if buf == nil {
+		buf = &CoverageBuffers{}
+	}
 	// True subframe boundaries.
-	starts := make([]float64, len(bits)+1)
+	buf.starts = floats(buf.starts, len(bits)+1)
+	starts := buf.starts
+	starts[0] = 0
 	for i, d := range trueDurations {
 		starts[i+1] = starts[i] + d.Seconds()
 	}
 
-	coverage := make([]float64, len(bits))
+	buf.coverage = floats(buf.coverage, len(bits))
+	coverage := buf.coverage
+	clear(coverage)
+	first := 0 // first subframe that does not end before the current window
 	for i, b := range bits {
 		if b&1 == 1 {
 			continue // bit 1: tag rests, no corruption window
@@ -109,8 +144,12 @@ func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDu
 		// Tag-side window in true time (ticks are real time).
 		wStart := float64(i)*sTag + guard
 		wEnd := float64(i+1)*sTag - guard
-		// Distribute the window over true subframe intervals.
-		for j := range bits {
+		// Distribute the window over true subframe intervals: skip those
+		// ending at or before it, stop at the first starting at or after it.
+		for first < len(bits) && starts[first+1] <= wStart {
+			first++
+		}
+		for j := first; j < len(bits) && starts[j] < wEnd; j++ {
 			ov := overlap(wStart, wEnd, starts[j], starts[j+1])
 			if ov > 0 {
 				coverage[j] += ov / (starts[j+1] - starts[j])
