@@ -119,8 +119,11 @@ fuzzseed:
 # timeline) must not change any output, canonicalized campaign logs and
 # logical timeline exports must be worker-count invariant, and concurrent
 # campaigns must stay byte-identical to solo runs with fully disjoint
-# metrics. The hot path's channel reuse is held to the same bar: the
-# paired evaluation must equal two single-state ones bit for bit, and the
-# static-prefix cache must notice every in-place edit of its inputs.
+# metrics. The hot path's reuse is held to the same bar: the paired
+# channel evaluation must equal two single-state ones bit for bit, the
+# static-prefix and tag-term caches must notice every in-place edit of
+# their inputs, the rotation phase ramp must stay within tolerance of the
+# per-subcarrier oracle, and the union bound's log-coefficient table must
+# be bit-equal to the Lgamma expression it replaces.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation' ./internal/experiments ./internal/sim ./internal/channel
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy

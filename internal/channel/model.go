@@ -45,7 +45,7 @@ type TagReflection struct {
 // Environment is the full propagation model. Create with NewEnvironment,
 // then place walls, reflectors and scatterers. An Environment is not safe
 // for concurrent use: Advance moves its scatterers, and every channel
-// evaluation reads and refreshes its static-prefix cache.
+// evaluation reads and refreshes its static-prefix and tag-term caches.
 type Environment struct {
 	FreqHz         float64
 	PathLossExp    float64 // direct-path exponent (2 = free space)
@@ -67,6 +67,10 @@ type Environment struct {
 	// prefix caches the static part of the last tx→rx channel: the direct
 	// path plus the reflectors, summed in that order.
 	prefix staticPrefix
+	// tags caches the tag path's phasors for the last two reflection
+	// states evaluated; nextTag is the slot the next miss overwrites.
+	tags    [2]tagTerm
+	nextTag int
 	// phasorEvals counts path × subcarrier phasor evaluations.
 	phasorEvals int64
 }
@@ -92,6 +96,36 @@ func (p *staticPrefix) matches(e *Environment, tx, rx Point) bool {
 		p.freqHz == e.FreqHz && p.pathLossExp == e.PathLossExp &&
 		len(p.h) == e.NumSubcarriers &&
 		slices.Equal(p.walls, e.Walls) && slices.Equal(p.reflectors, e.Reflectors)
+}
+
+// tagTerm is the cached tag path of one reflection state: its phasor on
+// every subcarrier, with a copy of every input it was computed from. It is
+// validated by the same rule as staticPrefix, against the inputs the tag
+// path depends on. The coefficient is compared bit for bit, because +0 and
+// −0 in its imaginary part compare equal yet flip the sign of its phase.
+type tagTerm struct {
+	ok     bool
+	tx, rx Point
+	freqHz float64
+	walls  []Wall
+	pos    Point
+	coeff  [2]uint64
+	excess float64
+	h      []complex128
+}
+
+// coeffBits returns c's real and imaginary parts as raw bits.
+func coeffBits(c complex128) [2]uint64 {
+	return [2]uint64{math.Float64bits(real(c)), math.Float64bits(imag(c))}
+}
+
+// matches reports whether the cached term is the one e would compute now
+// for tag on tx→rx.
+func (t *tagTerm) matches(e *Environment, tx, rx Point, tag *TagReflection) bool {
+	return t.ok && t.tx == tx && t.rx == rx && t.freqHz == e.FreqHz &&
+		len(t.h) == e.NumSubcarriers &&
+		t.pos == tag.Pos && t.coeff == coeffBits(tag.Coeff) && t.excess == tag.ExcessPathM &&
+		slices.Equal(t.walls, e.Walls)
 }
 
 // NewEnvironment returns an environment with the paper's defaults: 2.4 GHz,
@@ -144,19 +178,28 @@ func (e *Environment) Advance(dt float64) {
 	}
 }
 
+// ramp returns the first-subcarrier phasor amp·e^{jθ_0} of one path and
+// the rotation e^{jδ} from each subcarrier to the next, counting the path's
+// n phasors as evaluated. θ_k = −2π·d/λ − 2π·f_k·d/c + extraPhase, with f_k
+// the subcarrier offset from band centre; the f_k term is the delay-induced
+// phase ramp across subcarriers — the frequency selectivity pilots cannot
+// track. Since f_k steps by Δf, θ_k = θ_0 + k·δ with δ = −2π·Δf·d/c, so the
+// whole ramp costs two Sincos calls (DESIGN.md §17, stage 2).
+func (e *Environment) ramp(n int, amp, dist, extraPhase float64) (r, step complex128) {
+	f0 := -float64(n-1) / 2 * SubcarrierSpacingHz
+	s, c := math.Sincos(-2*math.Pi*dist/Wavelength(e.FreqHz) - 2*math.Pi*f0*dist/SpeedOfLight + extraPhase)
+	ds, dc := math.Sincos(-2 * math.Pi * SubcarrierSpacingHz * dist / SpeedOfLight)
+	e.phasorEvals += int64(n)
+	return complex(amp*c, amp*s), complex(dc, ds)
+}
+
 // addPath adds one path's phasor amp·e^{jθ_k} to every subcarrier of h.
-// θ_k = −2π·d/λ − 2π·f_k·d/c + extraPhase, with f_k the subcarrier offset
-// from band centre; the f_k term is the delay-induced phase ramp across
-// subcarriers — the frequency selectivity pilots cannot track. Sincos
-// gives exactly the terms cmplx.Exp(jθ) would (its e^0 factor is 1).
 func (e *Environment) addPath(h []complex128, amp, dist, extraPhase float64) {
-	lam := Wavelength(e.FreqHz)
+	r, step := e.ramp(len(h), amp, dist, extraPhase)
 	for k := range h {
-		fk := (float64(k) - float64(e.NumSubcarriers-1)/2) * SubcarrierSpacingHz
-		s, c := math.Sincos(-2*math.Pi*dist/lam - 2*math.Pi*fk*dist/SpeedOfLight + extraPhase)
-		h[k] += complex(amp*c, amp*s)
+		h[k] += r
+		r *= step
 	}
-	e.phasorEvals += int64(len(h))
 }
 
 // addBounce adds the two-hop path tx→p→rx of a reflector or scatterer.
@@ -180,14 +223,47 @@ func (e *Environment) addTag(h []complex128, tx, rx Point, tag *TagReflection) e
 	if tag == nil || tag.Coeff == 0 {
 		return nil
 	}
-	ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
-	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
+	t, err := e.tagPhasors(tx, rx, tag)
 	if err != nil {
 		return err
 	}
-	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
-	e.addPath(h, a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
+	for k := range h {
+		h[k] += t[k]
+	}
 	return nil
+}
+
+// tagPhasors returns the tag path's phasor on every subcarrier: from the
+// cache when nothing it depends on has changed, else freshly computed into
+// the older of the two cached states. The tag holds still and a round
+// toggles between two states, so after a trial's first round only the
+// scatterers are evaluated.
+func (e *Environment) tagPhasors(tx, rx Point, tag *TagReflection) ([]complex128, error) {
+	for i := range e.tags {
+		if t := &e.tags[i]; t.matches(e, tx, rx, tag) {
+			return t.h, nil
+		}
+	}
+	t := &e.tags[e.nextTag]
+	t.ok = false
+	ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
+	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
+	if err != nil {
+		return nil, err
+	}
+	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
+	t.h = resize(t.h, e.NumSubcarriers)
+	r, step := e.ramp(len(t.h), a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
+	for k := range t.h {
+		t.h[k] = r
+		r *= step
+	}
+	t.tx, t.rx, t.freqHz = tx, rx, e.FreqHz
+	t.walls = append(t.walls[:0], e.Walls...)
+	t.pos, t.coeff, t.excess = tag.Pos, coeffBits(tag.Coeff), tag.ExcessPathM
+	t.ok = true
+	e.nextTag ^= 1
+	return t.h, nil
 }
 
 // staticSum returns the direct path plus every reflector for tx→rx,
@@ -286,8 +362,8 @@ func (e *Environment) ChannelPair(tx, rx Point, a, b *TagReflection, bufA, bufB 
 }
 
 // PhasorEvals returns how many path × subcarrier phasors this environment
-// has evaluated. A static-prefix cache hit evaluates none, so the count is
-// a machine-independent measure of channel work.
+// has evaluated. A static-prefix or tag-term cache hit evaluates none, so
+// the count is a machine-independent measure of channel work.
 func (e *Environment) PhasorEvals() int64 { return e.phasorEvals }
 
 // MeanPower returns the mean |h|² over subcarriers.

@@ -222,7 +222,7 @@ func TestQueryRoundResultsOwnTheirBits(t *testing.T) {
 
 // TestWorkCounters pins the hot path's work per round: two decode-model
 // evaluations, no query bytes marshalled, and phasors for the static
-// prefix only on the first round.
+// prefix and the two tag states only on the first round.
 func TestWorkCounters(t *testing.T) {
 	sys, env := testbed(t, 2, 34)
 	o := obs.NewObserver(nil, nil)
@@ -243,8 +243,8 @@ func TestWorkCounters(t *testing.T) {
 		t.Fatalf("%d query bytes marshalled, want 0", got)
 	}
 	n := int64(env.NumSubcarriers)
-	static, perRound := int64(1+len(env.Reflectors))*n, int64(len(env.Scatterers)+2)*n
-	if got, want := m.ChannelPathEvals.Value(), static+rounds*perRound; got != want {
+	once, perRound := int64(1+len(env.Reflectors)+2)*n, int64(len(env.Scatterers))*n
+	if got, want := m.ChannelPathEvals.Value(), once+rounds*perRound; got != want {
 		t.Fatalf("%d path × subcarrier phasors over %d rounds, want %d", got, rounds, want)
 	}
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"testing"
 
 	"witag/internal/dot11"
@@ -63,6 +64,100 @@ func TestSuccessProbAtBERMatchesSubframeSuccessProb(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// oracleBinomPMF is the binomial PMF as the union bound evaluated it before
+// the log-coefficient table: three Lgamma calls, ln p and ln(1−p) per term.
+func oracleBinomPMF(n, k int, p float64) float64 {
+	lg := lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
+	return math.Exp(lg + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+}
+
+// oraclePairwiseErrorProb is pairwiseErrorProb over oracleBinomPMF.
+func oraclePairwiseErrorProb(d int, p float64) float64 {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 0.5 {
+		return 0.5
+	}
+	sum := 0.0
+	if d%2 == 0 {
+		sum += 0.5 * oracleBinomPMF(d, d/2, p)
+		for k := d/2 + 1; k <= d; k++ {
+			sum += oracleBinomPMF(d, k, p)
+		}
+	} else {
+		for k := (d + 1) / 2; k <= d; k++ {
+			sum += oracleBinomPMF(d, k, p)
+		}
+	}
+	return sum
+}
+
+// oracleCodedBER is CodedBER over oraclePairwiseErrorProb.
+func oracleCodedBER(mcs dot11.MCS, snr float64) (float64, error) {
+	p, err := UncodedBER(mcs.Modulation, snr)
+	if err != nil {
+		return 0, err
+	}
+	spec, err := distanceSpectrum(mcs.CodeRate)
+	if err != nil {
+		return 0, err
+	}
+	ber := 0.0
+	for _, t := range spec {
+		ber += t.beta * oraclePairwiseErrorProb(t.d, p)
+	}
+	return min(ber, 0.5), nil
+}
+
+// sameFloat reports whether a and b are the same float64, bit for bit.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestDecodeTableMatchesLgamma proves the log-coefficient table leaves the
+// union bound bit-for-bit unchanged: pairwiseErrorProb against the per-term
+// Lgamma oracle for every spectrum term of every code rate, with p swept
+// log-uniformly over [1e-300, 0.5), and CodedBER against the oracle for
+// every HT MCS from −10 to 40 dB SNR.
+func TestDecodeTableMatchesLgamma(t *testing.T) {
+	rates := []dot11.CodeRate{dot11.Rate12, dot11.Rate23, dot11.Rate34, dot11.Rate56}
+	const steps = 2000
+	lo, hi := math.Log(1e-300), math.Log(0.5)
+	for _, rate := range rates {
+		spec, err := distanceSpectrum(rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, term := range spec {
+			for i := 0; i < steps; i++ {
+				p := math.Exp(lo + (hi-lo)*float64(i)/steps)
+				if got, want := pairwiseErrorProb(term.d, p), oraclePairwiseErrorProb(term.d, p); !sameFloat(got, want) {
+					t.Fatalf("rate %v, d=%d, p=%g: table %v, Lgamma oracle %v", rate, term.d, p, got, want)
+				}
+			}
+		}
+	}
+	for idx := 0; idx <= 31; idx++ {
+		mcs, err := dot11.HTMCS(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for db := -10.0; db <= 40; db += 0.025 {
+			snr := SNRFromDb(db)
+			got, err := CodedBER(mcs, snr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleCodedBER(mcs, snr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloat(got, want) {
+				t.Fatalf("MCS %d at %.2f dB: CodedBER %v, Lgamma oracle %v", idx, db, got, want)
+			}
+		}
 	}
 }
 
