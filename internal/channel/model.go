@@ -169,13 +169,13 @@ func (e *Environment) AddScatterers(n int, x0, y0, x1, y1, gain, speedMps float6
 // frozen within each (few-ms) A-MPDU — the coherence-time argument of §5.
 func (e *Environment) Advance(dt float64) {
 	sp := e.Spans.Start()
-	defer e.Spans.End(obs.PhaseChannel, sp)
 	for i := range e.Scatterers {
 		s := &e.Scatterers[i]
 		theta := stats.Uniform(e.rng, 0, 2*math.Pi)
 		step := s.SpeedMps * dt
 		s.Pos = s.Pos.Add(step*math.Cos(theta), step*math.Sin(theta))
 	}
+	e.Spans.End(obs.PhaseChannel, sp)
 }
 
 // ramp returns the first-subcarrier phasor amp·e^{jθ_0} of one path and

@@ -91,9 +91,14 @@ func WattsToDbm(w float64) float64 {
 // SNRLinear computes the mean per-subcarrier SNR given transmit power,
 // mean |h|² across subcarriers, and the noise floor.
 func SNRLinear(txDbm float64, meanH2 float64, noiseDbm float64) float64 {
+	return SNRFromWatts(DbmToWatts(txDbm), meanH2, DbmToWatts(noiseDbm))
+}
+
+// SNRFromWatts is SNRLinear with transmit power and noise floor already in
+// watts, for callers that convert them once per world.
+func SNRFromWatts(txW, meanH2, noiseW float64) float64 {
 	if meanH2 <= 0 {
 		return 0
 	}
-	rxW := DbmToWatts(txDbm) * meanH2
-	return rxW / DbmToWatts(noiseDbm)
+	return txW * meanH2 / noiseW
 }

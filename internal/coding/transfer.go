@@ -95,10 +95,11 @@ type sender struct {
 	consecErased int
 }
 
-// spans returns the sender's phase timers (nil when detached).
+// spans returns the sender's phase timers, in its trace ID's lane (nil
+// when detached).
 func (s *sender) spans() *obs.Spans {
 	if s.o != nil {
-		return s.o.Spans
+		return s.o.Spans.Lane(s.traceID)
 	}
 	return nil
 }
@@ -112,7 +113,7 @@ func (s *sender) send(fp []byte, st *Stats) ([]byte, frameOutcome, error) {
 	if err != nil {
 		return nil, frameError, err
 	}
-	spans.End(obs.PhaseCodingEncode, sp)
+	sp = spans.Lap(obs.PhaseCodingEncode, sp)
 	st.FramesSent++
 	dataLen := s.sys.Spec.DataLen
 	rxBits := make([]byte, 0, len(bits))
@@ -138,10 +139,9 @@ func (s *sender) send(fp []byte, st *Stats) ([]byte, frameOutcome, error) {
 			return nil, frameErased, nil
 		}
 		rxBits = append(rxBits, res.RxBits[:end-off]...)
-		spans.End(obs.PhaseARQRound, sp)
+		sp = spans.Lap(obs.PhaseARQRound, sp)
 	}
 	s.consecErased = 0
-	sp = spans.Start()
 	got, _, derr := s.codec.Decode(rxBits)
 	spans.End(obs.PhaseCodingDecode, sp)
 	if derr != nil {
@@ -277,7 +277,7 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 		rng: t.rng, o: t.Obs, traceID: t.TraceID, traceLabels: t.TraceLabels}
 	if o := t.Obs; o != nil {
 		if t.Env != nil {
-			t.Env.Spans = o.Spans
+			t.Env.Spans = o.Spans.Lane(t.TraceID)
 		}
 		o.Coding.TransfersStarted.Inc()
 	}
@@ -510,7 +510,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		rng: t.rng, o: t.Obs, traceID: t.TraceID, traceLabels: t.TraceLabels}
 	if o := t.Obs; o != nil {
 		if t.Env != nil {
-			t.Env.Spans = o.Spans
+			t.Env.Spans = o.Spans.Lane(t.TraceID)
 		}
 		o.Coding.TransfersStarted.Inc()
 	}

@@ -221,8 +221,10 @@ func TestQueryRoundResultsOwnTheirBits(t *testing.T) {
 }
 
 // TestWorkCounters pins the hot path's work per round: two decode-model
-// evaluations, no query bytes marshalled, and phasors for the static
-// prefix and the two tag states only on the first round.
+// evaluations, no query bytes marshalled, phasors for the static prefix
+// and the two tag states only on the first round, and one success
+// probability per distinct (BER, bits) pair of a round rather than one per
+// subframe segment.
 func TestWorkCounters(t *testing.T) {
 	sys, env := testbed(t, 2, 34)
 	o := obs.NewObserver(nil, nil)
@@ -238,6 +240,11 @@ func TestWorkCounters(t *testing.T) {
 	m := o.Core
 	if got := m.DecodeModelEvals.Value(); got != 2*rounds {
 		t.Fatalf("decode model evaluated %d times over %d rounds, want %d", got, rounds, 2*rounds)
+	}
+	// Five distinct (BER, bits) pairs per round in this world, against one
+	// or two lookups for each of the round's 64 subframes.
+	if got := m.SuccessProbEvals.Value(); got != 5*rounds {
+		t.Fatalf("%d success-probability evaluations over %d rounds, want %d", got, rounds, 5*rounds)
 	}
 	if got := m.QueryBytesBuilt.Value(); got != 0 {
 		t.Fatalf("%d query bytes marshalled, want 0", got)

@@ -77,6 +77,12 @@ type System struct {
 	rng      *rand.Rand
 	roundSeq int
 
+	// Per-world caches, revalidated against their inputs every round
+	// (memo.go), and the round's decode-model memo.
+	watts wattsCache
+	trig  triggerCache
+	memo  successMemo
+
 	// plan caches the round's spec-only work; QueryRound revalidates it
 	// against Spec and the cipher overhead every round.
 	plan queryPlan
@@ -193,7 +199,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// open span (the trial aborts anyway).
 	var spans *obs.Spans
 	if o := s.Obs; o != nil {
-		spans = o.Spans
+		spans = o.Spans.Lane(s.TraceID)
 		s.Env.Spans = spans
 	}
 	sp := spans.Start()
@@ -223,8 +229,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	spans.End(obs.PhaseEncode, sp)
-	sp = spans.Start()
+	sp = spans.Lap(obs.PhaseEncode, sp)
 
 	// --- Tag side: trigger detection. The tag's run-length measurement
 	// spans all trigger subframes, so its per-subframe estimate is the
@@ -265,9 +270,9 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	phasors = s.Env.PhasorEvals() - phasors
-	snr := channel.SNRLinear(s.Env.TxPowerDbm, channel.MeanPower(s.hRest), s.Env.NoiseFloorDbm)
-	spans.End(obs.PhaseChannel, sp)
-	sp = spans.Start()
+	txW, noiseW := s.watts.get(s.Env.TxPowerDbm, s.Env.NoiseFloorDbm)
+	snr := channel.SNRFromWatts(txW, channel.MeanPower(s.hRest), noiseW)
+	sp = spans.Lap(obs.PhaseChannel, sp)
 	if cap(s.ratios) < len(s.hRest) {
 		s.ratios = make([]complex128, len(s.hRest))
 	}
@@ -276,8 +281,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	dirtySINR := phy.EffectiveSINR(snr, distortion)
-	spans.End(obs.PhaseEqualise, sp)
-	sp = spans.Start()
+	sp = spans.Lap(obs.PhaseEqualise, sp)
 
 	// --- Per-subframe corruption coverage; nil when the tag never flips.
 	var coverage []float64
@@ -299,8 +303,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if s.Traffic != nil {
 		ambient = s.Traffic.RoundMask(s.Spec.Total())
 	}
-	spans.End(obs.PhaseChannel, sp)
-	sp = spans.Start()
+	sp = spans.Lap(obs.PhaseChannel, sp)
 
 	// --- AP side: per-subframe decode, scoreboard, block ACK. The decode
 	// model sees only two SINRs per round, so its coded BERs are evaluated
@@ -317,6 +320,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.memo.reset()
 	subOK, subLost := 0, 0
 	for i := 0; i < s.Spec.Total(); i++ {
 		f := 0.0
@@ -345,8 +349,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 			subLost++
 		}
 	}
-	spans.End(obs.PhaseViterbi, sp)
-	sp = spans.Start()
+	sp = spans.Lap(obs.PhaseViterbi, sp)
 	ba := sb.BlockAck(s.Scheduler.Src, s.Scheduler.Dst, 0)
 	if s.Faults != nil && s.Faults.BALost() {
 		baLost = true
@@ -414,19 +417,22 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		m.BusySlots.Add(int64(busy))
 		m.RoundAirtime.Observe(res.Airtime.Microseconds())
 		m.DecodeModelEvals.Add(2)
+		m.SuccessProbEvals.Add(int64(s.memo.evals()))
 		m.ChannelPathEvals.Add(phasors)
-		o.Trace.Record(obs.Event{
-			Kind:      "round",
-			Trial:     s.TraceID,
-			Labels:    s.TraceLabels,
-			Round:     s.roundSeq,
-			Detected:  detected,
-			BALost:    baLost,
-			Bits:      len(txBits),
-			BitErrors: res.BitErrors,
-			AirtimeUs: res.Airtime.Microseconds(),
-			SNRmDb:    int64(math.Round(res.SNRDb * 1000)),
-		})
+		if o.Trace != nil {
+			o.Trace.Record(obs.Event{
+				Kind:      "round",
+				Trial:     s.TraceID,
+				Labels:    s.TraceLabels,
+				Round:     s.roundSeq,
+				Detected:  detected,
+				BALost:    baLost,
+				Bits:      len(txBits),
+				BitErrors: res.BitErrors,
+				AirtimeUs: res.Airtime.Microseconds(),
+				SNRmDb:    int64(math.Round(res.SNRDb * 1000)),
+			})
+		}
 	}
 	return res, nil
 }
@@ -461,18 +467,7 @@ func (s *System) detectTrigger(subAir time.Duration) (bool, tag.QueryTiming, err
 		// untimeable: the tag never responds.
 		return false, tag.QueryTiming{}, nil
 	}
-	// Envelope amplitudes at the tag, in √W.
-	aPath, err := channel.FriisAmplitude(s.ClientPos.Dist(s.TagPos), s.Env.FreqHz, s.Env.PathLossExp)
-	if err != nil {
-		return false, tag.QueryTiming{}, err
-	}
-	aPath *= channel.DbToAmplitude(-channel.PathAttenuationDb(s.Env.Walls, s.ClientPos, s.TagPos))
-	sqrtPtx := math.Sqrt(channel.DbmToWatts(s.Env.TxPowerDbm))
-	hi := sqrtPtx * aPath * EnvelopeAmplitudeFor(TriggerHighByte)
-	lo := sqrtPtx * aPath * EnvelopeAmplitudeFor(TriggerLowByte)
-	thr := (hi + lo) / 2 // self-biased comparator
-	noiseStd := math.Sqrt(channel.DbmToWatts(s.Env.NoiseFloorDbm)) * s.DetectorNoiseFigure
-	p, err := tag.DetectionProbability(hi, lo, thr, noiseStd, ticks, s.Spec.TriggerLen)
+	p, err := s.detectionProb(ticks)
 	if err != nil {
 		return false, tag.QueryTiming{}, err
 	}
@@ -483,12 +478,20 @@ func (s *System) detectTrigger(subAir time.Duration) (bool, tag.QueryTiming, err
 	}, nil
 }
 
-// sampleSubframeDecode draws whether a subframe survives, splitting its
-// bits between clean-channel and corrupted-channel segments at the round's
-// two coded BERs — phy.SubframeSuccessProb for each segment, bit for bit.
+// sampleSubframeDecode draws whether a subframe survives at
+// subframeSuccessProb.
 func (s *System) sampleSubframeDecode(cleanBER, dirtyBER float64, subBits int, coverage float64) bool {
-	if coverage < 0 {
-		coverage = 0
+	return stats.Bernoulli(s.rng, s.subframeSuccessProb(cleanBER, dirtyBER, subBits, coverage))
+}
+
+// subframeSuccessProb splits a subframe's bits between clean-channel and
+// corrupted-channel segments at the round's two coded BERs —
+// phy.SubframeSuccessProb for each segment, bit for bit, through the
+// round's memo.
+func (s *System) subframeSuccessProb(cleanBER, dirtyBER float64, subBits int, coverage float64) float64 {
+	if coverage <= 0 {
+		// An untouched subframe is one clean segment: 1·p is p exactly.
+		return s.memo.prob(cleanBER, subBits)
 	}
 	if coverage > 1 {
 		coverage = 1
@@ -497,12 +500,12 @@ func (s *System) sampleSubframeDecode(cleanBER, dirtyBER float64, subBits int, c
 	cleanBits := int(math.Round(float64(subBits) * (1 - coverage)))
 	dirtyBits := subBits - cleanBits
 	if cleanBits > 0 {
-		p *= phy.SuccessProbAtBER(cleanBER, cleanBits)
+		p *= s.memo.prob(cleanBER, cleanBits)
 	}
 	if dirtyBits > 0 {
-		p *= phy.SuccessProbAtBER(dirtyBER, dirtyBits)
+		p *= s.memo.prob(dirtyBER, dirtyBits)
 	}
-	return stats.Bernoulli(s.rng, p)
+	return p
 }
 
 // queryPlan returns the plan for the current Spec and cipher, recomputing

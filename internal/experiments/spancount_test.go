@@ -1,0 +1,78 @@
+package experiments
+
+import (
+	"testing"
+
+	"witag/internal/obs"
+)
+
+// TestSpanCountsExact pins how many spans each phase records. Counts are
+// what PROF's per-phase "count" reports and what the wall-share of a phase
+// is averaged over, so timing changes — one clock read per boundary, laned
+// histograms — must keep them exact at every worker count. Every analytic
+// round records one encode, equalise, viterbi and crc span and two channel
+// spans, plus one channel span for the Advance before it; every transfer
+// round adds one arq_round span, and every backoff one more. The coding
+// phase counts are the values the sweep recorded before spans were laned.
+func TestSpanCountsExact(t *testing.T) {
+	type want struct{ codingEncode, codingDecode int64 }
+	runs := []struct {
+		name string
+		run  func(workers int) error
+		want want
+	}{
+		{"fig5", func(w int) error {
+			_, err := Figure5(Figure5Config{Seed: 42, Runs: 2, Round: 40, Workers: w})
+			return err
+		}, want{}},
+		{"fig6", func(w int) error {
+			_, err := Figure6(LocationB, Figure6Config{Seed: 7, Runs: 4, Round: 40, Workers: w})
+			return err
+		}, want{}},
+		{"coding", func(w int) error {
+			cfg := DefaultAdaptiveCodingConfig()
+			cfg.Transfers, cfg.Workers = 2, w
+			_, err := AdaptiveCoding(cfg)
+			return err
+		}, want{codingEncode: 2059, codingDecode: 1351}},
+	}
+	for _, r := range runs {
+		for _, workers := range []int{1, 2} {
+			reg := obs.NewRegistry()
+			restore := SetObserver(obs.NewObserver(reg, nil))
+			err := r.run(workers)
+			SetObserver(restore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			count := func(p obs.Phase) int64 { return snap.Histograms[obs.SpanName(p)].Count }
+			rounds := snap.Counters["core.rounds"]
+			if rounds == 0 {
+				t.Fatalf("%s: no rounds ran", r.name)
+			}
+			transferRounds := int64(0)
+			if r.name == "coding" {
+				transferRounds = rounds + snap.Counters["link.backoff_waits"]
+			}
+			for _, c := range []struct {
+				p    obs.Phase
+				want int64
+			}{
+				{obs.PhaseEncode, rounds},
+				{obs.PhaseChannel, 3 * rounds},
+				{obs.PhaseEqualise, rounds},
+				{obs.PhaseDeinterleave, 0},
+				{obs.PhaseViterbi, rounds},
+				{obs.PhaseCRC, rounds},
+				{obs.PhaseARQRound, transferRounds},
+				{obs.PhaseCodingEncode, r.want.codingEncode},
+				{obs.PhaseCodingDecode, r.want.codingDecode},
+			} {
+				if got := count(c.p); got != c.want {
+					t.Errorf("%s at %d workers: %s count %d, want %d (%d rounds)", r.name, workers, c.p, got, c.want, rounds)
+				}
+			}
+		}
+	}
+}

@@ -138,7 +138,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 		if t.Env != nil {
 			// Attribute the pre-round Advance calls in attempt to the
 			// channel phase.
-			t.Env.Spans = o.Spans
+			t.Env.Spans = o.Spans.Lane(t.TraceID)
 		}
 		o.Link.TransfersStarted.Inc()
 		// Flush the transfer's totals on every exit path — including
@@ -244,7 +244,7 @@ func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, l
 	if err != nil {
 		return attemptFrameError, err
 	}
-	spans.End(obs.PhaseCodingEncode, sp)
+	sp = spans.Lap(obs.PhaseCodingEncode, sp)
 	st.FramesSent++
 	dataLen := t.Sys.Spec.DataLen
 	rxBits := make([]byte, 0, len(bits))
@@ -282,9 +282,8 @@ func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, l
 			return attemptRoundErased, nil
 		}
 		rxBits = append(rxBits, res.RxBits[:end-off]...)
-		spans.End(obs.PhaseARQRound, sp)
+		sp = spans.Lap(obs.PhaseARQRound, sp)
 	}
-	sp = spans.Start()
 	got, corrected, derr := lvl.Codec.Decode(rxBits)
 	spans.End(obs.PhaseCodingDecode, sp)
 	if derr != nil {
@@ -315,10 +314,11 @@ func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, l
 	return attemptOK, nil
 }
 
-// spans returns the observer's phase timers (nil when detached).
+// spans returns the observer's phase timers, in the transferer's lane
+// (nil when detached).
 func (t *Transferer) spans() *obs.Spans {
 	if o := t.Obs; o != nil {
-		return o.Spans
+		return o.Spans.Lane(t.TraceID)
 	}
 	return nil
 }

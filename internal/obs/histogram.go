@@ -11,19 +11,39 @@ import "sync/atomic"
 // float adds do not. Callers quantise — microseconds of airtime,
 // milliseconds of wall time, milli-dB of SNR — rather than observe
 // floats.
+//
+// A histogram records into one or more lanes. Each lane is a full copy of
+// the state (count, sum, buckets); readers sum the lanes, so every read is
+// exactly what a single lane fed the same observations would hold. Hot
+// instruments written by several workers at once (the phase spans) use
+// several lanes, padded so that no two share a cache line, and each writer
+// picks its own lane; the atomic adds then stop contending.
 type Histogram struct {
 	bounds []int64
-	counts []atomic.Int64 // len(bounds)+1; last is overflow
-	sum    atomic.Int64
-	count  atomic.Int64
+	// cells holds every lane, stride words apart: count, sum, then
+	// len(bounds)+1 bucket counts (the last is overflow).
+	cells  []atomic.Int64
+	stride int
 }
 
-func newHistogram(bounds []int64) *Histogram {
+// cacheLineWords is one cache line in int64 words. Lanes are separated by
+// at least this much padding, so no 64-byte line holds words of two lanes
+// whatever the alignment of the cell array.
+const cacheLineWords = 8
+
+func newHistogram(bounds []int64, lanes int) *Histogram {
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
+	stride := len(b) + 3
+	if lanes > 1 {
+		stride += cacheLineWords
+	} else {
+		lanes = 1
+	}
 	return &Histogram{
 		bounds: b,
-		counts: make([]atomic.Int64, len(b)+1),
+		cells:  make([]atomic.Int64, lanes*stride),
+		stride: stride,
 	}
 }
 
@@ -31,7 +51,7 @@ func newHistogram(bounds []int64) *Histogram {
 // for callers that need integer-exact quantiles outside the metrics
 // pipeline (forensic airtime percentiles, for one).
 func NewHistogram(bounds []int64) *Histogram {
-	return newHistogram(bounds)
+	return newHistogram(bounds, 1)
 }
 
 // Snapshot freezes the histogram's current state (zero value for nil).
@@ -42,20 +62,38 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return h.snapshot()
 }
 
-// Observe records one value (nil-safe).
+// Observe records one value in the first lane (nil-safe).
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
+	h.observe(0, v)
+}
+
+// observe records one value in lane, which must be in range.
+func (h *Histogram) observe(lane int, v int64) {
 	// Linear scan: instrument histograms have ≤ ~24 buckets, where the
 	// scan beats binary search and allocates nothing.
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+	c := h.cells[lane*h.stride:]
+	c[2+i].Add(1)
+	c[1].Add(v)
+	c[0].Add(1)
+}
+
+// lanes returns the number of lanes.
+func (h *Histogram) lanes() int { return len(h.cells) / h.stride }
+
+// total sums cell word w across the lanes.
+func (h *Histogram) total(w int) int64 {
+	var n int64
+	for base := 0; base < len(h.cells); base += h.stride {
+		n += h.cells[base+w].Load()
+	}
+	return n
 }
 
 // Count returns the total number of observations (0 for nil).
@@ -63,7 +101,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.total(0)
 }
 
 // Sum returns the sum of all observed values (0 for nil).
@@ -71,18 +109,18 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.total(1)
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: append([]int64(nil), h.bounds...),
-		Counts: make([]int64, len(h.counts)),
-		Sum:    h.sum.Load(),
-		Count:  h.count.Load(),
+		Counts: make([]int64, len(h.bounds)+1),
+		Sum:    h.total(1),
+		Count:  h.total(0),
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+	for i := range s.Counts {
+		s.Counts[i] = h.total(2 + i)
 	}
 	return s
 }

@@ -159,6 +159,12 @@ func (r *Registry) Gauge(name string, opts ...Option) *Gauge {
 // the given bucket upper bounds on first use. Later registrations return
 // the existing instrument regardless of the bounds they pass.
 func (r *Registry) Histogram(name string, bounds []int64, opts ...Option) *Histogram {
+	return r.histogram(name, bounds, 1, opts...)
+}
+
+// histogram is Histogram with lanes recording lanes (see Histogram) on
+// first registration.
+func (r *Registry) histogram(name string, bounds []int64, lanes int, opts ...Option) *Histogram {
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
@@ -168,7 +174,7 @@ func (r *Registry) Histogram(name string, bounds []int64, opts ...Option) *Histo
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram(bounds)
+		h = newHistogram(bounds, lanes)
 		r.hists[name] = h
 	}
 	for _, o := range opts {

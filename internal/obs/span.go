@@ -54,49 +54,99 @@ func PhaseNames() []string {
 	return out
 }
 
+// Stamp is a span boundary: monotonic nanoseconds since the owning
+// Spans' epoch. The zero Stamp is what a nil *Spans returns; a live Spans
+// never produces it.
+type Stamp int64
+
+// SpanLanes is the number of lanes (see Histogram) in each span
+// histogram.
+const SpanLanes = 8
+
 // Spans is the phase-span timer: one volatile integer histogram per phase,
 // recording nanosecond durations. Like every instrument here it is a
 // passive sink — recording a span never draws randomness or branches into
 // the simulation, so science output is byte-identical with spans attached
 // or not (the histograms are Volatile and excluded from the deterministic
-// snapshot view). A nil *Spans disables timing entirely: Start returns the
-// zero time and End is a no-op, so the detached hot-path cost is one
-// pointer test and no clock read.
+// snapshot view). A nil *Spans disables timing entirely: Start and Lap
+// return the zero Stamp and End is a no-op, so the detached hot-path cost
+// is one pointer test and no clock read.
+//
+// A boundary costs one monotonic clock read, and Lap closes one phase and
+// opens the next with that single read, so contiguous regions are timed
+// without gaps. Each span histogram has SpanLanes lanes; a Spans records
+// into one of them, and Lane hands every trial its own, so concurrent
+// workers do not contend on the histograms' cache lines. Readers see the
+// lanes summed, which is exact.
 type Spans struct {
+	epoch time.Time
 	hists [NumPhases]*Histogram
+	lane  int
+	// lanes holds the views of every lane; they share epoch and hists.
+	lanes *[SpanLanes]Spans
 }
 
 // NewSpans registers the span namespace on r. Bounds double from 256 ns to
 // ~2.1 s, covering sub-µs equalise slices through whole-transfer rounds.
+// The returned Spans records into lane 0.
 func NewSpans(r *Registry) *Spans {
-	s := &Spans{}
+	lanes := new([SpanLanes]Spans)
+	// One nanosecond in the past, so that no live stamp is zero.
+	epoch := time.Now().Add(-time.Nanosecond)
+	var hists [NumPhases]*Histogram
 	for p := Phase(0); p < NumPhases; p++ {
-		s.hists[p] = r.Histogram(SpanName(p), Exp2Bounds(256, 24), Volatile)
+		hists[p] = r.histogram(SpanName(p), Exp2Bounds(256, 24), SpanLanes, Volatile)
 	}
-	return s
+	for i := range lanes {
+		lanes[i] = Spans{epoch: epoch, hists: hists, lane: i, lanes: lanes}
+	}
+	return &lanes[0]
 }
 
-// Start returns the span's start time, or the zero time when s is nil so
-// the matching End is also a no-op.
-func (s *Spans) Start() time.Time {
+// Lane returns the view of s that records into lane id mod SpanLanes, for
+// a trial or transfer to time itself with id as its trace ID (nil for a
+// nil receiver).
+func (s *Spans) Lane(id int) *Spans {
 	if s == nil {
-		return time.Time{}
+		return nil
 	}
-	return time.Now()
+	l := id % SpanLanes
+	if l < 0 {
+		l += SpanLanes
+	}
+	return &s.lanes[l]
 }
 
-// End records the elapsed nanoseconds since start under phase p. Nil
-// receivers, zero start times (from a nil Start) and out-of-range phases
-// are ignored.
-func (s *Spans) End(p Phase, start time.Time) {
-	if s == nil || start.IsZero() || p >= NumPhases {
-		return
+// Start returns a stamp opening a span, or the zero Stamp when s is nil so
+// the matching End is also a no-op.
+func (s *Spans) Start() Stamp {
+	if s == nil {
+		return 0
 	}
-	s.hists[p].Observe(time.Since(start).Nanoseconds())
+	return Stamp(time.Since(s.epoch))
 }
 
-// Hist returns the histogram backing phase p (nil for a nil receiver or
-// out-of-range phase), for tests and the perf aggregator.
+// Lap records the nanoseconds since start under phase p and returns the
+// stamp that closed the span, to open the next phase's span: a chain of
+// Laps times contiguous regions with one clock read per boundary. A zero
+// start (from a nil Start) and an out-of-range phase record nothing; a
+// nil receiver returns the zero Stamp without reading the clock.
+func (s *Spans) Lap(p Phase, start Stamp) Stamp {
+	if s == nil {
+		return 0
+	}
+	now := Stamp(time.Since(s.epoch))
+	if start != 0 && p < NumPhases {
+		s.hists[p].observe(s.lane, int64(now-start))
+	}
+	return now
+}
+
+// End records the nanoseconds since start under phase p, as Lap does.
+func (s *Spans) End(p Phase, start Stamp) { s.Lap(p, start) }
+
+// Hist returns the histogram backing phase p, all lanes (nil for a nil
+// receiver or out-of-range phase), for tests and the perf aggregator.
 func (s *Spans) Hist(p Phase) *Histogram {
 	if s == nil || p >= NumPhases {
 		return nil

@@ -22,6 +22,7 @@ type CoreMetrics struct {
 	// Work counters: machine-independent measures of the round's hot-path
 	// work, so recomputation creeping back fails the gate exactly.
 	DecodeModelEvals *Counter // phy.CodedBER evaluations (two per round)
+	SuccessProbEvals *Counter // phy.SuccessProbAtBER evaluations; a round pays once per distinct (BER, bits)
 	ChannelPathEvals *Counter // path × subcarrier phasors; a cached static prefix adds none
 	QueryBytesBuilt  *Counter // query A-MPDU bytes marshalled; zero, since rounds only plan the query
 }
@@ -42,6 +43,7 @@ func NewCoreMetrics(r *Registry) *CoreMetrics {
 		RoundAirtime:  r.Histogram("core.round_airtime_us", Exp2Bounds(256, 14)),
 
 		DecodeModelEvals: r.Counter("core.decode_model_evals"),
+		SuccessProbEvals: r.Counter("core.success_prob_evals"),
 		ChannelPathEvals: r.Counter("core.channel_path_evals"),
 		QueryBytesBuilt:  r.Counter("core.query_bytes_built"),
 	}

@@ -85,8 +85,8 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 	spans := rx.Spans
 	var hardStream []byte
 	var softStream []float64
+	sp := spans.Start()
 	for s, sym := range rx.Symbols {
-		sp := spans.Start()
 		eq := equaliseSymbol(sym, csi.Gains, layout.PilotIdx, pilotPolarity(s))
 		// Demap data subcarriers.
 		blockHard := make([]byte, 0, ncbps)
@@ -112,9 +112,8 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 			return nil, err
 		}
 		res.SymbolEVM = append(res.SymbolEVM, evm)
-		spans.End(obs.PhaseEqualise, sp)
+		sp = spans.Lap(obs.PhaseEqualise, sp)
 
-		sp = spans.Start()
 		deHard, err := il.Deinterleave(blockHard)
 		if err != nil {
 			return nil, err
@@ -127,10 +126,9 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 			}
 			softStream = append(softStream, deSoft...)
 		}
-		spans.End(obs.PhaseDeinterleave, sp)
+		sp = spans.Lap(obs.PhaseDeinterleave, sp)
 	}
 
-	sp := spans.Start()
 	motherLen := 2 * nsym * ndbps
 	var decoded []byte
 	if soft {
@@ -166,8 +164,7 @@ func Receive(rx *Received, csi *CSI, soft bool) (*ReceiveResult, error) {
 			return nil, err
 		}
 	}
-	spans.End(obs.PhaseViterbi, sp)
-	sp = spans.Start()
+	sp = spans.Lap(obs.PhaseViterbi, sp)
 
 	// Diagnostic: re-encode and count pre-Viterbi disagreements.
 	reCoded := ConvEncode(decoded)

@@ -89,7 +89,7 @@ func (t Trial) Run(ctx context.Context) (RunStats, error) {
 func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment, rounds int, seed int64) (RunStats, error) {
 	if o := sys.Obs; o != nil {
 		// Attribute the pre-round Advance calls below to the channel phase.
-		env.Spans = o.Spans
+		env.Spans = o.Spans.Lane(sys.TraceID)
 	}
 	rng := stats.NewRNG(seed)
 	var rs RunStats

@@ -90,7 +90,9 @@ func Uniform(r *rand.Rand, lo, hi float64) float64 {
 func RandomBits(r *rand.Rand, n int) []byte {
 	bits := make([]byte, n)
 	for i := range bits {
-		bits[i] = byte(r.Intn(2))
+		// Exactly r.Intn(2): math/rand takes a power-of-two bound's draw
+		// from bit 32 of Int63.
+		bits[i] = byte(r.Int63() >> 32 & 1)
 	}
 	return bits
 }

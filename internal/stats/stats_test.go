@@ -124,6 +124,26 @@ func TestRandomBitsAndBytes(t *testing.T) {
 	}
 }
 
+// TestRandomBitsMatchesIntn pins RandomBits to the stream r.Intn(2) draws,
+// which every seeded experiment's tag data was generated from: the same
+// bits, and the generator left in the same state.
+func TestRandomBitsMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{0, 1, 6, 42, -7, 1 << 40} {
+		a, b := NewRNG(seed), NewRNG(seed)
+		for _, n := range []int{0, 1, 60, 997} {
+			got := RandomBits(a, n)
+			for i := range got {
+				if want := byte(b.Intn(2)); got[i] != want {
+					t.Fatalf("seed %d, n %d: bit %d = %d, Intn(2) gives %d", seed, n, i, got[i], want)
+				}
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("seed %d: generators diverged", seed)
+		}
+	}
+}
+
 func TestMeanVarianceKnown(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
