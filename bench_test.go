@@ -21,6 +21,7 @@ import (
 	"witag/internal/experiments"
 	"witag/internal/phy"
 	"witag/internal/stats"
+	"witag/internal/tag"
 )
 
 // printOnce gates table output so -benchtime iterations don't spam.
@@ -229,6 +230,18 @@ func BenchmarkQueryRoundLoS(b *testing.B) {
 // walls, where the decode model works hardest.
 func BenchmarkQueryRoundNLoS(b *testing.B) {
 	sys, env, err := experiments.NLoSTestbed(experiments.LocationB, 1)
+	benchmarkQueryRound(b, sys, env, err)
+}
+
+// BenchmarkQueryRoundRing is a §7 power-table round: the 50 kHz ring
+// oscillator at 35 °C drifts, so most corrupted subframes get a coverage,
+// and so a decode-model segment size, of their own.
+func BenchmarkQueryRoundRing(b *testing.B) {
+	sys, env, err := experiments.LoSTestbed(1, 1)
+	if err == nil {
+		sys.Tag.Clock = tag.NewRingOscillator(50e3, nil)
+		sys.TempC = 35
+	}
 	benchmarkQueryRound(b, sys, env, err)
 }
 
