@@ -102,24 +102,30 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -n 1
 
-# Time-boxed coverage-guided fuzzing of the frame codec and the erasure
-# coders; `make fuzzseed` replays just the checked-in corpus (fast,
-# deterministic — the CI form).
+# Time-boxed coverage-guided fuzzing of the frame codec, the erasure
+# coders and the tolerant export readers (trace, timeline, run ledger);
+# `make fuzzseed` replays just the checked-in corpus (fast, deterministic
+# — the CI form).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFountainDecode -fuzztime=$(FUZZTIME) ./internal/coding
 	$(GO) test -run='^$$' -fuzz=FuzzRSDecode -fuzztime=$(FUZZTIME) ./internal/coding
+	$(GO) test -run='^$$' -fuzz='^FuzzReadJSONL$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTimelineLog$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzReadRunLedgerTolerant$$' -fuzztime=$(FUZZTIME) ./internal/obs
 
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding
+	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs
 
 # The worker-count determinism contract, for results AND for the
 # observability layer: metrics snapshots must be identical for 1 vs N
 # workers, attaching instrumentation (or a logging campaign scope, or a
 # timeline) must not change any output, canonicalized campaign logs and
 # logical timeline exports must be worker-count invariant, and concurrent
-# campaigns must stay byte-identical to solo runs with fully disjoint
-# metrics. The hot path's reuse is held to the same bar: the paired
+# campaigns — and two harnesses running at once, each with its own
+# campaign — must stay byte-identical to solo runs with fully disjoint
+# metrics. The hard-decision Viterbi decoder must match the integer
+# trellis it replaced bit for bit. The hot path's reuse is held to the same bar: the paired
 # channel evaluation must equal two single-state ones bit for bit, the
 # static-prefix and tag-term caches must notice every in-place edit of
 # their inputs, the rotation phase ramp must stay within tolerance of the
@@ -132,4 +138,4 @@ fuzzseed:
 # read like single-lane ones, Lap chains are contiguous, and every
 # experiment records the same spans per phase at any worker count.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs

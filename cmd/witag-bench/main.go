@@ -70,19 +70,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"witag/internal/buildinfo"
 	"witag/internal/cliflags"
+	"witag/internal/clirun"
 	"witag/internal/experiments"
 	"witag/internal/fault"
 	"witag/internal/obs"
@@ -151,13 +149,7 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if err := run(ctx, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "witag-bench:", err)
-		os.Exit(1)
-	}
+	clirun.Main("witag-bench", func(ctx context.Context) error { return run(ctx, cfg) })
 }
 
 // writeMemProfiles snapshots heap_<name>.pprof and allocs_<name>.pprof
@@ -183,16 +175,6 @@ func writeMemProfiles(dir, name string) error {
 		}
 	}
 	return nil
-}
-
-// logWriter narrows a possibly-nil *os.File to the interface
-// CampaignOptions expects: a nil file must become a nil interface, or
-// the campaign would log into a typed-nil writer.
-func logWriter(f *os.File) io.Writer {
-	if f == nil {
-		return nil
-	}
-	return f
 }
 
 // provenance builds the stamp shared by every artifact of this run. The
@@ -263,108 +245,38 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 
 	// Campaign wiring: this invocation is one campaign scope under a
 	// process hub — its own registry, trace ring, progress reporter,
-	// structured logger and SSE event broker. Every system, injector,
-	// transferer and runner the harnesses build is instrumented through
-	// it; attaching it draws no RNG values and changes no output byte.
-	var progress *obs.Progress
-	if cfg.progress {
-		progress = obs.NewProgress(os.Stderr, "trials")
-		defer progress.Finish()
-	}
-	var logFile *os.File
-	if cfg.logPath != "" {
-		logFile, err = os.Create(cfg.logPath)
-		if err != nil {
-			return fmt.Errorf("-log: %w", err)
-		}
-		defer logFile.Close()
-	}
+	// structured logger and SSE event broker — passed explicitly to every
+	// harness, which instruments the systems, injectors, transferers and
+	// runners it builds through it. The run ledger lands beside the BENCH
+	// artifacts (no -json directory, no ledger).
 	traceCap := 0
-	if cfg.tracePath != "" {
+	if cfg.tracePath != "" || cfg.traceOut != "" {
 		traceCap = cfg.traceCap
 		if traceCap <= 0 {
 			traceCap = obs.DefaultTraceCap
 		}
 	}
-	hub := obs.NewHub()
-	camp, err := hub.Register("bench", obs.CampaignOptions{
-		TraceCap: traceCap,
-		Progress: progress,
-		LogW:     logWriter(logFile),
-		LogLevel: logLevel,
-	})
+	opts := clirun.Options{
+		Tool: "witag-bench", Campaign: "bench",
+		LogPath: cfg.logPath, LogLevel: logLevel,
+		StartAttrs: []any{
+			slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.seed),
+			slog.Int("runs", cfg.runs), slog.Int("rounds", cfg.rounds),
+		},
+		TraceCap: traceCap, TracePath: cfg.tracePath,
+		MetricsAddr: cfg.metricsAddr,
+		LedgerDir:   cfg.jsonDir, Provenance: provenance(cfg),
+	}
+	if cfg.progress {
+		opts.ProgressNoun = "trials"
+	}
+	cr, err := clirun.Start(ctx, opts)
 	if err != nil {
 		return err
 	}
-	reg, observer, trace := camp.Registry, camp.Observer, camp.Trace
-	defer experiments.SetObserver(experiments.SetObserver(observer))
-	defer experiments.SetProgress(experiments.SetProgress(progress))
-	defer experiments.SetCampaign(experiments.SetCampaign(camp))
-
-	// The run ledger and the final campaign status, written however the
-	// run ends. The ledger lands beside the BENCH artifacts (no -json
-	// directory, no ledger); artifacts collects what the run wrote.
-	var artifacts []string
-	defer func() {
-		camp.Finish(err)
-		outcome := "ok"
-		switch {
-		case err != nil && ctx.Err() != nil:
-			outcome = "cancelled"
-		case err != nil:
-			outcome = "error"
-		}
-		camp.Logger.Info("run finished", slog.String("outcome", outcome), slog.Int64("wall_ms", camp.WallMs()))
-		if cfg.jsonDir == "" {
-			return
-		}
-		rec := obs.RunRecord{
-			Tool: "witag-bench", Campaign: camp.ID, Outcome: outcome,
-			WallMs: camp.WallMs(), Artifacts: artifacts, Provenance: provenance(cfg),
-			Build: buildinfo.Current("witag-bench"),
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		if lerr := obs.AppendRunRecord(cfg.jsonDir, rec); lerr != nil {
-			fmt.Fprintln(os.Stderr, "witag-bench: ledger:", lerr)
-		}
-	}()
-	camp.Logger.Info("run started",
-		slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.seed),
-		slog.Int("runs", cfg.runs), slog.Int("rounds", cfg.rounds))
-
-	if cfg.metricsAddr != "" {
-		srv, serr := obs.ServeHub(cfg.metricsAddr, hub)
-		if serr != nil {
-			return serr
-		}
-		// Tear the listener down on Ctrl-C too, not only on return — Close
-		// is idempotent, so the AfterFunc and the defer can race safely.
-		unhook := context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
-		defer unhook()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
-	}
-	if cfg.tracePath != "" {
-		defer func() {
-			f, err := os.Create(cfg.tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "witag-bench: trace:", err)
-				return
-			}
-			defer f.Close()
-			if err := trace.WriteJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, "witag-bench: trace:", err)
-				return
-			}
-			if d := trace.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", trace.Len(), cfg.tracePath, d)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", trace.Len(), cfg.tracePath)
-			}
-		}()
-	}
+	defer func() { cr.Finish(err) }()
+	camp := cr.Campaign
+	reg := camp.Registry
 
 	// emit writes an experiment's series plus the metrics-registry delta
 	// accumulated since the previous experiment finished, both wrapped in
@@ -416,32 +328,28 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		if err := regress.WriteProf(cfg.jsonDir, name, prov, rep); err != nil {
 			return err
 		}
-		artifacts = append(artifacts,
-			"BENCH_"+name+".json", "BENCH_"+name+".metrics.json", "PROF_"+name+".json")
+		cr.AddArtifact("BENCH_" + name + ".json")
+		cr.AddArtifact("BENCH_" + name + ".metrics.json")
+		cr.AddArtifact("PROF_" + name + ".json")
 		return nil
 	}
 
 	all := cfg.experiment == "all"
 	seed, runs, rounds, parallel := cfg.seed, cfg.runs, cfg.rounds, cfg.parallel
 
-	// runExperiment runs one experiment under the right observer. With
-	// -trace-out, the experiment records into its own fresh ring, written
-	// as TRACE_<name>.jsonl under the directory when it finishes — one
-	// self-contained file per experiment for witag-trace to analyze. With
-	// -timeline, the experiment gets its own fresh timeline attached to
-	// the campaign (every runner under it then samples windowed deltas),
-	// written as TL_<name>.jsonl beside the BENCH artifacts.
+	// runExperiment runs one experiment on a runner scoped to the
+	// campaign. With -trace-out, the campaign's ring is written as
+	// TRACE_<name>.jsonl under the directory when the experiment finishes
+	// and then reset — one self-contained file per experiment for
+	// witag-trace to analyze. With -timeline, the experiment gets its own
+	// fresh timeline attached to the campaign (every runner under it then
+	// samples windowed deltas), written as TL_<name>.jsonl beside the
+	// BENCH artifacts.
 	runExperiment := func(name string, fn func(runner sim.Runner) error) error {
 		if !all && cfg.experiment != name {
 			return nil
 		}
 		camp.Logger.Info("experiment started", slog.String("experiment", name))
-		o := observer
-		var rec *obs.Recorder
-		if cfg.traceOut != "" {
-			rec = obs.NewRecorder(cfg.traceCap)
-			o = obs.NewObserver(reg, rec)
-		}
 		var tl *obs.Timeline
 		stopWall := func() {}
 		if cfg.timeline {
@@ -455,22 +363,19 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 				camp.SetTimeline(nil)
 			}()
 		}
-		prev := experiments.SetObserver(o)
 		var cpuFile *os.File
 		if cfg.profileDir != "" {
 			var perr error
 			cpuFile, perr = os.Create(filepath.Join(cfg.profileDir, "cpu_"+name+".pprof"))
 			if perr != nil {
-				experiments.SetObserver(prev)
 				return perr
 			}
 			if perr := pprof.StartCPUProfile(cpuFile); perr != nil {
 				cpuFile.Close()
-				experiments.SetObserver(prev)
 				return perr
 			}
 		}
-		err := fn(sim.Runner{Workers: parallel, Obs: o, Progress: progress, Campaign: camp})
+		err := fn(sim.Runner{Workers: parallel, Campaign: camp})
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if cerr := cpuFile.Close(); err == nil && cerr != nil {
@@ -480,7 +385,6 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 				err = perr
 			}
 		}
-		experiments.SetObserver(prev)
 		if err != nil {
 			return err
 		}
@@ -488,51 +392,27 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 			stopWall()
 			tl.Flush()
 			path := filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl")
-			f, terr := os.Create(path)
-			if terr != nil {
-				return terr
+			if err := clirun.WriteJSONL(path, tl); err != nil {
+				return err
 			}
-			if terr := tl.WriteJSONL(f); terr != nil {
-				f.Close()
-				return terr
-			}
-			if terr := f.Close(); terr != nil {
-				return terr
-			}
-			artifacts = append(artifacts, "TL_"+name+".jsonl")
+			cr.AddArtifact("TL_" + name + ".jsonl")
 			if d := tl.Dropped(); d > 0 {
 				fmt.Fprintf(os.Stderr, "timeline: wrote %d windows to %s (%d older windows dropped)\n", tl.Total()-d, path, d)
 			}
 		}
-		if rec == nil {
+		if cfg.traceOut == "" {
 			return nil
 		}
 		if err := os.MkdirAll(cfg.traceOut, 0o755); err != nil {
 			return err
 		}
 		path := filepath.Join(cfg.traceOut, "TRACE_"+name+".jsonl")
-		artifacts = append(artifacts, path)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", rec.Len(), path, d)
-		} else {
-			fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", rec.Len(), path)
-		}
-		return nil
+		cr.AddArtifact(path)
+		return cr.ExportTrace(path)
 	}
 
-	if err := runExperiment("fig3", func(sim.Runner) error {
-		res, err := experiments.Figure3Ctx(ctx, seed, parallel)
+	if err := runExperiment("fig3", func(runner sim.Runner) error {
+		res, err := experiments.Figure3Ctx(ctx, runner, seed)
 		if err != nil {
 			return err
 		}
@@ -544,8 +424,8 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 	}); err != nil {
 		return err
 	}
-	if err := runExperiment("fig5", func(sim.Runner) error {
-		res, err := experiments.Figure5Ctx(ctx, experiments.Figure5Config{Seed: seed, Runs: runs, Round: rounds, Workers: parallel})
+	if err := runExperiment("fig5", func(runner sim.Runner) error {
+		res, err := experiments.Figure5Ctx(ctx, experiments.Figure5Config{Seed: seed, Runs: runs, Round: rounds, Workers: parallel, Campaign: camp})
 		if err != nil {
 			return err
 		}
@@ -561,6 +441,7 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		fcfg := experiments.DefaultFigure6Config()
 		fcfg.Seed = seed
 		fcfg.Workers = parallel
+		fcfg.Campaign = camp
 		fcfg.Round = rounds / 2
 		if fcfg.Round < 10 {
 			fcfg.Round = 10
@@ -583,8 +464,8 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 	}); err != nil {
 		return err
 	}
-	if err := runExperiment("s41", func(sim.Runner) error {
-		res, err := experiments.Section41SweepCtx(ctx, parallel)
+	if err := runExperiment("s41", func(runner sim.Runner) error {
+		res, err := experiments.Section41SweepCtx(ctx, runner)
 		if err != nil {
 			return err
 		}
@@ -663,6 +544,7 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		rcfg := experiments.DefaultRobustnessConfig()
 		rcfg.Seed = seed
 		rcfg.Workers = parallel
+		rcfg.Campaign = camp
 		rcfg.BaseProfile = cfg.faultProf
 		rcfg.Transfers = cfg.transfers
 		res, err := experiments.RobustnessCtx(ctx, rcfg)
@@ -681,6 +563,7 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		ccfg := experiments.DefaultAdaptiveCodingConfig()
 		ccfg.Seed = seed
 		ccfg.Workers = parallel
+		ccfg.Campaign = camp
 		full := cfg.transfer == "all" && cfg.trafficSel == "all"
 		if cfg.transfer != "all" {
 			ccfg.Schemes = []string{cfg.transfer}

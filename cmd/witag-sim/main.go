@@ -44,21 +44,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"witag/internal/buildinfo"
 	"witag/internal/channel"
 	"witag/internal/cliflags"
+	"witag/internal/clirun"
 	"witag/internal/coding"
 	"witag/internal/core"
 	"witag/internal/crypto80211"
@@ -106,9 +104,6 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	cfg := deployment{
 		apStr: *apFlag, tagStr: *tagFlag, wallsStr: *wallsFlag,
 		cipherStr: *cipherFlag, faultStr: *faultFlag, trafficStr: *trafficFlag,
@@ -117,10 +112,9 @@ func main() {
 	ocfg := obsConfig{metricsAddr: *metricsAddr, tracePath: *tracePath, traceCap: *traceCap, progress: *progress,
 		cpuProfile: *cpuProfile, memProfile: *memProfile, logPath: *logPath, logLevel: *logLevel,
 		tlPath: *tlPath, tlWindow: *tlWindow}
-	if err := run(ctx, cfg, ocfg, *rounds, *runs, *parallel, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "witag-sim:", err)
-		os.Exit(1)
-	}
+	clirun.Main("witag-sim", func(ctx context.Context) error {
+		return run(ctx, cfg, ocfg, *rounds, *runs, *parallel, *seed)
+	})
 }
 
 // obsConfig carries the observability flags.
@@ -319,140 +313,54 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 	// Campaign wiring: this invocation is one campaign scope under a
 	// process hub — its own registry, trace ring, progress reporter,
 	// structured logger and SSE event broker, attached to every run's
-	// system at build time. Attaching draws no RNG values, so the
-	// measurements below are byte-identical with or without it.
-	var prog *obs.Progress
+	// system by the runner. Attaching draws no RNG values, so the
+	// measurements below are byte-identical with or without it. The run
+	// ledger lands beside the -log file (no -log, no ledger).
+	opts := clirun.Options{
+		Tool: "witag-sim", Campaign: "sim",
+		LogPath: ocfg.logPath, LogLevel: logLevel,
+		StartAttrs: []any{
+			slog.String("ap", cfg.apStr), slog.String("tag", cfg.tagStr),
+			slog.String("cipher", cfg.cipherStr), slog.Int64("seed", seed),
+			slog.Int("runs", runs), slog.Int("rounds", rounds),
+		},
+		TracePath: ocfg.tracePath, MetricsAddr: ocfg.metricsAddr,
+		Provenance: simProvenance{
+			GoVersion: runtime.Version(), AP: cfg.apStr, Tag: cfg.tagStr,
+			Cipher: cfg.cipherStr, Fault: cfg.faultStr, Traffic: cfg.trafficStr,
+			Transfer: cfg.xferStr, Rounds: rounds, Runs: runs, Seed: seed,
+		},
+	}
 	if ocfg.progress {
-		prog = obs.NewProgress(os.Stderr, "runs")
-		defer prog.Finish()
+		opts.ProgressNoun = "runs"
 	}
-	var logFile *os.File
-	if ocfg.logPath != "" {
-		logFile, err = os.Create(ocfg.logPath)
-		if err != nil {
-			return fmt.Errorf("-log: %w", err)
-		}
-		defer logFile.Close()
-	}
-	campTraceCap := 0
 	if ocfg.tracePath != "" {
-		campTraceCap = ocfg.traceCap
-		if campTraceCap <= 0 {
-			campTraceCap = obs.DefaultTraceCap
+		opts.TraceCap = ocfg.traceCap
+		if opts.TraceCap <= 0 {
+			opts.TraceCap = obs.DefaultTraceCap
 		}
 	}
-	hub := obs.NewHub()
-	camp, err := hub.Register("sim", obs.CampaignOptions{
-		TraceCap: campTraceCap,
-		Progress: prog,
-		LogW:     logWriter(logFile),
-		LogLevel: logLevel,
-	})
+	if ocfg.logPath != "" {
+		opts.LedgerDir = filepath.Dir(ocfg.logPath)
+	}
+	cr, err := clirun.Start(ctx, opts)
 	if err != nil {
 		return err
 	}
-	observer, trace := camp.Observer, camp.Trace
-	var tl *obs.Timeline
+	defer func() { cr.Finish(err) }()
+	for _, a := range []string{ocfg.tracePath, ocfg.tlPath, ocfg.cpuProfile, ocfg.memProfile, ocfg.logPath} {
+		if a != "" {
+			cr.AddArtifact(a)
+		}
+	}
+	camp := cr.Campaign
 	if ocfg.tlPath != "" {
-		tl = obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: ocfg.tlWindow})
+		tl := obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: ocfg.tlWindow})
 		camp.SetTimeline(tl)
 		defer func() {
 			tl.Flush()
-			f, terr := os.Create(ocfg.tlPath)
-			if terr != nil {
+			if terr := clirun.WriteJSONL(ocfg.tlPath, tl); terr != nil {
 				fmt.Fprintln(os.Stderr, "witag-sim: timeline:", terr)
-				return
-			}
-			defer f.Close()
-			if terr := tl.WriteJSONL(f); terr != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: timeline:", terr)
-			}
-		}()
-	}
-
-	// Run ledger and final campaign status, written however the run
-	// ends. The ledger lands beside the -log file (no -log, no ledger);
-	// artifacts collects what the run wrote.
-	var artifacts []string
-	if ocfg.tracePath != "" {
-		artifacts = append(artifacts, ocfg.tracePath)
-	}
-	if ocfg.tlPath != "" {
-		artifacts = append(artifacts, ocfg.tlPath)
-	}
-	if ocfg.cpuProfile != "" {
-		artifacts = append(artifacts, ocfg.cpuProfile)
-	}
-	if ocfg.memProfile != "" {
-		artifacts = append(artifacts, ocfg.memProfile)
-	}
-	if ocfg.logPath != "" {
-		artifacts = append(artifacts, ocfg.logPath)
-	}
-	defer func() {
-		camp.Finish(err)
-		outcome := "ok"
-		switch {
-		case err != nil && ctx.Err() != nil:
-			outcome = "cancelled"
-		case err != nil:
-			outcome = "error"
-		}
-		camp.Logger.Info("run finished", slog.String("outcome", outcome), slog.Int64("wall_ms", camp.WallMs()))
-		if ocfg.logPath == "" {
-			return
-		}
-		rec := obs.RunRecord{
-			Tool: "witag-sim", Campaign: camp.ID, Outcome: outcome,
-			WallMs: camp.WallMs(), Artifacts: artifacts,
-			Build: buildinfo.Current("witag-sim"),
-			Provenance: simProvenance{
-				GoVersion: runtime.Version(), AP: cfg.apStr, Tag: cfg.tagStr,
-				Cipher: cfg.cipherStr, Fault: cfg.faultStr, Traffic: cfg.trafficStr,
-				Transfer: cfg.xferStr, Rounds: rounds, Runs: runs, Seed: seed,
-			},
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		if lerr := obs.AppendRunRecord(filepath.Dir(ocfg.logPath), rec); lerr != nil {
-			fmt.Fprintln(os.Stderr, "witag-sim: ledger:", lerr)
-		}
-	}()
-	camp.Logger.Info("run started",
-		slog.String("ap", cfg.apStr), slog.String("tag", cfg.tagStr),
-		slog.String("cipher", cfg.cipherStr), slog.Int64("seed", seed),
-		slog.Int("runs", runs), slog.Int("rounds", rounds))
-
-	if ocfg.metricsAddr != "" {
-		srv, serr := obs.ServeHub(ocfg.metricsAddr, hub)
-		if serr != nil {
-			return serr
-		}
-		// Close on signal as well as on return: a ^C mid-campaign must
-		// release the listener promptly, not only once run() unwinds.
-		// Server.Close is idempotent, so the two paths race safely.
-		unhook := context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
-		defer unhook()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
-	}
-	if ocfg.tracePath != "" {
-		defer func() {
-			f, err := os.Create(ocfg.tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: trace:", err)
-				return
-			}
-			defer f.Close()
-			if err := trace.WriteJSONL(f); err != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: trace:", err)
-				return
-			}
-			if d := trace.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", trace.Len(), ocfg.tracePath, d)
-			} else {
-				fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", trace.Len(), ocfg.tracePath)
 			}
 		}()
 	}
@@ -470,14 +378,14 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 			},
 			Rounds:   rounds,
 			DataSeed: stats.SubSeed(seed, "sim", runLabel, "data"),
-			// Trial.Run stamps the observer and trace identity onto the
-			// system (and its fault injector) after Build.
+			// Trial.Run instruments the system (and its fault injector
+			// and traffic generator) with the runner's campaign after
+			// Build.
 			ID:     i,
 			Labels: "sim/" + runLabel,
-			Obs:    observer,
 		}
 	}
-	runStats, err := sim.Runner{Workers: parallel, Obs: observer, Campaign: camp}.RunTrials(ctx, trials)
+	runStats, err := sim.Runner{Workers: parallel, Campaign: camp}.RunTrials(ctx, trials)
 	if err != nil {
 		return err
 	}
@@ -542,7 +450,6 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 // coding sweep compares) and the summary reports delivery, rounds and
 // goodput instead of raw BER.
 func runTransfers(ctx context.Context, cfg deployment, camp *obs.Campaign, runs, parallel int, seed int64) error {
-	observer := camp.Observer
 	type outcome struct {
 		delivered bool
 		rounds    int
@@ -550,24 +457,14 @@ func runTransfers(ctx context.Context, cfg deployment, camp *obs.Campaign, runs,
 		airtime   float64
 		goodput   float64
 	}
-	outs, err := sim.Map(ctx, sim.Runner{Workers: parallel, Obs: observer, Campaign: camp}, runs,
+	outs, err := sim.Map(ctx, sim.Runner{Workers: parallel, Campaign: camp}, runs,
 		func(ctx context.Context, i int) (outcome, error) {
 			runLabel := fmt.Sprintf("run=%d", i)
 			sys, env, err := cfg.build(stats.SubSeed(seed, "sim", runLabel))
 			if err != nil {
 				return outcome{}, err
 			}
-			sys.Obs = observer
-			sys.TraceID = i
-			sys.TraceLabels = "sim/" + runLabel + "/scheme=" + cfg.xferStr
-			if sys.Faults != nil {
-				sys.Faults.Obs = observer
-				sys.Faults.TraceID = i
-				sys.Faults.TraceLabels = sys.TraceLabels
-			}
-			if sys.Traffic != nil {
-				sys.Traffic.Obs = observer
-			}
+			sys.Instrument(camp.Observer, i, "sim/"+runLabel+"/scheme="+cfg.xferStr)
 			payload := stats.RandomBytes(stats.NewRNG(stats.SubSeed(seed, "sim", runLabel, "payload")), cfg.payloadLen)
 			xferSeed := stats.SubSeed(seed, "sim", runLabel, "xfer")
 			switch cfg.xferStr {
@@ -576,31 +473,19 @@ func runTransfers(ctx context.Context, cfg deployment, camp *obs.Campaign, runs,
 				if err != nil {
 					return outcome{}, err
 				}
-				xfer := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xferSeed)
-				xfer.Obs = observer
-				xfer.TraceID = i
-				xfer.TraceLabels = sys.TraceLabels
-				st, err := xfer.Send(ctx, payload)
+				st, err := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xferSeed).Send(ctx, payload)
 				if err != nil {
 					return outcome{}, err
 				}
 				return outcome{st.Delivered, st.Rounds, st.FramesSent, st.Airtime.Seconds(), st.GoodputBps()}, nil
 			case "fountain":
-				xfer := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xferSeed)
-				xfer.Obs = observer
-				xfer.TraceID = i
-				xfer.TraceLabels = sys.TraceLabels
-				st, err := xfer.Send(ctx, payload)
+				st, err := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xferSeed).Send(ctx, payload)
 				if err != nil {
 					return outcome{}, err
 				}
 				return outcome{st.Delivered, st.Rounds, st.FramesSent, st.Airtime.Seconds(), st.GoodputBps()}, nil
 			case "rs":
-				xfer := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xferSeed)
-				xfer.Obs = observer
-				xfer.TraceID = i
-				xfer.TraceLabels = sys.TraceLabels
-				st, err := xfer.Send(ctx, payload)
+				st, err := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xferSeed).Send(ctx, payload)
 				if err != nil {
 					return outcome{}, err
 				}
@@ -654,15 +539,6 @@ type simProvenance struct {
 	Rounds    int    `json:"rounds"`
 	Runs      int    `json:"runs"`
 	Seed      int64  `json:"seed"`
-}
-
-// logWriter unwraps the optional log file without smuggling a typed nil
-// into the io.Writer interface.
-func logWriter(f *os.File) io.Writer {
-	if f == nil {
-		return nil
-	}
-	return f
 }
 
 func log10(x float64) float64 {

@@ -261,13 +261,14 @@ func cmdReplay(ctx context.Context, args []string) error {
 		}
 	}
 
-	// Fresh registry + recorder: the replay's observability is isolated
-	// from whatever campaign produced the input trace.
-	rec := obs.NewRecorder(0)
-	o := obs.NewObserver(obs.NewRegistry(), rec)
+	// A fresh campaign with its own trace ring: the replay's
+	// observability is isolated from whatever campaign produced the input
+	// trace.
+	camp := obs.NewCampaign("replay", obs.CampaignOptions{TraceCap: obs.DefaultTraceCap})
+	rec := camp.Trace
 	summary, err := experiments.ReplayTrial(ctx, experiments.ReplayRequest{
 		Labels: path, Trial: *trial, Seed: *seed, Rounds: *rounds,
-		PayloadBytes: *payload, FaultProfile: *faultProf, Obs: o,
+		PayloadBytes: *payload, FaultProfile: *faultProf, Campaign: camp,
 	})
 	if err != nil {
 		return err

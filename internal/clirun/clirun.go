@@ -1,0 +1,204 @@
+// Package clirun is the startup and teardown the campaign-running CLIs
+// (witag-bench, witag-sim) share: a signal-cancelled context, one
+// campaign scope under a process hub (progress reporter, JSONL log, trace
+// ring), the optional -metrics-addr server, the -trace export, and the
+// final campaign status plus RUNS.jsonl ledger line however the run ends.
+// Everything it wires is a sink: attaching it draws no RNG values and
+// changes no result byte.
+package clirun
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"log/slog"
+	"os"
+	"os/signal"
+	"syscall"
+
+	"witag/internal/buildinfo"
+	"witag/internal/obs"
+)
+
+// Main runs fn under a context that SIGINT and SIGTERM cancel, and exits
+// with status 1 and "tool: err" on stderr when fn fails.
+func Main(tool string, fn func(ctx context.Context) error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := fn(ctx)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, tool+":", err)
+		os.Exit(1)
+	}
+}
+
+// Options configures one invocation's campaign scope. Paths are assumed
+// validated (internal/cliflags) before Start.
+type Options struct {
+	// Tool names the command in messages and the ledger ("witag-bench").
+	Tool string
+	// Campaign is the hub ID ("bench", "sim").
+	Campaign string
+	// ProgressNoun, when non-empty, turns on live progress on stderr,
+	// counting this unit ("trials", "runs").
+	ProgressNoun string
+	// LogPath, when non-empty, receives the campaign's JSONL log at
+	// LogLevel.
+	LogPath  string
+	LogLevel slog.Leveler
+	// StartAttrs are the "run started" log line's attributes.
+	StartAttrs []any
+	// TraceCap > 0 gives the campaign a trace ring of that capacity.
+	TraceCap int
+	// TracePath, when non-empty, receives the ring as JSONL at Finish.
+	TracePath string
+	// MetricsAddr, when non-empty, serves the hub there for the run.
+	MetricsAddr string
+	// LedgerDir, when non-empty, receives one RUNS.jsonl line at Finish.
+	LedgerDir string
+	// Provenance is the ledger line's provenance stamp.
+	Provenance any
+}
+
+// Run is a started campaign scope.
+type Run struct {
+	// Campaign is the invocation's one instrumentation handle.
+	Campaign *obs.Campaign
+
+	ctx       context.Context
+	opts      Options
+	progress  *obs.Progress
+	logFile   *os.File
+	server    *obs.Server // the -metrics-addr listener (nil when off)
+	unhook    func() bool
+	artifacts []string
+}
+
+// Start opens the log file, registers the campaign on a fresh hub, logs
+// "run started" and, with MetricsAddr, serves the hub until Finish or
+// until ctx is cancelled. The caller must call Finish once Start
+// succeeds; when Start fails after the campaign exists (the listener
+// cannot bind), it finishes the run itself, ledger line included.
+func Start(ctx context.Context, opts Options) (*Run, error) {
+	r := &Run{ctx: ctx, opts: opts}
+	copts := obs.CampaignOptions{TraceCap: opts.TraceCap, LogLevel: opts.LogLevel}
+	if opts.LogPath != "" {
+		f, err := os.Create(opts.LogPath)
+		if err != nil {
+			return nil, fmt.Errorf("-log: %w", err)
+		}
+		r.logFile = f
+		copts.LogW = f
+	}
+	if opts.ProgressNoun != "" {
+		r.progress = obs.NewProgress(os.Stderr, opts.ProgressNoun)
+		copts.Progress = r.progress
+	}
+	hub := obs.NewHub()
+	camp, err := hub.Register(opts.Campaign, copts)
+	if err != nil {
+		r.closeFiles()
+		return nil, err
+	}
+	r.Campaign = camp
+	camp.Logger.Info("run started", opts.StartAttrs...)
+
+	if opts.MetricsAddr != "" {
+		srv, err := obs.ServeHub(opts.MetricsAddr, hub)
+		if err != nil {
+			r.Finish(err)
+			return nil, err
+		}
+		r.server = srv
+		// Tear the listener down on Ctrl-C too, not only at Finish: a
+		// cancelled run must release its port promptly. Close is
+		// idempotent, so the two paths race safely.
+		r.unhook = context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
+	}
+	return r, nil
+}
+
+// AddArtifact records a file the run wrote, for the ledger line.
+func (r *Run) AddArtifact(name string) {
+	r.artifacts = append(r.artifacts, name)
+}
+
+// ExportTrace writes the campaign's trace ring to path as JSONL and then
+// resets it, so the next export reads like one from a fresh ring.
+func (r *Run) ExportTrace(path string) error {
+	rec := r.Campaign.Trace
+	if err := WriteJSONL(path, rec); err != nil {
+		return err
+	}
+	if d := rec.Dropped(); d > 0 {
+		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", rec.Len(), path, d)
+	} else {
+		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", rec.Len(), path)
+	}
+	rec.Reset()
+	return nil
+}
+
+// Finish ends the run with outcome err: it writes the -trace export,
+// stops the metrics server, marks the campaign done or failed, logs "run
+// finished" and appends the ledger line ("ok", "error", or "cancelled"
+// when err follows a cancelled context). Export and ledger failures are
+// reported on stderr, never returned: they must not mask err.
+func (r *Run) Finish(err error) {
+	if r.opts.TracePath != "" {
+		if terr := r.ExportTrace(r.opts.TracePath); terr != nil {
+			fmt.Fprintf(os.Stderr, "%s: trace: %v\n", r.opts.Tool, terr)
+		}
+	}
+	if r.server != nil {
+		r.unhook()
+		r.server.Close()
+	}
+	camp := r.Campaign
+	camp.Finish(err)
+	outcome := "ok"
+	switch {
+	case err != nil && r.ctx.Err() != nil:
+		outcome = "cancelled"
+	case err != nil:
+		outcome = "error"
+	}
+	camp.Logger.Info("run finished", slog.String("outcome", outcome), slog.Int64("wall_ms", camp.WallMs()))
+	if r.opts.LedgerDir != "" {
+		rec := obs.RunRecord{
+			Tool: r.opts.Tool, Campaign: camp.ID, Outcome: outcome,
+			WallMs: camp.WallMs(), Artifacts: r.artifacts, Provenance: r.opts.Provenance,
+			Build: buildinfo.Current(r.opts.Tool),
+		}
+		if err != nil {
+			rec.Error = err.Error()
+		}
+		if lerr := obs.AppendRunRecord(r.opts.LedgerDir, rec); lerr != nil {
+			fmt.Fprintf(os.Stderr, "%s: ledger: %v\n", r.opts.Tool, lerr)
+		}
+	}
+	r.closeFiles()
+}
+
+// closeFiles closes the log file and ends the progress line.
+func (r *Run) closeFiles() {
+	if r.logFile != nil {
+		r.logFile.Close()
+	}
+	r.progress.Finish()
+}
+
+// WriteJSONL creates path and writes src's JSONL export into it (a trace
+// ring or a timeline).
+func WriteJSONL(path string, src interface{ WriteJSONL(io.Writer) error }) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := src.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

@@ -88,18 +88,26 @@ type sender struct {
 	bo    Backoff
 	rng   *rand.Rand
 
-	o           *obs.Observer
-	traceID     int
-	traceLabels string
-
 	consecErased int
+}
+
+// start counts a transfer into the system's observer, which receives the
+// sender's metrics and trace events under the system's trace identity,
+// and attributes the environment's Advance calls to the channel phase.
+func (s *sender) start() {
+	if o := s.sys.Obs; o != nil {
+		if s.env != nil {
+			s.env.Spans = o.Spans.Lane(s.sys.TraceID)
+		}
+		o.Coding.TransfersStarted.Inc()
+	}
 }
 
 // spans returns the sender's phase timers, in its trace ID's lane (nil
 // when detached).
 func (s *sender) spans() *obs.Spans {
-	if s.o != nil {
-		return s.o.Spans.Lane(s.traceID)
+	if o := s.sys.Obs; o != nil {
+		return o.Spans.Lane(s.sys.TraceID)
 	}
 	return nil
 }
@@ -176,9 +184,9 @@ func (s *sender) backoff(st *Stats) {
 
 // trace records one frame attempt's outcome (symbol/shard id in Offset).
 func (s *sender) trace(kind string, id int, outcome string) {
-	if s.o != nil {
-		s.o.Trace.Record(obs.Event{
-			Kind: kind, Trial: s.traceID, Labels: s.traceLabels,
+	if o := s.sys.Obs; o != nil {
+		o.Trace.Record(obs.Event{
+			Kind: kind, Trial: s.sys.TraceID, Labels: s.sys.TraceLabels,
 			Offset: id, Outcome: outcome,
 		})
 	}
@@ -186,10 +194,11 @@ func (s *sender) trace(kind string, id int, outcome string) {
 
 // finish flushes the transfer's totals into the metrics registry.
 func (s *sender) finish(scheme string, st *Stats) {
-	if s.o == nil {
+	o := s.sys.Obs
+	if o == nil {
 		return
 	}
-	m := s.o.Coding
+	m := o.Coding
 	m.FramesSent.Add(int64(st.FramesSent))
 	m.FrameErasures.Add(int64(st.FrameErasures))
 	m.FrameErrors.Add(int64(st.FrameErrors))
@@ -200,8 +209,8 @@ func (s *sender) finish(scheme string, st *Stats) {
 	} else {
 		m.TransfersFailed.Inc()
 	}
-	s.o.Trace.Record(obs.Event{
-		Kind: "transfer", Trial: s.traceID, Labels: s.traceLabels,
+	o.Trace.Record(obs.Event{
+		Kind: "transfer", Trial: s.sys.TraceID, Labels: s.sys.TraceLabels,
 		Delivered: st.Delivered, Length: st.PayloadBytes,
 		Rounds: st.Rounds, Retries: st.FrameErrors + st.FrameErasures,
 		AirtimeUs: st.Airtime.Microseconds(), Outcome: scheme,
@@ -237,10 +246,6 @@ type FountainTransferer struct {
 	Env    *channel.Environment
 	StepS  float64
 	Config FountainConfig
-	// Obs, TraceID, TraceLabels mirror link.Transferer's identity fields.
-	Obs         *obs.Observer
-	TraceID     int
-	TraceLabels string
 
 	seed int64
 	rng  *rand.Rand
@@ -274,13 +279,8 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 	}
 	st := &Stats{PayloadBytes: len(payload)}
 	snd := &sender{sys: t.Sys, env: t.Env, stepS: t.StepS, codec: cfg.Codec, bo: cfg.Backoff,
-		rng: t.rng, o: t.Obs, traceID: t.TraceID, traceLabels: t.TraceLabels}
-	if o := t.Obs; o != nil {
-		if t.Env != nil {
-			t.Env.Spans = o.Spans.Lane(t.TraceID)
-		}
-		o.Coding.TransfersStarted.Inc()
-	}
+		rng: t.rng}
+	snd.start()
 	defer snd.finish("fountain", st)
 
 	dec := NewFountainDecoder(f)
@@ -305,7 +305,7 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 		if err != nil {
 			return st, err
 		}
-		if o := t.Obs; o != nil {
+		if o := t.Sys.Obs; o != nil {
 			o.Coding.SymbolsSent.Inc()
 		}
 		switch outcome {
@@ -430,13 +430,10 @@ func (w *lossWindow) Rate(prior float64) float64 {
 // re-sized from the loss window before every block — GuardRider's
 // adaptation loop.
 type RSTransferer struct {
-	Sys         *core.System
-	Env         *channel.Environment
-	StepS       float64
-	Config      RSConfig
-	Obs         *obs.Observer
-	TraceID     int
-	TraceLabels string
+	Sys    *core.System
+	Env    *channel.Environment
+	StepS  float64
+	Config RSConfig
 
 	rng    *rand.Rand
 	window *lossWindow
@@ -507,13 +504,8 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 	}
 	st := &Stats{PayloadBytes: len(payload)}
 	snd := &sender{sys: t.Sys, env: t.Env, stepS: t.StepS, codec: cfg.Codec, bo: cfg.Backoff,
-		rng: t.rng, o: t.Obs, traceID: t.TraceID, traceLabels: t.TraceLabels}
-	if o := t.Obs; o != nil {
-		if t.Env != nil {
-			t.Env.Spans = o.Spans.Lane(t.TraceID)
-		}
-		o.Coding.TransfersStarted.Inc()
-	}
+		rng: t.rng}
+	snd.start()
 	defer snd.finish("rs", st)
 
 	out := make([]byte, len(payload))
@@ -562,7 +554,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		}
 		if lastM >= 0 && m0 != lastM {
 			st.ParityResizes++
-			if o := t.Obs; o != nil {
+			if o := t.Sys.Obs; o != nil {
 				o.Coding.ParityResizes.Inc()
 			}
 		}
@@ -593,7 +585,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				if err != nil {
 					return st, err
 				}
-				if o := t.Obs; o != nil {
+				if o := t.Sys.Obs; o != nil {
 					o.Coding.ShardsSent.Inc()
 				}
 				lost := outcome != frameOK
@@ -617,7 +609,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			}
 			if got >= k {
 				st.DecodeAttempts++
-				if o := t.Obs; o != nil {
+				if o := t.Sys.Obs; o != nil {
 					o.Coding.DecodeAttempts.Inc()
 				}
 				sp := snd.spans().Start()
@@ -651,7 +643,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				break // parity space exhausted — the block is undeliverable
 			}
 			st.ParityResizes++
-			if o := t.Obs; o != nil {
+			if o := t.Sys.Obs; o != nil {
 				o.Coding.ParityResizes.Inc()
 			}
 			targets = targets[:0]

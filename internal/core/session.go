@@ -136,6 +136,20 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 	return sys, nil
 }
 
+// Instrument attaches observer o and the trace identity (id, labels) to
+// the system and to its fault injector and traffic generator, so every
+// event the deployment emits names the trial that produced it. Call it
+// once the deployment is fully built; o may be nil (instrumentation off).
+func (s *System) Instrument(o *obs.Observer, id int, labels string) {
+	s.Obs, s.TraceID, s.TraceLabels = o, id, labels
+	if s.Faults != nil {
+		s.Faults.Obs, s.Faults.TraceID, s.Faults.TraceLabels = o, id, labels
+	}
+	if s.Traffic != nil {
+		s.Traffic.Obs = o
+	}
+}
+
 // Reshape re-runs query shaping for the current cipher and spec, using the
 // smallest per-subframe tick count that fits the MPDU overhead. Call it
 // after changing Cipher or Spec. The querier knows the tag's *nominal*

@@ -57,39 +57,61 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// ablationRowCount returns how many configurations the named ablation
-// sweeps; replay uses it to validate a requested index.
-func ablationRowCount(name string) (int, error) {
+// ablationRowFunc measures configuration i of one ablation with
+// observer o attached; size is the ablation's per-configuration round
+// count (frame count for fec).
+type ablationRowFunc func(ctx context.Context, seed int64, size, i int, o *obs.Observer) (AblationRow, error)
+
+// ablationByName resolves an ablation's label name to its configuration
+// count and row function — the one table both the harnesses and forensic
+// replay go through.
+func ablationByName(name string) (int, ablationRowFunc, error) {
 	switch name {
 	case "switch":
-		return 2, nil
-	case "trigger", "ampdu", "mcs":
-		return 4, nil
-	case "fec", "crypto":
-		return 3, nil
+		return 2, ablationSwitchRow, nil
+	case "trigger":
+		return 4, ablationTriggerRow, nil
+	case "fec":
+		return 3, ablationFECRow, nil
+	case "ampdu":
+		return 4, ablationAMPDURow, nil
+	case "mcs":
+		return 4, ablationMCSRow, nil
+	case "crypto":
+		return 3, ablationCryptoRow, nil
 	default:
-		return 0, fmt.Errorf("experiments: unknown ablation %q", name)
+		return 0, nil, fmt.Errorf("experiments: unknown ablation %q", name)
 	}
 }
 
-// stampAblation wires one ablation configuration's trace identity.
+// ablationRows measures every configuration of the named ablation on r,
+// each instrumented through r's campaign.
+func ablationRows(ctx context.Context, r sim.Runner, name string, seed int64, size int) ([]AblationRow, error) {
+	n, row, err := ablationByName(name)
+	if err != nil {
+		return nil, err
+	}
+	o := r.Campaign.ObserverRef()
+	return sim.Map(ctx, r, n, func(ctx context.Context, i int) (AblationRow, error) {
+		return row(ctx, seed, size, i, o)
+	})
+}
+
+// stampAblation wires one ablation configuration's observer and trace
+// identity.
 func stampAblation(sys *core.System, name string, i int, o *obs.Observer) {
-	sys.Obs = o
-	sys.TraceID = i
-	sys.TraceLabels = fmt.Sprintf("ablation/%s/cfg=%d", name, i)
+	sys.Instrument(o, i, fmt.Sprintf("ablation/%s/cfg=%d", name, i))
 }
 
 // AblationSwitchMode compares §5.2's phase-flip signalling with the naive
 // open/short design at the worst-case (mid-span) tag position.
 func AblationSwitchMode(seed int64, rounds int) (*AblationResult, error) {
-	return AblationSwitchModeCtx(context.Background(), simRunner(0), seed, rounds)
+	return AblationSwitchModeCtx(context.Background(), sim.Runner{}, seed, rounds)
 }
 
 // AblationSwitchModeCtx is AblationSwitchMode on an explicit runner.
 func AblationSwitchModeCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 2, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationSwitchRow(ctx, seed, rounds, i, currentObserver())
-	})
+	rows, err := ablationRows(ctx, r, "switch", seed, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -142,14 +164,12 @@ func ablationSwitchRow(ctx context.Context, seed int64, rounds, i int, o *obs.Ob
 // carry data (§7 notes the overhead is small against 64-subframe
 // aggregates).
 func AblationTriggerCount(seed int64, rounds int) (*AblationResult, error) {
-	return AblationTriggerCountCtx(context.Background(), simRunner(0), seed, rounds)
+	return AblationTriggerCountCtx(context.Background(), sim.Runner{}, seed, rounds)
 }
 
 // AblationTriggerCountCtx is AblationTriggerCount on an explicit runner.
 func AblationTriggerCountCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 4, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationTriggerRow(ctx, seed, rounds, i, currentObserver())
-	})
+	rows, err := ablationRows(ctx, r, "trigger", seed, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -201,14 +221,12 @@ func ablationTriggerRow(ctx context.Context, seed int64, rounds, i int, o *obs.O
 // metric is application goodput: payload bits delivered in verified frames
 // per second.
 func AblationFEC(seed int64, frames int) (*AblationResult, error) {
-	return AblationFECCtx(context.Background(), simRunner(0), seed, frames)
+	return AblationFECCtx(context.Background(), sim.Runner{}, seed, frames)
 }
 
 // AblationFECCtx is AblationFEC on an explicit runner.
 func AblationFECCtx(ctx context.Context, r sim.Runner, seed int64, frames int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 3, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationFECRow(ctx, seed, frames, i, currentObserver())
-	})
+	rows, err := ablationRows(ctx, r, "fec", seed, frames)
 	if err != nil {
 		return nil, err
 	}
@@ -289,14 +307,12 @@ func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Obser
 
 // AblationAMPDUSize sweeps aggregate size at the default MCS.
 func AblationAMPDUSize(seed int64, rounds int) (*AblationResult, error) {
-	return AblationAMPDUSizeCtx(context.Background(), simRunner(0), seed, rounds)
+	return AblationAMPDUSizeCtx(context.Background(), sim.Runner{}, seed, rounds)
 }
 
 // AblationAMPDUSizeCtx is AblationAMPDUSize on an explicit runner.
 func AblationAMPDUSizeCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 4, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationAMPDURow(ctx, seed, rounds, i, currentObserver())
-	})
+	rows, err := ablationRows(ctx, r, "ampdu", seed, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -344,14 +360,12 @@ func ablationAMPDURow(ctx context.Context, seed int64, rounds, i int, o *obs.Obs
 // AblationRobustRate sweeps the query MCS: too aggressive a rate confuses
 // path-loss failures with tag zeros (§4.1's robust-rate rule).
 func AblationRobustRate(seed int64, rounds int) (*AblationResult, error) {
-	return AblationRobustRateCtx(context.Background(), simRunner(0), seed, rounds)
+	return AblationRobustRateCtx(context.Background(), sim.Runner{}, seed, rounds)
 }
 
 // AblationRobustRateCtx is AblationRobustRate on an explicit runner.
 func AblationRobustRateCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 4, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationMCSRow(ctx, seed, rounds, i, currentObserver())
-	})
+	rows, err := ablationRows(ctx, r, "mcs", seed, rounds)
 	if err != nil {
 		return nil, err
 	}
@@ -403,14 +417,12 @@ func ablationMCSRow(ctx context.Context, seed int64, rounds, i int, o *obs.Obser
 // AblationEncryption re-runs the near-client deployment on open, WEP and
 // WPA2 networks — the §4 transparency claim as a table.
 func AblationEncryption(seed int64, rounds int) (*AblationResult, error) {
-	return AblationEncryptionCtx(context.Background(), simRunner(0), seed, rounds)
+	return AblationEncryptionCtx(context.Background(), sim.Runner{}, seed, rounds)
 }
 
 // AblationEncryptionCtx is AblationEncryption on an explicit runner.
 func AblationEncryptionCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := sim.Map(ctx, r, 3, func(ctx context.Context, i int) (AblationRow, error) {
-		return ablationCryptoRow(ctx, seed, rounds, i, currentObserver())
-	})
+	rows, err := ablationRows(ctx, r, "crypto", seed, rounds)
 	if err != nil {
 		return nil, err
 	}

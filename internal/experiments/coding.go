@@ -58,7 +58,9 @@ type AdaptiveCodingConfig struct {
 	PayloadBytes int // transfer size (default 96)
 	Transfers    int // independent transfers per (profile, scheme)
 	Workers      int // concurrent trial workers; <= 0 means runtime.NumCPU()
-	Profiles     []CodingProfile
+	// Campaign, when non-nil, instruments the sweep (nil: off).
+	Campaign *obs.Campaign
+	Profiles []CodingProfile
 	// Schemes restricts the sweep to a subset of CodingSchemes (the CLI's
 	// -transfer flag). Empty means all of them; note ShapeChecks asserts
 	// the full three-scheme comparison, so subsets are for exploration,
@@ -171,12 +173,13 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 	perProfile := len(schemeNames) * cfg.Transfers
 	n := len(cfg.Profiles) * perProfile
 
-	trials, err := sim.Map(ctx, simRunner(cfg.Workers), n,
+	o := cfg.Campaign.ObserverRef()
+	trials, err := sim.Map(ctx, sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}, n,
 		func(ctx context.Context, i int) (codingTrial, error) {
 			pi := i / perProfile
 			scheme := schemeNames[i%perProfile/cfg.Transfers]
 			tr := i % cfg.Transfers
-			return codingTransfer(ctx, cfg, cfg.Profiles[pi], scheme, i, tr, currentObserver())
+			return codingTransfer(ctx, cfg, cfg.Profiles[pi], scheme, i, tr, o)
 		})
 	if err != nil {
 		return nil, err
@@ -244,7 +247,6 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 	if err != nil {
 		return codingTrial{}, err
 	}
-	traceLabels := sys.TraceLabels
 
 	out := codingTrial{}
 	verify := func(delivered bool, received []byte) error {
@@ -259,11 +261,7 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 		if err != nil {
 			return codingTrial{}, err
 		}
-		xfer := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, label("xfer"))
-		xfer.Obs = o
-		xfer.TraceID = traceID
-		xfer.TraceLabels = traceLabels
-		st, err := xfer.Send(ctx, payload)
+		st, err := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, label("xfer")).Send(ctx, payload)
 		if err != nil {
 			return codingTrial{}, err
 		}
@@ -273,11 +271,7 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 		out = codingTrial{delivered: st.Delivered, rounds: st.Rounds,
 			frames: st.FramesSent, goodput: st.GoodputBps()}
 	case "fountain":
-		xfer := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), label("xfer"))
-		xfer.Obs = o
-		xfer.TraceID = traceID
-		xfer.TraceLabels = traceLabels
-		st, err := xfer.Send(ctx, payload)
+		st, err := coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), label("xfer")).Send(ctx, payload)
 		if err != nil {
 			return codingTrial{}, err
 		}
@@ -287,11 +281,7 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 		out = codingTrial{delivered: st.Delivered, rounds: st.Rounds,
 			frames: st.FramesSent, decodeAttempts: st.DecodeAttempts, goodput: st.GoodputBps()}
 	case "rs":
-		xfer := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), label("xfer"))
-		xfer.Obs = o
-		xfer.TraceID = traceID
-		xfer.TraceLabels = traceLabels
-		st, err := xfer.Send(ctx, payload)
+		st, err := coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), label("xfer")).Send(ctx, payload)
 		if err != nil {
 			return codingTrial{}, err
 		}
@@ -319,14 +309,10 @@ func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, tr
 	label := func(leaf string) int64 {
 		return stats.SubSeed(cfg.Seed, append(append([]string(nil), world...), leaf)...)
 	}
-	traceLabels := strings.Join(world, "/") + "/scheme=" + scheme
 	sys, env, err := LoSTestbed(2, label("env"))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	sys.Obs = o
-	sys.TraceID = traceID
-	sys.TraceLabels = traceLabels
 	if prof.Fault != "" {
 		fp, err := fault.Named(prof.Fault)
 		if err != nil {
@@ -336,9 +322,6 @@ func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, tr
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		sys.Faults.Obs = o
-		sys.Faults.TraceID = traceID
-		sys.Faults.TraceLabels = traceLabels
 	}
 	if prof.Traffic != "" {
 		tp, err := traffic.Named(prof.Traffic)
@@ -349,8 +332,8 @@ func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, tr
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		sys.Traffic.Obs = o
 	}
+	sys.Instrument(o, traceID, strings.Join(world, "/")+"/scheme="+scheme)
 	payload := stats.RandomBytes(stats.NewRNG(label("payload")), cfg.PayloadBytes)
 	return sys, env, payload, label, nil
 }

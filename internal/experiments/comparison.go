@@ -87,15 +87,16 @@ type PowerResult struct {
 // end-to-end consequence of clock drift: the same LoS deployment run with
 // each clock at 35 °C (calibrated at 25 °C).
 func Section7Power(seed int64) (*PowerResult, error) {
-	return Section7PowerCtx(context.Background(), simRunner(0), seed)
+	return Section7PowerCtx(context.Background(), sim.Runner{}, seed)
 }
 
 // Section7PowerCtx is Section7Power on an explicit runner; the oscillator
 // configurations fan across workers, each measured in its own copy of the
 // same seeded deployment so the comparison stays paired.
 func Section7PowerCtx(ctx context.Context, r sim.Runner, seed int64) (*PowerResult, error) {
+	o := r.Campaign.ObserverRef()
 	rows, err := sim.Map(ctx, r, len(powerConfigs()), func(ctx context.Context, i int) (PowerRow, error) {
-		return powerRow(ctx, seed, i, currentObserver())
+		return powerRow(ctx, seed, i, o)
 	})
 	if err != nil {
 		return nil, err
@@ -168,9 +169,7 @@ func powerRow(ctx context.Context, seed int64, i int, o *obs.Observer) (PowerRow
 	if err != nil {
 		return PowerRow{}, err
 	}
-	sys.Obs = o
-	sys.TraceID = i
-	sys.TraceLabels = fmt.Sprintf("power/cfg=%d", i)
+	sys.Instrument(o, i, fmt.Sprintf("power/cfg=%d", i))
 	sys.Tag.Clock = c.mk()
 	sys.TempC = 35
 	rs, err := sim.MeasureRun(ctx, sys, env, powerRows, dataSeed)

@@ -88,11 +88,11 @@ func TestAblationsDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestFigure3DeterministicAcrossWorkerCounts(t *testing.T) {
-	serial, err := Figure3Ctx(context.Background(), 9, 1)
+	serial, err := Figure3Ctx(context.Background(), sim.Runner{Workers: 1}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Figure3Ctx(context.Background(), 9, manyWorkers())
+	parallel, err := Figure3Ctx(context.Background(), sim.Runner{Workers: manyWorkers()}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,19 +36,19 @@ type Figure3Result struct {
 // Figure3 measures both switching designs at several positions in the LoS
 // testbed.
 func Figure3(seed int64) (*Figure3Result, error) {
-	return Figure3Ctx(context.Background(), seed, 0)
+	return Figure3Ctx(context.Background(), sim.Runner{}, seed)
 }
 
-// Figure3Ctx is Figure3 with cancellation and an explicit worker count
-// (<= 0 means runtime.NumCPU()). The sweep has no Monte-Carlo loop — each
-// position is a single deterministic channel evaluation — so the runner
-// fans the positions themselves.
-func Figure3Ctx(ctx context.Context, seed int64, workers int) (*Figure3Result, error) {
+// Figure3Ctx is Figure3 with cancellation on an explicit runner. The
+// sweep has no Monte-Carlo loop — each position is a single deterministic
+// channel evaluation — so the runner fans the positions themselves.
+func Figure3Ctx(ctx context.Context, r sim.Runner, seed int64) (*Figure3Result, error) {
 	// One labeled environment seed shared by every position: the paper
 	// measures the same room at several tag placements.
 	envSeed := stats.SubSeed(seed, "fig3")
 	distances := []float64{1, 2, 4, 6, 7}
-	points, err := sim.Map(ctx, simRunner(workers), len(distances), func(ctx context.Context, i int) (Figure3Point, error) {
+	o := r.Campaign.ObserverRef()
+	points, err := sim.Map(ctx, r, len(distances), func(ctx context.Context, i int) (Figure3Point, error) {
 		d := distances[i]
 		sys, env, err := LoSTestbed(d, envSeed)
 		if err != nil {
@@ -57,8 +57,7 @@ func Figure3Ctx(ctx context.Context, seed int64, workers int) (*Figure3Result, e
 		// This sweep never calls QueryRound, so no trace events exist to
 		// replay; the identity is stamped anyway so any future event from
 		// this deployment is attributable.
-		sys.TraceID = i
-		sys.TraceLabels = fmt.Sprintf("fig3/d=%g", d)
+		sys.Instrument(o, i, fmt.Sprintf("fig3/d=%g", d))
 		sw := sys.Tag.Switch
 		mk := func(st tag.SwitchState) (*channel.TagReflection, error) {
 			if err := sw.Set(st); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"witag/internal/channel"
 	"witag/internal/core"
+	"witag/internal/obs"
 	"witag/internal/sim"
 	"witag/internal/stats"
 )
@@ -22,6 +23,8 @@ type Figure5Config struct {
 	Runs    int // measurement repetitions per location (paper: 4)
 	Round   int // query rounds per run (scale stand-in for "one minute")
 	Workers int // concurrent trial workers; <= 0 means runtime.NumCPU()
+	// Campaign, when non-nil, instruments the sweep (nil: off).
+	Campaign *obs.Campaign
 }
 
 // DefaultFigure5Config mirrors the paper at simulation-friendly scale.
@@ -69,6 +72,7 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 		if err != nil {
 			return nil, err
 		}
+		sys.Instrument(cfg.Campaign.ObserverRef(), 0, "")
 		raw, err := sys.TagRateBps()
 		if err != nil {
 			return nil, err
@@ -93,7 +97,7 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 			})
 		}
 	}
-	runStats, err := simRunner(cfg.Workers).RunTrials(ctx, trials)
+	runStats, err := sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}.RunTrials(ctx, trials)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/dot11"
+	"witag/internal/obs"
 	"witag/internal/phy"
 	"witag/internal/sim"
 	"witag/internal/stats"
@@ -25,6 +26,8 @@ type Figure6Config struct {
 	Runs    int // measurement repetitions (paper: 60)
 	Round   int // query rounds per run
 	Workers int // concurrent trial workers; <= 0 means runtime.NumCPU()
+	// Campaign, when non-nil, instruments the campaign (nil: off).
+	Campaign *obs.Campaign
 }
 
 // DefaultFigure6Config mirrors the paper at simulation-friendly scale.
@@ -88,7 +91,7 @@ func Figure6Ctx(ctx context.Context, loc NLoSLocation, cfg Figure6Config) (*Figu
 			Labels:   "fig6/" + locLabel + "/" + runLabel,
 		}
 	}
-	runStats, err := simRunner(cfg.Workers).RunTrials(ctx, trials)
+	runStats, err := sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}.RunTrials(ctx, trials)
 	if err != nil {
 		return nil, err
 	}

@@ -32,10 +32,10 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 	// events must not touch the science path.
 	_, cancel := camp.Events.Subscribe(1)
 	defer cancel()
-	defer SetObserver(SetObserver(camp.Observer))
-	defer SetCampaign(SetCampaign(camp))
 
-	res, err := Robustness(obsRobustnessConfig(workers))
+	cfg := obsRobustnessConfig(workers)
+	cfg.Campaign = camp
+	res, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,7 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 }
 
 func TestLoggingDoesNotPerturbResults(t *testing.T) {
-	// Bare run: no observer, no campaign, no logger.
-	defer SetObserver(SetObserver(nil))
-	defer SetProgress(SetProgress(nil))
-	defer SetCampaign(SetCampaign(nil))
+	// Bare run: no campaign, so no observer and no logger.
 	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
 	if err != nil {
 		t.Fatal(err)

@@ -30,16 +30,16 @@ func obsRobustnessConfig(workers int) RobustnessConfig {
 	}
 }
 
-// robustnessSnapshot runs the sweep with a fresh registry installed and
-// returns the accumulated metrics.
+// robustnessSnapshot runs the sweep under a fresh campaign and returns
+// the accumulated metrics.
 func robustnessSnapshot(t *testing.T, workers int) obs.Snapshot {
 	t.Helper()
-	reg := obs.NewRegistry()
-	defer SetObserver(SetObserver(obs.NewObserver(reg, nil)))
-	if _, err := Robustness(obsRobustnessConfig(workers)); err != nil {
+	cfg := obsRobustnessConfig(workers)
+	cfg.Campaign = obs.NewCampaign("test", obs.CampaignOptions{})
+	if _, err := Robustness(cfg); err != nil {
 		t.Fatal(err)
 	}
-	return reg.Snapshot()
+	return cfg.Campaign.Registry.Snapshot()
 }
 
 func TestMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
@@ -84,17 +84,15 @@ func TestMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	cfg := obsRobustnessConfig(manyWorkers())
 
-	defer SetObserver(SetObserver(nil))
-	defer SetProgress(SetProgress(nil))
 	bare, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Full instrumentation: registry, trace ring and progress sink.
-	reg := obs.NewRegistry()
-	SetObserver(obs.NewObserver(reg, obs.NewRecorder(1<<12)))
-	SetProgress(obs.NewProgress(io.Discard, "trials"))
+	cfg.Campaign = obs.NewCampaign("test", obs.CampaignOptions{
+		TraceCap: 1 << 12, Progress: obs.NewProgress(io.Discard, "trials"),
+	})
 	instrumented, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,14 +110,14 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 
 func TestTraceRoundEventCountMatchesRounds(t *testing.T) {
 	const rounds = 37
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(1 << 12)
-	defer SetObserver(SetObserver(obs.NewObserver(reg, rec)))
+	camp := obs.NewCampaign("test", obs.CampaignOptions{TraceCap: 1 << 12})
+	reg, rec := camp.Registry, camp.Trace
 
 	sys, env, err := LoSTestbed(2, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Instrument(camp.Observer, 0, "")
 	if _, err := MeasureRun(sys, env, rounds, 456); err != nil {
 		t.Fatal(err)
 	}

@@ -46,14 +46,15 @@ type ReplayRequest struct {
 	// configuration; ignored by other experiments.
 	PayloadBytes int
 	FaultProfile string
-	// Obs receives the replayed trial's metrics and trace events;
-	// typically a fresh registry plus recorder so the replay is isolated
-	// from any campaign-wide observer.
-	Obs *obs.Observer
+	// Campaign receives the replayed trial's metrics and trace events;
+	// typically a fresh one with a trace ring, so the replay is isolated
+	// from the campaign that produced the original trace.
+	Campaign *obs.Campaign
 }
 
 // ReplayTrial re-runs the one trial req names and returns a short
-// human-readable outcome summary. The trial's events land in req.Obs.
+// human-readable outcome summary. The trial's events land in
+// req.Campaign.
 func ReplayTrial(ctx context.Context, req ReplayRequest) (string, error) {
 	toks := strings.Split(req.Labels, "/")
 	switch toks[0] {
@@ -113,14 +114,13 @@ func labelInt(tok, key string) (int, error) {
 	return n, nil
 }
 
-// replayRunTrial runs the rebuilt trial on a single-worker runner wired
-// to the replay observer (so runner.* counters and the volatile "trial"
+// replayRunTrial runs the rebuilt trial on a single-worker runner scoped
+// to the replay campaign (so runner.* counters and the volatile "trial"
 // record match a campaign slice's shape).
 func replayRunTrial(ctx context.Context, req ReplayRequest, t sim.Trial) (sim.RunStats, error) {
 	t.ID = req.Trial
 	t.Labels = req.Labels
-	t.Obs = req.Obs
-	rs, err := sim.Runner{Workers: 1, Obs: req.Obs}.RunTrials(ctx, []sim.Trial{t})
+	rs, err := sim.Runner{Workers: 1, Campaign: req.Campaign}.RunTrials(ctx, []sim.Trial{t})
 	if err != nil {
 		return sim.RunStats{}, err
 	}
@@ -220,7 +220,7 @@ func replayRobustness(ctx context.Context, req ReplayRequest, toks []string) (st
 		return "", fmt.Errorf("experiments: robust replay needs the campaign's payload size")
 	}
 	cfg := RobustnessConfig{Seed: req.Seed, PayloadBytes: req.PayloadBytes}
-	rt, err := robustnessTransfer(ctx, cfg, base, lb, mode, req.Trial, tr, req.Obs)
+	rt, err := robustnessTransfer(ctx, cfg, base, lb, mode, req.Trial, tr, req.Campaign.ObserverRef())
 	if err != nil {
 		return "", err
 	}
@@ -236,7 +236,7 @@ func replayPower(ctx context.Context, req ReplayRequest, toks []string) (string,
 	if err != nil {
 		return "", err
 	}
-	row, err := powerRow(ctx, req.Seed, i, req.Obs)
+	row, err := powerRow(ctx, req.Seed, i, req.Campaign.ObserverRef())
 	if err != nil {
 		return "", err
 	}
@@ -252,31 +252,19 @@ func replayAblation(ctx context.Context, req ReplayRequest, toks []string) (stri
 	if err != nil {
 		return "", err
 	}
-	if n, err := ablationRowCount(name); err != nil {
+	n, row, err := ablationByName(name)
+	if err != nil {
 		return "", err
-	} else if i < 0 || i >= n {
+	}
+	if i < 0 || i >= n {
 		return "", fmt.Errorf("experiments: ablation %s config %d outside [0,%d)", name, i, n)
 	}
 	if req.Rounds < 1 {
 		return "", fmt.Errorf("experiments: ablation replay needs the campaign's round count (frame count for fec)")
 	}
-	var row AblationRow
-	switch name {
-	case "switch":
-		row, err = ablationSwitchRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "trigger":
-		row, err = ablationTriggerRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "fec":
-		row, err = ablationFECRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "ampdu":
-		row, err = ablationAMPDURow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "mcs":
-		row, err = ablationMCSRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	case "crypto":
-		row, err = ablationCryptoRow(ctx, req.Seed, req.Rounds, i, req.Obs)
-	}
+	res, err := row(ctx, req.Seed, req.Rounds, i, req.Campaign.ObserverRef())
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("ablation %s cfg=%d (%s): BER=%.4f %s", name, i, row.Label, row.BER, row.Note), nil
+	return fmt.Sprintf("ablation %s cfg=%d (%s): BER=%.4f %s", name, i, res.Label, res.BER, res.Note), nil
 }

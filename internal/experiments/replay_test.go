@@ -16,20 +16,24 @@ import (
 // deterministic metrics — byte for byte, regardless of the worker count
 // the original campaign ran with.
 
-// campaignTrace runs fn with a fresh registry + recorder installed and
-// returns the recorded events and the metrics snapshot.
-func campaignTrace(t *testing.T, fn func() error) ([]obs.Event, obs.Snapshot) {
+// traceCampaign returns a fresh campaign with a trace ring large enough
+// for the tests' small sweeps.
+func traceCampaign() *obs.Campaign {
+	return obs.NewCampaign("replay-test", obs.CampaignOptions{TraceCap: 1 << 14})
+}
+
+// campaignTrace runs fn under a fresh campaign and returns the recorded
+// events and the metrics snapshot.
+func campaignTrace(t *testing.T, fn func(c *obs.Campaign) error) ([]obs.Event, obs.Snapshot) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(1 << 14)
-	defer SetObserver(SetObserver(obs.NewObserver(reg, rec)))
-	if err := fn(); err != nil {
+	c := traceCampaign()
+	if err := fn(c); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Dropped() != 0 {
-		t.Fatalf("trace ring dropped %d events; enlarge the test capacity", rec.Dropped())
+	if d := c.Trace.Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d events; enlarge the test capacity", d)
 	}
-	return rec.Events(), reg.Snapshot()
+	return c.Trace.Events(), c.Registry.Snapshot()
 }
 
 // trialSlice filters one trial's events, excluding the runner's volatile
@@ -66,7 +70,8 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	campaign := func(workers int) ([]obs.Event, obs.Snapshot) {
 		c := cfg
 		c.Workers = workers
-		return campaignTrace(t, func() error {
+		return campaignTrace(t, func(camp *obs.Campaign) error {
+			c.Campaign = camp
 			_, err := Figure5(c)
 			return err
 		})
@@ -97,16 +102,15 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 
 		// Replay the trial from its label path alone, into fresh
 		// instrumentation, and require the same bytes back.
-		reg := obs.NewRegistry()
-		rec := obs.NewRecorder(1 << 14)
+		rc := traceCampaign()
 		if _, err := ReplayTrial(context.Background(), ReplayRequest{
 			Labels: serial[0].Labels, Trial: k, Seed: cfg.Seed, Rounds: cfg.Round,
-			Obs: obs.NewObserver(reg, rec),
+			Campaign: rc,
 		}); err != nil {
 			t.Fatalf("replay trial %d: %v", k, err)
 		}
-		assertEventsByteIdentical(t, "replay", serial, trialSlice(rec.Events(), k))
-		replaySnaps = append(replaySnaps, reg.Snapshot())
+		assertEventsByteIdentical(t, "replay", serial, trialSlice(rc.Trace.Events(), k))
+		replaySnaps = append(replaySnaps, rc.Registry.Snapshot())
 	}
 
 	// The per-trial replays, merged, must reproduce the campaign's whole
@@ -155,7 +159,8 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	campaign := func(workers int) ([]obs.Event, obs.Snapshot) {
 		c := cfg
 		c.Workers = workers
-		return campaignTrace(t, func() error {
+		return campaignTrace(t, func(camp *obs.Campaign) error {
+			c.Campaign = camp
 			_, err := Robustness(c)
 			return err
 		})
@@ -178,17 +183,16 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 			}
 		}
 
-		reg := obs.NewRegistry()
-		rec := obs.NewRecorder(1 << 14)
+		rc := traceCampaign()
 		if _, err := ReplayTrial(context.Background(), ReplayRequest{
 			Labels: serial[0].Labels, Trial: k, Seed: cfg.Seed,
 			PayloadBytes: cfg.PayloadBytes, FaultProfile: cfg.BaseProfile,
-			Obs: obs.NewObserver(reg, rec),
+			Campaign: rc,
 		}); err != nil {
 			t.Fatalf("replay trial %d (%s): %v", k, serial[0].Labels, err)
 		}
-		assertEventsByteIdentical(t, "replay "+serial[0].Labels, serial, trialSlice(rec.Events(), k))
-		replaySnaps = append(replaySnaps, reg.Snapshot())
+		assertEventsByteIdentical(t, "replay "+serial[0].Labels, serial, trialSlice(rc.Trace.Events(), k))
+		replaySnaps = append(replaySnaps, rc.Registry.Snapshot())
 	}
 	if !sawSegments {
 		t.Fatal("no segment events in the campaign — ARQ path not exercised")

@@ -30,6 +30,8 @@ type RobustnessConfig struct {
 	PayloadBytes int // transfer size (default 64)
 	Transfers    int // independent transfers per point per mode
 	Workers      int // concurrent trial workers; <= 0 means runtime.NumCPU()
+	// Campaign, when non-nil, instruments the sweep (nil: off).
+	Campaign *obs.Campaign
 	// BaseProfile names the fault.Named preset supplying burst dwell
 	// times and control-plane fault rates; the sweep overrides its
 	// bad-state loss.
@@ -111,12 +113,13 @@ func RobustnessCtx(ctx context.Context, cfg RobustnessConfig) (*RobustnessResult
 	perPoint := modes * cfg.Transfers
 	n := len(cfg.LossBadPoints) * perPoint
 
-	trials, err := sim.Map(ctx, simRunner(cfg.Workers), n,
+	o := cfg.Campaign.ObserverRef()
+	trials, err := sim.Map(ctx, sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}, n,
 		func(ctx context.Context, i int) (robustnessTrial, error) {
 			pi := i / perPoint
 			mode := i % perPoint / cfg.Transfers
 			tr := i % cfg.Transfers
-			return robustnessTransfer(ctx, cfg, base, cfg.LossBadPoints[pi], mode, i, tr, currentObserver())
+			return robustnessTransfer(ctx, cfg, base, cfg.LossBadPoints[pi], mode, i, tr, o)
 		})
 	if err != nil {
 		return nil, err
@@ -187,21 +190,15 @@ func robustnessTransfer(ctx context.Context, cfg RobustnessConfig, base fault.Pr
 	label := func(leaf string) int64 {
 		return stats.SubSeed(cfg.Seed, append(append([]string(nil), world...), leaf)...)
 	}
-	traceLabels := strings.Join(world, "/") + "/mode=" + robustnessModeName(mode)
 	sys, env, err := LoSTestbed(2, label("env"))
 	if err != nil {
 		return robustnessTrial{}, err
 	}
-	sys.Obs = o
-	sys.TraceID = traceID
-	sys.TraceLabels = traceLabels
 	sys.Faults, err = fault.NewInjector(prof, label("fault"))
 	if err != nil {
 		return robustnessTrial{}, err
 	}
-	sys.Faults.Obs = o
-	sys.Faults.TraceID = traceID
-	sys.Faults.TraceLabels = traceLabels
+	sys.Instrument(o, traceID, strings.Join(world, "/")+"/mode="+robustnessModeName(mode))
 	payload := stats.RandomBytes(stats.NewRNG(label("payload")), cfg.PayloadBytes)
 
 	pol := link.DefaultPolicy()
@@ -215,11 +212,7 @@ func robustnessTransfer(ctx context.Context, cfg RobustnessConfig, base fault.Pr
 			return robustnessTrial{}, err
 		}
 	}
-	xfer := link.NewTransferer(sys, env, pol, cc, label("arq"))
-	xfer.Obs = o
-	xfer.TraceID = traceID
-	xfer.TraceLabels = traceLabels
-	st, err := xfer.Send(ctx, payload)
+	st, err := link.NewTransferer(sys, env, pol, cc, label("arq")).Send(ctx, payload)
 	if err != nil {
 		return robustnessTrial{}, err
 	}

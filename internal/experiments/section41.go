@@ -35,18 +35,18 @@ type Section41Result struct {
 // Section41Sweep computes the tag rate for single-stream HT MCS 0–7,
 // aggregate sizes 8–64, and 1–4-tick subframes.
 func Section41Sweep() (*Section41Result, error) {
-	return Section41SweepCtx(context.Background(), 0)
+	return Section41SweepCtx(context.Background(), sim.Runner{})
 }
 
-// Section41SweepCtx is Section41Sweep with cancellation and an explicit
-// worker count (<= 0 means runtime.NumCPU()). The sweep is pure airtime
-// arithmetic — no Monte Carlo — so the runner fans the MCS rows.
-func Section41SweepCtx(ctx context.Context, workers int) (*Section41Result, error) {
+// Section41SweepCtx is Section41Sweep with cancellation on an explicit
+// runner. The sweep is pure airtime arithmetic — no Monte Carlo — so the
+// runner fans the MCS rows.
+func Section41SweepCtx(ctx context.Context, r sim.Runner) (*Section41Result, error) {
 	src := dot11.MACAddr{2, 0, 0, 0, 0, 1}
 	dst := dot11.MACAddr{2, 0, 0, 0, 0, 2}
 	tick := 20 * time.Microsecond
 	mcsIdxs := []int{0, 2, 4, 7}
-	perMCS, err := sim.Map(ctx, simRunner(workers), len(mcsIdxs), func(ctx context.Context, i int) ([]Section41Row, error) {
+	perMCS, err := sim.Map(ctx, r, len(mcsIdxs), func(ctx context.Context, i int) ([]Section41Row, error) {
 		mcsIdx := mcsIdxs[i]
 		mcs, err := dot11.HTMCS(mcsIdx)
 		if err != nil {

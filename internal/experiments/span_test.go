@@ -21,17 +21,16 @@ import (
 // observer and returns the result plus the accumulated snapshot.
 func robustnessWithSpans(t *testing.T, workers int, spans bool) (*RobustnessResult, obs.Snapshot) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	o := obs.NewObserver(reg, nil)
+	cfg := obsRobustnessConfig(workers)
+	cfg.Campaign = obs.NewCampaign("test", obs.CampaignOptions{})
 	if !spans {
-		o.Spans = nil // instruments registered but never observed
+		cfg.Campaign.Observer.Spans = nil // instruments registered but never observed
 	}
-	defer SetObserver(SetObserver(o))
-	res, err := Robustness(obsRobustnessConfig(workers))
+	res, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, reg.Snapshot()
+	return res, cfg.Campaign.Registry.Snapshot()
 }
 
 func TestSpanInstrumentationDoesNotPerturbResults(t *testing.T) {

@@ -18,34 +18,31 @@ func TestSpanCountsExact(t *testing.T) {
 	type want struct{ codingEncode, codingDecode int64 }
 	runs := []struct {
 		name string
-		run  func(workers int) error
+		run  func(workers int, c *obs.Campaign) error
 		want want
 	}{
-		{"fig5", func(w int) error {
-			_, err := Figure5(Figure5Config{Seed: 42, Runs: 2, Round: 40, Workers: w})
+		{"fig5", func(w int, c *obs.Campaign) error {
+			_, err := Figure5(Figure5Config{Seed: 42, Runs: 2, Round: 40, Workers: w, Campaign: c})
 			return err
 		}, want{}},
-		{"fig6", func(w int) error {
-			_, err := Figure6(LocationB, Figure6Config{Seed: 7, Runs: 4, Round: 40, Workers: w})
+		{"fig6", func(w int, c *obs.Campaign) error {
+			_, err := Figure6(LocationB, Figure6Config{Seed: 7, Runs: 4, Round: 40, Workers: w, Campaign: c})
 			return err
 		}, want{}},
-		{"coding", func(w int) error {
+		{"coding", func(w int, c *obs.Campaign) error {
 			cfg := DefaultAdaptiveCodingConfig()
-			cfg.Transfers, cfg.Workers = 2, w
+			cfg.Transfers, cfg.Workers, cfg.Campaign = 2, w, c
 			_, err := AdaptiveCoding(cfg)
 			return err
 		}, want{codingEncode: 2059, codingDecode: 1351}},
 	}
 	for _, r := range runs {
 		for _, workers := range []int{1, 2} {
-			reg := obs.NewRegistry()
-			restore := SetObserver(obs.NewObserver(reg, nil))
-			err := r.run(workers)
-			SetObserver(restore)
-			if err != nil {
+			camp := obs.NewCampaign(r.name, obs.CampaignOptions{})
+			if err := r.run(workers, camp); err != nil {
 				t.Fatal(err)
 			}
-			snap := reg.Snapshot()
+			snap := camp.Registry.Snapshot()
 			count := func(p obs.Phase) int64 { return snap.Histograms[obs.SpanName(p)].Count }
 			rounds := snap.Counters["core.rounds"]
 			if rounds == 0 {

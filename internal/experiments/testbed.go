@@ -39,7 +39,6 @@ func LoSTestbed(tagX float64, seed int64) (*core.System, *channel.Environment, e
 	if err != nil {
 		return nil, nil, err
 	}
-	sys.Obs = currentObserver()
 	return sys, env, nil
 }
 
@@ -85,7 +84,6 @@ func NLoSTestbed(loc NLoSLocation, seed int64) (*core.System, *channel.Environme
 	if err != nil {
 		return nil, nil, err
 	}
-	sys.Obs = currentObserver()
 	return sys, env, nil
 }
 

@@ -23,10 +23,10 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 	camp := obs.NewCampaign("test-tl", obs.CampaignOptions{})
 	tl := obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: 8})
 	camp.SetTimeline(tl)
-	defer SetObserver(SetObserver(camp.Observer))
-	defer SetCampaign(SetCampaign(camp))
 
-	res, err := Robustness(obsRobustnessConfig(workers))
+	cfg := obsRobustnessConfig(workers)
+	cfg.Campaign = camp
+	res, err := Robustness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +39,6 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 }
 
 func TestTimelineDoesNotPerturbResults(t *testing.T) {
-	defer SetObserver(SetObserver(nil))
-	defer SetProgress(SetProgress(nil))
-	defer SetCampaign(SetCampaign(nil))
 	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +53,6 @@ func TestTimelineDoesNotPerturbResults(t *testing.T) {
 }
 
 func TestTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
-	defer SetObserver(SetObserver(nil))
-	defer SetCampaign(SetCampaign(nil))
 	_, serial := timedRobustness(t, 1)
 	_, parallel := timedRobustness(t, manyWorkers())
 	if serial != parallel {

@@ -84,14 +84,6 @@ type Transferer struct {
 	// applies.
 	Env   *channel.Environment
 	StepS float64
-	// Obs, when non-nil, receives transfer/segment metrics and trace
-	// events. Passive: no RNG draws, no effect on the ARQ loop.
-	Obs *obs.Observer
-	// TraceID labels this transferer's trace events.
-	TraceID int
-	// TraceLabels is the transfer's stats.SubSeed label path, stamped into
-	// trace events for forensic replay (see core.System.TraceLabels).
-	TraceLabels string
 
 	rng *rand.Rand
 }
@@ -134,11 +126,14 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 		return nil, fmt.Errorf("link: transferer needs a system and a controller")
 	}
 	st := &Stats{PayloadBytes: len(payload)}
-	if o := t.Obs; o != nil {
+	// The system's observer also receives the transfer/segment metrics
+	// and trace events, under the system's trace identity. Passive: no
+	// RNG draws, no effect on the ARQ loop.
+	if o := t.Sys.Obs; o != nil {
 		if t.Env != nil {
 			// Attribute the pre-round Advance calls in attempt to the
 			// channel phase.
-			t.Env.Spans = o.Spans.Lane(t.TraceID)
+			t.Env.Spans = o.Spans.Lane(t.Sys.TraceID)
 		}
 		o.Link.TransfersStarted.Inc()
 		// Flush the transfer's totals on every exit path — including
@@ -159,8 +154,8 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 			}
 			o.Trace.Record(obs.Event{
 				Kind:      "transfer",
-				Trial:     t.TraceID,
-				Labels:    t.TraceLabels,
+				Trial:     t.Sys.TraceID,
+				Labels:    t.Sys.TraceLabels,
 				Delivered: st.Delivered,
 				Length:    st.PayloadBytes,
 				Rounds:    st.Rounds,
@@ -212,7 +207,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 			st.BackoffWait += wait
 			st.Airtime += wait
 			t.spans().End(obs.PhaseARQRound, sp)
-			if o := t.Obs; o != nil {
+			if o := t.Sys.Obs; o != nil {
 				o.Link.BackoffWaits.Inc()
 				o.Link.BackoffWait.Observe(wait.Microseconds())
 			}
@@ -317,8 +312,8 @@ func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, l
 // spans returns the observer's phase timers, in the transferer's lane
 // (nil when detached).
 func (t *Transferer) spans() *obs.Spans {
-	if o := t.Obs; o != nil {
-		return o.Spans.Lane(t.TraceID)
+	if o := t.Sys.Obs; o != nil {
+		return o.Spans.Lane(t.Sys.TraceID)
 	}
 	return nil
 }
@@ -328,7 +323,7 @@ func (t *Transferer) spans() *obs.Spans {
 func (t *Transferer) observeVerdict(frameOK bool) {
 	before := t.Controller.Index()
 	t.Controller.Observe(frameOK)
-	if o := t.Obs; o != nil {
+	if o := t.Sys.Obs; o != nil {
 		if after := t.Controller.Index(); after > before {
 			o.Link.LadderUp.Inc()
 		} else if after < before {
@@ -339,11 +334,11 @@ func (t *Transferer) observeVerdict(frameOK bool) {
 
 // traceSegment records one frame attempt's outcome.
 func (t *Transferer) traceSegment(seg segment, outcome string) {
-	if o := t.Obs; o != nil {
+	if o := t.Sys.Obs; o != nil {
 		o.Trace.Record(obs.Event{
 			Kind:    "segment",
-			Trial:   t.TraceID,
-			Labels:  t.TraceLabels,
+			Trial:   t.Sys.TraceID,
+			Labels:  t.Sys.TraceLabels,
 			Offset:  seg.start,
 			Length:  seg.len(),
 			Level:   t.Controller.Index(),

@@ -189,6 +189,16 @@ func (c *Campaign) PublishAnomaly(rule, detail string, trial int) {
 	c.Logger.Warn("anomaly", slog.String("rule", rule), slog.String("detail", detail), slog.Int("trial", trial))
 }
 
+// ObserverRef returns the campaign's observer, nil for a nil campaign —
+// the one handle harnesses, systems and runners are instrumented
+// through (nil-safe).
+func (c *Campaign) ObserverRef() *Observer {
+	if c == nil {
+		return nil
+	}
+	return c.Observer
+}
+
 // SetTimeline attaches (or, with nil, detaches) the campaign's timeline.
 // Runners scoped to the campaign pick it up on their next Each call;
 // like everything a campaign owns it is a pure sink (nil-safe).

@@ -1,0 +1,198 @@
+package obs
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// Fuzz targets for the tolerant export readers. Each checks three
+// properties: arbitrary input never panics; writer output reads back
+// unchanged; and no strict prefix of writer output reads as complete —
+// it is reported as truncated, or as an error. `make fuzzseed` replays
+// the seeds below; `make fuzz` explores.
+
+// fuzzGen bounds the bytes a writer-side generator consumes, keeping
+// the all-prefixes check (quadratic in the export size) fast.
+func fuzzGen(data []byte, n int) []byte {
+	return data[:min(len(data), n)]
+}
+
+// fuzzRecorder builds a recorder whose capacity and events derive from
+// data, so the fuzzer reaches clipped rings too.
+func fuzzRecorder(data []byte) *Recorder {
+	data = fuzzGen(data, 16)
+	cap := 1
+	if len(data) > 0 {
+		cap += int(data[0] % 6)
+	}
+	rec := NewRecorder(cap)
+	kinds := []string{"round", "segment", "transfer", "fault", "trial"}
+	for i, b := range data {
+		rec.Record(Event{
+			Kind: kinds[int(b)%len(kinds)], Trial: int(b >> 3), Round: i + 1,
+			Labels: strings.ToValidUTF8(string(data[:i%7]), "?"), Detected: b&1 == 1, Bits: int(b), WallMs: int64(i),
+		})
+	}
+	return rec
+}
+
+func FuzzReadJSONL(f *testing.F) {
+	for _, seed := range [][]byte{nil, {0}, {3, 1, 4, 1, 5, 9, 2, 6}, []byte("fig5/d=3/run=2 label bytes")} {
+		var buf bytes.Buffer
+		if err := fuzzRecorder(seed).WriteJSONL(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Add([]byte("not json\n{\"kind\":\"round\"}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ReadJSONL(bytes.NewReader(data)) // must not panic
+
+		rec := fuzzRecorder(data)
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.Bytes()
+		tr, err := ReadJSONL(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("writer output unreadable: %v", err)
+		}
+		if events := rec.Events(); tr.Truncated || tr.Total != rec.Total() || tr.Dropped != rec.Dropped() ||
+			len(tr.Events) != len(events) || len(events) > 0 && !reflect.DeepEqual(tr.Events, events) {
+			t.Fatalf("writer output read back changed: truncated %v, total %d/%d, dropped %d/%d",
+				tr.Truncated, tr.Total, rec.Total(), tr.Dropped, rec.Dropped())
+		}
+		for n := 0; n < len(out); n++ {
+			if p, err := ReadJSONL(bytes.NewReader(out[:n])); err == nil && !p.Truncated {
+				t.Fatalf("%d-byte prefix of a %d-byte export read as complete", n, len(out))
+			}
+		}
+	})
+}
+
+// fuzzTimeline drives a timeline from data: each byte is one trial's
+// counter increment, with window size and ring capacity from the first
+// bytes, so the fuzzer reaches dropped windows and ragged chunks.
+func fuzzTimeline(data []byte) *Timeline {
+	data = fuzzGen(data, 8)
+	cfg := TimelineConfig{WindowTrials: 1, Cap: 1}
+	if len(data) > 1 {
+		cfg.WindowTrials += int(data[0] % 4)
+		cfg.Cap += int(data[1] % 5)
+	}
+	reg := NewRegistry()
+	c := reg.Counter("work.units")
+	h := reg.Histogram("work.size", Exp2Bounds(1, 4))
+	tl := NewTimeline(reg, cfg)
+	tl.BeginSegment()
+	for i, b := range data {
+		c.Add(int64(b))
+		h.Observe(int64(b))
+		tl.NoteTrials(i, i+1)
+	}
+	tl.Flush()
+	return tl
+}
+
+func FuzzReadTimelineLog(f *testing.F) {
+	for _, seed := range [][]byte{nil, {1, 2, 3}, {0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7}, []byte("timeline seed")} {
+		var buf bytes.Buffer
+		if err := fuzzTimeline(seed).WriteJSONL(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ReadTimelineLog(bytes.NewReader(data)) // must not panic
+
+		tl := fuzzTimeline(data)
+		var buf bytes.Buffer
+		if err := tl.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.Bytes()
+		log, err := ReadTimelineLog(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("writer output unreadable: %v", err)
+		}
+		wins := tl.Windows()
+		got, _ := json.Marshal(log.Windows)
+		want, _ := json.Marshal(wins)
+		if log.Truncated || log.Total != tl.Total() || log.Dropped != tl.Dropped() ||
+			log.WindowTrials != tl.Config().WindowTrials || len(log.Windows) != len(wins) ||
+			len(wins) > 0 && !bytes.Equal(got, want) {
+			t.Fatalf("writer output read back changed:\ngot  %s\nwant %s", got, want)
+		}
+		for n := 0; n < len(out); n++ {
+			if p, err := ReadTimelineLog(bytes.NewReader(out[:n])); err == nil && !p.Truncated {
+				t.Fatalf("%d-byte prefix of a %d-byte export read as complete", n, len(out))
+			}
+		}
+	})
+}
+
+// FuzzReadRunLedgerTolerant appends records derived from data with the
+// real writer. The ledger has no trailer, so a prefix ending on a line
+// boundary is a shorter complete ledger; every other strict prefix must
+// be reported as a skipped tail (or an error), never as a full record.
+func FuzzReadRunLedgerTolerant(f *testing.F) {
+	good := []byte(`{"kind":"run","tool":"witag-bench","campaign":"a","outcome":"ok","wall_ms":5}` + "\n")
+	f.Add(good)
+	f.Add(append(append([]byte(nil), good...), good[:20]...))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ReadRunLedgerTolerant(bytes.NewReader(data)) // must not panic
+
+		dir := t.TempDir()
+		text := strings.ToValidUTF8(string(fuzzGen(data, 16)), "?") // JSON strings are UTF-8
+		var want []RunRecord
+		for i := 0; i <= len(data)%4; i++ {
+			rec := RunRecord{
+				Tool: "witag-bench", Campaign: fmt.Sprintf("c%d", i),
+				WallMs: int64(i), Artifacts: []string{text},
+			}
+			if i%2 == 1 {
+				rec.Outcome, rec.Error = "error", text
+			}
+			if err := AppendRunRecord(dir, rec); err != nil {
+				t.Fatal(err)
+			}
+			rec.Kind = "run"
+			if rec.Outcome == "" {
+				rec.Outcome = "ok"
+			}
+			want = append(want, rec)
+		}
+		out, err := os.ReadFile(filepath.Join(dir, RunLedgerFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, skipped, err := ReadRunLedgerTolerant(bytes.NewReader(out))
+		if err != nil || skipped != 0 || !reflect.DeepEqual(recs, want) {
+			t.Fatalf("writer output read back changed: %d records (want %d), %d skipped, err %v", len(recs), len(want), skipped, err)
+		}
+		lines := 0
+		for n := 0; n < len(out); n++ {
+			recs, skipped, err := ReadRunLedgerTolerant(bytes.NewReader(out[:n]))
+			switch {
+			case n > 0 && out[n-1] == '\n':
+				lines++
+				if err != nil || skipped != 0 || !reflect.DeepEqual(recs, want[:lines]) {
+					t.Fatalf("line-boundary prefix (%d lines) misread: %d records, %d skipped, err %v", lines, len(recs), skipped, err)
+				}
+			case n > 0 && err == nil && skipped == 0:
+				t.Fatalf("%d-byte prefix cut mid-record read as %d complete records", n, len(recs))
+			}
+		}
+	})
+}

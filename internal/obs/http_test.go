@@ -23,13 +23,25 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func TestServeEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("core.rounds").Add(7)
-	srv, err := Serve("127.0.0.1:0", reg)
+// serveCampaign registers one campaign whose core.rounds counter reads
+// rounds on a fresh hub and serves the hub on a loopback port.
+func serveCampaign(t *testing.T, rounds int64) *Server {
+	t.Helper()
+	hub := NewHub()
+	c, err := hub.Register("c", CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Registry.Counter("core.rounds").Add(rounds)
+	srv, err := ServeHub("127.0.0.1:0", hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+func TestServeEndpoints(t *testing.T) {
+	srv := serveCampaign(t, 7)
 	defer func() {
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
@@ -69,21 +81,12 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-// Two servers over two registries must coexist: the layer keeps no
+// Two servers over two hubs must coexist: the layer keeps no
 // process-global state (no expvar.Publish, no DefaultServeMux).
 func TestTwoServersCoexist(t *testing.T) {
-	regA, regB := NewRegistry(), NewRegistry()
-	regA.Counter("core.rounds").Add(1)
-	regB.Counter("core.rounds").Add(2)
-	a, err := Serve("127.0.0.1:0", regA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := serveCampaign(t, 1)
 	defer a.Close()
-	b, err := Serve("127.0.0.1:0", regB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := serveCampaign(t, 2)
 	defer b.Close()
 
 	if _, body := get(t, fmt.Sprintf("http://%s/metrics", a.Addr)); !strings.Contains(body, "witag_core_rounds 1") {

@@ -8,8 +8,7 @@ import (
 	"strings"
 )
 
-// Live campaign HTTP surface. A hub mux extends the single-registry mux
-// with per-campaign endpoints:
+// Live campaign HTTP surface. A hub mux serves per-campaign endpoints:
 //
 //	/campaigns                    list + status JSON
 //	/campaigns/<id>               one campaign's status JSON
@@ -21,20 +20,9 @@ import (
 //	/healthz                      liveness (always 200 while the process serves)
 //	/readyz                       readiness (503 once the hub begins shutdown)
 //
-// plus the /debug/vars and /debug/pprof/ surfaces the single-registry mux
-// already carries. Everything hangs off a private mux, so several hubs
-// (or a hub and a legacy registry server) coexist in one process.
-
-// registerDebug mounts the expvar-style and pprof endpoints shared by
-// both mux flavours.
-func registerDebug(mux *http.ServeMux, snap func() Snapshot) {
-	mux.HandleFunc("/debug/vars", expvarSnapshotHandler(snap))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
+// plus /debug/vars (the expvar table with the rollup under "witag") and
+// the net/http/pprof suite at /debug/pprof/. Everything hangs off a
+// private mux, so several hubs coexist in one process.
 
 // writeJSON writes v as a compact JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
@@ -126,7 +114,12 @@ func NewHubMux(hub *Hub) *http.ServeMux {
 		}
 		fmt.Fprintln(w, "ready")
 	})
-	registerDebug(mux, hub.Rollup)
+	mux.HandleFunc("/debug/vars", expvarSnapshotHandler(hub.Rollup))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -146,10 +139,4 @@ type TimeseriesResponse struct {
 	Total        int              `json:"total"`
 	Dropped      int              `json:"dropped"`
 	Windows      []TimelineWindow `json:"windows"`
-}
-
-// ServeHub binds addr and serves hub's endpoints in the background; the
-// returned Server closes like the single-registry one.
-func ServeHub(addr string, hub *Hub) (*Server, error) {
-	return ServeHandler(addr, NewHubMux(hub))
 }

@@ -95,36 +95,24 @@ func ReadRunLedger(r io.Reader) ([]RunRecord, error) {
 }
 
 // ReadRunLedgerTolerant decodes a RUNS.jsonl stream, tolerating exactly
-// the damage a crash during AppendRunRecord leaves behind: a corrupt or
-// partial *trailing* line is skipped and counted instead of failing.
-// Damage anywhere before the tail is still an error — mid-file garbage
-// means corruption, not an interrupted append.
+// the damage a crash during AppendRunRecord leaves behind: a corrupt,
+// partial or newline-less *trailing* line (see scanJSONL) is skipped and
+// counted instead of failing — a record is committed only once its
+// newline lands. Damage anywhere before the tail is still an error —
+// mid-file garbage means corruption, not an interrupted append.
 func ReadRunLedgerTolerant(r io.Reader) (recs []RunRecord, skipped int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var pendingErr error
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// The bad line was not the tail after all.
-			return nil, 0, pendingErr
-		}
+	tail, err := scanJSONL(r, 1<<20, func(line int, raw []byte) error {
 		var rec RunRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			pendingErr = fmt.Errorf("obs: ledger line %d: %w", line, err)
-			continue
+			return fmt.Errorf("obs: ledger line %d: %w", line, err)
 		}
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, 0, err
 	}
-	if pendingErr != nil {
+	if tail {
 		skipped = 1
 	}
 	return recs, skipped, nil

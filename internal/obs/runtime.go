@@ -20,8 +20,8 @@ var runtimeSampleNames = []string{
 
 // ReadRuntimeStats samples the runtime/metrics counters behind
 // RuntimeStats. The readings are process-global, not per-goroutine — the
-// runner snapshots them around a whole campaign, which is accurate because
-// campaigns run sequentially within a process.
+// runner snapshots them around a whole campaign, so the difference is that
+// campaign's alone only while no other campaign allocates in the process.
 func ReadRuntimeStats() RuntimeStats {
 	samples := make([]metrics.Sample, len(runtimeSampleNames))
 	for i, name := range runtimeSampleNames {

@@ -468,57 +468,40 @@ func (l *TimelineLog) Logical() []TimelineWindow {
 }
 
 // ReadTimelineLog decodes a JSONL timeline written by WriteJSONL. Like
-// ReadJSONL it tolerates a truncated tail: an unparseable final line
-// marks the log Truncated instead of failing; garbage before the final
-// line is corruption and errors.
+// ReadJSONL it tolerates a truncated tail (see scanJSONL): a final line
+// that is unparseable or missing its newline marks the log Truncated
+// instead of failing; garbage before the final line is corruption and
+// errors.
 func ReadTimelineLog(r io.Reader) (*TimelineLog, error) {
 	tl := &TimelineLog{Truncated: true}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	var pendingErr error
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
+	tail, err := scanJSONL(r, 1<<22, func(line int, raw []byte) error {
 		var kind struct {
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(raw, &kind); err != nil {
-			pendingErr = fmt.Errorf("obs: timeline line %d: %w", line, err)
-			continue
+			return fmt.Errorf("obs: timeline line %d: %w", line, err)
 		}
 		if kind.Kind == timelineSummaryKind {
 			var sum TimelineSummary
 			if err := json.Unmarshal(raw, &sum); err != nil {
-				pendingErr = fmt.Errorf("obs: timeline line %d: %w", line, err)
-				continue
+				return fmt.Errorf("obs: timeline line %d: %w", line, err)
 			}
-			tl.Total = sum.Total
-			tl.Dropped = sum.Dropped
-			tl.WindowTrials = sum.WindowTrials
-			tl.Truncated = false
-			continue
+			tl.Total, tl.Dropped, tl.WindowTrials, tl.Truncated = sum.Total, sum.Dropped, sum.WindowTrials, false
+			return nil
 		}
 		var w TimelineWindow
 		if err := json.Unmarshal(raw, &w); err != nil {
-			pendingErr = fmt.Errorf("obs: timeline line %d: %w", line, err)
-			continue
+			return fmt.Errorf("obs: timeline line %d: %w", line, err)
 		}
-		if !tl.Truncated {
-			tl.Truncated = true // windows after a summary: stale summary
-		}
+		tl.Truncated = true // windows after a summary: stale summary
 		tl.Windows = append(tl.Windows, w)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if tl.Truncated {
+	if tail || tl.Truncated {
+		tl.Truncated = true
 		tl.Total = len(tl.Windows)
 		tl.Dropped = 0
 		tl.WindowTrials = 0

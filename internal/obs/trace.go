@@ -94,6 +94,20 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Unlock()
 }
 
+// Reset empties the ring and zeroes its totals, so the next export reads
+// exactly like one from a fresh recorder of the same capacity (nil-safe).
+func (r *Recorder) Reset() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.buf = r.buf[:0]
+	r.next = 0
+	r.total = 0
+	r.dropped = 0
+	r.mu.Unlock()
+}
+
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -206,16 +220,25 @@ type Trace struct {
 // events before export, or the file itself lost its tail.
 func (t *Trace) Clipped() bool { return t.Dropped > 0 || t.Truncated }
 
-// ReadJSONL decodes a JSONL trace written by WriteJSONL. It is a
-// streaming decoder, tolerant of a truncated tail: a final line that is
-// incomplete or unparseable marks the trace Truncated instead of failing,
-// so a trace cut off mid-write still analyzes. Garbage before the final
-// line is an error — that is corruption, not truncation.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	tr := &Trace{Truncated: true}
+// scanJSONL feeds fn each non-empty line of a JSONL export with its
+// 1-based line number, applying the tail tolerance every export reader
+// shares. Writers end each record with a newline, so the damage an
+// interrupted write leaves sits on the last line: a final line with no
+// newline is never passed to fn, and a final line fn rejects is not an
+// error. Either is reported as tail. A rejected line with anything after
+// it is corruption, and its error is returned.
+func scanJSONL(r io.Reader, maxLine int, fn func(line int, raw []byte) error) (tail bool, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var pendingErr error
+	sc.Buffer(nil, maxLine)
+	terminated := true
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil {
+			terminated = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
+	var pending error
 	line := 0
 	for sc.Scan() {
 		line++
@@ -223,44 +246,59 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		if pendingErr != nil {
+		if pending != nil {
 			// The bad line was not the tail after all.
-			return nil, pendingErr
+			return false, pending
 		}
+		if !terminated {
+			return true, nil // only the final line can lack its newline
+		}
+		pending = fn(line, raw)
+	}
+	if err := sc.Err(); err != nil {
+		return false, err
+	}
+	return pending != nil, nil
+}
+
+// ReadJSONL decodes a JSONL trace written by WriteJSONL. It is a
+// streaming decoder, tolerant of a truncated tail (see scanJSONL): a
+// final line that is incomplete, unparseable or missing its newline marks
+// the trace Truncated instead of failing, so a trace cut off mid-write
+// still analyzes. Garbage before the final line is an error — that is
+// corruption, not truncation.
+func ReadJSONL(r io.Reader) (*Trace, error) {
+	tr := &Trace{Truncated: true}
+	tail, err := scanJSONL(r, 1<<20, func(line int, raw []byte) error {
 		var kind struct {
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(raw, &kind); err != nil {
-			pendingErr = fmt.Errorf("obs: trace line %d: %w", line, err)
-			continue
+			return fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
 		if kind.Kind == summaryKind {
 			var sum TraceSummary
 			if err := json.Unmarshal(raw, &sum); err != nil {
-				pendingErr = fmt.Errorf("obs: trace line %d: %w", line, err)
-				continue
+				return fmt.Errorf("obs: trace line %d: %w", line, err)
 			}
-			tr.Total = sum.Total
-			tr.Dropped = sum.Dropped
-			tr.Truncated = false
-			continue
+			tr.Total, tr.Dropped, tr.Truncated = sum.Total, sum.Dropped, false
+			return nil
 		}
 		var e Event
 		if err := json.Unmarshal(raw, &e); err != nil {
-			pendingErr = fmt.Errorf("obs: trace line %d: %w", line, err)
-			continue
+			return fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		if !tr.Truncated {
-			// Events after a summary: the file was appended to; the old
-			// summary no longer covers it.
-			tr.Truncated = true
-		}
+		// Events after a summary: the file was appended to; the old
+		// summary no longer covers it.
+		tr.Truncated = true
 		tr.Events = append(tr.Events, e)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if tr.Truncated {
+	if tail || tr.Truncated {
+		tr.Truncated = true
 		tr.Total = uint64(len(tr.Events))
 		tr.Dropped = 0
 	}

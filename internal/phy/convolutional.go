@@ -122,66 +122,25 @@ func Depuncture(punctured []byte, rate dot11.CodeRate, motherLen int) ([]byte, e
 // ViterbiDecode performs hard-decision maximum-likelihood decoding of a
 // rate-1/2 mother-code stream (with optional erasure marks from
 // Depuncture). It returns the decoded bits, including whatever tail the
-// encoder appended.
+// encoder appended. Each hard bit becomes a unit LLR (0 → +1, 1 → −1,
+// erasure → 0) for the one soft trellis: the branch metrics are then the
+// Hamming distances, small integers that float64 holds exactly, so path
+// metrics and tie-breaks are those of a dedicated integer decoder.
 func ViterbiDecode(coded []byte) ([]byte, error) {
 	if len(coded)%2 != 0 {
 		return nil, fmt.Errorf("phy: coded length %d is odd", len(coded))
 	}
-	n := len(coded) / 2
-	if n == 0 {
-		return nil, nil
-	}
-	const inf = math.MaxInt32 / 2
-	metric := make([]int32, convStates)
-	next := make([]int32, convStates)
-	for s := 1; s < convStates; s++ {
-		metric[s] = inf // encoder starts in state 0
-	}
-	// survivors[t][s] packs the input bit and predecessor state.
-	survivors := make([][convStates]uint8, n)
-	for t := 0; t < n; t++ {
-		c0, c1 := coded[2*t], coded[2*t+1]
-		for s := range next {
-			next[s] = inf
-		}
-		for s := 0; s < convStates; s++ {
-			if metric[s] >= inf {
-				continue
-			}
-			for in := 0; in < 2; in++ {
-				o := convOutputs[s][in]
-				var bm int32
-				if c0 != erasure && o[0] != c0&1 {
-					bm++
-				}
-				if c1 != erasure && o[1] != c1&1 {
-					bm++
-				}
-				ns := in<<(convK-2) | s>>1
-				m := metric[s] + bm
-				if m < next[ns] {
-					next[ns] = m
-					survivors[t][ns] = uint8(in<<6) | uint8(s)&0x3F
-				}
-			}
-		}
-		metric, next = next, metric
-	}
-	// Terminate in the best state (state 0 when tail bits flushed cleanly).
-	best := 0
-	for s := 1; s < convStates; s++ {
-		if metric[s] < metric[best] {
-			best = s
+	llr := make([]float64, len(coded))
+	for i, c := range coded {
+		switch {
+		case c == erasure:
+		case c&1 == 0:
+			llr[i] = 1
+		default:
+			llr[i] = -1
 		}
 	}
-	out := make([]byte, n)
-	state := best
-	for t := n - 1; t >= 0; t-- {
-		sv := survivors[t][state]
-		out[t] = sv >> 6 & 1
-		state = int(sv & 0x3F)
-	}
-	return out, nil
+	return ViterbiDecodeSoft(llr)
 }
 
 // ViterbiDecodeSoft decodes using per-bit soft metrics: llr[i] > 0 favours

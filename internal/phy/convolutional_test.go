@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"witag/internal/dot11"
@@ -190,6 +191,116 @@ func TestPuncturedViterbiRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(dec[:len(data)], data) {
 			t.Fatalf("rate %v: punctured round trip failed", rate)
+		}
+	}
+}
+
+// referenceViterbiHard is the dedicated integer hard-decision trellis
+// ViterbiDecode used before it became a front end to the soft decoder:
+// Hamming branch metrics, erasures skipped, strict-< survivor selection.
+func referenceViterbiHard(coded []byte) []byte {
+	n := len(coded) / 2
+	if n == 0 {
+		return nil
+	}
+	const inf = math.MaxInt32 / 2
+	metric := make([]int32, convStates)
+	next := make([]int32, convStates)
+	for s := 1; s < convStates; s++ {
+		metric[s] = inf
+	}
+	survivors := make([][convStates]uint8, n)
+	for t := 0; t < n; t++ {
+		c0, c1 := coded[2*t], coded[2*t+1]
+		for s := range next {
+			next[s] = inf
+		}
+		for s := 0; s < convStates; s++ {
+			if metric[s] >= inf {
+				continue
+			}
+			for in := 0; in < 2; in++ {
+				o := convOutputs[s][in]
+				var bm int32
+				if c0 != erasure && o[0] != c0&1 {
+					bm++
+				}
+				if c1 != erasure && o[1] != c1&1 {
+					bm++
+				}
+				ns := in<<(convK-2) | s>>1
+				m := metric[s] + bm
+				if m < next[ns] {
+					next[ns] = m
+					survivors[t][ns] = uint8(in<<6) | uint8(s)&0x3F
+				}
+			}
+		}
+		metric, next = next, metric
+	}
+	best := 0
+	for s := 1; s < convStates; s++ {
+		if metric[s] < metric[best] {
+			best = s
+		}
+	}
+	out := make([]byte, n)
+	state := best
+	for t := n - 1; t >= 0; t-- {
+		sv := survivors[t][state]
+		out[t] = sv >> 6 & 1
+		state = int(sv & 0x3F)
+	}
+	return out
+}
+
+// TestViterbiHardMatchesReference pins the hard decoder to the integer
+// trellis it replaced, bit for bit, on random streams with bit flips and
+// depunctured erasures at every code rate — including lengths too short
+// to reach every state, and flip densities heavy enough to force ties.
+func TestViterbiHardMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(17)
+	rates := []dot11.CodeRate{dot11.Rate12, dot11.Rate23, dot11.Rate34, dot11.Rate56}
+	for trial := 0; trial < 200; trial++ {
+		rate := rates[trial%len(rates)]
+		// 30k−6 data bits plus the 6-bit tail give a 60k-bit mother
+		// stream: whole periods of every puncturing pattern.
+		data := stats.RandomBits(rng, 30*(1+rng.Intn(8))-6)
+		coded := encodeWithTail(data)
+		flipProb := []float64{0, 0.02, 0.1, 0.3}[trial%4]
+		for i := range coded {
+			if rng.Float64() < flipProb {
+				coded[i] ^= 1
+			}
+		}
+		p, err := Puncture(coded, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Depuncture(p, rate, len(coded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ViterbiDecode(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceViterbiHard(full); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (rate %v, %d bits, flip %.2f): decoder diverged from the integer reference", trial, rate, len(full), flipProb)
+		}
+	}
+	// Streams shorter than the constraint length leave states unreachable
+	// at the end; erasure-only streams make every path tie.
+	for n := 1; n <= 8; n++ {
+		for _, fill := range []byte{0, 1, erasure} {
+			coded := bytes.Repeat([]byte{fill}, 2*n)
+			got, err := ViterbiDecode(coded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceViterbiHard(coded); !bytes.Equal(got, want) {
+				t.Fatalf("%d symbols of %d: got %v, want %v", n, fill, got, want)
+			}
 		}
 	}
 }

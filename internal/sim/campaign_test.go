@@ -18,15 +18,14 @@ import (
 // roll up to exactly the sum. This is the isolation a long-lived serving
 // process depends on: one tenant's sweep cannot smear another's numbers.
 
-// campaignTrials builds the shared trial set, stamped with the given
-// campaign's observer.
-func campaignTrials(o *obs.Observer, n, rounds int) []Trial {
+// campaignTrials builds the shared trial set; the runner's campaign
+// instruments each trial's system.
+func campaignTrials(n, rounds int) []Trial {
 	ts := make([]Trial, n)
 	for i := range ts {
 		tr := testTrial(stats.SubSeed(21, fmt.Sprintf("run=%d", i)), rounds)
 		tr.ID = i
 		tr.Labels = fmt.Sprintf("iso/run=%d", i)
-		tr.Obs = o
 		ts[i] = tr
 	}
 	return ts
@@ -36,7 +35,7 @@ func TestConcurrentCampaignsIsolated(t *testing.T) {
 	const trials, rounds, workers = 4, 25, 4
 
 	// Reference: the same trial set run alone, uninstrumented.
-	solo, err := Runner{Workers: workers}.RunTrials(context.Background(), campaignTrials(nil, trials, rounds))
+	solo, err := Runner{Workers: workers}.RunTrials(context.Background(), campaignTrials(trials, rounds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +59,8 @@ func TestConcurrentCampaignsIsolated(t *testing.T) {
 		wg.Add(1)
 		go func(c *obs.Campaign) {
 			defer wg.Done()
-			rs, err := Runner{Workers: workers, Obs: c.Observer, Campaign: c}.
-				RunTrials(context.Background(), campaignTrials(c.Observer, trials, rounds))
+			rs, err := Runner{Workers: workers, Campaign: c}.
+				RunTrials(context.Background(), campaignTrials(trials, rounds))
 			mu.Lock()
 			results[c.ID] = rs
 			errs[c.ID] = err

@@ -15,39 +15,20 @@ import (
 type Runner struct {
 	// Workers is the pool size; <= 0 means runtime.NumCPU().
 	Workers int
-	// Obs, when non-nil, counts items started/done/failed and records
-	// each item's wall time (a volatile metric: real time, excluded from
-	// the deterministic snapshot view).
-	Obs *obs.Observer
-	// Progress, when non-nil, receives live completion updates
-	// (trials/sec and ETA on stderr in the CLIs). Purely a sink — it
-	// never feeds back into the work.
-	Progress *obs.Progress
-	// Campaign, when non-nil, scopes this runner's live reporting: its
-	// tally feeds the campaign's own Progress reporter and its SSE
-	// broker (rate-limited "progress" events, one "anomaly" event per
-	// failed trial), and Progress above is ignored to avoid counting
-	// every item twice. Also purely a sink.
+	// Campaign, when non-nil, is the runner's one instrumentation handle,
+	// and purely a sink. Its observer counts items started/done/failed
+	// and records each item's wall time (volatile: real time, excluded
+	// from the deterministic snapshot view); its progress tally and SSE
+	// broker receive live completion updates ("progress" events, one
+	// "anomaly" event per failed trial). When the campaign carries a
+	// timeline, Each executes in window-sized chunks so the per-window
+	// registry deltas stay worker-count deterministic: every trial of a
+	// window completes (a pool barrier) before the window's delta is
+	// sampled, so the delta is exactly the sum of that window's trials'
+	// contributions. With no timeline there is a single chunk. Trial
+	// results are identical either way — each trial's work is a pure
+	// function of its index and seed labels.
 	Campaign *obs.Campaign
-	// Timeline, when non-nil (or attached to Campaign), receives
-	// per-window registry deltas keyed by completed-trial count. To
-	// keep those deltas worker-count deterministic, Each then executes
-	// in window-sized chunks: every trial of a window completes (a pool
-	// barrier) before the window's delta is sampled, so the delta is
-	// exactly the sum of that window's trials' contributions. With no
-	// timeline there is a single chunk and behaviour is unchanged.
-	// Trial results are identical either way — each trial's work is a
-	// pure function of its index and seed labels.
-	Timeline *obs.Timeline
-}
-
-// timelineRef resolves the runner's timeline: the explicit field wins,
-// else the campaign's attached timeline, else nil.
-func (r Runner) timelineRef() *obs.Timeline {
-	if r.Timeline != nil {
-		return r.Timeline
-	}
-	return r.Campaign.TimelineRef()
 }
 
 func (r Runner) workers() int {
@@ -70,13 +51,10 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if r.Campaign != nil {
-		r.Campaign.ProgressStart(n)
-	} else {
-		r.Progress.Start(n)
-	}
+	o := r.Campaign.ObserverRef()
+	r.Campaign.ProgressStart(n)
 	var rtBefore obs.RuntimeStats
-	if r.Obs != nil {
+	if o != nil {
 		rtBefore = obs.ReadRuntimeStats()
 	}
 
@@ -106,15 +84,15 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 						break
 					}
 					var start time.Time
-					if r.Obs != nil {
-						r.Obs.Runner.TrialsStarted.Inc()
+					if o != nil {
+						o.Runner.TrialsStarted.Inc()
 						start = time.Now()
 					}
 					err := fn(ctx, i)
-					if r.Obs != nil {
+					if o != nil {
 						wall := time.Since(start)
 						busy += wall
-						m := r.Obs.Runner
+						m := o.Runner
 						if err != nil {
 							m.TrialsFailed.Inc()
 						} else {
@@ -122,7 +100,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 						}
 						m.TrialWall.Observe(wall.Milliseconds())
 						m.TrialWallUs.Observe(wall.Microseconds())
-						r.Obs.Trace.Record(obs.Event{Kind: "trial", Trial: i, WallMs: wall.Milliseconds()})
+						o.Trace.Record(obs.Event{Kind: "trial", Trial: i, WallMs: wall.Milliseconds()})
 					}
 					if err != nil {
 						if ctx.Err() == nil {
@@ -134,14 +112,10 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 						})
 						break
 					}
-					if r.Campaign != nil {
-						r.Campaign.ProgressDone(1)
-					} else {
-						r.Progress.Done(1)
-					}
+					r.Campaign.ProgressDone(1)
 				}
-				if r.Obs != nil && busy > 0 {
-					r.Obs.Runner.WorkerBusy.Observe(busy.Milliseconds())
+				if o != nil && busy > 0 {
+					o.Runner.WorkerBusy.Observe(busy.Milliseconds())
 				}
 			}()
 		}
@@ -150,7 +124,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 	}
 
 	var firstErr error
-	if tl := r.timelineRef(); tl == nil {
+	if tl := r.Campaign.TimelineRef(); tl == nil {
 		firstErr = runRange(0, n)
 	} else {
 		// Chunked execution: each chunk tops up the open logical window,
@@ -169,11 +143,13 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 			lo = hi
 		}
 	}
-	if r.Obs != nil {
-		// Process-global runtime deltas attributed to this campaign:
-		// accurate because campaigns run sequentially within a process.
+	if o != nil {
+		// Process-global runtime deltas attributed to this campaign. They
+		// are exact only while no other campaign allocates in the same
+		// process; the hub runs campaigns concurrently, and then each
+		// campaign's delta also counts its neighbours' allocations.
 		d := obs.ReadRuntimeStats().Sub(rtBefore)
-		m := r.Obs.Runner
+		m := o.Runner
 		m.AllocBytes.Add(int64(d.AllocBytes))
 		m.AllocObjects.Add(int64(d.AllocObjects))
 		m.GCCycles.Add(int64(d.GCCycles))
@@ -188,7 +164,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 // trial order.
 func (r Runner) RunTrials(ctx context.Context, trials []Trial) ([]RunStats, error) {
 	return Map(ctx, r, len(trials), func(ctx context.Context, i int) (RunStats, error) {
-		return trials[i].Run(ctx)
+		return trials[i].Run(ctx, r.Campaign.ObserverRef())
 	})
 }
 

@@ -15,13 +15,8 @@ import (
 // race-clean (`make race` runs this file under the detector).
 
 func instrumentedRunner(workers int) (Runner, *obs.Registry) {
-	reg := obs.NewRegistry()
-	r := Runner{
-		Workers:  workers,
-		Obs:      obs.NewObserver(reg, obs.NewRecorder(1<<10)),
-		Progress: obs.NewProgress(io.Discard, "items"),
-	}
-	return r, reg
+	c := obs.NewCampaign("runner", obs.CampaignOptions{TraceCap: 1 << 10, Progress: obs.NewProgress(io.Discard, "items")})
+	return Runner{Workers: workers, Campaign: c}, c.Registry
 }
 
 func TestEachFirstErrorPropagatesWithInstrumentation(t *testing.T) {

@@ -16,14 +16,21 @@ import (
 // own trials' counter contributions — a pure function of the work,
 // independent of worker count.
 
+// timelineRunner returns a runner whose campaign carries a timeline of
+// window-trial windows, plus the campaign's registry.
+func timelineRunner(workers, window int) (Runner, *obs.Registry, *obs.Timeline) {
+	c := obs.NewCampaign("timeline", obs.CampaignOptions{})
+	tl := obs.NewTimeline(c.Registry, obs.TimelineConfig{WindowTrials: window})
+	c.SetTimeline(tl)
+	return Runner{Workers: workers, Campaign: c}, c.Registry, tl
+}
+
 // timelineJSONL runs two Each calls (10 then 7 trials) with index-
 // dependent counter increments and returns the exported timeline bytes.
 func timelineJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
-	reg := obs.NewRegistry()
+	r, reg, tl := timelineRunner(workers, 4)
 	c := reg.Counter("test.work")
-	tl := obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: 4})
-	r := Runner{Workers: workers, Timeline: tl}
 	for _, n := range []int{10, 7} {
 		err := r.Each(context.Background(), n, func(ctx context.Context, i int) error {
 			c.Add(int64(i*i + 1)) // index-dependent: misattribution shows
@@ -52,10 +59,8 @@ func TestRunnerTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunnerTimelineWindowAttribution(t *testing.T) {
-	reg := obs.NewRegistry()
+	r, reg, tl := timelineRunner(8, 4)
 	c := reg.Counter("test.work")
-	tl := obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: 4})
-	r := Runner{Workers: 8, Timeline: tl}
 	if err := r.Each(context.Background(), 10, func(ctx context.Context, i int) error {
 		c.Add(int64(i))
 		return nil
@@ -96,9 +101,7 @@ func TestRunnerTimelineViaCampaignRef(t *testing.T) {
 func TestRunnerTimelineErrorAndCancelSemanticsUnchanged(t *testing.T) {
 	// Chunked execution must not alter Each's contract: first error wins,
 	// cancellation propagates, and accounting stays exact.
-	reg := obs.NewRegistry()
-	tl := obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: 4})
-	r := Runner{Workers: 4, Timeline: tl, Obs: obs.NewObserver(reg, nil)}
+	r, reg, _ := timelineRunner(4, 4)
 	sentinel := errors.New("boom")
 	err := r.Each(context.Background(), 64, func(ctx context.Context, i int) error {
 		if i == 5 {
@@ -117,9 +120,7 @@ func TestRunnerTimelineErrorAndCancelSemanticsUnchanged(t *testing.T) {
 		t.Errorf("accounting broke under chunking: started %d done %d failed %d", started, done, failed)
 	}
 
-	reg2 := obs.NewRegistry()
-	tl2 := obs.NewTimeline(reg2, obs.TimelineConfig{WindowTrials: 4})
-	r2 := Runner{Workers: 4, Timeline: tl2}
+	r2, _, _ := timelineRunner(4, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64

@@ -50,35 +50,17 @@ type Trial struct {
 	// Run stamps it into the built system so every trace event the trial
 	// emits names the seed tree needed to replay it in isolation.
 	Labels string
-	// Obs, when non-nil, replaces the built system's observer (and its
-	// fault injector's) before measuring. Forensic replay uses this to
-	// capture one trial's events on a fresh recorder without touching
-	// the campaign-wide observer the Build closure installed.
-	Obs *obs.Observer
 }
 
-// Run builds the deployment, stamps the trial's trace identity into it,
-// and measures it.
-func (t Trial) Run(ctx context.Context) (RunStats, error) {
+// Run builds the deployment, instruments it with observer o (nil: off)
+// under the trial's trace identity, and measures it. Runner.RunTrials
+// passes its campaign's observer.
+func (t Trial) Run(ctx context.Context, o *obs.Observer) (RunStats, error) {
 	sys, env, err := t.Build()
 	if err != nil {
 		return RunStats{}, err
 	}
-	sys.TraceID = t.ID
-	sys.TraceLabels = t.Labels
-	if t.Obs != nil {
-		sys.Obs = t.Obs
-	}
-	if sys.Faults != nil {
-		sys.Faults.TraceID = t.ID
-		sys.Faults.TraceLabels = t.Labels
-		if t.Obs != nil {
-			sys.Faults.Obs = t.Obs
-		}
-	}
-	if sys.Traffic != nil && t.Obs != nil {
-		sys.Traffic.Obs = t.Obs
-	}
+	sys.Instrument(o, t.ID, t.Labels)
 	return MeasureRun(ctx, sys, env, t.Rounds, t.DataSeed)
 }
 
