@@ -80,7 +80,7 @@ func run() error {
 			if end > len(bits) {
 				end = len(bits)
 			}
-			env.Advance(0.05)
+			env.Advance(channel.RoundStepS)
 			res, err := sys.QueryRound(bits[off:end])
 			if err != nil {
 				return err

@@ -164,6 +164,10 @@ func (e *Environment) AddScatterers(n int, x0, y0, x1, y1, gain, speedMps float6
 	}
 }
 
+// RoundStepS is the scatterer motion, in seconds, every measurement and
+// transfer loop advances the environment by before each query round.
+const RoundStepS = 0.05
+
 // Advance moves every scatterer through dt seconds of random walk. Calling
 // it between query rounds models people moving while the channel stays
 // frozen within each (few-ms) A-MPDU — the coherence-time argument of §5.

@@ -10,6 +10,7 @@ import (
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/fault"
+	"witag/internal/link/linktest"
 	"witag/internal/stats"
 )
 
@@ -390,6 +391,27 @@ func TestCodedTransfersHonorCancellation(t *testing.T) {
 	}
 	if _, err := NewRSTransferer(sys, env, DefaultRSConfig(), 1).Send(ctx, payload); err != context.Canceled {
 		t.Fatalf("rs: err = %v, want context.Canceled", err)
+	}
+	// Cancelled mid-frame: two Err calls pass (the per-frame check plus
+	// the first round), then the context reads as cancelled while the
+	// first 5-round frame (288 coded bits over DataLen 60) still has rounds
+	// to go. The transfer must stop inside the frame, not finish it.
+	for name, send := range map[string]func(sys *core.System, env *channel.Environment, ctx context.Context) (*Stats, error){
+		"fountain": func(sys *core.System, env *channel.Environment, ctx context.Context) (*Stats, error) {
+			return NewFountainTransferer(sys, env, DefaultFountainConfig(), 1).Send(ctx, payload)
+		},
+		"rs": func(sys *core.System, env *channel.Environment, ctx context.Context) (*Stats, error) {
+			return NewRSTransferer(sys, env, DefaultRSConfig(), 1).Send(ctx, payload)
+		},
+	} {
+		sys, env := codingTestbed(t, 34)
+		st, err := send(sys, env, &linktest.RoundLimitedCtx{Context: context.Background(), Calls: 2})
+		if err != context.Canceled {
+			t.Fatalf("%s mid-frame: err = %v, want context.Canceled", name, err)
+		}
+		if st.Delivered || st.Rounds != 1 {
+			t.Fatalf("%s mid-frame: delivered=%v after %d rounds, want exactly 1 undelivered round", name, st.Delivered, st.Rounds)
+		}
 	}
 }
 

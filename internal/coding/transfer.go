@@ -3,33 +3,19 @@ package coding
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"witag/internal/channel"
 	"witag/internal/core"
+	"witag/internal/link"
 	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
-// Transfer modes. Both transferers drive one core.System the way
-// link.Transferer does — every encoded symbol/shard rides in one
-// CRC-protected core.Codec frame spanning however many query rounds its
-// bits need — so ARQ, fountain and RS compare over identical worlds.
-
-// Backoff bounds the wait after a round erasure (missed trigger or lost
-// block ACK), mirroring link.Policy's capped exponential with jitter.
-type Backoff struct {
-	Base time.Duration
-	Cap  time.Duration
-	// JitterFrac spreads each wait by ±this fraction from the labeled RNG.
-	JitterFrac float64
-}
-
-// DefaultBackoff matches link.DefaultPolicy's pacing.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 2 * time.Millisecond, Cap: 32 * time.Millisecond, JitterFrac: 0.25}
-}
+// Transfer modes. Both transferers put every encoded symbol/shard in one
+// CRC-protected core.Codec frame and send it through link's frame loop —
+// the one link.Transferer uses, with the same backoff — so ARQ, fountain
+// and RS compare over identical worlds and differ only in what they put
+// in a frame.
 
 // DefaultCodec is the fixed per-frame protection both coded modes use:
 // SECDED with moderate interleaving, the middle rung of link's ladder.
@@ -42,179 +28,76 @@ func DefaultCodec() core.Codec { return core.Codec{FEC: true, InterleaveDepth: 8
 // Stats reports one coded transfer; the field set is the union of both
 // schemes so the experiment harness aggregates them uniformly.
 type Stats struct {
-	Delivered    bool
-	PayloadBytes int
-	Received     []byte `json:"-"`
+	link.TransferStats
 
-	FramesSent    int // symbol/shard frames put on the air
 	FramesOK      int // frames whose CRC verdict was clean
 	FrameErasures int // frames erased by a missed trigger or lost BA
 	FrameErrors   int // frames lost to CRC/decode failure
-	Rounds        int // query rounds on the air
 
 	DecodeAttempts int // peeling passes (fountain) / reconstructions (RS)
 	ParityResizes  int // GuardRider adaptation events (RS only)
 	FinalK, FinalN int // last block geometry (RS only)
-
-	BackoffWait time.Duration
-	Airtime     time.Duration // on-air time plus backoff waits
 }
 
-// GoodputBps returns delivered payload bits per second of airtime.
-func (s *Stats) GoodputBps() float64 {
-	if !s.Delivered || s.Airtime <= 0 {
-		return 0
-	}
-	return float64(s.PayloadBytes*8) / s.Airtime.Seconds()
-}
-
-// frameOutcome classifies one frame attempt.
-type frameOutcome int
-
-const (
-	frameOK frameOutcome = iota
-	frameErased
-	frameError
-)
-
-// sender is the shared frame loop: encode a frame payload with the fixed
-// codec, push its bits through query rounds, decode the client's view.
-// Not safe for concurrent use, like the System it drives.
-type sender struct {
-	sys   *core.System
-	env   *channel.Environment
-	stepS float64
-	codec core.Codec
-	bo    Backoff
-	rng   *rand.Rand
-
-	consecErased int
-}
-
-// start counts a transfer into the system's observer, which receives the
-// sender's metrics and trace events under the system's trace identity,
-// and attributes the environment's Advance calls to the channel phase.
-func (s *sender) start() {
-	if o := s.sys.Obs; o != nil {
-		if s.env != nil {
-			s.env.Spans = o.Spans.Lane(s.sys.TraceID)
-		}
-		o.Coding.TransfersStarted.Inc()
-	}
-}
-
-// spans returns the sender's phase timers, in its trace ID's lane (nil
-// when detached).
-func (s *sender) spans() *obs.Spans {
-	if o := s.sys.Obs; o != nil {
-		return o.Spans.Lane(s.sys.TraceID)
-	}
-	return nil
-}
-
-// send pushes one frame and classifies the outcome; on frameOK the
-// decoded frame payload is returned.
-func (s *sender) send(fp []byte, st *Stats) ([]byte, frameOutcome, error) {
-	spans := s.spans()
-	sp := spans.Start()
-	bits, err := s.codec.Encode(fp)
-	if err != nil {
-		return nil, frameError, err
-	}
-	sp = spans.Lap(obs.PhaseCodingEncode, sp)
-	st.FramesSent++
-	dataLen := s.sys.Spec.DataLen
-	rxBits := make([]byte, 0, len(bits))
-	for off := 0; off < len(bits); off += dataLen {
-		end := off + dataLen
-		if end > len(bits) {
-			end = len(bits)
-		}
-		if s.env != nil {
-			s.env.Advance(s.stepS)
-		}
-		res, err := s.sys.QueryRound(bits[off:end])
-		if err != nil {
-			return nil, frameError, err
-		}
-		sp = spans.Start()
-		st.Rounds++
-		st.Airtime += res.Airtime
-		if res.BALost || !res.Detected {
-			st.FrameErasures++
-			s.backoff(st)
-			spans.End(obs.PhaseARQRound, sp)
-			return nil, frameErased, nil
-		}
-		rxBits = append(rxBits, res.RxBits[:end-off]...)
-		sp = spans.Lap(obs.PhaseARQRound, sp)
-	}
-	s.consecErased = 0
-	got, _, derr := s.codec.Decode(rxBits)
-	spans.End(obs.PhaseCodingDecode, sp)
-	if derr != nil {
+// sendFrame pushes one symbol/shard frame payload through the frame loop
+// with DefaultCodec, backing off after every erasure. It returns the
+// decoded frame payload (nil when the frame was lost) and the frame's
+// trace outcome.
+func sendFrame(ctx context.Context, f *link.FrameSender, fp []byte, st *Stats) ([]byte, string, error) {
+	fr, err := f.Send(ctx, DefaultCodec(), fp, &st.TransferStats)
+	switch {
+	case err != nil:
+		return nil, "", err
+	case fr.Erased:
+		st.FrameErasures++
+		f.Backoff(&st.TransferStats)
+		return nil, "erased", nil
+	case fr.DecodeErr != nil:
 		st.FrameErrors++
-		return nil, frameError, nil
+		return nil, "frame_error", nil
 	}
 	st.FramesOK++
-	return got, frameOK, nil
+	return fr.Payload, "ok", nil
 }
 
-// backoff charges the capped exponential wait after the n-th consecutive
-// round erasure.
-func (s *sender) backoff(st *Stats) {
-	s.consecErased++
-	if s.bo.Base <= 0 {
-		return
-	}
-	d := s.bo.Base
-	for i := 1; i < s.consecErased && d < s.bo.Cap; i++ {
-		d *= 2
-	}
-	if s.bo.Cap > 0 && d > s.bo.Cap {
-		d = s.bo.Cap
-	}
-	if s.bo.JitterFrac > 0 {
-		j := 1 + s.bo.JitterFrac*(2*s.rng.Float64()-1)
-		d = time.Duration(float64(d) * j)
-	}
-	st.BackoffWait += d
-	st.Airtime += d
-}
-
-// trace records one frame attempt's outcome (symbol/shard id in Offset).
-func (s *sender) trace(kind string, id int, outcome string) {
-	if o := s.sys.Obs; o != nil {
+// traceFrame records one frame attempt's outcome (symbol/shard id in
+// Offset).
+func traceFrame(f *link.FrameSender, kind string, id int, outcome string) {
+	if o := f.Sys.Obs; o != nil {
 		o.Trace.Record(obs.Event{
-			Kind: kind, Trial: s.sys.TraceID, Labels: s.sys.TraceLabels,
+			Kind: kind, Trial: f.Sys.TraceID, Labels: f.Sys.TraceLabels,
 			Offset: id, Outcome: outcome,
 		})
 	}
 }
 
-// finish flushes the transfer's totals into the metrics registry.
-func (s *sender) finish(scheme string, st *Stats) {
-	o := s.sys.Obs
+// begin counts a transfer into the system's observer and returns the
+// deferred flush of its totals into the metrics registry.
+func begin(f *link.FrameSender, scheme string, st *Stats) func() {
+	o := f.Begin()
 	if o == nil {
-		return
+		return func() {}
 	}
-	m := o.Coding
-	m.FramesSent.Add(int64(st.FramesSent))
-	m.FrameErasures.Add(int64(st.FrameErasures))
-	m.FrameErrors.Add(int64(st.FrameErrors))
-	m.DecodeAttempts.Add(int64(st.DecodeAttempts))
-	m.ParityResizes.Add(int64(st.ParityResizes))
-	if st.Delivered {
-		m.TransfersDelivered.Inc()
-	} else {
-		m.TransfersFailed.Inc()
+	o.Coding.TransfersStarted.Inc()
+	return func() {
+		m := o.Coding
+		m.FramesSent.Add(int64(st.FramesSent))
+		m.FrameErasures.Add(int64(st.FrameErasures))
+		m.FrameErrors.Add(int64(st.FrameErrors))
+		m.DecodeAttempts.Add(int64(st.DecodeAttempts))
+		m.ParityResizes.Add(int64(st.ParityResizes))
+		if st.Delivered {
+			m.TransfersDelivered.Inc()
+		} else {
+			m.TransfersFailed.Inc()
+		}
+		o.Trace.Record(obs.Event{
+			Kind: "transfer", Trial: f.Sys.TraceID, Labels: f.Sys.TraceLabels,
+			Delivered: st.Delivered, Length: st.PayloadBytes,
+			Rounds: st.Rounds, Retries: st.FrameErrors + st.FrameErasures,
+			AirtimeUs: st.Airtime.Microseconds(), Outcome: scheme,
+		})
 	}
-	o.Trace.Record(obs.Event{
-		Kind: "transfer", Trial: s.sys.TraceID, Labels: s.sys.TraceLabels,
-		Delivered: st.Delivered, Length: st.PayloadBytes,
-		Rounds: st.Rounds, Retries: st.FrameErrors + st.FrameErasures,
-		AirtimeUs: st.Airtime.Microseconds(), Outcome: scheme,
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -225,37 +108,27 @@ type FountainConfig struct {
 	// BlockBytes is the source-block (and symbol) size; small symbols
 	// keep the per-erasure loss small under round-erasure-heavy faults.
 	BlockBytes int
-	// MaxSymbols caps the transmit-until-ACK stream; 0 derives
-	// 16·K + 64 from the block count (an undeliverable-channel escape,
-	// not an operating point).
-	MaxSymbols int
-	Codec      core.Codec
-	Backoff    Backoff
 }
 
 // DefaultFountainConfig is the experiment operating point.
-func DefaultFountainConfig() FountainConfig {
-	return FountainConfig{BlockBytes: 12, Codec: DefaultCodec(), Backoff: DefaultBackoff()}
-}
+func DefaultFountainConfig() FountainConfig { return FountainConfig{BlockBytes: 12} }
 
 // FountainTransferer moves payloads with the LT code: keep sending fresh
 // encoded symbols until the peeling decoder completes. A lost symbol
 // costs only the next symbol — there is no retransmission protocol.
 type FountainTransferer struct {
-	Sys    *core.System
-	Env    *channel.Environment
-	StepS  float64
 	Config FountainConfig
 
-	seed int64
-	rng  *rand.Rand
+	seed   int64
+	frames *link.FrameSender
 }
 
 // NewFountainTransferer wires the rateless loop over sys; seed both the
 // symbol pseudo-randomness and the backoff jitter from one labeled
 // stats.SubSeed path.
 func NewFountainTransferer(sys *core.System, env *channel.Environment, cfg FountainConfig, seed int64) *FountainTransferer {
-	return &FountainTransferer{Sys: sys, Env: env, StepS: 0.05, Config: cfg, seed: seed, rng: stats.NewRNG(stats.SubSeed(seed, "backoff"))}
+	return &FountainTransferer{Config: cfg, seed: seed,
+		frames: link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff")))}
 }
 
 // fountainHeader is the per-symbol frame header: the 16-bit symbol ID.
@@ -277,62 +150,51 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 	if err != nil {
 		return nil, err
 	}
-	st := &Stats{PayloadBytes: len(payload)}
-	snd := &sender{sys: t.Sys, env: t.Env, stepS: t.StepS, codec: cfg.Codec, bo: cfg.Backoff,
-		rng: t.rng}
-	snd.start()
-	defer snd.finish("fountain", st)
+	st := &Stats{TransferStats: link.TransferStats{PayloadBytes: len(payload)}}
+	defer begin(t.frames, "fountain", st)()
+	spans := t.frames.Spans()
 
 	dec := NewFountainDecoder(f)
-	maxSymbols := cfg.MaxSymbols
-	if maxSymbols <= 0 {
-		maxSymbols = 16*f.K + 64
-	}
+	// The symbol cap is an undeliverable-channel escape, not an operating
+	// point.
+	maxSymbols := 16*f.K + 64
 	for id := 0; id < maxSymbols && !dec.Done(); id++ {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		sp := snd.spans().Start()
+		sp := spans.Start()
 		sym, err := f.Symbol(payload, id)
 		if err != nil {
 			return st, err
 		}
-		snd.spans().End(obs.PhaseCodingEncode, sp)
+		spans.End(obs.PhaseCodingEncode, sp)
 		fp := make([]byte, 0, fountainHeader+len(sym))
 		fp = append(fp, byte(id>>8), byte(id))
 		fp = append(fp, sym...)
-		got, outcome, err := snd.send(fp, st)
+		got, outcome, err := sendFrame(ctx, t.frames, fp, st)
 		if err != nil {
 			return st, err
 		}
-		if o := t.Sys.Obs; o != nil {
+		if o := t.frames.Sys.Obs; o != nil {
 			o.Coding.SymbolsSent.Inc()
 		}
-		switch outcome {
-		case frameErased:
-			snd.trace("symbol", id, "erased")
-			continue
-		case frameError:
-			snd.trace("symbol", id, "frame_error")
-			continue
-		}
-		if len(got) != fountainHeader+cfg.BlockBytes {
+		if outcome == "ok" && len(got) != fountainHeader+cfg.BlockBytes {
 			// CRC passed but the length is wrong — residual corruption;
 			// drop the symbol, the stream provides more.
 			st.FrameErrors++
-			snd.trace("symbol", id, "frame_error")
-			continue
+			outcome = "frame_error"
 		}
-		rxID := int(got[0])<<8 | int(got[1])
-		sp = snd.spans().Start()
-		_, addErr := dec.Add(rxID, got[fountainHeader:])
-		snd.spans().End(obs.PhaseCodingDecode, sp)
-		if addErr != nil {
-			st.FrameErrors++
-			snd.trace("symbol", id, "frame_error")
-			continue
+		if outcome == "ok" {
+			rxID := int(got[0])<<8 | int(got[1])
+			sp = spans.Start()
+			_, addErr := dec.Add(rxID, got[fountainHeader:])
+			spans.End(obs.PhaseCodingDecode, sp)
+			if addErr != nil {
+				st.FrameErrors++
+				outcome = "frame_error"
+			}
 		}
-		snd.trace("symbol", id, "ok")
+		traceFrame(t.frames, "symbol", id, outcome)
 	}
 	st.DecodeAttempts = dec.Attempts
 	if !dec.Done() {
@@ -356,37 +218,27 @@ type RSConfig struct {
 	ShardBytes int
 	// DataShards is k, the data shards per block.
 	DataShards int
-	// WindowFrames sizes the sliding erasure-rate window (GuardRider's
-	// ambient-traffic statistic); PriorLoss seeds it before any
-	// observation.
-	WindowFrames int
-	PriorLoss    float64
-	// MarginShards is added to the expectation-sized parity budget.
-	MarginShards int
-	// MaxLoss caps the windowed estimate so the parity budget stays
-	// finite on a black channel.
-	MaxLoss float64
-	// BlockRetries re-sends a block (with re-estimated, larger parity)
-	// when fewer than k shards survive.
-	BlockRetries int
-	Codec        core.Codec
-	Backoff      Backoff
 }
 
 // DefaultRSConfig is the experiment operating point.
-func DefaultRSConfig() RSConfig {
-	return RSConfig{
-		ShardBytes:   12,
-		DataShards:   8,
-		WindowFrames: 48,
-		PriorLoss:    0.10,
-		MarginShards: 1,
-		MaxLoss:      0.75,
-		BlockRetries: 8,
-		Codec:        DefaultCodec(),
-		Backoff:      DefaultBackoff(),
-	}
-}
+func DefaultRSConfig() RSConfig { return RSConfig{ShardBytes: 12, DataShards: 8} }
+
+// GuardRider's adaptation constants.
+const (
+	// rsWindowFrames sizes the sliding erasure-rate window (GuardRider's
+	// ambient-traffic statistic); rsPriorLoss seeds it before any
+	// observation.
+	rsWindowFrames = 48
+	rsPriorLoss    = 0.10
+	// rsMarginShards is added to the expectation-sized parity budget.
+	rsMarginShards = 1
+	// rsMaxLoss caps the windowed estimate so the parity budget stays
+	// finite on a black channel.
+	rsMaxLoss = 0.75
+	// rsBlockRetries re-sends a block (with re-estimated, larger parity)
+	// when fewer than k shards survive.
+	rsBlockRetries = 8
+)
 
 // lossWindow is the sliding window of recent per-frame erasure verdicts.
 type lossWindow struct {
@@ -430,12 +282,9 @@ func (w *lossWindow) Rate(prior float64) float64 {
 // re-sized from the loss window before every block — GuardRider's
 // adaptation loop.
 type RSTransferer struct {
-	Sys    *core.System
-	Env    *channel.Environment
-	StepS  float64
 	Config RSConfig
 
-	rng    *rand.Rand
+	frames *link.FrameSender
 	window *lossWindow
 	codes  map[[2]int]*RS
 }
@@ -444,9 +293,9 @@ type RSTransferer struct {
 // jitter from a labeled stats.SubSeed path.
 func NewRSTransferer(sys *core.System, env *channel.Environment, cfg RSConfig, seed int64) *RSTransferer {
 	return &RSTransferer{
-		Sys: sys, Env: env, StepS: 0.05, Config: cfg,
-		rng:    stats.NewRNG(stats.SubSeed(seed, "backoff")),
-		window: newLossWindow(cfg.WindowFrames),
+		Config: cfg,
+		frames: link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff"))),
+		window: newLossWindow(rsWindowFrames),
 		codes:  map[[2]int]*RS{},
 	}
 }
@@ -463,10 +312,10 @@ func (t *RSTransferer) parityFor(k int, p float64) int {
 	if p < 0 {
 		p = 0
 	}
-	if p > t.Config.MaxLoss {
-		p = t.Config.MaxLoss
+	if p > rsMaxLoss {
+		p = rsMaxLoss
 	}
-	n := int(float64(k)/(1-p)) + 1 + t.Config.MarginShards
+	n := int(float64(k)/(1-p)) + 1 + rsMarginShards
 	m := n - k
 	if m < 1 {
 		m = 1
@@ -502,11 +351,9 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 	if cfg.ShardBytes+rsHeader > core.MaxPayload {
 		return nil, fmt.Errorf("coding: RS shard %dB exceeds the %dB frame", cfg.ShardBytes, core.MaxPayload)
 	}
-	st := &Stats{PayloadBytes: len(payload)}
-	snd := &sender{sys: t.Sys, env: t.Env, stepS: t.StepS, codec: cfg.Codec, bo: cfg.Backoff,
-		rng: t.rng}
-	snd.start()
-	defer snd.finish("rs", st)
+	st := &Stats{TransferStats: link.TransferStats{PayloadBytes: len(payload)}}
+	defer begin(t.frames, "rs", st)()
+	spans := t.frames.Spans()
 
 	out := make([]byte, len(payload))
 	blockSpan := cfg.DataShards * cfg.ShardBytes
@@ -540,21 +387,21 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		if err != nil {
 			return st, err
 		}
-		sp := snd.spans().Start()
+		sp := spans.Start()
 		parity, err := rs.Parity(data)
 		if err != nil {
 			return st, err
 		}
-		snd.spans().End(obs.PhaseCodingEncode, sp)
+		spans.End(obs.PhaseCodingEncode, sp)
 		// First wave: data shards plus a parity budget sized from the
 		// windowed erasure rate.
-		m0 := t.parityFor(k, t.window.Rate(cfg.PriorLoss))
+		m0 := t.parityFor(k, t.window.Rate(rsPriorLoss))
 		if m0 > mCap {
 			m0 = mCap
 		}
 		if lastM >= 0 && m0 != lastM {
 			st.ParityResizes++
-			if o := t.Sys.Obs; o != nil {
+			if o := t.frames.Sys.Obs; o != nil {
 				o.Coding.ParityResizes.Inc()
 			}
 		}
@@ -567,7 +414,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		rx := make([][]byte, k+mCap)
 		got := 0
 		delivered := false
-		for wave := 0; wave <= cfg.BlockRetries && !delivered; wave++ {
+		for wave := 0; wave <= rsBlockRetries && !delivered; wave++ {
 			for _, si := range targets {
 				if err := ctx.Err(); err != nil {
 					return st, err
@@ -581,14 +428,14 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				fp := make([]byte, 0, rsHeader+len(shard))
 				fp = append(fp, byte(blockIdx), byte(si))
 				fp = append(fp, shard...)
-				dec, outcome, err := snd.send(fp, st)
+				dec, outcome, err := sendFrame(ctx, t.frames, fp, st)
 				if err != nil {
 					return st, err
 				}
-				if o := t.Sys.Obs; o != nil {
+				if o := t.frames.Sys.Obs; o != nil {
 					o.Coding.ShardsSent.Inc()
 				}
-				lost := outcome != frameOK
+				lost := outcome != "ok"
 				if !lost {
 					if len(dec) != rsHeader+cfg.ShardBytes || int(dec[1]) >= k+mCap {
 						st.FrameErrors++ // CRC-passing residual corruption
@@ -597,7 +444,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				}
 				t.window.Observe(lost)
 				if lost {
-					snd.trace("shard", si, "erased")
+					traceFrame(t.frames, "shard", si, "erased")
 					continue
 				}
 				ri := int(dec[1])
@@ -605,18 +452,18 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 					got++
 				}
 				rx[ri] = append([]byte(nil), dec[rsHeader:]...)
-				snd.trace("shard", si, "ok")
+				traceFrame(t.frames, "shard", si, "ok")
 			}
 			if got >= k {
 				st.DecodeAttempts++
-				if o := t.Sys.Obs; o != nil {
+				if o := t.frames.Sys.Obs; o != nil {
 					o.Coding.DecodeAttempts.Inc()
 				}
-				sp := snd.spans().Start()
+				sp := spans.Start()
 				if err := rs.Reconstruct(rx); err != nil {
 					return st, err
 				}
-				snd.spans().End(obs.PhaseCodingDecode, sp)
+				spans.End(obs.PhaseCodingDecode, sp)
 				for i := 0; i < k; i++ {
 					start := at + i*cfg.ShardBytes
 					end := start + cfg.ShardBytes
@@ -630,12 +477,12 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			}
 			// GuardRider adaptation: size the next parity wave from the
 			// freshly re-estimated erasure rate and the outstanding need.
-			p := t.window.Rate(cfg.PriorLoss)
-			if p > cfg.MaxLoss {
-				p = cfg.MaxLoss
+			p := t.window.Rate(rsPriorLoss)
+			if p > rsMaxLoss {
+				p = rsMaxLoss
 			}
 			need := k - got
-			extra := int(float64(need)/(1-p)) + cfg.MarginShards
+			extra := int(float64(need)/(1-p)) + rsMarginShards
 			if sentParity+extra > mCap {
 				extra = mCap - sentParity
 			}
@@ -643,7 +490,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				break // parity space exhausted — the block is undeliverable
 			}
 			st.ParityResizes++
-			if o := t.Sys.Obs; o != nil {
+			if o := t.frames.Sys.Obs; o != nil {
 				o.Coding.ParityResizes.Inc()
 			}
 			targets = targets[:0]

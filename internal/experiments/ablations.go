@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/crypto80211"
 	"witag/internal/dot11"
@@ -274,7 +275,7 @@ func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Obser
 			if end > len(bits) {
 				end = len(bits)
 			}
-			env.Advance(0.05)
+			env.Advance(channel.RoundStepS)
 			res, err := sys.QueryRound(bits[off:end])
 			if err != nil {
 				return AblationRow{}, err

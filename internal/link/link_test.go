@@ -11,6 +11,7 @@ import (
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/fault"
+	"witag/internal/link/linktest"
 	"witag/internal/stats"
 )
 
@@ -128,28 +129,37 @@ func TestFixedControllerNeverMoves(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	tr := &Transferer{Policy: Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond}}
 	var prev time.Duration
 	for n := 1; n <= 6; n++ {
-		d := tr.backoff(n)
+		d := backoffWait(n, 0.5)
 		if d < prev {
 			t.Fatalf("backoff shrank at n=%d: %v < %v", n, d, prev)
 		}
-		if d > 8*time.Millisecond {
+		if d > backoffCap {
 			t.Fatalf("backoff %v exceeds cap", d)
 		}
 		prev = d
 	}
-	if tr.backoff(6) != 8*time.Millisecond {
-		t.Fatalf("deep backoff %v, want the cap", tr.backoff(6))
+	if d := backoffWait(6, 0.5); d != backoffCap {
+		t.Fatalf("deep backoff %v, want the cap", d)
 	}
-	// Jitter draws from the labeled RNG only, so it reproduces.
-	a := NewTransferer(nil, nil, Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond, JitterFrac: 0.25}, nil, stats.SubSeed(1, "arq"))
-	b := NewTransferer(nil, nil, a.Policy, nil, stats.SubSeed(1, "arq"))
+	// Jitter draws from the labeled RNG only, so it reproduces, and it
+	// stays within ±backoffJitter of the nominal wait.
+	a := NewFrameSender(nil, nil, stats.NewRNG(stats.SubSeed(1, "arq")))
+	b := NewFrameSender(nil, nil, stats.NewRNG(stats.SubSeed(1, "arq")))
+	var sa, sb TransferStats
 	for n := 1; n < 8; n++ {
-		if a.backoff(n) != b.backoff(n) {
+		d := a.Backoff(&sa)
+		if d != b.Backoff(&sb) {
 			t.Fatal("jittered backoff not reproducible from its seed")
 		}
+		nominal := float64(backoffWait(n, 0.5))
+		if f := float64(d); f < nominal*(1-backoffJitter) || f > nominal*(1+backoffJitter) {
+			t.Fatalf("jittered backoff %v at n=%d outside ±%v of %v", d, n, backoffJitter, time.Duration(nominal))
+		}
+	}
+	if sa.BackoffWait != sa.Airtime || sa.BackoffWait <= 0 {
+		t.Fatalf("backoff not charged as airtime: %+v", sa)
 	}
 }
 
@@ -302,21 +312,6 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
-// roundLimitedCtx reports cancellation after a fixed number of Err calls,
-// landing mid-frame to exercise the per-round check inside attempt.
-type roundLimitedCtx struct {
-	context.Context
-	calls int
-}
-
-func (c *roundLimitedCtx) Err() error {
-	c.calls--
-	if c.calls < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
 func TestSendCancelsMidFrame(t *testing.T) {
 	sys, env := linkTestbed(t, 6)
 	cc, _ := NewCodingController(0)
@@ -324,7 +319,7 @@ func TestSendCancelsMidFrame(t *testing.T) {
 	// Two Err calls pass (the outer-loop check plus the first round), then
 	// the context reads as cancelled while the first frame still has rounds
 	// to go. Send must stop inside the frame, not finish it.
-	ctx := &roundLimitedCtx{Context: context.Background(), calls: 2}
+	ctx := &linktest.RoundLimitedCtx{Context: context.Background(), Calls: 2}
 	payload := make([]byte, 64)
 	st, err := tr.Send(ctx, payload)
 	if !errors.Is(err, context.Canceled) {

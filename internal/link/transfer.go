@@ -3,8 +3,6 @@ package link
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"witag/internal/channel"
 	"witag/internal/core"
@@ -18,99 +16,46 @@ type Policy struct {
 	// whole transfer before giving up. 0 disables ARQ entirely: every
 	// segment gets exactly one attempt (the robustness baseline).
 	RetryBudget int
-	// BackoffBase is the wait after the first round erasure (missed
-	// trigger or lost block ACK); consecutive erasures double it up to
-	// BackoffCap. Frame CRC failures retry immediately — the channel
-	// answered, it just answered garbage — so backoff only throttles the
-	// cases where blasting again into ongoing interference wastes air.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// JitterFrac spreads each backoff by ±this fraction, drawn from the
-	// transferer's labeled RNG, so co-located queriers don't resynchronise
-	// their retries.
-	JitterFrac float64
 }
 
 // DefaultPolicy matches the robustness experiment's ARQ configuration.
-func DefaultPolicy() Policy {
-	return Policy{
-		RetryBudget: 96,
-		BackoffBase: 2 * time.Millisecond,
-		BackoffCap:  32 * time.Millisecond,
-		JitterFrac:  0.25,
-	}
-}
+func DefaultPolicy() Policy { return Policy{RetryBudget: 96} }
 
 // Stats reports one transfer.
 type Stats struct {
-	Delivered    bool
-	PayloadBytes int
-	// Received is the reassembled payload when Delivered.
-	Received []byte `json:"-"`
+	TransferStats
 
-	FramesSent     int // frame attempts, including failures
-	Rounds         int // query rounds on the air
 	Retries        int // failed frame attempts that were retried
 	RoundFailures  int // attempts erased by a missed trigger or lost BA
 	DesyncErrors   int // decode failures: sync/short/length (framing lost)
 	ResidualErrors int // decode failures: CRC or uncorrectable FEC
 	CorrectedBits  int // FEC corrections across delivered frames
 	FinalLevel     int // coding rung at the end of the transfer
-
-	BackoffWait time.Duration
-	Airtime     time.Duration // on-air time plus backoff waits
-}
-
-// GoodputBps returns delivered payload bits per second of airtime
-// (0 when the transfer failed).
-func (s *Stats) GoodputBps() float64 {
-	if !s.Delivered || s.Airtime <= 0 {
-		return 0
-	}
-	return float64(s.PayloadBytes*8) / s.Airtime.Seconds()
 }
 
 // Transferer runs reliable transfers over one deployment. Like the
 // core.System it drives, it is not safe for concurrent use; parallel
 // campaigns build one per trial.
 type Transferer struct {
-	Sys    *core.System
 	Policy Policy
 	// Controller adapts the coding; use NewFixedController for a no-ARQ
 	// or no-adaptation baseline.
 	Controller *CodingController
-	// Env, when non-nil, advances StepS seconds of scatterer motion
-	// before every query round — the same fading dynamics sim.MeasureRun
-	// applies.
-	Env   *channel.Environment
-	StepS float64
 
-	rng *rand.Rand
+	frames *FrameSender
 }
 
-// NewTransferer wires a transfer loop over sys. Seed every instance from
-// a labeled stats.SubSeed path — the backoff jitter is the loop's only
-// randomness, and it must never come from a shared or wall-clock source
-// (the worker-count determinism contract, DESIGN.md §8).
+// NewTransferer wires a transfer loop over sys; env, when non-nil, moves
+// between query rounds (see FrameSender). Seed every instance from a
+// labeled stats.SubSeed path — the backoff jitter is the loop's only
+// randomness.
 func NewTransferer(sys *core.System, env *channel.Environment, pol Policy, cc *CodingController, seed int64) *Transferer {
 	return &Transferer{
-		Sys:        sys,
 		Policy:     pol,
 		Controller: cc,
-		Env:        env,
-		StepS:      0.05,
-		rng:        stats.NewRNG(seed),
+		frames:     NewFrameSender(sys, env, stats.NewRNG(seed)),
 	}
 }
-
-// attemptOutcome classifies one frame attempt.
-type attemptOutcome int
-
-const (
-	attemptOK attemptOutcome = iota
-	attemptRoundErased
-	attemptFrameError
-)
 
 // Send moves payload tag→client reliably: segment, query, verify each
 // frame's CRC, selectively re-query failed ranges, back off after round
@@ -122,19 +67,13 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 	if len(payload) == 0 || len(payload) > MaxTransfer {
 		return nil, fmt.Errorf("link: payload %d bytes outside [1,%d]", len(payload), MaxTransfer)
 	}
-	if t.Sys == nil || t.Controller == nil {
+	if t.frames.Sys == nil || t.Controller == nil {
 		return nil, fmt.Errorf("link: transferer needs a system and a controller")
 	}
-	st := &Stats{PayloadBytes: len(payload)}
-	// The system's observer also receives the transfer/segment metrics
-	// and trace events, under the system's trace identity. Passive: no
-	// RNG draws, no effect on the ARQ loop.
-	if o := t.Sys.Obs; o != nil {
-		if t.Env != nil {
-			// Attribute the pre-round Advance calls in attempt to the
-			// channel phase.
-			t.Env.Spans = o.Spans.Lane(t.Sys.TraceID)
-		}
+	st := &Stats{TransferStats: TransferStats{PayloadBytes: len(payload)}}
+	// Passive: no RNG draws, no effect on the ARQ loop.
+	o := t.frames.Begin()
+	if o != nil {
 		o.Link.TransfersStarted.Inc()
 		// Flush the transfer's totals on every exit path — including
 		// cancellation — so live /metrics and the trace agree with the
@@ -154,8 +93,8 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 			}
 			o.Trace.Record(obs.Event{
 				Kind:      "transfer",
-				Trial:     t.Sys.TraceID,
-				Labels:    t.Sys.TraceLabels,
+				Trial:     t.frames.Sys.TraceID,
+				Labels:    t.frames.Sys.TraceLabels,
 				Delivered: st.Delivered,
 				Length:    st.PayloadBytes,
 				Rounds:    st.Rounds,
@@ -168,7 +107,6 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 	rx := &Reassembler{}
 	pending := splitRanges([]segment{{0, len(payload)}}, t.Controller.Level().SegBytes)
 	budget := t.Policy.RetryBudget
-	consecErased := 0
 
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -184,14 +122,13 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 			pending = append(splitRanges([]segment{seg}, lvl.SegBytes), pending[1:]...)
 			continue
 		}
-		outcome, err := t.attempt(ctx, payload, seg, lvl, rx, st)
+		ok, erased, err := t.attempt(ctx, payload, seg, lvl, rx, st)
 		if err != nil {
 			st.FinalLevel = t.Controller.Index()
 			return st, err
 		}
-		if outcome == attemptOK {
+		if ok {
 			pending = pending[1:]
-			consecErased = 0
 			continue
 		}
 		if budget <= 0 {
@@ -200,19 +137,15 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 		}
 		budget--
 		st.Retries++
-		if outcome == attemptRoundErased {
-			consecErased++
-			sp := t.spans().Start()
-			wait := t.backoff(consecErased)
-			st.BackoffWait += wait
-			st.Airtime += wait
-			t.spans().End(obs.PhaseARQRound, sp)
-			if o := t.Sys.Obs; o != nil {
+		if erased {
+			spans := t.frames.Spans()
+			sp := spans.Start()
+			wait := t.frames.Backoff(&st.TransferStats)
+			spans.End(obs.PhaseARQRound, sp)
+			if o != nil {
 				o.Link.BackoffWaits.Inc()
 				o.Link.BackoffWait.Observe(wait.Microseconds())
 			}
-		} else {
-			consecErased = 0
 		}
 		// Selective repeat: rotate the failed range to the back so the
 		// rest of the transfer progresses while this patch of channel
@@ -230,92 +163,45 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 	return st, nil
 }
 
-// attempt sends one segment as one coded frame over however many query
-// rounds its bits need, then decodes the client's view.
-func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, lvl Level, rx *Reassembler, st *Stats) (attemptOutcome, error) {
-	spans := t.spans()
-	sp := spans.Start()
-	bits, err := lvl.Codec.Encode(buildFrame(payload, seg))
+// attempt sends one segment as one coded frame and classifies the
+// client's view: delivered (ok), erased by a round that taught us nothing
+// about coding, or a frame error.
+func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, lvl Level, rx *Reassembler, st *Stats) (ok, erased bool, err error) {
+	fr, err := t.frames.Send(ctx, lvl.Codec, buildFrame(payload, seg), &st.TransferStats)
 	if err != nil {
-		return attemptFrameError, err
+		return false, false, err
 	}
-	sp = spans.Lap(obs.PhaseCodingEncode, sp)
-	st.FramesSent++
-	dataLen := t.Sys.Spec.DataLen
-	rxBits := make([]byte, 0, len(bits))
-	for off := 0; off < len(bits); off += dataLen {
-		end := off + dataLen
-		if end > len(bits) {
-			end = len(bits)
-		}
-		// Large frames span many query rounds; checking only at segment
-		// granularity would let a cancelled transfer burn a whole frame's
-		// worth of airtime before noticing.
-		if err := ctx.Err(); err != nil {
-			return attemptFrameError, err
-		}
-		if t.Env != nil {
-			t.Env.Advance(t.StepS)
-		}
-		res, err := t.Sys.QueryRound(bits[off:end])
-		if err != nil {
-			return attemptFrameError, err
-		}
-		sp = spans.Start()
-		st.Rounds++
-		st.Airtime += res.Airtime
-		// A lost block ACK is directly observable (nothing arrived before
-		// the client's timeout). A missed trigger is observable too: the
-		// tag never modulates, so the bitmap comes back all-idle — the
-		// simulation shortcuts the heuristic via the round's Detected
-		// flag. Either way the round taught us nothing about coding, so
-		// abandon the frame and back off.
-		if res.BALost || !res.Detected {
-			st.RoundFailures++
-			t.traceSegment(seg, "erased")
-			spans.End(obs.PhaseARQRound, sp)
-			return attemptRoundErased, nil
-		}
-		rxBits = append(rxBits, res.RxBits[:end-off]...)
-		sp = spans.Lap(obs.PhaseARQRound, sp)
+	if fr.Erased {
+		st.RoundFailures++
+		t.traceSegment(seg, "erased")
+		return false, true, nil
 	}
-	got, corrected, derr := lvl.Codec.Decode(rxBits)
-	spans.End(obs.PhaseCodingDecode, sp)
-	if derr != nil {
-		if core.DesyncError(derr) {
+	if fr.DecodeErr != nil {
+		if core.DesyncError(fr.DecodeErr) {
 			st.DesyncErrors++
 		} else {
 			st.ResidualErrors++
 		}
 		t.observeVerdict(false)
 		t.traceSegment(seg, "frame_error")
-		return attemptFrameError, nil
+		return false, false, nil
 	}
-	off, total, chunk, perr := parseFrame(got)
+	off, total, chunk, perr := parseFrame(fr.Payload)
 	if perr != nil || off != seg.start || total != len(payload) || len(chunk) != seg.len() {
 		// The CRC passed but the header disagrees with what we queried —
 		// residual corruption that happened to keep the checksum valid.
 		st.ResidualErrors++
 		t.observeVerdict(false)
 		t.traceSegment(seg, "frame_error")
-		return attemptFrameError, nil
+		return false, false, nil
 	}
 	if err := rx.Add(off, total, chunk); err != nil {
-		return attemptFrameError, err
+		return false, false, err
 	}
-	st.CorrectedBits += corrected
+	st.CorrectedBits += fr.Corrected
 	t.observeVerdict(true)
 	t.traceSegment(seg, "ok")
-	return attemptOK, nil
-}
-
-// spans returns the observer's phase timers, in the transferer's lane
-// (nil when detached).
-func (t *Transferer) spans() *obs.Spans {
-	if o := t.Sys.Obs; o != nil {
-		return o.Spans.Lane(t.Sys.TraceID)
-	}
-	return nil
+	return true, false, nil
 }
 
 // observeVerdict feeds the coding controller and counts the ladder moves
@@ -323,7 +209,7 @@ func (t *Transferer) spans() *obs.Spans {
 func (t *Transferer) observeVerdict(frameOK bool) {
 	before := t.Controller.Index()
 	t.Controller.Observe(frameOK)
-	if o := t.Sys.Obs; o != nil {
+	if o := t.frames.Sys.Obs; o != nil {
 		if after := t.Controller.Index(); after > before {
 			o.Link.LadderUp.Inc()
 		} else if after < before {
@@ -334,35 +220,15 @@ func (t *Transferer) observeVerdict(frameOK bool) {
 
 // traceSegment records one frame attempt's outcome.
 func (t *Transferer) traceSegment(seg segment, outcome string) {
-	if o := t.Sys.Obs; o != nil {
+	if o := t.frames.Sys.Obs; o != nil {
 		o.Trace.Record(obs.Event{
 			Kind:    "segment",
-			Trial:   t.Sys.TraceID,
-			Labels:  t.Sys.TraceLabels,
+			Trial:   t.frames.Sys.TraceID,
+			Labels:  t.frames.Sys.TraceLabels,
 			Offset:  seg.start,
 			Length:  seg.len(),
 			Level:   t.Controller.Index(),
 			Outcome: outcome,
 		})
 	}
-}
-
-// backoff returns the capped exponential wait after the n-th consecutive
-// round erasure, with ±JitterFrac jitter from the labeled RNG.
-func (t *Transferer) backoff(n int) time.Duration {
-	if t.Policy.BackoffBase <= 0 {
-		return 0
-	}
-	d := t.Policy.BackoffBase
-	for i := 1; i < n && d < t.Policy.BackoffCap; i++ {
-		d *= 2
-	}
-	if t.Policy.BackoffCap > 0 && d > t.Policy.BackoffCap {
-		d = t.Policy.BackoffCap
-	}
-	if t.Policy.JitterFrac > 0 {
-		j := 1 + t.Policy.JitterFrac*(2*t.rng.Float64()-1)
-		d = time.Duration(float64(d) * j)
-	}
-	return d
 }

@@ -80,7 +80,7 @@ func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment,
 		if err := ctx.Err(); err != nil {
 			return rs, err
 		}
-		env.Advance(0.05)
+		env.Advance(channel.RoundStepS)
 		bits := stats.RandomBits(rng, sys.Spec.DataLen)
 		res, err := sys.QueryRound(bits)
 		if err != nil {
