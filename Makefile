@@ -103,7 +103,8 @@ cover:
 	@$(GO) tool cover -func=cover.out | tail -n 1
 
 # Time-boxed coverage-guided fuzzing of the frame codec, the erasure
-# coders and the tolerant export readers (trace, timeline, run ledger);
+# coders, the tolerant export readers (trace, timeline, run ledger) and
+# the gate's BENCH/PROF artifact loader;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -113,9 +114,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJSONL$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimelineLog$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRunLedgerTolerant$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs
+	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/regress
 
 # The worker-count determinism contract, for results AND for the
 # observability layer: metrics snapshots must be identical for 1 vs N
@@ -136,6 +138,9 @@ fuzzseed:
 # every in-place edit of their inputs, RandomBits must draw Intn(2)'s
 # stream, and the phase spans must stay exact in count — laned histograms
 # read like single-lane ones, Lap chains are contiguous, and every
-# experiment records the same spans per phase at any worker count.
+# experiment records the same spans per phase at any worker count. The
+# transfer loop is pinned too: every discipline's full outcome on a fixed
+# world, seed-for-seed reproducibility, and cancellation inside a frame
+# for ARQ, LT and RS alike.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding

@@ -144,68 +144,86 @@ func LoadDir(dir string) (map[string]*Artifact, error) {
 		return nil, err
 	}
 	arts := map[string]*Artifact{}
-	get := func(name string) *Artifact {
-		a, ok := arts[name]
-		if !ok {
-			a = &Artifact{Name: name}
-			arts[name] = a
-		}
-		return a
-	}
 	for _, e := range entries {
 		fn := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fn, ".json") {
-			continue
-		}
-		if !strings.HasPrefix(fn, "BENCH_") && !strings.HasPrefix(fn, "PROF_") {
+		name, ok := artifactName(fn)
+		if e.IsDir() || !ok {
 			continue
 		}
 		buf, err := os.ReadFile(filepath.Join(dir, fn))
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case strings.HasPrefix(fn, "PROF_"):
-			name := strings.TrimSuffix(strings.TrimPrefix(fn, "PROF_"), ".json")
-			a := get(name)
-			prof, prov, err := loadProf(buf, fn)
-			if err != nil {
-				return nil, err
-			}
-			a.Prof = prof
-			a.ProfProv = prov
-		case strings.HasSuffix(fn, ".metrics.json"):
-			name := strings.TrimSuffix(strings.TrimPrefix(fn, "BENCH_"), ".metrics.json")
-			a := get(name)
-			var env metricsEnvelope
-			if err := json.Unmarshal(buf, &env); err != nil {
-				return nil, fmt.Errorf("regress: %s: %w", fn, err)
-			}
-			if env.Metrics.Counters == nil && env.Provenance == nil {
-				// Legacy layout: the whole document is the snapshot.
-				var snap obs.Snapshot
-				if err := json.Unmarshal(buf, &snap); err != nil {
-					return nil, fmt.Errorf("regress: %s: %w", fn, err)
-				}
-				a.Metrics = &snap
-			} else {
-				a.Metrics = &env.Metrics
-				a.MetricsProv = env.Provenance
-			}
-		default:
-			name := strings.TrimSuffix(strings.TrimPrefix(fn, "BENCH_"), ".json")
-			a := get(name)
-			var env seriesEnvelope
-			if err := json.Unmarshal(buf, &env); err == nil && env.Series != nil {
-				a.Series = env.Series
-				a.SeriesProv = env.Provenance
-			} else {
-				// Legacy layout: the whole document is the series.
-				a.Series = json.RawMessage(buf)
-			}
+		a := arts[name]
+		if a == nil {
+			a = &Artifact{Name: name}
+			arts[name] = a
+		}
+		if err := loadArtifact(a, fn, buf); err != nil {
+			return nil, err
 		}
 	}
 	return arts, nil
+}
+
+// artifactName returns the experiment a BENCH_/PROF_ file name belongs
+// to; ok is false when fn is not an artifact file.
+func artifactName(fn string) (name string, ok bool) {
+	switch {
+	case !strings.HasSuffix(fn, ".json"):
+		return "", false
+	case strings.HasPrefix(fn, "PROF_"):
+		return strings.TrimSuffix(strings.TrimPrefix(fn, "PROF_"), ".json"), true
+	case strings.HasPrefix(fn, "BENCH_") && strings.HasSuffix(fn, ".metrics.json"):
+		return strings.TrimSuffix(strings.TrimPrefix(fn, "BENCH_"), ".metrics.json"), true
+	case strings.HasPrefix(fn, "BENCH_"):
+		return strings.TrimSuffix(strings.TrimPrefix(fn, "BENCH_"), ".json"), true
+	}
+	return "", false
+}
+
+// loadArtifact parses one artifact file's contents into a; the file name
+// says which part of the artifact buf holds.
+func loadArtifact(a *Artifact, fn string, buf []byte) error {
+	switch {
+	case strings.HasPrefix(fn, "PROF_"):
+		prof, prov, err := loadProf(buf, fn)
+		if err != nil {
+			return err
+		}
+		a.Prof = prof
+		a.ProfProv = prov
+	case strings.HasSuffix(fn, ".metrics.json"):
+		var env metricsEnvelope
+		if err := json.Unmarshal(buf, &env); err != nil {
+			return fmt.Errorf("regress: %s: %w", fn, err)
+		}
+		if env.Metrics.Counters == nil && env.Provenance == nil {
+			// Legacy layout: the whole document is the snapshot.
+			var snap obs.Snapshot
+			if err := json.Unmarshal(buf, &snap); err != nil {
+				return fmt.Errorf("regress: %s: %w", fn, err)
+			}
+			a.Metrics = &snap
+		} else {
+			a.Metrics = &env.Metrics
+			a.MetricsProv = env.Provenance
+		}
+	default:
+		var env seriesEnvelope
+		if err := json.Unmarshal(buf, &env); err == nil && env.Series != nil {
+			a.Series = env.Series
+			a.SeriesProv = env.Provenance
+		} else if json.Valid(buf) {
+			// Legacy layout: the whole document is the series.
+			a.Series = json.RawMessage(buf)
+		} else {
+			// Not JSON at all — typically a truncated envelope, which must
+			// not pass as a legacy series.
+			return fmt.Errorf("regress: %s: %w", fn, err)
+		}
+	}
+	return nil
 }
 
 // names returns the union of experiment names across artifact maps,
