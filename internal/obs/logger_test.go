@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -110,5 +112,104 @@ func TestCanonicalizedLogsIdenticalAcrossClocks(t *testing.T) {
 	}
 	if strings.Contains(ca.String(), `"ts"`) || strings.Contains(ca.String(), `"wall_ms"`) {
 		t.Fatalf("volatile keys survived canonicalization:\n%s", ca.String())
+	}
+}
+
+// TestCanonicalizeLogCases pins CanonicalizeLog byte for byte on the
+// shapes it meets: JSONLHandler output (groups, escapes, durations,
+// errors), other JSONL lines, non-objects, nesting, padding and
+// truncation. Lines that are not one complete JSON object pass through
+// unchanged.
+func TestCanonicalizeLogCases(t *testing.T) {
+	const ts = `"ts":"2023-11-14T22:13:21.5Z"`
+	cases := []struct{ name, in, want string }{
+		{"handler line",
+			`{` + ts + `,"level":"INFO","msg":"run started","campaign":"bench","seed":42}`,
+			`{"level":"INFO","msg":"run started","campaign":"bench","seed":42}`},
+		{"group keys",
+			`{` + ts + `,"level":"WARN","msg":"stall","campaign":"bench","xfer.rounds":12,"xfer.link.retries":3}`,
+			`{"level":"WARN","msg":"stall","campaign":"bench","xfer.rounds":12,"xfer.link.retries":3}`},
+		{"escaped values",
+			`{` + ts + `,"level":"INFO","msg":"quote \" backslash \\ newline \n tab \t","path":"C:\\tmp\\x"}`,
+			`{"level":"INFO","msg":"quote \" backslash \\ newline \n tab \t","path":"C:\\tmp\\x"}`},
+		{"escaped keys",
+			`{` + ts + `,"we\"ird":1,"new\nline":2,"back\\slash":3}`,
+			`{"we\"ird":1,"new\nline":2,"back\\slash":3}`},
+		{"unicode",
+			`{` + ts + `,"msg":"héllo ✓","\u00e9":"\u00e9"}`,
+			`{"msg":"héllo ✓","é":"\u00e9"}`},
+		{"durations",
+			`{` + ts + `,"level":"INFO","msg":"experiment finished","experiment":"fig5","wall_ms":812,"elapsed":"1.5s","rate_per_s":99.5}`,
+			`{"level":"INFO","msg":"experiment finished","experiment":"fig5","elapsed":"1.5s"}`},
+		{"error",
+			`{` + ts + `,"level":"ERROR","msg":"run finished","outcome":"error","error":"open /x: no such file or directory","wall_ms":3}`,
+			`{"level":"ERROR","msg":"run finished","outcome":"error","error":"open /x: no such file or directory"}`},
+		{"literals",
+			`{` + ts + `,"gain":68.5,"tiny":1e-07,"neg":-3,"ok":true,"no":false,"nil":null}`,
+			`{"gain":68.5,"tiny":1e-07,"neg":-3,"ok":true,"no":false,"nil":null}`},
+		{"trace event",
+			`{"kind":"round","trial":3,"labels":"fig5/d=3/run=2","wall_ms":0.5,"ber":0.01}`,
+			`{"kind":"round","trial":3,"labels":"fig5/d=3/run=2","ber":0.01}`},
+		{"only volatile", `{` + ts + `,"wall_ms":1,"rate_per_s":2}`, `{}`},
+		{"empty object", `{}`, `{}`},
+		{"volatile last", `{"level":"INFO",` + ts + `}`, `{"level":"INFO"}`},
+		{"volatile middle", `{"a":1,` + ts + `,"b":2}`, `{"a":1,"b":2}`},
+		{"duplicate volatile", `{"ts":"a","ts":"b","msg":"m"}`, `{"msg":"m"}`},
+		{"near-miss keys", `{"tss":1,"xts":2,"ts.sub":3,"TS":4,"wall_ms_total":5}`, `{"tss":1,"xts":2,"ts.sub":3,"TS":4,"wall_ms_total":5}`},
+		{"nested stays",
+			`{"obj":{"ts":"inner","a":[1,{"ts":2}]},"ts":"outer","arr":[[],{}]}`,
+			`{"obj":{"ts":"inner","a":[1,{"ts":2}]},"arr":[[],{}]}`},
+		{"brackets in strings", `{"msg":"a } b { c ] [","ts":"x","s":"\"}"}`, `{"msg":"a } b { c ] [","s":"\"}"}`},
+		{"padded", "  { \"ts\" : \"x\" ,\t\"level\" : \"INFO\" ,\"n\": 1 }  ", `{"level":"INFO","n":1}`},
+		{"padded composite", `{"obj": {"a": 1, "b": [1, 2]}, "ts": "x"}`, `{"obj":{"a": 1, "b": [1, 2]}}`},
+		{"not json", `not json at all`, `not json at all`},
+		{"array", `[1,2,3]`, `[1,2,3]`},
+		{"string", `"just a string"`, `"just a string"`},
+		{"number", `42`, `42`},
+		{"null", `null`, `null`},
+		{"empty line", ``, ``},
+		{"truncated in string", `{"ts":"x","level":"IN`, `{"ts":"x","level":"IN`},
+		{"truncated after value", `{"ts":"x","level":"INFO"`, `{"ts":"x","level":"INFO"`},
+		{"truncated number", `{"ts":"x","n":12`, `{"ts":"x","n":12`},
+		{"truncated after comma", `{"ts":"x",`, `{"ts":"x",`},
+		{"truncated key", `{"ts"`, `{"ts"`},
+		{"truncated colon", `{"ts":`, `{"ts":`},
+		{"open brace", `{`, `{`},
+		{"truncated nested", `{"obj":{"ts":1}`, `{"obj":{"ts":1}`},
+		{"truncated escape", `{"msg":"abc\"`, `{"msg":"abc\"`},
+	}
+	// Lines written by the handler itself.
+	var hb bytes.Buffer
+	log := testLogger(&hb, slog.LevelInfo, time.Unix(1700000000, 0).UTC()).With(slog.String("campaign", "bench"))
+	log.WithGroup("xfer").Info("done \"quoted\"", slog.Duration("elapsed", 1500*time.Millisecond),
+		slog.Any("err", errors.New("open x:\tno such file")), slog.Group("link", slog.Int("retries", 2)))
+	log.Error("run finished", slog.String("outcome", "error"), slog.Int64("wall_ms", 7), slog.Float64("rate_per_s", 0.25))
+	handlerWant := []string{
+		`{"level":"INFO","msg":"done \"quoted\"","campaign":"bench","xfer.elapsed":"1.5s","xfer.err":"open x:\tno such file","xfer.link.retries":2}`,
+		`{"level":"ERROR","msg":"run finished","campaign":"bench","outcome":"error"}`,
+	}
+	for i, line := range strings.Split(strings.TrimSuffix(hb.String(), "\n"), "\n") {
+		cases = append(cases, struct{ name, in, want string }{fmt.Sprintf("handler output %d", i), line, handlerWant[i]})
+	}
+
+	var in, want strings.Builder
+	for _, c := range cases {
+		var out bytes.Buffer
+		if err := CanonicalizeLog(strings.NewReader(c.in+"\n"), &out); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out.String() != c.want+"\n" {
+			t.Errorf("%s:\n  in %s\n got %s\nwant %s", c.name, c.in, strings.TrimSuffix(out.String(), "\n"), c.want)
+		}
+		in.WriteString(c.in + "\n")
+		want.WriteString(c.want + "\n")
+	}
+	// The same lines as one log: each line is canonicalized on its own.
+	var out bytes.Buffer
+	if err := CanonicalizeLog(strings.NewReader(in.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Errorf("whole log:\n got %q\nwant %q", out.String(), want.String())
 	}
 }
