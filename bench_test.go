@@ -12,6 +12,7 @@
 package witag_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"witag/internal/dot11"
 	"witag/internal/experiments"
 	"witag/internal/phy"
+	"witag/internal/sim"
 	"witag/internal/stats"
 	"witag/internal/tag"
 )
@@ -38,7 +40,7 @@ func once(b *testing.B, key, table string) {
 
 func BenchmarkFigure5BERAndThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure5(experiments.Figure5Config{Seed: 42, Runs: 2, Round: 300})
+		res, err := experiments.Figure5Ctx(context.Background(), experiments.Figure5Config{Seed: 42, Runs: 2, Round: 300})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,12 +57,12 @@ func BenchmarkFigure5BERAndThroughput(b *testing.B) {
 func BenchmarkFigure6NLoSCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.Figure6Config{Seed: 11, Runs: 30, Round: 150}
-		a, err := experiments.Figure6(experiments.LocationA, cfg)
+		a, err := experiments.Figure6Ctx(context.Background(), experiments.LocationA, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.Seed = 12
-		loc, err := experiments.Figure6(experiments.LocationB, cfg)
+		loc, err := experiments.Figure6Ctx(context.Background(), experiments.LocationB, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +77,7 @@ func BenchmarkFigure6NLoSCDF(b *testing.B) {
 
 func BenchmarkFigure3ChannelChange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(9)
+		res, err := experiments.Figure3Ctx(context.Background(), sim.Runner{}, 9)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +91,7 @@ func BenchmarkFigure3ChannelChange(b *testing.B) {
 
 func BenchmarkSection41ThroughputSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Section41Sweep()
+		res, err := experiments.Section41SweepCtx(context.Background(), sim.Runner{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func BenchmarkPriorSystemComparison(b *testing.B) {
 
 func BenchmarkSection7PowerModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Section7Power(5)
+		res, err := experiments.Section7PowerCtx(context.Background(), sim.Runner{}, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +137,7 @@ func BenchmarkSection7PowerModel(b *testing.B) {
 
 func BenchmarkEncryptionTransparency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationEncryption(16, 120)
+		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "crypto", 16, 120)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,7 +150,7 @@ func BenchmarkEncryptionTransparency(b *testing.B) {
 
 func BenchmarkAblationSwitchMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSwitchMode(11, 200)
+		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "switch", 11, 200)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +161,7 @@ func BenchmarkAblationSwitchMode(b *testing.B) {
 
 func BenchmarkAblationTriggerCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationTriggerCount(12, 100)
+		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "trigger", 12, 100)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +171,7 @@ func BenchmarkAblationTriggerCount(b *testing.B) {
 
 func BenchmarkAblationFEC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationFEC(13, 5)
+		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "fec", 13, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +181,7 @@ func BenchmarkAblationFEC(b *testing.B) {
 
 func BenchmarkAblationAMPDUSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationAMPDUSize(14, 100)
+		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "ampdu", 14, 100)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -189,7 +191,7 @@ func BenchmarkAblationAMPDUSize(b *testing.B) {
 
 func BenchmarkAblationRobustRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationRobustRate(15, 100)
+		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "mcs", 15, 100)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -504,39 +504,17 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 		return err
 	}
 	if err := runExperiment("ablations", func(runner sim.Runner) error {
-		type ablation struct {
-			name string
-			run  func() (*experiments.AblationResult, error)
-		}
-		ablationSeries := map[string]*experiments.AblationResult{}
-		for _, a := range []ablation{
-			{"switch mode", func() (*experiments.AblationResult, error) {
-				return experiments.AblationSwitchModeCtx(ctx, runner, seed, rounds/2)
-			}},
-			{"trigger count", func() (*experiments.AblationResult, error) {
-				return experiments.AblationTriggerCountCtx(ctx, runner, seed, rounds/4)
-			}},
-			{"FEC framing", func() (*experiments.AblationResult, error) {
-				return experiments.AblationFECCtx(ctx, runner, seed, 6)
-			}},
-			{"A-MPDU size", func() (*experiments.AblationResult, error) {
-				return experiments.AblationAMPDUSizeCtx(ctx, runner, seed, rounds/4)
-			}},
-			{"robust rate", func() (*experiments.AblationResult, error) {
-				return experiments.AblationRobustRateCtx(ctx, runner, seed, rounds/4)
-			}},
-			{"encryption", func() (*experiments.AblationResult, error) {
-				return experiments.AblationEncryptionCtx(ctx, runner, seed, rounds/4)
-			}},
-		} {
-			res, err := a.run()
-			if err != nil {
-				return fmt.Errorf("%s: %w", a.name, err)
-			}
+		// Tables finished before a failure still print, ahead of the error.
+		results, err := experiments.RunAblations(ctx, runner, seed, rounds)
+		series := map[string]*experiments.AblationResult{}
+		for _, res := range results {
 			fmt.Println(res.Render())
-			ablationSeries[a.name] = res
+			series[res.Label] = res
 		}
-		return emit("ablations", ablationSeries)
+		if err != nil {
+			return err
+		}
+		return emit("ablations", series)
 	}); err != nil {
 		return err
 	}

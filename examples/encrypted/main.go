@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 	"witag/internal/core"
 	"witag/internal/crypto80211"
 	"witag/internal/experiments"
+	"witag/internal/sim"
 	"witag/internal/stats"
 )
 
@@ -65,27 +67,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var rx []byte
-	for off := 0; off < len(bits); off += sys.Spec.DataLen {
-		end := off + sys.Spec.DataLen
-		if end > len(bits) {
-			end = len(bits)
-		}
-		env.Advance(channel.RoundStepS)
-		res, err := sys.QueryRound(bits[off:end])
-		if err != nil {
-			return err
-		}
-		rx = append(rx, res.RxBits[:end-off]...)
+	ctx := context.Background()
+	var st sim.Stream
+	if err := st.Send(ctx, sys, env, bits); err != nil {
+		return err
 	}
-	payload, corrected, err := codec.Decode(rx)
+	payload, corrected, err := codec.Decode(st.RxBits)
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
 	fmt.Printf("tag reading recovered through WPA2: %q (%d bit(s) corrected)\n", payload, corrected)
 
 	// Longer-run BER on the encrypted link.
-	rs, err := experiments.MeasureRun(sys, env, 400, 22)
+	rs, err := sim.MeasureRun(ctx, sys, env, 400, 22)
 	if err != nil {
 		return err
 	}

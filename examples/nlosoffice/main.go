@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -27,12 +28,12 @@ func run() error {
 	fmt.Println("=== WiTAG through walls: Figure 4's locations A and B ===")
 	cfg := experiments.Figure6Config{Seed: 11, Runs: 30, Round: 150}
 
-	a, err := experiments.Figure6(experiments.LocationA, cfg)
+	a, err := experiments.Figure6Ctx(context.Background(), experiments.LocationA, cfg)
 	if err != nil {
 		return err
 	}
 	cfg.Seed = 12
-	b, err := experiments.Figure6(experiments.LocationB, cfg)
+	b, err := experiments.Figure6Ctx(context.Background(), experiments.LocationB, cfg)
 	if err != nil {
 		return err
 	}

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/experiments"
+	"witag/internal/sim"
 )
 
 // sensor is one deployed tag with the reading it wants to report.
@@ -73,29 +75,18 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var rx []byte
-		rounds := 0
-		for off := 0; off < len(bits); off += sys.Spec.DataLen {
-			end := off + sys.Spec.DataLen
-			if end > len(bits) {
-				end = len(bits)
-			}
-			env.Advance(channel.RoundStepS)
-			res, err := sys.QueryRound(bits[off:end])
-			if err != nil {
-				return err
-			}
-			rx = append(rx, res.RxBits[:end-off]...)
-			rounds++
+		var st sim.Stream
+		if err := st.Send(context.Background(), sys, env, bits); err != nil {
+			return err
 		}
 
-		payload, corrected, err := codec.Decode(rx)
+		payload, corrected, err := codec.Decode(st.RxBits)
 		status := "verified"
 		if err != nil {
 			status = fmt.Sprintf("FAILED (%v) — the reader would re-poll", err)
 			payload = nil
 		}
-		fmt.Printf("tag %d  pattern=%v  %d bits over %d rounds\n", s.address, patternLevels(pattern), len(bits), rounds)
+		fmt.Printf("tag %d  pattern=%v  %d bits over %d rounds\n", s.address, patternLevels(pattern), len(bits), st.Rounds)
 		fmt.Printf("       reading: %q  [%s, %d bit(s) FEC-corrected]\n", payload, status, corrected)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"witag/internal/channel"
 	"witag/internal/core"
@@ -27,9 +26,9 @@ import (
 // rows come back in configuration order regardless of scheduling.
 //
 // Each ablation's per-configuration body is a named row function taking
-// the configuration index and an explicit observer, so forensic replay
-// can re-run exactly one flagged configuration with a fresh recorder
-// (labels "ablation/<name>/cfg=<i>").
+// one ablationTrial — the configuration index and an explicit observer
+// among it — so forensic replay can re-run exactly one flagged
+// configuration with a fresh recorder (labels "ablation/<key>/cfg=<i>").
 
 // AblationRow is one configuration of any ablation.
 type AblationRow struct {
@@ -44,6 +43,8 @@ type AblationRow struct {
 type AblationResult struct {
 	Title string
 	Rows  []AblationRow
+	// Label names the ablation; witag-bench keys its BENCH series by it.
+	Label string `json:"-"`
 }
 
 // Render prints the ablation table.
@@ -58,209 +59,224 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// ablationRowFunc measures configuration i of one ablation with
-// observer o attached; size is the ablation's per-configuration round
-// count (frame count for fec).
-type ablationRowFunc func(ctx context.Context, seed int64, size, i int, o *obs.Observer) (AblationRow, error)
-
-// ablationByName resolves an ablation's label name to its configuration
-// count and row function — the one table both the harnesses and forensic
-// replay go through.
-func ablationByName(name string) (int, ablationRowFunc, error) {
-	switch name {
-	case "switch":
-		return 2, ablationSwitchRow, nil
-	case "trigger":
-		return 4, ablationTriggerRow, nil
-	case "fec":
-		return 3, ablationFECRow, nil
-	case "ampdu":
-		return 4, ablationAMPDURow, nil
-	case "mcs":
-		return 4, ablationMCSRow, nil
-	case "crypto":
-		return 3, ablationCryptoRow, nil
-	default:
-		return 0, nil, fmt.Errorf("experiments: unknown ablation %q", name)
-	}
+// ablation is everything known about one ablation.
+type ablation struct {
+	key   string // replay label path element: "ablation/<key>/cfg=<i>"
+	label string // witag-bench's BENCH series key and error prefix
+	title string
+	n     int // configuration count
+	// size maps witag-bench's -rounds to this ablation's size: rounds per
+	// configuration (frames for fec).
+	size  func(rounds int) int
+	row   func(ctx context.Context, t ablationTrial) (AblationRow, error)
+	check func(rows []AblationRow) error // the shape claim; nil: none
 }
 
-// ablationRows measures every configuration of the named ablation on r,
-// each instrumented through r's campaign.
-func ablationRows(ctx context.Context, r sim.Runner, name string, seed int64, size int) ([]AblationRow, error) {
-	n, row, err := ablationByName(name)
+// ablations is the one table of ablations, in witag-bench's run order;
+// RunAblation, RunAblations and forensic replay all read it.
+var ablations = []ablation{
+	{key: "switch", label: "switch mode", title: "switch design (tag mid-span, the worst case)",
+		n: len(switchModes), size: roundsOver(2), row: ablationSwitchRow, check: checkSwitchMode},
+	{key: "trigger", label: "trigger count", title: "trigger subframes per query",
+		n: len(triggerCounts), size: roundsOver(4), row: ablationTriggerRow, check: checkTriggerCount},
+	{key: "fec", label: "FEC framing", title: "tag-data framing and FEC (tag at 2 m, BER ≈ 0.5%)",
+		n: len(fecConfigs), size: func(int) int { return 6 }, row: ablationFECRow},
+	{key: "ampdu", label: "A-MPDU size", title: "A-MPDU size",
+		n: len(ampduSizes), size: roundsOver(4), row: ablationAMPDURow, check: checkAMPDUSize},
+	{key: "mcs", label: "robust rate", title: "query MCS (robust-rate rule)",
+		n: len(mcsIndices), size: roundsOver(4), row: ablationMCSRow},
+	{key: "crypto", label: "encryption", title: "encryption transparency",
+		n: len(cryptoModes), size: roundsOver(4), row: ablationCryptoRow, check: checkEncryption},
+}
+
+func roundsOver(d int) func(int) int { return func(rounds int) int { return rounds / d } }
+
+// ablationByKey resolves an ablation's replay key to its table entry.
+func ablationByKey(key string) (*ablation, error) {
+	for i := range ablations {
+		if ablations[i].key == key {
+			return &ablations[i], nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown ablation %q", key)
+}
+
+// RunAblation runs the ablation whose replay key is key at size rounds
+// per configuration (frames for fec) on r, and checks its shape claim.
+func RunAblation(ctx context.Context, r sim.Runner, key string, seed int64, size int) (*AblationResult, error) {
+	a, err := ablationByKey(key)
 	if err != nil {
 		return nil, err
 	}
+	return a.run(ctx, r, seed, size)
+}
+
+// RunAblations runs every ablation in table order, each sized from the
+// bench round count rounds. It returns the results it finished together
+// with the first error, wrapped as "<label>: %w".
+func RunAblations(ctx context.Context, r sim.Runner, seed int64, rounds int) ([]*AblationResult, error) {
+	var out []*AblationResult
+	for i := range ablations {
+		a := &ablations[i]
+		res, err := a.run(ctx, r, seed, a.size(rounds))
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", a.label, err)
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// run measures every configuration on r, each instrumented through r's
+// campaign, and checks the shape claim.
+func (a *ablation) run(ctx context.Context, r sim.Runner, seed int64, size int) (*AblationResult, error) {
 	o := r.Campaign.ObserverRef()
-	return sim.Map(ctx, r, n, func(ctx context.Context, i int) (AblationRow, error) {
-		return row(ctx, seed, size, i, o)
+	rows, err := sim.Map(ctx, r, a.n, func(ctx context.Context, i int) (AblationRow, error) {
+		return a.row(ctx, ablationTrial{key: a.key, seed: seed, size: size, i: i, o: o})
 	})
-}
-
-// stampAblation wires one ablation configuration's observer and trace
-// identity.
-func stampAblation(sys *core.System, name string, i int, o *obs.Observer) {
-	sys.Instrument(o, i, fmt.Sprintf("ablation/%s/cfg=%d", name, i))
-}
-
-// AblationSwitchMode compares §5.2's phase-flip signalling with the naive
-// open/short design at the worst-case (mid-span) tag position.
-func AblationSwitchMode(seed int64, rounds int) (*AblationResult, error) {
-	return AblationSwitchModeCtx(context.Background(), sim.Runner{}, seed, rounds)
-}
-
-// AblationSwitchModeCtx is AblationSwitchMode on an explicit runner.
-func AblationSwitchModeCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := ablationRows(ctx, r, "switch", seed, rounds)
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{Title: "switch design (tag mid-span, the worst case)", Rows: rows}
-	if res.Rows[0].BER >= res.Rows[1].BER {
-		return nil, fmt.Errorf("experiments: phase flip (BER %v) should beat on/off (BER %v)",
-			res.Rows[0].BER, res.Rows[1].BER)
+	if a.check != nil {
+		if err := a.check(rows); err != nil {
+			return nil, err
+		}
 	}
-	return res, nil
+	return &AblationResult{Title: a.title, Rows: rows, Label: a.label}, nil
 }
 
-func ablationSwitchRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/switch")
-	dataSeed := stats.SubSeed(seed, "ablation/switch", "data")
-	modes := []struct {
-		label      string
-		rest, flip tag.SwitchState
-	}{
-		{"0°/180° phase flip (WiTAG)", tag.Phase0, tag.Phase180},
-		{"reflective/non-reflective", tag.Short, tag.Open},
-	}
-	if i < 0 || i >= len(modes) {
-		return AblationRow{}, fmt.Errorf("experiments: switch config %d outside [0,%d)", i, len(modes))
-	}
-	mode := modes[i]
-	sys, env, err := LoSTestbed(4, envSeed)
+// ablationTrial is one configuration's run: configuration i of the
+// ablation keyed key, at size, under the campaign seed, observed by o.
+type ablationTrial struct {
+	key  string
+	seed int64
+	size int
+	i    int
+	o    *obs.Observer
+}
+
+// subSeed derives a seed under the label "ablation/<key>"; every
+// configuration of the ablation draws the same ones.
+func (t ablationTrial) subSeed(labels ...string) int64 {
+	return stats.SubSeed(t.seed, append([]string{"ablation/" + t.key}, labels...)...)
+}
+
+// testbed builds the ablation's LoS testbed with the tag tagX metres from
+// the client, wired to the trial's observer and trace identity.
+func (t ablationTrial) testbed(tagX float64) (*core.System, *channel.Environment, error) {
+	sys, env, err := LoSTestbed(tagX, t.subSeed())
 	if err != nil {
-		return AblationRow{}, err
+		return nil, nil, err
 	}
-	stampAblation(sys, "switch", i, o)
-	sys.Tag.RestState = mode.rest
-	sys.Tag.FlipState = mode.flip
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
+	sys.Instrument(t.o, t.i, fmt.Sprintf("ablation/%s/cfg=%d", t.key, t.i))
+	return sys, env, nil
+}
+
+// measure runs size rounds of random tag data on sys and returns the
+// row's BER, offered rate and goodput, for the caller to label, plus
+// the run's statistics.
+func (t ablationTrial) measure(ctx context.Context, sys *core.System, env *channel.Environment) (AblationRow, sim.RunStats, error) {
+	rs, err := sim.MeasureRun(ctx, sys, env, t.size, t.subSeed("data"))
 	if err != nil {
-		return AblationRow{}, err
+		return AblationRow{}, rs, err
 	}
 	rate, err := sys.TagRateBps()
 	if err != nil {
-		return AblationRow{}, err
+		return AblationRow{}, rs, err
 	}
-	return AblationRow{
-		Label: mode.label, BER: rs.BER, RateKbps: rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        "paper: flip doubles |Δh|",
-	}, nil
+	return AblationRow{BER: rs.BER, RateKbps: rate / 1e3, GoodputKbps: rate / 1e3 * (1 - rs.BER)}, rs, nil
 }
 
-// AblationTriggerCount sweeps the number of trigger subframes: more
+// switchModes are the switch designs ablationSwitchRow compares.
+var switchModes = []struct {
+	label      string
+	rest, flip tag.SwitchState
+}{
+	{"0°/180° phase flip (WiTAG)", tag.Phase0, tag.Phase180},
+	{"reflective/non-reflective", tag.Short, tag.Open},
+}
+
+// ablationSwitchRow compares §5.2's phase-flip signalling with the naive
+// open/short design at the worst-case (mid-span) tag position.
+func ablationSwitchRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+	mode := switchModes[t.i]
+	sys, env, err := t.testbed(4)
+	if err != nil {
+		return AblationRow{}, err
+	}
+	sys.Tag.RestState = mode.rest
+	sys.Tag.FlipState = mode.flip
+	row, _, err := t.measure(ctx, sys, env)
+	row.Label, row.Note = mode.label, "paper: flip doubles |Δh|"
+	return row, err
+}
+
+func checkSwitchMode(rows []AblationRow) error {
+	if rows[0].BER >= rows[1].BER {
+		return fmt.Errorf("experiments: phase flip (BER %v) should beat on/off (BER %v)",
+			rows[0].BER, rows[1].BER)
+	}
+	return nil
+}
+
+// triggerCounts are the trigger subframe counts ablationTriggerRow sweeps.
+var triggerCounts = []int{2, 4, 8, 16}
+
+// ablationTriggerRow sweeps the number of trigger subframes: more
 // triggers improve detection robustness but spend subframes that could
 // carry data (§7 notes the overhead is small against 64-subframe
 // aggregates).
-func AblationTriggerCount(seed int64, rounds int) (*AblationResult, error) {
-	return AblationTriggerCountCtx(context.Background(), sim.Runner{}, seed, rounds)
-}
-
-// AblationTriggerCountCtx is AblationTriggerCount on an explicit runner.
-func AblationTriggerCountCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := ablationRows(ctx, r, "trigger", seed, rounds)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Title: "trigger subframes per query", Rows: rows}
-	// More triggers must not raise the data rate.
-	if res.Rows[0].RateKbps < res.Rows[len(res.Rows)-1].RateKbps {
-		return nil, fmt.Errorf("experiments: trigger overhead should reduce the data rate")
-	}
-	return res, nil
-}
-
-func ablationTriggerRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/trigger")
-	dataSeed := stats.SubSeed(seed, "ablation/trigger", "data")
-	triggers := []int{2, 4, 8, 16}
-	if i < 0 || i >= len(triggers) {
-		return AblationRow{}, fmt.Errorf("experiments: trigger config %d outside [0,%d)", i, len(triggers))
-	}
-	tl := triggers[i]
-	sys, env, err := LoSTestbed(2, envSeed)
+func ablationTriggerRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+	tl := triggerCounts[t.i]
+	sys, env, err := t.testbed(2)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	stampAblation(sys, "trigger", i, o)
 	sys.Spec.TriggerLen = tl
 	sys.Spec.DataLen = 64 - tl
 	if err := sys.Reshape(); err != nil {
 		return AblationRow{}, err
 	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Label:       fmt.Sprintf("%d triggers + %d data subframes", tl, 64-tl),
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        fmt.Sprintf("detection %.2f", rs.DetectionRate),
-	}, nil
+	row, rs, err := t.measure(ctx, sys, env)
+	row.Label = fmt.Sprintf("%d triggers + %d data subframes", tl, 64-tl)
+	row.Note = fmt.Sprintf("detection %.2f", rs.DetectionRate)
+	return row, err
 }
 
-// AblationFEC compares raw tag bits against CRC-framed and FEC-framed
+// checkTriggerCount: more triggers must not raise the data rate.
+func checkTriggerCount(rows []AblationRow) error {
+	if rows[0].RateKbps < rows[len(rows)-1].RateKbps {
+		return fmt.Errorf("experiments: trigger overhead should reduce the data rate")
+	}
+	return nil
+}
+
+// fecConfigs are the tag-data codecs ablationFECRow compares.
+var fecConfigs = []struct {
+	label string
+	codec core.Codec
+}{
+	{"raw CRC-16 framing", core.Codec{}},
+	{"SECDED(8,4) FEC", core.Codec{FEC: true}},
+	{"SECDED + depth-12 interleaver", core.Codec{FEC: true, InterleaveDepth: 12}},
+}
+
+// ablationFECRow compares raw tag bits against CRC-framed and FEC-framed
 // transfers — the error-handling layer §4.1 leaves to future work. The
 // metric is application goodput: payload bits delivered in verified frames
-// per second.
-func AblationFEC(seed int64, frames int) (*AblationResult, error) {
-	return AblationFECCtx(context.Background(), sim.Runner{}, seed, frames)
-}
-
-// AblationFECCtx is AblationFEC on an explicit runner.
-func AblationFECCtx(ctx context.Context, r sim.Runner, seed int64, frames int) (*AblationResult, error) {
-	rows, err := ablationRows(ctx, r, "fec", seed, frames)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Title: "tag-data framing and FEC (tag at 2 m, BER ≈ 0.5%)", Rows: rows}, nil
-}
-
-func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/fec")
-	payloadSeed := stats.SubSeed(seed, "ablation/fec", "payload")
+// per second. Its size is the frame count.
+func ablationFECRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
 	const payloadBytes = 16
-	configs := []struct {
-		label string
-		codec core.Codec
-	}{
-		{"raw CRC-16 framing", core.Codec{}},
-		{"SECDED(8,4) FEC", core.Codec{FEC: true}},
-		{"SECDED + depth-12 interleaver", core.Codec{FEC: true, InterleaveDepth: 12}},
-	}
-	if i < 0 || i >= len(configs) {
-		return AblationRow{}, fmt.Errorf("experiments: fec config %d outside [0,%d)", i, len(configs))
-	}
-	cfg := configs[i]
-	sys, env, err := LoSTestbed(2, envSeed)
+	cfg := fecConfigs[t.i]
+	sys, env, err := t.testbed(2)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	stampAblation(sys, "fec", i, o)
 	// Every codec transfers the same payload sequence.
-	rng := stats.NewRNG(payloadSeed)
-	delivered, attempts, rounds := 0, 0, 0
-	var airtime time.Duration
-	var berSum float64
-	for f := 0; f < frames; f++ {
+	rng := stats.NewRNG(t.subSeed("payload"))
+	delivered, attempts := 0, 0
+	var st sim.Stream // totals run across frames; RxBits is per frame
+	for f := 0; f < t.size; f++ {
 		if err := ctx.Err(); err != nil {
 			return AblationRow{}, err
 		}
@@ -269,29 +285,17 @@ func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Obser
 		if err != nil {
 			return AblationRow{}, err
 		}
-		var rx []byte
-		for off := 0; off < len(bits); off += sys.Spec.DataLen {
-			end := off + sys.Spec.DataLen
-			if end > len(bits) {
-				end = len(bits)
-			}
-			env.Advance(channel.RoundStepS)
-			res, err := sys.QueryRound(bits[off:end])
-			if err != nil {
-				return AblationRow{}, err
-			}
-			rx = append(rx, res.RxBits[:end-off]...)
-			airtime += res.Airtime
-			berSum += res.BER()
-			rounds++
+		st.RxBits = nil
+		if err := st.Send(ctx, sys, env, bits); err != nil {
+			return AblationRow{}, err
 		}
 		attempts++
-		got, _, err := cfg.codec.Decode(rx)
+		got, _, err := cfg.codec.Decode(st.RxBits)
 		if err == nil && string(got) == string(payload) {
 			delivered++
 		}
 	}
-	goodput := float64(delivered*payloadBytes*8) / airtime.Seconds() / 1e3
+	goodput := float64(delivered*payloadBytes*8) / st.Airtime.Seconds() / 1e3
 	rate, err := sys.TagRateBps()
 	if err != nil {
 		return AblationRow{}, err
@@ -299,93 +303,51 @@ func ablationFECRow(ctx context.Context, seed int64, frames, i int, o *obs.Obser
 	expansion := float64(cfg.codec.EncodedBits(payloadBytes)) / float64(payloadBytes*8)
 	return AblationRow{
 		Label:       cfg.label,
-		BER:         berSum / float64(rounds),
+		BER:         st.BERSum / float64(st.Rounds),
 		RateKbps:    rate / 1e3,
 		GoodputKbps: goodput,
 		Note:        fmt.Sprintf("%d/%d frames verified, %.1fx coding expansion", delivered, attempts, expansion),
 	}, nil
 }
 
-// AblationAMPDUSize sweeps aggregate size at the default MCS.
-func AblationAMPDUSize(seed int64, rounds int) (*AblationResult, error) {
-	return AblationAMPDUSizeCtx(context.Background(), sim.Runner{}, seed, rounds)
-}
+// ampduSizes are the aggregate sizes ablationAMPDURow sweeps.
+var ampduSizes = []int{8, 16, 32, 64}
 
-// AblationAMPDUSizeCtx is AblationAMPDUSize on an explicit runner.
-func AblationAMPDUSizeCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := ablationRows(ctx, r, "ampdu", seed, rounds)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Title: "A-MPDU size", Rows: rows}
-	if res.Rows[len(res.Rows)-1].RateKbps <= res.Rows[0].RateKbps {
-		return nil, fmt.Errorf("experiments: aggregation should amortise overhead")
-	}
-	return res, nil
-}
-
-func ablationAMPDURow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/ampdu")
-	dataSeed := stats.SubSeed(seed, "ablation/ampdu", "data")
-	sizes := []int{8, 16, 32, 64}
-	if i < 0 || i >= len(sizes) {
-		return AblationRow{}, fmt.Errorf("experiments: ampdu config %d outside [0,%d)", i, len(sizes))
-	}
-	total := sizes[i]
-	sys, env, err := LoSTestbed(2, envSeed)
+// ablationAMPDURow sweeps aggregate size at the default MCS.
+func ablationAMPDURow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+	total := ampduSizes[t.i]
+	sys, env, err := t.testbed(2)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	stampAblation(sys, "ampdu", i, o)
 	sys.Spec.TriggerLen = 4
 	sys.Spec.DataLen = total - 4
 	if err := sys.Reshape(); err != nil {
 		return AblationRow{}, err
 	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Label:       fmt.Sprintf("%d subframes", total),
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-	}, nil
+	row, _, err := t.measure(ctx, sys, env)
+	row.Label = fmt.Sprintf("%d subframes", total)
+	return row, err
 }
 
-// AblationRobustRate sweeps the query MCS: too aggressive a rate confuses
+func checkAMPDUSize(rows []AblationRow) error {
+	if rows[len(rows)-1].RateKbps <= rows[0].RateKbps {
+		return fmt.Errorf("experiments: aggregation should amortise overhead")
+	}
+	return nil
+}
+
+// mcsIndices are the HT MCS indices ablationMCSRow sweeps.
+var mcsIndices = []int{0, 2, 4, 7}
+
+// ablationMCSRow sweeps the query MCS: too aggressive a rate confuses
 // path-loss failures with tag zeros (§4.1's robust-rate rule).
-func AblationRobustRate(seed int64, rounds int) (*AblationResult, error) {
-	return AblationRobustRateCtx(context.Background(), sim.Runner{}, seed, rounds)
-}
-
-// AblationRobustRateCtx is AblationRobustRate on an explicit runner.
-func AblationRobustRateCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := ablationRows(ctx, r, "mcs", seed, rounds)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{Title: "query MCS (robust-rate rule)", Rows: rows}, nil
-}
-
-func ablationMCSRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/mcs")
-	dataSeed := stats.SubSeed(seed, "ablation/mcs", "data")
-	idxs := []int{0, 2, 4, 7}
-	if i < 0 || i >= len(idxs) {
-		return AblationRow{}, fmt.Errorf("experiments: mcs config %d outside [0,%d)", i, len(idxs))
-	}
-	idx := idxs[i]
-	sys, env, err := LoSTestbed(2, envSeed)
+func ablationMCSRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+	idx := mcsIndices[t.i]
+	sys, env, err := t.testbed(2)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	stampAblation(sys, "mcs", i, o)
 	m, err := dot11.HTMCS(idx)
 	if err != nil {
 		return AblationRow{}, err
@@ -394,63 +356,25 @@ func ablationMCSRow(ctx context.Context, seed int64, rounds, i int, o *obs.Obser
 	if err := sys.Reshape(); err != nil {
 		return AblationRow{}, err
 	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	note := ""
+	row, rs, err := t.measure(ctx, sys, env)
+	row.Label = fmt.Sprintf("MCS%d", idx)
 	if rs.BER > 0.3 {
-		note = "modulation too robust: the tag cannot corrupt it"
+		row.Note = "modulation too robust: the tag cannot corrupt it"
 	}
-	return AblationRow{
-		Label:       fmt.Sprintf("MCS%d", idx),
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        note,
-	}, nil
+	return row, err
 }
 
-// AblationEncryption re-runs the near-client deployment on open, WEP and
+// cryptoModes are the network ciphers ablationCryptoRow compares.
+var cryptoModes = []string{"open", "WEP-104", "WPA2-CCMP"}
+
+// ablationCryptoRow re-runs the near-client deployment on open, WEP and
 // WPA2 networks — the §4 transparency claim as a table.
-func AblationEncryption(seed int64, rounds int) (*AblationResult, error) {
-	return AblationEncryptionCtx(context.Background(), sim.Runner{}, seed, rounds)
-}
-
-// AblationEncryptionCtx is AblationEncryption on an explicit runner.
-func AblationEncryptionCtx(ctx context.Context, r sim.Runner, seed int64, rounds int) (*AblationResult, error) {
-	rows, err := ablationRows(ctx, r, "crypto", seed, rounds)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationResult{Title: "encryption transparency", Rows: rows}
-	// The claim: encryption does not raise BER (it may cost rate via
-	// longer subframes).
-	for _, row := range res.Rows[1:] {
-		if row.BER > res.Rows[0].BER+0.02 {
-			return nil, fmt.Errorf("experiments: %s BER %v far above open %v", row.Label, row.BER, res.Rows[0].BER)
-		}
-	}
-	return res, nil
-}
-
-func ablationCryptoRow(ctx context.Context, seed int64, rounds, i int, o *obs.Observer) (AblationRow, error) {
-	envSeed := stats.SubSeed(seed, "ablation/crypto")
-	dataSeed := stats.SubSeed(seed, "ablation/crypto", "data")
-	modes := []string{"open", "WEP-104", "WPA2-CCMP"}
-	if i < 0 || i >= len(modes) {
-		return AblationRow{}, fmt.Errorf("experiments: crypto config %d outside [0,%d)", i, len(modes))
-	}
-	mode := modes[i]
-	sys, env, err := LoSTestbed(1, envSeed)
+func ablationCryptoRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+	mode := cryptoModes[t.i]
+	sys, env, err := t.testbed(1)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	stampAblation(sys, "crypto", i, o)
 	switch mode {
 	case "WEP-104":
 		c, err := crypto80211.NewWEP(make([]byte, 13), 0)
@@ -470,19 +394,19 @@ func ablationCryptoRow(ctx context.Context, seed int64, rounds, i int, o *obs.Ob
 	if err := sys.Reshape(); err != nil {
 		return AblationRow{}, err
 	}
-	rs, err := sim.MeasureRun(ctx, sys, env, rounds, dataSeed)
-	if err != nil {
-		return AblationRow{}, err
+	row, _, err := t.measure(ctx, sys, env)
+	row.Label = mode
+	row.Note = fmt.Sprintf("%d-tick subframes", sys.Spec.TicksPerSubframe)
+	return row, err
+}
+
+// checkEncryption: encryption does not raise BER (it may cost rate via
+// longer subframes).
+func checkEncryption(rows []AblationRow) error {
+	for _, row := range rows[1:] {
+		if row.BER > rows[0].BER+0.02 {
+			return fmt.Errorf("experiments: %s BER %v far above open %v", row.Label, row.BER, rows[0].BER)
+		}
 	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Label:       mode,
-		BER:         rs.BER,
-		RateKbps:    rate / 1e3,
-		GoodputKbps: rate / 1e3 * (1 - rs.BER),
-		Note:        fmt.Sprintf("%d-tick subframes", sys.Spec.TicksPerSubframe),
-	}, nil
+	return nil
 }

@@ -164,12 +164,7 @@ func RunTransfer(ctx context.Context, scheme string, sys *core.System, env *chan
 	return out, nil
 }
 
-// AdaptiveCoding runs the sweep.
-func AdaptiveCoding(cfg AdaptiveCodingConfig) (*AdaptiveCodingResult, error) {
-	return AdaptiveCodingCtx(context.Background(), cfg)
-}
-
-// AdaptiveCodingCtx is AdaptiveCoding with cancellation.
+// AdaptiveCodingCtx runs the sweep, with cancellation.
 func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*AdaptiveCodingResult, error) {
 	if cfg.PayloadBytes < 1 || cfg.PayloadBytes > link.MaxTransfer {
 		return nil, fmt.Errorf("experiments: payload %d bytes outside [1,%d]", cfg.PayloadBytes, link.MaxTransfer)

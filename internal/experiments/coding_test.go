@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,7 +10,7 @@ import (
 func TestAdaptiveCodingSweepShape(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	cfg.Transfers = 30 // reduced scale; witag-bench runs the default 60
-	res, err := AdaptiveCoding(cfg)
+	res, err := AdaptiveCodingCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestAdaptiveCodingConfigValidation(t *testing.T) {
 		cfg := base
 		cfg.Profiles = append([]CodingProfile(nil), base.Profiles...)
 		mutate(&cfg)
-		if _, err := AdaptiveCoding(cfg); err == nil {
+		if _, err := AdaptiveCodingCtx(context.Background(), cfg); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}

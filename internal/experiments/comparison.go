@@ -83,16 +83,12 @@ type PowerResult struct {
 	Rows []PowerRow
 }
 
-// Section7Power builds the oscillator comparison and measures the
+// Section7PowerCtx builds the oscillator comparison and measures the
 // end-to-end consequence of clock drift: the same LoS deployment run with
-// each clock at 35 °C (calibrated at 25 °C).
-func Section7Power(seed int64) (*PowerResult, error) {
-	return Section7PowerCtx(context.Background(), sim.Runner{}, seed)
-}
-
-// Section7PowerCtx is Section7Power on an explicit runner; the oscillator
-// configurations fan across workers, each measured in its own copy of the
-// same seeded deployment so the comparison stays paired.
+// each clock at 35 °C (calibrated at 25 °C). It runs on an explicit
+// runner; the oscillator configurations fan across workers, each measured
+// in its own copy of the same seeded deployment so the comparison stays
+// paired.
 func Section7PowerCtx(ctx context.Context, r sim.Runner, seed int64) (*PowerResult, error) {
 	o := r.Campaign.ObserverRef()
 	rows, err := sim.Map(ctx, r, len(powerConfigs()), func(ctx context.Context, i int) (PowerRow, error) {

@@ -43,12 +43,12 @@ func assertIdentical(t *testing.T, serial, parallel interface{}, renderS, render
 func TestFigure5DeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := Figure5Config{Seed: 42, Runs: 2, Round: 120}
 	cfg.Workers = 1
-	serial, err := Figure5(cfg)
+	serial, err := Figure5Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := Figure5(cfg)
+	parallel, err := Figure5Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestFigure5DeterministicAcrossWorkerCounts(t *testing.T) {
 func TestFigure6DeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := Figure6Config{Seed: 7, Runs: 8, Round: 60}
 	cfg.Workers = 1
-	serial, err := Figure6(LocationB, cfg)
+	serial, err := Figure6Ctx(context.Background(), LocationB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := Figure6(LocationB, cfg)
+	parallel, err := Figure6Ctx(context.Background(), LocationB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestFigure6DeterministicAcrossWorkerCounts(t *testing.T) {
 func TestAblationsDeterministicAcrossWorkerCounts(t *testing.T) {
 	// One representative ablation: the runner fans its configurations.
 	ctx := context.Background()
-	serial, err := AblationRobustRateCtx(ctx, sim.Runner{Workers: 1}, 15, 40)
+	serial, err := RunAblation(ctx, sim.Runner{Workers: 1}, "mcs", 15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := AblationRobustRateCtx(ctx, sim.Runner{Workers: manyWorkers()}, 15, 40)
+	parallel, err := RunAblation(ctx, sim.Runner{Workers: manyWorkers()}, "mcs", 15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestRobustnessDeterministicAcrossWorkerCounts(t *testing.T) {
 		LossBadPoints: []float64{0.6, 0.95},
 	}
 	cfg.Workers = 1
-	serial, err := Robustness(cfg)
+	serial, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := Robustness(cfg)
+	parallel, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestAdaptiveCodingDeterministicAcrossWorkerCounts(t *testing.T) {
 		},
 	}
 	cfg.Workers = 1
-	serial, err := AdaptiveCoding(cfg)
+	serial, err := AdaptiveCodingCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = manyWorkers()
-	parallel, err := AdaptiveCoding(cfg)
+	parallel, err := AdaptiveCodingCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

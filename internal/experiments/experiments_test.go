@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"witag/internal/sim"
 )
 
 // The experiment tests run each harness at reduced scale and assert the
@@ -57,7 +61,7 @@ func TestMeasureRunAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := MeasureRun(sys, env, 10, 3)
+	rs, err := sim.MeasureRun(context.Background(), sys, env, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestMeasureRunAccounting(t *testing.T) {
 }
 
 func TestFigure5ShapeSmall(t *testing.T) {
-	res, err := Figure5(Figure5Config{Seed: 42, Runs: 2, Round: 250})
+	res, err := Figure5Ctx(context.Background(), Figure5Config{Seed: 42, Runs: 2, Round: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +91,19 @@ func TestFigure5ShapeSmall(t *testing.T) {
 }
 
 func TestFigure5Validation(t *testing.T) {
-	if _, err := Figure5(Figure5Config{Runs: 0, Round: 1}); err == nil {
+	if _, err := Figure5Ctx(context.Background(), Figure5Config{Runs: 0, Round: 1}); err == nil {
 		t.Fatal("zero runs accepted")
 	}
 }
 
 func TestFigure6ShapeSmall(t *testing.T) {
 	cfg := Figure6Config{Seed: 7, Runs: 24, Round: 120}
-	a, err := Figure6(LocationA, cfg)
+	a, err := Figure6Ctx(context.Background(), LocationA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 8
-	b, err := Figure6(LocationB, cfg)
+	b, err := Figure6Ctx(context.Background(), LocationB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +113,16 @@ func TestFigure6ShapeSmall(t *testing.T) {
 	if !strings.Contains(a.Render(), "location A") {
 		t.Fatal("render missing location")
 	}
-	if _, err := Figure6(LocationA, Figure6Config{Runs: 1, Round: 1}); err == nil {
+	if _, err := Figure6Ctx(context.Background(), LocationA, Figure6Config{Runs: 1, Round: 1}); err == nil {
 		t.Fatal("single run accepted")
 	}
-	if _, err := Figure6('Q', cfg); err == nil {
+	if _, err := Figure6Ctx(context.Background(), 'Q', cfg); err == nil {
 		t.Fatal("unknown location accepted")
 	}
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3(3)
+	res, err := Figure3Ctx(context.Background(), sim.Runner{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestSection41Shape(t *testing.T) {
-	res, err := Section41Sweep()
+	res, err := Section41SweepCtx(context.Background(), sim.Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestComparisonShape(t *testing.T) {
 }
 
 func TestSection7PowerShape(t *testing.T) {
-	res, err := Section7Power(5)
+	res, err := Section7PowerCtx(context.Background(), sim.Runner{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +180,36 @@ func TestSection7PowerShape(t *testing.T) {
 	}
 }
 
+// TestRunAblationsTableOrder: the suite runs every ablation of the table
+// in order, labels each result, and stops at the first failure with the
+// failing ablation's label in front of the error.
+func TestRunAblationsTableOrder(t *testing.T) {
+	res, err := RunAblations(context.Background(), sim.Runner{}, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(ablations) {
+		t.Fatalf("%d results for %d ablations", len(res), len(ablations))
+	}
+	for i, r := range res {
+		if a := ablations[i]; r.Label != a.label || r.Title != a.title || len(r.Rows) != a.n {
+			t.Errorf("result %d = %q %q with %d rows, want %q %q with %d", i, r.Label, r.Title, len(r.Rows), a.label, a.title, a.n)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err = RunAblations(ctx, sim.Runner{}, 1, 4)
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), ablations[0].label+": ") || len(res) != 0 {
+		t.Fatalf("cancelled suite = %d results, %v; want none and %q-prefixed context.Canceled", len(res), err, ablations[0].label)
+	}
+	if _, err := RunAblation(context.Background(), sim.Runner{}, "nope", 1, 4); err == nil {
+		t.Fatal("unknown ablation key accepted")
+	}
+}
+
 func TestAblationSwitchMode(t *testing.T) {
-	res, err := AblationSwitchMode(11, 150)
+	res, err := RunAblation(context.Background(), sim.Runner{}, "switch", 11, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +222,7 @@ func TestAblationSwitchMode(t *testing.T) {
 }
 
 func TestAblationTriggerCount(t *testing.T) {
-	res, err := AblationTriggerCount(12, 80)
+	res, err := RunAblation(context.Background(), sim.Runner{}, "trigger", 12, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +238,7 @@ func TestAblationTriggerCount(t *testing.T) {
 }
 
 func TestAblationFEC(t *testing.T) {
-	res, err := AblationFEC(13, 4)
+	res, err := RunAblation(context.Background(), sim.Runner{}, "fec", 13, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +248,7 @@ func TestAblationFEC(t *testing.T) {
 }
 
 func TestAblationAMPDUSize(t *testing.T) {
-	res, err := AblationAMPDUSize(14, 60)
+	res, err := RunAblation(context.Background(), sim.Runner{}, "ampdu", 14, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +258,7 @@ func TestAblationAMPDUSize(t *testing.T) {
 }
 
 func TestAblationRobustRate(t *testing.T) {
-	res, err := AblationRobustRate(15, 60)
+	res, err := RunAblation(context.Background(), sim.Runner{}, "mcs", 15, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +274,7 @@ func TestAblationRobustRate(t *testing.T) {
 }
 
 func TestAblationEncryption(t *testing.T) {
-	res, err := AblationEncryption(16, 60)
+	res, err := RunAblation(context.Background(), sim.Runner{}, "crypto", 16, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +290,7 @@ func TestAblationEncryption(t *testing.T) {
 func TestRobustnessSweepShape(t *testing.T) {
 	cfg := DefaultRobustnessConfig()
 	cfg.Transfers = 25 // reduced scale; witag-bench runs 100
-	res, err := Robustness(cfg)
+	res, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,17 +317,17 @@ func TestRobustnessSweepShape(t *testing.T) {
 func TestRobustnessConfigValidation(t *testing.T) {
 	cfg := DefaultRobustnessConfig()
 	cfg.PayloadBytes = 0
-	if _, err := Robustness(cfg); err == nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err == nil {
 		t.Fatal("zero payload accepted")
 	}
 	cfg = DefaultRobustnessConfig()
 	cfg.BaseProfile = "nonesuch"
-	if _, err := Robustness(cfg); err == nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 	cfg = DefaultRobustnessConfig()
 	cfg.LossBadPoints = nil
-	if _, err := Robustness(cfg); err == nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
 }

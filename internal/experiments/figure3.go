@@ -33,15 +33,10 @@ type Figure3Result struct {
 	Points []Figure3Point
 }
 
-// Figure3 measures both switching designs at several positions in the LoS
-// testbed.
-func Figure3(seed int64) (*Figure3Result, error) {
-	return Figure3Ctx(context.Background(), sim.Runner{}, seed)
-}
-
-// Figure3Ctx is Figure3 with cancellation on an explicit runner. The
-// sweep has no Monte-Carlo loop — each position is a single deterministic
-// channel evaluation — so the runner fans the positions themselves.
+// Figure3Ctx measures both switching designs at several positions in the
+// LoS testbed, with cancellation, on an explicit runner. The sweep has no
+// Monte-Carlo loop — each position is a single deterministic channel
+// evaluation — so the runner fans the positions themselves.
 func Figure3Ctx(ctx context.Context, r sim.Runner, seed int64) (*Figure3Result, error) {
 	// One labeled environment seed shared by every position: the paper
 	// measures the same room at several tag placements.

@@ -50,12 +50,8 @@ type Figure5Result struct {
 	Runs        int     // measurement repetitions behind every point
 }
 
-// Figure5 runs the sweep on the shared trial runner.
-func Figure5(cfg Figure5Config) (*Figure5Result, error) {
-	return Figure5Ctx(context.Background(), cfg)
-}
-
-// Figure5Ctx is Figure5 with cancellation.
+// Figure5Ctx runs the sweep on the shared trial runner, with
+// cancellation.
 func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) {
 	if cfg.Runs < 1 || cfg.Round < 1 {
 		return nil, fmt.Errorf("experiments: need ≥1 run and ≥1 round, got %d×%d", cfg.Runs, cfg.Round)

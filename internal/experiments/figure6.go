@@ -66,12 +66,8 @@ func (r *Figure6Result) Series() Figure6Series {
 	}
 }
 
-// Figure6 runs the campaign for one location on the shared trial runner.
-func Figure6(loc NLoSLocation, cfg Figure6Config) (*Figure6Result, error) {
-	return Figure6Ctx(context.Background(), loc, cfg)
-}
-
-// Figure6Ctx is Figure6 with cancellation.
+// Figure6Ctx runs the campaign for one location on the shared trial
+// runner, with cancellation.
 func Figure6Ctx(ctx context.Context, loc NLoSLocation, cfg Figure6Config) (*Figure6Result, error) {
 	if cfg.Runs < 2 || cfg.Round < 1 {
 		return nil, fmt.Errorf("experiments: need ≥2 runs and ≥1 round, got %d×%d", cfg.Runs, cfg.Round)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"reflect"
@@ -35,7 +36,7 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 
 	cfg := obsRobustnessConfig(workers)
 	cfg.Campaign = camp
-	res, err := Robustness(cfg)
+	res, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 
 func TestLoggingDoesNotPerturbResults(t *testing.T) {
 	// Bare run: no campaign, so no observer and no logger.
-	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
+	bare, err := RobustnessCtx(context.Background(), obsRobustnessConfig(manyWorkers()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"reflect"
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/sim"
 )
 
 // The observability layer rides the same determinism contract as the
@@ -36,7 +38,7 @@ func robustnessSnapshot(t *testing.T, workers int) obs.Snapshot {
 	t.Helper()
 	cfg := obsRobustnessConfig(workers)
 	cfg.Campaign = obs.NewCampaign("test", obs.CampaignOptions{})
-	if _, err := Robustness(cfg); err != nil {
+	if _, err := RobustnessCtx(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	return cfg.Campaign.Registry.Snapshot()
@@ -84,7 +86,7 @@ func TestMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	cfg := obsRobustnessConfig(manyWorkers())
 
-	bare, err := Robustness(cfg)
+	bare, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	cfg.Campaign = obs.NewCampaign("test", obs.CampaignOptions{
 		TraceCap: 1 << 12, Progress: obs.NewProgress(io.Discard, "trials"),
 	})
-	instrumented, err := Robustness(cfg)
+	instrumented, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestTraceRoundEventCountMatchesRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Instrument(camp.Observer, 0, "")
-	if _, err := MeasureRun(sys, env, rounds, 456); err != nil {
+	if _, err := sim.MeasureRun(context.Background(), sys, env, rounds, 456); err != nil {
 		t.Fatal(err)
 	}
 

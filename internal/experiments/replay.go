@@ -247,24 +247,23 @@ func replayAblation(ctx context.Context, req ReplayRequest, toks []string) (stri
 	if len(toks) != 3 {
 		return "", fmt.Errorf("experiments: ablation labels are ablation/<name>/cfg=…, got %q", req.Labels)
 	}
-	name := toks[1]
 	i, err := labelInt(toks[2], "cfg")
 	if err != nil {
 		return "", err
 	}
-	n, row, err := ablationByName(name)
+	a, err := ablationByKey(toks[1])
 	if err != nil {
 		return "", err
 	}
-	if i < 0 || i >= n {
-		return "", fmt.Errorf("experiments: ablation %s config %d outside [0,%d)", name, i, n)
+	if i < 0 || i >= a.n {
+		return "", fmt.Errorf("experiments: ablation %s config %d outside [0,%d)", a.key, i, a.n)
 	}
 	if req.Rounds < 1 {
 		return "", fmt.Errorf("experiments: ablation replay needs the campaign's round count (frame count for fec)")
 	}
-	res, err := row(ctx, req.Seed, req.Rounds, i, req.Campaign.ObserverRef())
+	res, err := a.row(ctx, ablationTrial{key: a.key, seed: req.Seed, size: req.Rounds, i: i, o: req.Campaign.ObserverRef()})
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("ablation %s cfg=%d (%s): BER=%.4f %s", name, i, res.Label, res.BER, res.Note), nil
+	return fmt.Sprintf("ablation %s cfg=%d (%s): BER=%.4f %s", a.key, i, res.Label, res.BER, res.Note), nil
 }

@@ -72,7 +72,7 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 		c.Workers = workers
 		return campaignTrace(t, func(camp *obs.Campaign) error {
 			c.Campaign = camp
-			_, err := Figure5(c)
+			_, err := Figure5Ctx(context.Background(), c)
 			return err
 		})
 	}
@@ -161,7 +161,7 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 		c.Workers = workers
 		return campaignTrace(t, func(camp *obs.Campaign) error {
 			c.Campaign = camp
-			_, err := Robustness(c)
+			_, err := RobustnessCtx(context.Background(), c)
 			return err
 		})
 	}

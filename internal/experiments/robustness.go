@@ -92,12 +92,7 @@ type robustnessTrial struct {
 	injSub, injTrig, injBA, injBrown int
 }
 
-// Robustness runs the sweep at default scale.
-func Robustness(cfg RobustnessConfig) (*RobustnessResult, error) {
-	return RobustnessCtx(context.Background(), cfg)
-}
-
-// RobustnessCtx is Robustness with cancellation.
+// RobustnessCtx runs the sweep, with cancellation.
 func RobustnessCtx(ctx context.Context, cfg RobustnessConfig) (*RobustnessResult, error) {
 	if cfg.PayloadBytes < 1 || cfg.PayloadBytes > link.MaxTransfer {
 		return nil, fmt.Errorf("experiments: payload %d bytes outside [1,%d]", cfg.PayloadBytes, link.MaxTransfer)

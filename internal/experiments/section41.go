@@ -32,15 +32,10 @@ type Section41Result struct {
 	Rows []Section41Row
 }
 
-// Section41Sweep computes the tag rate for single-stream HT MCS 0–7,
-// aggregate sizes 8–64, and 1–4-tick subframes.
-func Section41Sweep() (*Section41Result, error) {
-	return Section41SweepCtx(context.Background(), sim.Runner{})
-}
-
-// Section41SweepCtx is Section41Sweep with cancellation on an explicit
-// runner. The sweep is pure airtime arithmetic — no Monte Carlo — so the
-// runner fans the MCS rows.
+// Section41SweepCtx computes the tag rate for single-stream HT MCS 0–7,
+// aggregate sizes 8–64, and 1–4-tick subframes, with cancellation, on an
+// explicit runner. The sweep is pure airtime arithmetic — no Monte Carlo
+// — so the runner fans the MCS rows.
 func Section41SweepCtx(ctx context.Context, r sim.Runner) (*Section41Result, error) {
 	src := dot11.MACAddr{2, 0, 0, 0, 0, 1}
 	dst := dot11.MACAddr{2, 0, 0, 0, 0, 2}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -26,7 +27,7 @@ func robustnessWithSpans(t *testing.T, workers int, spans bool) (*RobustnessResu
 	if !spans {
 		cfg.Campaign.Observer.Spans = nil // instruments registered but never observed
 	}
-	res, err := Robustness(cfg)
+	res, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

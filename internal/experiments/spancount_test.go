@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"witag/internal/obs"
@@ -22,17 +23,17 @@ func TestSpanCountsExact(t *testing.T) {
 		want want
 	}{
 		{"fig5", func(w int, c *obs.Campaign) error {
-			_, err := Figure5(Figure5Config{Seed: 42, Runs: 2, Round: 40, Workers: w, Campaign: c})
+			_, err := Figure5Ctx(context.Background(), Figure5Config{Seed: 42, Runs: 2, Round: 40, Workers: w, Campaign: c})
 			return err
 		}, want{}},
 		{"fig6", func(w int, c *obs.Campaign) error {
-			_, err := Figure6(LocationB, Figure6Config{Seed: 7, Runs: 4, Round: 40, Workers: w, Campaign: c})
+			_, err := Figure6Ctx(context.Background(), LocationB, Figure6Config{Seed: 7, Runs: 4, Round: 40, Workers: w, Campaign: c})
 			return err
 		}, want{}},
 		{"coding", func(w int, c *obs.Campaign) error {
 			cfg := DefaultAdaptiveCodingConfig()
 			cfg.Transfers, cfg.Workers, cfg.Campaign = 2, w, c
-			_, err := AdaptiveCoding(cfg)
+			_, err := AdaptiveCodingCtx(context.Background(), cfg)
 			return err
 		}, want{codingEncode: 2059, codingDecode: 1351}},
 	}

@@ -6,12 +6,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"witag/internal/channel"
 	"witag/internal/core"
-	"witag/internal/sim"
 )
 
 // TagGain is the calibrated effective reflection gain of the prototype tag
@@ -85,17 +83,4 @@ func NLoSTestbed(loc NLoSLocation, seed int64) (*core.System, *channel.Environme
 		return nil, nil, err
 	}
 	return sys, env, nil
-}
-
-// RunStats is one measurement run's outcome. The type lives in
-// internal/sim (the trial runner owns it); the alias keeps this package's
-// result structs and external callers source-compatible.
-type RunStats = sim.RunStats
-
-// MeasureRun performs rounds query rounds against sys, advancing the
-// environment (people walking) between rounds, and returns aggregate
-// statistics. Random tag data is drawn from seed. It is the
-// non-cancellable convenience form of sim.MeasureRun.
-func MeasureRun(sys *core.System, env *channel.Environment, rounds int, seed int64) (RunStats, error) {
-	return sim.MeasureRun(context.Background(), sys, env, rounds, seed)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 
 	cfg := obsRobustnessConfig(workers)
 	cfg.Campaign = camp
-	res, err := Robustness(cfg)
+	res, err := RobustnessCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 }
 
 func TestTimelineDoesNotPerturbResults(t *testing.T) {
-	bare, err := Robustness(obsRobustnessConfig(manyWorkers()))
+	bare, err := RobustnessCtx(context.Background(), obsRobustnessConfig(manyWorkers()))
 	if err != nil {
 		t.Fatal(err)
 	}

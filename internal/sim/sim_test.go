@@ -166,3 +166,49 @@ func TestMeasureRunCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestStreamSendMatchesRoundLoop: Stream.Send is the Advance →
+// QueryRound → append loop, slice by slice, with a short last slice, and
+// a second call adds to the first.
+func TestStreamSendMatchesRoundLoop(t *testing.T) {
+	sys, env, err := testTrial(5, 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := stats.RandomBits(stats.NewRNG(6), 2*sys.Spec.DataLen+7)
+	var got Stream
+	for range 2 {
+		if err := got.Send(context.Background(), sys, env, bits); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sys, env, _ = testTrial(5, 0).Build()
+	var want Stream
+	for range 2 {
+		for off := 0; off < len(bits); off += sys.Spec.DataLen {
+			end := min(off+sys.Spec.DataLen, len(bits))
+			env.Advance(channel.RoundStepS)
+			res, err := sys.QueryRound(bits[off:end])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.RxBits = append(want.RxBits, res.RxBits[:end-off]...)
+			want.Airtime += res.Airtime
+			want.BERSum += res.BER()
+			want.Rounds++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Send = %+v\nround loop = %+v", got, want)
+	}
+	if got.Rounds != 6 || len(got.RxBits) != 2*len(bits) {
+		t.Fatalf("2×%d bits took %d rounds and came back as %d", len(bits), got.Rounds, len(got.RxBits))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := new(Stream).Send(ctx, sys, env, bits); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}

@@ -101,3 +101,33 @@ func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment,
 	}
 	return rs, nil
 }
+
+// Stream accumulates what Send delivered over one or more calls.
+type Stream struct {
+	RxBits  []byte // the received bits, one per sent bit
+	Rounds  int
+	Airtime time.Duration
+	BERSum  float64 // sum of the per-round BERs, in round order
+}
+
+// Send streams bits to the reader DataLen at a time, one query round per
+// slice, advancing the environment before each round, and adds what it
+// received to st. Cancelling ctx aborts between rounds.
+func (st *Stream) Send(ctx context.Context, sys *core.System, env *channel.Environment, bits []byte) error {
+	for off := 0; off < len(bits); off += sys.Spec.DataLen {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(off+sys.Spec.DataLen, len(bits))
+		env.Advance(channel.RoundStepS)
+		res, err := sys.QueryRound(bits[off:end])
+		if err != nil {
+			return err
+		}
+		st.RxBits = append(st.RxBits, res.RxBits[:end-off]...)
+		st.Airtime += res.Airtime
+		st.BERSum += res.BER()
+		st.Rounds++
+	}
+	return nil
+}
