@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -337,24 +336,6 @@ func (h *Hub) Get(id string) *Campaign {
 	return h.campaigns[id]
 }
 
-// Remove drops the campaign from the index (its scope stays usable by
-// whoever still holds it) and closes its event broker.
-func (h *Hub) Remove(id string) {
-	h.mu.Lock()
-	c := h.campaigns[id]
-	delete(h.campaigns, id)
-	for i, o := range h.order {
-		if o == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-	h.mu.Unlock()
-	if c != nil {
-		c.Events.Close()
-	}
-}
-
 // List returns every campaign's status in registration order.
 func (h *Hub) List() []CampaignStatus {
 	h.mu.RLock()
@@ -415,16 +396,6 @@ func (h *Hub) CloseAll() {
 	for _, c := range cs {
 		c.Events.Close()
 	}
-}
-
-// IDs returns the registered campaign IDs, sorted (for tests and the
-// index page).
-func (h *Hub) IDs() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	ids := append([]string(nil), h.order...)
-	sort.Strings(ids)
-	return ids
 }
 
 // WithPrefix returns a copy of the snapshot with every instrument name

@@ -54,12 +54,6 @@ func DiffDeterministic(base, cand Snapshot) []InstrumentDiff {
 	return out
 }
 
-// EqualDeterministic reports whether two snapshots' deterministic views
-// match exactly.
-func EqualDeterministic(base, cand Snapshot) bool {
-	return len(DiffDeterministic(base, cand)) == 0
-}
-
 // histDiff names the first facet on which two histogram snapshots differ,
 // or "" when they are identical.
 func histDiff(b, c HistogramSnapshot) string {

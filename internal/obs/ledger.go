@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -66,32 +65,6 @@ func AppendRunRecord(dir string, rec RunRecord) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// ReadRunLedger decodes a RUNS.jsonl stream. Unparseable lines are an
-// error — the ledger is machine-written, so damage should surface, not
-// vanish.
-func ReadRunLedger(r io.Reader) ([]RunRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []RunRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec RunRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: ledger line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ReadRunLedgerTolerant decodes a RUNS.jsonl stream, tolerating exactly

@@ -355,48 +355,6 @@ func (w TimelineWindow) Quantile(name string, q float64) int64 {
 	return w.Delta.Histograms[name].Quantile(q)
 }
 
-// CounterSeries extracts one counter's per-window deltas, in window
-// order — the raw time-series behind every rate and sparkline.
-func CounterSeries(wins []TimelineWindow, name string) []int64 {
-	out := make([]int64, len(wins))
-	for i, w := range wins {
-		out[i] = w.CounterDelta(name)
-	}
-	return out
-}
-
-// RateSeries extracts one counter's per-window rates (see Window.Rate).
-func RateSeries(wins []TimelineWindow, name string) []float64 {
-	out := make([]float64, len(wins))
-	for i, w := range wins {
-		out[i] = w.Rate(name)
-	}
-	return out
-}
-
-// DerivativeSeries is the discrete derivative of RateSeries: how fast
-// the rate itself is moving window-over-window. The first element is
-// the first rate (derivative against an implicit zero history).
-func DerivativeSeries(wins []TimelineWindow, name string) []float64 {
-	rates := RateSeries(wins, name)
-	out := make([]float64, len(rates))
-	var prev float64
-	for i, r := range rates {
-		out[i] = r - prev
-		prev = r
-	}
-	return out
-}
-
-// QuantileSeries extracts one histogram's per-window q-quantiles.
-func QuantileSeries(wins []TimelineWindow, name string, q float64) []int64 {
-	out := make([]int64, len(wins))
-	for i, w := range wins {
-		out[i] = w.Quantile(name, q)
-	}
-	return out
-}
-
 // TimelineSummary is the trailing record of a timeline JSONL export,
 // mirroring TraceSummary: it makes a clipped ring self-describing and
 // its absence marks a file truncated mid-write.

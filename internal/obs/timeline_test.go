@@ -225,17 +225,21 @@ func TestTimelineSeriesQueries(t *testing.T) {
 		tl.NoteTrials(2*i, 2*i+2)
 	}
 	wins := tl.Windows()
-	if got := CounterSeries(wins, "work.units"); !reflect.DeepEqual(got, []int64{2, 6, 12}) {
-		t.Errorf("CounterSeries = %v", got)
+	var deltas, missing []int64
+	var rates []float64
+	for _, w := range wins {
+		deltas = append(deltas, w.CounterDelta("work.units"))
+		rates = append(rates, w.Rate("work.units"))
+		missing = append(missing, w.CounterDelta("nope"))
 	}
-	if got := RateSeries(wins, "work.units"); !reflect.DeepEqual(got, []float64{1, 3, 6}) {
-		t.Errorf("RateSeries = %v", got)
+	if !reflect.DeepEqual(deltas, []int64{2, 6, 12}) {
+		t.Errorf("CounterDelta per window = %v", deltas)
 	}
-	if got := DerivativeSeries(wins, "work.units"); !reflect.DeepEqual(got, []float64{1, 2, 3}) {
-		t.Errorf("DerivativeSeries = %v", got)
+	if !reflect.DeepEqual(rates, []float64{1, 3, 6}) {
+		t.Errorf("Rate per window = %v", rates)
 	}
-	if got := CounterSeries(wins, "nope"); !reflect.DeepEqual(got, []int64{0, 0, 0}) {
-		t.Errorf("missing counter series = %v, want zeros", got)
+	if !reflect.DeepEqual(missing, []int64{0, 0, 0}) {
+		t.Errorf("missing counter deltas = %v, want zeros", missing)
 	}
 }
 

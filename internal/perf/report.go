@@ -115,12 +115,6 @@ func (r *Report) Phase(name string) *PhaseStat {
 	return nil
 }
 
-// Summary is the one-line form for progress logs.
-func (r *Report) Summary() string {
-	return fmt.Sprintf("trials=%d wall=%s coverage=%.1f%% alloc/trial=%s",
-		r.Trials, fmtNs(r.WallTotalNs), 100*r.Coverage, fmtBytes(r.AllocBytesPerTrial))
-}
-
 // Render returns the aligned-text attribution table, phases sorted by
 // total time descending (ties broken by enum order, which the slice
 // already carries).
