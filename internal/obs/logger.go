@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -183,153 +185,65 @@ func appendAttr(buf []byte, prefix string, a slog.Attr) []byte {
 // VolatileLogKeys field removed from every line, preserving field order
 // otherwise. Two campaign logs that differ only in wall-clock data
 // canonicalize to identical bytes — the form the determinism tests
-// compare. Lines that are not JSON objects pass through unchanged.
+// compare. Lines that are not exactly one JSON object pass through
+// unchanged; lines end at '\n' alone, so canonicalizing is idempotent.
 func CanonicalizeLog(r io.Reader, w io.Writer) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
-	for sc.Scan() {
-		line := sc.Bytes()
-		out, err := stripVolatileKeys(line)
-		if err != nil {
-			out = append([]byte(nil), line...)
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(line) > 0 {
+			line = bytes.TrimSuffix(line, []byte{'\n'})
+			if out, serr := stripVolatileKeys(line); serr == nil {
+				line = out
+			}
+			bw.Write(line)
+			bw.WriteByte('\n')
 		}
-		bw.Write(out)
-		bw.WriteByte('\n')
+		if err == io.EOF {
+			return bw.Flush()
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
-// stripVolatileKeys removes top-level VolatileLogKeys fields from one
-// JSON object literal without re-marshalling (which would reorder keys).
-// It walks the "key": value pairs at depth 1 of the flat, string-keyed
-// shape JSONLHandler writes and drops the volatile ones.
+// stripVolatileKeys removes the top-level VolatileLogKeys fields from one
+// JSON object line without re-marshalling (which would reorder keys):
+// keys are re-quoted, values copied byte for byte. A line that is not
+// exactly one JSON object is an error.
 func stripVolatileKeys(line []byte) ([]byte, error) {
-	n := len(line)
-	i := 0
-	skipWS := func() {
-		for i < n && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-	}
-	skipWS()
-	if i >= n || line[i] != '{' {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
 		return nil, fmt.Errorf("obs: not an object")
 	}
-	i++
-	out := make([]byte, 0, n)
-	out = append(out, '{')
-	first := true
-	for {
-		skipWS()
-		if i < n && line[i] == '}' {
-			i++
-			break
-		}
-		if i < n && line[i] == ',' {
-			i++
-			skipWS()
-		}
-		if i >= n || line[i] != '"' {
-			return nil, fmt.Errorf("obs: malformed object")
-		}
-		key, rest, err := scanString(line[i:])
+	out := append(make([]byte, 0, len(line)), '{')
+	for dec.More() {
+		tok, err := dec.Token()
 		if err != nil {
 			return nil, err
 		}
-		i = n - len(rest)
-		skipWS()
-		if i >= n || line[i] != ':' {
-			return nil, fmt.Errorf("obs: malformed object")
-		}
-		i++
-		skipWS()
-		valStart := i
-		if err := scanValue(line, &i); err != nil {
+		key, _ := tok.(string)
+		var val json.RawMessage
+		if err := dec.Decode(&val); err != nil {
 			return nil, err
 		}
 		if VolatileLogKeys[key] {
 			continue
 		}
-		if !first {
+		if len(out) > 1 {
 			out = append(out, ',')
 		}
-		first = false
 		out = strconv.AppendQuote(out, key)
 		out = append(out, ':')
-		out = append(out, line[valStart:i]...)
+		out = append(out, val...)
 	}
-	out = append(out, '}')
-	return out, nil
-}
-
-// scanString decodes one JSON string starting at b[0] == '"', returning
-// its value and the remainder.
-func scanString(b []byte) (string, []byte, error) {
-	if len(b) == 0 || b[0] != '"' {
-		return "", nil, fmt.Errorf("obs: expected string")
+	if _, err := dec.Token(); err != nil { // the closing brace
+		return nil, err
 	}
-	for i := 1; i < len(b); i++ {
-		switch b[i] {
-		case '\\':
-			i++
-		case '"':
-			s, err := strconv.Unquote(string(b[:i+1]))
-			if err != nil {
-				return "", nil, err
-			}
-			return s, b[i+1:], nil
-		}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("obs: trailing data after object")
 	}
-	return "", nil, fmt.Errorf("obs: unterminated string")
-}
-
-// scanValue advances *i past one JSON value (string, number, literal,
-// array or object) in line.
-func scanValue(line []byte, i *int) error {
-	n := len(line)
-	if *i >= n {
-		return fmt.Errorf("obs: missing value")
-	}
-	switch line[*i] {
-	case '"':
-		_, rest, err := scanString(line[*i:])
-		if err != nil {
-			return err
-		}
-		*i = n - len(rest)
-		return nil
-	case '{', '[':
-		depth := 0
-		for ; *i < n; *i++ {
-			switch line[*i] {
-			case '{', '[':
-				depth++
-			case '}', ']':
-				depth--
-				if depth == 0 {
-					*i++
-					return nil
-				}
-			case '"':
-				_, rest, err := scanString(line[*i:])
-				if err != nil {
-					return err
-				}
-				*i = n - len(rest) - 1
-			}
-		}
-		return fmt.Errorf("obs: unterminated composite")
-	default:
-		for ; *i < n; *i++ {
-			c := line[*i]
-			if c == ',' || c == '}' || c == ']' || c == ' ' {
-				return nil
-			}
-		}
-		return fmt.Errorf("obs: unterminated value")
-	}
+	return append(out, '}'), nil
 }
