@@ -82,16 +82,14 @@ func (p *Provenance) String() string {
 	return strings.Join(parts, " ")
 }
 
-// seriesEnvelope is the on-disk BENCH_<name>.json layout.
-type seriesEnvelope struct {
+// envelope is the on-disk layout of every artifact: the provenance stamp
+// beside one payload — the series of BENCH_<name>.json, the metrics of
+// BENCH_<name>.metrics.json or the profile of PROF_<name>.json.
+type envelope struct {
 	Provenance *Provenance     `json:"provenance,omitempty"`
-	Series     json.RawMessage `json:"series"`
-}
-
-// metricsEnvelope is the on-disk BENCH_<name>.metrics.json layout.
-type metricsEnvelope struct {
-	Provenance *Provenance  `json:"provenance,omitempty"`
-	Metrics    obs.Snapshot `json:"metrics"`
+	Series     json.RawMessage `json:"series,omitempty"`
+	Metrics    *obs.Snapshot   `json:"metrics,omitempty"`
+	Profile    *perf.Report    `json:"profile,omitempty"`
 }
 
 // Artifact is everything one experiment left behind in a bench directory.
@@ -115,12 +113,12 @@ func WriteSeries(dir, name string, prov Provenance, series any) error {
 	if err != nil {
 		return err
 	}
-	return writeArtifact(dir, "BENCH_"+name+".json", seriesEnvelope{Provenance: &prov, Series: raw})
+	return writeArtifact(dir, "BENCH_"+name+".json", envelope{Provenance: &prov, Series: raw})
 }
 
 // WriteMetrics writes BENCH_<name>.metrics.json under dir.
 func WriteMetrics(dir, name string, prov Provenance, snap obs.Snapshot) error {
-	return writeArtifact(dir, "BENCH_"+name+".metrics.json", metricsEnvelope{Provenance: &prov, Metrics: snap})
+	return writeArtifact(dir, "BENCH_"+name+".metrics.json", envelope{Provenance: &prov, Metrics: &snap})
 }
 
 func writeArtifact(dir, file string, v any) error {
@@ -135,9 +133,8 @@ func writeArtifact(dir, file string, v any) error {
 }
 
 // LoadDir reads every BENCH_<name>.json / BENCH_<name>.metrics.json /
-// PROF_<name>.json group under dir. Artifacts predating the provenance
-// envelope (a bare series or a bare snapshot at top level) still load,
-// with nil provenance, so old baselines remain comparable.
+// PROF_<name>.json group under dir. Each file must be a provenance
+// envelope; a document without one fails the load, naming the file.
 func LoadDir(dir string) (map[string]*Artifact, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -183,45 +180,33 @@ func artifactName(fn string) (name string, ok bool) {
 }
 
 // loadArtifact parses one artifact file's contents into a; the file name
-// says which part of the artifact buf holds.
+// says which payload the envelope holds. A document without its
+// provenance or its payload is rejected, naming the file.
 func loadArtifact(a *Artifact, fn string, buf []byte) error {
+	var env envelope
+	if err := json.Unmarshal(buf, &env); err != nil {
+		return fmt.Errorf("regress: %s: %w", fn, err)
+	}
+	if env.Provenance == nil {
+		return fmt.Errorf("regress: %s: no provenance envelope", fn)
+	}
+	missing := func(key string) error { return fmt.Errorf("regress: %s: no %s in envelope", fn, key) }
 	switch {
 	case strings.HasPrefix(fn, "PROF_"):
-		prof, prov, err := loadProf(buf, fn)
-		if err != nil {
-			return err
+		if env.Profile == nil {
+			return missing("profile")
 		}
-		a.Prof = prof
-		a.ProfProv = prov
+		a.Prof, a.ProfProv = env.Profile, env.Provenance
 	case strings.HasSuffix(fn, ".metrics.json"):
-		var env metricsEnvelope
-		if err := json.Unmarshal(buf, &env); err != nil {
-			return fmt.Errorf("regress: %s: %w", fn, err)
+		if env.Metrics == nil {
+			return missing("metrics")
 		}
-		if env.Metrics.Counters == nil && env.Provenance == nil {
-			// Legacy layout: the whole document is the snapshot.
-			var snap obs.Snapshot
-			if err := json.Unmarshal(buf, &snap); err != nil {
-				return fmt.Errorf("regress: %s: %w", fn, err)
-			}
-			a.Metrics = &snap
-		} else {
-			a.Metrics = &env.Metrics
-			a.MetricsProv = env.Provenance
-		}
+		a.Metrics, a.MetricsProv = env.Metrics, env.Provenance
 	default:
-		var env seriesEnvelope
-		if err := json.Unmarshal(buf, &env); err == nil && env.Series != nil {
-			a.Series = env.Series
-			a.SeriesProv = env.Provenance
-		} else if json.Valid(buf) {
-			// Legacy layout: the whole document is the series.
-			a.Series = json.RawMessage(buf)
-		} else {
-			// Not JSON at all — typically a truncated envelope, which must
-			// not pass as a legacy series.
-			return fmt.Errorf("regress: %s: %w", fn, err)
+		if env.Series == nil {
+			return missing("series")
 		}
+		a.Series, a.SeriesProv = env.Series, env.Provenance
 	}
 	return nil
 }

@@ -15,9 +15,8 @@ import (
 // FuzzLoadArtifact checks the BENCH/PROF artifact loader the gate reads
 // baselines with: arbitrary input never panics; writer output loads back
 // unchanged; and no strict prefix of writer output loads at all, so a
-// truncated envelope is reported rather than accepted — in particular the
-// legacy bare-series fallback must not take it for a series. `make
-// fuzzseed` replays the seeds below; `make fuzz` explores.
+// truncated envelope is reported rather than accepted. `make fuzzseed`
+// replays the seeds below; `make fuzz` explores.
 func FuzzLoadArtifact(f *testing.F) {
 	for kind := range artifactFiles {
 		for _, seed := range [][]byte{nil, {0}, {3, 1, 4, 1, 5, 9, 2, 6}, []byte("fig5/d=3 label bytes")} {
@@ -27,7 +26,8 @@ func FuzzLoadArtifact(f *testing.F) {
 			f.Add(uint8(kind), buf[:len(buf)/2])
 		}
 	}
-	f.Add(uint8(0), []byte(`[1,2,3]`)) // legacy bare series
+	// Pre-envelope layouts, which the loader rejects.
+	f.Add(uint8(0), []byte(`[1,2,3]`))
 	f.Add(uint8(1), []byte(`{"counters":{"a":1}}`))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		fn := artifactFiles[int(kind)%len(artifactFiles)]
@@ -61,6 +61,8 @@ func writeFuzzArtifact(tb testing.TB, kind uint8, data []byte) ([]byte, *Artifac
 	tb.Helper()
 	data = data[:min(len(data), 24)]
 	text := strings.ToValidUTF8(string(data), "?")
+	// prefix(i) is text's first i bytes, kept valid UTF-8 as JSON strings are.
+	prefix := func(i int) string { return strings.ToValidUTF8(text[:min(i, len(text))], "?") }
 	prov := Provenance{Experiment: text, Seed: int64(len(data)) - 3, Trials: int64(len(text))}
 	dir := tb.TempDir()
 	want := &Artifact{}
@@ -74,7 +76,7 @@ func writeFuzzArtifact(tb testing.TB, kind uint8, data []byte) ([]byte, *Artifac
 	case 1:
 		reg := obs.NewRegistry()
 		for i, b := range data {
-			reg.Counter(text[:min(i, len(text))] + "c").Add(int64(b))
+			reg.Counter(prefix(i) + "c").Add(int64(b))
 		}
 		if len(data) > 0 {
 			reg.Histogram("h", obs.Exp2Bounds(1, 4), obs.Volatile).Observe(int64(data[0]))
@@ -85,7 +87,7 @@ func writeFuzzArtifact(tb testing.TB, kind uint8, data []byte) ([]byte, *Artifac
 	default:
 		rep := &perf.Report{Trials: int64(len(data)), Phases: []perf.PhaseStat{}}
 		for i, b := range data {
-			rep.Phases = append(rep.Phases, perf.PhaseStat{Phase: text[:min(i, len(text))], Count: int64(b), WallShare: float64(b) / 7})
+			rep.Phases = append(rep.Phases, perf.PhaseStat{Phase: prefix(i), Count: int64(b), WallShare: float64(b) / 7})
 		}
 		err = WriteProf(dir, "x", prov, rep)
 		want.Prof, want.ProfProv = rep, &prov

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"witag/internal/obs"
@@ -217,40 +218,24 @@ func TestGateEmptyBaselineErrors(t *testing.T) {
 }
 
 func TestLoadDirLegacyArtifacts(t *testing.T) {
-	// Artifacts that predate the provenance envelope: a bare series and a
-	// bare snapshot at top level. Both must still load and compare.
-	dir := t.TempDir()
+	// Artifacts that predate the provenance envelope — a bare series or a
+	// bare snapshot at top level — and a series envelope missing its
+	// provenance are all rejected, each naming its file.
 	series, _ := json.Marshal(fixture())
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_fig5.json"), series, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	snap, _ := json.Marshal(fixtureSnapshot())
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_fig5.metrics.json"), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	arts, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := arts["fig5"]
-	if a == nil || a.Series == nil || a.Metrics == nil {
-		t.Fatalf("legacy artifacts did not load: %+v", a)
-	}
-	if a.SeriesProv != nil || a.MetricsProv != nil {
-		t.Fatalf("legacy artifacts grew provenance from nowhere: %+v", a)
-	}
-
-	// And a legacy baseline gates cleanly against a stamped candidate of
-	// the same science.
-	candDir := t.TempDir()
-	writeFixture(t, candDir, fixture(), fixtureSnapshot())
-	rep, err := Gate(dir, candDir, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != ClassOK {
-		j, _ := rep.JSON()
-		t.Fatalf("legacy baseline vs identical candidate gated %s\n%s", rep.Verdict, j)
+	for _, c := range []struct{ file, body string }{
+		{"BENCH_fig5.json", string(series)},
+		{"BENCH_fig5.metrics.json", string(snap)},
+		{"BENCH_fig5.json", `{"series":` + string(series) + `}`},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, c.file), []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		arts, err := LoadDir(dir)
+		if err == nil || !strings.Contains(err.Error(), c.file) {
+			t.Errorf("%s %.40s… loaded as %+v, err %v; want an error naming the file", c.file, c.body, arts, err)
+		}
 	}
 }
 

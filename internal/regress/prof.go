@@ -1,9 +1,6 @@
 package regress
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"witag/internal/obs"
 	"witag/internal/perf"
 )
@@ -16,15 +13,9 @@ import (
 // stopped firing means instrumentation was lost, which gates even with
 // the budget off).
 
-// profEnvelope is the on-disk PROF_<name>.json layout.
-type profEnvelope struct {
-	Provenance *Provenance  `json:"provenance,omitempty"`
-	Profile    *perf.Report `json:"profile"`
-}
-
 // WriteProf writes PROF_<name>.json under dir.
 func WriteProf(dir, name string, prov Provenance, rep *perf.Report) error {
-	return writeArtifact(dir, "PROF_"+name+".json", profEnvelope{Provenance: &prov, Profile: rep})
+	return writeArtifact(dir, "PROF_"+name+".json", envelope{Provenance: &prov, Profile: rep})
 }
 
 // CompareProf compares two phase-attribution profiles. Quantile-ratio
@@ -84,16 +75,4 @@ func CompareProf(base, cand *perf.Report, budget float64) ([]PerfCheck, []obs.In
 		}
 	}
 	return checks, diffs
-}
-
-// loadProf parses one PROF_<name>.json document.
-func loadProf(buf []byte, fn string) (*perf.Report, *Provenance, error) {
-	var env profEnvelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return nil, nil, fmt.Errorf("regress: %s: %w", fn, err)
-	}
-	if env.Profile == nil {
-		return nil, nil, fmt.Errorf("regress: %s: no profile in envelope", fn)
-	}
-	return env.Profile, env.Provenance, nil
 }
