@@ -14,7 +14,7 @@ BENCHTIME ?= 1s
 # gate writes its candidate artifacts here; empty means a throwaway tmpdir.
 GATEDIR ?=
 
-.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build cover fuzz fuzzseed determinism
+.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build cover fuzz fuzzseed determinism loc
 
 check: fmt vet build lint race fuzzseed determinism
 
@@ -103,8 +103,8 @@ cover:
 	@$(GO) tool cover -func=cover.out | tail -n 1
 
 # Time-boxed coverage-guided fuzzing of the frame codec, the erasure
-# coders, the tolerant export readers (trace, timeline, run ledger) and
-# the gate's BENCH/PROF artifact loader;
+# coders, the tolerant export readers (trace, timeline, run ledger), the
+# log canonicalizer and the gate's BENCH/PROF artifact loader;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJSONL$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimelineLog$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRunLedgerTolerant$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalizeLog$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 
 fuzzseed:
@@ -144,3 +145,11 @@ fuzzseed:
 # for ARQ, LT and RS alike.
 determinism:
 	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding
+
+# Non-test Go lines per package under internal/ and cmd/, plus the total:
+# the size figure a simplification reports before and after.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./internal/... ./cmd/... | \
+	awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
+		sub(/^witag\//, "", $$1); printf "%-28s %6d\n", $$1, n; total += n } \
+		END { printf "%-28s %6d\n", "total", total }'
