@@ -104,7 +104,8 @@ cover:
 
 # Time-boxed coverage-guided fuzzing of the frame codec, the erasure
 # coders, the tolerant export readers (trace, timeline, run ledger), the
-# log canonicalizer and the gate's BENCH/PROF artifact loader;
+# log canonicalizer and handler, the trace ring's round trip and the
+# gate's BENCH/PROF artifact loader;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -115,6 +116,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTimelineLog$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRunLedgerTolerant$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalizeLog$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzJSONLHandler$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzRecorderRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 
 fuzzseed:

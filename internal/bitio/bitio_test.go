@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -195,8 +196,8 @@ func TestHammingDetectsDoubleBitErrors(t *testing.T) {
 				cw := HammingEncodeNibble(d)
 				cw[i] ^= 1
 				cw[j] ^= 1
-				if _, _, err := HammingDecodeNibble(cw); err == nil {
-					t.Fatalf("nibble %x flips %d,%d: double error undetected", d, i, j)
+				if _, _, err := HammingDecodeNibble(cw); !errors.Is(err, ErrUncorrectable) {
+					t.Fatalf("nibble %x flips %d,%d: got %v, want ErrUncorrectable", d, i, j, err)
 				}
 			}
 		}
@@ -238,6 +239,15 @@ func TestHammingStreamCorrectsScatteredErrors(t *testing.T) {
 	}
 	if !bytes.Equal(dec, payload) {
 		t.Fatal("payload corrupted after correction")
+	}
+}
+
+func TestHammingStreamReportsUncorrectable(t *testing.T) {
+	enc := HammingEncode([]byte{0x5A, 0xC3})
+	enc[17] ^= 1 // two flips in the third codeword
+	enc[20] ^= 1
+	if _, _, err := HammingDecode(enc); !errors.Is(err, ErrUncorrectable) {
+		t.Fatalf("got %v, want ErrUncorrectable", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package bitio
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Hamming(7,4) with an overall parity bit — SECDED(8,4) — is the FEC WiTAG
 // uses for tag-data framing (the error-correction mechanism the paper lists
@@ -10,6 +13,13 @@ import "fmt"
 // block codes would add latency out of proportion to their gain, and
 // subframe errors are close to independent across an A-MPDU (each corruption
 // decision is a separate channel event).
+
+// ErrUncorrectable reports a SECDED codeword with a detected but
+// uncorrectable (double-bit) error. It is returned bare, without the
+// codeword's position: decoding fails on every frame that a burst
+// defeats, and formatting a message per failure costs more than the
+// decode itself.
+var ErrUncorrectable = errors.New("bitio: uncorrectable SECDED codeword")
 
 // HammingEncodeNibble encodes the low 4 bits of data into a SECDED(8,4)
 // codeword, returned as 8 bit-slice elements [p1 p2 d1 p4 d2 d3 d4 pAll].
@@ -31,8 +41,8 @@ func HammingEncodeNibble(data byte) []byte {
 }
 
 // HammingDecodeNibble decodes an 8-bit SECDED codeword. It returns the
-// corrected nibble, whether a single-bit correction was applied, and an
-// error when an uncorrectable double-bit error is detected.
+// corrected nibble, whether a single-bit correction was applied, and
+// ErrUncorrectable when a double-bit error is detected.
 func HammingDecodeNibble(cw []byte) (data byte, corrected bool, err error) {
 	if len(cw) != 8 {
 		return 0, false, fmt.Errorf("bitio: SECDED codeword must be 8 bits, got %d", len(cw))
@@ -60,7 +70,7 @@ func HammingDecodeNibble(cw []byte) (data byte, corrected bool, err error) {
 		// Error in the overall parity bit itself; data is intact.
 		corrected = true
 	default: // syndrome != 0 && overall == 0
-		return 0, false, fmt.Errorf("bitio: uncorrectable double-bit error (syndrome %d)", syndrome)
+		return 0, false, ErrUncorrectable
 	}
 	data = c[2] | c[4]<<1 | c[5]<<2 | c[6]<<3
 	return data, corrected, nil
@@ -79,7 +89,7 @@ func HammingEncode(p []byte) []byte {
 
 // HammingDecode decodes a SECDED bit slice produced by HammingEncode back
 // into packed bytes. It reports the number of corrected single-bit errors
-// and fails on the first uncorrectable codeword.
+// and fails with ErrUncorrectable on the first uncorrectable codeword.
 func HammingDecode(bits []byte) (data []byte, correctedBits int, err error) {
 	if len(bits)%16 != 0 {
 		return nil, 0, fmt.Errorf("bitio: SECDED stream length %d is not a multiple of 16", len(bits))
@@ -88,11 +98,11 @@ func HammingDecode(bits []byte) (data []byte, correctedBits int, err error) {
 	for i := 0; i < len(bits); i += 16 {
 		lo, c1, err := HammingDecodeNibble(bits[i : i+8])
 		if err != nil {
-			return nil, correctedBits, fmt.Errorf("bitio: codeword %d: %w", i/8, err)
+			return nil, correctedBits, err
 		}
 		hi, c2, err := HammingDecodeNibble(bits[i+8 : i+16])
 		if err != nil {
-			return nil, correctedBits, fmt.Errorf("bitio: codeword %d: %w", i/8+1, err)
+			return nil, correctedBits, err
 		}
 		if c1 {
 			correctedBits++

@@ -75,7 +75,9 @@ func (c Codec) Decode(bits []byte) (payload []byte, corrected int, err error) {
 		deint = deint[:len(deint)/16*16]
 		frame, corrected, err = bitio.HammingDecode(deint)
 		if err != nil {
-			return nil, corrected, fmt.Errorf("core: FEC: %w", err)
+			// deint holds whole codewords, so the only failure is
+			// bitio.ErrUncorrectable.
+			return nil, corrected, ErrFEC
 		}
 	} else {
 		frame = bitio.BitsToBytes(deint[:len(deint)/8*8])
@@ -105,6 +107,10 @@ var (
 	// ErrFrameCRC reports a tag-data frame whose CRC-16 failed — residual
 	// errors the FEC could not repair.
 	ErrFrameCRC = errors.New("core: tag frame CRC mismatch")
+	// ErrFEC reports a codeword the SECDED FEC detected as corrupt but
+	// could not correct — residual corruption, like ErrFrameCRC. It wraps
+	// bitio.ErrUncorrectable.
+	ErrFEC = fmt.Errorf("core: FEC: %w", bitio.ErrUncorrectable)
 	// ErrBadSync reports a frame whose first byte is not SyncByte: the
 	// receiver is not aligned to a frame at all.
 	ErrBadSync = errors.New("core: bad sync byte")
@@ -118,7 +124,7 @@ var (
 
 // DesyncError reports whether a Decode failure indicates the receiver
 // lost frame alignment (re-query from the top) rather than residual
-// in-frame corruption (ErrFrameCRC, uncorrectable FEC) that adaptive
+// in-frame corruption (ErrFrameCRC, ErrFEC) that adaptive
 // coding can address.
 func DesyncError(err error) bool {
 	return errors.Is(err, ErrBadSync) || errors.Is(err, ErrShortFrame) || errors.Is(err, ErrLenMismatch)

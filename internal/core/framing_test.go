@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"witag/internal/bitio"
 	"witag/internal/stats"
 	"witag/internal/tag"
 )
@@ -103,6 +105,20 @@ func TestCodecFECCorrectsScatteredErrors(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted")
+	}
+}
+
+func TestCodecUncorrectableFECIsErrFEC(t *testing.T) {
+	c := Codec{FEC: true}
+	bits, _ := c.Encode([]byte{0xDE, 0xAD})
+	bits[33] ^= 1 // two flips in one codeword
+	bits[35] ^= 1
+	_, _, err := c.Decode(bits)
+	if !errors.Is(err, ErrFEC) || !errors.Is(err, bitio.ErrUncorrectable) {
+		t.Fatalf("got %v, want ErrFEC wrapping bitio.ErrUncorrectable", err)
+	}
+	if DesyncError(err) {
+		t.Fatal("an uncorrectable codeword is residual corruption, not desync")
 	}
 }
 

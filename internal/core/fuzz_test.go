@@ -109,10 +109,10 @@ func minPos(ps []int) int {
 }
 
 // knownDecodeError reports whether err belongs to Decode's documented
-// failure classes: the exported sentinels, FEC decode failures, or an
+// failure classes: the exported sentinels (ErrFEC among them) or an
 // interleave length mismatch.
 func knownDecodeError(err error) bool {
 	return errors.Is(err, ErrFrameCRC) || DesyncError(err) ||
-		strings.Contains(err.Error(), "core: FEC") ||
+		errors.Is(err, ErrFEC) ||
 		strings.Contains(err.Error(), "interleaved length")
 }

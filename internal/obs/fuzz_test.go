@@ -3,10 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -74,6 +77,94 @@ func FuzzReadJSONL(f *testing.F) {
 			if p, err := ReadJSONL(bytes.NewReader(out[:n])); err == nil && !p.Truncated {
 				t.Fatalf("%d-byte prefix of a %d-byte export read as complete", n, len(out))
 			}
+		}
+	})
+}
+
+// FuzzRecorderRoundTrip drives a recorder against a plain slice of every
+// event recorded since the last Reset. The first byte picks a capacity of
+// up to four chunks; each following (op, a, b) triple either resets the
+// recorder or records one event 1 to 128 times, so the fuzzer reaches
+// wrapped rings, chunk boundaries and resets. Events must return the
+// model's newest capacity events, the export must equal encoding those
+// events one per line followed by the summary, and the export must read
+// back complete with the model's totals. Strings come from the input
+// bytes raw, so they may be empty, need escaping, or be invalid UTF-8.
+func FuzzRecorderRoundTrip(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
+	f.Add([]byte("\x05round\x00\xffsegment\"\\\x01 fig5/d=3/run=2"))
+	f.Add([]byte{0x21, 0xe1, 7, 9, 0xe2, 0x10, 0x20, 0x0f, 1, 2, 0xc3, 4, 5, 0xe0, 6, 7})
+	// 5122 slots (two chunks) taking 6400 events: wraps across the chunk
+	// boundary.
+	long := []byte{0x51}
+	for i := 0; i < 50; i++ {
+		long = append(long, 0xe0, byte(i), byte(3*i))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = fuzzGen(data, 256)
+		if len(data) == 0 {
+			return
+		}
+		capacity := 1 + int(data[0]&0x0f) + int(data[0]>>4)*chunkSlots/4
+		str := func(k int) string {
+			if k%3 == 0 {
+				return ""
+			}
+			from := k % len(data)
+			return string(data[from:min(len(data), from+k%7)])
+		}
+		rec := NewRecorder(capacity)
+		var model []Event
+		for i := 1; i+2 < len(data); i += 3 {
+			op, a, b := data[i], int(data[i+1]), int(data[i+2])
+			if op&0x0f == 0x0f {
+				rec.Reset()
+				model = model[:0]
+				continue
+			}
+			for k := 0; k < 1<<(op>>5); k++ {
+				e := Event{
+					Kind: str(a), Trial: a - b, Labels: str(b), Round: i + k,
+					Detected: op&1 == 1, BALost: op&2 == 2, Bits: a * b, BitErrors: b,
+					AirtimeUs: int64(a) << 40, SNRmDb: -int64(b), Offset: k, Length: a,
+					Level: int(op), Outcome: str(a + b), Delivered: op&4 == 4,
+					Rounds: -k, Retries: b - a, WallMs: int64(i) * int64(k),
+				}
+				rec.Record(e)
+				model = append(model, e)
+			}
+		}
+		want := model[max(0, len(model)-capacity):]
+		if got := rec.Events(); !slices.Equal(got, want) {
+			t.Fatalf("Events returned %d events, want the model's newest %d", len(got), len(want))
+		}
+		var ref bytes.Buffer
+		enc := json.NewEncoder(&ref)
+		for _, e := range want {
+			if err := enc.Encode(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sum := TraceSummary{Kind: summaryKind, Retained: len(want), Total: uint64(len(model)), Dropped: uint64(len(model) - len(want))}
+		if err := enc.Encode(sum); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := rec.WriteJSONL(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), ref.Bytes()) {
+			t.Fatalf("export differs from encoding the model's events:\n got %.300q\nwant %.300q", out.Bytes(), ref.Bytes())
+		}
+		tr, err := ReadJSONL(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Truncated || len(tr.Events) != len(want) || tr.Total != sum.Total || tr.Dropped != sum.Dropped {
+			t.Fatalf("read back truncated=%v events=%d total=%d dropped=%d, want false/%d/%d/%d",
+				tr.Truncated, len(tr.Events), tr.Total, tr.Dropped, len(want), sum.Total, sum.Dropped)
 		}
 	})
 }
@@ -199,9 +290,9 @@ func FuzzReadRunLedgerTolerant(f *testing.F) {
 
 // FuzzCanonicalizeLog checks the log canonicalizer the determinism suite
 // compares campaign logs through: arbitrary input never panics;
-// canonicalizing twice gives what canonicalizing once gave; and no output
-// line that parses as a JSON object keeps a top-level VolatileLogKeys
-// key.
+// canonicalizing twice gives what canonicalizing once gave; every line it
+// rewrites comes out as valid JSON; and no output line that parses as a
+// JSON object keeps a top-level VolatileLogKeys key.
 func FuzzCanonicalizeLog(f *testing.F) {
 	f.Add([]byte(`{"ts":"2023-11-14T22:13:21Z","level":"INFO","msg":"a","wall_ms":3,"n":1}` + "\n"))
 	f.Add([]byte(` { "ts" : 1 , "obj" : {"ts": [1, "}"]} } ` + "\nnot json\n[1]\n"))
@@ -219,6 +310,15 @@ func FuzzCanonicalizeLog(f *testing.F) {
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("not idempotent:\nonce  %q\ntwice %q", once.Bytes(), twice.Bytes())
 		}
+		in, out := logLines(data), logLines(once.Bytes())
+		if len(in) != len(out) {
+			t.Fatalf("%d input lines became %d", len(in), len(out))
+		}
+		for i := range in {
+			if !bytes.Equal(in[i], out[i]) && !json.Valid(out[i]) {
+				t.Fatalf("line %q rewritten to invalid JSON %q", in[i], out[i])
+			}
+		}
 		for _, line := range bytes.Split(once.Bytes(), []byte("\n")) {
 			var obj map[string]json.RawMessage
 			if json.Unmarshal(line, &obj) != nil {
@@ -229,6 +329,45 @@ func FuzzCanonicalizeLog(f *testing.F) {
 					t.Fatalf("volatile key %q survived in %q", k, line)
 				}
 			}
+		}
+	})
+}
+
+// logLines splits a log into its '\n'-terminated lines; a final line
+// without its newline counts as a line.
+func logLines(b []byte) [][]byte {
+	lines := bytes.Split(b, []byte("\n"))
+	if len(b) == 0 || b[len(b)-1] == '\n' {
+		lines = lines[:len(lines)-1]
+	}
+	return lines
+}
+
+// FuzzJSONLHandler checks that every record the log handler writes is
+// one valid JSON line, whatever the message, keys, group names and
+// values hold, and that CanonicalizeLog strips its ts.
+func FuzzJSONLHandler(f *testing.F) {
+	f.Add("run started", "campaign", "bench", 68.5, int64(3))
+	f.Add("a\x01\a\v\x7f", "k\n\"ey", "\xff\xfe\U000e0001\u2028", 0.0, int64(-1))
+	f.Add("", "", "", -1e308, int64(0))
+	f.Fuzz(func(t *testing.T, msg, key, val string, x float64, n int64) {
+		var buf bytes.Buffer
+		log := NewLogger(&buf, slog.LevelDebug).With(key, val).WithGroup(val)
+		log.Warn(msg, key, val, "x", x, slog.Int64("n", n), slog.Any("err", errors.New(val)), slog.Group(key, "v", val))
+		line, ok := bytes.CutSuffix(buf.Bytes(), []byte("\n"))
+		if !ok || bytes.IndexByte(line, '\n') >= 0 || !json.Valid(line) {
+			t.Fatalf("record is not one valid JSON line: %q", buf.Bytes())
+		}
+		var canon bytes.Buffer
+		if err := CanonicalizeLog(bytes.NewReader(buf.Bytes()), &canon); err != nil {
+			t.Fatal(err)
+		}
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(canon.Bytes(), &obj); err != nil {
+			t.Fatalf("canonicalized record %q: %v", canon.Bytes(), err)
+		}
+		if _, ok := obj["ts"]; ok {
+			t.Fatalf("ts survived canonicalization: %q", canon.Bytes())
 		}
 	})
 }

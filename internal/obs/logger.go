@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Structured logging for campaigns: a thin log/slog handler that writes
@@ -80,13 +82,13 @@ func (h *JSONLHandler) Handle(_ context.Context, r slog.Record) error {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, '{')
 	buf = appendKey(buf, "ts")
-	buf = strconv.AppendQuote(buf, h.now().UTC().Format(time.RFC3339Nano))
+	buf = appendJSONString(buf, h.now().UTC().Format(time.RFC3339Nano))
 	buf = append(buf, ',')
 	buf = appendKey(buf, "level")
-	buf = strconv.AppendQuote(buf, r.Level.String())
+	buf = appendJSONString(buf, r.Level.String())
 	buf = append(buf, ',')
 	buf = appendKey(buf, "msg")
-	buf = strconv.AppendQuote(buf, r.Message)
+	buf = appendJSONString(buf, r.Message)
 	for _, a := range h.attrs {
 		buf = appendAttr(buf, "", a)
 	}
@@ -138,8 +140,49 @@ func (h *JSONLHandler) WithGroup(name string) slog.Handler {
 	return &h2
 }
 
+// appendJSONString appends s as a JSON string literal. Printable text
+// renders exactly as strconv.Quote would; beyond that it follows JSON
+// rather than Go syntax: control characters become \n, \r, \t or \u00XX,
+// U+2028 and U+2029 are escaped for JavaScript readers, and each byte
+// of invalid UTF-8 becomes \ufffd. Every result is valid JSON.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			switch {
+			case c == '"' || c == '\\':
+				buf = append(buf, '\\', c)
+			case c == '\n':
+				buf = append(buf, '\\', 'n')
+			case c == '\r':
+				buf = append(buf, '\\', 'r')
+			case c == '\t':
+				buf = append(buf, '\\', 't')
+			case c < 0x20 || c == 0x7f:
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			default:
+				buf = append(buf, c)
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(buf, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			buf = append(buf, s[i:i+size]...)
+		}
+		i += size
+	}
+	return append(buf, '"')
+}
+
 func appendKey(buf []byte, key string) []byte {
-	buf = strconv.AppendQuote(buf, key)
+	buf = appendJSONString(buf, key)
 	return append(buf, ':')
 }
 
@@ -169,14 +212,21 @@ func appendAttr(buf []byte, prefix string, a slog.Attr) []byte {
 		buf = strconv.AppendBool(buf, v.Bool())
 	case slog.KindFloat64:
 		// %g is shortest-exact: the same float renders the same bytes on
-		// every platform, keeping canonicalized logs diffable.
-		buf = append(buf, fmt.Sprintf("%g", v.Float64())...)
+		// every platform, keeping canonicalized logs diffable. JSON has
+		// no NaN or infinity, so those render as strings.
+		f := v.Float64()
+		g := fmt.Sprintf("%g", f)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			buf = appendJSONString(buf, g)
+		} else {
+			buf = append(buf, g...)
+		}
 	case slog.KindDuration:
-		buf = strconv.AppendQuote(buf, v.Duration().String())
+		buf = appendJSONString(buf, v.Duration().String())
 	case slog.KindTime:
-		buf = strconv.AppendQuote(buf, v.Time().UTC().Format(time.RFC3339Nano))
+		buf = appendJSONString(buf, v.Time().UTC().Format(time.RFC3339Nano))
 	default:
-		buf = strconv.AppendQuote(buf, fmt.Sprint(v.Any()))
+		buf = appendJSONString(buf, fmt.Sprint(v.Any()))
 	}
 	return buf
 }
@@ -235,7 +285,7 @@ func stripVolatileKeys(line []byte) ([]byte, error) {
 		if len(out) > 1 {
 			out = append(out, ',')
 		}
-		out = strconv.AppendQuote(out, key)
+		out = appendJSONString(out, key)
 		out = append(out, ':')
 		out = append(out, val...)
 	}

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -211,5 +213,48 @@ func TestCanonicalizeLogCases(t *testing.T) {
 	}
 	if out.String() != want.String() {
 		t.Errorf("whole log:\n got %q\nwant %q", out.String(), want.String())
+	}
+}
+
+// TestJSONLHandlerEscapesToValidJSON logs text that Go quoting would
+// render as invalid JSON (\x01, \a, \v, \U000e0001, raw invalid UTF-8)
+// in messages, keys and values, and non-finite floats. Every line must be
+// valid JSON that decodes back to the text logged (invalid bytes as
+// U+FFFD), and CanonicalizeLog must strip its ts.
+func TestJSONLHandlerEscapesToValidJSON(t *testing.T) {
+	cases := []struct{ name, text, want string }{
+		{"c0 controls", "a\x00\x01\a\b\t\n\v\f\r\x1fz", "a\x00\x01\a\b\t\n\v\f\r\x1fz"},
+		{"delete", "x\x7fy", "x\x7fy"},
+		{"invalid utf-8", "ok\xff\xfe\xc3(", "ok\ufffd\ufffd\ufffd("},
+		{"truncated rune", "\xe2\x9c", "\ufffd\ufffd"},
+		{"non-printable runes", "\u00ad\u2028\u2029\U000e0001", "\u00ad\u2028\u2029\U000e0001"},
+		{"quotes and html", `"\\<&>'`, `"\\<&>'`},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		log := testLogger(&buf, slog.LevelInfo, time.Unix(1700000000, 0).UTC())
+		log.Info(c.text, slog.String(c.text, c.text), slog.Any("err", errors.New(c.text)),
+			slog.Float64("nan", math.NaN()), slog.Float64("inf", math.Inf(-1)))
+		line := strings.TrimSuffix(buf.String(), "\n")
+		if strings.Contains(line, "\n") || !json.Valid([]byte(line)) {
+			t.Fatalf("%s: not one valid JSON line: %q", c.name, buf.String())
+		}
+		var got map[string]any
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got["msg"] != c.want || got[c.want] != c.want || got["err"] != c.want {
+			t.Errorf("%s: decoded %q, want msg, key and values %q", c.name, got, c.want)
+		}
+		if got["nan"] != "NaN" || got["inf"] != "-Inf" {
+			t.Errorf("%s: non-finite floats decoded as %v, %v", c.name, got["nan"], got["inf"])
+		}
+		var canon bytes.Buffer
+		if err := CanonicalizeLog(&buf, &canon); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(bytes.TrimSuffix(canon.Bytes(), []byte("\n"))) || strings.Contains(canon.String(), `"ts":`) {
+			t.Errorf("%s: canonicalized line kept ts or is invalid: %q", c.name, canon.String())
+		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 // allocation-free and the JSONL schema self-describing.
 type Event struct {
 	// Kind discriminates the record: "round", "segment", "transfer",
-	// "fault" or "trial". WriteJSONL appends one extra "summary" record
+	// "symbol" (one LT symbol), "shard" (one RS shard), "fault" or
+	// "trial". WriteJSONL appends one extra "summary" record
 	// that is not an event (see TraceSummary).
 	Kind string `json:"kind"`
 	// Trial is the trace ID of the deployment that emitted the event
@@ -35,11 +36,11 @@ type Event struct {
 	AirtimeUs int64 `json:"airtime_us,omitempty"`
 	SNRmDb    int64 `json:"snr_mdb,omitempty"` // link SNR in milli-dB
 
-	// Segment / transfer fields.
+	// Segment, symbol, shard, fault and transfer fields.
 	Offset    int    `json:"offset,omitempty"`
 	Length    int    `json:"length,omitempty"`
 	Level     int    `json:"level,omitempty"`
-	Outcome   string `json:"outcome,omitempty"` // segment: ok|erased|frame_error; fault: event name
+	Outcome   string `json:"outcome,omitempty"` // segment, symbol, shard: ok|erased|frame_error; fault: event name; coded transfer: scheme
 	Delivered bool   `json:"delivered,omitempty"`
 	Rounds    int    `json:"rounds,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
@@ -52,20 +53,58 @@ type Event struct {
 // Recorder is a bounded ring buffer of events. Recording is mutex-guarded
 // (tracing is opt-in; when enabled, a short critical section per event is
 // cheaper than the allocation churn of a lock-free ring and keeps the
-// dropped-event accounting exact). The buffer grows by appending up to
-// its capacity, then wraps, overwriting the oldest events; Dropped counts
-// the overwrites. A nil *Recorder ignores every call.
+// dropped-event accounting exact). The ring fills up to its capacity,
+// then wraps, overwriting the oldest events; Dropped counts the
+// overwrites. A nil *Recorder ignores every call.
+//
+// Events are kept in compact slots (see slot) that hold no pointers, so
+// the garbage collector never scans the ring. The slots live in chunks of
+// chunkSlots, allocated as the ring fills and never past its capacity, so
+// growth never holds two copies of the ring. Exports read the slots in
+// place, under the lock, one event at a time.
 type Recorder struct {
 	mu      sync.Mutex
-	buf     []Event
+	chunks  [][]slot
 	cap     int
-	next    int // wrap position once len(buf) == cap
+	n       int // retained events
+	next    int // wrap position once n == cap
 	total   uint64
 	dropped uint64
+	// strs and ids are the string table: the distinct non-empty Kind,
+	// Labels and Outcome values recorded since the last Reset. A slot's
+	// string index 0 is the empty string, index i >= 1 is strs[i-1].
+	strs []string
+	ids  map[string]uint32
 }
 
-// DefaultTraceCap bounds a recorder created with capacity <= 0. At
-// roughly 150 bytes per in-memory event this is ~40 MB fully loaded.
+// chunkSlots is the number of slots per chunk; the last chunk of a ring
+// whose capacity it does not divide is shorter.
+const (
+	chunkBits  = 12
+	chunkSlots = 1 << chunkBits
+)
+
+// slot is an Event in the ring's compact form: 112 bytes on 64-bit
+// platforms against Event's 160. The integers keep their full width, the
+// three booleans share one flags byte, and the three strings are indices
+// into the recorder's string table.
+type slot struct {
+	trial, round, bits, bitErrors          int
+	offset, length, level, rounds, retries int
+	airtimeUs, snrMdb, wallMs              int64
+	kind, labels, outcome                  uint32
+	flags                                  uint8
+}
+
+const (
+	flagDetected uint8 = 1 << iota
+	flagBALost
+	flagDelivered
+)
+
+// DefaultTraceCap bounds a recorder created with capacity <= 0. A
+// retained event costs 112 bytes in memory (plus one string table entry
+// per distinct label), so a full ring holds ~28 MiB.
 const DefaultTraceCap = 1 << 18
 
 // NewRecorder returns a recorder holding at most capacity events
@@ -74,7 +113,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Recorder{cap: capacity}
+	return &Recorder{cap: capacity, ids: make(map[string]uint32)}
 }
 
 // Record appends one event, overwriting the oldest once full (nil-safe).
@@ -83,29 +122,115 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	r.mu.Lock()
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, e)
+	var i int
+	if r.n < r.cap {
+		if r.n>>chunkBits == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]slot, min(chunkSlots, r.cap-r.n)))
+		}
+		i = r.n
+		r.n++
 	} else {
-		r.buf[r.next] = e
+		i = r.next
 		r.next = (r.next + 1) % r.cap
 		r.dropped++
 	}
+	r.pack(r.at(i), e)
 	r.total++
 	r.mu.Unlock()
 }
 
-// Reset empties the ring and zeroes its totals, so the next export reads
-// exactly like one from a fresh recorder of the same capacity (nil-safe).
+// at returns the slot at ring position i.
+func (r *Recorder) at(i int) *slot {
+	return &r.chunks[i>>chunkBits][i&(chunkSlots-1)]
+}
+
+// pack stores e in s, interning its strings.
+func (r *Recorder) pack(s *slot, e Event) {
+	*s = slot{
+		trial: e.Trial, round: e.Round, bits: e.Bits, bitErrors: e.BitErrors,
+		offset: e.Offset, length: e.Length, level: e.Level, rounds: e.Rounds, retries: e.Retries,
+		airtimeUs: e.AirtimeUs, snrMdb: e.SNRmDb, wallMs: e.WallMs,
+		kind: r.intern(e.Kind), labels: r.intern(e.Labels), outcome: r.intern(e.Outcome),
+	}
+	if e.Detected {
+		s.flags |= flagDetected
+	}
+	if e.BALost {
+		s.flags |= flagBALost
+	}
+	if e.Delivered {
+		s.flags |= flagDelivered
+	}
+}
+
+// unpack rebuilds the event stored in s.
+func (r *Recorder) unpack(s *slot) Event {
+	return Event{
+		Kind: r.str(s.kind), Trial: s.trial, Labels: r.str(s.labels), Round: s.round,
+		Detected: s.flags&flagDetected != 0, BALost: s.flags&flagBALost != 0,
+		Bits: s.bits, BitErrors: s.bitErrors, AirtimeUs: s.airtimeUs, SNRmDb: s.snrMdb,
+		Offset: s.offset, Length: s.length, Level: s.level, Outcome: r.str(s.outcome),
+		Delivered: s.flags&flagDelivered != 0, Rounds: s.rounds, Retries: s.retries,
+		WallMs: s.wallMs,
+	}
+}
+
+// intern returns the string table index of s, adding s if it is new.
+func (r *Recorder) intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if id, ok := r.ids[s]; ok {
+		return id
+	}
+	r.strs = append(r.strs, s)
+	id := uint32(len(r.strs))
+	r.ids[s] = id
+	return id
+}
+
+// str returns the string at table index id.
+func (r *Recorder) str(id uint32) string {
+	if id == 0 {
+		return ""
+	}
+	return r.strs[id-1]
+}
+
+// Reset empties the ring and its string table and zeroes its totals, so
+// the next export reads exactly like one from a fresh recorder of the
+// same capacity (nil-safe). The chunks stay allocated for reuse.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.buf = r.buf[:0]
+	r.n = 0
 	r.next = 0
 	r.total = 0
 	r.dropped = 0
+	clear(r.strs)
+	r.strs = r.strs[:0]
+	clear(r.ids)
 	r.mu.Unlock()
+}
+
+// each calls fn on every retained event, oldest first, stopping at fn's
+// first error. The caller holds r.mu. fn gets the same *Event each time,
+// overwritten per event, so the walk allocates one Event in all.
+func (r *Recorder) each(fn func(*Event) error) error {
+	var e Event
+	for k := 0; k < r.n; k++ {
+		i := r.next + k
+		if i >= r.cap {
+			i -= r.cap
+		}
+		e = r.unpack(r.at(i))
+		if err := fn(&e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Events returns the retained events, oldest first.
@@ -115,9 +240,11 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	out := make([]Event, 0, r.n)
+	_ = r.each(func(e *Event) error { // the callback never fails
+		out = append(out, *e)
+		return nil
+	})
 	return out
 }
 
@@ -128,7 +255,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.n
 }
 
 // Total returns how many events were ever recorded.
@@ -165,35 +292,24 @@ type TraceSummary struct {
 // summaryKind discriminates the trailing TraceSummary record from events.
 const summaryKind = "summary"
 
-// snapshot returns the retained events plus the totals under one lock, so
-// an export's summary line always agrees with the events it follows even
-// while recording continues concurrently.
-func (r *Recorder) snapshot() (events []Event, total, dropped uint64) {
-	if r == nil {
-		return nil, 0, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	events = make([]Event, 0, len(r.buf))
-	events = append(events, r.buf[r.next:]...)
-	events = append(events, r.buf[:r.next]...)
-	return events, r.total, r.dropped
-}
-
 // WriteJSONL streams the retained events to w, one JSON object per line,
 // oldest first, followed by one "summary" record carrying the recorder's
 // total and dropped counts (so a clipped ring is never misread as a
-// complete run).
+// complete run). It holds the recorder's lock for the whole export, so
+// the summary always agrees with the events it follows; a concurrent
+// Record waits for the export to finish.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	events, total, dropped := r.snapshot()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
+	sum := TraceSummary{Kind: summaryKind}
+	if r != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if err := r.each(func(e *Event) error { return enc.Encode(e) }); err != nil {
 			return err
 		}
+		sum.Retained, sum.Total, sum.Dropped = r.n, r.total, r.dropped
 	}
-	sum := TraceSummary{Kind: summaryKind, Retained: len(events), Total: total, Dropped: dropped}
 	if err := enc.Encode(sum); err != nil {
 		return err
 	}

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestRecorderRetainsInOrder(t *testing.T) {
@@ -228,12 +230,175 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 	}
 }
 
+// fullEvent returns an event with all 18 fields set from i. Its strings
+// cycle through a few values, as real labels do, including the empty
+// string and text that JSON must escape.
+func fullEvent(i int) Event {
+	strs := []string{"", "round", "fig5/d=3/run=2", "quote\" and \\ back\nslash", "<html> & \u2028 \x01", "ünï\tcode"}
+	return Event{
+		Kind: strs[i%len(strs)], Trial: i, Labels: strs[(i+1)%len(strs)], Round: i + 1,
+		Detected: i%2 == 0, BALost: i%3 == 0, Bits: 64 + i, BitErrors: i % 5,
+		AirtimeUs: int64(i) * 1234, SNRmDb: -int64(i) * 7, Offset: i * 16, Length: 16 + i%3,
+		Level: i % 4, Outcome: strs[(i+2)%len(strs)], Delivered: i%5 == 0,
+		Rounds: i % 9, Retries: i % 2, WallMs: int64(i) << 33,
+	}
+}
+
+// TestRecorderRoundTripsEveryField wraps rings of a one-chunk and a
+// multi-chunk capacity (the last chunk partial) 1, 2 and 4 times, at and
+// past the chunk boundary, and checks that the export decodes to exactly
+// the last capacity events recorded.
+func TestRecorderRoundTripsEveryField(t *testing.T) {
+	if n := reflect.TypeOf(Event{}).NumField(); n != 18 {
+		t.Fatalf("Event has %d fields; extend fullEvent and slot", n)
+	}
+	for _, capacity := range []int{5, 2*chunkSlots + 7} {
+		for _, laps := range []int{1, 2, 4} {
+			for _, extra := range []int{0, capacity / 3} {
+				n := laps*capacity + extra
+				r := NewRecorder(capacity)
+				all := make([]Event, n)
+				for i := range all {
+					all[i] = fullEvent(i)
+					r.Record(all[i])
+				}
+				want := all[n-capacity:]
+				if got := r.Events(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d, %d events: Events differ", capacity, n)
+				}
+				var buf bytes.Buffer
+				if err := r.WriteJSONL(&buf); err != nil {
+					t.Fatal(err)
+				}
+				tr, err := ReadJSONL(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(tr.Events, want) {
+					t.Fatalf("cap %d, %d events: exported events differ", capacity, n)
+				}
+				if tr.Total != uint64(n) || tr.Dropped != uint64(n-capacity) || tr.Truncated {
+					t.Fatalf("cap %d, %d events: total=%d dropped=%d truncated=%v", capacity, n, tr.Total, tr.Dropped, tr.Truncated)
+				}
+				slots := 0
+				for _, c := range r.chunks {
+					slots += len(c)
+				}
+				if slots != capacity {
+					t.Fatalf("cap %d: chunks hold %d slots", capacity, slots)
+				}
+			}
+		}
+	}
+}
+
+// TestRecorderResetReadsLikeFresh checks that Reset empties the string
+// table and that a reset ring exports the same bytes as a fresh one.
+func TestRecorderResetReadsLikeFresh(t *testing.T) {
+	const capacity = 9
+	used := NewRecorder(capacity)
+	for i := 0; i < 3*capacity+2; i++ {
+		used.Record(fullEvent(i + 100))
+	}
+	used.Record(Event{Kind: "only-before-reset", Labels: "gone"})
+	used.Reset()
+	if len(used.strs) != 0 || len(used.ids) != 0 {
+		t.Fatalf("string table after Reset: %d strings, %d ids", len(used.strs), len(used.ids))
+	}
+	fresh := NewRecorder(capacity)
+	for i := 0; i < capacity+4; i++ {
+		used.Record(fullEvent(i))
+		fresh.Record(fullEvent(i))
+	}
+	var a, b bytes.Buffer
+	if err := used.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("reset export differs from fresh:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+	}
+	if !reflect.DeepEqual(used.strs, fresh.strs) {
+		t.Fatalf("string tables differ: %q vs %q", used.strs, fresh.strs)
+	}
+}
+
+// TestRecorderFootprint bounds what a retained event costs on the heap
+// and checks that recording into a full ring allocates nothing.
+func TestRecorderFootprint(t *testing.T) {
+	const capacity = 1 << 15
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := NewRecorder(capacity)
+	for i := 0; i < 2*capacity; i++ {
+		r.Record(fullEvent(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perEvent := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
+	t.Logf("%.1f heap bytes per retained event (slot %d bytes)", perEvent, unsafe.Sizeof(slot{}))
+	if perEvent > 128 {
+		t.Errorf("retained event costs %.1f heap bytes, want <= 128", perEvent)
+	}
+	runtime.KeepAlive(r)
+
+	e := fullEvent(7)
+	if allocs := testing.AllocsPerRun(1000, func() { r.Record(e) }); allocs != 0 {
+		t.Errorf("Record into a full ring allocates %v times per call", allocs)
+	}
+}
+
+// TestWriteJSONLCopiesNoRing checks that exporting allocates far less
+// than one copy of the ring as Events would take.
+func TestWriteJSONLCopiesNoRing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("encoding/json's pooled state is dropped at random under -race")
+	}
+	const capacity = 1 << 15
+	r := NewRecorder(capacity)
+	for i := 0; i < capacity+10; i++ {
+		r.Record(fullEvent(i))
+	}
+	if err := r.WriteJSONL(io.Discard); err != nil { // warm the encoder's pools
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.WriteJSONL(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	limit := uint64(capacity) * uint64(unsafe.Sizeof(Event{})) / 4
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("WriteJSONL allocated %d bytes for %d events", got, capacity)
+	if got >= limit {
+		t.Fatalf("WriteJSONL allocated %d bytes, want < %d", got, limit)
+	}
+}
+
 func BenchmarkRecorderRecord(b *testing.B) {
 	r := NewRecorder(1 << 16)
 	e := Event{Kind: "round", Trial: 1, Round: 2, Detected: true, AirtimeUs: 1234}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Record(e)
+	}
+}
+
+func BenchmarkRecorderWriteJSONL(b *testing.B) {
+	r := NewRecorder(1 << 16)
+	for i := 0; i < 1<<16; i++ {
+		r.Record(Event{Kind: "round", Trial: i / 300, Labels: "coding/rs/office/run=3", Round: i, Detected: true, Bits: 64, AirtimeUs: 1234, SNRmDb: 21500})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.WriteJSONL(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
