@@ -14,7 +14,7 @@ BENCHTIME ?= 1s
 # gate writes its candidate artifacts here; empty means a throwaway tmpdir.
 GATEDIR ?=
 
-.PHONY: check fmt vet lint test race bench benchcmp bench-series gate build cover fuzz fuzzseed determinism loc
+.PHONY: check fmt vet lint test race bench benchcmp perfcmp bench-series gate build cover fuzz fuzzseed determinism loc
 
 check: fmt vet build lint race fuzzseed determinism
 
@@ -73,6 +73,35 @@ benchcmp:
 		rm -f bench.old.flat bench.new.flat; \
 	fi
 
+# End-to-end A/B against another revision: `make perfcmp REF=<rev>`.
+# Builds perfbench once from this checkout, checks REF out into a
+# temporary git worktree, then runs PASSES pairs of one-pass perfbench
+# runs, REF then this checkout, so drift on the machine falls on both
+# sides alike, and prints `perfbench -compare` (A = REF, B = this
+# checkout) for each pair. Exits 1 if any pair reports a metric worse
+# than its BENCHMARK.json bound. PERFARGS adds perfbench flags, e.g.
+# PERFARGS='-workload coding-sweep -seed 1001'. Go caches stay under
+# .bench_build/, as with perfbench/run.sh.
+PASSES ?= 3
+PERFARGS ?=
+perfcmp:
+	@test -n '$(REF)' || { echo "perfcmp: set REF=<rev>, e.g. make perfcmp REF=HEAD~1"; exit 2; }
+	@root=$$(pwd) && tmp=$$(mktemp -d) && \
+	trap 'git worktree remove --force "$$tmp/ref" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT && \
+	export GOCACHE="$$root/.bench_build/gocache" GOPATH="$$root/.bench_build/gopath" \
+		GOENV=off GOTOOLCHAIN=local GOFLAGS="-mod=readonly -buildvcs=false" GOPROXY=off GOWORK=off && \
+	(cd perfbench && $(GO) build -o "$$tmp/perfbench" .) && \
+	git worktree add --detach --quiet "$$tmp/ref" '$(REF)' && \
+	status=0 && \
+	for i in $$(seq $(PASSES)); do \
+		"$$tmp/perfbench" -root "$$tmp/ref" -out "$$tmp/a$$i" -reps 1 $(PERFARGS) >"$$tmp/a$$i.log" && \
+		"$$tmp/perfbench" -root . -out "$$tmp/b$$i" -reps 1 $(PERFARGS) >"$$tmp/b$$i.log" || \
+			{ cat "$$tmp/a$$i.log" "$$tmp/b$$i.log" 2>/dev/null; exit 1; }; \
+		echo "== pair $$i of $(PASSES): A = $(REF), B = this checkout"; \
+		"$$tmp/perfbench" -compare "$$tmp/a$$i/results.json" "$$tmp/b$$i/results.json" || status=1; \
+	done; \
+	exit $$status
+
 # Regenerate the committed baseline series under bench/: every
 # experiment's BENCH_<name>.json (plus its metrics delta) at default
 # scale. Deterministic for a given seed, so `git diff bench/` after a
@@ -104,8 +133,8 @@ cover:
 
 # Time-boxed coverage-guided fuzzing of the frame codec, the erasure
 # coders, the tolerant export readers (trace, timeline, run ledger), the
-# log canonicalizer and handler, the trace ring's round trip and the
-# gate's BENCH/PROF artifact loader;
+# log canonicalizer and handler, the trace ring's round trip, the
+# gate's BENCH/PROF artifact loader and NewRNG's math/rand stream;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -119,9 +148,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzJSONLHandler$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
+	$(GO) test -run='^$$' -fuzz='^FuzzNewRNGMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/stats
 
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/regress
+	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/regress ./internal/stats
 
 # The worker-count determinism contract, for results AND for the
 # observability layer: metrics snapshots must be identical for 1 vs N
@@ -145,9 +175,14 @@ fuzzseed:
 # experiment records the same spans per phase at any worker count. The
 # transfer loop is pinned too: every discipline's full outcome on a fixed
 # world, seed-for-seed reproducibility, and cancellation inside a frame
-# for ARQ, LT and RS alike.
+# for ARQ, LT and RS alike. Stage 4's reuse answers to the same bar:
+# NewRNG's lazily seeded source must draw math/rand v1's stream and stay
+# one small allocation for a short stream, the cached coverage
+# contributions must equal the window walk, the scoreboard word must
+# equal a per-offset record, LT block sets must equal the code before
+# the shuffle scratch, and the reused traffic mask a fresh one.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

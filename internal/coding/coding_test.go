@@ -3,8 +3,10 @@ package coding
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"witag/internal/channel"
@@ -275,6 +277,64 @@ func TestFountainSymbolBlocksDeterministic(t *testing.T) {
 	}
 }
 
+// referenceSymbolBlocks is SymbolBlocks as it was before the shuffle
+// scratch: an fmt label and a fresh K-long index slice per symbol.
+func referenceSymbolBlocks(f *Fountain, id int) []int {
+	rng := stats.NewRNG(stats.SubSeed(f.seed, "lt", fmt.Sprintf("sym=%d", id)))
+	u := rng.Float64()
+	deg := 1
+	for d := 1; d < len(f.cdf); d++ {
+		if u <= f.cdf[d] {
+			deg = d
+			break
+		}
+		deg = d
+	}
+	if deg > f.K {
+		deg = f.K
+	}
+	idx := make([]int, f.K)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < deg; i++ {
+		j := i + rng.Intn(f.K-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx[:deg]
+}
+
+// TestSymbolBlocksMatchReference pins the block sets of symbols 0..511
+// on fountains from one block to many, calling them interleaved so each
+// fountain's scratch is reused across ids, and checks that a returned
+// set is the caller's: later calls do not rewrite it.
+func TestSymbolBlocksMatchReference(t *testing.T) {
+	var fountains []*Fountain
+	for _, geom := range []struct{ payload, block int }{{1, 1}, {7, 4}, {48, 4}, {100, 10}, {256, 3}} {
+		for _, seed := range []int64{0, -9, stats.SubSeed(42, "sym")} {
+			f, err := NewFountain(geom.payload, geom.block, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fountains = append(fountains, f)
+		}
+	}
+	for id := 0; id < 512; id++ {
+		for _, f := range fountains {
+			got := f.SymbolBlocks(id)
+			want := referenceSymbolBlocks(f, id)
+			held := slices.Clone(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("K=%d seed %d symbol %d: blocks %v, reference %v", f.K, f.seed, id, got, want)
+			}
+			f.SymbolBlocks(id + 1)
+			if !slices.Equal(got, held) {
+				t.Fatalf("K=%d seed %d symbol %d: the next call rewrote the returned set to %v", f.K, f.seed, id, got)
+			}
+		}
+	}
+}
+
 func TestFountainDecoderRejectsGarbage(t *testing.T) {
 	f, err := NewFountain(60, 10, 3)
 	if err != nil {
@@ -431,5 +491,18 @@ func TestLossWindowSlides(t *testing.T) {
 	}
 	if got := w.Rate(0); got != 0 {
 		t.Fatalf("rate after clean window = %v, want 0 (old verdicts must age out)", got)
+	}
+}
+
+// BenchmarkSymbolBlocks draws block sets at the coding sweep's LT
+// geometry: a 96-byte payload in the default 12-byte blocks.
+func BenchmarkSymbolBlocks(b *testing.B) {
+	f, err := NewFountain(96, DefaultFountainConfig().BlockBytes, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.SymbolBlocks(i & 1023)
 	}
 }

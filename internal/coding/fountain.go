@@ -3,6 +3,7 @@ package coding
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"witag/internal/stats"
 )
@@ -60,7 +61,9 @@ func RobustSoliton(k int, c, delta float64) ([]float64, error) {
 
 // Fountain is one transfer's encoder state: the block geometry plus the
 // degree CDF. It is deterministic — SymbolBlocks(id) is a pure function
-// of (seed, id) — so the decoding side rebuilds block sets locally.
+// of (seed, id) — so the decoding side rebuilds block sets locally. Not
+// safe for concurrent use: SymbolBlocks shuffles in a scratch the
+// Fountain owns.
 type Fountain struct {
 	K          int // source blocks
 	BlockBytes int
@@ -68,6 +71,7 @@ type Fountain struct {
 
 	seed int64
 	cdf  []float64
+	idx  []int // SymbolBlocks' shuffle scratch
 }
 
 // NewFountain sets up the code for a payload of payloadLen bytes cut
@@ -93,7 +97,7 @@ func NewFountain(payloadLen, blockBytes int, seed int64) (*Fountain, error) {
 // SymbolBlocks returns the source-block indices XORed into symbol id,
 // derived deterministically from the transfer seed and the id alone.
 func (f *Fountain) SymbolBlocks(id int) []int {
-	rng := stats.NewRNG(stats.SubSeed(f.seed, "lt", fmt.Sprintf("sym=%d", id)))
+	rng := stats.NewRNG(stats.SubSeed(f.seed, "lt", "sym="+strconv.Itoa(id)))
 	// Inverse-CDF degree draw.
 	u := rng.Float64()
 	deg := 1
@@ -108,7 +112,10 @@ func (f *Fountain) SymbolBlocks(id int) []int {
 		deg = f.K
 	}
 	// Partial Fisher–Yates over [0,K) for a uniform distinct subset.
-	idx := make([]int, f.K)
+	if len(f.idx) != f.K {
+		f.idx = make([]int, f.K)
+	}
+	idx := f.idx
 	for i := range idx {
 		idx[i] = i
 	}
@@ -116,7 +123,7 @@ func (f *Fountain) SymbolBlocks(id int) []int {
 		j := i + rng.Intn(f.K-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
-	return idx[:deg]
+	return append([]int(nil), idx[:deg]...)
 }
 
 // block returns source block i of payload, zero-padded to BlockBytes.

@@ -62,6 +62,55 @@ func TestScoreboardWraparound(t *testing.T) {
 	}
 }
 
+// TestScoreboardBitmapProperty records random sequence numbers, in and
+// out of the window and across the 12-bit wrap, and checks the block
+// ACK against a per-offset bool record: bit i is set exactly when
+// startSeq+i was recorded, Acked agrees, and Reset starts the next
+// window empty.
+func TestScoreboardBitmapProperty(t *testing.T) {
+	rng := stats.NewRNG(17)
+	sb, err := NewScoreboard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 500; trial++ {
+		start := uint16(rng.Intn(0x1000))
+		if trial%5 == 0 {
+			start = 0x1000 - uint16(rng.Intn(dot11.MaxSubframes)) // window spans the wrap
+		} else if trial%5 == 1 {
+			start = 0
+		}
+		start &= 0x0FFF
+		if err := sb.Reset(start); err != nil {
+			t.Fatal(err)
+		}
+		var want [dot11.MaxSubframes]bool
+		for n := rng.Intn(100); n > 0; n-- {
+			off := rng.Intn(dot11.MaxSubframes + 32)
+			seq := (start + uint16(off)) & 0x0FFF
+			err := sb.Record(seq)
+			if inWindow := off < dot11.MaxSubframes; inWindow != (err == nil) {
+				t.Fatalf("trial %d: Record(%d) at offset %d from %d: err %v", trial, seq, off, start, err)
+			}
+			if off < dot11.MaxSubframes {
+				want[off] = true
+			}
+		}
+		ba := sb.BlockAck(src, dst, 5)
+		if ba.StartSeq != start || ba.TID != 5 || ba.RA != src || ba.TA != dst {
+			t.Fatalf("trial %d: BA header %+v", trial, ba)
+		}
+		for off, ok := range want {
+			if got := ba.Bitmap>>uint(off)&1 == 1; got != ok {
+				t.Fatalf("trial %d: bitmap bit %d = %v, recorded %v", trial, off, got, ok)
+			}
+			if got := ba.Acked((start + uint16(off)) & 0x0FFF); got != ok {
+				t.Fatalf("trial %d: Acked(offset %d) = %v, recorded %v", trial, off, got, ok)
+			}
+		}
+	}
+}
+
 func TestSchedulerBuildsDecodableAMPDU(t *testing.T) {
 	s, err := NewAMPDUScheduler(src, dst, bssid, 0)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // serialises into the compressed BA that WiTAG readers mine for tag data.
 type Scoreboard struct {
 	startSeq uint16
-	received [dot11.MaxSubframes]bool
+	received uint64 // bit off set: startSeq+off arrived; the BA bitmap as is
 }
 
 // NewScoreboard opens a scoreboard at the given starting sequence number.
@@ -33,20 +33,14 @@ func (s *Scoreboard) Record(seq uint16) error {
 	if off >= dot11.MaxSubframes {
 		return fmt.Errorf("mac: sequence %d outside window [%d,%d)", seq, s.startSeq, s.startSeq+dot11.MaxSubframes)
 	}
-	s.received[off] = true
+	s.received |= 1 << uint(off)
 	return nil
 }
 
 // BlockAck serialises the scoreboard into a compressed BA addressed from
 // ta to ra.
 func (s *Scoreboard) BlockAck(ra, ta dot11.MACAddr, tid byte) *dot11.BlockAck {
-	ba := &dot11.BlockAck{RA: ra, TA: ta, TID: tid, StartSeq: s.startSeq}
-	for off, ok := range s.received {
-		if ok {
-			ba.Bitmap |= 1 << uint(off)
-		}
-	}
-	return ba
+	return &dot11.BlockAck{RA: ra, TA: ta, TID: tid, StartSeq: s.startSeq, Bitmap: s.received}
 }
 
 // Reset clears the scoreboard and moves the window.
@@ -55,7 +49,7 @@ func (s *Scoreboard) Reset(startSeq uint16) error {
 		return fmt.Errorf("mac: starting sequence %d exceeds 12 bits", startSeq)
 	}
 	s.startSeq = startSeq
-	s.received = [dot11.MaxSubframes]bool{}
+	s.received = 0
 	return nil
 }
 

@@ -17,8 +17,16 @@ import (
 // Independent subsystems (channel fading, tag clock jitter, MAC backoff...)
 // should each derive their own source via Split so that adding draws to one
 // subsystem does not perturb the others.
+//
+// The stream is rand.New(rand.NewSource(seed))'s bit for bit, but the
+// source's 607-word state is built only on the 17th draw (source.go), so
+// a short stream costs one small allocation.
 func NewRNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	seedTablesOnce.Do(buildSeedTables)
+	l := new(lazyRand)
+	l.src.Seed(seed)
+	l.r = *rand.New(&l.src)
+	return &l.r
 }
 
 // Split derives a new independent generator from r. The derived stream is a

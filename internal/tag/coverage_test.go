@@ -1,6 +1,7 @@
 package tag
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -101,15 +102,112 @@ func TestWindowedCoverageMatchesQuadratic(t *testing.T) {
 	}
 }
 
+// walkCoverage is CorruptionCoverageSchedule as it was before the
+// contribution cache: one subframe pointer walked forward across the
+// corrupting windows only, adding each nonzero overlap as it is found.
+func walkCoverage(t *Tag, timing QueryTiming, bits []byte, durations []time.Duration, tempC float64) []float64 {
+	tick := t.Clock.SecondsPerTick(tempC)
+	sTag := float64(timing.SubframeTicks) * tick
+	guard := t.GuardFraction * sTag
+	starts := make([]float64, len(bits)+1)
+	for i, d := range durations {
+		starts[i+1] = starts[i] + d.Seconds()
+	}
+	coverage := make([]float64, len(bits))
+	first := 0
+	for i, b := range bits {
+		if b&1 == 1 {
+			continue
+		}
+		wStart := float64(i)*sTag + guard
+		wEnd := float64(i+1)*sTag - guard
+		for first < len(bits) && starts[first+1] <= wStart {
+			first++
+		}
+		for j := first; j < len(bits) && starts[j] < wEnd; j++ {
+			ov := overlap(wStart, wEnd, starts[j], starts[j+1])
+			if ov > 0 {
+				coverage[j] += ov / (starts[j+1] - starts[j])
+			}
+		}
+	}
+	for i, c := range coverage {
+		if c > 1 {
+			coverage[i] = 1
+		}
+	}
+	return coverage
+}
+
+// TestCoverageContributionsMatchWalk holds the cached contributions to
+// the walk they replace, bit for bit: per geometry, many rounds of random
+// bits (all-zero and all-one among them) reuse one contribution set, over
+// dithered durations, every guard the tag allows a quarter of, and
+// clocks from aligned to badly drifting.
+func TestCoverageContributionsMatchWalk(t *testing.T) {
+	rng := stats.NewRNG(23)
+	var buf CoverageBuffers
+	clocks := []struct {
+		name  string
+		clock *Clock
+		temps []float64
+	}{
+		{"crystal", NewCrystal50kHz(nil), []float64{-10, 25, 60}},
+		{"ring oscillator", NewRingOscillator(50e3, nil), []float64{15, 25, 45}},
+		{"fast ring oscillator", NewRingOscillator(1e6, nil), []float64{20, 40}},
+	}
+	for _, c := range clocks {
+		tg := New(40, c.clock)
+		for _, tempC := range c.temps {
+			for geom := 0; geom < 12; geom++ {
+				n := 1 + rng.Intn(64)
+				ticks := 1 + rng.Intn(4)
+				nominal := time.Duration(ticks) * 20 * time.Microsecond
+				durations := make([]time.Duration, n)
+				for i := range durations {
+					durations[i] = nominal + time.Duration(rng.Intn(4001)-2000)*time.Nanosecond
+				}
+				tg.GuardFraction = []float64{0, 0.05, 0.1, 0.3, 0.49}[geom%5]
+				timing := QueryTiming{SubframeTicks: ticks}
+				for round := 0; round < 20; round++ {
+					var bits []byte
+					switch round {
+					case 0:
+						bits = make([]byte, n)
+					case 1:
+						bits = bytes.Repeat([]byte{1}, n)
+					default:
+						bits = stats.RandomBits(rng, n)
+					}
+					want := walkCoverage(tg, timing, bits, durations, tempC)
+					got, err := tg.CorruptionCoverageInto(&buf, timing, bits, durations, tempC)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s at %v°C geometry %d round %d: %d entries, want %d", c.name, tempC, geom, round, len(got), len(want))
+					}
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s at %v°C geometry %d round %d: subframe %d coverage %v, walk gives %v",
+								c.name, tempC, geom, round, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCoverageBoundaryCacheInvalidation reuses one buffer set while the
 // durations the cached boundaries were summed from change in turn (edited
 // in place, replaced by a slice of the same length, shortened and
-// lengthened), and while the inputs outside that key change too: the
-// measured ticks, the temperature with and without a guard, and the guard
-// fraction; and between unchanged calls. Every result must equal a fresh
-// build's bit for bit, and each edit must move the coverage, so stale
-// boundaries could not pass unseen. A rejected duration must not be
-// cached either.
+// lengthened), and while the window geometry the cached contributions
+// are keyed on changes too: the measured ticks, the temperature with and
+// without a guard, and the guard fraction; and between unchanged calls.
+// Every result must equal a fresh build's bit for bit, and each edit must
+// move the coverage, so stale boundaries or contributions could not pass
+// unseen. A rejected duration must not be cached either.
 func TestCoverageBoundaryCacheInvalidation(t *testing.T) {
 	tg := New(40, NewRingOscillator(50e3, nil))
 	timing := QueryTiming{SubframeTicks: 1}

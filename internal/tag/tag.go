@@ -80,10 +80,28 @@ func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDu
 
 // CoverageBuffers is reusable storage for CorruptionCoverageInto. It also
 // keeps the true subframe boundaries with a copy of the durations they
-// were summed from, so a call with the same durations reuses them.
+// were summed from, and every window's contributions for those
+// boundaries and one window geometry, so a call with the same durations
+// and geometry reuses both.
 type CoverageBuffers struct {
 	coverage, starts []float64
 	durations        []time.Duration // what starts was built from
+
+	// Window i, when it corrupts, adds contribs[k].frac to
+	// coverage[contribs[k].sub] for k in [ends[i-1], ends[i]), with
+	// ends[-1] taken as 0: every subframe it overlaps, in order. Built for starts and the window
+	// geometry (sTag, guard); stale when haveContribs is false.
+	contribs     []contribution
+	ends         []int
+	sTag, guard  float64
+	haveContribs bool
+}
+
+// contribution is the share of subframe sub's airtime one corruption
+// window covers.
+type contribution struct {
+	sub  int
+	frac float64
 }
 
 // floats returns buf with length n, reusing its storage when it has room.
@@ -99,11 +117,12 @@ func floats(buf []float64, n int) []float64 {
 // until the next call with the same buf.
 //
 // Each corruption window is distributed over the true subframes it
-// overlaps. Windows and subframes both advance monotonically in time, so
-// one subframe pointer walks forward across all windows: each window
-// visits only the subframes it can overlap, and every coverage entry
-// receives the same nonzero overlaps, in the same order, as comparing
-// every window with every subframe would give.
+// overlaps. Which subframes a window overlaps, and by how much, depends
+// on the boundaries and the window geometry but not on the bits, so buf
+// keeps every window's contributions and a round only sums them:
+// coverage[j] += frac·(1−b), in window order. A resting window adds +0,
+// which leaves every entry's bits as they were, so the sums equal
+// visiting only the corrupting windows.
 func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
 	if timing.SubframeTicks <= 0 {
 		return nil, fmt.Errorf("tag: non-positive subframe ticks %d", timing.SubframeTicks)
@@ -137,30 +156,21 @@ func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, b
 			buf.starts[i+1] = buf.starts[i] + d.Seconds()
 		}
 		buf.durations = append(buf.durations[:0], trueDurations...)
+		buf.haveContribs = false
 	}
-	starts := buf.starts
+	if !buf.haveContribs || buf.sTag != sTag || buf.guard != guard {
+		buf.buildContribs(sTag, guard)
+	}
 
 	buf.coverage = floats(buf.coverage, len(bits))
 	coverage := buf.coverage
 	clear(coverage)
-	first := 0 // first subframe that does not end before the current window
+	k := 0
 	for i, b := range bits {
-		if b&1 == 1 {
-			continue // bit 1: tag rests, no corruption window
-		}
-		// Tag-side window in true time (ticks are real time).
-		wStart := float64(i)*sTag + guard
-		wEnd := float64(i+1)*sTag - guard
-		// Distribute the window over true subframe intervals: skip those
-		// ending at or before it, stop at the first starting at or after it.
-		for first < len(bits) && starts[first+1] <= wStart {
-			first++
-		}
-		for j := first; j < len(bits) && starts[j] < wEnd; j++ {
-			ov := overlap(wStart, wEnd, starts[j], starts[j+1])
-			if ov > 0 {
-				coverage[j] += ov / (starts[j+1] - starts[j])
-			}
+		flip := float64(1 - b&1) // 1 for a 0 bit, whose window corrupts
+		for ; k < buf.ends[i]; k++ {
+			c := buf.contribs[k]
+			coverage[c.sub] += c.frac * flip
 		}
 	}
 	for i, c := range coverage {
@@ -169,6 +179,40 @@ func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, b
 		}
 	}
 	return coverage, nil
+}
+
+// buildContribs lays every window of the geometry over the boundaries in
+// buf.starts. Windows and subframes both advance monotonically in time,
+// so one subframe pointer walks forward across all windows: each window
+// visits only the subframes it can overlap, and keeps the same nonzero
+// overlaps, in the same order, as comparing it with every subframe.
+func (buf *CoverageBuffers) buildContribs(sTag, guard float64) {
+	starts := buf.starts
+	n := len(starts) - 1
+	if cap(buf.ends) < n {
+		// A window about one subframe long overlaps about two.
+		buf.ends, buf.contribs = make([]int, 0, n), make([]contribution, 0, 2*n)
+	}
+	buf.contribs = buf.contribs[:0]
+	buf.ends = buf.ends[:0]
+	first := 0 // first subframe that does not end before the current window
+	for i := 0; i < n; i++ {
+		// Tag-side window in true time (ticks are real time).
+		wStart := float64(i)*sTag + guard
+		wEnd := float64(i+1)*sTag - guard
+		// Skip subframes ending at or before the window, stop at the
+		// first starting at or after it.
+		for first < n && starts[first+1] <= wStart {
+			first++
+		}
+		for j := first; j < n && starts[j] < wEnd; j++ {
+			if ov := overlap(wStart, wEnd, starts[j], starts[j+1]); ov > 0 {
+				buf.contribs = append(buf.contribs, contribution{sub: j, frac: ov / (starts[j+1] - starts[j])})
+			}
+		}
+		buf.ends = append(buf.ends, len(buf.contribs))
+	}
+	buf.sTag, buf.guard, buf.haveContribs = sTag, guard, true
 }
 
 func overlap(a0, a1, b0, b1 float64) float64 {

@@ -167,6 +167,7 @@ type Generator struct {
 	prof  Profile
 	rng   *rand.Rand
 	state int
+	mask  []bool // RoundMask's result, reused across rounds
 }
 
 // NewGenerator validates p and seeds the generator's private RNG stream.
@@ -183,9 +184,14 @@ func (g *Generator) State() int { return g.state }
 // RoundMask draws one round of ambient traffic and returns the collision
 // mask over n subframes: mask[i] reports that an ambient burst overlapped
 // subframe i. The draw order is fixed (transition, count, then start and
-// length per burst) so the stream is a pure function of the seed.
+// length per burst) so the stream is a pure function of the seed. The
+// mask is the generator's own storage, valid until the next call.
 func (g *Generator) RoundMask(n int) []bool {
-	mask := make([]bool, n)
+	if cap(g.mask) < n {
+		g.mask = make([]bool, n)
+	}
+	mask := g.mask[:n]
+	clear(mask)
 	// 1. Step the load chain.
 	u := g.rng.Float64()
 	row := g.prof.Trans[g.state]

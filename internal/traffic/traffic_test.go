@@ -73,6 +73,52 @@ func TestRoundMaskDeterministic(t *testing.T) {
 	}
 }
 
+// freshRoundMask is RoundMask drawing into a newly allocated mask, as it
+// did before the generator kept one.
+func freshRoundMask(g *Generator, n int) []bool {
+	mask := make([]bool, n)
+	u := g.rng.Float64()
+	row := g.prof.Trans[g.state]
+	next := len(row) - 1
+	acc := 0.0
+	for j, pj := range row {
+		acc += pj
+		if u < acc {
+			next = j
+			break
+		}
+	}
+	g.state = next
+	st := g.prof.States[g.state]
+	bursts := stats.Poisson(g.rng, st.ArrivalsPerRound)
+	for b := 0; b < bursts; b++ {
+		start := g.rng.Intn(n)
+		length := int(stats.Exponential(g.rng, st.MeanBurstSubframes)) + 1
+		for i := start; i < start+length && i < n; i++ {
+			mask[i] = true
+		}
+	}
+	return mask
+}
+
+// TestRoundMaskReuseMatchesFresh checks the reused mask against fresh
+// allocation round by round while the subframe count grows and shrinks,
+// so no round can read a burst left over from an earlier one.
+func TestRoundMaskReuseMatchesFresh(t *testing.T) {
+	p, _ := Named("saturated")
+	a, err := NewGenerator(p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := NewGenerator(p, 5)
+	for r := 0; r < 400; r++ {
+		n := []int{64, 12, 1, 40, 64, 3}[r%6]
+		if got, want := a.RoundMask(n), freshRoundMask(b, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (n=%d): mask %v, fresh %v", r, n, got, want)
+		}
+	}
+}
+
 func TestLoadOrdering(t *testing.T) {
 	// Severer profiles must mask more subframes in the long run.
 	masked := func(name string) int {
