@@ -14,7 +14,7 @@ BENCHTIME ?= 1s
 # gate writes its candidate artifacts here; empty means a throwaway tmpdir.
 GATEDIR ?=
 
-.PHONY: check fmt vet lint test race bench benchcmp perfcmp bench-series gate build cover fuzz fuzzseed determinism loc
+.PHONY: check fmt vet lint test race bench benchcmp perfcmp bench-series gate pgo pgocheck build cover fuzz fuzzseed determinism loc
 
 check: fmt vet build lint race fuzzseed determinism
 
@@ -126,6 +126,53 @@ gate:
 	$(GO) run ./cmd/witag-bench -experiment all -json "$$out" -log "$$out"/LOG_bench.jsonl -timeline >/dev/null && \
 	$(GO) run ./cmd/witag-gate -baseline bench -candidate "$$out" -budget 0
 
+# Profile-guided build of witag-bench (DESIGN.md §17, stage 5): `go build`
+# and `go run` read cmd/witag-bench/default.pgo by default (-pgo=auto), so
+# every build of the command gets it with no flag. `make pgo` regenerates
+# it: a build without the old profile runs the Figure 5, Figure 6 and
+# coding command lines the benchmark times, at seed 42 and -parallel 1
+# under -profile, five times each so the profile holds enough samples, and
+# all their CPU profiles are merged into one. A profile only steers the
+# compiler's inlining, devirtualisation and code layout; `make pgocheck`
+# proves it moves no result, and deleting it costs only speed.
+pgo:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -pgo=off -o "$$tmp/witag-bench" ./cmd/witag-bench && \
+	for args in '-experiment fig5 -runs 16 -rounds 1500' '-experiment fig6 -rounds 1200' '-experiment coding'; do \
+		echo "pgo: profiling witag-bench $$args, five times"; \
+		for i in 1 2 3 4 5; do \
+			"$$tmp/witag-bench" $$args -seed 42 -parallel 1 -profile "$$tmp/rep$$i" >"$$tmp/log" 2>&1 || \
+				{ cat "$$tmp/log"; exit 1; }; \
+		done; \
+	done && \
+	$(GO) tool pprof -proto "$$tmp"/rep*/cpu_*.pprof >"$$tmp/default.pgo" && \
+	mv "$$tmp/default.pgo" cmd/witag-bench/default.pgo && \
+	echo "pgo: wrote cmd/witag-bench/default.pgo"
+
+# Proves the profile cannot move science: witag-bench built with -pgo=off
+# and with the committed profile runs the whole suite once each. The
+# regression gate must pass the profiled run against the other with every
+# deterministic metric equal, and every BENCH series must be byte-identical
+# apart from its timestamp. Without a profile there is nothing to check.
+pgocheck:
+	@test -f cmd/witag-bench/default.pgo || { echo "pgocheck: no cmd/witag-bench/default.pgo, nothing to check"; exit 0; }; \
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -pgo=off -o "$$tmp/witag-bench-off" ./cmd/witag-bench && \
+	$(GO) build -o "$$tmp/witag-bench-pgo" ./cmd/witag-bench && \
+	$(GO) build -o "$$tmp/witag-gate" ./cmd/witag-gate && \
+	{ $(GO) version -m "$$tmp/witag-bench-pgo" | grep -q -- '-pgo=' || \
+		{ echo "pgocheck: the default build did not use the profile"; exit 1; }; } && \
+	"$$tmp/witag-bench-off" -experiment all -seed 42 -json "$$tmp/off" >/dev/null && \
+	"$$tmp/witag-bench-pgo" -experiment all -seed 42 -json "$$tmp/pgo" >/dev/null && \
+	"$$tmp/witag-gate" -baseline "$$tmp/off" -candidate "$$tmp/pgo" -budget 0 && \
+	for f in "$$tmp"/off/BENCH_*.json; do \
+		case "$$f" in *.metrics.json) continue ;; esac; \
+		grep -v '"timestampUTC"' "$$f" >"$$tmp/a.json" && \
+		grep -v '"timestampUTC"' "$$tmp/pgo/$${f##*/}" >"$$tmp/b.json" && \
+		cmp -s "$$tmp/a.json" "$$tmp/b.json" || { echo "pgocheck: $${f##*/} differs with the profile"; exit 1; }; \
+	done && \
+	echo "pgocheck: every BENCH series is byte-identical with and without the profile"
+
 # Whole-repo coverage profile plus the one-line total.
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -180,9 +227,12 @@ fuzzseed:
 # one small allocation for a short stream, the cached coverage
 # contributions must equal the window walk, the scoreboard word must
 # equal a per-offset record, LT block sets must equal the code before
-# the shuffle scratch, and the reused traffic mask a fresh one.
+# the shuffle scratch, and the reused traffic mask a fresh one. Stage 5
+# too: the fused scatterer pass must equal the per-path sum bit for bit,
+# with the same phasor count and errors, and the wall-loss memo must
+# notice every in-place edit of a wall's attenuation.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

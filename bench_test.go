@@ -339,23 +339,44 @@ func BenchmarkChannelEvaluation(b *testing.B) {
 }
 
 // BenchmarkChannelPair times the channel phase of one round: both tag
-// states from one shared (cached) prefix, into reused buffers.
+// states from one shared (cached) prefix, into reused buffers. LoS is a
+// two-reflector lab with four walking people; NLoS is Figure 6's location
+// B, six people behind three walls, where every scatterer also pays its
+// wall loss.
 func BenchmarkChannelPair(b *testing.B) {
-	env := channel.NewEnvironment(7)
-	env.AddReflector(channel.Point{X: 4, Y: 3.5}, 60)
-	env.AddReflector(channel.Point{X: 4, Y: -3.5}, 60)
-	env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
-	rest := &channel.TagReflection{Pos: channel.Point{X: 2, Y: 0.3}, Coeff: 68, ExcessPathM: 7.5}
-	flip := &channel.TagReflection{Pos: channel.Point{X: 2, Y: 0.3}, Coeff: -68, ExcessPathM: 7.5}
-	var ha, hb []complex128
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		ha, hb, err = env.ChannelPair(channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0}, rest, flip, ha, hb)
+	los := func() (*channel.Environment, channel.Point, channel.Point, channel.Point) {
+		env := channel.NewEnvironment(7)
+		env.AddReflector(channel.Point{X: 4, Y: 3.5}, 60)
+		env.AddReflector(channel.Point{X: 4, Y: -3.5}, 60)
+		env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
+		return env, channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0}, channel.Point{X: 2, Y: 0.3}
+	}
+	nlos := func() (*channel.Environment, channel.Point, channel.Point, channel.Point) {
+		_, env, err := experiments.NLoSTestbed(experiments.LocationB, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
+		return env, channel.Point{X: 0, Y: 0}, channel.Point{X: 17, Y: 0}, channel.Point{X: 1, Y: 0.3}
+	}
+	for _, c := range []struct {
+		name  string
+		world func() (env *channel.Environment, tx, rx, tagPos channel.Point)
+	}{{"LoS", los}, {"NLoS", nlos}} {
+		b.Run(c.name, func(b *testing.B) {
+			env, tx, rx, tagPos := c.world()
+			rest := &channel.TagReflection{Pos: tagPos, Coeff: 68, ExcessPathM: 7.5}
+			flip := &channel.TagReflection{Pos: tagPos, Coeff: -68, ExcessPathM: 7.5}
+			var ha, hb []complex128
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				ha, hb, err = env.ChannelPair(tx, rx, rest, flip, ha, hb)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

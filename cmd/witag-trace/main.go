@@ -32,7 +32,8 @@
 // original trace's slice — excluding the runner's volatile wall-time
 // "trial" records — and exits non-zero unless they are byte-identical.
 // -seed must be the campaign's root seed; -rounds defaults to the
-// trial's round-event count in the trace; -payload and -fault mirror the
+// trial's round-event count in the trace (ablation/fec trials ignore it
+// and run the ablation's fixed frame count); -payload and -fault mirror the
 // robustness sweep's flags. -out additionally writes the replayed trace
 // as JSONL for side-by-side inspection.
 package main

@@ -71,8 +71,39 @@ type Environment struct {
 	// states evaluated; nextTag is the slot the next miss overwrites.
 	tags    [2]tagTerm
 	nextTag int
+	// loss memoises the amplitude of each wall-loss sum.
+	loss lossMemo
+	// rotors is the scratch the fused scatterer pass reuses every round.
+	rotors []rotor
 	// phasorEvals counts path × subcarrier phasor evaluations.
 	phasorEvals int64
+}
+
+// lossMemo memoises DbToAmplitude for the last few wall-loss sums a path
+// paid (DESIGN.md §17, stage 5). Behind Figure 6's walls nearly every path
+// crosses the same walls, so a round asks for a handful of distinct sums,
+// each of which would otherwise cost a math.Pow per path. An entry is keyed
+// on the bits of the dB value it converted, the function's whole input, so
+// no edit to the walls can make it stale.
+type lossMemo struct {
+	db      [8]uint64
+	amp     [8]float64
+	n, next int // filled entries; the slot the next miss overwrites
+}
+
+// amplitude returns DbToAmplitude(db), converting only on a miss.
+func (m *lossMemo) amplitude(db float64) float64 {
+	key := math.Float64bits(db)
+	for i := range m.n {
+		if m.db[i] == key {
+			return m.amp[i]
+		}
+	}
+	a := DbToAmplitude(db)
+	m.db[m.next], m.amp[m.next] = key, a
+	m.next = (m.next + 1) % len(m.db)
+	m.n = min(m.n+1, len(m.db))
+	return a
 }
 
 // staticPrefix is the cached direct + reflector sum of one tx→rx link,
@@ -197,28 +228,43 @@ func (e *Environment) ramp(n int, amp, dist, extraPhase float64) (r, step comple
 	return complex(amp*c, amp*s), complex(dc, ds)
 }
 
-// addPath adds one path's phasor amp·e^{jθ_k} to every subcarrier of h.
-func (e *Environment) addPath(h []complex128, amp, dist, extraPhase float64) {
-	r, step := e.ramp(len(h), amp, dist, extraPhase)
-	for k := range h {
-		h[k] += r
-		r *= step
-	}
-}
+// rotor is one path's phasor on the current subcarrier and its rotation to
+// the next.
+type rotor struct{ r, step complex128 }
 
-// addBounce adds the two-hop path tx→p→rx of a reflector or scatterer.
-func (e *Environment) addBounce(h []complex128, tx, rx, p Point, gain float64) error {
+// appendBounce appends the rotor of the two-hop path tx→p→rx of a
+// reflector or scatterer; a point co-located with an endpoint adds none.
+func (e *Environment) appendBounce(rotors []rotor, tx, rx, p Point, gain float64) ([]rotor, error) {
 	ds, dr := tx.Dist(p), p.Dist(rx)
 	if ds <= 0 || dr <= 0 {
-		return nil // co-located with an endpoint: ignore
+		return rotors, nil // co-located with an endpoint: ignore
 	}
 	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, gain)
 	if err != nil {
-		return err
+		return rotors, err
 	}
-	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
-	e.addPath(h, a, ds+dr, 0)
-	return nil
+	a *= e.loss.amplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
+	r, step := e.ramp(e.NumSubcarriers, a, ds+dr, 0)
+	return append(rotors, rotor{r, step}), nil
+}
+
+// sumRotors adds every rotor's phasors to base, writing the sums into h
+// (which may be base itself), in one pass over the subcarriers: at each
+// one the rotors are added in order, then each turns to the next
+// subcarrier (DESIGN.md §17, stage 5). Per subcarrier these are the same
+// additions and multiplications, in the same order, as adding one path at
+// a time across all of h, so the sum is bit-identical; what changes is
+// that the paths' rotation chains, independent of each other, interleave
+// instead of running one after another.
+func sumRotors(h, base []complex128, rotors []rotor) {
+	for k := range h {
+		v := base[k]
+		for i := range rotors {
+			v += rotors[i].r
+			rotors[i].r *= rotors[i].step
+		}
+		h[k] = v
+	}
 }
 
 // addTag adds the tag's backscatter path; a nil tag or a zero coefficient
@@ -255,7 +301,7 @@ func (e *Environment) tagPhasors(tx, rx Point, tag *TagReflection) ([]complex128
 	if err != nil {
 		return nil, err
 	}
-	a *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
+	a *= e.loss.amplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
 	t.h = resize(t.h, e.NumSubcarriers)
 	r, step := e.ramp(len(t.h), a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
 	for k := range t.h {
@@ -286,13 +332,16 @@ func (e *Environment) staticSum(tx, rx Point) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	amp *= DbToAmplitude(-PathAttenuationDb(e.Walls, tx, rx))
-	e.addPath(p.h, amp, d, 0)
-	for _, r := range e.Reflectors {
-		if err := e.addBounce(p.h, tx, rx, r.Pos, r.Gain); err != nil {
+	amp *= e.loss.amplitude(-PathAttenuationDb(e.Walls, tx, rx))
+	r, step := e.ramp(len(p.h), amp, d, 0)
+	rotors := append(e.rotors[:0], rotor{r, step})
+	for _, refl := range e.Reflectors {
+		if rotors, err = e.appendBounce(rotors, tx, rx, refl.Pos, refl.Gain); err != nil {
 			return nil, err
 		}
 	}
+	e.rotors = rotors
+	sumRotors(p.h, p.h, rotors)
 	p.tx, p.rx, p.freqHz, p.pathLossExp = tx, rx, e.FreqHz, e.PathLossExp
 	p.walls = append(p.walls[:0], e.Walls...)
 	p.reflectors = append(p.reflectors[:0], e.Reflectors...)
@@ -321,13 +370,15 @@ func (e *Environment) untaggedSum(h []complex128, tx, rx Point) ([]complex128, e
 	if err != nil {
 		return nil, err
 	}
-	h = resize(h, e.NumSubcarriers)
-	copy(h, base)
+	rotors := e.rotors[:0]
 	for _, s := range e.Scatterers {
-		if err := e.addBounce(h, tx, rx, s.Pos, s.Gain); err != nil {
+		if rotors, err = e.appendBounce(rotors, tx, rx, s.Pos, s.Gain); err != nil {
 			return nil, err
 		}
 	}
+	e.rotors = rotors
+	h = resize(h, e.NumSubcarriers)
+	sumRotors(h, base, rotors)
 	return h, nil
 }
 

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/cmplx"
@@ -423,5 +424,162 @@ func TestPhasorEvalsCountsCacheHitsAsZero(t *testing.T) {
 	}
 	if got, want := step(rest, &TagReflection{Pos: rest.Pos, Coeff: -30}), (moving+1)*n; got != want {
 		t.Fatalf("pair with a changed tag state evaluated %d phasors, want %d", got, want)
+	}
+}
+
+// addPath is the per-path oracle sumRotors replaced: one path's whole ramp
+// is added across h before the next path starts.
+func addPath(e *Environment, h []complex128, amp, dist float64) {
+	r, step := e.ramp(len(h), amp, dist, 0)
+	for k := range h {
+		h[k] += r
+		r *= step
+	}
+}
+
+// addBounce adds the two-hop path tx→p→rx the way the channel did before
+// the fused pass: one path at a time, with its wall loss converted afresh.
+func addBounce(e *Environment, h []complex128, tx, rx, p Point, gain float64) error {
+	ds, dr := tx.Dist(p), p.Dist(rx)
+	if ds <= 0 || dr <= 0 {
+		return nil
+	}
+	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, gain)
+	if err != nil {
+		return err
+	}
+	addPath(e, h, a*DbToAmplitude(-PathAttenuationDb(e.Walls, tx, p)-PathAttenuationDb(e.Walls, p, rx)), ds+dr)
+	return nil
+}
+
+// perPathChannel is the tag-free tx→rx channel summed path by path —
+// direct, reflectors, scatterers — on an environment of its own.
+func perPathChannel(e *Environment, tx, rx Point) ([]complex128, error) {
+	h := make([]complex128, e.NumSubcarriers)
+	d := tx.Dist(rx)
+	amp, err := FriisAmplitude(d, e.FreqHz, e.PathLossExp)
+	if err != nil {
+		return nil, err
+	}
+	addPath(e, h, amp*DbToAmplitude(-PathAttenuationDb(e.Walls, tx, rx)), d)
+	for _, r := range e.Reflectors {
+		if err := addBounce(e, h, tx, rx, r.Pos, r.Gain); err != nil {
+			return nil, err
+		}
+	}
+	for _, s := range e.Scatterers {
+		if err := addBounce(e, h, tx, rx, s.Pos, s.Gain); err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// locationB is Figure 6's location B: three walls, three reflectors and
+// six people walking between the client and an AP 17 m away.
+func locationB(seed int64) *Environment {
+	e := NewEnvironment(seed)
+	e.AddWall(Point{3.5, -6}, Point{3.5, 6}, 7, "wooden wall")
+	e.AddWall(Point{9, -6}, Point{9, 6}, 12, "concrete wall")
+	e.AddWall(Point{13, -6}, Point{13, 6}, 10, "metal cabinets")
+	e.AddReflector(Point{2, 2.5}, 55)
+	e.AddReflector(Point{11, -3}, 70)
+	e.AddReflector(Point{15, 3}, 70)
+	e.AddScatterers(6, 0, -4, 17, 4, 22, 1.2)
+	return e
+}
+
+// TestScatterSumMatchesPerPath holds the fused scatterer pass to the
+// per-path sum it replaced, bit for bit, warm and cold, and to the same
+// PhasorEvals and error returns.
+func TestScatterSumMatchesPerPath(t *testing.T) {
+	tx := Point{0, 0}
+	cases := []struct {
+		name  string
+		rx    Point
+		world func() *Environment
+	}{
+		{"LoS", Point{8, 0}, func() *Environment {
+			e := NewEnvironment(9)
+			e.AddReflector(Point{4, 3.5}, 60)
+			e.AddReflector(Point{4, -3.5}, 60)
+			e.AddReflector(Point{-1, 0}, 40)
+			e.AddReflector(Point{9, 0}, 40)
+			e.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
+			return e
+		}},
+		{"fig6 location B", Point{17, 0}, func() *Environment { return locationB(4) }},
+		{"scatterer on an endpoint", Point{17, 0}, func() *Environment {
+			e := locationB(5)
+			e.Scatterers = append(e.Scatterers, Scatterer{Pos: tx, Gain: 22}) // SpeedMps 0: stays put
+			return e
+		}},
+		{"no scatterers", Point{17, 0}, func() *Environment {
+			e := locationB(6)
+			e.Scatterers = nil
+			return e
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.world()
+			for round := 0; round < 6; round++ {
+				e.Advance(0.05)
+				warm, err := e.Channel(tx, c.rx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, oracle := fresh(e), fresh(e)
+				h, err := cold.Channel(tx, c.rx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := perPathChannel(oracle, tx, c.rx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, "warm vs per-path", warm, want)
+				sameBits(t, "cold vs per-path", h, want)
+				if got, want := cold.PhasorEvals(), oracle.PhasorEvals(); got != want {
+					t.Fatalf("round %d: fused pass evaluated %d phasors, per-path %d", round, got, want)
+				}
+			}
+		})
+	}
+	t.Run("negative scatterer gain", func(t *testing.T) {
+		e := locationB(7)
+		e.Scatterers[2].Gain = -1
+		cold, oracle := fresh(e), fresh(e)
+		_, err := cold.Channel(tx, Point{17, 0}, nil)
+		_, want := perPathChannel(oracle, tx, Point{17, 0})
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("fused pass returned %v, per-path %v", err, want)
+		}
+		if got, want := cold.PhasorEvals(), oracle.PhasorEvals(); got != want {
+			t.Fatalf("fused pass evaluated %d phasors before the error, per-path %d", got, want)
+		}
+	})
+}
+
+// TestWallLossMemoInvalidation edits a wall's attenuation in place between
+// rounds — to fresh values, past the memo's capacity, and back to values
+// it has seen — and expects every pair to equal a fresh environment's.
+func TestWallLossMemoInvalidation(t *testing.T) {
+	e := locationB(8)
+	tx, rx := Point{0, 0}, Point{17, 0}
+	rest := &TagReflection{Pos: Point{1, 0.3}, Coeff: 68, ExcessPathM: 7.5}
+	flip := &TagReflection{Pos: Point{1, 0.3}, Coeff: -68, ExcessPathM: 7.5}
+	base := e.Walls[0].AttenuationDb
+	var ha, hb []complex128
+	for i, jitter := range []float64{0, 1.3, -2.2, 0, 0.7, 1.3, 2.2, -0.4, -1.1, 1.9, 0.1, -2.0, 0, 1.3} {
+		e.Walls[0].AttenuationDb = base + jitter
+		e.Walls[2].AttenuationDb = 10 + float64(i%3)
+		e.Advance(0.05)
+		var err error
+		if ha, hb, err = e.ChannelPair(tx, rx, rest, flip, ha, hb); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("edit %d rest", i), ha, cold(t, e, tx, rx, rest))
+		sameBits(t, fmt.Sprintf("edit %d flip", i), hb, cold(t, e, tx, rx, flip))
 	}
 }

@@ -65,31 +65,40 @@ type ablation struct {
 	label string // witag-bench's BENCH series key and error prefix
 	title string
 	n     int // configuration count
-	// size maps witag-bench's -rounds to this ablation's size: rounds per
-	// configuration (frames for fec).
-	size  func(rounds int) int
-	row   func(ctx context.Context, t ablationTrial) (AblationRow, error)
-	check func(rows []AblationRow) error // the shape claim; nil: none
+	// per divides witag-bench's -rounds into rounds per configuration.
+	// frames, when non-zero, is instead a fixed frame count per
+	// configuration (fec), the same at any -rounds, so replay takes it
+	// from here rather than from the trace's round events.
+	per, frames int
+	row         func(ctx context.Context, t ablationTrial) (AblationRow, error)
+	check       func(rows []AblationRow) error // the shape claim; nil: none
+}
+
+// size is the ablation's size per configuration at witag-bench's
+// -rounds: its fixed frame count, or its share of the rounds.
+func (a *ablation) size(rounds int) int {
+	if a.frames > 0 {
+		return a.frames
+	}
+	return rounds / a.per
 }
 
 // ablations is the one table of ablations, in witag-bench's run order;
 // RunAblation, RunAblations and forensic replay all read it.
 var ablations = []ablation{
 	{key: "switch", label: "switch mode", title: "switch design (tag mid-span, the worst case)",
-		n: len(switchModes), size: roundsOver(2), row: ablationSwitchRow, check: checkSwitchMode},
+		n: len(switchModes), per: 2, row: ablationSwitchRow, check: checkSwitchMode},
 	{key: "trigger", label: "trigger count", title: "trigger subframes per query",
-		n: len(triggerCounts), size: roundsOver(4), row: ablationTriggerRow, check: checkTriggerCount},
+		n: len(triggerCounts), per: 4, row: ablationTriggerRow, check: checkTriggerCount},
 	{key: "fec", label: "FEC framing", title: "tag-data framing and FEC (tag at 2 m, BER ≈ 0.5%)",
-		n: len(fecConfigs), size: func(int) int { return 6 }, row: ablationFECRow},
+		n: len(fecConfigs), frames: 6, row: ablationFECRow},
 	{key: "ampdu", label: "A-MPDU size", title: "A-MPDU size",
-		n: len(ampduSizes), size: roundsOver(4), row: ablationAMPDURow, check: checkAMPDUSize},
+		n: len(ampduSizes), per: 4, row: ablationAMPDURow, check: checkAMPDUSize},
 	{key: "mcs", label: "robust rate", title: "query MCS (robust-rate rule)",
-		n: len(mcsIndices), size: roundsOver(4), row: ablationMCSRow},
+		n: len(mcsIndices), per: 4, row: ablationMCSRow},
 	{key: "crypto", label: "encryption", title: "encryption transparency",
-		n: len(cryptoModes), size: roundsOver(4), row: ablationCryptoRow, check: checkEncryption},
+		n: len(cryptoModes), per: 4, row: ablationCryptoRow, check: checkEncryption},
 }
-
-func roundsOver(d int) func(int) int { return func(rounds int) int { return rounds / d } }
 
 // ablationByKey resolves an ablation's replay key to its table entry.
 func ablationByKey(key string) (*ablation, error) {

@@ -39,8 +39,9 @@ type ReplayRequest struct {
 	// Seed is the campaign's root seed (the -seed the original run used).
 	Seed int64
 	// Rounds is the per-trial round count for round-driven experiments
-	// (fig5/fig6/ablations; the frame count for ablation/fec). Derivable
-	// from the trace: the number of "round" events the trial emitted.
+	// (fig5/fig6/ablations). Derivable from the trace: the number of
+	// "round" events the trial emitted. Ignored for ablation/fec, which
+	// runs the ablation table's fixed frame count.
 	Rounds int
 	// PayloadBytes and FaultProfile mirror the robustness campaign's
 	// configuration; ignored by other experiments.
@@ -258,10 +259,13 @@ func replayAblation(ctx context.Context, req ReplayRequest, toks []string) (stri
 	if i < 0 || i >= a.n {
 		return "", fmt.Errorf("experiments: ablation %s config %d outside [0,%d)", a.key, i, a.n)
 	}
-	if req.Rounds < 1 {
-		return "", fmt.Errorf("experiments: ablation replay needs the campaign's round count (frame count for fec)")
+	size := req.Rounds
+	if a.frames > 0 {
+		size = a.frames
+	} else if size < 1 {
+		return "", fmt.Errorf("experiments: ablation replay needs the campaign's round count")
 	}
-	res, err := a.row(ctx, ablationTrial{key: a.key, seed: req.Seed, size: req.Rounds, i: i, o: req.Campaign.ObserverRef()})
+	res, err := a.row(ctx, ablationTrial{key: a.key, seed: req.Seed, size: size, i: i, o: req.Campaign.ObserverRef()})
 	if err != nil {
 		return "", err
 	}

@@ -3,11 +3,13 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/sim"
 )
 
 // The forensic replay contract (DESIGN.md §11): a trial's outcome is a
@@ -207,5 +209,45 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if serialSnap.Counters["link.transfers_started"] == 0 {
 		t.Fatal("campaign started no transfers — vacuous comparison")
+	}
+}
+
+// TestFECAblationReplayWithoutRounds replays every ablation/fec trial the
+// way witag-trace does without -rounds: Rounds is the trial's count of
+// round events, which for fec counts rounds, not frames. Replay must run
+// the table's fixed frame count anyway, as it must when Rounds is 0.
+func TestFECAblationReplayWithoutRounds(t *testing.T) {
+	const seed = 42
+	a, err := ablationByKey("fec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := campaignTrace(t, func(c *obs.Campaign) error {
+		_, err := RunAblation(context.Background(), sim.Runner{Workers: 1, Campaign: c}, "fec", seed, a.size(0))
+		return err
+	})
+	for k := 0; k < a.n; k++ {
+		orig := trialSlice(events, k)
+		if len(orig) == 0 {
+			t.Fatalf("trial %d emitted no events", k)
+		}
+		rounds := 0
+		for _, e := range orig {
+			if e.Kind == "round" {
+				rounds++
+			}
+		}
+		if rounds == a.frames {
+			t.Fatalf("trial %d: %d round events equal the frame count — the test would not tell them apart", k, rounds)
+		}
+		for _, n := range []int{rounds, 0} {
+			rc := traceCampaign()
+			if _, err := ReplayTrial(context.Background(), ReplayRequest{
+				Labels: orig[0].Labels, Trial: k, Seed: seed, Rounds: n, Campaign: rc,
+			}); err != nil {
+				t.Fatalf("replay trial %d with Rounds=%d: %v", k, n, err)
+			}
+			assertEventsByteIdentical(t, fmt.Sprintf("replay %s with Rounds=%d", orig[0].Labels, n), orig, trialSlice(rc.Trace.Events(), k))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,21 +107,30 @@ func oracleCodedBER(mcs dot11.MCS, snr float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return min(oracleUnionBound(spec, p), 0.5), nil
+}
+
+// oracleUnionBound is unionBound over oraclePairwiseErrorProb, which takes
+// ln p and ln(1−p) afresh for every binomial term of every spectrum term.
+func oracleUnionBound(spec []spectrumTerm, p float64) float64 {
 	ber := 0.0
 	for _, t := range spec {
 		ber += t.beta * oraclePairwiseErrorProb(t.d, p)
 	}
-	return min(ber, 0.5), nil
+	return ber
 }
 
 // sameFloat reports whether a and b are the same float64, bit for bit.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestDecodeTableMatchesLgamma proves the log-coefficient table leaves the
-// union bound bit-for-bit unchanged: pairwiseErrorProb against the per-term
-// Lgamma oracle for every spectrum term of every code rate, with p swept
-// log-uniformly over [1e-300, 0.5), and CodedBER against the oracle for
-// every HT MCS from −10 to 40 dB SNR.
+// TestDecodeTableMatchesLgamma proves the log-coefficient table and the
+// once-per-bound logs leave the union bound bit-for-bit unchanged:
+// pairwiseErrorProb against the per-term Lgamma oracle for every spectrum
+// term of every code rate, with p swept log-uniformly over [1e-300, 0.5);
+// unionBound against the oracle at p = 0, just above it, inside (0, 0.5),
+// on both sides of 0.5 and at NaN; and CodedBER against the oracle for
+// every HT MCS from −10 to 40 dB SNR and at the SNRs where p reaches 0.5
+// and 0.
 func TestDecodeTableMatchesLgamma(t *testing.T) {
 	rates := []dot11.CodeRate{dot11.Rate12, dot11.Rate23, dot11.Rate34, dot11.Rate56}
 	const steps = 2000
@@ -133,19 +143,28 @@ func TestDecodeTableMatchesLgamma(t *testing.T) {
 		for _, term := range spec {
 			for i := 0; i < steps; i++ {
 				p := math.Exp(lo + (hi-lo)*float64(i)/steps)
-				if got, want := pairwiseErrorProb(term.d, p), oraclePairwiseErrorProb(term.d, p); !sameFloat(got, want) {
+				if got, want := pairwiseErrorProb(term.d, p, math.Log(p), math.Log1p(-p)), oraclePairwiseErrorProb(term.d, p); !sameFloat(got, want) {
 					t.Fatalf("rate %v, d=%d, p=%g: table %v, Lgamma oracle %v", rate, term.d, p, got, want)
 				}
 			}
 		}
+		for _, p := range []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-9, 0.01, 0.3,
+			math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), 0.75, 1, math.NaN()} {
+			if got, want := unionBound(spec, p), oracleUnionBound(spec, p); !sameFloat(got, want) {
+				t.Fatalf("rate %v, p=%g: hoisted bound %v, Lgamma oracle %v", rate, p, got, want)
+			}
+		}
+	}
+	sinrs := []float64{0, 1e-300, 1e6, 1e9, math.Inf(1)}
+	for db := -10.0; db <= 40; db += 0.025 {
+		sinrs = append(sinrs, SNRFromDb(db))
 	}
 	for idx := 0; idx <= 31; idx++ {
 		mcs, err := dot11.HTMCS(idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for db := -10.0; db <= 40; db += 0.025 {
-			snr := SNRFromDb(db)
+		for _, snr := range sinrs {
 			got, err := CodedBER(mcs, snr)
 			if err != nil {
 				t.Fatal(err)
@@ -155,7 +174,7 @@ func TestDecodeTableMatchesLgamma(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameFloat(got, want) {
-				t.Fatalf("MCS %d at %.2f dB: CodedBER %v, Lgamma oracle %v", idx, db, got, want)
+				t.Fatalf("MCS %d at %.2f dB: CodedBER %v, Lgamma oracle %v", idx, SNRToDb(snr), got, want)
 			}
 		}
 	}
@@ -163,24 +182,28 @@ func TestDecodeTableMatchesLgamma(t *testing.T) {
 
 // BenchmarkDecodeModel times one coded-BER evaluation — the unit the
 // decode model pays twice per round (core.decode_model_evals) — in each
-// regime, for the experiments' QPSK 3/4 query rate.
+// regime, for the experiments' QPSK 3/4 query rate and for Figure 6's
+// MCS 0 (BPSK 1/2), whose rate-1/2 bound has the spectra's largest
+// distances.
 func BenchmarkDecodeModel(b *testing.B) {
-	mcs, err := dot11.HTMCS(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, reg := range decodeRegimes {
-		sinr := reg.sinrs[len(reg.sinrs)/2]
-		b.Run(reg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ber, err := CodedBER(mcs, sinr)
-				if err != nil {
-					b.Fatal(err)
+	for _, idx := range []int{2, 0} {
+		mcs, err := dot11.HTMCS(idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, reg := range decodeRegimes {
+			sinr := reg.sinrs[len(reg.sinrs)/2]
+			b.Run(fmt.Sprintf("MCS%d/%s", idx, reg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ber, err := CodedBER(mcs, sinr)
+					if err != nil {
+						b.Fatal(err)
+					}
+					berSink = ber
 				}
-				berSink = ber
-			}
-		})
+			})
+		}
 	}
 }
 

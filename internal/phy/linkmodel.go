@@ -102,8 +102,10 @@ func lgamma(x int) float64 {
 
 // pairwiseErrorProb returns P2(d), the probability that a hard-decision
 // Viterbi decoder picks a path at Hamming distance d, given raw channel
-// bit error probability p. d must be a distance in the spectra.
-func pairwiseErrorProb(d int, p float64) float64 {
+// bit error probability p. For 0 < p < 0.5, lp and lq must be ln p and
+// ln(1−p); outside that range they are not read. d must be a distance in
+// the spectra.
+func pairwiseErrorProb(d int, p, lp, lq float64) float64 {
 	if p <= 0 {
 		return 0
 	}
@@ -111,8 +113,7 @@ func pairwiseErrorProb(d int, p float64) float64 {
 		return 0.5
 	}
 	// Each binomial term is evaluated in logs to dodge overflow for large
-	// d; ln p and ln(1−p) are the same for all of them.
-	lp, lq := math.Log(p), math.Log1p(-p)
+	// d.
 	pmf := func(k int) float64 {
 		return math.Exp(logBinom[d][k] + float64(k)*lp + float64(d-k)*lq)
 	}
@@ -128,6 +129,24 @@ func pairwiseErrorProb(d int, p float64) float64 {
 	return sum
 }
 
+// unionBound returns the truncated union bound Σ β_d·P2(d) over spec at
+// raw bit error probability p, before CodedBER's clamp. ln p and ln(1−p)
+// are the same for every term, so they are taken once per bound instead
+// of once per term (DESIGN.md §17, stage 5). They are taken under
+// pairwiseErrorProb's own range test, so a NaN p still reaches the terms
+// as NaN logs.
+func unionBound(spec []spectrumTerm, p float64) float64 {
+	var lp, lq float64
+	if !(p <= 0 || p >= 0.5) {
+		lp, lq = math.Log(p), math.Log1p(-p)
+	}
+	ber := 0.0
+	for _, t := range spec {
+		ber += t.beta * pairwiseErrorProb(t.d, p, lp, lq)
+	}
+	return ber
+}
+
 // CodedBER returns the post-Viterbi BER for an MCS at the given
 // per-subcarrier SNR via the truncated union bound.
 func CodedBER(mcs dot11.MCS, snr float64) (float64, error) {
@@ -139,10 +158,7 @@ func CodedBER(mcs dot11.MCS, snr float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ber := 0.0
-	for _, t := range spec {
-		ber += t.beta * pairwiseErrorProb(t.d, p)
-	}
+	ber := unionBound(spec, p)
 	// The union bound can exceed 1 at low SNR; the raw channel can't do
 	// worse than p against a rate<1 code in practice, so clamp.
 	if ber > 0.5 {

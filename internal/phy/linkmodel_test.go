@@ -92,21 +92,26 @@ func TestCodedBERClampedAtLowSNR(t *testing.T) {
 	}
 }
 
+// p2 is pairwiseErrorProb with its logs taken from p.
+func p2(d int, p float64) float64 {
+	return pairwiseErrorProb(d, p, math.Log(p), math.Log1p(-p))
+}
+
 func TestPairwiseErrorProb(t *testing.T) {
-	if pairwiseErrorProb(5, 0) != 0 {
+	if p2(5, 0) != 0 {
 		t.Fatal("P2 at p=0 must be 0")
 	}
-	if pairwiseErrorProb(5, 0.6) != 0.5 {
+	if p2(5, 0.6) != 0.5 {
 		t.Fatal("P2 clamps at p≥0.5")
 	}
 	// d=1: P2 = p.
-	if math.Abs(pairwiseErrorProb(1, 0.1)-0.1) > 1e-12 {
-		t.Fatalf("P2(1, 0.1) = %v", pairwiseErrorProb(1, 0.1))
+	if math.Abs(p2(1, 0.1)-0.1) > 1e-12 {
+		t.Fatalf("P2(1, 0.1) = %v", p2(1, 0.1))
 	}
 	// d=2: P2 = 0.5·C(2,1)p(1-p) + p² = p(1-p) + p².
 	want := 0.1*0.9 + 0.01
-	if math.Abs(pairwiseErrorProb(2, 0.1)-want) > 1e-12 {
-		t.Fatalf("P2(2, 0.1) = %v, want %v", pairwiseErrorProb(2, 0.1), want)
+	if math.Abs(p2(2, 0.1)-want) > 1e-12 {
+		t.Fatalf("P2(2, 0.1) = %v, want %v", p2(2, 0.1), want)
 	}
 }
 
