@@ -277,3 +277,12 @@ func TestCRC16DetectsSingleBitErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestHammingEncodeAllocs pins HammingEncode to its one output slice:
+// codewords are appended in place, not built per nibble.
+func TestHammingEncodeAllocs(t *testing.T) {
+	p := []byte("temperature=23.5C humidity=40%")
+	if allocs := testing.AllocsPerRun(100, func() { HammingEncode(p) }); allocs != 1 {
+		t.Fatalf("HammingEncode allocates %v times per call, want 1", allocs)
+	}
+}

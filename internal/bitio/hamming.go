@@ -24,6 +24,12 @@ var ErrUncorrectable = errors.New("bitio: uncorrectable SECDED codeword")
 // HammingEncodeNibble encodes the low 4 bits of data into a SECDED(8,4)
 // codeword, returned as 8 bit-slice elements [p1 p2 d1 p4 d2 d3 d4 pAll].
 func HammingEncodeNibble(data byte) []byte {
+	return appendHammingNibble(make([]byte, 0, 8), data)
+}
+
+// appendHammingNibble appends the SECDED(8,4) codeword of data's low 4
+// bits to b.
+func appendHammingNibble(b []byte, data byte) []byte {
 	d1 := data & 1
 	d2 := data >> 1 & 1
 	d3 := data >> 2 & 1
@@ -31,13 +37,8 @@ func HammingEncodeNibble(data byte) []byte {
 	p1 := d1 ^ d2 ^ d4
 	p2 := d1 ^ d3 ^ d4
 	p4 := d2 ^ d3 ^ d4
-	cw := []byte{p1, p2, d1, p4, d2, d3, d4, 0}
-	var overall byte
-	for _, b := range cw[:7] {
-		overall ^= b
-	}
-	cw[7] = overall
-	return cw
+	overall := p1 ^ p2 ^ d1 ^ p4 ^ d2 ^ d3 ^ d4
+	return append(b, p1, p2, d1, p4, d2, d3, d4, overall)
 }
 
 // HammingDecodeNibble decodes an 8-bit SECDED codeword. It returns the
@@ -81,8 +82,8 @@ func HammingDecodeNibble(cw []byte) (data byte, corrected bool, err error) {
 func HammingEncode(p []byte) []byte {
 	out := make([]byte, 0, len(p)*16)
 	for _, b := range p {
-		out = append(out, HammingEncodeNibble(b&0x0F)...)
-		out = append(out, HammingEncodeNibble(b>>4)...)
+		out = appendHammingNibble(out, b&0x0F)
+		out = appendHammingNibble(out, b>>4)
 	}
 	return out
 }

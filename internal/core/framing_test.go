@@ -260,3 +260,41 @@ func TestAddressedDetectorSelectivity(t *testing.T) {
 		t.Fatal("invalid address accepted")
 	}
 }
+
+// TestCodecEncodeAllocs pins a FEC+interleaved Encode's allocations: the
+// frame, its SECDED bits and the interleaved bits.
+func TestCodecEncodeAllocs(t *testing.T) {
+	c := Codec{FEC: true, InterleaveDepth: 8}
+	payload := []byte("temperature=23.5C humidity=40%")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Encode(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("Encode allocates %v times per call, want 3", allocs)
+	}
+}
+
+// TestCodecDecodeOwnsPayload checks that Decode's payload shares no
+// memory with its input: overwriting the received bits after decoding
+// must leave the payload intact, for every codec shape.
+func TestCodecDecodeOwnsPayload(t *testing.T) {
+	payload := []byte("temperature=23.5C humidity=40%")
+	for _, c := range codecs() {
+		bits, err := c.Encode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := c.Decode(bits)
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		for i := range bits {
+			bits[i] = 0xA5
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%+v: overwriting the input changed the decoded payload", c)
+		}
+	}
+}

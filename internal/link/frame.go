@@ -74,7 +74,8 @@ type FrameSender struct {
 	// applies.
 	env    *channel.Environment
 	rng    *rand.Rand
-	erased int // consecutive erased frames
+	erased int    // consecutive erased frames
+	rx     []byte // received bits, reused from frame to frame
 }
 
 // NewFrameSender wires the frame loop over sys. rng is the backoff
@@ -135,7 +136,7 @@ func (f *FrameSender) Send(ctx context.Context, codec core.Codec, fp []byte, st 
 	sp = spans.Lap(obs.PhaseCodingEncode, sp)
 	st.FramesSent++
 	dataLen := f.Sys.Spec.DataLen
-	rxBits := make([]byte, 0, len(bits))
+	rxBits := f.rx[:0]
 	for off := 0; off < len(bits); off += dataLen {
 		end := min(off+dataLen, len(bits))
 		if err := ctx.Err(); err != nil {
@@ -161,9 +162,12 @@ func (f *FrameSender) Send(ctx context.Context, codec core.Codec, fp []byte, st 
 			return Frame{Erased: true}, nil
 		}
 		rxBits = append(rxBits, res.RxBits[:end-off]...)
+		f.rx = rxBits
 		sp = spans.Lap(obs.PhaseARQRound, sp)
 	}
 	f.erased = 0
+	// Decode's payload never aliases rxBits, so the next frame may
+	// overwrite them.
 	got, corrected, derr := codec.Decode(rxBits)
 	spans.End(obs.PhaseCodingDecode, sp)
 	return Frame{Payload: got, Corrected: corrected, DecodeErr: derr}, nil

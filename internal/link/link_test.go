@@ -332,3 +332,32 @@ func TestSendCancelsMidFrame(t *testing.T) {
 		t.Fatalf("sent %d rounds after cancellation mid-frame, want exactly 1", st.Rounds)
 	}
 }
+
+// TestFrameSenderSendAllocs pins what a frame costs once the sender's
+// receive buffer has grown: every Send after the first on one sender
+// allocates three times per query round (the round's result and its two
+// bit slices), three times in Encode and twice in Decode, and nothing to
+// collect the received bits.
+func TestFrameSenderSendAllocs(t *testing.T) {
+	sys, _ := linkTestbed(t, 5)
+	f := NewFrameSender(sys, nil, stats.NewRNG(1))
+	codec := core.Codec{FEC: true, InterleaveDepth: 8}
+	fp := stats.RandomBytes(stats.NewRNG(2), 30)
+	rounds := (codec.PaddedBits(len(fp)) + sys.Spec.DataLen - 1) / sys.Spec.DataLen
+	var st TransferStats
+	send := func() {
+		fr, err := f.Send(context.Background(), codec, fp, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A frame decoded clean or lost to residual errors allocates
+		// alike; an erasure or a framing error would not.
+		if fr.Erased || core.DesyncError(fr.DecodeErr) || fr.DecodeErr == nil && !bytes.Equal(fr.Payload, fp) {
+			t.Fatalf("frame lost: %+v", fr)
+		}
+	}
+	send()
+	if want, allocs := float64(3*rounds+3+2), testing.AllocsPerRun(10, send); allocs != want {
+		t.Fatalf("Send allocates %v times per %d-round frame, want %v", allocs, rounds, want)
+	}
+}

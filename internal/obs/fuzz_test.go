@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -81,61 +82,132 @@ func FuzzReadJSONL(f *testing.F) {
 	})
 }
 
+// ringExtremes are the values an extreme event's integer fields take.
+var ringExtremes = []int64{math.MinInt64, math.MaxInt64, -1, -64, -65, math.MinInt64 + 1, math.MinInt32}
+
+// fuzzRingOps replays the recorder operations encoded in ops, one
+// (op, a, b) triple each. Bits 3-4 of op pick the operation: 0 records an
+// event built from op, a and b; 1 records an extreme event, whose every
+// integer field is one of ringExtremes, picked by a; 2 records the
+// all-zero event; 3 resets. The low three bits set the flags, and an
+// event is recorded 1<<(op>>5) times (1 to 128). Strings are cut from ops
+// raw, so they may be empty, need escaping, or be invalid UTF-8.
+func fuzzRingOps(ops []byte, record func(Event), reset func()) {
+	str := func(k int) string {
+		if k%3 == 0 {
+			return ""
+		}
+		from := k % len(ops)
+		return string(ops[from:min(len(ops), from+k%7)])
+	}
+	for i := 0; i+2 < len(ops); i += 3 {
+		op, a, b := ops[i], int(ops[i+1]), int(ops[i+2])
+		if op>>3&3 == 3 {
+			reset()
+			continue
+		}
+		for k := 0; k < 1<<(op>>5); k++ {
+			e := Event{
+				Kind: str(a), Trial: a - b, Labels: str(b), Round: i + k,
+				Detected: op&1 == 1, BALost: op&2 == 2, Bits: a * b, BitErrors: b,
+				AirtimeUs: int64(a) << 40, SNRmDb: -int64(b), Offset: k, Length: a,
+				Level: int(op), Outcome: str(a + b), Delivered: op&4 == 4,
+				Rounds: -k, Retries: b - a, WallMs: int64(i) * int64(k),
+			}
+			switch op >> 3 & 3 {
+			case 1:
+				x := func(f int) int64 { return ringExtremes[(a+f)%len(ringExtremes)] }
+				e.Trial, e.Round, e.Bits, e.BitErrors = int(x(0)), int(x(1)), int(x(2)), int(x(3))
+				e.AirtimeUs, e.SNRmDb, e.WallMs = x(4), x(5), x(6)
+				e.Offset, e.Length, e.Level, e.Rounds, e.Retries = int(x(7)), int(x(8)), int(x(9)), int(x(10)), int(x(11))
+			case 2:
+				e = Event{}
+			}
+			record(e)
+		}
+	}
+}
+
+// boundarySeed returns a FuzzRecorderRoundTrip input whose first chunk
+// ends exactly at the end of a record: it picks the chunk size byte from
+// the encoded sizes of the events ops records.
+func boundarySeed(f *testing.F, capacity byte, ops []byte) []byte {
+	enc := NewRecorder(1)
+	sum := 0
+	chunk := 0
+	fuzzRingOps(ops, func(e Event) {
+		sum += len(enc.encode(nil, &e))
+		if sum >= maxRecordBytes && sum < maxRecordBytes+256 {
+			chunk = sum - maxRecordBytes + 1
+		}
+	}, func() {})
+	if chunk == 0 {
+		f.Fatal("boundarySeed: no record prefix fits the chunk size range")
+	}
+	return append([]byte{capacity, byte(chunk)}, ops...)
+}
+
 // FuzzRecorderRoundTrip drives a recorder against a plain slice of every
 // event recorded since the last Reset. The first byte picks a capacity of
-// up to four chunks; each following (op, a, b) triple either resets the
-// recorder or records one event 1 to 128 times, so the fuzzer reaches
-// wrapped rings, chunk boundaries and resets. Events must return the
-// model's newest capacity events, the export must equal encoding those
-// events one per line followed by the summary, and the export must read
-// back complete with the model's totals. Strings come from the input
-// bytes raw, so they may be empty, need escaping, or be invalid UTF-8.
+// up to 15 chunks' worth; the second the chunk size: 0 keeps
+// NewRecorder's, and c > 0 gives maxRecordBytes+c−1 bytes, so short
+// inputs cross and recycle many chunks. The rest are fuzzRingOps
+// operations. Events must return the model's newest capacity events, the
+// export must equal encoding those events one per line followed by the
+// summary, the export must read back complete with the model's totals,
+// and the ring must keep within checkChunkBound.
 func FuzzRecorderRoundTrip(f *testing.F) {
-	f.Add([]byte{0})
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
-	f.Add([]byte("\x05round\x00\xffsegment\"\\\x01 fig5/d=3/run=2"))
-	f.Add([]byte{0x21, 0xe1, 7, 9, 0xe2, 0x10, 0x20, 0x0f, 1, 2, 0xc3, 4, 5, 0xe0, 6, 7})
-	// 5122 slots (two chunks) taking 6400 events: wraps across the chunk
-	// boundary.
-	long := []byte{0x51}
+	f.Add([]byte{0, 0})
+	f.Add([]byte{3, 0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5})
+	f.Add([]byte("\x05\x00round\x00\xffsegment\"\\\x01 fig5/d=3/run=2"))
+	f.Add([]byte{0x21, 0, 0xe1, 7, 9, 0xe2, 0x10, 0x20, 0x07, 1, 2, 0xc3, 4, 5, 0xe0, 6, 7})
+	// Extremes in every integer field, the all-zero event and all flags.
+	extremes := []byte{0x05, 0}
+	for a := range ringExtremes {
+		extremes = append(extremes, 0x08|byte(a%8), byte(a), byte(2*a))
+	}
+	f.Add(append(extremes, 0x10, 0, 0, 0x07, 9, 9, 0x0f, 1, 2))
+	// 5121 events taking 6400 in 64 KiB chunks: wraps across a chunk
+	// boundary with the recorder's own chunk size.
+	long := []byte{0x51, 0}
 	for i := 0; i < 50; i++ {
 		long = append(long, 0xe0, byte(i), byte(3*i))
 	}
 	f.Add(long)
+	// Small chunks: the ring recycles its head chunk many times, then
+	// resets and refills the recycled chunks.
+	small := []byte{0x09, 1}
+	for i := 0; i < 20; i++ {
+		small = append(small, 0x20|byte(i%8), byte(i), byte(7*i))
+	}
+	f.Add(small)
+	f.Add(append(append([]byte(nil), small...), 0x18, 0, 0, 0x61, 5, 6))
+	// Records that fill a chunk exactly, with and without a wrap.
+	var ops []byte
+	for i := 0; i < 30; i++ {
+		ops = append(ops, byte(i%8), byte(11*i), byte(5*i))
+	}
+	f.Add(boundarySeed(f, 0x03, ops))
+	f.Add(boundarySeed(f, 0x4f, ops))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = fuzzGen(data, 256)
-		if len(data) == 0 {
+		if len(data) < 2 {
 			return
 		}
-		capacity := 1 + int(data[0]&0x0f) + int(data[0]>>4)*chunkSlots/4
-		str := func(k int) string {
-			if k%3 == 0 {
-				return ""
-			}
-			from := k % len(data)
-			return string(data[from:min(len(data), from+k%7)])
-		}
+		capacity := 1 + int(data[0]&0x0f) + int(data[0]>>4)*1024
 		rec := NewRecorder(capacity)
-		var model []Event
-		for i := 1; i+2 < len(data); i += 3 {
-			op, a, b := data[i], int(data[i+1]), int(data[i+2])
-			if op&0x0f == 0x0f {
-				rec.Reset()
-				model = model[:0]
-				continue
-			}
-			for k := 0; k < 1<<(op>>5); k++ {
-				e := Event{
-					Kind: str(a), Trial: a - b, Labels: str(b), Round: i + k,
-					Detected: op&1 == 1, BALost: op&2 == 2, Bits: a * b, BitErrors: b,
-					AirtimeUs: int64(a) << 40, SNRmDb: -int64(b), Offset: k, Length: a,
-					Level: int(op), Outcome: str(a + b), Delivered: op&4 == 4,
-					Rounds: -k, Retries: b - a, WallMs: int64(i) * int64(k),
-				}
-				rec.Record(e)
-				model = append(model, e)
-			}
+		if data[1] > 0 {
+			rec.chunkSize = maxRecordBytes + int(data[1]) - 1
 		}
+		var model []Event
+		fuzzRingOps(data[2:], func(e Event) {
+			rec.Record(e)
+			model = append(model, e)
+		}, func() {
+			rec.Reset()
+			model = model[:0]
+		})
+		checkChunkBound(t, rec)
 		want := model[max(0, len(model)-capacity):]
 		if got := rec.Events(); !slices.Equal(got, want) {
 			t.Fatalf("Events returned %d events, want the model's newest %d", len(got), len(want))

@@ -245,14 +245,14 @@ func fullEvent(i int) Event {
 }
 
 // TestRecorderRoundTripsEveryField wraps rings of a one-chunk and a
-// multi-chunk capacity (the last chunk partial) 1, 2 and 4 times, at and
-// past the chunk boundary, and checks that the export decodes to exactly
-// the last capacity events recorded.
+// multi-chunk capacity 1, 2 and 4 times, and checks that the export
+// decodes to exactly the last capacity events recorded and that the ring
+// holds no more chunks than checkChunkBound allows.
 func TestRecorderRoundTripsEveryField(t *testing.T) {
 	if n := reflect.TypeOf(Event{}).NumField(); n != 18 {
-		t.Fatalf("Event has %d fields; extend fullEvent and slot", n)
+		t.Fatalf("Event has %d fields; extend fullEvent, encode and decode", n)
 	}
-	for _, capacity := range []int{5, 2*chunkSlots + 7} {
+	for _, capacity := range []int{5, 3*chunkBytes/40 + 7} {
 		for _, laps := range []int{1, 2, 4} {
 			for _, extra := range []int{0, capacity / 3} {
 				n := laps*capacity + extra
@@ -280,13 +280,7 @@ func TestRecorderRoundTripsEveryField(t *testing.T) {
 				if tr.Total != uint64(n) || tr.Dropped != uint64(n-capacity) || tr.Truncated {
 					t.Fatalf("cap %d, %d events: total=%d dropped=%d truncated=%v", capacity, n, tr.Total, tr.Dropped, tr.Truncated)
 				}
-				slots := 0
-				for _, c := range r.chunks {
-					slots += len(c)
-				}
-				if slots != capacity {
-					t.Fatalf("cap %d: chunks hold %d slots", capacity, slots)
-				}
+				checkChunkBound(t, r)
 			}
 		}
 	}
@@ -325,29 +319,75 @@ func TestRecorderResetReadsLikeFresh(t *testing.T) {
 	}
 }
 
-// TestRecorderFootprint bounds what a retained event costs on the heap
-// and checks that recording into a full ring allocates nothing.
+// checkChunkBound checks the ring's bookkeeping and its memory bound.
+// Every chunk the ring keeps, retained or free, was once retained, and a
+// retained chunk holds at least one retained record. Every retained chunk
+// but the oldest and the newest is filled to within one record of its
+// size, so at most 2 + capacity·maxRecordBytes/(chunkSize−maxRecordBytes+1)
+// chunks were ever retained at once.
+func checkChunkBound(t testing.TB, r *Recorder) {
+	t.Helper()
+	held := len(r.chunks) + len(r.free)
+	if bound := min(r.cap, 2+r.cap*maxRecordBytes/(r.chunkSize-maxRecordBytes+1)); held > bound {
+		t.Fatalf("cap %d: ring holds %d chunks of %d bytes, want <= %d", r.cap, held, r.chunkSize, bound)
+	}
+	n := -r.skip
+	for _, c := range r.chunks {
+		if c.n == 0 || len(c.buf) > r.chunkSize || cap(c.buf) != r.chunkSize {
+			t.Fatalf("chunk of %d records, %d bytes, capacity %d; chunk size %d", c.n, len(c.buf), cap(c.buf), r.chunkSize)
+		}
+		n += c.n
+	}
+	if n != r.n || len(r.chunks) > 0 && r.skip >= r.chunks[0].n {
+		t.Fatalf("chunks hold %d retained records with %d skipped, ring counts %d", n, r.skip, r.n)
+	}
+}
+
+// ringBytes returns the bytes of every chunk the ring keeps.
+func ringBytes(r *Recorder) int {
+	return (len(r.chunks) + len(r.free)) * r.chunkSize
+}
+
+// roundEvent returns the i-th of a coding campaign's round events.
+func roundEvent(i int) Event {
+	return Event{Kind: "round", Trial: i / 300, Labels: "coding/rs/office/run=3", Round: i, Detected: true, Bits: 64, AirtimeUs: 1234, SNRmDb: 21500}
+}
+
+// TestRecorderFootprint bounds what a retained event costs on the heap,
+// for a campaign's round events and for events with every field set, and
+// checks that recording into a ring that has recycled its head chunks
+// allocates nothing.
 func TestRecorderFootprint(t *testing.T) {
 	const capacity = 1 << 15
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	r := NewRecorder(capacity)
-	for i := 0; i < 2*capacity; i++ {
-		r.Record(fullEvent(i))
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perEvent := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
-	t.Logf("%.1f heap bytes per retained event (slot %d bytes)", perEvent, unsafe.Sizeof(slot{}))
-	if perEvent > 128 {
-		t.Errorf("retained event costs %.1f heap bytes, want <= 128", perEvent)
-	}
-	runtime.KeepAlive(r)
-
-	e := fullEvent(7)
-	if allocs := testing.AllocsPerRun(1000, func() { r.Record(e) }); allocs != 0 {
-		t.Errorf("Record into a full ring allocates %v times per call", allocs)
+	for _, c := range []struct {
+		name  string
+		event func(int) Event
+		limit float64
+	}{
+		{"round", roundEvent, 24},
+		{"full", fullEvent, 48},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r := NewRecorder(capacity)
+		for i := 0; i < 2*capacity; i++ {
+			r.Record(c.event(i))
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perEvent := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / capacity
+		t.Logf("%s: %.1f heap bytes per retained event (%d chunk bytes)", c.name, perEvent, ringBytes(r))
+		if perEvent > c.limit {
+			t.Errorf("%s: retained event costs %.1f heap bytes, want <= %v", c.name, perEvent, c.limit)
+		}
+		if r.Dropped() == 0 || len(r.free) == 0 && r.skip == 0 {
+			t.Fatalf("%s: the ring never recycled a head chunk", c.name)
+		}
+		e := c.event(7)
+		if allocs := testing.AllocsPerRun(1000, func() { r.Record(e) }); allocs != 0 {
+			t.Errorf("%s: Record into a full ring allocates %v times per call", c.name, allocs)
+		}
 	}
 }
 
@@ -386,12 +426,13 @@ func BenchmarkRecorderRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Record(e)
 	}
+	b.ReportMetric(float64(ringBytes(r))/float64(r.Len()), "B/event")
 }
 
 func BenchmarkRecorderWriteJSONL(b *testing.B) {
 	r := NewRecorder(1 << 16)
 	for i := 0; i < 1<<16; i++ {
-		r.Record(Event{Kind: "round", Trial: i / 300, Labels: "coding/rs/office/run=3", Round: i, Detected: true, Bits: 64, AirtimeUs: 1234, SNRmDb: 21500})
+		r.Record(roundEvent(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
