@@ -91,7 +91,7 @@ func TestTransferOutcomesPinned(t *testing.T) {
 				return result{}, err
 			}
 			return result{*st, st.Delivered, st.Received}, nil
-		}, `Airtime=73.331ms BackoffWait=0s DecodeAttempts=1 Delivered=true FinalK=8 FinalN=10 FrameErasures=0 FrameErrors=2 FramesOK=8 FramesSent=10 ParityResizes=0 PayloadBytes=96 Rounds=50 coding.decode_attempts=2 coding.frame_erasures=0 coding.frame_errors=2 coding.frames_sent=10 coding.parity_resizes=0 coding.shards_sent=10 coding.symbols_sent=0 coding.transfers_delivered=1 coding.transfers_failed=0 coding.transfers_started=1 link.backoff_waits=0 link.corrected_bits=0 link.desync_errors=0 link.ladder_down=0 link.ladder_up=0 link.residual_errors=0 link.retries=0 link.round_failures=0 link.segments_sent=0 link.transfers_delivered=0 link.transfers_failed=0 link.transfers_started=0`},
+		}, `Airtime=73.331ms BackoffWait=0s DecodeAttempts=1 Delivered=true FinalK=8 FinalN=10 FrameErasures=0 FrameErrors=2 FramesOK=8 FramesSent=10 ParityResizes=0 PayloadBytes=96 Rounds=50 coding.decode_attempts=1 coding.frame_erasures=0 coding.frame_errors=2 coding.frames_sent=10 coding.parity_resizes=0 coding.shards_sent=10 coding.symbols_sent=0 coding.transfers_delivered=1 coding.transfers_failed=0 coding.transfers_started=1 link.backoff_waits=0 link.corrected_bits=0 link.desync_errors=0 link.ladder_down=0 link.ladder_up=0 link.residual_errors=0 link.retries=0 link.round_failures=0 link.segments_sent=0 link.transfers_delivered=0 link.transfers_failed=0 link.transfers_started=0`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -401,9 +401,6 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		}
 		if lastM >= 0 && m0 != lastM {
 			st.ParityResizes++
-			if o := t.frames.Sys.Obs; o != nil {
-				o.Coding.ParityResizes.Inc()
-			}
 		}
 		lastM = m0
 		targets := make([]int, 0, k+m0)
@@ -456,9 +453,6 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			}
 			if got >= k {
 				st.DecodeAttempts++
-				if o := t.frames.Sys.Obs; o != nil {
-					o.Coding.DecodeAttempts.Inc()
-				}
 				sp := spans.Start()
 				if err := rs.Reconstruct(rx); err != nil {
 					return st, err
@@ -490,9 +484,6 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				break // parity space exhausted — the block is undeliverable
 			}
 			st.ParityResizes++
-			if o := t.frames.Sys.Obs; o != nil {
-				o.Coding.ParityResizes.Inc()
-			}
 			targets = targets[:0]
 			for si := k + sentParity; si < k+sentParity+extra; si++ {
 				targets = append(targets, si)
