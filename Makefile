@@ -181,7 +181,8 @@ cover:
 # Time-boxed coverage-guided fuzzing of the frame codec, the erasure
 # coders, the tolerant export readers (trace, timeline, run ledger), the
 # log canonicalizer and handler, the trace ring's round trip, the
-# gate's BENCH/PROF artifact loader and NewRNG's math/rand stream;
+# gate's BENCH/PROF artifact loader, NewRNG's math/rand stream and the
+# CLIs' flag validators;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -196,9 +197,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 	$(GO) test -run='^$$' -fuzz='^FuzzNewRNGMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzSelectorFlags$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
+	$(GO) test -run='^$$' -fuzz='^FuzzMetricsAddrFormat$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
+	$(GO) test -run='^$$' -fuzz='^FuzzPathFlags$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
 
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/regress ./internal/stats
+	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/regress ./internal/stats ./internal/cliflags
 
 # The worker-count determinism contract, for results AND for the
 # observability layer: metrics snapshots must be identical for 1 vs N
@@ -230,9 +234,16 @@ fuzzseed:
 # the shuffle scratch, and the reused traffic mask a fresh one. Stage 5
 # too: the fused scatterer pass must equal the per-path sum bit for bit,
 # with the same phasor count and errors, and the wall-loss memo must
-# notice every in-place edit of a wall's attenuation.
+# notice every in-place edit of a wall's attenuation. Stage 6 too: readers
+# of one world's link tape, at random paces and under the race detector,
+# must see the link a local evaluation gives bit for bit, a system of
+# another link must be refused, the coding sweep's blocked order must visit
+# every trial once, taped and local sweeps must agree, every tape must be
+# released, and the sweep's metrics and timeline windows must not depend
+# on the worker count.
 determinism:
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
+	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

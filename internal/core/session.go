@@ -61,6 +61,14 @@ type System struct {
 	// attaching it never perturbs the fault or channel streams. It
 	// composes with Faults — a subframe is lost if either says so.
 	Traffic *traffic.Generator
+	// Link, when non-nil, is the tape of this system's world: QueryRound
+	// takes each round's link (SNR, distortion, coded BERs) from it rather
+	// than evaluating Env, and the caller no longer advances Env between
+	// rounds — the tape advances its own build of the world. The tape must
+	// have been built from the same world; a system whose MCS, positions
+	// or tag coefficients differ from the tape's gets an error. Nil
+	// evaluates the link over Env every round.
+	Link *LinkTape
 	// Obs, when non-nil, receives per-round metrics and trace events.
 	// Instrumentation is passive: it never draws from an RNG and never
 	// branches back into the simulation, so attaching it cannot change a
@@ -88,8 +96,10 @@ type System struct {
 	plan queryPlan
 	// Per-round scratch, reused across rounds. RoundResult never aliases
 	// it.
-	hRest, hFlip, ratios []complex128
-	cov                  tag.CoverageBuffers
+	link linkScratch
+	cov  tag.CoverageBuffers
+	// linkRound is the next round a taped system reads from Link.
+	linkRound int
 }
 
 // DefaultQuerySpec returns the paper-flavoured query: 4 trigger subframes
@@ -207,14 +217,16 @@ func (r *RoundResult) BER() float64 {
 func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// Phase-attribution spans (DESIGN.md §14). The round is carved into
 	// contiguous, non-overlapping regions so phase totals sum to ~the whole
-	// round: encode → channel → equalise → channel → viterbi → crc. Spans
+	// round: encode → channel → channel → equalise → viterbi → crc. Spans
 	// are passive wall-clock reads into volatile histograms — no RNG draws,
 	// no branches into the simulation — and error paths simply drop the
 	// open span (the trial aborts anyway).
 	var spans *obs.Spans
 	if o := s.Obs; o != nil {
 		spans = o.Spans.Lane(s.TraceID)
-		s.Env.Spans = spans
+		if s.Link == nil {
+			s.Env.Spans = spans
+		}
 	}
 	sp := spans.Start()
 	if err := s.Spec.Validate(); err != nil {
@@ -265,38 +277,6 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		}
 	}
 
-	// --- Channel states. ---
-	restCoeff, err := s.Tag.ReflectionFor(false)
-	if err != nil {
-		return nil, err
-	}
-	flipCoeff, err := s.Tag.ReflectionFor(true)
-	if err != nil {
-		return nil, err
-	}
-	excess := s.Tag.ExcessPathM()
-	phasors := s.Env.PhasorEvals()
-	s.hRest, s.hFlip, err = s.Env.ChannelPair(s.ClientPos, s.APPos,
-		&channel.TagReflection{Pos: s.TagPos, Coeff: restCoeff, ExcessPathM: excess},
-		&channel.TagReflection{Pos: s.TagPos, Coeff: flipCoeff, ExcessPathM: excess},
-		s.hRest, s.hFlip)
-	if err != nil {
-		return nil, err
-	}
-	phasors = s.Env.PhasorEvals() - phasors
-	txW, noiseW := s.watts.get(s.Env.TxPowerDbm, s.Env.NoiseFloorDbm)
-	snr := channel.SNRFromWatts(txW, channel.MeanPower(s.hRest), noiseW)
-	sp = spans.Lap(obs.PhaseChannel, sp)
-	if cap(s.ratios) < len(s.hRest) {
-		s.ratios = make([]complex128, len(s.hRest))
-	}
-	distortion, err := phy.DistortionAfterCPEBuf(s.hFlip, s.hRest, s.ratios)
-	if err != nil {
-		return nil, err
-	}
-	dirtySINR := phy.EffectiveSINR(snr, distortion)
-	sp = spans.Lap(obs.PhaseEqualise, sp)
-
 	// --- Per-subframe corruption coverage; nil when the tag never flips.
 	var coverage []float64
 	if detected {
@@ -319,17 +299,29 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	}
 	sp = spans.Lap(obs.PhaseChannel, sp)
 
-	// --- AP side: per-subframe decode, scoreboard, block ACK. The decode
-	// model sees only two SINRs per round, so its coded BERs are evaluated
-	// once here rather than per subframe segment.
-	cleanBER, err := phy.CodedBER(s.Spec.MCS, snr)
+	// --- The round's link: channel states, distortion and the decode
+	// model's two coded BERs, the only SINRs the subframes see. A taped
+	// system reads them from its world's tape, inside this channel region;
+	// otherwise they are evaluated here over the system's own environment.
+	g, err := s.geom()
 	if err != nil {
 		return nil, err
 	}
-	dirtyBER, err := phy.CodedBER(s.Spec.MCS, dirtySINR)
-	if err != nil {
+	var link linkState
+	var phasors int64
+	linkEvals := 1
+	if s.Link != nil {
+		if link, phasors, linkEvals, err = s.Link.at(s.linkRound, &g); err != nil {
+			return nil, err
+		}
+		s.linkRound++
+		sp = spans.Lap(obs.PhaseChannel, sp)
+		sp = spans.Lap(obs.PhaseEqualise, sp)
+	} else if link, sp, phasors, err = s.link.eval(s.Env, &g, spans, sp); err != nil {
 		return nil, err
 	}
+
+	// --- AP side: per-subframe decode, scoreboard, block ACK.
 	sb, err := mac.NewScoreboard(startSeq)
 	if err != nil {
 		return nil, err
@@ -341,7 +333,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		if coverage != nil && i >= s.Spec.TriggerLen {
 			f = coverage[i-s.Spec.TriggerLen]
 		}
-		ok := s.sampleSubframeDecode(cleanBER, dirtyBER, plan.subBits[i], f)
+		ok := s.sampleSubframeDecode(link.cleanBER, link.dirtyBER, plan.subBits[i], f)
 		if s.Faults != nil {
 			// The burst chain steps every subframe so its dwell times are
 			// real time, not conditioned on decode outcomes.
@@ -373,8 +365,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		TxBits:       txBits,
 		Detected:     detected,
 		BALost:       baLost,
-		SNRDb:        phy.SNRToDb(snr),
-		DistortionDb: 10 * math.Log10(math.Max(distortion, 1e-30)),
+		SNRDb:        phy.SNRToDb(link.snr),
+		DistortionDb: 10 * math.Log10(math.Max(link.distortion, 1e-30)),
 	}
 	if baLost {
 		// The client never heard the block ACK: no bitmap, every tag bit
@@ -430,7 +422,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		m.BackoffSlots.Add(int64(slots))
 		m.BusySlots.Add(int64(busy))
 		m.RoundAirtime.Observe(res.Airtime.Microseconds())
-		m.DecodeModelEvals.Add(2)
+		m.DecodeModelEvals.Add(int64(2 * linkEvals))
 		m.SuccessProbEvals.Add(int64(s.memo.evals()))
 		m.ChannelPathEvals.Add(phasors)
 		if o.Trace != nil {

@@ -83,6 +83,49 @@ func TestMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// obsCodingConfig is a reduced coding sweep: two blocks of paired worlds,
+// the second one partial, so link tapes are shared across blocks' edges.
+func obsCodingConfig(workers int) AdaptiveCodingConfig {
+	cfg := DefaultAdaptiveCodingConfig()
+	cfg.Transfers, cfg.Workers = 10, workers
+	return cfg
+}
+
+// TestCodingMetricsIdenticalAcrossWorkerCounts is the coding sweep's form
+// of TestMetricsIdenticalAcrossWorkerCounts. Paired transfers share their
+// world's link tape, and whichever reaches a round first counts its
+// evaluation, so only the totals are fixed: they must not depend on the
+// worker count.
+func TestCodingMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
+	snap := func(workers int) obs.Snapshot {
+		cfg := obsCodingConfig(workers)
+		cfg.Campaign = obs.NewCampaign("test", obs.CampaignOptions{})
+		if _, err := AdaptiveCodingCtx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Campaign.Registry.Snapshot().Deterministic()
+	}
+	ds, dp := snap(1), snap(manyWorkers())
+	if !reflect.DeepEqual(ds, dp) {
+		bs, _ := json.Marshal(ds)
+		bp, _ := json.Marshal(dp)
+		t.Fatalf("worker count changed the metrics:\nserial:   %s\nparallel: %s", bs, bp)
+	}
+	for _, name := range []string{
+		"core.rounds", "core.channel_path_evals", "core.decode_model_evals",
+		"link.transfers_started", "coding.transfers_started", "traffic.subframes_masked",
+	} {
+		if ds.Counters[name] == 0 {
+			t.Errorf("counter %s is zero — instrumentation not exercised", name)
+		}
+	}
+	// Three schemes replay each world, so the tapes evaluate fewer link
+	// states than the sweep runs rounds.
+	if evals, rounds := ds.Counters["core.decode_model_evals"], ds.Counters["core.rounds"]; evals >= 2*rounds {
+		t.Errorf("%d decode-model evaluations over %d rounds: the links were not shared", evals, rounds)
+	}
+}
+
 func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	cfg := obsRobustnessConfig(manyWorkers())
 

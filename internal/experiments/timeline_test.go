@@ -76,3 +76,49 @@ func TestTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal("timeline windows carry no core.rounds activity")
 	}
 }
+
+// TestCodingTimelineWindowsIdenticalAcrossWorkerCounts is the coding
+// sweep's form of TestTimelineWindowsIdenticalAcrossWorkerCounts. A link
+// tape's evaluations count in the window of the transfer that first
+// reaches each round; windows are pool barriers, so that window is the
+// same at any worker count, and so is every window's delta.
+func TestCodingTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
+	export := func(workers int) string {
+		camp := obs.NewCampaign("test-tl", obs.CampaignOptions{})
+		tl := obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: 8})
+		camp.SetTimeline(tl)
+		cfg := obsCodingConfig(workers)
+		cfg.Campaign = camp
+		if _, err := AdaptiveCodingCtx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		tl.Flush()
+		var buf bytes.Buffer
+		if err := tl.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	serial, parallel := export(1), export(manyWorkers())
+	if serial != parallel {
+		t.Fatalf("worker count changed the timeline export:\n1 worker:\n%s\nparallel:\n%s", serial, parallel)
+	}
+	log, err := obs.ReadTimelineLog(bytes.NewReader([]byte(parallel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := log.Logical()
+	if len(wins) < 10 {
+		t.Fatalf("sweep produced only %d logical windows", len(wins))
+	}
+	// The windows must carry shared links: fewer evaluated link states
+	// than rounds.
+	var rounds, evals int64
+	for _, w := range wins {
+		rounds += w.CounterDelta("core.rounds")
+		evals += w.CounterDelta("core.decode_model_evals")
+	}
+	if rounds == 0 || evals >= 2*rounds {
+		t.Errorf("windows carry %d decode-model evaluations over %d rounds: the links were not shared", evals, rounds)
+	}
+}

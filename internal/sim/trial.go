@@ -6,10 +6,11 @@
 //
 // The determinism contract: a trial's outcome is a pure function of what
 // its Build closure constructs and of its DataSeed. Trials share no
-// mutable state, every seed is derived from the experiment root via
-// labeled stats.SubSeed paths (never from worker identity, scheduling
-// order or the wall clock), and the Runner stores each result at its
-// trial's index. Results are therefore byte-identical whether the batch
+// mutable state — bar a paired world's core.LinkTape, whose entries are
+// pure functions of the world's seed and round — every seed is derived
+// from the experiment root via labeled stats.SubSeed paths (never from
+// worker identity, scheduling order or the wall clock), and the Runner
+// stores each result at its trial's index. Results are therefore byte-identical whether the batch
 // runs on one worker or on runtime.NumCPU().
 package sim
 
