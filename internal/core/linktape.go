@@ -3,22 +3,28 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"witag/internal/channel"
 	"witag/internal/dot11"
+	"witag/internal/fault"
 	"witag/internal/obs"
 	"witag/internal/phy"
+	"witag/internal/traffic"
 )
 
 // A round's link (DESIGN.md §17, stage 6) is everything QueryRound derives
 // from the propagation channel: the client→AP SNR, the tag's distortion
 // after pilot CPE correction, and the decode model's coded BER on either
 // side of a tag flip. It depends on the environment's scatterers and on
-// the link's geometry, never on a round's bits, faults or traffic, so the
-// paired trials of one world (the coding sweep's ARQ, LT and RS transfers)
-// see the same link in every round. A LinkTape evaluates it once for all
-// of them.
+// the link's geometry, never on a round's bits. A round's draws (stage 7)
+// are its fault verdicts and its ambient-traffic mask; the fault injector
+// and the traffic generator are seeded from the world alone, so they too
+// never depend on a round's bits. The paired trials of one world (the
+// coding sweep's ARQ, LT and RS transfers) therefore see the same link and
+// the same draws in every round, and a LinkTape evaluates both once for
+// all of them.
 
 // linkState is one round's link: 32 bytes, no pointers.
 type linkState struct {
@@ -26,6 +32,92 @@ type linkState struct {
 	distortion float64 // tag-induced distortion power after CPE correction
 	cleanBER   float64 // coded BER at snr
 	dirtyBER   float64 // coded BER at the effective SINR under distortion
+}
+
+// roundDraws is one round's fault verdicts and ambient mask: every value
+// QueryRound takes from the Faults and Traffic streams, and what the
+// round's draws counted. 24 bytes, no pointers; a query has at most
+// dot11.MaxSubframes = 64 subframes, so one word holds a mask.
+type roundDraws struct {
+	lost       uint64 // bit i: the burst interferer destroyed subframe i
+	ambient    uint64 // bit i: an ambient burst overlapped subframe i
+	bursts     int32  // ambient bursts placed
+	brownStart uint8  // first data subframe of the brownout window
+	brownLen   uint8  // its length; 0 when no brownout
+	masked     uint8  // subframes the ambient bursts masked
+	flags      uint8  // drawTrigMiss | drawBALost | drawSwitched
+}
+
+const (
+	drawTrigMiss = 1 << iota // the trigger was erased at the tag
+	drawBALost               // the block ACK never reached the client
+	drawSwitched             // the ambient load chain changed state
+)
+
+// drawRound draws one round from in and g, either of which may be nil,
+// over a query of total subframes, dataLen of them data. It calls the
+// hooks in the order the fault package's contract fixes — TriggerMissed,
+// BrownoutWindow, SubframeLost per subframe, BALost — and then
+// RoundMask, so the hooks count as they always have.
+func drawRound(in *fault.Injector, g *traffic.Generator, dataLen, total int) roundDraws {
+	var d roundDraws
+	if in != nil {
+		if in.TriggerMissed() {
+			d.flags |= drawTrigMiss
+		}
+		if start, length, active := in.BrownoutWindow(dataLen); active {
+			d.brownStart, d.brownLen = uint8(start), uint8(length)
+		}
+		for i := range total {
+			if in.SubframeLost() {
+				d.lost |= 1 << i
+			}
+		}
+		if in.BALost() {
+			d.flags |= drawBALost
+		}
+	}
+	if g != nil {
+		mask, r := g.RoundMask(total)
+		for i, hit := range mask {
+			if hit {
+				d.ambient |= 1 << i
+			}
+		}
+		d.bursts, d.masked = int32(r.Bursts), uint8(r.Masked)
+		if r.Switched {
+			d.flags |= drawSwitched
+		}
+	}
+	return d
+}
+
+// count records d in the injector's and the generator's counters and
+// trace, as drawing it through their hooks would have: it is how a taped
+// system counts the draws its tape made.
+func (d *roundDraws) count(in *fault.Injector, g *traffic.Generator) {
+	if in != nil {
+		if d.flags&drawTrigMiss != 0 {
+			in.CountTriggerMiss()
+		}
+		if d.brownLen > 0 {
+			in.CountBrownout(int(d.brownStart), int(d.brownLen))
+		}
+		in.CountSubframesLost(bits.OnesCount64(d.lost))
+		if d.flags&drawBALost != 0 {
+			in.CountBALoss()
+		}
+	}
+	if g != nil {
+		g.Count(traffic.Round{Bursts: int(d.bursts), Masked: int(d.masked), Switched: d.flags&drawSwitched != 0})
+	}
+}
+
+// worldRound is one round of a world as its tape records it: 56 bytes,
+// no pointers.
+type worldRound struct {
+	link  linkState
+	draws roundDraws
 }
 
 // linkGeom is every input of a link evaluation the System supplies: the
@@ -108,74 +200,100 @@ func (b *linkScratch) eval(env *channel.Environment, g *linkGeom, spans *obs.Spa
 	return st, sp, phasors, nil
 }
 
-// tapeChunk is how many rounds one chunk of a tape holds (8 KiB).
+// tapeChunk is how many rounds one chunk of a tape holds (14 KiB).
 const tapeChunk = 256
 
-// LinkTape is an append-only record of one world's link, round by round,
-// shared by every System that replays that world. Round r is the link
-// after r+1 steps of channel.RoundStepS scatterer motion — the step every
-// transfer and measurement loop takes before each query round. The tape
-// owns a private build of the world, which no System touches: the first
-// reader to reach round r advances that build and evaluates the round
-// under the tape's lock, and every later reader copies the stored state.
-// Each entry is a pure function of the world's environment seed and the
-// round, so which reader computes it never changes a result.
+// LinkTape is an append-only record of one world, round by round, shared
+// by every System that replays that world: each round's link and its
+// draws. Round r is the link after r+1 steps of channel.RoundStepS
+// scatterer motion — the step every transfer and measurement loop takes
+// before each query round — and the (r+1)th round of the world's fault
+// and traffic streams. The tape owns a private build of the world, which
+// no System touches: the first reader to reach round r advances that
+// build, evaluates the round's link and draws its faults and traffic
+// through the hooks under the tape's lock, and every later reader copies
+// the stored round. Each entry is a pure function of the world's seeds and
+// the round, so which reader records it never changes a result.
 //
-// A System with a tape (System.Link) takes its link from the tape rather
-// than from its own environment, which it then never needs advanced. A
-// LinkTape is safe for concurrent use.
+// A System with a tape (System.Link) takes its link and its draws from the
+// tape rather than from its own environment and streams, which it then
+// never needs advanced; it still counts and traces the draws through its
+// own injector and generator. A LinkTape is safe for concurrent use.
 type LinkTape struct {
 	mu      sync.Mutex
 	build   func() (*System, *channel.Environment, error)
-	env     *channel.Environment // nil until the first read
+	world   *System              // the private build; nil until the first read
+	env     *channel.Environment // its environment
 	geom    linkGeom
 	scratch linkScratch
 	err     error // a failed build or evaluation, returned to every reader
-	chunks  []*[tapeChunk]linkState
+	chunks  []*[tapeChunk]worldRound
 	n       int // rounds recorded
 }
 
 // NewLinkTape returns an empty tape over the world build constructs. The
 // build runs once, on the first read; it must construct the same world,
-// from the same seeds, as the systems that read the tape.
+// from the same seeds, as the systems that read the tape — its
+// environment, its fault injector and its traffic generator alike.
 func NewLinkTape(build func() (*System, *channel.Environment, error)) *LinkTape {
 	return &LinkTape{build: build}
 }
 
-// at returns round r's link for a reader whose geometry is g, recording
-// every round up to r first if no reader has reached it yet. It also
-// returns the phasors and the link states it evaluated on this call, so
-// the reader's work counters count each state exactly once. A reader
-// whose geometry differs from the tape's gets an error, never another
-// world's link.
-func (t *LinkTape) at(r int, g *linkGeom) (st linkState, phasors int64, evals int, err error) {
+// at returns round r of the world for reader s, whose link geometry is g,
+// recording every round up to r first if no reader has reached it yet. It
+// also returns the phasors and the link states it evaluated on this call,
+// so the readers' work counters count each state exactly once. A reader
+// whose world differs from the tape's gets an error, never another
+// world's round.
+func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int64, evals int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.env == nil && t.err == nil {
+	if t.world == nil && t.err == nil {
 		t.open()
 	}
 	if t.err != nil {
-		return st, 0, 0, t.err
+		return w, 0, 0, t.err
 	}
-	if *g != t.geom {
-		return st, 0, 0, fmt.Errorf("core: the system's link (MCS, positions or tag coefficients) differs from its tape's")
+	if err := t.refuse(s, g); err != nil {
+		return w, 0, 0, err
 	}
+	ws := t.world
+	dataLen, total := ws.Spec.DataLen, ws.Spec.TriggerLen+ws.Spec.DataLen
 	for t.n <= r {
 		t.env.Advance(channel.RoundStepS)
 		next, _, p, err := t.scratch.eval(t.env, &t.geom, nil, 0)
 		if err != nil {
 			t.err = err
-			return st, phasors, evals, err
+			return w, phasors, evals, err
 		}
 		if t.n%tapeChunk == 0 {
-			t.chunks = append(t.chunks, new([tapeChunk]linkState))
+			t.chunks = append(t.chunks, new([tapeChunk]worldRound))
 		}
-		t.chunks[t.n/tapeChunk][t.n%tapeChunk] = next
+		t.chunks[t.n/tapeChunk][t.n%tapeChunk] = worldRound{next, drawRound(ws.Faults, ws.Traffic, dataLen, total)}
 		t.n++
 		phasors += p
 		evals++
 	}
 	return t.chunks[r/tapeChunk][r%tapeChunk], phasors, evals, nil
+}
+
+// refuse returns an error when reader s, with link geometry g, is not of
+// the tape's world: its link, its query's subframe counts, or the profile
+// (or the presence) of its fault injector or traffic generator differ.
+func (t *LinkTape) refuse(s *System, g *linkGeom) error {
+	ws := t.world
+	switch {
+	case *g != t.geom:
+		return fmt.Errorf("core: the system's link (MCS, positions or tag coefficients) differs from its tape's")
+	case s.Spec.DataLen != ws.Spec.DataLen || s.Spec.TriggerLen != ws.Spec.TriggerLen:
+		return fmt.Errorf("core: the system's query (%d+%d subframes) differs from its tape's (%d+%d)",
+			s.Spec.TriggerLen, s.Spec.DataLen, ws.Spec.TriggerLen, ws.Spec.DataLen)
+	case (s.Faults == nil) != (ws.Faults == nil) || s.Faults != nil && s.Faults.Profile != ws.Faults.Profile:
+		return fmt.Errorf("core: the system's fault profile differs from its tape's")
+	case (s.Traffic == nil) != (ws.Traffic == nil) || s.Traffic != nil && !s.Traffic.Profile().Equal(ws.Traffic.Profile()):
+		return fmt.Errorf("core: the system's traffic profile differs from its tape's")
+	}
+	return nil
 }
 
 // open builds the tape's private world and takes its link geometry.
@@ -185,12 +303,15 @@ func (t *LinkTape) open() {
 		err = fmt.Errorf("core: link tape build returned no world")
 	}
 	if err == nil {
+		err = sys.Spec.Validate()
+	}
+	if err == nil {
 		t.geom, err = sys.geom()
 	}
 	if err != nil {
 		t.err = fmt.Errorf("core: link tape build: %w", err)
 		return
 	}
-	t.env = env
+	t.world, t.env = sys, env
 	t.build = nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -15,11 +17,12 @@ import (
 	"witag/internal/obs"
 	"witag/internal/stats"
 	"witag/internal/tag"
+	"witag/internal/traffic"
 )
 
-// linkWorld returns a build of the Figure 4 LoS room with the tag at tagX
-// and a fault injector, every stream seeded from seed: the same world at
-// every call.
+// linkWorld returns a build of the Figure 4 LoS room with the tag at tagX,
+// a bursty fault injector and office ambient traffic, every stream seeded
+// from seed: the same world at every call.
 func linkWorld(tagX float64, seed int64) func() (*System, *channel.Environment, error) {
 	return func() (*System, *channel.Environment, error) {
 		env := channel.NewEnvironment(seed)
@@ -41,22 +44,32 @@ func linkWorld(tagX float64, seed int64) func() (*System, *channel.Environment, 
 		if sys.Faults, err = fault.NewInjector(p, stats.SubSeed(seed, "fault")); err != nil {
 			return nil, nil, err
 		}
+		tp, err := traffic.Named("office")
+		if err != nil {
+			return nil, nil, err
+		}
+		if sys.Traffic, err = traffic.NewGenerator(tp, stats.SubSeed(seed, "traffic")); err != nil {
+			return nil, nil, err
+		}
 		return sys, env, nil
 	}
 }
 
 // tapeRound is what a round reports, with its floats as raw bits so the
-// comparison is bit for bit.
+// comparison is bit for bit, and the fault and traffic counts of the
+// system's injector and generator after it.
 type tapeRound struct {
 	Detected, BALost bool
 	BitErrors        int
 	RxBits           []byte
 	SNR, Distortion  uint64
+	Faults           [4]int
+	Traffic          [4]int64
 }
 
-// linkRounds runs rounds query rounds on sys, advancing env before each
-// one when env is non-nil, and yields to the scheduler at a random pace
-// drawn from pace (nil: never).
+// linkRounds runs rounds query rounds on sys, which must have an observer
+// of its own, advancing env before each one when env is non-nil, and
+// yields to the scheduler at a random pace drawn from pace (nil: never).
 func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Rand) ([]tapeRound, error) {
 	rng := stats.NewRNG(5)
 	out := make([]tapeRound, 0, rounds)
@@ -68,8 +81,11 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 		if err != nil {
 			return nil, err
 		}
+		in, tm := sys.Faults, sys.Obs.Traffic
 		out = append(out, tapeRound{res.Detected, res.BALost, res.BitErrors, res.RxBits,
-			math.Float64bits(res.SNRDb), math.Float64bits(res.DistortionDb)})
+			math.Float64bits(res.SNRDb), math.Float64bits(res.DistortionDb),
+			[4]int{in.SubframesLost, in.TriggerMisses, in.BALosses, in.Brownouts},
+			[4]int64{tm.Rounds.Value(), tm.Bursts.Value(), tm.SubframesMask.Value(), tm.StateSwitches.Value()}})
 		for pace != nil && pace.Intn(3) == 0 {
 			runtime.Gosched()
 		}
@@ -78,11 +94,12 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 }
 
 // TestLinkTapeConcurrentReadersMatchLocal has several systems of one world
-// read one tape concurrently, each at its own random pace, and requires
-// every round of every reader to equal a system that evaluates the link
-// over its own environment, bit for bit. The tape must evaluate each
-// round exactly once, so the readers' work counters sum to the local
-// system's.
+// — bursty faults and office traffic included — read one tape
+// concurrently, each at its own random pace, and requires every round of
+// every reader to equal a system that evaluates the link and draws its
+// faults and traffic itself, bit for bit, with the same fault and traffic
+// counts after it. The tape must evaluate each round exactly once, so the
+// readers' work counters sum to the local system's.
 func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	const rounds, readers = 700, 6
 	build := linkWorld(2, 31)
@@ -98,7 +115,7 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	}
 
 	tape := NewLinkTape(build)
-	camp := obs.NewCampaign("taped", obs.CampaignOptions{})
+	camps := make([]*obs.Campaign, readers)
 	got := make([][]tapeRound, readers)
 	errs := make([]error, readers)
 	var wg sync.WaitGroup
@@ -108,7 +125,8 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Link = tape
-		sys.Instrument(camp.Observer, i, "taped")
+		camps[i] = obs.NewCampaign("taped", obs.CampaignOptions{})
+		sys.Instrument(camps[i].Observer, i, "taped")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -133,39 +151,82 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	if n := tape.n; n != rounds {
 		t.Fatalf("tape recorded %d rounds, want %d", n, rounds)
 	}
-	w, g := localCamp.Registry.Snapshot().Counters, camp.Registry.Snapshot().Counters
+	last := want[rounds-1]
+	if last.Faults[0] == 0 || last.Faults[1] == 0 || last.Faults[2] == 0 || last.Faults[3] == 0 || last.Traffic[1] == 0 {
+		t.Fatalf("the world drew too few events to compare: faults %v, traffic %v", last.Faults, last.Traffic)
+	}
+	w := localCamp.Registry.Snapshot().Counters
 	for _, c := range []string{"core.channel_path_evals", "core.decode_model_evals"} {
-		if w[c] == 0 || g[c] != w[c] {
-			t.Errorf("%s: readers counted %d, the local system %d", c, g[c], w[c])
+		var sum int64
+		for _, camp := range camps {
+			sum += camp.Registry.Snapshot().Counters[c]
+		}
+		if w[c] == 0 || sum != w[c] {
+			t.Errorf("%s: readers counted %d, the local system %d", c, sum, w[c])
 		}
 	}
 }
 
-// TestLinkTapeRejectsOtherLink: a system whose MCS, positions or tag
-// coefficients differ from its tape's gets an error, never the tape's
-// link, and a failed build reaches every reader.
+// TestLinkTapeRejectsOtherLink: a system whose MCS, positions, tag
+// coefficients, query subframe counts, fault profile or traffic profile
+// differ from its tape's — or that has faults or traffic where the tape's
+// world has none, or none where it has some — gets an error, never the
+// tape's round, and a failed build reaches every reader.
 func TestLinkTapeRejectsOtherLink(t *testing.T) {
 	mcs4, err := dot11.HTMCS(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edits := map[string]func(s *System){
-		"mcs":     func(s *System) { s.Spec.MCS = mcs4 },
-		"client":  func(s *System) { s.ClientPos.X += 0.1 },
-		"ap":      func(s *System) { s.APPos.Y = -0.2 },
-		"tag":     func(s *System) { s.TagPos.X = 3 },
-		"gain":    func(s *System) { s.Tag.Switch.Gain *= 1.01 },
-		"excess":  func(s *System) { s.Tag.GroupDelayNs += 0.5 },
-		"flip":    func(s *System) { s.Tag.FlipState = tag.Open },
-		"control": func(s *System) {},
+	download, err := traffic.Named("download")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFaults := func(s *System) { s.Faults = nil }
+	noTraffic := func(s *System) { s.Traffic = nil }
+	// want is the part of the world each edit changes, as the error names it.
+	edits := map[string]struct {
+		want          string
+		reader, world func(s *System)
+	}{
+		"mcs":           {want: "link", reader: func(s *System) { s.Spec.MCS = mcs4 }},
+		"client":        {want: "link", reader: func(s *System) { s.ClientPos.X += 0.1 }},
+		"ap":            {want: "link", reader: func(s *System) { s.APPos.Y = -0.2 }},
+		"tag":           {want: "link", reader: func(s *System) { s.TagPos.X = 3 }},
+		"gain":          {want: "link", reader: func(s *System) { s.Tag.Switch.Gain *= 1.01 }},
+		"excess":        {want: "link", reader: func(s *System) { s.Tag.GroupDelayNs += 0.5 }},
+		"flip":          {want: "link", reader: func(s *System) { s.Tag.FlipState = tag.Open }},
+		"data_len":      {want: "query", reader: func(s *System) { s.Spec.TriggerLen, s.Spec.DataLen = 5, 59 }},
+		"total":         {want: "query", reader: func(s *System) { s.Spec.DataLen--; s.Spec.PayloadSizes = s.Spec.PayloadSizes[:63] }},
+		"fault_profile": {want: "fault profile", reader: func(s *System) { s.Faults.Profile.LossBad = 0.5 }},
+		"reader_faults": {want: "fault profile", world: noFaults},
+		"tape_faults":   {want: "fault profile", reader: noFaults},
+		"traffic_profile": {want: "traffic profile", reader: func(s *System) {
+			g, err := traffic.NewGenerator(download, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Traffic = g
+		}},
+		"reader_traffic": {want: "traffic profile", world: noTraffic},
+		"tape_traffic":   {want: "traffic profile", reader: noTraffic},
+		"control":        {},
 	}
 	for name, edit := range edits {
-		tape := NewLinkTape(linkWorld(2, 8))
-		sys, _, err := linkWorld(2, 8)()
+		build := linkWorld(2, 8)
+		tape := NewLinkTape(func() (*System, *channel.Environment, error) {
+			sys, env, err := build()
+			if err == nil && edit.world != nil {
+				edit.world(sys)
+			}
+			return sys, env, err
+		})
+		sys, _, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		edit(sys)
+		if edit.reader != nil {
+			edit.reader(sys)
+		}
 		sys.Link = tape
 		_, err = sys.QueryRound(nil)
 		if name == "control" {
@@ -174,8 +235,8 @@ func TestLinkTapeRejectsOtherLink(t *testing.T) {
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), "differs from its tape") {
-			t.Errorf("%s: QueryRound returned %v, want a tape mismatch", name, err)
+		if err == nil || !strings.Contains(err.Error(), edit.want) || !strings.Contains(err.Error(), "differs from its tape") {
+			t.Errorf("%s: QueryRound returned %v, want a mismatch of the %s", name, err, edit.want)
 		}
 	}
 
@@ -190,4 +251,172 @@ func TestLinkTapeRejectsOtherLink(t *testing.T) {
 			t.Errorf("failed build: QueryRound returned %v", err)
 		}
 	}
+}
+
+// fuzzBytes hands out a fuzz input's bytes one at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// prob maps the next byte onto [0,1], both ends included.
+func (b *fuzzBytes) prob() float64 { return float64(b.next()) / 255 }
+
+// fuzzProfiles derives a valid fault profile and a valid traffic profile
+// from raw.
+func fuzzProfiles(raw fuzzBytes) (fault.Profile, traffic.Profile) {
+	fp := fault.Profile{
+		PGoodBad: raw.prob(), PBadGood: raw.prob(), LossGood: raw.prob(), LossBad: raw.prob(),
+		TriggerMissProb: raw.prob(), BALossProb: raw.prob(), BrownoutProb: raw.prob(),
+		BrownoutSubframes: 1 + int(raw.next()%70),
+	}
+	n := 1 + int(raw.next()%3)
+	tp := traffic.Profile{Start: int(raw.next()) % n, Trans: make([][]float64, n)}
+	for i := range n {
+		tp.States = append(tp.States, traffic.State{
+			ArrivalsPerRound:   float64(raw.next()) / 16,
+			MeanBurstSubframes: 0.5 + float64(raw.next())/8,
+		})
+		row, sum := make([]float64, n), 0.0
+		for j := range row {
+			row[j] = float64(raw.next())
+			sum += row[j]
+		}
+		if sum == 0 {
+			row[i], sum = 1, 1
+		}
+		for j := range row {
+			row[j] /= sum
+		}
+		tp.Trans[i] = row
+	}
+	return fp, tp
+}
+
+// FuzzLinkTapeDraws: for random valid fault and traffic profiles, seeds
+// and queries of up to dot11.MaxSubframes subframes, every round a tape
+// records must hold exactly what the hooks return when called directly,
+// in the fault package's order, on a twin injector and generator of the
+// same seeds: the trigger and block-ACK verdicts, the brownout window,
+// one lost bit and one ambient bit per subframe (bit 63 included) and
+// the traffic counts. A taped reader must count and trace the same events
+// as the twin.
+func FuzzLinkTapeDraws(f *testing.F) {
+	all := bytes.Repeat([]byte{255}, 64)
+	// 4+60 subframes, every one lost and masked: bit 63 set.
+	f.Add(int64(1), uint16(7*59+2), byte(3), all)
+	// 8+56 subframes, bursty.
+	f.Add(int64(7), uint16(7*55+6), byte(3), []byte{30, 60, 2, 200, 5, 9, 80, 8})
+	// 2+1 subframes, faults only.
+	f.Add(int64(42), uint16(0), byte(1), []byte{3, 100, 1, 150, 0, 0, 0})
+	// 5+21 subframes, traffic only.
+	f.Add(int64(-5), uint16(7*20+3), byte(2), []byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 40, 16, 9, 30, 200, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16, layers byte, raw []byte) {
+		trig := 2 + int(shape%7)
+		data := 1 + int(shape/7)%(dot11.MaxSubframes-trig)
+		fp, tp := fuzzProfiles(raw)
+		build := func() (*System, *channel.Environment, error) {
+			env := channel.NewEnvironment(seed)
+			sys, err := NewSystem(env, channel.Point{}, channel.Point{X: 6}, channel.Point{X: 3, Y: 0.3}, 68, seed)
+			if err != nil {
+				return nil, nil, err
+			}
+			sys.Spec.TriggerLen, sys.Spec.DataLen, sys.Spec.PayloadSizes = trig, data, nil
+			if layers&1 != 0 {
+				if sys.Faults, err = fault.NewInjector(fp, stats.SubSeed(seed, "fault")); err != nil {
+					return nil, nil, err
+				}
+			}
+			if layers&2 != 0 {
+				if sys.Traffic, err = traffic.NewGenerator(tp, stats.SubSeed(seed, "traffic")); err != nil {
+					return nil, nil, err
+				}
+			}
+			return sys, env, nil
+		}
+		reader, _, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tape := NewLinkTape(build)
+		reader.Link = tape
+		ro, to := obs.NewObserver(nil, obs.NewRecorder(1<<12)), obs.NewObserver(nil, obs.NewRecorder(1<<12))
+		reader.Instrument(ro, 1, "fuzz")
+		twin.Instrument(to, 1, "fuzz")
+		total := trig + data
+		for r := range 6 {
+			if _, err := reader.QueryRound(nil); err != nil {
+				t.Fatal(err)
+			}
+			var want roundDraws
+			if in := twin.Faults; in != nil {
+				if in.TriggerMissed() {
+					want.flags |= drawTrigMiss
+				}
+				if start, length, active := in.BrownoutWindow(data); active {
+					want.brownStart, want.brownLen = uint8(start), uint8(length)
+				}
+				for i := range total {
+					if in.SubframeLost() {
+						want.lost |= 1 << i
+					}
+				}
+				if in.BALost() {
+					want.flags |= drawBALost
+				}
+				if fp.LossGood == 1 && fp.LossBad == 1 && bits.OnesCount64(want.lost) != total {
+					t.Fatalf("round %d: certain loss lost only %064b of %d subframes", r, want.lost, total)
+				}
+			}
+			if g := twin.Traffic; g != nil {
+				m := to.Traffic
+				bursts, masked, switches := m.Bursts.Value(), m.SubframesMask.Value(), m.StateSwitches.Value()
+				mask, _ := g.RoundMask(total)
+				for i, hit := range mask {
+					if hit {
+						want.ambient |= 1 << i
+					}
+				}
+				want.bursts = int32(m.Bursts.Value() - bursts)
+				want.masked = uint8(m.SubframesMask.Value() - masked)
+				if m.StateSwitches.Value() != switches {
+					want.flags |= drawSwitched
+				}
+			}
+			if got := tape.chunks[0][r].draws; got != want {
+				t.Fatalf("round %d: the tape recorded %+v, the hooks drew %+v", r, got, want)
+			}
+		}
+		if reader.Faults != nil {
+			rf, tf := reader.Faults, twin.Faults
+			if g, w := [4]int{rf.SubframesLost, rf.TriggerMisses, rf.BALosses, rf.Brownouts}, [4]int{tf.SubframesLost, tf.TriggerMisses, tf.BALosses, tf.Brownouts}; g != w {
+				t.Fatalf("reader counted faults %v, the hooks %v", g, w)
+			}
+		}
+		rc, tc := ro.Registry.Snapshot().Counters, to.Registry.Snapshot().Counters
+		for name, v := range tc {
+			if (strings.HasPrefix(name, "fault.") || strings.HasPrefix(name, "traffic.")) && rc[name] != v {
+				t.Fatalf("%s: reader counted %d, the hooks %d", name, rc[name], v)
+			}
+		}
+		var faults []obs.Event
+		for _, e := range ro.Trace.Events() {
+			if e.Kind == "fault" {
+				faults = append(faults, e)
+			}
+		}
+		if tw := to.Trace.Events(); !reflect.DeepEqual(faults, tw) && len(faults)+len(tw) > 0 {
+			t.Fatalf("reader traced %+v, the hooks %+v", faults, tw)
+		}
+	})
 }

@@ -197,7 +197,7 @@ type queryPlan struct {
 }
 
 // matches reports whether the plan was computed for q and overhead.
-func (p *queryPlan) matches(q QuerySpec, overhead int) bool {
+func (p *queryPlan) matches(q *QuerySpec, overhead int) bool {
 	return p.ok && p.overhead == overhead &&
 		p.spec.TriggerLen == q.TriggerLen && p.spec.DataLen == q.DataLen &&
 		p.spec.MCS == q.MCS && p.spec.Width == q.Width && p.spec.GI == q.GI &&

@@ -62,12 +62,15 @@ type System struct {
 	// composes with Faults — a subframe is lost if either says so.
 	Traffic *traffic.Generator
 	// Link, when non-nil, is the tape of this system's world: QueryRound
-	// takes each round's link (SNR, distortion, coded BERs) from it rather
-	// than evaluating Env, and the caller no longer advances Env between
-	// rounds — the tape advances its own build of the world. The tape must
-	// have been built from the same world; a system whose MCS, positions
-	// or tag coefficients differ from the tape's gets an error. Nil
-	// evaluates the link over Env every round.
+	// takes each round's link (SNR, distortion, coded BERs) and its fault
+	// verdicts and ambient mask from it rather than evaluating Env and
+	// drawing from Faults and Traffic, which it only counts the tape's
+	// draws through. The caller no longer advances Env between rounds —
+	// the tape advances its own build of the world. The tape must have
+	// been built from the same world; a system whose MCS, positions, tag
+	// coefficients, subframe counts, fault profile or traffic profile
+	// differ from the tape's gets an error. Nil evaluates the link over
+	// Env and draws from Faults and Traffic every round.
 	Link *LinkTape
 	// Obs, when non-nil, receives per-round metrics and trace events.
 	// Instrumentation is passive: it never draws from an RNG and never
@@ -229,13 +232,20 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		}
 	}
 	sp := spans.Start()
-	if err := s.Spec.Validate(); err != nil {
+	// --- Client side: "transmit" the query. Only its shape matters to the
+	// round — airtimes, sizes, the sequence window — so the aggregate is
+	// planned once per spec and its sequence numbers reserved, never built.
+	// Planning validates the spec.
+	plan, err := s.queryPlan()
+	if err != nil {
 		return nil, err
 	}
-	if len(bits) > s.Spec.DataLen {
-		return nil, fmt.Errorf("core: %d bits exceed the query's %d data subframes", len(bits), s.Spec.DataLen)
+	trigLen, dataLen := s.Spec.TriggerLen, s.Spec.DataLen
+	total := trigLen + dataLen
+	if len(bits) > dataLen {
+		return nil, fmt.Errorf("core: %d bits exceed the query's %d data subframes", len(bits), dataLen)
 	}
-	txBits := make([]byte, s.Spec.DataLen)
+	txBits := make([]byte, dataLen)
 	for i := range txBits {
 		if i < len(bits) {
 			txBits[i] = bits[i] & 1
@@ -243,19 +253,35 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 			txBits[i] = 1
 		}
 	}
-
-	// --- Client side: "transmit" the query. Only its shape matters to the
-	// round — airtimes, sizes, the sequence window — so the aggregate is
-	// planned once per spec and its sequence numbers reserved, never built.
-	plan, err := s.queryPlan()
-	if err != nil {
-		return nil, err
-	}
-	startSeq, err := s.Scheduler.Reserve(s.Spec.Total())
+	startSeq, err := s.Scheduler.Reserve(total)
 	if err != nil {
 		return nil, err
 	}
 	sp = spans.Lap(obs.PhaseEncode, sp)
+
+	// --- The world's round. Faults and ambient traffic draw in a fixed
+	// order regardless of the round's outcome, so their streams depend only
+	// on their seeds. A taped system reads them, with the round's link,
+	// from its world's tape at the top of this channel region, and counts
+	// them through its own injector and generator; otherwise they are
+	// drawn here from the system's own streams.
+	var w worldRound
+	var phasors int64
+	linkEvals := 1
+	var g linkGeom
+	if s.Link != nil {
+		if g, err = s.geom(); err != nil {
+			return nil, err
+		}
+		if w, phasors, linkEvals, err = s.Link.at(s.linkRound, s, &g); err != nil {
+			return nil, err
+		}
+		s.linkRound++
+		w.draws.count(s.Faults, s.Traffic)
+	} else {
+		w.draws = drawRound(s.Faults, s.Traffic, dataLen, total)
+	}
+	draws := &w.draws
 
 	// --- Tag side: trigger detection. The tag's run-length measurement
 	// spans all trigger subframes, so its per-subframe estimate is the
@@ -264,86 +290,63 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Injected faults draw in a fixed order regardless of the round's
-	// outcome, so the fault stream depends only on the injector seed.
-	var brownStart, brownLen int
-	baLost := false
-	if s.Faults != nil {
-		if s.Faults.TriggerMissed() {
-			detected = false
-		}
-		if start, length, active := s.Faults.BrownoutWindow(s.Spec.DataLen); active {
-			brownStart, brownLen = start, length
-		}
+	if draws.flags&drawTrigMiss != 0 {
+		detected = false
 	}
 
 	// --- Per-subframe corruption coverage; nil when the tag never flips.
 	var coverage []float64
 	if detected {
-		coverage, err = s.Tag.CorruptionCoverageInto(&s.cov, timing, txBits, plan.airs[s.Spec.TriggerLen:], s.TempC)
+		coverage, err = s.Tag.CorruptionCoverageInto(&s.cov, timing, txBits, plan.airs[trigLen:], s.TempC)
 		if err != nil {
 			return nil, err
 		}
 		// A browned-out switch freezes in its rest state: the window's
 		// subframes go uncorrupted and read as idle 1s at the client.
-		for i := brownStart; i < brownStart+brownLen; i++ {
-			coverage[i] = 0
-		}
-	}
-
-	// Ambient traffic draws once per round at this fixed point, from its
-	// own stream; the mask is applied below alongside the fault verdicts.
-	var ambient []bool
-	if s.Traffic != nil {
-		ambient = s.Traffic.RoundMask(s.Spec.Total())
+		clear(coverage[draws.brownStart : draws.brownStart+draws.brownLen])
 	}
 	sp = spans.Lap(obs.PhaseChannel, sp)
 
 	// --- The round's link: channel states, distortion and the decode
 	// model's two coded BERs, the only SINRs the subframes see. A taped
-	// system reads them from its world's tape, inside this channel region;
-	// otherwise they are evaluated here over the system's own environment.
-	g, err := s.geom()
-	if err != nil {
-		return nil, err
-	}
-	var link linkState
-	var phasors int64
-	linkEvals := 1
+	// system took them from its tape above; otherwise they are evaluated
+	// here over the system's own environment.
 	if s.Link != nil {
-		if link, phasors, linkEvals, err = s.Link.at(s.linkRound, &g); err != nil {
-			return nil, err
-		}
-		s.linkRound++
 		sp = spans.Lap(obs.PhaseChannel, sp)
 		sp = spans.Lap(obs.PhaseEqualise, sp)
-	} else if link, sp, phasors, err = s.link.eval(s.Env, &g, spans, sp); err != nil {
-		return nil, err
+	} else {
+		if g, err = s.geom(); err != nil {
+			return nil, err
+		}
+		if w.link, sp, phasors, err = s.link.eval(s.Env, &g, spans, sp); err != nil {
+			return nil, err
+		}
 	}
+	link := &w.link
 
-	// --- AP side: per-subframe decode, scoreboard, block ACK.
+	// --- AP side: per-subframe decode, scoreboard, block ACK. The burst
+	// chain stepped every subframe above, so its dwell times are real
+	// time, not conditioned on decode outcomes.
 	sb, err := mac.NewScoreboard(startSeq)
 	if err != nil {
 		return nil, err
 	}
 	s.memo.reset()
 	subOK, subLost := 0, 0
-	for i := 0; i < s.Spec.Total(); i++ {
+	for i := 0; i < total; i++ {
 		f := 0.0
-		if coverage != nil && i >= s.Spec.TriggerLen {
-			f = coverage[i-s.Spec.TriggerLen]
+		if coverage != nil && i >= trigLen {
+			f = coverage[i-trigLen]
 		}
 		ok := s.sampleSubframeDecode(link.cleanBER, link.dirtyBER, plan.subBits[i], f)
 		if s.Faults != nil {
-			// The burst chain steps every subframe so its dwell times are
-			// real time, not conditioned on decode outcomes.
-			if s.Faults.SubframeLost() {
+			if draws.lost>>i&1 != 0 {
 				ok = false
 			}
 		} else if ok && stats.Bernoulli(s.rng, s.AmbientLossProb) {
 			ok = false // lost to interference outside the model
 		}
-		if ambient != nil && ambient[i] {
+		if draws.ambient>>i&1 != 0 {
 			ok = false // collided with another station's A-MPDU burst
 		}
 		if ok {
@@ -357,9 +360,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	}
 	sp = spans.Lap(obs.PhaseViterbi, sp)
 	ba := sb.BlockAck(s.Scheduler.Src, s.Scheduler.Dst, 0)
-	if s.Faults != nil && s.Faults.BALost() {
-		baLost = true
-	}
+	baLost := draws.flags&drawBALost != 0
 
 	res := &RoundResult{
 		TxBits:       txBits,
@@ -374,11 +375,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		res.BitErrors = len(txBits)
 	} else {
 		// --- Client side: read tag bits out of the bitmap. ---
-		allBits, err := ba.BitmapBits(s.Spec.TriggerLen + s.Spec.DataLen)
+		allBits, err := ba.BitmapBits(total)
 		if err != nil {
 			return nil, err
 		}
-		res.RxBits = allBits[s.Spec.TriggerLen:]
+		res.RxBits = allBits[trigLen:]
 		for i := range txBits {
 			if txBits[i] != res.RxBits[i] {
 				res.BitErrors++
@@ -517,7 +518,7 @@ func (s *System) subframeSuccessProb(cleanBER, dirtyBER float64, subBits int, co
 // queryPlan returns the plan for the current Spec and cipher, recomputing
 // it only when either has changed since the last round.
 func (s *System) queryPlan() (*queryPlan, error) {
-	if overhead := s.cipherOverhead(); !s.plan.matches(s.Spec, overhead) {
+	if overhead := s.cipherOverhead(); !s.plan.matches(&s.Spec, overhead) {
 		if err := s.plan.compute(s.Spec, overhead); err != nil {
 			return nil, err
 		}

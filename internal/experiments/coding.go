@@ -292,7 +292,8 @@ func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []s
 			if tapes != nil {
 				world := pi*cfg.Transfers + tr
 				tape = tapes.acquire(world, func() (*core.System, *channel.Environment, error) {
-					return LoSTestbed(2, codingSeed(cfg, prof, tr, "env"))
+					sys, env, _, _, err := codingWorld(cfg, prof, "", -1, tr, nil)
+					return sys, env, err
 				})
 				defer tapes.release(world)
 			}

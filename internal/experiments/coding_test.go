@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"witag/internal/channel"
 	"witag/internal/coding"
+	"witag/internal/core"
 	"witag/internal/link"
 	"witag/internal/obs"
 )
@@ -236,29 +239,116 @@ func TestCodingTrialOrderBijection(t *testing.T) {
 }
 
 // TestCodingTapesMatchLocalLinks runs a reduced sweep with every paired
-// world's link taped and without tapes, and requires every transfer's
-// outcome to be identical: the tape changes who evaluates a link, never
-// the link. Every transfer must release the tape it took.
+// world taped and without tapes, and requires every transfer's outcome,
+// every fault and traffic counter and the trace, as a multiset of events
+// with wall times masked, to be identical: the tape changes who evaluates
+// a world's link and draws its faults and traffic, never what a transfer
+// sees or counts. Every transfer must release the tape it took.
 func TestCodingTapesMatchLocalLinks(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	cfg.Transfers, cfg.Workers = 10, manyWorkers()
-	local, err := codingTrials(context.Background(), cfg, CodingSchemes, nil)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(tapes *tapeSet) ([]TransferOutcome, *obs.Campaign) {
+		t.Helper()
+		c := cfg
+		c.Campaign = obs.NewCampaign("tapes", obs.CampaignOptions{TraceCap: 1 << 17})
+		out, err := codingTrials(context.Background(), c, CodingSchemes, tapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := c.Campaign.Trace.Dropped(); d != 0 {
+			t.Fatalf("trace ring dropped %d events", d)
+		}
+		return out, c.Campaign
 	}
+	local, localCamp := sweep(nil)
 	tapes := newTapeSet(len(CodingSchemes))
-	taped, err := codingTrials(context.Background(), cfg, CodingSchemes, tapes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	taped, tapedCamp := sweep(tapes)
 	if !reflect.DeepEqual(local, taped) {
-		t.Fatal("taped links changed a transfer's outcome")
+		t.Fatal("taped worlds changed a transfer's outcome")
+	}
+	w, g := localCamp.Registry.Snapshot().Counters, tapedCamp.Registry.Snapshot().Counters
+	for _, c := range []string{"fault.subframes_lost", "fault.trigger_misses", "fault.ba_losses", "fault.brownouts",
+		"traffic.rounds", "traffic.bursts", "traffic.subframes_masked", "traffic.state_switches"} {
+		if w[c] == 0 || g[c] != w[c] {
+			t.Errorf("%s: taped sweep counted %d, local %d", c, g[c], w[c])
+		}
+	}
+	events := func(c *obs.Campaign) map[obs.Event]int {
+		m := map[obs.Event]int{}
+		for _, e := range c.Trace.Events() {
+			e.WallMs = 0
+			m[e]++
+		}
+		return m
+	}
+	if we, ge := events(localCamp), events(tapedCamp); !reflect.DeepEqual(we, ge) {
+		t.Errorf("taped sweep traced %d distinct events, local %d: the multisets differ", len(ge), len(we))
 	}
 	if len(tapes.tapes) != 0 {
 		t.Fatalf("%d tapes still held after the sweep", len(tapes.tapes))
 	}
 	if newTapeSet(1) != nil {
 		t.Fatal("a single-scheme sweep made a tape set")
+	}
+}
+
+// TestTapedTransferNeverDraws locks in that a transfer reading its world
+// from a tape never draws from its own fault or traffic stream, though it
+// counts the world's events: after each scheme's taped transfer, the
+// reader's injector and generator must still be at their first draw,
+// drawing exactly what fresh ones from the same seeds draw.
+func TestTapedTransferNeverDraws(t *testing.T) {
+	cfg := DefaultAdaptiveCodingConfig()
+	prof := cfg.Profiles[1]
+	if prof.Fault == "" || prof.Traffic == "" {
+		t.Fatalf("profile %q lacks faults or traffic", prof.Name)
+	}
+	const tr = 3
+	tape := core.NewLinkTape(func() (*core.System, *channel.Environment, error) {
+		sys, env, _, _, err := codingWorld(cfg, prof, "", -1, tr, nil)
+		return sys, env, err
+	})
+	for _, scheme := range CodingSchemes {
+		sys, _, payload, label, err := codingWorld(cfg, prof, scheme, 0, tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Link = tape
+		out, err := RunTransfer(context.Background(), scheme, sys, nil, payload, label("xfer"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Rounds == 0 || sys.Faults.SubframesLost == 0 {
+			t.Fatalf("%s: %d rounds, %d subframes lost: the transfer saw no faults", scheme, out.Rounds, sys.Faults.SubframesLost)
+		}
+		fresh, _, _, _, err := codingWorld(cfg, prof, scheme, 0, tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range 100 {
+			type draw struct {
+				miss, ba      bool
+				start, length int
+				lost          [64]bool
+				mask          []bool
+				state         int
+			}
+			var d [2]draw
+			for i, s := range []*core.System{sys, fresh} {
+				d[i].miss = s.Faults.TriggerMissed()
+				d[i].start, d[i].length, _ = s.Faults.BrownoutWindow(60)
+				for k := range d[i].lost {
+					d[i].lost[k] = s.Faults.SubframeLost()
+				}
+				d[i].ba = s.Faults.BALost()
+				mask, _ := s.Traffic.RoundMask(64)
+				d[i].mask = slices.Clone(mask)
+				d[i].state = s.Traffic.State()
+			}
+			if !reflect.DeepEqual(d[0], d[1]) {
+				t.Fatalf("%s: round %d after the transfer, the reader drew %+v, a fresh world %+v: the reader drew from its own streams", scheme, r, d[0], d[1])
+			}
+		}
 	}
 }
 

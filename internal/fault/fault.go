@@ -11,9 +11,13 @@
 //
 // Determinism contract: an Injector consumes its RNG in a fixed per-round
 // order — TriggerMissed, BrownoutWindow, one SubframeLost per subframe,
-// then BALost. core.System.QueryRound calls the hooks unconditionally in
-// that order, so the fault stream depends only on the injector seed and
-// the number of rounds/subframes, never on decode outcomes.
+// then BALost. Whoever evaluates a world's round calls the hooks
+// unconditionally in that order: core.System.QueryRound, or the
+// core.LinkTape a system reads its world from. The fault stream therefore
+// depends only on the injector seed and the number of rounds/subframes,
+// never on decode outcomes. A system reading a tape never draws from its
+// own injector; it counts the tape's verdicts through the Count methods,
+// as the hooks do.
 package fault
 
 import (
@@ -211,12 +215,7 @@ func NewInjector(p Profile, seed int64) (*Injector, error) {
 func (in *Injector) SubframeLost() bool {
 	lost := in.chain.Step(in.rng)
 	if lost {
-		in.SubframesLost++
-		if in.Obs != nil {
-			// Subframe losses are counted but not traced: at one draw per
-			// subframe they would flood the bounded ring.
-			in.Obs.Fault.SubframesLost.Inc()
-		}
+		in.CountSubframesLost(1)
 	}
 	return lost
 }
@@ -225,11 +224,7 @@ func (in *Injector) SubframeLost() bool {
 func (in *Injector) TriggerMissed() bool {
 	missed := stats.Bernoulli(in.rng, in.Profile.TriggerMissProb)
 	if missed {
-		in.TriggerMisses++
-		if in.Obs != nil {
-			in.Obs.Fault.TriggerMisses.Inc()
-			in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "trigger_miss"})
-		}
+		in.CountTriggerMiss()
 	}
 	return missed
 }
@@ -238,11 +233,7 @@ func (in *Injector) TriggerMissed() bool {
 func (in *Injector) BALost() bool {
 	lost := stats.Bernoulli(in.rng, in.Profile.BALossProb)
 	if lost {
-		in.BALosses++
-		if in.Obs != nil {
-			in.Obs.Fault.BALosses.Inc()
-			in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "ba_loss"})
-		}
+		in.CountBALoss()
 	}
 	return lost
 }
@@ -260,14 +251,55 @@ func (in *Injector) BrownoutWindow(n int) (start, length int, active bool) {
 	if !active {
 		return 0, 0, false
 	}
-	in.Brownouts++
 	length = in.Profile.BrownoutSubframes
 	if start+length > n {
 		length = n - start
 	}
+	in.CountBrownout(start, length)
+	return start, length, true
+}
+
+// The Count methods record an event the injector's stream produced —
+// counters, observer mirror and trace event — without drawing. The hooks
+// count through them; so does a system that reads its world's verdicts
+// from a tape (core.LinkTape) instead of drawing them again.
+
+// CountSubframesLost counts n subframes lost to the interferer. Subframe
+// losses are counted but not traced: at one draw per subframe they would
+// flood the bounded ring.
+func (in *Injector) CountSubframesLost(n int) {
+	if n == 0 {
+		return
+	}
+	in.SubframesLost += n
+	if in.Obs != nil {
+		in.Obs.Fault.SubframesLost.Add(int64(n))
+	}
+}
+
+// CountTriggerMiss counts a trigger erased at the tag.
+func (in *Injector) CountTriggerMiss() {
+	in.TriggerMisses++
+	if in.Obs != nil {
+		in.Obs.Fault.TriggerMisses.Inc()
+		in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "trigger_miss"})
+	}
+}
+
+// CountBALoss counts a block ACK lost before the client.
+func (in *Injector) CountBALoss() {
+	in.BALosses++
+	if in.Obs != nil {
+		in.Obs.Fault.BALosses.Inc()
+		in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "ba_loss"})
+	}
+}
+
+// CountBrownout counts a brownout window of length subframes at start.
+func (in *Injector) CountBrownout(start, length int) {
+	in.Brownouts++
 	if in.Obs != nil {
 		in.Obs.Fault.Brownouts.Inc()
 		in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "brownout", Offset: start, Length: length})
 	}
-	return start, length, true
 }

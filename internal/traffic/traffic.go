@@ -18,12 +18,15 @@
 // (start, length) per arrival — regardless of what the round does with
 // the mask. All randomness comes from the generator's own seed via
 // stats.SubSeed, so attaching a generator never perturbs the fault or
-// channel streams, and paired trials stay paired.
+// channel streams, and paired trials stay paired. A system reading its
+// world from a core.LinkTape takes the mask the tape drew and counts it
+// through Count, never drawing from its own generator.
 package traffic
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"witag/internal/obs"
@@ -87,6 +90,12 @@ func (p Profile) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Equal reports whether p and q describe the same chain, value for value.
+func (p Profile) Equal(q Profile) bool {
+	return p.Start == q.Start && slices.Equal(p.States, q.States) &&
+		slices.EqualFunc(p.Trans, q.Trans, slices.Equal[[]float64])
 }
 
 // profiles are the named presets, ordered mild to severe. Two-state
@@ -181,12 +190,25 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 // State returns the chain's current state index (for tests and traces).
 func (g *Generator) State() int { return g.state }
 
-// RoundMask draws one round of ambient traffic and returns the collision
-// mask over n subframes: mask[i] reports that an ambient burst overlapped
-// subframe i. The draw order is fixed (transition, count, then start and
-// length per burst) so the stream is a pure function of the seed. The
-// mask is the generator's own storage, valid until the next call.
-func (g *Generator) RoundMask(n int) []bool {
+// Profile returns the profile the generator draws from.
+func (g *Generator) Profile() Profile { return g.prof }
+
+// Round is what one round's draw produced besides its mask: the bursts
+// placed, the subframes they masked and whether the load chain changed
+// state.
+type Round struct {
+	Bursts   int
+	Masked   int
+	Switched bool
+}
+
+// RoundMask draws one round of ambient traffic, counts it (Count) and
+// returns the collision mask over n subframes — mask[i] reports that an
+// ambient burst overlapped subframe i — with the round's counts. The draw
+// order is fixed (transition, count, then start and length per burst) so
+// the stream is a pure function of the seed. The mask is the generator's
+// own storage, valid until the next call.
+func (g *Generator) RoundMask(n int) ([]bool, Round) {
 	if cap(g.mask) < n {
 		g.mask = make([]bool, n)
 	}
@@ -204,31 +226,38 @@ func (g *Generator) RoundMask(n int) []bool {
 			break
 		}
 	}
-	switched := next != g.state
+	r := Round{Switched: next != g.state}
 	g.state = next
 	st := g.prof.States[g.state]
 	// 2. How many ambient bursts start this round?
-	bursts := stats.Poisson(g.rng, st.ArrivalsPerRound)
+	r.Bursts = stats.Poisson(g.rng, st.ArrivalsPerRound)
 	// 3. Place each burst: uniform start, exponential length ≥ 1.
-	masked := 0
-	for b := 0; b < bursts; b++ {
+	for b := 0; b < r.Bursts; b++ {
 		start := g.rng.Intn(n)
 		length := int(stats.Exponential(g.rng, st.MeanBurstSubframes)) + 1
 		for i := start; i < start+length && i < n; i++ {
 			if !mask[i] {
-				masked++
+				r.Masked++
 			}
 			mask[i] = true
 		}
 	}
+	g.Count(r)
+	return mask, r
+}
+
+// Count records a round the generator's stream produced in its observer's
+// counters, without drawing. RoundMask counts through it; so does a system
+// that reads its world's ambient mask from a tape (core.LinkTape) instead
+// of drawing it again.
+func (g *Generator) Count(r Round) {
 	if o := g.Obs; o != nil {
 		m := o.Traffic
 		m.Rounds.Inc()
-		m.Bursts.Add(int64(bursts))
-		m.SubframesMask.Add(int64(masked))
-		if switched {
+		m.Bursts.Add(int64(r.Bursts))
+		m.SubframesMask.Add(int64(r.Masked))
+		if r.Switched {
 			m.StateSwitches.Inc()
 		}
 	}
-	return mask
 }

@@ -60,7 +60,9 @@ func TestRoundMaskDeterministic(t *testing.T) {
 	c, _ := NewGenerator(p, stats.SubSeed(2, "traffic"))
 	differs := false
 	for r := 0; r < 200; r++ {
-		ma, mb, mc := a.RoundMask(64), b.RoundMask(64), c.RoundMask(64)
+		ma, _ := a.RoundMask(64)
+		mb, _ := b.RoundMask(64)
+		mc, _ := c.RoundMask(64)
 		if !reflect.DeepEqual(ma, mb) {
 			t.Fatalf("round %d: same seed diverged", r)
 		}
@@ -74,8 +76,8 @@ func TestRoundMaskDeterministic(t *testing.T) {
 }
 
 // freshRoundMask is RoundMask drawing into a newly allocated mask, as it
-// did before the generator kept one.
-func freshRoundMask(g *Generator, n int) []bool {
+// did before the generator kept one, and counting its round apart.
+func freshRoundMask(g *Generator, n int) ([]bool, Round) {
 	mask := make([]bool, n)
 	u := g.rng.Float64()
 	row := g.prof.Trans[g.state]
@@ -88,22 +90,29 @@ func freshRoundMask(g *Generator, n int) []bool {
 			break
 		}
 	}
+	r := Round{Switched: next != g.state}
 	g.state = next
 	st := g.prof.States[g.state]
-	bursts := stats.Poisson(g.rng, st.ArrivalsPerRound)
-	for b := 0; b < bursts; b++ {
+	r.Bursts = stats.Poisson(g.rng, st.ArrivalsPerRound)
+	for b := 0; b < r.Bursts; b++ {
 		start := g.rng.Intn(n)
 		length := int(stats.Exponential(g.rng, st.MeanBurstSubframes)) + 1
 		for i := start; i < start+length && i < n; i++ {
 			mask[i] = true
 		}
 	}
-	return mask
+	for _, hit := range mask {
+		if hit {
+			r.Masked++
+		}
+	}
+	return mask, r
 }
 
-// TestRoundMaskReuseMatchesFresh checks the reused mask against fresh
-// allocation round by round while the subframe count grows and shrinks,
-// so no round can read a burst left over from an earlier one.
+// TestRoundMaskReuseMatchesFresh checks the reused mask, and the round's
+// counts, against fresh allocation round by round while the subframe
+// count grows and shrinks, so no round can read a burst left over from an
+// earlier one.
 func TestRoundMaskReuseMatchesFresh(t *testing.T) {
 	p, _ := Named("saturated")
 	a, err := NewGenerator(p, 5)
@@ -113,8 +122,10 @@ func TestRoundMaskReuseMatchesFresh(t *testing.T) {
 	b, _ := NewGenerator(p, 5)
 	for r := 0; r < 400; r++ {
 		n := []int{64, 12, 1, 40, 64, 3}[r%6]
-		if got, want := a.RoundMask(n), freshRoundMask(b, n); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d (n=%d): mask %v, fresh %v", r, n, got, want)
+		got, gr := a.RoundMask(n)
+		want, wr := freshRoundMask(b, n)
+		if !reflect.DeepEqual(got, want) || gr != wr {
+			t.Fatalf("round %d (n=%d): mask %v %+v, fresh %v %+v", r, n, got, gr, want, wr)
 		}
 	}
 }
@@ -132,7 +143,8 @@ func TestLoadOrdering(t *testing.T) {
 		}
 		total := 0
 		for r := 0; r < 2000; r++ {
-			for _, hit := range g.RoundMask(64) {
+			mask, _ := g.RoundMask(64)
+			for _, hit := range mask {
 				if hit {
 					total++
 				}
