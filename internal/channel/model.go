@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
@@ -55,12 +54,6 @@ type Environment struct {
 	Walls          []Wall
 	Reflectors     []Reflector
 	Scatterers     []Scatterer
-
-	// Spans, when non-nil, attributes Advance's scatterer walk to the
-	// channel phase. Channel itself is not self-instrumented: callers
-	// (core.System.QueryRound) wrap it in their own channel span, and
-	// double-counting one evaluation would inflate attribution.
-	Spans *obs.Spans
 
 	rng *rand.Rand
 
@@ -203,14 +196,12 @@ const RoundStepS = 0.05
 // it between query rounds models people moving while the channel stays
 // frozen within each (few-ms) A-MPDU — the coherence-time argument of §5.
 func (e *Environment) Advance(dt float64) {
-	sp := e.Spans.Start()
 	for i := range e.Scatterers {
 		s := &e.Scatterers[i]
 		theta := stats.Uniform(e.rng, 0, 2*math.Pi)
 		step := s.SpeedMps * dt
 		s.Pos = s.Pos.Add(step*math.Cos(theta), step*math.Sin(theta))
 	}
-	e.Spans.End(obs.PhaseChannel, sp)
 }
 
 // ramp returns the first-subcarrier phasor amp·e^{jθ_0} of one path and

@@ -74,7 +74,7 @@ func traceFrame(f *link.FrameSender, kind string, id int, outcome string) {
 // begin counts a transfer into the system's observer and returns the
 // deferred flush of its totals into the metrics registry.
 func begin(f *link.FrameSender, scheme string, st *Stats) func() {
-	o := f.Begin()
+	o := f.Sys.Obs
 	if o == nil {
 		return func() {}
 	}
@@ -152,7 +152,7 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 	}
 	st := &Stats{TransferStats: link.TransferStats{PayloadBytes: len(payload)}}
 	defer begin(t.frames, "fountain", st)()
-	spans := t.frames.Spans()
+	spans := t.frames.Sys.Spans
 
 	dec := NewFountainDecoder(f)
 	// The symbol cap is an undeliverable-channel escape, not an operating
@@ -353,7 +353,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 	}
 	st := &Stats{TransferStats: link.TransferStats{PayloadBytes: len(payload)}}
 	defer begin(t.frames, "rs", st)()
-	spans := t.frames.Spans()
+	spans := t.frames.Sys.Spans
 
 	out := make([]byte, len(payload))
 	blockSpan := cfg.DataShards * cfg.ShardBytes

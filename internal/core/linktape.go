@@ -57,8 +57,8 @@ const (
 // drawRound draws one round from in and g, either of which may be nil,
 // over a query of total subframes, dataLen of them data. It calls the
 // hooks in the order the fault package's contract fixes — TriggerMissed,
-// BrownoutWindow, SubframeLost per subframe, BALost — and then
-// RoundMask, so the hooks count as they always have.
+// BrownoutWindow, SubframeLost per subframe, BALost — and then RoundMask.
+// It counts nothing: the system the round is for counts it (count).
 func drawRound(in *fault.Injector, g *traffic.Generator, dataLen, total int) roundDraws {
 	var d roundDraws
 	if in != nil {
@@ -92,24 +92,57 @@ func drawRound(in *fault.Injector, g *traffic.Generator, dataLen, total int) rou
 	return d
 }
 
-// count records d in the injector's and the generator's counters and
-// trace, as drawing it through their hooks would have: it is how a taped
-// system counts the draws its tape made.
-func (d *roundDraws) count(in *fault.Injector, g *traffic.Generator) {
-	if in != nil {
-		if d.flags&drawTrigMiss != 0 {
-			in.CountTriggerMiss()
+// count records d as a round of s: in s.Injected and, when s is
+// instrumented, in the fault.* and traffic.* counters and the fault trace
+// events, which follow the hooks' order (trigger miss, brownout, block-ACK
+// loss). It is the one place a round's draws are counted, whether s drew
+// them or read them from its tape. Subframe losses are counted but not
+// traced: at one draw per subframe they would flood the bounded ring.
+func (d *roundDraws) count(s *System) {
+	o := s.Obs
+	if s.Faults != nil {
+		lost := bits.OnesCount64(d.lost)
+		trig, ba := d.flags&drawTrigMiss != 0, d.flags&drawBALost != 0
+		n := &s.Injected
+		n.SubframesLost += lost
+		if trig {
+			n.TriggerMisses++
 		}
 		if d.brownLen > 0 {
-			in.CountBrownout(int(d.brownStart), int(d.brownLen))
+			n.Brownouts++
 		}
-		in.CountSubframesLost(bits.OnesCount64(d.lost))
-		if d.flags&drawBALost != 0 {
-			in.CountBALoss()
+		if ba {
+			n.BALosses++
+		}
+		if o != nil {
+			m := o.Fault
+			m.SubframesLost.Add(int64(lost))
+			ev := obs.Event{Kind: "fault", Trial: s.TraceID, Labels: s.TraceLabels}
+			if trig {
+				m.TriggerMisses.Inc()
+				ev.Outcome = "trigger_miss"
+				o.Trace.Record(ev)
+			}
+			if d.brownLen > 0 {
+				m.Brownouts.Inc()
+				ev.Outcome, ev.Offset, ev.Length = "brownout", int(d.brownStart), int(d.brownLen)
+				o.Trace.Record(ev)
+			}
+			if ba {
+				m.BALosses.Inc()
+				ev.Outcome, ev.Offset, ev.Length = "ba_loss", 0, 0
+				o.Trace.Record(ev)
+			}
 		}
 	}
-	if g != nil {
-		g.Count(traffic.Round{Bursts: int(d.bursts), Masked: int(d.masked), Switched: d.flags&drawSwitched != 0})
+	if s.Traffic != nil && o != nil {
+		m := o.Traffic
+		m.Rounds.Inc()
+		m.Bursts.Add(int64(d.bursts))
+		m.SubframesMask.Add(int64(d.masked))
+		if d.flags&drawSwitched != 0 {
+			m.StateSwitches.Inc()
+		}
 	}
 }
 
@@ -217,8 +250,8 @@ const tapeChunk = 256
 //
 // A System with a tape (System.Link) takes its link and its draws from the
 // tape rather than from its own environment and streams, which it then
-// never needs advanced; it still counts and traces the draws through its
-// own injector and generator. A LinkTape is safe for concurrent use.
+// never needs advanced; it counts and traces the draws as its own. The
+// private world counts nothing. A LinkTape is safe for concurrent use.
 type LinkTape struct {
 	mu      sync.Mutex
 	build   func() (*System, *channel.Environment, error)

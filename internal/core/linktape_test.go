@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,8 +57,8 @@ func linkWorld(tagX float64, seed int64) func() (*System, *channel.Environment, 
 }
 
 // tapeRound is what a round reports, with its floats as raw bits so the
-// comparison is bit for bit, and the fault and traffic counts of the
-// system's injector and generator after it.
+// comparison is bit for bit, and the system's fault tally and traffic
+// counters after it.
 type tapeRound struct {
 	Detected, BALost bool
 	BitErrors        int
@@ -81,7 +82,7 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 		if err != nil {
 			return nil, err
 		}
-		in, tm := sys.Faults, sys.Obs.Traffic
+		in, tm := sys.Injected, sys.Obs.Traffic
 		out = append(out, tapeRound{res.Detected, res.BALost, res.BitErrors, res.RxBits,
 			math.Float64bits(res.SNRDb), math.Float64bits(res.DistortionDb),
 			[4]int{in.SubframesLost, in.TriggerMisses, in.BALosses, in.Brownouts},
@@ -305,8 +306,10 @@ func fuzzProfiles(raw fuzzBytes) (fault.Profile, traffic.Profile) {
 // in the fault package's order, on a twin injector and generator of the
 // same seeds: the trigger and block-ACK verdicts, the brownout window,
 // one lost bit and one ambient bit per subframe (bit 63 included) and
-// the traffic counts. A taped reader must count and trace the same events
-// as the twin.
+// the traffic counts. The twin counts its draws through the same count
+// as QueryRound, and a taped reader must count and trace what the twin
+// does: System.Injected, the fault.* and traffic.* counters and the fault
+// trace, which must also hold the events the hooks drew, in their order.
 func FuzzLinkTapeDraws(f *testing.F) {
 	all := bytes.Repeat([]byte{255}, 64)
 	// 4+60 subframes, every one lost and masked: bit 63 set.
@@ -354,6 +357,7 @@ func FuzzLinkTapeDraws(f *testing.F) {
 		reader.Instrument(ro, 1, "fuzz")
 		twin.Instrument(to, 1, "fuzz")
 		total := trig + data
+		var outcomes []string // the fault events the hooks drew, in order
 		for r := range 6 {
 			if _, err := reader.QueryRound(nil); err != nil {
 				t.Fatal(err)
@@ -362,9 +366,11 @@ func FuzzLinkTapeDraws(f *testing.F) {
 			if in := twin.Faults; in != nil {
 				if in.TriggerMissed() {
 					want.flags |= drawTrigMiss
+					outcomes = append(outcomes, "trigger_miss")
 				}
 				if start, length, active := in.BrownoutWindow(data); active {
 					want.brownStart, want.brownLen = uint8(start), uint8(length)
+					outcomes = append(outcomes, "brownout")
 				}
 				for i := range total {
 					if in.SubframeLost() {
@@ -373,41 +379,43 @@ func FuzzLinkTapeDraws(f *testing.F) {
 				}
 				if in.BALost() {
 					want.flags |= drawBALost
+					outcomes = append(outcomes, "ba_loss")
 				}
 				if fp.LossGood == 1 && fp.LossBad == 1 && bits.OnesCount64(want.lost) != total {
 					t.Fatalf("round %d: certain loss lost only %064b of %d subframes", r, want.lost, total)
 				}
 			}
 			if g := twin.Traffic; g != nil {
-				m := to.Traffic
-				bursts, masked, switches := m.Bursts.Value(), m.SubframesMask.Value(), m.StateSwitches.Value()
-				mask, _ := g.RoundMask(total)
+				mask, rd := g.RoundMask(total)
 				for i, hit := range mask {
 					if hit {
 						want.ambient |= 1 << i
 					}
 				}
-				want.bursts = int32(m.Bursts.Value() - bursts)
-				want.masked = uint8(m.SubframesMask.Value() - masked)
-				if m.StateSwitches.Value() != switches {
+				want.bursts, want.masked = int32(rd.Bursts), uint8(rd.Masked)
+				if rd.Switched {
 					want.flags |= drawSwitched
 				}
 			}
+			want.count(twin)
 			if got := tape.chunks[0][r].draws; got != want {
 				t.Fatalf("round %d: the tape recorded %+v, the hooks drew %+v", r, got, want)
 			}
 		}
-		if reader.Faults != nil {
-			rf, tf := reader.Faults, twin.Faults
-			if g, w := [4]int{rf.SubframesLost, rf.TriggerMisses, rf.BALosses, rf.Brownouts}, [4]int{tf.SubframesLost, tf.TriggerMisses, tf.BALosses, tf.Brownouts}; g != w {
-				t.Fatalf("reader counted faults %v, the hooks %v", g, w)
-			}
+		if reader.Injected != twin.Injected {
+			t.Fatalf("reader tallied faults %+v, the twin %+v", reader.Injected, twin.Injected)
 		}
 		rc, tc := ro.Registry.Snapshot().Counters, to.Registry.Snapshot().Counters
 		for name, v := range tc {
 			if (strings.HasPrefix(name, "fault.") || strings.HasPrefix(name, "traffic.")) && rc[name] != v {
-				t.Fatalf("%s: reader counted %d, the hooks %d", name, rc[name], v)
+				t.Fatalf("%s: reader counted %d, the twin %d", name, rc[name], v)
 			}
+		}
+		if n := int64(reader.Injected.SubframesLost); rc["fault.subframes_lost"] != n {
+			t.Fatalf("fault.subframes_lost %d, System.Injected %d", rc["fault.subframes_lost"], n)
+		}
+		if twin.Traffic != nil && rc["traffic.rounds"] != 6 {
+			t.Fatalf("traffic.rounds %d over 6 rounds", rc["traffic.rounds"])
 		}
 		var faults []obs.Event
 		for _, e := range ro.Trace.Events() {
@@ -415,8 +423,16 @@ func FuzzLinkTapeDraws(f *testing.F) {
 				faults = append(faults, e)
 			}
 		}
-		if tw := to.Trace.Events(); !reflect.DeepEqual(faults, tw) && len(faults)+len(tw) > 0 {
-			t.Fatalf("reader traced %+v, the hooks %+v", faults, tw)
+		tw := to.Trace.Events()
+		if !reflect.DeepEqual(faults, tw) && len(faults)+len(tw) > 0 {
+			t.Fatalf("reader traced %+v, the twin %+v", faults, tw)
+		}
+		traced := make([]string, len(tw))
+		for i, e := range tw {
+			traced[i] = e.Outcome
+		}
+		if !slices.Equal(traced, outcomes) {
+			t.Fatalf("the twin traced %v, the hooks drew %v", traced, outcomes)
 		}
 	})
 }

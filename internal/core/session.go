@@ -64,8 +64,8 @@ type System struct {
 	// Link, when non-nil, is the tape of this system's world: QueryRound
 	// takes each round's link (SNR, distortion, coded BERs) and its fault
 	// verdicts and ambient mask from it rather than evaluating Env and
-	// drawing from Faults and Traffic, which it only counts the tape's
-	// draws through. The caller no longer advances Env between rounds —
+	// drawing from Faults and Traffic, and counts the tape's draws as it
+	// counts its own. The caller no longer advances Env between rounds —
 	// the tape advances its own build of the world. The tape must have
 	// been built from the same world; a system whose MCS, positions, tag
 	// coefficients, subframe counts, fault profile or traffic profile
@@ -84,6 +84,17 @@ type System struct {
 	// "fig5/d=3/run=2"), stamped into every trace event so a forensic
 	// replay can rebuild the exact seed tree for this one trial.
 	TraceLabels string
+	// Spans is the view of Obs's phase timers that records into the
+	// system's lane, set by Instrument; nil when detached. QueryRound,
+	// Advance and the transfer loops over the system record into it.
+	Spans *obs.Spans
+
+	// Injected tallies the fault events the system's rounds met, whether
+	// Faults drew them or Link recorded them, for diagnostics and
+	// experiment tables. It stays zero without Faults.
+	Injected struct {
+		SubframesLost, TriggerMisses, BALosses, Brownouts int
+	}
 
 	rng      *rand.Rand
 	roundSeq int
@@ -150,17 +161,25 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 }
 
 // Instrument attaches observer o and the trace identity (id, labels) to
-// the system and to its fault injector and traffic generator, so every
-// event the deployment emits names the trial that produced it. Call it
-// once the deployment is fully built; o may be nil (instrumentation off).
+// the system, so every event the deployment emits names the trial that
+// produced it, and takes o's phase timers in the system's lane. It is the
+// one place instrumentation attaches: the system counts and traces its
+// fault and traffic draws itself, and times its world's steps (Advance).
+// o may be nil (instrumentation off).
 func (s *System) Instrument(o *obs.Observer, id int, labels string) {
-	s.Obs, s.TraceID, s.TraceLabels = o, id, labels
-	if s.Faults != nil {
-		s.Faults.Obs, s.Faults.TraceID, s.Faults.TraceLabels = o, id, labels
+	s.Obs, s.TraceID, s.TraceLabels, s.Spans = o, id, labels, nil
+	if o != nil {
+		s.Spans = o.Spans.Lane(id)
 	}
-	if s.Traffic != nil {
-		s.Traffic.Obs = o
-	}
+}
+
+// Advance steps env through channel.RoundStepS of scatterer motion — the
+// step every measurement and transfer loop takes before each query round
+// — and times it in the channel phase.
+func (s *System) Advance(env *channel.Environment) {
+	sp := s.Spans.Start()
+	env.Advance(channel.RoundStepS)
+	s.Spans.End(obs.PhaseChannel, sp)
 }
 
 // Reshape re-runs query shaping for the current cipher and spec, using the
@@ -224,13 +243,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// are passive wall-clock reads into volatile histograms — no RNG draws,
 	// no branches into the simulation — and error paths simply drop the
 	// open span (the trial aborts anyway).
-	var spans *obs.Spans
-	if o := s.Obs; o != nil {
-		spans = o.Spans.Lane(s.TraceID)
-		if s.Link == nil {
-			s.Env.Spans = spans
-		}
-	}
+	spans := s.Spans
 	sp := spans.Start()
 	// --- Client side: "transmit" the query. Only its shape matters to the
 	// round — airtimes, sizes, the sequence window — so the aggregate is
@@ -262,9 +275,9 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// --- The world's round. Faults and ambient traffic draw in a fixed
 	// order regardless of the round's outcome, so their streams depend only
 	// on their seeds. A taped system reads them, with the round's link,
-	// from its world's tape at the top of this channel region, and counts
-	// them through its own injector and generator; otherwise they are
-	// drawn here from the system's own streams.
+	// from its world's tape at the top of this channel region; otherwise
+	// they are drawn here from the system's own streams. Either way the
+	// system counts them once, here.
 	var w worldRound
 	var phasors int64
 	linkEvals := 1
@@ -277,11 +290,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 			return nil, err
 		}
 		s.linkRound++
-		w.draws.count(s.Faults, s.Traffic)
 	} else {
 		w.draws = drawRound(s.Faults, s.Traffic, dataLen, total)
 	}
 	draws := &w.draws
+	draws.count(s)
 
 	// --- Tag side: trigger detection. The tag's run-length measurement
 	// spans all trigger subframes, so its per-subframe estimate is the

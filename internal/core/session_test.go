@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"witag/internal/channel"
 	"witag/internal/crypto80211"
 	"witag/internal/fault"
+	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
@@ -354,8 +356,8 @@ func TestQueryRoundInjectedTriggerMiss(t *testing.T) {
 	if res.Detected {
 		t.Fatal("probability-1 trigger miss still detected")
 	}
-	if sys.Faults.TriggerMisses != 1 {
-		t.Fatalf("trigger-miss counter %d", sys.Faults.TriggerMisses)
+	if sys.Injected.TriggerMisses != 1 {
+		t.Fatalf("trigger-miss tally %d", sys.Injected.TriggerMisses)
 	}
 }
 
@@ -373,6 +375,9 @@ func TestQueryRoundInjectedBALoss(t *testing.T) {
 	}
 	if res.BitErrors != len(res.TxBits) {
 		t.Fatalf("lost round charged %d/%d bit errors", res.BitErrors, len(res.TxBits))
+	}
+	if sys.Injected.BALosses != 1 {
+		t.Fatalf("block-ACK-loss tally %d", sys.Injected.BALosses)
 	}
 }
 
@@ -420,8 +425,8 @@ func TestQueryRoundBrownoutFreezesSwitch(t *testing.T) {
 	if res.BitErrors == 0 {
 		t.Fatal("whole-round brownout corrupted nothing yet produced no errors")
 	}
-	if sys.Faults.Brownouts != 1 {
-		t.Fatalf("brownout counter %d", sys.Faults.Brownouts)
+	if sys.Injected.Brownouts != 1 {
+		t.Fatalf("brownout tally %d", sys.Injected.Brownouts)
 	}
 }
 
@@ -444,5 +449,72 @@ func TestQueryRoundFaultStreamDeterministic(t *testing.T) {
 	e2, t2 := run()
 	if e1 != e2 || t1 != t2 {
 		t.Fatalf("fault rounds not reproducible: %d/%d vs %d/%d", e1, t1, e2, t2)
+	}
+}
+
+// TestInjectedTallyMatchesHooks: over many rounds of a harsh fault stream,
+// System.Injected, the fault.* counters and the fault trace hold exactly
+// what a twin injector of the same seed draws through the hooks, in the
+// fault package's order — the hooks only draw, and the system counts.
+func TestInjectedTallyMatchesHooks(t *testing.T) {
+	p, err := fault.Named("harsh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, env := faultSystem(t, p, 25)
+	o := obs.NewObserver(nil, obs.NewRecorder(1<<12))
+	sys.Instrument(o, 3, "tally")
+	twin, err := fault.NewInjector(p, stats.SubSeed(25, "fault"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	runRounds(t, sys, env, rounds, 3)
+
+	var want [4]int // subframes lost, trigger misses, block-ACK losses, brownouts
+	var outcomes []string
+	for range rounds {
+		if twin.TriggerMissed() {
+			want[1]++
+			outcomes = append(outcomes, "trigger_miss")
+		}
+		if _, _, active := twin.BrownoutWindow(sys.Spec.DataLen); active {
+			want[3]++
+			outcomes = append(outcomes, "brownout")
+		}
+		for range sys.Spec.Total() {
+			if twin.SubframeLost() {
+				want[0]++
+			}
+		}
+		if twin.BALost() {
+			want[2]++
+			outcomes = append(outcomes, "ba_loss")
+		}
+	}
+	for i, n := range want {
+		if n == 0 {
+			t.Fatalf("the stream drew too few events to compare: %v (at %d)", want, i)
+		}
+	}
+	n := sys.Injected
+	if got := [4]int{n.SubframesLost, n.TriggerMisses, n.BALosses, n.Brownouts}; got != want {
+		t.Fatalf("System.Injected %v, the hooks drew %v", got, want)
+	}
+	m := o.Fault
+	if got := [4]int{int(m.SubframesLost.Value()), int(m.TriggerMisses.Value()), int(m.BALosses.Value()), int(m.Brownouts.Value())}; got != want {
+		t.Fatalf("fault counters %v, the hooks drew %v", got, want)
+	}
+	var traced []string
+	for _, e := range o.Trace.Events() {
+		if e.Kind == "fault" {
+			if e.Trial != 3 || e.Labels != "tally" {
+				t.Fatalf("fault event %+v lacks the system's trace identity", e)
+			}
+			traced = append(traced, e.Outcome)
+		}
+	}
+	if !slices.Equal(traced, outcomes) {
+		t.Fatalf("traced %d fault events, the hooks drew %d, in another order or number", len(traced), len(outcomes))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"witag/internal/channel"
@@ -240,10 +241,10 @@ func TestCodingTrialOrderBijection(t *testing.T) {
 
 // TestCodingTapesMatchLocalLinks runs a reduced sweep with every paired
 // world taped and without tapes, and requires every transfer's outcome,
-// every fault and traffic counter and the trace, as a multiset of events
+// every fault and traffic counter and each transfer's trace, in order and
 // with wall times masked, to be identical: the tape changes who evaluates
 // a world's link and draws its faults and traffic, never what a transfer
-// sees or counts. Every transfer must release the tape it took.
+// sees, counts or traces. Every transfer must release the tape it took.
 func TestCodingTapesMatchLocalLinks(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	cfg.Transfers, cfg.Workers = 10, manyWorkers()
@@ -273,16 +274,19 @@ func TestCodingTapesMatchLocalLinks(t *testing.T) {
 			t.Errorf("%s: taped sweep counted %d, local %d", c, g[c], w[c])
 		}
 	}
-	events := func(c *obs.Campaign) map[obs.Event]int {
-		m := map[obs.Event]int{}
+	// Trials run concurrently, so only each trial's own events have an
+	// order: key them by trace identity.
+	events := func(c *obs.Campaign) map[string][]obs.Event {
+		m := map[string][]obs.Event{}
 		for _, e := range c.Trace.Events() {
 			e.WallMs = 0
-			m[e]++
+			k := fmt.Sprint(e.Trial, e.Labels)
+			m[k] = append(m[k], e)
 		}
 		return m
 	}
 	if we, ge := events(localCamp), events(tapedCamp); !reflect.DeepEqual(we, ge) {
-		t.Errorf("taped sweep traced %d distinct events, local %d: the multisets differ", len(ge), len(we))
+		t.Errorf("taped sweep traced %d trials, local %d: some trial's events differ", len(ge), len(we))
 	}
 	if len(tapes.tapes) != 0 {
 		t.Fatalf("%d tapes still held after the sweep", len(tapes.tapes))
@@ -294,9 +298,11 @@ func TestCodingTapesMatchLocalLinks(t *testing.T) {
 
 // TestTapedTransferNeverDraws locks in that a transfer reading its world
 // from a tape never draws from its own fault or traffic stream, though it
-// counts the world's events: after each scheme's taped transfer, the
-// reader's injector and generator must still be at their first draw,
-// drawing exactly what fresh ones from the same seeds draw.
+// counts the world's events: each scheme's taped transfer must tally the
+// faults (System.Injected) and count the fault and traffic events that
+// the same transfer over a local world does, and after it the reader's
+// injector and generator must still be at their first draw, drawing
+// exactly what fresh ones from the same seeds draw.
 func TestTapedTransferNeverDraws(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	prof := cfg.Profiles[1]
@@ -308,8 +314,27 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 		sys, env, _, _, err := codingWorld(cfg, prof, "", -1, tr, nil)
 		return sys, env, err
 	})
+	counted := func(o *obs.Observer) map[string]int64 {
+		m := map[string]int64{}
+		for name, v := range o.Registry.Snapshot().Counters {
+			if strings.HasPrefix(name, "fault.") || strings.HasPrefix(name, "traffic.") {
+				m[name] = v
+			}
+		}
+		return m
+	}
 	for _, scheme := range CodingSchemes {
-		sys, _, payload, label, err := codingWorld(cfg, prof, scheme, 0, tr, nil)
+		lo := obs.NewObserver(nil, nil)
+		local, env, payload, label, err := codingWorld(cfg, prof, scheme, 0, tr, lo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunTransfer(context.Background(), scheme, local, env, payload, label("xfer"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ro := obs.NewObserver(nil, nil)
+		sys, _, _, _, err := codingWorld(cfg, prof, scheme, 0, tr, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +343,14 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Rounds == 0 || sys.Faults.SubframesLost == 0 {
-			t.Fatalf("%s: %d rounds, %d subframes lost: the transfer saw no faults", scheme, out.Rounds, sys.Faults.SubframesLost)
+		if out.Rounds == 0 || sys.Injected.SubframesLost == 0 {
+			t.Fatalf("%s: %d rounds, %d subframes lost: the transfer saw no faults", scheme, out.Rounds, sys.Injected.SubframesLost)
+		}
+		if !reflect.DeepEqual(out, want) || sys.Injected != local.Injected {
+			t.Fatalf("%s: the taped transfer gave %+v and tallied %+v, a local one %+v and %+v", scheme, out, sys.Injected, want, local.Injected)
+		}
+		if g, w := counted(ro), counted(lo); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: the taped transfer counted %v, a local one %v", scheme, g, w)
 		}
 		fresh, _, _, _, err := codingWorld(cfg, prof, scheme, 0, tr, nil)
 		if err != nil {

@@ -88,7 +88,7 @@ type robustnessTrial struct {
 	delivered              bool
 	retries, rounds, level int
 	goodput                float64
-	// Injected fault tallies from the trial's own injector.
+	// Injected fault tallies from the trial's system (core.System.Injected).
 	injSub, injTrig, injBA, injBrown int
 }
 
@@ -220,10 +220,10 @@ func robustnessTransfer(ctx context.Context, cfg RobustnessConfig, base fault.Pr
 		rounds:    st.Rounds,
 		level:     st.FinalLevel,
 		goodput:   st.GoodputBps(),
-		injSub:    sys.Faults.SubframesLost,
-		injTrig:   sys.Faults.TriggerMisses,
-		injBA:     sys.Faults.BALosses,
-		injBrown:  sys.Faults.Brownouts,
+		injSub:    sys.Injected.SubframesLost,
+		injTrig:   sys.Injected.TriggerMisses,
+		injBA:     sys.Injected.BALosses,
+		injBrown:  sys.Injected.Brownouts,
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/sim"
 )
 
 // TestSpanCountsExact pins how many spans each phase records. Counts are
@@ -12,8 +13,9 @@ import (
 // is averaged over, so timing changes — one clock read per boundary, laned
 // histograms — must keep them exact at every worker count. Every analytic
 // round records one encode, equalise, viterbi and crc span and two channel
-// spans, plus one channel span for the Advance before it — except on the
-// coding sweep, whose rounds read their link from the world's tape: the
+// spans, plus one channel span for the Advance before it — the first
+// round of a trial or of a sim.Stream included (the FEC ablation streams
+// its frames) — except on the coding sweep, whose rounds read their link from the world's tape: the
 // tape advances its own environment inside the round's link region and
 // records no span, so those rounds record two channel spans. Every
 // transfer round adds one arq_round span, and every backoff one more. The
@@ -32,6 +34,10 @@ func TestSpanCountsExact(t *testing.T) {
 		}, want{}},
 		{"fig6", func(w int, c *obs.Campaign) error {
 			_, err := Figure6Ctx(context.Background(), LocationB, Figure6Config{Seed: 7, Runs: 4, Round: 40, Workers: w, Campaign: c})
+			return err
+		}, want{}},
+		{"ablation-fec", func(w int, c *obs.Campaign) error {
+			_, err := RunAblation(context.Background(), sim.Runner{Workers: w, Campaign: c}, "fec", 42, 6)
 			return err
 		}, want{}},
 		{"coding", func(w int, c *obs.Campaign) error {

@@ -15,9 +15,10 @@
 // unconditionally in that order: core.System.QueryRound, or the
 // core.LinkTape a system reads its world from. The fault stream therefore
 // depends only on the injector seed and the number of rounds/subframes,
-// never on decode outcomes. A system reading a tape never draws from its
-// own injector; it counts the tape's verdicts through the Count methods,
-// as the hooks do.
+// never on decode outcomes. The hooks only draw: counting and tracing the
+// verdicts is the core.System's job (System.Injected and its observer),
+// so a system reading a tape counts the tape's verdicts exactly as it
+// counts its own.
 package fault
 
 import (
@@ -25,7 +26,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
@@ -176,22 +176,6 @@ type Injector struct {
 	Profile Profile
 	chain   GilbertElliott
 	rng     *rand.Rand
-
-	// Obs, when non-nil, mirrors the per-event-type counters into the
-	// metrics registry and records round-level fault trace events. The
-	// hooks' RNG draw order is unchanged whether or not it is attached.
-	Obs *obs.Observer
-	// TraceID labels this injector's trace events.
-	TraceID int
-	// TraceLabels is the injector's stats.SubSeed label path, stamped into
-	// trace events for forensic replay (see core.System.TraceLabels).
-	TraceLabels string
-
-	// Counters for diagnostics and experiment tables.
-	SubframesLost int
-	TriggerMisses int
-	BALosses      int
-	Brownouts     int
 }
 
 // NewInjector builds an injector seeded independently of the system's own
@@ -213,29 +197,17 @@ func NewInjector(p Profile, seed int64) (*Injector, error) {
 // SubframeLost steps the burst chain one subframe and reports whether the
 // interferer destroyed it at the AP.
 func (in *Injector) SubframeLost() bool {
-	lost := in.chain.Step(in.rng)
-	if lost {
-		in.CountSubframesLost(1)
-	}
-	return lost
+	return in.chain.Step(in.rng)
 }
 
 // TriggerMissed reports whether this round's trigger is erased at the tag.
 func (in *Injector) TriggerMissed() bool {
-	missed := stats.Bernoulli(in.rng, in.Profile.TriggerMissProb)
-	if missed {
-		in.CountTriggerMiss()
-	}
-	return missed
+	return stats.Bernoulli(in.rng, in.Profile.TriggerMissProb)
 }
 
 // BALost reports whether this round's block ACK never reaches the client.
 func (in *Injector) BALost() bool {
-	lost := stats.Bernoulli(in.rng, in.Profile.BALossProb)
-	if lost {
-		in.CountBALoss()
-	}
-	return lost
+	return stats.Bernoulli(in.rng, in.Profile.BALossProb)
 }
 
 // BrownoutWindow draws this round's harvester undervoltage window over n
@@ -255,51 +227,5 @@ func (in *Injector) BrownoutWindow(n int) (start, length int, active bool) {
 	if start+length > n {
 		length = n - start
 	}
-	in.CountBrownout(start, length)
 	return start, length, true
-}
-
-// The Count methods record an event the injector's stream produced —
-// counters, observer mirror and trace event — without drawing. The hooks
-// count through them; so does a system that reads its world's verdicts
-// from a tape (core.LinkTape) instead of drawing them again.
-
-// CountSubframesLost counts n subframes lost to the interferer. Subframe
-// losses are counted but not traced: at one draw per subframe they would
-// flood the bounded ring.
-func (in *Injector) CountSubframesLost(n int) {
-	if n == 0 {
-		return
-	}
-	in.SubframesLost += n
-	if in.Obs != nil {
-		in.Obs.Fault.SubframesLost.Add(int64(n))
-	}
-}
-
-// CountTriggerMiss counts a trigger erased at the tag.
-func (in *Injector) CountTriggerMiss() {
-	in.TriggerMisses++
-	if in.Obs != nil {
-		in.Obs.Fault.TriggerMisses.Inc()
-		in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "trigger_miss"})
-	}
-}
-
-// CountBALoss counts a block ACK lost before the client.
-func (in *Injector) CountBALoss() {
-	in.BALosses++
-	if in.Obs != nil {
-		in.Obs.Fault.BALosses.Inc()
-		in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "ba_loss"})
-	}
-}
-
-// CountBrownout counts a brownout window of length subframes at start.
-func (in *Injector) CountBrownout(start, length int) {
-	in.Brownouts++
-	if in.Obs != nil {
-		in.Obs.Fault.Brownouts.Inc()
-		in.Obs.Trace.Record(obs.Event{Kind: "fault", Trial: in.TraceID, Labels: in.TraceLabels, Outcome: "brownout", Offset: start, Length: length})
-	}
 }

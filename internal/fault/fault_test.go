@@ -65,9 +65,6 @@ func TestAvgLossMatchesEmpiricalRate(t *testing.T) {
 	if math.Abs(got-want) > 0.15*want+0.001 {
 		t.Fatalf("empirical loss %v, steady-state %v", got, want)
 	}
-	if in.SubframesLost != lost {
-		t.Fatalf("counter %d, observed %d", in.SubframesLost, lost)
-	}
 }
 
 func TestGilbertElliottIsBursty(t *testing.T) {
@@ -126,7 +123,10 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 }
 
-func TestBrownoutWindowClipsAndCounts(t *testing.T) {
+// TestBrownoutWindowClips: every probability-1 window lies inside the
+// round, and a disabled brownout never fires. The hooks only draw;
+// core.System counts the windows (TestInjectedTallyMatchesHooks).
+func TestBrownoutWindowClips(t *testing.T) {
 	p := Profile{BrownoutProb: 1, BrownoutSubframes: 16}
 	in, err := NewInjector(p, 5)
 	if err != nil {
@@ -140,9 +140,6 @@ func TestBrownoutWindowClipsAndCounts(t *testing.T) {
 		if start < 0 || start >= 10 || start+length > 10 || length < 1 {
 			t.Fatalf("window [%d,%d) outside 10 subframes", start, start+length)
 		}
-	}
-	if in.Brownouts != 200 {
-		t.Fatalf("brownout counter %d", in.Brownouts)
 	}
 	// Disabled brownout must not fire and must report inactive.
 	off, err := NewInjector(Profile{}, 5)

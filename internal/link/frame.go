@@ -70,8 +70,8 @@ type FrameSender struct {
 	Sys *core.System
 
 	// env, when non-nil, advances channel.RoundStepS of scatterer motion
-	// before every query round — the same fading dynamics sim.MeasureRun
-	// applies.
+	// before every query round through Sys.Advance — the same fading
+	// dynamics sim.MeasureRun applies.
 	env    *channel.Environment
 	rng    *rand.Rand
 	erased int    // consecutive erased frames
@@ -84,27 +84,6 @@ type FrameSender struct {
 // DESIGN.md §8).
 func NewFrameSender(sys *core.System, env *channel.Environment, rng *rand.Rand) *FrameSender {
 	return &FrameSender{Sys: sys, env: env, rng: rng}
-}
-
-// Begin readies the sender for one transfer. It returns the system's
-// observer (nil when detached), which receives the transfer's metrics and
-// trace events under the system's trace identity, and attributes the
-// environment's Advance calls to the channel phase in the system's lane.
-func (f *FrameSender) Begin() *obs.Observer {
-	o := f.Sys.Obs
-	if o != nil && f.env != nil {
-		f.env.Spans = o.Spans.Lane(f.Sys.TraceID)
-	}
-	return o
-}
-
-// Spans returns the observer's phase timers in the system's lane (nil
-// when detached).
-func (f *FrameSender) Spans() *obs.Spans {
-	if o := f.Sys.Obs; o != nil {
-		return o.Spans.Lane(f.Sys.TraceID)
-	}
-	return nil
 }
 
 // Frame is one frame attempt's outcome.
@@ -127,7 +106,7 @@ type Frame struct {
 // noticing. The error is reserved for broken configuration or a cancelled
 // context; a lost frame is an outcome.
 func (f *FrameSender) Send(ctx context.Context, codec core.Codec, fp []byte, st *TransferStats) (Frame, error) {
-	spans := f.Spans()
+	spans := f.Sys.Spans
 	sp := spans.Start()
 	bits, err := codec.Encode(fp)
 	if err != nil {
@@ -143,7 +122,7 @@ func (f *FrameSender) Send(ctx context.Context, codec core.Codec, fp []byte, st 
 			return Frame{}, err
 		}
 		if f.env != nil {
-			f.env.Advance(channel.RoundStepS)
+			f.Sys.Advance(f.env)
 		}
 		res, err := f.Sys.QueryRound(bits[off:end])
 		if err != nil {

@@ -72,7 +72,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 	}
 	st := &Stats{TransferStats: TransferStats{PayloadBytes: len(payload)}}
 	// Passive: no RNG draws, no effect on the ARQ loop.
-	o := t.frames.Begin()
+	o := t.frames.Sys.Obs
 	if o != nil {
 		o.Link.TransfersStarted.Inc()
 		// Flush the transfer's totals on every exit path — including
@@ -138,7 +138,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 		budget--
 		st.Retries++
 		if erased {
-			spans := t.frames.Spans()
+			spans := t.frames.Sys.Spans
 			sp := spans.Start()
 			wait := t.frames.Backoff(&st.TransferStats)
 			spans.End(obs.PhaseARQRound, sp)

@@ -66,14 +66,10 @@ func (t Trial) Run(ctx context.Context, o *obs.Observer) (RunStats, error) {
 }
 
 // MeasureRun performs rounds query rounds against sys, advancing the
-// environment (people walking) between rounds, and returns aggregate
-// statistics. Random tag data is drawn from seed. Cancelling ctx aborts
-// between rounds.
+// environment (people walking) before each round through sys.Advance, and
+// returns aggregate statistics. Random tag data is drawn from seed.
+// Cancelling ctx aborts between rounds.
 func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment, rounds int, seed int64) (RunStats, error) {
-	if o := sys.Obs; o != nil {
-		// Attribute the pre-round Advance calls below to the channel phase.
-		env.Spans = o.Spans.Lane(sys.TraceID)
-	}
 	rng := stats.NewRNG(seed)
 	var rs RunStats
 	detected := 0
@@ -81,7 +77,7 @@ func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment,
 		if err := ctx.Err(); err != nil {
 			return rs, err
 		}
-		env.Advance(channel.RoundStepS)
+		sys.Advance(env)
 		bits := stats.RandomBits(rng, sys.Spec.DataLen)
 		res, err := sys.QueryRound(bits)
 		if err != nil {
@@ -112,15 +108,15 @@ type Stream struct {
 }
 
 // Send streams bits to the reader DataLen at a time, one query round per
-// slice, advancing the environment before each round, and adds what it
-// received to st. Cancelling ctx aborts between rounds.
+// slice, advancing the environment before each round through sys.Advance,
+// and adds what it received to st. Cancelling ctx aborts between rounds.
 func (st *Stream) Send(ctx context.Context, sys *core.System, env *channel.Environment, bits []byte) error {
 	for off := 0; off < len(bits); off += sys.Spec.DataLen {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		end := min(off+sys.Spec.DataLen, len(bits))
-		env.Advance(channel.RoundStepS)
+		sys.Advance(env)
 		res, err := sys.QueryRound(bits[off:end])
 		if err != nil {
 			return err

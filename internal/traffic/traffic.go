@@ -18,9 +18,10 @@
 // (start, length) per arrival — regardless of what the round does with
 // the mask. All randomness comes from the generator's own seed via
 // stats.SubSeed, so attaching a generator never perturbs the fault or
-// channel streams, and paired trials stay paired. A system reading its
-// world from a core.LinkTape takes the mask the tape drew and counts it
-// through Count, never drawing from its own generator.
+// channel streams, and paired trials stay paired. RoundMask only draws:
+// the core.System counts the Round it returns, so a system reading its
+// world from a core.LinkTape counts the tape's draw as it would its own,
+// never drawing from its own generator.
 package traffic
 
 import (
@@ -29,7 +30,6 @@ import (
 	"slices"
 	"sort"
 
-	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
@@ -168,11 +168,6 @@ func Names() []string {
 // safe for concurrent use — one Generator per deployment, like
 // fault.Injector.
 type Generator struct {
-	// Obs, when non-nil, receives traffic counters. Like every observer
-	// hook it is passive: counters only, no RNG draws, no branching back
-	// into the draw sequence.
-	Obs *obs.Observer
-
 	prof  Profile
 	rng   *rand.Rand
 	state int
@@ -202,12 +197,12 @@ type Round struct {
 	Switched bool
 }
 
-// RoundMask draws one round of ambient traffic, counts it (Count) and
-// returns the collision mask over n subframes — mask[i] reports that an
-// ambient burst overlapped subframe i — with the round's counts. The draw
-// order is fixed (transition, count, then start and length per burst) so
-// the stream is a pure function of the seed. The mask is the generator's
-// own storage, valid until the next call.
+// RoundMask draws one round of ambient traffic and returns the collision
+// mask over n subframes — mask[i] reports that an ambient burst
+// overlapped subframe i — with the round's counts. The draw order is
+// fixed (transition, count, then start and length per burst) so the
+// stream is a pure function of the seed. The mask is the generator's own
+// storage, valid until the next call.
 func (g *Generator) RoundMask(n int) ([]bool, Round) {
 	if cap(g.mask) < n {
 		g.mask = make([]bool, n)
@@ -242,22 +237,5 @@ func (g *Generator) RoundMask(n int) ([]bool, Round) {
 			mask[i] = true
 		}
 	}
-	g.Count(r)
 	return mask, r
-}
-
-// Count records a round the generator's stream produced in its observer's
-// counters, without drawing. RoundMask counts through it; so does a system
-// that reads its world's ambient mask from a tape (core.LinkTape) instead
-// of drawing it again.
-func (g *Generator) Count(r Round) {
-	if o := g.Obs; o != nil {
-		m := o.Traffic
-		m.Rounds.Inc()
-		m.Bursts.Add(int64(r.Bursts))
-		m.SubframesMask.Add(int64(r.Masked))
-		if r.Switched {
-			m.StateSwitches.Inc()
-		}
-	}
 }
