@@ -21,6 +21,11 @@
 // internal/sim; results are byte-identical for every worker count, so
 // -parallel only changes the wall clock. Ctrl-C cancels cleanly.
 //
+// The experiments come from one table, experiments.Suite. Every selected
+// experiment runs even after another fails its run or its shape checks:
+// each failure is printed on stderr as it happens and stamped as "error"
+// on that experiment's artifacts, and the command exits 1 at the end.
+//
 // With -json DIR, each experiment additionally writes its series as
 // machine-readable BENCH_<name>.json under DIR, so successive runs (and
 // future PRs) can diff trajectories instead of parsing tables — plus a
@@ -68,8 +73,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -90,20 +97,24 @@ import (
 	"witag/internal/traffic"
 )
 
-// experimentNames lists every -experiment value, in run order.
-var experimentNames = []string{"all", "fig3", "fig5", "fig6", "s41", "compare", "power", "ablations", "robustness", "coding"}
+// experimentChoices lists every -experiment value for suite: "all", then
+// each experiment in run order.
+func experimentChoices(suite []experiments.Experiment) []string {
+	names := []string{"all"}
+	for _, e := range suite {
+		names = append(names, e.Name)
+	}
+	return names
+}
 
+// benchConfig is the parsed flags: the suite's settings, then the
+// CLI's own.
 type benchConfig struct {
+	experiments.SuiteConfig
+
 	experiment string
-	seed       int64
-	runs       int
-	rounds     int
 	parallel   int
 	jsonDir    string
-	faultProf  string
-	transfers  int
-	transfer   string
-	trafficSel string
 	profileDir string
 
 	metricsAddr string
@@ -121,16 +132,16 @@ type benchConfig struct {
 
 func main() {
 	var cfg benchConfig
-	flag.StringVar(&cfg.experiment, "experiment", "all", "which experiment to run: "+strings.Join(experimentNames, ", "))
-	flag.Int64Var(&cfg.seed, "seed", 42, "root random seed")
-	flag.IntVar(&cfg.runs, "runs", 4, "measurement repetitions (figure 5; figure 6 uses 60)")
-	flag.IntVar(&cfg.rounds, "rounds", 700, "query rounds per measurement run")
+	flag.StringVar(&cfg.experiment, "experiment", "all", "which experiment to run: "+strings.Join(experimentChoices(experiments.Suite), ", "))
+	flag.Int64Var(&cfg.Seed, "seed", 42, "root random seed")
+	flag.IntVar(&cfg.Runs, "runs", 4, "measurement repetitions (figure 5; figure 6 uses 60)")
+	flag.IntVar(&cfg.Rounds, "rounds", 700, "query rounds per measurement run")
 	flag.IntVar(&cfg.parallel, "parallel", 0, "concurrent trial workers; <= 0 means all CPUs")
 	flag.StringVar(&cfg.jsonDir, "json", "", "directory to write BENCH_<name>.json series into (empty: off)")
-	flag.StringVar(&cfg.faultProf, "fault", "bursty", "fault profile for the robustness sweep: "+strings.Join(fault.Names(), ", "))
-	flag.IntVar(&cfg.transfers, "transfers", 100, "transfers per sweep point per mode (robustness)")
-	flag.StringVar(&cfg.transfer, "transfer", "all", "transfer scheme for the coding sweep: all, "+strings.Join(experiments.CodingSchemes, ", "))
-	flag.StringVar(&cfg.trafficSel, "traffic", "all", "ambient-traffic profile for the coding sweep: all (the full profile grid), "+strings.Join(traffic.Names(), ", "))
+	flag.StringVar(&cfg.FaultProfile, "fault", "bursty", "fault profile for the robustness sweep: "+strings.Join(fault.Names(), ", "))
+	flag.IntVar(&cfg.Transfers, "transfers", 100, "transfers per sweep point per mode (robustness)")
+	flag.StringVar(&cfg.Scheme, "transfer", "all", "transfer scheme for the coding sweep: all, "+strings.Join(experiments.CodingSchemes, ", "))
+	flag.StringVar(&cfg.Traffic, "traffic", "all", "ambient-traffic profile for the coding sweep: all (the full profile grid), "+strings.Join(traffic.Names(), ", "))
 	flag.StringVar(&cfg.profileDir, "profile", "", "write cpu/heap/allocs pprof profiles per experiment under this directory (empty: off)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run (empty: off)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write per-round/per-transfer trace events as JSONL to this file (empty: off)")
@@ -149,7 +160,7 @@ func main() {
 		return
 	}
 
-	clirun.Main("witag-bench", func(ctx context.Context) error { return run(ctx, cfg) })
+	clirun.Main("witag-bench", func(ctx context.Context) error { return run(ctx, cfg, experiments.Suite, os.Stdout) })
 }
 
 // writeMemProfiles snapshots heap_<name>.pprof and allocs_<name>.pprof
@@ -158,19 +169,15 @@ func main() {
 func writeMemProfiles(dir, name string) error {
 	runtime.GC()
 	for _, kind := range []string{"heap", "allocs"} {
-		p := pprof.Lookup(kind)
-		if p == nil {
-			continue
-		}
 		f, err := os.Create(filepath.Join(dir, kind+"_"+name+".pprof"))
 		if err != nil {
 			return err
 		}
-		if err := p.WriteTo(f, 0); err != nil {
-			f.Close()
-			return err
+		err = pprof.Lookup(kind).WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -189,33 +196,36 @@ func provenance(cfg benchConfig) regress.Provenance {
 		GitSHA:         buildinfo.GitSHA(),
 		GoVersion:      runtime.Version(),
 		TimestampUTC:   time.Now().UTC().Format(time.RFC3339),
-		Seed:           cfg.seed,
-		Runs:           cfg.runs,
-		Rounds:         cfg.rounds,
-		Transfers:      cfg.transfers,
+		Seed:           cfg.Seed,
+		Runs:           cfg.Runs,
+		Rounds:         cfg.Rounds,
+		Transfers:      cfg.Transfers,
 		Workers:        workers,
-		FaultProfile:   cfg.faultProf,
-		TransferScheme: cfg.transfer,
-		TrafficProfile: cfg.trafficSel,
+		FaultProfile:   cfg.FaultProfile,
+		TransferScheme: cfg.Scheme,
+		TrafficProfile: cfg.Traffic,
 	}
 }
 
-func run(ctx context.Context, cfg benchConfig) (err error) {
+// run runs every experiment of suite that cfg selects, in table order,
+// printing each table to stdout. An experiment that fails (a run error or
+// a failed shape check) is reported on stderr as it happens, its
+// artifacts are stamped with the failure, and the walk goes on: only a
+// cancelled ctx stops it early. The failures are returned joined.
+func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, stdout io.Writer) (err error) {
 	// Up-front flag validation, shared with the other CLIs via
 	// internal/cliflags: reject unknown selectors and unusable paths
 	// before any work, naming the flag and the valid choices — a typo
 	// must not silently run nothing.
-	if verr := cliflags.Choice("-experiment", cfg.experiment, experimentNames, false); verr != nil {
-		return verr
-	}
-	if verr := cliflags.FaultProfile("-fault", cfg.faultProf, false); verr != nil {
-		return verr
-	}
-	if verr := cliflags.Choice("-transfer", cfg.transfer, append([]string{"all"}, experiments.CodingSchemes...), false); verr != nil {
-		return verr
-	}
-	if verr := cliflags.TrafficProfile("-traffic", cfg.trafficSel, false, true); verr != nil {
-		return verr
+	for _, v := range []error{
+		cliflags.Choice("-experiment", cfg.experiment, experimentChoices(suite), false),
+		cliflags.FaultProfile("-fault", cfg.FaultProfile, false),
+		cliflags.Choice("-transfer", cfg.Scheme, append([]string{"all"}, experiments.CodingSchemes...), false),
+		cliflags.TrafficProfile("-traffic", cfg.Traffic, false, true),
+	} {
+		if v != nil {
+			return v
+		}
 	}
 	if cfg.tracePath != "" && cfg.traceOut != "" {
 		return fmt.Errorf("-trace and -trace-out are exclusive: one ring for the whole run, or one per experiment")
@@ -256,16 +266,17 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 			traceCap = obs.DefaultTraceCap
 		}
 	}
+	runProv := provenance(cfg)
 	opts := clirun.Options{
 		Tool: "witag-bench", Campaign: "bench",
 		LogPath: cfg.logPath, LogLevel: logLevel,
 		StartAttrs: []any{
-			slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.seed),
-			slog.Int("runs", cfg.runs), slog.Int("rounds", cfg.rounds),
+			slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.Seed),
+			slog.Int("runs", cfg.Runs), slog.Int("rounds", cfg.Rounds),
 		},
 		TraceCap: traceCap, TracePath: cfg.tracePath,
 		MetricsAddr: cfg.metricsAddr,
-		LedgerDir:   cfg.jsonDir, Provenance: provenance(cfg),
+		LedgerDir:   cfg.jsonDir, Provenance: runProv,
 	}
 	if cfg.progress {
 		opts.ProgressNoun = "trials"
@@ -278,77 +289,19 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 	camp := cr.Campaign
 	reg := camp.Registry
 
-	// emit writes an experiment's series plus the metrics-registry delta
-	// accumulated since the previous experiment finished, both wrapped in
-	// a provenance envelope naming what produced them, plus the delta's
-	// phase-attribution profile as PROF_<name>.json. The trial count is
-	// the runner's own tally for this experiment, read from the delta.
+	// runExperiment runs e on a runner scoped to the campaign, prints its
+	// table and checks its shape, then writes its artifacts, each stamped
+	// with the failure if it failed. They are its series as
+	// BENCH_<name>.json (when it returned a result); the metrics-registry
+	// delta since the previous experiment finished, passed or failed, as
+	// BENCH_<name>.metrics.json; the delta's phase-attribution profile as
+	// PROF_<name>.json; with -timeline, the experiment's own timeline as
+	// TL_<name>.jsonl; and with -trace-out, the campaign's ring as
+	// TRACE_<name>.jsonl, reset after for the next experiment. It returns
+	// the failure joined with any error writing them.
 	lastSnap := reg.Snapshot()
-	runProv := provenance(cfg)
-	emit := func(name string, v any) error {
-		now := reg.Snapshot()
-		delta := now.Delta(lastSnap)
-		lastSnap = now
-		rep := perf.FromSnapshot(delta)
-		if cfg.profileDir != "" && rep.Trials > 0 {
-			fmt.Fprintf(os.Stderr, "perf %s:\n%s", name, rep.Render())
-		}
-		// Low coverage on a span-bearing experiment means untimed work
-		// crept into the trials. Analytic experiments (fig3, s41, compare)
-		// record no spans at all and stay quiet — losing instrumentation
-		// entirely is the gate's structural check, not this warning.
-		spansFired := false
-		for _, ps := range rep.Phases {
-			if ps.Count > 0 {
-				spansFired = true
-				break
-			}
-		}
-		if spansFired && rep.Trials > 0 && rep.Coverage < 0.9 {
-			fmt.Fprintf(os.Stderr, "perf: %s: spans attribute only %.1f%% of trial wall time\n", name, 100*rep.Coverage)
-		}
-		// Live phase-attribution snapshot for /campaigns/bench/events
-		// watchers, mirroring the PROF artifact written below.
-		rep.Publish(camp, name)
-		camp.Logger.Info("experiment finished", slog.String("experiment", name),
-			slog.Int64("trials", delta.Counters["runner.trials_started"]),
-			slog.Int64("rounds", delta.Counters["core.rounds"]))
-		if cfg.jsonDir == "" {
-			return nil
-		}
-		prov := runProv
-		prov.Experiment = name
-		prov.Trials = delta.Counters["runner.trials_started"]
-		if err := regress.WriteSeries(cfg.jsonDir, name, prov, v); err != nil {
-			return err
-		}
-		if err := regress.WriteMetrics(cfg.jsonDir, name, prov, delta); err != nil {
-			return err
-		}
-		if err := regress.WriteProf(cfg.jsonDir, name, prov, rep); err != nil {
-			return err
-		}
-		cr.AddArtifact("BENCH_" + name + ".json")
-		cr.AddArtifact("BENCH_" + name + ".metrics.json")
-		cr.AddArtifact("PROF_" + name + ".json")
-		return nil
-	}
-
-	all := cfg.experiment == "all"
-	seed, runs, rounds, parallel := cfg.seed, cfg.runs, cfg.rounds, cfg.parallel
-
-	// runExperiment runs one experiment on a runner scoped to the
-	// campaign. With -trace-out, the campaign's ring is written as
-	// TRACE_<name>.jsonl under the directory when the experiment finishes
-	// and then reset — one self-contained file per experiment for
-	// witag-trace to analyze. With -timeline, the experiment gets its own
-	// fresh timeline attached to the campaign (every runner under it then
-	// samples windowed deltas), written as TL_<name>.jsonl beside the
-	// BENCH artifacts.
-	runExperiment := func(name string, fn func(runner sim.Runner) error) error {
-		if !all && cfg.experiment != name {
-			return nil
-		}
+	runExperiment := func(e experiments.Experiment) error {
+		name := e.Name
 		camp.Logger.Info("experiment started", slog.String("experiment", name))
 		var tl *obs.Timeline
 		stopWall := func() {}
@@ -375,206 +328,87 @@ func run(ctx context.Context, cfg benchConfig) (err error) {
 				return perr
 			}
 		}
-		err := fn(sim.Runner{Workers: parallel, Campaign: camp})
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if cerr := cpuFile.Close(); err == nil && cerr != nil {
-				err = cerr
-			}
-			if perr := writeMemProfiles(cfg.profileDir, name); err == nil && perr != nil {
-				err = perr
+		res, failure := e.Run(ctx, sim.Runner{Workers: cfg.parallel, Campaign: camp}, cfg.SuiteConfig)
+		if res != nil {
+			fmt.Fprintln(stdout, res.Render())
+			if failure == nil && res.ShapeChecks != nil {
+				failure = res.ShapeChecks()
 			}
 		}
-		if err != nil {
-			return err
+		errs := []error{failure}
+		stamp := clirun.ErrorText(failure)
+
+		now := reg.Snapshot()
+		delta := now.Delta(lastSnap)
+		lastSnap = now
+		rep := perf.FromSnapshot(delta)
+		if cfg.profileDir != "" && rep.Trials > 0 {
+			fmt.Fprintf(os.Stderr, "perf %s:\n%s", name, rep.Render())
+		}
+		// Low coverage on a span-bearing experiment means untimed work
+		// crept into the trials. Analytic experiments (fig3, s41, compare)
+		// record no spans at all (zero coverage) and stay quiet — losing
+		// instrumentation entirely is the gate's structural check, not
+		// this warning.
+		if rep.Trials > 0 && rep.Coverage > 0 && rep.Coverage < 0.9 {
+			fmt.Fprintf(os.Stderr, "perf: %s: spans attribute only %.1f%% of trial wall time\n", name, 100*rep.Coverage)
+		}
+		// Live phase-attribution snapshot for /campaigns/bench/events
+		// watchers, mirroring the PROF artifact written below.
+		rep.Publish(camp, name)
+		camp.Logger.Info("experiment finished", slog.String("experiment", name),
+			slog.Int64("trials", delta.Counters["runner.trials_started"]),
+			slog.Int64("rounds", delta.Counters["core.rounds"]))
+		if cfg.jsonDir != "" {
+			prov := runProv
+			prov.Experiment, prov.Trials, prov.Error = name, delta.Counters["runner.trials_started"], stamp
+			if res != nil {
+				errs = append(errs, regress.WriteSeries(cfg.jsonDir, name, prov, res.Series))
+				cr.AddArtifact("BENCH_" + name + ".json")
+			}
+			errs = append(errs, regress.WriteMetrics(cfg.jsonDir, name, prov, delta), regress.WriteProf(cfg.jsonDir, name, prov, rep))
+			cr.AddArtifact("BENCH_"+name+".metrics.json", "PROF_"+name+".json")
+		}
+
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpuFile.Close(), writeMemProfiles(cfg.profileDir, name))
 		}
 		if tl != nil {
 			stopWall()
 			tl.Flush()
 			path := filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl")
-			if err := clirun.WriteJSONL(path, tl); err != nil {
-				return err
-			}
+			errs = append(errs, clirun.WriteJSONL(path, tl, stamp))
 			cr.AddArtifact("TL_" + name + ".jsonl")
 			if d := tl.Dropped(); d > 0 {
 				fmt.Fprintf(os.Stderr, "timeline: wrote %d windows to %s (%d older windows dropped)\n", tl.Total()-d, path, d)
 			}
 		}
-		if cfg.traceOut == "" {
-			return nil
+		if cfg.traceOut != "" {
+			path := filepath.Join(cfg.traceOut, "TRACE_"+name+".jsonl")
+			cr.AddArtifact(path)
+			errs = append(errs, cr.ExportTrace(path, stamp))
 		}
-		if err := os.MkdirAll(cfg.traceOut, 0o755); err != nil {
-			return err
-		}
-		path := filepath.Join(cfg.traceOut, "TRACE_"+name+".jsonl")
-		cr.AddArtifact(path)
-		return cr.ExportTrace(path)
+		return errors.Join(errs...)
 	}
 
-	if err := runExperiment("fig3", func(runner sim.Runner) error {
-		res, err := experiments.Figure3Ctx(ctx, runner, seed)
-		if err != nil {
-			return err
+	var failures []error
+	for _, e := range suite {
+		if cfg.experiment != "all" && cfg.experiment != e.Name {
+			continue
 		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
+		if ctx.Err() != nil {
+			break
 		}
-		return emit("fig3", res)
-	}); err != nil {
-		return err
+		if ferr := runExperiment(e); ferr != nil {
+			ferr = fmt.Errorf("%s: %w", e.Name, ferr)
+			fmt.Fprintln(os.Stderr, "witag-bench:", ferr)
+			failures = append(failures, ferr)
+		}
 	}
-	if err := runExperiment("fig5", func(runner sim.Runner) error {
-		res, err := experiments.Figure5Ctx(ctx, experiments.Figure5Config{Seed: seed, Runs: runs, Round: rounds, Workers: parallel, Campaign: camp})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("fig5", res)
-	}); err != nil {
-		return err
+	err = errors.Join(failures...)
+	if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
+		err = errors.Join(err, cerr)
 	}
-	if err := runExperiment("fig6", func(sim.Runner) error {
-		fcfg := experiments.DefaultFigure6Config()
-		fcfg.Seed = seed
-		fcfg.Workers = parallel
-		fcfg.Campaign = camp
-		fcfg.Round = rounds / 2
-		if fcfg.Round < 10 {
-			fcfg.Round = 10
-		}
-		a, err := experiments.Figure6Ctx(ctx, experiments.LocationA, fcfg)
-		if err != nil {
-			return err
-		}
-		fcfg.Seed = seed + 1
-		b, err := experiments.Figure6Ctx(ctx, experiments.LocationB, fcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.Render())
-		fmt.Println(b.Render())
-		if err := experiments.CheckFigure6Shape(a, b); err != nil {
-			return err
-		}
-		return emit("fig6", map[string]experiments.Figure6Series{"A": a.Series(), "B": b.Series()})
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("s41", func(runner sim.Runner) error {
-		res, err := experiments.Section41SweepCtx(ctx, runner)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("s41", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("compare", func(sim.Runner) error {
-		res, err := experiments.PriorSystemComparison(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("compare", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("power", func(runner sim.Runner) error {
-		res, err := experiments.Section7PowerCtx(ctx, runner, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("power", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("ablations", func(runner sim.Runner) error {
-		// Tables finished before a failure still print, ahead of the error.
-		results, err := experiments.RunAblations(ctx, runner, seed, rounds)
-		series := map[string]*experiments.AblationResult{}
-		for _, res := range results {
-			fmt.Println(res.Render())
-			series[res.Label] = res
-		}
-		if err != nil {
-			return err
-		}
-		return emit("ablations", series)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("robustness", func(sim.Runner) error {
-		rcfg := experiments.DefaultRobustnessConfig()
-		rcfg.Seed = seed
-		rcfg.Workers = parallel
-		rcfg.Campaign = camp
-		rcfg.BaseProfile = cfg.faultProf
-		rcfg.Transfers = cfg.transfers
-		res, err := experiments.RobustnessCtx(ctx, rcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := res.ShapeChecks(); err != nil {
-			return err
-		}
-		return emit("robustness", res)
-	}); err != nil {
-		return err
-	}
-	if err := runExperiment("coding", func(sim.Runner) error {
-		ccfg := experiments.DefaultAdaptiveCodingConfig()
-		ccfg.Seed = seed
-		ccfg.Workers = parallel
-		ccfg.Campaign = camp
-		full := cfg.transfer == "all" && cfg.trafficSel == "all"
-		if cfg.transfer != "all" {
-			ccfg.Schemes = []string{cfg.transfer}
-		}
-		if cfg.trafficSel != "all" {
-			// Narrow the grid to the profiles composed with the selected
-			// ambient-traffic preset.
-			var kept []experiments.CodingProfile
-			for _, p := range ccfg.Profiles {
-				if p.Traffic == cfg.trafficSel {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				return fmt.Errorf("no coding profile uses traffic %q", cfg.trafficSel)
-			}
-			ccfg.Profiles = kept
-		}
-		res, err := experiments.AdaptiveCodingCtx(ctx, ccfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		// The shape claims compare all three schemes across the full grid;
-		// a -transfer/-traffic narrowed run is exploration, not a gate.
-		if full {
-			if err := res.ShapeChecks(); err != nil {
-				return err
-			}
-		}
-		return emit("coding", res)
-	}); err != nil {
-		return err
-	}
-	return nil
+	return err
 }

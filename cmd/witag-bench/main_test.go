@@ -1,0 +1,181 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"witag/internal/experiments"
+	"witag/internal/obs"
+	"witag/internal/regress"
+	"witag/internal/sim"
+)
+
+// fakeExperiment counts n on its own counter and records one trace event;
+// its result fails its shape check with failure, when set.
+func fakeExperiment(name string, n int64, failure string) experiments.Experiment {
+	return experiments.Experiment{Name: name, Run: func(_ context.Context, r sim.Runner, _ experiments.SuiteConfig) (*experiments.Result, error) {
+		r.Campaign.Registry.Counter("test." + name).Add(n)
+		r.Campaign.Trace.Record(obs.Event{Kind: "round", Labels: name})
+		return fakeResult(name, failure), nil
+	}}
+}
+
+func fakeResult(name, failure string) *experiments.Result {
+	return &experiments.Result{
+		Render: func() string { return "table " + name + "\n" },
+		ShapeChecks: func() error {
+			if failure != "" {
+				return errors.New(failure)
+			}
+			return nil
+		},
+		Series: map[string]string{"name": name},
+	}
+}
+
+func testConfig(t *testing.T) benchConfig {
+	dir := t.TempDir()
+	return benchConfig{
+		SuiteConfig: experiments.SuiteConfig{
+			Seed: 42, Runs: 1, Rounds: 10, FaultProfile: "bursty", Transfers: 1, Scheme: "all", Traffic: "all",
+		},
+		experiment: "all", parallel: 1,
+		jsonDir: filepath.Join(dir, "json"), traceOut: filepath.Join(dir, "trace"), traceCap: 64,
+		logLevel: "info", timeline: true, timelineWin: 1,
+	}
+}
+
+// TestRunWalksPastFailures walks a table of a passing experiment, one
+// that fails its shape check and another passing one: every experiment
+// must print and write all its artifacts, and only the failing one's may
+// carry the failure.
+func TestRunWalksPastFailures(t *testing.T) {
+	cfg := testConfig(t)
+	suite := []experiments.Experiment{
+		fakeExperiment("alpha", 1, ""),
+		fakeExperiment("beta", 5, "beta shape is wrong"),
+		fakeExperiment("gamma", 1, ""),
+	}
+	var stdout bytes.Buffer
+	err := run(context.Background(), cfg, suite, &stdout)
+	if err == nil || !strings.Contains(err.Error(), "beta: beta shape is wrong") ||
+		strings.Contains(err.Error(), "alpha") || strings.Contains(err.Error(), "gamma") {
+		t.Fatalf("run returned %v, want the beta failure alone, named", err)
+	}
+	if want := "table alpha\n\ntable beta\n\ntable gamma\n\n"; stdout.String() != want {
+		t.Fatalf("stdout = %q, want %q", stdout.String(), want)
+	}
+
+	arts, lerr := regress.LoadDir(cfg.jsonDir)
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	for _, name := range []string{"alpha", "beta", "gamma"} {
+		want := ""
+		if name == "beta" {
+			want = "beta shape is wrong"
+		}
+		a := arts[name]
+		if a == nil || a.Series == nil || a.Metrics == nil || a.Prof == nil {
+			t.Fatalf("%s: BENCH, metrics or PROF missing: %+v", name, a)
+		}
+		for _, p := range []*regress.Provenance{a.SeriesProv, a.MetricsProv, a.ProfProv} {
+			if p.Error != want {
+				t.Errorf("%s: artifact stamped %q, want %q", name, p.Error, want)
+			}
+		}
+		tr := readExport(t, filepath.Join(cfg.traceOut, "TRACE_"+name+".jsonl"), obs.ReadJSONL)
+		if tr.Error != want || len(tr.Events) != 1 || tr.Events[0].Labels != name {
+			t.Errorf("%s: TRACE stamped %q with events %+v, want %q and its one event", name, tr.Error, tr.Events, want)
+		}
+		tl := readExport(t, filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl"), obs.ReadTimelineLog)
+		if tl.Error != want {
+			t.Errorf("%s: TL stamped %q, want %q", name, tl.Error, want)
+		}
+	}
+
+	// Each delta starts where the previous experiment's ended, failed or
+	// not: beta's count stays out of gamma's.
+	for name, want := range map[string]map[string]int64{
+		"beta":  {"test.alpha": 0, "test.beta": 5},
+		"gamma": {"test.alpha": 0, "test.beta": 0, "test.gamma": 1},
+	} {
+		for c, n := range want {
+			if got := arts[name].Metrics.Counters[c]; got != n {
+				t.Errorf("%s: %s = %d in its delta, want %d", name, c, got, n)
+			}
+		}
+	}
+}
+
+// readExport decodes a JSONL export file with read.
+func readExport[T any](t *testing.T, path string, read func(r io.Reader) (T, error)) T {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	v, err := read(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return v
+}
+
+// TestRunStopsOnCancel cancels the context inside the second experiment:
+// the third must never start.
+func TestRunStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := false
+	suite := []experiments.Experiment{
+		fakeExperiment("alpha", 1, ""),
+		{Name: "beta", Run: func(ctx context.Context, _ sim.Runner, _ experiments.SuiteConfig) (*experiments.Result, error) {
+			cancel()
+			return nil, ctx.Err()
+		}},
+		{Name: "gamma", Run: func(context.Context, sim.Runner, experiments.SuiteConfig) (*experiments.Result, error) {
+			ran = true
+			return fakeResult("gamma", ""), nil
+		}},
+	}
+	err := run(ctx, testConfig(t), suite, &bytes.Buffer{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run returned %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Fatal("the walk went on past cancellation")
+	}
+}
+
+// TestExperimentChoices checks that -experiment offers "all" and then
+// the table's names in order, and selects one experiment by name.
+func TestExperimentChoices(t *testing.T) {
+	suite := []experiments.Experiment{fakeExperiment("alpha", 1, ""), fakeExperiment("beta", 1, "")}
+	if got, want := experimentChoices(suite), []string{"all", "alpha", "beta"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("choices = %v, want %v", got, want)
+	}
+	want := []string{"all", "fig3", "fig5", "fig6", "s41", "compare", "power", "ablations", "robustness", "coding"}
+	if got := experimentChoices(experiments.Suite); !reflect.DeepEqual(got, want) {
+		t.Fatalf("suite choices = %v, want %v", got, want)
+	}
+
+	cfg := testConfig(t)
+	cfg.experiment = "beta"
+	var stdout bytes.Buffer
+	if err := run(context.Background(), cfg, suite, &stdout); err != nil || stdout.String() != "table beta\n\n" {
+		t.Fatalf("-experiment beta printed %q, err %v; want beta's table alone", stdout.String(), err)
+	}
+	cfg.experiment = "gamma"
+	if err := run(context.Background(), cfg, suite, &stdout); err == nil || !strings.Contains(err.Error(), "all, alpha, beta") {
+		t.Fatalf("-experiment gamma returned %v, want an error listing the choices", err)
+	}
+}

@@ -358,7 +358,7 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 		camp.SetTimeline(tl)
 		defer func() {
 			tl.Flush()
-			if terr := clirun.WriteJSONL(ocfg.tlPath, tl); terr != nil {
+			if terr := clirun.WriteJSONL(ocfg.tlPath, tl, clirun.ErrorText(err)); terr != nil {
 				fmt.Fprintln(os.Stderr, "witag-sim: timeline:", terr)
 			}
 		}()

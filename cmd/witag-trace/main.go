@@ -113,6 +113,9 @@ func loadTrace(fs *flag.FlagSet) (*obs.Trace, error) {
 	if tr.Dropped > 0 {
 		fmt.Fprintf(os.Stderr, "witag-trace: warning: ring dropped %d of %d events before export; counts are lower bounds (raise -trace-cap when recording)\n", tr.Dropped, tr.Total)
 	}
+	if tr.Error != "" {
+		fmt.Fprintln(os.Stderr, "witag-trace: warning: the run that recorded this trace failed:", tr.Error)
+	}
 	if tr.Truncated {
 		fmt.Fprintln(os.Stderr, "witag-trace: warning: trace file has no summary record — it was truncated mid-write; counts are lower bounds")
 	}

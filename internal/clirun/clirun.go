@@ -119,16 +119,17 @@ func Start(ctx context.Context, opts Options) (*Run, error) {
 	return r, nil
 }
 
-// AddArtifact records a file the run wrote, for the ledger line.
-func (r *Run) AddArtifact(name string) {
-	r.artifacts = append(r.artifacts, name)
+// AddArtifact records files the run wrote, for the ledger line.
+func (r *Run) AddArtifact(names ...string) {
+	r.artifacts = append(r.artifacts, names...)
 }
 
-// ExportTrace writes the campaign's trace ring to path as JSONL and then
-// resets it, so the next export reads like one from a fresh ring.
-func (r *Run) ExportTrace(path string) error {
+// ExportTrace writes the campaign's trace ring to path as JSONL, with
+// failure (empty for none) on its summary record, and then resets it, so
+// the next export reads like one from a fresh ring.
+func (r *Run) ExportTrace(path, failure string) error {
 	rec := r.Campaign.Trace
-	if err := WriteJSONL(path, rec); err != nil {
+	if err := WriteJSONL(path, rec, failure); err != nil {
 		return err
 	}
 	if d := rec.Dropped(); d > 0 {
@@ -147,7 +148,7 @@ func (r *Run) ExportTrace(path string) error {
 // reported on stderr, never returned: they must not mask err.
 func (r *Run) Finish(err error) {
 	if r.opts.TracePath != "" {
-		if terr := r.ExportTrace(r.opts.TracePath); terr != nil {
+		if terr := r.ExportTrace(r.opts.TracePath, ErrorText(err)); terr != nil {
 			fmt.Fprintf(os.Stderr, "%s: trace: %v\n", r.opts.Tool, terr)
 		}
 	}
@@ -190,15 +191,24 @@ func (r *Run) closeFiles() {
 }
 
 // WriteJSONL creates path and writes src's JSONL export into it (a trace
-// ring or a timeline).
-func WriteJSONL(path string, src interface{ WriteJSONL(io.Writer) error }) error {
+// ring or a timeline), with failure (empty for none) on its summary.
+func WriteJSONL(path string, src interface{ WriteJSONLFailed(io.Writer, string) error }, failure string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := src.WriteJSONL(f); err != nil {
+	if err := src.WriteJSONLFailed(f, failure); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// ErrorText is err's message, or "" for nil: the failure stamp of an
+// artifact.
+func ErrorText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

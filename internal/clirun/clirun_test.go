@@ -108,12 +108,12 @@ func TestExportTraceResetsRing(t *testing.T) {
 	r := start(t, context.Background(), Options{Tool: "witag-test", Campaign: "test", TraceCap: 4})
 	defer r.Finish(nil)
 	record(r, 7)
-	if err := r.ExportTrace(filepath.Join(dir, "TRACE_a.jsonl")); err != nil {
+	if err := r.ExportTrace(filepath.Join(dir, "TRACE_a.jsonl"), ""); err != nil {
 		t.Fatal(err)
 	}
 	record(r, 3)
 	second := filepath.Join(dir, "TRACE_b.jsonl")
-	if err := r.ExportTrace(second); err != nil {
+	if err := r.ExportTrace(second, ""); err != nil {
 		t.Fatal(err)
 	}
 

@@ -43,8 +43,6 @@ type AblationRow struct {
 type AblationResult struct {
 	Title string
 	Rows  []AblationRow
-	// Label names the ablation; witag-bench keys its BENCH series by it.
-	Label string `json:"-"`
 }
 
 // Render prints the ablation table.
@@ -84,7 +82,7 @@ func (a *ablation) size(rounds int) int {
 }
 
 // ablations is the one table of ablations, in witag-bench's run order;
-// RunAblation, RunAblations and forensic replay all read it.
+// RunAblation, runAblations and forensic replay all read it.
 var ablations = []ablation{
 	{key: "switch", label: "switch mode", title: "switch design (tag mid-span, the worst case)",
 		n: len(switchModes), per: 2, row: ablationSwitchRow, check: checkSwitchMode},
@@ -120,22 +118,6 @@ func RunAblation(ctx context.Context, r sim.Runner, key string, seed int64, size
 	return a.run(ctx, r, seed, size)
 }
 
-// RunAblations runs every ablation in table order, each sized from the
-// bench round count rounds. It returns the results it finished together
-// with the first error, wrapped as "<label>: %w".
-func RunAblations(ctx context.Context, r sim.Runner, seed int64, rounds int) ([]*AblationResult, error) {
-	var out []*AblationResult
-	for i := range ablations {
-		a := &ablations[i]
-		res, err := a.run(ctx, r, seed, a.size(rounds))
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", a.label, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // run measures every configuration on r, each instrumented through r's
 // campaign, and checks the shape claim.
 func (a *ablation) run(ctx context.Context, r sim.Runner, seed int64, size int) (*AblationResult, error) {
@@ -151,7 +133,7 @@ func (a *ablation) run(ctx context.Context, r sim.Runner, seed int64, size int) 
 			return nil, err
 		}
 	}
-	return &AblationResult{Title: a.title, Rows: rows, Label: a.label}, nil
+	return &AblationResult{Title: a.title, Rows: rows}, nil
 }
 
 // ablationTrial is one configuration's run: configuration i of the

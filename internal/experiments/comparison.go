@@ -23,8 +23,12 @@ type ComparisonResult struct {
 }
 
 // PriorSystemComparison renders the comparison, measuring WiTAG's rate on
-// the LoS testbed.
-func PriorSystemComparison(seed int64) (*ComparisonResult, error) {
+// the LoS testbed. It takes a runner like its siblings, but its one
+// closed-form rate measurement runs inline and uninstrumented.
+func PriorSystemComparison(ctx context.Context, _ sim.Runner, seed int64) (*ComparisonResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	sys, _, err := LoSTestbed(1, stats.SubSeed(seed, "compare"))
 	if err != nil {
 		return nil, err

@@ -154,7 +154,7 @@ func TestSection41Shape(t *testing.T) {
 }
 
 func TestComparisonShape(t *testing.T) {
-	res, err := PriorSystemComparison(5)
+	res, err := PriorSystemComparison(context.Background(), sim.Runner{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,24 +184,29 @@ func TestSection7PowerShape(t *testing.T) {
 // in order, labels each result, and stops at the first failure with the
 // failing ablation's label in front of the error.
 func TestRunAblationsTableOrder(t *testing.T) {
-	res, err := RunAblations(context.Background(), sim.Runner{}, 1, 4)
+	cfg := SuiteConfig{Seed: 1, Rounds: 4}
+	res, err := runAblations(context.Background(), sim.Runner{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(ablations) {
-		t.Fatalf("%d results for %d ablations", len(res), len(ablations))
+	series := res.Series.(map[string]*AblationResult)
+	if len(series) != len(ablations) {
+		t.Fatalf("%d results for %d ablations", len(series), len(ablations))
 	}
-	for i, r := range res {
-		if a := ablations[i]; r.Label != a.label || r.Title != a.title || len(r.Rows) != a.n {
-			t.Errorf("result %d = %q %q with %d rows, want %q %q with %d", i, r.Label, r.Title, len(r.Rows), a.label, a.title, a.n)
+	for i, a := range ablations {
+		if r := series[a.label]; r == nil || r.Title != a.title || len(r.Rows) != a.n {
+			t.Errorf("ablation %d (%q) = %+v, want %q with %d rows", i, a.label, r, a.title, a.n)
 		}
+	}
+	if tables := res.Render(); strings.Index(tables, ablations[0].title) > strings.Index(tables, ablations[len(ablations)-1].title) {
+		t.Errorf("tables out of table order:\n%s", tables)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = RunAblations(ctx, sim.Runner{}, 1, 4)
-	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), ablations[0].label+": ") || len(res) != 0 {
-		t.Fatalf("cancelled suite = %d results, %v; want none and %q-prefixed context.Canceled", len(res), err, ablations[0].label)
+	res, err = runAblations(ctx, sim.Runner{}, cfg)
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), ablations[0].label+": ") || res != nil {
+		t.Fatalf("cancelled suite = %v, %v; want no result and %q-prefixed context.Canceled", res, err, ablations[0].label)
 	}
 	if _, err := RunAblation(context.Background(), sim.Runner{}, "nope", 1, 4); err == nil {
 		t.Fatal("unknown ablation key accepted")

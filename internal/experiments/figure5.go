@@ -27,11 +27,6 @@ type Figure5Config struct {
 	Campaign *obs.Campaign
 }
 
-// DefaultFigure5Config mirrors the paper at simulation-friendly scale.
-func DefaultFigure5Config() Figure5Config {
-	return Figure5Config{Seed: 42, Runs: 4, Round: 700}
-}
-
 // Figure5Point is one distance's measurement.
 type Figure5Point struct {
 	DistanceM      float64
@@ -79,18 +74,9 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 	trials := make([]sim.Trial, 0, len(distances)*cfg.Runs)
 	for _, d := range distances {
 		for run := 0; run < cfg.Runs; run++ {
-			d := d
-			dLabel := fmt.Sprintf("d=%g", d)
-			runLabel := fmt.Sprintf("run=%d", run)
-			trials = append(trials, sim.Trial{
-				Build: func() (*core.System, *channel.Environment, error) {
-					return LoSTestbed(d, stats.SubSeed(cfg.Seed, "fig5", dLabel, runLabel))
-				},
-				Rounds:   cfg.Round,
-				DataSeed: stats.SubSeed(cfg.Seed, "fig5", dLabel, runLabel, "data"),
-				ID:       len(trials),
-				Labels:   "fig5/" + dLabel + "/" + runLabel,
-			})
+			t := figure5Trial(cfg.Seed, d, fmt.Sprintf("d=%g", d), fmt.Sprintf("run=%d", run), cfg.Round)
+			t.ID = len(trials)
+			trials = append(trials, t)
 		}
 	}
 	runStats, err := sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}.RunTrials(ctx, trials)
@@ -119,6 +105,19 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 		})
 	}
 	return res, nil
+}
+
+// figure5Trial is one run at distance d under the root seed: the trial
+// Figure5Ctx runs and forensic replay rebuilds from its labels.
+func figure5Trial(seed int64, d float64, dLabel, runLabel string, rounds int) sim.Trial {
+	return sim.Trial{
+		Build: func() (*core.System, *channel.Environment, error) {
+			return LoSTestbed(d, stats.SubSeed(seed, "fig5", dLabel, runLabel))
+		},
+		Rounds:   rounds,
+		DataSeed: stats.SubSeed(seed, "fig5", dLabel, runLabel, "data"),
+		Labels:   "fig5/" + dLabel + "/" + runLabel,
+	}
 }
 
 // Render prints the figure as the paper's two series.

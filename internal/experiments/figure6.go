@@ -76,16 +76,8 @@ func Figure6Ctx(ctx context.Context, loc NLoSLocation, cfg Figure6Config) (*Figu
 	locLabel := fmt.Sprintf("loc=%c", loc)
 	trials := make([]sim.Trial, cfg.Runs)
 	for run := range trials {
-		runLabel := fmt.Sprintf("run=%d", run)
-		trials[run] = sim.Trial{
-			Build: func() (*core.System, *channel.Environment, error) {
-				return nlosRunDeployment(loc, cfg.Seed, locLabel, runLabel)
-			},
-			Rounds:   cfg.Round,
-			DataSeed: stats.SubSeed(cfg.Seed, "fig6", locLabel, runLabel, "data"),
-			ID:       run,
-			Labels:   "fig6/" + locLabel + "/" + runLabel,
-		}
+		trials[run] = figure6Trial(loc, cfg.Seed, locLabel, fmt.Sprintf("run=%d", run), cfg.Round)
+		trials[run].ID = run
 	}
 	runStats, err := sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}.RunTrials(ctx, trials)
 	if err != nil {
@@ -103,6 +95,20 @@ func Figure6Ctx(ctx context.Context, loc NLoSLocation, cfg Figure6Config) (*Figu
 		return nil, err
 	}
 	return res, nil
+}
+
+// figure6Trial is one run of location loc's campaign at that campaign's
+// seed: the trial Figure6Ctx runs and forensic replay rebuilds from its
+// labels.
+func figure6Trial(loc NLoSLocation, seed int64, locLabel, runLabel string, rounds int) sim.Trial {
+	return sim.Trial{
+		Build: func() (*core.System, *channel.Environment, error) {
+			return nlosRunDeployment(loc, seed, locLabel, runLabel)
+		},
+		Rounds:   rounds,
+		DataSeed: stats.SubSeed(seed, "fig6", locLabel, runLabel, "data"),
+		Labels:   "fig6/" + locLabel + "/" + runLabel,
+	}
 }
 
 // nlosRunDeployment builds one run's deployment: the testbed, that
@@ -174,8 +180,8 @@ func (r *Figure6Result) Render() string {
 	return b.String()
 }
 
-// ShapeChecks asserts the paper's qualitative claims: low BER at all
-// times, and location B strictly worse than A.
+// CheckFigure6Shape asserts the paper's qualitative claims: low BER at
+// all times, and location B strictly worse than A.
 func CheckFigure6Shape(a, b *Figure6Result) error {
 	if a.P90 > 0.03 {
 		return fmt.Errorf("experiments: location A p90 %v too high (paper 0.007)", a.P90)
@@ -187,10 +193,10 @@ func CheckFigure6Shape(a, b *Figure6Result) error {
 		return fmt.Errorf("experiments: B's p90 (%v) should exceed A's (%v)", b.P90, a.P90)
 	}
 	// "Low BER at all times": the paper's CDF x-axis tops out at 0.025,
-	// so we require the 95th percentile of both campaigns under 0.05. The
-	// hard ceiling is looser: a single bad minute behind a shut metal
-	// door can cross the coding cliff, and with hundreds of simulated
-	// minutes across seeds we occasionally sample one.
+	// so both campaigns' p95 must stay under 0.06 and every run under a
+	// looser hard ceiling, which a bad minute can still cross: at
+	// witag-bench's defaults 17 of seeds 0–59 fail a check here (10 the
+	// ceiling, 4 B's p90 not above A's, 3 the p95 tail).
 	for _, r := range []*Figure6Result{a, b} {
 		p95, err := r.CDF.Quantile(0.95)
 		if err != nil {

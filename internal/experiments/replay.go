@@ -6,12 +6,9 @@ import (
 	"strconv"
 	"strings"
 
-	"witag/internal/channel"
-	"witag/internal/core"
 	"witag/internal/fault"
 	"witag/internal/obs"
 	"witag/internal/sim"
-	"witag/internal/stats"
 )
 
 // Forensic replay: rebuild exactly one trial of a campaign from the
@@ -69,12 +66,8 @@ func ReplayTrial(ctx context.Context, req ReplayRequest) (string, error) {
 		return replayPower(ctx, req, toks)
 	case "ablation":
 		return replayAblation(ctx, req, toks)
-	case "fig3":
-		return "", fmt.Errorf("experiments: fig3 is a deterministic channel evaluation with no Monte-Carlo rounds — re-run `witag-bench -experiment fig3` instead")
-	case "s41":
-		return "", fmt.Errorf("experiments: s41 is closed-form airtime arithmetic with nothing to replay")
-	case "compare":
-		return "", fmt.Errorf("experiments: compare measures a single rate, not per-trial rounds — re-run `witag-bench -experiment compare` instead")
+	case "fig3", "s41", "compare":
+		return "", fmt.Errorf("experiments: %s has no Monte-Carlo trials to replay — re-run `witag-bench -experiment %[1]s` instead", toks[0])
 	case "sim":
 		return "", fmt.Errorf("experiments: witag-sim traces depend on CLI flags (-dist, -fault) the trace does not carry — re-run witag-sim with the original flags and seed")
 	default:
@@ -115,12 +108,14 @@ func labelInt(tok, key string) (int, error) {
 	return n, nil
 }
 
-// replayRunTrial runs the rebuilt trial on a single-worker runner scoped
-// to the replay campaign (so runner.* counters and the volatile "trial"
-// record match a campaign slice's shape).
+// replayRunTrial runs the rebuilt trial, of req.Rounds rounds, on a
+// single-worker runner scoped to the replay campaign (so runner.* counters
+// and the volatile "trial" record match a campaign slice's shape).
 func replayRunTrial(ctx context.Context, req ReplayRequest, t sim.Trial) (sim.RunStats, error) {
+	if req.Rounds < 1 {
+		return sim.RunStats{}, fmt.Errorf("experiments: replaying %s needs the per-trial round count", req.Labels)
+	}
 	t.ID = req.Trial
-	t.Labels = req.Labels
 	rs, err := sim.Runner{Workers: 1, Campaign: req.Campaign}.RunTrials(ctx, []sim.Trial{t})
 	if err != nil {
 		return sim.RunStats{}, err
@@ -132,9 +127,6 @@ func replayFigure5(ctx context.Context, req ReplayRequest, toks []string) (strin
 	if len(toks) != 3 {
 		return "", fmt.Errorf("experiments: fig5 labels are fig5/d=…/run=…, got %q", req.Labels)
 	}
-	if req.Rounds < 1 {
-		return "", fmt.Errorf("experiments: fig5 replay needs the per-trial round count")
-	}
 	dLabel, runLabel := toks[1], toks[2]
 	d, err := labelFloat(dLabel, "d")
 	if err != nil {
@@ -143,13 +135,7 @@ func replayFigure5(ctx context.Context, req ReplayRequest, toks []string) (strin
 	if _, err := labelInt(runLabel, "run"); err != nil {
 		return "", err
 	}
-	rs, err := replayRunTrial(ctx, req, sim.Trial{
-		Build: func() (*core.System, *channel.Environment, error) {
-			return LoSTestbed(d, stats.SubSeed(req.Seed, "fig5", dLabel, runLabel))
-		},
-		Rounds:   req.Rounds,
-		DataSeed: stats.SubSeed(req.Seed, "fig5", dLabel, runLabel, "data"),
-	})
+	rs, err := replayRunTrial(ctx, req, figure5Trial(req.Seed, d, dLabel, runLabel, req.Rounds))
 	if err != nil {
 		return "", err
 	}
@@ -159,9 +145,6 @@ func replayFigure5(ctx context.Context, req ReplayRequest, toks []string) (strin
 func replayFigure6(ctx context.Context, req ReplayRequest, toks []string) (string, error) {
 	if len(toks) != 3 {
 		return "", fmt.Errorf("experiments: fig6 labels are fig6/loc=…/run=…, got %q", req.Labels)
-	}
-	if req.Rounds < 1 {
-		return "", fmt.Errorf("experiments: fig6 replay needs the per-trial round count")
 	}
 	locLabel, runLabel := toks[1], toks[2]
 	locStr, err := labelValue(locLabel, "loc")
@@ -175,13 +158,8 @@ func replayFigure6(ctx context.Context, req ReplayRequest, toks []string) (strin
 	if _, err := labelInt(runLabel, "run"); err != nil {
 		return "", err
 	}
-	rs, err := replayRunTrial(ctx, req, sim.Trial{
-		Build: func() (*core.System, *channel.Environment, error) {
-			return nlosRunDeployment(loc, req.Seed, locLabel, runLabel)
-		},
-		Rounds:   req.Rounds,
-		DataSeed: stats.SubSeed(req.Seed, "fig6", locLabel, runLabel, "data"),
-	})
+	// req.Seed is the suite's root seed; each location ran at its own.
+	rs, err := replayRunTrial(ctx, req, figure6Trial(loc, figure6Seed(req.Seed, loc), locLabel, runLabel, req.Rounds))
 	if err != nil {
 		return "", err
 	}

@@ -128,6 +128,62 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestFigure6ReplayDeterministicAcrossWorkerCounts runs Figure 6 the way
+// the suite does, both locations under one root seed, and replays every
+// trial of both from its label path at that root seed. Location B runs at
+// its own seed (figure6Seed), so replay must apply the same rule.
+func TestFigure6ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
+	cfg := SuiteConfig{Seed: 42, Rounds: 20} // 10 rounds per run
+	campaign := func(workers int) ([]obs.Event, obs.Snapshot) {
+		return campaignTrace(t, func(camp *obs.Campaign) error {
+			_, err := runFigure6(context.Background(), sim.Runner{Workers: workers, Campaign: camp}, cfg)
+			return err
+		})
+	}
+	serialEvents, serialSnap := campaign(1)
+	parallelEvents, _ := campaign(manyWorkers())
+
+	// Both locations number their trials from 0, so a trial is its ID and
+	// its label path together.
+	slice := func(events []obs.Event, trial int, labels string) []obs.Event {
+		var out []obs.Event
+		for _, e := range trialSlice(events, trial) {
+			if e.Labels == labels {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	runs := DefaultFigure6Config().Runs
+	var replaySnaps []obs.Snapshot
+	for _, loc := range []string{"A", "B"} {
+		for k := 0; k < runs; k++ {
+			labels := fmt.Sprintf("fig6/loc=%s/run=%d", loc, k)
+			serial := slice(serialEvents, k, labels)
+			if len(serial) != 10 {
+				t.Fatalf("%s: %d events, want 10 rounds", labels, len(serial))
+			}
+			assertEventsByteIdentical(t, "worker counts "+labels, serial, slice(parallelEvents, k, labels))
+
+			rc := traceCampaign()
+			if _, err := ReplayTrial(context.Background(), ReplayRequest{
+				Labels: labels, Trial: k, Seed: cfg.Seed, Rounds: len(serial), Campaign: rc,
+			}); err != nil {
+				t.Fatalf("replay %s: %v", labels, err)
+			}
+			assertEventsByteIdentical(t, "replay "+labels, serial, slice(rc.Trace.Events(), k, labels))
+			replaySnaps = append(replaySnaps, rc.Registry.Snapshot())
+		}
+	}
+
+	merged := obs.Merge(replaySnaps...).Deterministic()
+	if want := serialSnap.Deterministic(); !reflect.DeepEqual(want, merged) {
+		bw, _ := json.Marshal(want)
+		bm, _ := json.Marshal(merged)
+		t.Fatalf("merged replay metrics differ from the campaign's:\ncampaign: %s\nreplays:  %s", bw, bm)
+	}
+}
+
 // simNamespaces restricts a snapshot to the simulation-layer instruments
 // (core./link./fault.) — the part a runner-less replay reproduces. The
 // robustness campaign's runner.* counters track scheduling bookkeeping

@@ -166,9 +166,6 @@ func (g *GilbertElliott) Step(rng *rand.Rand) bool {
 	return stats.Bernoulli(rng, p)
 }
 
-// Bad reports the current chain state (for tests).
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Injector draws one deployment's fault stream. Attach it to a
 // core.System (the Faults field); it is not safe for concurrent use, like
 // the System it serves.

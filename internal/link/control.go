@@ -94,9 +94,6 @@ func (cc *CodingController) Level() Level { return cc.Ladder[cc.level] }
 // Index returns the current rung (0 = lightest).
 func (cc *CodingController) Index() int { return cc.level }
 
-// FER returns the smoothed frame-error rate.
-func (cc *CodingController) FER() float64 { return cc.ewma }
-
 // Observe feeds one frame's CRC verdict. Round erasures (missed trigger,
 // lost block ACK) must NOT be fed here — they say nothing about coding.
 func (cc *CodingController) Observe(frameOK bool) {

@@ -364,6 +364,8 @@ type TimelineSummary struct {
 	Total        int    `json:"total"`
 	Dropped      int    `json:"dropped"`
 	WindowTrials int    `json:"window_trials"`
+	// Error is the recording run's failure; empty when it passed.
+	Error string `json:"error,omitempty"`
 }
 
 const timelineSummaryKind = "tl_summary"
@@ -372,7 +374,10 @@ const timelineSummaryKind = "tl_summary"
 // line, oldest first, followed by one "tl_summary" record. With the
 // wall sampler off the bytes are a pure function of the trial work:
 // identical across worker counts.
-func (t *Timeline) WriteJSONL(w io.Writer) error {
+func (t *Timeline) WriteJSONL(w io.Writer) error { return t.WriteJSONLFailed(w, "") }
+
+// WriteJSONLFailed is WriteJSONL with failure on the summary record.
+func (t *Timeline) WriteJSONLFailed(w io.Writer, failure string) error {
 	t.mu.Lock()
 	wins := make([]TimelineWindow, 0, len(t.buf))
 	wins = append(wins, t.buf[t.next:]...)
@@ -393,6 +398,7 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 		Total:        total,
 		Dropped:      dropped,
 		WindowTrials: t.cfg.windowTrials(),
+		Error:        failure,
 	}
 	if err := enc.Encode(sum); err != nil {
 		return err
@@ -410,6 +416,8 @@ type TimelineLog struct {
 	Total        int
 	Dropped      int
 	WindowTrials int
+	// Error is the summary's: the error the recording run failed with.
+	Error string
 	// Truncated reports the file ended without a summary record.
 	Truncated bool
 }
@@ -444,7 +452,7 @@ func ReadTimelineLog(r io.Reader) (*TimelineLog, error) {
 			if err := json.Unmarshal(raw, &sum); err != nil {
 				return fmt.Errorf("obs: timeline line %d: %w", line, err)
 			}
-			tl.Total, tl.Dropped, tl.WindowTrials, tl.Truncated = sum.Total, sum.Dropped, sum.WindowTrials, false
+			tl.Total, tl.Dropped, tl.WindowTrials, tl.Error, tl.Truncated = sum.Total, sum.Dropped, sum.WindowTrials, sum.Error, false
 			return nil
 		}
 		var w TimelineWindow

@@ -345,6 +345,8 @@ type TraceSummary struct {
 	Retained int    `json:"retained"`
 	Total    uint64 `json:"total"`
 	Dropped  uint64 `json:"dropped"`
+	// Error is the recording run's failure; empty when it passed.
+	Error string `json:"error,omitempty"`
 }
 
 // summaryKind discriminates the trailing TraceSummary record from events.
@@ -356,10 +358,13 @@ const summaryKind = "summary"
 // complete run). It holds the recorder's lock for the whole export, so
 // the summary always agrees with the events it follows; a concurrent
 // Record waits for the export to finish.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
+func (r *Recorder) WriteJSONL(w io.Writer) error { return r.WriteJSONLFailed(w, "") }
+
+// WriteJSONLFailed is WriteJSONL with failure on the summary record.
+func (r *Recorder) WriteJSONLFailed(w io.Writer, failure string) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	sum := TraceSummary{Kind: summaryKind}
+	sum := TraceSummary{Kind: summaryKind, Error: failure}
 	if r != nil {
 		r.mu.Lock()
 		defer r.mu.Unlock()
@@ -385,6 +390,8 @@ type Trace struct {
 	// Dropped is 0 — lower bounds, not facts.
 	Total   uint64
 	Dropped uint64
+	// Error is the summary's: the error the recording run failed with.
+	Error string
 	// Truncated reports that the file ended without a summary record —
 	// the writer died mid-export, so the tail of the trace is missing.
 	Truncated bool
@@ -455,7 +462,7 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			if err := json.Unmarshal(raw, &sum); err != nil {
 				return fmt.Errorf("obs: trace line %d: %w", line, err)
 			}
-			tr.Total, tr.Dropped, tr.Truncated = sum.Total, sum.Dropped, false
+			tr.Total, tr.Dropped, tr.Error, tr.Truncated = sum.Total, sum.Dropped, sum.Error, false
 			return nil
 		}
 		var e Event

@@ -96,6 +96,38 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	}
 }
 
+// TestFailureStampRoundTrips checks the failure stamp on both exports'
+// summary records: absent from a passing run's bytes, read back from a
+// failed run's.
+func TestFailureStampRoundTrips(t *testing.T) {
+	r := NewRecorder(4)
+	r.Record(Event{Kind: "round", Round: 1})
+	tl := NewTimeline(NewRegistry(), TimelineConfig{})
+	for _, failure := range []string{"", "fig6: a run hit BER 0.48"} {
+		var tb, lb bytes.Buffer
+		if err := r.WriteJSONLFailed(&tb, failure); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.WriteJSONLFailed(&lb, failure); err != nil {
+			t.Fatal(err)
+		}
+		if failure == "" && (bytes.Contains(tb.Bytes(), []byte(`"error"`)) || bytes.Contains(lb.Bytes(), []byte(`"error"`))) {
+			t.Fatalf("a passing export carries an error key:\n%s%s", tb.Bytes(), lb.Bytes())
+		}
+		tr, err := ReadJSONL(&tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := ReadTimelineLog(&lb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Error != failure || log.Error != failure || tr.Truncated || log.Truncated {
+			t.Fatalf("stamp %q read back as trace %q, timeline %q", failure, tr.Error, log.Error)
+		}
+	}
+}
+
 func TestReadJSONLSurfacesDroppedCounts(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 1; i <= 10; i++ {

@@ -55,6 +55,9 @@ type Provenance struct {
 	// Coding-sweep selectors ("all" when the full grid ran).
 	TransferScheme string `json:"transferScheme,omitempty"`
 	TrafficProfile string `json:"trafficProfile,omitempty"`
+	// Error is the experiment's failure, a run error or a failed shape
+	// check; empty when it passed. The gate refuses a candidate with one.
+	Error string `json:"error,omitempty"`
 }
 
 // String renders the provenance as one report line.

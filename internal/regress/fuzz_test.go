@@ -63,7 +63,8 @@ func writeFuzzArtifact(tb testing.TB, kind uint8, data []byte) ([]byte, *Artifac
 	text := strings.ToValidUTF8(string(data), "?")
 	// prefix(i) is text's first i bytes, kept valid UTF-8 as JSON strings are.
 	prefix := func(i int) string { return strings.ToValidUTF8(text[:min(i, len(text))], "?") }
-	prov := Provenance{Experiment: text, Seed: int64(len(data)) - 3, Trials: int64(len(text))}
+	// Inputs of two bytes or more also stamp a failure.
+	prov := Provenance{Experiment: text, Seed: int64(len(data)) - 3, Trials: int64(len(text)), Error: prefix(len(text) / 2)}
 	dir := tb.TempDir()
 	want := &Artifact{}
 	var err error

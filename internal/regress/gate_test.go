@@ -183,6 +183,52 @@ func TestGateMissingCandidateArtifact(t *testing.T) {
 	}
 }
 
+// TestGateRefusesFailedCandidate gates a candidate whose drifty artifacts
+// are stamped with a failure against a baseline written before artifacts
+// could carry one. The old baseline must still load, and the failure must
+// be a regression that names the experiment even where the science
+// matches.
+func TestGateRefusesFailedCandidate(t *testing.T) {
+	baseDir, candDir := filepath.Join("testdata", "golden", "baseline"), t.TempDir()
+	base, err := LoadDir(baseDir)
+	if err != nil {
+		t.Fatalf("a baseline without failure stamps no longer loads: %v", err)
+	}
+	const failure = "experiments: a run hit BER 0.48"
+	for name, a := range base {
+		prov := *a.SeriesProv
+		if name == "drifty" {
+			prov.Error = failure
+		}
+		if err := WriteSeries(candDir, name, prov, a.Series); err != nil {
+			t.Fatal(err)
+		}
+		if a.Metrics != nil {
+			if err := WriteMetrics(candDir, name, prov, *a.Metrics); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rep, err := Gate(baseDir, candDir, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != ClassRegression {
+		t.Fatalf("failed candidate gated %s, want regression", rep.Verdict)
+	}
+	for _, e := range rep.Experiments {
+		switch {
+		case e.Name == "drifty" && (e.Failed != failure || e.Verdict != ClassRegression):
+			t.Errorf("drifty: failed %q verdict %s, want %q and regression", e.Failed, e.Verdict, failure)
+		case e.Name == "clean" && (e.Failed != "" || e.Verdict != ClassOK):
+			t.Errorf("clean: failed %q verdict %s, want none and ok", e.Failed, e.Verdict)
+		}
+	}
+	if out := rep.Render(); !strings.Contains(out, "drifty — regression") || !strings.Contains(out, "failed:    "+failure) {
+		t.Errorf("report does not name the failed experiment and its failure:\n%s", out)
+	}
+}
+
 func TestGateReportByteIdentical(t *testing.T) {
 	baseDir, candDir := t.TempDir(), t.TempDir()
 	writeFixture(t, baseDir, fixture(), fixtureSnapshot())

@@ -66,6 +66,9 @@ type ExperimentReport struct {
 	// Missing notes a side that lacks the artifact entirely; a vanished
 	// experiment is itself a regression.
 	Missing string `json:"missing,omitempty"`
+	// Failed is the error the candidate's artifacts are stamped with: the
+	// experiment failed, which is itself a regression.
+	Failed string `json:"failed,omitempty"`
 
 	Points      []PointVerdict       `json:"points,omitempty"`
 	MetricDiffs []obs.InstrumentDiff `json:"metricDiffs,omitempty"`
@@ -130,24 +133,18 @@ func Gate(baselineDir, candidateDir string, opts Options) (*Report, error) {
 }
 
 func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentReport, error) {
-	er := &ExperimentReport{Name: name, Verdict: ClassOK}
+	er := &ExperimentReport{Name: name, Verdict: ClassOK, BaselineProv: firstProv(b), CandidateProv: firstProv(c)}
+	if er.CandidateProv != nil {
+		er.Failed = er.CandidateProv.Error
+	}
 	if b == nil || c == nil {
+		er.Missing = "candidate"
 		if b == nil {
 			er.Missing = "baseline"
-		} else {
-			er.Missing = "candidate"
 		}
 		er.Verdict = ClassRegression
-		if b != nil {
-			er.BaselineProv = b.SeriesProv
-		}
-		if c != nil {
-			er.CandidateProv = c.SeriesProv
-		}
 		return er, nil
 	}
-	er.BaselineProv = firstProv(b)
-	er.CandidateProv = firstProv(c)
 
 	// Tier 2 — statistics over the science series.
 	switch {
@@ -203,7 +200,7 @@ func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentRepor
 	for _, p := range er.Points {
 		er.Verdict = Worse(er.Verdict, p.Class)
 	}
-	if len(er.MetricDiffs) > 0 {
+	if len(er.MetricDiffs) > 0 || er.Failed != "" {
 		er.Verdict = ClassRegression
 	}
 	for _, pc := range er.Perf {
@@ -228,8 +225,11 @@ func provTrialCount(p *Provenance) int {
 }
 
 // firstProv prefers the series artifact's stamp, falling back to the
-// metrics file's.
+// metrics file's; nil for an absent artifact.
 func firstProv(a *Artifact) *Provenance {
+	if a == nil {
+		return nil
+	}
 	if a.SeriesProv != nil {
 		return a.SeriesProv
 	}
@@ -289,6 +289,9 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "\n%s — %s\n", e.Name, e.Verdict)
 		fmt.Fprintf(&b, "  baseline:  %s\n", e.BaselineProv.String())
 		fmt.Fprintf(&b, "  candidate: %s\n", e.CandidateProv.String())
+		if e.Failed != "" {
+			fmt.Fprintf(&b, "  failed:    %s\n", e.Failed)
+		}
 		for _, p := range e.Points {
 			if p.Class == ClassOK {
 				continue
