@@ -135,70 +135,6 @@ func BenchmarkSection7PowerModel(b *testing.B) {
 	}
 }
 
-func BenchmarkEncryptionTransparency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "crypto", 16, 120)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "encryption", res.Render())
-		b.ReportMetric(res.Rows[2].BER, "BER-CCMP")
-	}
-}
-
-// --- Ablations ---
-
-func BenchmarkAblationSwitchMode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "switch", 11, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "ab-switch", res.Render())
-		b.ReportMetric(res.Rows[1].BER-res.Rows[0].BER, "BER-penalty")
-	}
-}
-
-func BenchmarkAblationTriggerCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "trigger", 12, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "ab-trigger", res.Render())
-	}
-}
-
-func BenchmarkAblationFEC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "fec", 13, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "ab-fec", res.Render())
-	}
-}
-
-func BenchmarkAblationAMPDUSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "ampdu", 14, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "ab-ampdu", res.Render())
-	}
-}
-
-func BenchmarkAblationRobustRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblation(context.Background(), sim.Runner{}, "mcs", 15, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once(b, "ab-rate", res.Render())
-	}
-}
-
 // --- Substrate hot paths ---
 
 // benchmarkQueryRound times one Monte-Carlo round as the trials run it —

@@ -24,7 +24,8 @@
 // The experiments come from one table, experiments.Suite. Every selected
 // experiment runs even after another fails its run or its shape checks:
 // each failure is printed on stderr as it happens and stamped as "error"
-// on that experiment's artifacts, and the command exits 1 at the end.
+// on that experiment's artifacts, and the command exits 1 at the end with
+// a last line naming the failed experiments.
 //
 // With -json DIR, each experiment additionally writes its series as
 // machine-readable BENCH_<name>.json under DIR, so successive runs (and
@@ -160,7 +161,9 @@ func main() {
 		return
 	}
 
-	clirun.Main("witag-bench", func(ctx context.Context) error { return run(ctx, cfg, experiments.Suite, os.Stdout) })
+	clirun.Main("witag-bench", func(ctx context.Context) error {
+		return run(ctx, cfg, experiments.Suite, os.Stdout, os.Stderr)
+	})
 }
 
 // writeMemProfiles snapshots heap_<name>.pprof and allocs_<name>.pprof
@@ -211,8 +214,10 @@ func provenance(cfg benchConfig) regress.Provenance {
 // printing each table to stdout. An experiment that fails (a run error or
 // a failed shape check) is reported on stderr as it happens, its
 // artifacts are stamped with the failure, and the walk goes on: only a
-// cancelled ctx stops it early. The failures are returned joined.
-func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, stdout io.Writer) (err error) {
+// cancelled ctx stops it early. The returned error only names the failed
+// experiments, since each failure was printed in full already; the run's
+// ledger line and -trace stamp carry them in full.
+func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, stdout, stderr io.Writer) error {
 	// Up-front flag validation, shared with the other CLIs via
 	// internal/cliflags: reject unknown selectors and unusable paths
 	// before any work, naming the flag and the valid choices — a typo
@@ -285,7 +290,8 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 	if err != nil {
 		return err
 	}
-	defer func() { cr.Finish(err) }()
+	var full error // every failure, and a cancellation, in full
+	defer func() { cr.Finish(full) }()
 	camp := cr.Campaign
 	reg := camp.Registry
 
@@ -393,6 +399,7 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 	}
 
 	var failures []error
+	var failed []string
 	for _, e := range suite {
 		if cfg.experiment != "all" && cfg.experiment != e.Name {
 			continue
@@ -402,13 +409,21 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 		}
 		if ferr := runExperiment(e); ferr != nil {
 			ferr = fmt.Errorf("%s: %w", e.Name, ferr)
-			fmt.Fprintln(os.Stderr, "witag-bench:", ferr)
+			fmt.Fprintln(stderr, "witag-bench:", ferr)
 			failures = append(failures, ferr)
+			failed = append(failed, e.Name)
 		}
 	}
-	err = errors.Join(failures...)
-	if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
-		err = errors.Join(err, cerr)
+	full = errors.Join(failures...)
+	if cerr := ctx.Err(); cerr != nil && !errors.Is(full, cerr) {
+		full = errors.Join(full, cerr)
 	}
-	return err
+	if len(failed) == 0 {
+		return full
+	}
+	names := strings.Join(failed, ", ")
+	if cerr := ctx.Err(); cerr != nil {
+		return fmt.Errorf("failed experiments: %s (%w)", names, cerr)
+	}
+	return fmt.Errorf("failed experiments: %s", names)
 }

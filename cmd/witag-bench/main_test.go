@@ -63,11 +63,15 @@ func TestRunWalksPastFailures(t *testing.T) {
 		fakeExperiment("beta", 5, "beta shape is wrong"),
 		fakeExperiment("gamma", 1, ""),
 	}
-	var stdout bytes.Buffer
-	err := run(context.Background(), cfg, suite, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "beta: beta shape is wrong") ||
-		strings.Contains(err.Error(), "alpha") || strings.Contains(err.Error(), "gamma") {
-		t.Fatalf("run returned %v, want the beta failure alone, named", err)
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), cfg, suite, &stdout, &stderr)
+	if err == nil || err.Error() != "failed experiments: beta" {
+		t.Fatalf("run returned %v, want it to name beta alone", err)
+	}
+	// The failure prints once, as it happens; the returned error, which
+	// the command prints last, only names the experiment.
+	if want := "witag-bench: beta: beta shape is wrong\n"; stderr.String() != want {
+		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
 	}
 	if want := "table alpha\n\ntable beta\n\ntable gamma\n\n"; stdout.String() != want {
 		t.Fatalf("stdout = %q, want %q", stdout.String(), want)
@@ -147,7 +151,7 @@ func TestRunStopsOnCancel(t *testing.T) {
 			return fakeResult("gamma", ""), nil
 		}},
 	}
-	err := run(ctx, testConfig(t), suite, &bytes.Buffer{})
+	err := run(ctx, testConfig(t), suite, &bytes.Buffer{}, &bytes.Buffer{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("run returned %v, want context.Canceled", err)
 	}
@@ -171,11 +175,11 @@ func TestExperimentChoices(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.experiment = "beta"
 	var stdout bytes.Buffer
-	if err := run(context.Background(), cfg, suite, &stdout); err != nil || stdout.String() != "table beta\n\n" {
+	if err := run(context.Background(), cfg, suite, &stdout, io.Discard); err != nil || stdout.String() != "table beta\n\n" {
 		t.Fatalf("-experiment beta printed %q, err %v; want beta's table alone", stdout.String(), err)
 	}
 	cfg.experiment = "gamma"
-	if err := run(context.Background(), cfg, suite, &stdout); err == nil || !strings.Contains(err.Error(), "all, alpha, beta") {
+	if err := run(context.Background(), cfg, suite, &stdout, io.Discard); err == nil || !strings.Contains(err.Error(), "all, alpha, beta") {
 		t.Fatalf("-experiment gamma returned %v, want an error listing the choices", err)
 	}
 }

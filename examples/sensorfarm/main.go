@@ -48,7 +48,8 @@ func run() error {
 	for _, s := range sensors {
 		// Every tag compares the trigger envelope to its own pattern; a
 		// mismatch and it stays silent. Distinct addresses never collide
-		// (see core.PatternsCollide), so polling is interference-free.
+		// (TriggerPattern sets a distinct subset of positions high), so
+		// polling is interference-free.
 		pattern, err := core.TriggerPattern(s.address, patternLen)
 		if err != nil {
 			return err

@@ -19,12 +19,18 @@ func TestModelsOnlyWiTAGIsDeployable(t *testing.T) {
 	}
 }
 
+// interferesWithNeighbours reports whether a system emits energy on a
+// second channel without carrier sensing.
+func interferesWithNeighbours(m SystemModel) bool {
+	return m.ShiftsChannel && !m.PerformsCarrierSense
+}
+
 func TestChannelShiftersInterfere(t *testing.T) {
 	for _, m := range Models() {
-		if m.ShiftsChannel && !m.InterferesWithNeighbours() {
+		if m.ShiftsChannel && !interferesWithNeighbours(m) {
 			t.Fatalf("%s shifts channel without carrier sense yet reported non-interfering", m.Name)
 		}
-		if m.Name == "WiTAG" && m.InterferesWithNeighbours() {
+		if m.Name == "WiTAG" && interferesWithNeighbours(m) {
 			t.Fatal("WiTAG must not interfere")
 		}
 	}
@@ -124,86 +130,5 @@ func TestHitchHikeDegradesAtLowShiftedSNR(t *testing.T) {
 	}
 	if eBad <= eGood {
 		t.Fatalf("weak shifted link (%d errors) should do worse than strong (%d)", eBad, eGood)
-	}
-}
-
-func TestFreeRiderPerSymbolRate(t *testing.T) {
-	link, err := NewPhaseFlipLink(PerSymbol, 10, 100, stats.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if link.BitsPerPacket() != 100 {
-		t.Fatalf("FreeRider bits/packet = %d", link.BitsPerPacket())
-	}
-	if link.AirtimeEfficiency() != 1.0 {
-		t.Fatalf("FreeRider efficiency = %v", link.AirtimeEfficiency())
-	}
-	bits := stats.RandomBits(stats.NewRNG(7), 500)
-	got, err := link.Transmit(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := 0
-	for i := range bits {
-		if got[i] != bits[i] {
-			errs++
-		}
-	}
-	if errs > 5 {
-		t.Fatalf("%d/500 errors at 10 dB-linear SNR", errs)
-	}
-}
-
-func TestMOXcatterPerPacketRate(t *testing.T) {
-	link, _ := NewPhaseFlipLink(PerPacket, 10, 100, stats.NewRNG(8))
-	if link.BitsPerPacket() != 1 {
-		t.Fatalf("MOXcatter bits/packet = %d", link.BitsPerPacket())
-	}
-	if link.AirtimeEfficiency() != 0.01 {
-		t.Fatalf("MOXcatter efficiency = %v", link.AirtimeEfficiency())
-	}
-	// 100x airtime cost for the same bits — the paper's §2 point.
-	fr, _ := NewPhaseFlipLink(PerSymbol, 10, 100, nil)
-	if link.AirtimeEfficiency() >= fr.AirtimeEfficiency() {
-		t.Fatal("per-packet signalling cannot beat per-symbol airtime efficiency")
-	}
-}
-
-func TestPhaseFlipFailsUnderEncryption(t *testing.T) {
-	link, _ := NewPhaseFlipLink(PerSymbol, 10, 10, stats.NewRNG(9))
-	link.EncryptionEnabled = true
-	if _, err := link.Transmit(make([]byte, 4)); err == nil {
-		t.Fatal("phase-flip backscatter should refuse encrypted networks")
-	}
-}
-
-func TestPhaseFlipValidation(t *testing.T) {
-	if _, err := NewPhaseFlipLink(PerSymbol, -1, 10, nil); err == nil {
-		t.Fatal("negative SNR accepted")
-	}
-	if _, err := NewPhaseFlipLink(PerSymbol, 1, 0, nil); err == nil {
-		t.Fatal("zero-symbol packets accepted")
-	}
-}
-
-func TestMOXcatterIntegrationGain(t *testing.T) {
-	// At an SNR where per-symbol detection is unreliable, per-packet
-	// integration still decodes: the 1/N rate buys √N robustness.
-	bits := stats.RandomBits(stats.NewRNG(10), 200)
-	weakSymbol, _ := NewPhaseFlipLink(PerSymbol, 0.15, 64, stats.NewRNG(11))
-	weakPacket, _ := NewPhaseFlipLink(PerPacket, 0.15, 64, stats.NewRNG(11))
-	gs, _ := weakSymbol.Transmit(bits)
-	gp, _ := weakPacket.Transmit(bits)
-	es, ep := 0, 0
-	for i := range bits {
-		if gs[i] != bits[i] {
-			es++
-		}
-		if gp[i] != bits[i] {
-			ep++
-		}
-	}
-	if ep >= es {
-		t.Fatalf("packet integration (%d errors) should beat per-symbol (%d) at low SNR", ep, es)
 	}
 }

@@ -96,12 +96,6 @@ func (m SystemModel) DeployableOnExistingNetwork() bool {
 	return !m.NeedsAPModification && !m.NeedsExtraReceiver && m.WorksWithEncryption
 }
 
-// InterferesWithNeighbours reports whether the system emits energy on a
-// second channel without carrier sensing.
-func (m SystemModel) InterferesWithNeighbours() bool {
-	return m.ShiftsChannel && !m.PerformsCarrierSense
-}
-
 // Matrix renders the §2 comparison as an aligned text table.
 func Matrix() string {
 	var b strings.Builder

@@ -1,5 +1,5 @@
 // Package bitio provides the bit-level primitives shared by the PHY and MAC
-// layers: bit readers and writers, the 802.11 frame-check CRC-32, the
+// layers: bit-slice packing, the 802.11 frame-check CRC-32, the
 // A-MPDU delimiter CRC-8, and the Hamming(7,4) code used by WiTAG's
 // tag-data FEC framing.
 //
@@ -11,90 +11,6 @@
 package bitio
 
 import "fmt"
-
-// Writer accumulates bits least-significant-bit-first into a byte slice,
-// matching 802.11's transmission order for MAC fields.
-type Writer struct {
-	buf    []byte
-	nbits  int
-	curbit uint
-}
-
-// NewWriter returns an empty bit writer.
-func NewWriter() *Writer { return &Writer{} }
-
-// WriteBit appends a single bit (any non-zero value is treated as 1).
-func (w *Writer) WriteBit(b byte) {
-	if w.curbit == 0 {
-		w.buf = append(w.buf, 0)
-	}
-	if b != 0 {
-		w.buf[len(w.buf)-1] |= 1 << w.curbit
-	}
-	w.curbit = (w.curbit + 1) % 8
-	w.nbits++
-}
-
-// WriteBits appends the n least-significant bits of v, LSB first.
-func (w *Writer) WriteBits(v uint64, n int) {
-	for i := 0; i < n; i++ {
-		w.WriteBit(byte(v >> uint(i) & 1))
-	}
-}
-
-// WriteBytes appends whole bytes, each LSB first.
-func (w *Writer) WriteBytes(p []byte) {
-	for _, b := range p {
-		w.WriteBits(uint64(b), 8)
-	}
-}
-
-// Len reports the number of bits written so far.
-func (w *Writer) Len() int { return w.nbits }
-
-// Bytes returns the accumulated bytes. The final byte is zero-padded if the
-// bit count is not a multiple of 8. The returned slice aliases the writer's
-// internal buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Reader consumes bits LSB-first from a byte slice.
-type Reader struct {
-	buf []byte
-	pos int // absolute bit position
-}
-
-// NewReader returns a bit reader over p. The reader does not copy p.
-func NewReader(p []byte) *Reader { return &Reader{buf: p} }
-
-// ReadBit returns the next bit, or an error at end of input.
-func (r *Reader) ReadBit() (byte, error) {
-	if r.pos >= len(r.buf)*8 {
-		return 0, fmt.Errorf("bitio: read past end (%d bits)", len(r.buf)*8)
-	}
-	b := r.buf[r.pos/8] >> uint(r.pos%8) & 1
-	r.pos++
-	return b, nil
-}
-
-// ReadBits reads n bits LSB-first and returns them packed into a uint64.
-// n must be at most 64.
-func (r *Reader) ReadBits(n int) (uint64, error) {
-	if n > 64 {
-		return 0, fmt.Errorf("bitio: ReadBits(%d) exceeds 64", n)
-	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v |= uint64(b) << uint(i)
-	}
-	return v, nil
-}
-
-// Remaining reports the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }
 
 // BytesToBits unpacks packed bytes into a bit slice, LSB first within each
 // byte — the order in which 802.11 serialises octets onto the air.
@@ -118,18 +34,6 @@ func BitsToBytes(bits []byte) []byte {
 		}
 	}
 	return out
-}
-
-// XORBits returns the element-wise XOR of two equal-length bit slices.
-func XORBits(a, b []byte) ([]byte, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("bitio: XOR length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = (a[i] ^ b[i]) & 1
-	}
-	return out, nil
 }
 
 // HammingDistance counts positions where the two equal-length bit slices

@@ -8,50 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestWriterReaderRoundTrip(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0b1011, 4)
-	w.WriteBits(0xABCD, 16)
-	w.WriteBit(1)
-	if w.Len() != 21 {
-		t.Fatalf("Len = %d, want 21", w.Len())
-	}
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadBits(4); v != 0b1011 {
-		t.Fatalf("first field = %b", v)
-	}
-	if v, _ := r.ReadBits(16); v != 0xABCD {
-		t.Fatalf("second field = %x", v)
-	}
-	if v, _ := r.ReadBit(); v != 1 {
-		t.Fatalf("third field = %d", v)
-	}
-}
-
-func TestWriterBytes(t *testing.T) {
-	w := NewWriter()
-	w.WriteBytes([]byte{0x12, 0x34})
-	if !bytes.Equal(w.Bytes(), []byte{0x12, 0x34}) {
-		t.Fatalf("Bytes = %x", w.Bytes())
-	}
-}
-
-func TestReaderErrors(t *testing.T) {
-	r := NewReader([]byte{0xFF})
-	if _, err := r.ReadBits(65); err == nil {
-		t.Fatal("expected error for >64 bits")
-	}
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", r.Remaining())
-	}
-	if _, err := r.ReadBit(); err == nil {
-		t.Fatal("expected end-of-input error")
-	}
-}
-
 func TestBytesBitsRoundTripProperty(t *testing.T) {
 	f := func(p []byte) bool {
 		return bytes.Equal(BitsToBytes(BytesToBits(p)), p)
@@ -70,19 +26,6 @@ func TestBitsLSBFirstOrder(t *testing.T) {
 		if b != 0 {
 			t.Fatal("upper bits should be zero")
 		}
-	}
-}
-
-func TestXORBits(t *testing.T) {
-	out, err := XORBits([]byte{1, 0, 1, 0}, []byte{1, 1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, []byte{0, 1, 1, 0}) {
-		t.Fatalf("XOR = %v", out)
-	}
-	if _, err := XORBits([]byte{1}, []byte{1, 0}); err == nil {
-		t.Fatal("expected length mismatch error")
 	}
 }
 
@@ -162,7 +105,7 @@ func TestCRC8DetectsSingleBitErrors(t *testing.T) {
 
 func TestHammingNibbleRoundTrip(t *testing.T) {
 	for d := byte(0); d < 16; d++ {
-		cw := HammingEncodeNibble(d)
+		cw := appendHammingNibble(nil, d)
 		got, corrected, err := HammingDecodeNibble(cw)
 		if err != nil || corrected || got != d {
 			t.Fatalf("nibble %x: got %x corrected=%v err=%v", d, got, corrected, err)
@@ -173,7 +116,7 @@ func TestHammingNibbleRoundTrip(t *testing.T) {
 func TestHammingCorrectsAnySingleBitError(t *testing.T) {
 	for d := byte(0); d < 16; d++ {
 		for pos := 0; pos < 8; pos++ {
-			cw := HammingEncodeNibble(d)
+			cw := appendHammingNibble(nil, d)
 			cw[pos] ^= 1
 			got, corrected, err := HammingDecodeNibble(cw)
 			if err != nil {
@@ -193,7 +136,7 @@ func TestHammingDetectsDoubleBitErrors(t *testing.T) {
 	for d := byte(0); d < 16; d++ {
 		for i := 0; i < 8; i++ {
 			for j := i + 1; j < 8; j++ {
-				cw := HammingEncodeNibble(d)
+				cw := appendHammingNibble(nil, d)
 				cw[i] ^= 1
 				cw[j] ^= 1
 				if _, _, err := HammingDecodeNibble(cw); !errors.Is(err, ErrUncorrectable) {

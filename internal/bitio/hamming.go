@@ -21,12 +21,6 @@ import (
 // decode itself.
 var ErrUncorrectable = errors.New("bitio: uncorrectable SECDED codeword")
 
-// HammingEncodeNibble encodes the low 4 bits of data into a SECDED(8,4)
-// codeword, returned as 8 bit-slice elements [p1 p2 d1 p4 d2 d3 d4 pAll].
-func HammingEncodeNibble(data byte) []byte {
-	return appendHammingNibble(make([]byte, 0, 8), data)
-}
-
 // appendHammingNibble appends the SECDED(8,4) codeword of data's low 4
 // bits to b.
 func appendHammingNibble(b []byte, data byte) []byte {

@@ -69,24 +69,8 @@ func BackscatterAmplitude(ds, dr, freqHz, gain float64) (float64, error) {
 // DbToAmplitude converts a dB power ratio to an amplitude ratio.
 func DbToAmplitude(db float64) float64 { return math.Pow(10, db/20) }
 
-// AmplitudeToDb converts an amplitude ratio to a dB power ratio.
-func AmplitudeToDb(a float64) float64 {
-	if a <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(a)
-}
-
 // DbmToWatts converts dBm to watts.
 func DbmToWatts(dbm float64) float64 { return math.Pow(10, (dbm-30)/10) }
-
-// WattsToDbm converts watts to dBm.
-func WattsToDbm(w float64) float64 {
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(w) + 30
-}
 
 // SNRLinear computes the mean per-subcarrier SNR given transmit power,
 // mean |h|² across subcarriers, and the noise floor.

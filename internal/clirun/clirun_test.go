@@ -3,10 +3,12 @@ package clirun
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,17 +26,23 @@ func start(t *testing.T, ctx context.Context, opts Options) *Run {
 
 func readLedger(t *testing.T, dir string) []obs.RunRecord {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, obs.RunLedgerFile))
+	raw, err := os.ReadFile(filepath.Join(dir, obs.RunLedgerFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	recs, skipped, err := obs.ReadRunLedgerTolerant(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 {
-		t.Fatalf("ledger has %d damaged trailing line(s)", skipped)
+	var recs []obs.RunRecord
+	for i, line := range strings.SplitAfter(string(raw), "\n") {
+		if line == "" {
+			continue
+		}
+		if !strings.HasSuffix(line, "\n") {
+			t.Fatalf("ledger line %d has no newline: %q", i+1, line)
+		}
+		var rec obs.RunRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("ledger line %d: %v", i+1, err)
+		}
+		recs = append(recs, rec)
 	}
 	return recs
 }

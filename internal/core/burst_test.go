@@ -115,8 +115,8 @@ func TestFECInterleaveDepthSweepRoundTrips(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(bits) != codec.PaddedBits(n) {
-					t.Fatalf("depth %d fec %v n %d: %d bits, PaddedBits says %d", depth, fec, n, len(bits), codec.PaddedBits(n))
+				if len(bits) != paddedBits(codec, n) {
+					t.Fatalf("depth %d fec %v n %d: %d bits, paddedBits says %d", depth, fec, n, len(bits), paddedBits(codec, n))
 				}
 				got, corrected, err := codec.Decode(bits)
 				if err != nil || corrected != 0 || !bytes.Equal(got, payload) {

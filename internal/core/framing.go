@@ -177,15 +177,3 @@ func (c Codec) deinterleave(bits []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// PaddedBits returns how many bits Encode emits after interleaver padding
-// for an n-byte payload — what the querier must size its aggregates for.
-func (c Codec) PaddedBits(n int) int {
-	raw := c.EncodedBits(n)
-	if c.InterleaveDepth <= 1 {
-		return raw
-	}
-	d := c.InterleaveDepth
-	cols := (raw + d - 1) / d
-	return d * cols
-}

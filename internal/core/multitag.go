@@ -38,14 +38,6 @@ func TriggerPattern(address, patternLen int) ([]bool, error) {
 	return p, nil
 }
 
-// AddressSpace returns how many distinct tags a pattern length addresses.
-func AddressSpace(patternLen int) int {
-	if patternLen < 3 {
-		return 0
-	}
-	return 1 << (patternLen - 2)
-}
-
 // AddressedDetector returns a tag-side detector matched to an address.
 func AddressedDetector(address, patternLen int, threshold float64) (*tag.Detector, error) {
 	p, err := TriggerPattern(address, patternLen)
@@ -55,24 +47,4 @@ func AddressedDetector(address, patternLen int, threshold float64) (*tag.Detecto
 	d := tag.NewDetector(threshold)
 	d.Pattern = p
 	return d, nil
-}
-
-// PatternsCollide reports whether two addresses' patterns are
-// indistinguishable to a comparator (they never are, by construction, for
-// distinct addresses — asserted by tests as the no-crosstalk invariant).
-func PatternsCollide(a, b, patternLen int) (bool, error) {
-	pa, err := TriggerPattern(a, patternLen)
-	if err != nil {
-		return false, err
-	}
-	pb, err := TriggerPattern(b, patternLen)
-	if err != nil {
-		return false, err
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			return false, nil
-		}
-	}
-	return true, nil
 }

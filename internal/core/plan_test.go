@@ -188,11 +188,18 @@ func TestQueryPlanFollowsSpecChanges(t *testing.T) {
 func TestQueryRoundReservesSequenceWindow(t *testing.T) {
 	sys, env := testbed(t, 2, 32)
 	env.Advance(0.05)
-	before := sys.Scheduler.NextSeq()
+	before, err := sys.Scheduler.Reserve(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sys.QueryRound(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sys.Scheduler.NextSeq(), (before+uint16(sys.Spec.Total()))&0x0FFF; got != want {
+	got, err := sys.Scheduler.Reserve(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (before + 1 + uint16(sys.Spec.Total())) & 0x0FFF; got != want {
 		t.Fatalf("next sequence %d after one round, want %d", got, want)
 	}
 }

@@ -145,26 +145,6 @@ func (q *QuerySpec) ShapeForTick(tick time.Duration, ticks, cipherOverhead int) 
 	return nil
 }
 
-// BoundaryErrors returns, for diagnostics and tests, the deviation of each
-// cumulative subframe boundary from the ideal tick grid, in seconds.
-func (q QuerySpec) BoundaryErrors(tick time.Duration, cipherOverhead int) ([]float64, error) {
-	if q.TicksPerSubframe < 1 {
-		return nil, fmt.Errorf("core: spec is not shaped")
-	}
-	airs, err := q.SubframeAirtimes(cipherOverhead)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(airs))
-	cum := 0.0
-	for i, a := range airs {
-		cum += a.Seconds()
-		ideal := float64(i+1) * float64(q.TicksPerSubframe) * tick.Seconds()
-		out[i] = cum - ideal
-	}
-	return out, nil
-}
-
 // psduLen returns len(BuildQuery(...).Marshal()) without building anything:
 // each subframe is a delimiter plus its MPDU (QoS header, payload sealed
 // with cipherOverhead bytes, FCS), padded to 4 bytes except the last.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func TestShapeForTickWithCipherOverheadKeepsGrid(t *testing.T) {
 	if err := spec.ShapeForTick(20*time.Microsecond, 2, overhead); err != nil {
 		t.Fatal(err)
 	}
-	errs, err := spec.BoundaryErrors(20*time.Microsecond, overhead)
+	errs, err := boundaryErrors(spec, 20*time.Microsecond, overhead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,4 +236,24 @@ func log10(x float64) float64 {
 		return -300
 	}
 	return math.Log10(x)
+}
+
+// boundaryErrors returns the deviation of each
+// cumulative subframe boundary from the ideal tick grid, in seconds.
+func boundaryErrors(q QuerySpec, tick time.Duration, cipherOverhead int) ([]float64, error) {
+	if q.TicksPerSubframe < 1 {
+		return nil, errors.New("core: spec is not shaped")
+	}
+	airs, err := q.SubframeAirtimes(cipherOverhead)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(airs))
+	cum := 0.0
+	for i, a := range airs {
+		cum += a.Seconds()
+		ideal := float64(i+1) * float64(q.TicksPerSubframe) * tick.Seconds()
+		out[i] = cum - ideal
+	}
+	return out, nil
 }

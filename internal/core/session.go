@@ -410,7 +410,6 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	res.Airtime = access + plan.ppdu + dot11.SIFS + baAir
-	s.Contender.Success()
 	spans.End(obs.PhaseCRC, sp)
 
 	// Observability flush: passive counters and one trace event per round,

@@ -233,7 +233,7 @@ func TestDetectionFailsWhenTagFarFromClient(t *testing.T) {
 func TestShapeForTickBoundaryErrorsBounded(t *testing.T) {
 	sys, _ := testbed(t, 3, 19)
 	tick := 20 * time.Microsecond
-	errsS, err := sys.Spec.BoundaryErrors(tick, sys.cipherOverhead())
+	errsS, err := boundaryErrors(sys.Spec, tick, sys.cipherOverhead())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +252,6 @@ func TestShapeForTickErrors(t *testing.T) {
 	}
 	if err := spec.ShapeForTick(time.Microsecond, 1, 0); err == nil {
 		t.Fatal("sub-minimum subframe target accepted")
-	}
-	if _, err := spec.BoundaryErrors(time.Microsecond, 0); err == nil {
-		t.Fatal("BoundaryErrors on unshaped spec accepted")
 	}
 }
 

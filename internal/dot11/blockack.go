@@ -50,44 +50,6 @@ func (ba *BlockAck) Marshal() ([]byte, error) {
 	return bitio.AppendFCS(buf), nil
 }
 
-// UnmarshalBlockAck decodes a compressed block ACK, verifying FCS and frame
-// type.
-func UnmarshalBlockAck(p []byte) (*BlockAck, error) {
-	body, ok := bitio.CheckFCS(p)
-	if !ok {
-		return nil, ErrBadFCS
-	}
-	if len(body) != 28 {
-		return nil, fmt.Errorf("dot11: compressed BA body must be 28 bytes, got %d", len(body))
-	}
-	fc := UnmarshalFrameControl([2]byte{body[0], body[1]})
-	if fc.Type != TypeBlockAck {
-		return nil, fmt.Errorf("dot11: not a block ACK: %v", fc.Type)
-	}
-	var ba BlockAck
-	ba.Duration = binary.LittleEndian.Uint16(body[2:4])
-	copy(ba.RA[:], body[4:10])
-	copy(ba.TA[:], body[10:16])
-	ctl := binary.LittleEndian.Uint16(body[16:18])
-	if ctl&0x0004 == 0 {
-		return nil, fmt.Errorf("dot11: only compressed block ACKs are supported")
-	}
-	ba.TID = byte(ctl >> 12)
-	ba.StartSeq = binary.LittleEndian.Uint16(body[18:20]) >> 4
-	ba.Bitmap = binary.LittleEndian.Uint64(body[20:28])
-	return &ba, nil
-}
-
-// Acked reports whether the MPDU with the given sequence number is marked
-// received. Sequence numbers wrap modulo 4096.
-func (ba *BlockAck) Acked(seq uint16) bool {
-	offset := int(seq-ba.StartSeq) & 0x0FFF
-	if offset >= 64 {
-		return false
-	}
-	return ba.Bitmap>>uint(offset)&1 == 1
-}
-
 // SetAcked marks the MPDU with the given sequence number as received.
 // It returns an error when seq falls outside the 64-frame bitmap window.
 func (ba *BlockAck) SetAcked(seq uint16) error {
@@ -141,27 +103,4 @@ func (r *BlockAckReq) Marshal() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint16(buf, 0x0004|uint16(r.TID)<<12)
 	buf = binary.LittleEndian.AppendUint16(buf, r.StartSeq<<4)
 	return bitio.AppendFCS(buf), nil
-}
-
-// UnmarshalBlockAckReq decodes a BAR, verifying FCS and type.
-func UnmarshalBlockAckReq(p []byte) (*BlockAckReq, error) {
-	body, ok := bitio.CheckFCS(p)
-	if !ok {
-		return nil, ErrBadFCS
-	}
-	if len(body) != 20 {
-		return nil, fmt.Errorf("dot11: BAR body must be 20 bytes, got %d", len(body))
-	}
-	fc := UnmarshalFrameControl([2]byte{body[0], body[1]})
-	if fc.Type != TypeBlockAckReq {
-		return nil, fmt.Errorf("dot11: not a block ACK request: %v", fc.Type)
-	}
-	var r BlockAckReq
-	r.Duration = binary.LittleEndian.Uint16(body[2:4])
-	copy(r.RA[:], body[4:10])
-	copy(r.TA[:], body[10:16])
-	ctl := binary.LittleEndian.Uint16(body[16:18])
-	r.TID = byte(ctl >> 12)
-	r.StartSeq = binary.LittleEndian.Uint16(body[18:20]) >> 4
-	return &r, nil
 }

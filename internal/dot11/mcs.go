@@ -60,9 +60,6 @@ var (
 	Rate56 = CodeRate{5, 6}
 )
 
-// Float returns the rate as a float64.
-func (r CodeRate) Float() float64 { return float64(r.Num) / float64(r.Den) }
-
 // String renders the rate as "num/den".
 func (r CodeRate) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
 
@@ -143,28 +140,6 @@ func HTMCS(index int) (MCS, error) {
 	}, nil
 }
 
-// VHTMCS returns the 802.11ac VHT MCS (0-9) for the given stream count.
-// VHT extends the HT ladder with 256-QAM at rates 3/4 and 5/6.
-func VHTMCS(index, streams int) (MCS, error) {
-	if streams < 1 || streams > 8 {
-		return MCS{}, fmt.Errorf("dot11: VHT stream count %d out of range [1,8]", streams)
-	}
-	if index < 0 || index > 9 {
-		return MCS{}, fmt.Errorf("dot11: VHT MCS index %d out of range [0,9]", index)
-	}
-	var mod Modulation
-	var rate CodeRate
-	if index < 8 {
-		b := htMCSBase[index]
-		mod, rate = b.mod, b.rate
-	} else if index == 8 {
-		mod, rate = QAM256, Rate34
-	} else {
-		mod, rate = QAM256, Rate56
-	}
-	return MCS{Index: index, Modulation: mod, CodeRate: rate, Streams: streams}, nil
-}
-
 // DataBitsPerSymbol returns N_DBPS, the number of data bits per OFDM symbol
 // at the given channel width.
 func (m MCS) DataBitsPerSymbol(w ChannelWidth) int {
@@ -175,12 +150,6 @@ func (m MCS) DataBitsPerSymbol(w ChannelWidth) int {
 // CodedBitsPerSymbol returns N_CBPS at the given channel width.
 func (m MCS) CodedBitsPerSymbol(w ChannelWidth) int {
 	return w.DataSubcarriers() * m.Modulation.BitsPerSymbol() * m.Streams
-}
-
-// DataRateMbps returns the PHY data rate in Mbit/s for the given width and
-// guard interval.
-func (m MCS) DataRateMbps(w ChannelWidth, gi GuardInterval) float64 {
-	return float64(m.DataBitsPerSymbol(w)) / gi.SymbolDuration().Seconds() / 1e6
 }
 
 // String renders the MCS in the conventional "MCS7 64-QAM 5/6 1ss" form.

@@ -82,7 +82,7 @@ func (a *ablation) size(rounds int) int {
 }
 
 // ablations is the one table of ablations, in witag-bench's run order;
-// RunAblation, runAblations and forensic replay all read it.
+// runAblations and forensic replay both read it.
 var ablations = []ablation{
 	{key: "switch", label: "switch mode", title: "switch design (tag mid-span, the worst case)",
 		n: len(switchModes), per: 2, row: ablationSwitchRow, check: checkSwitchMode},
@@ -106,16 +106,6 @@ func ablationByKey(key string) (*ablation, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown ablation %q", key)
-}
-
-// RunAblation runs the ablation whose replay key is key at size rounds
-// per configuration (frames for fec) on r, and checks its shape claim.
-func RunAblation(ctx context.Context, r sim.Runner, key string, seed int64, size int) (*AblationResult, error) {
-	a, err := ablationByKey(key)
-	if err != nil {
-		return nil, err
-	}
-	return a.run(ctx, r, seed, size)
 }
 
 // run measures every configuration on r, each instrumented through r's

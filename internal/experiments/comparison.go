@@ -149,12 +149,7 @@ func powerRow(ctx context.Context, seed int64, i int, o *obs.Observer) (PowerRow
 	if err != nil {
 		return PowerRow{}, err
 	}
-	budget := tag.Budget{
-		Oscillator: c.kind, ClockHz: c.freq,
-		SwitchEnergyJ: 10e-12, TogglesPerSecond: 40_000,
-		ComparatorW: 300e-9, LogicW: 500e-9,
-	}
-	ok, _, err := harvester.BatteryFreeFeasible(budget)
+	ok, _, err := harvester.BatteryFreeFeasible(tag.NewBudget(c.kind, c.freq, 40_000))
 	if err != nil {
 		return PowerRow{}, err
 	}

@@ -76,11 +76,11 @@ func TestFigure6DeterministicAcrossWorkerCounts(t *testing.T) {
 func TestAblationsDeterministicAcrossWorkerCounts(t *testing.T) {
 	// One representative ablation: the runner fans its configurations.
 	ctx := context.Background()
-	serial, err := RunAblation(ctx, sim.Runner{Workers: 1}, "mcs", 15, 40)
+	serial, err := runAblation(ctx, sim.Runner{Workers: 1}, "mcs", 15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAblation(ctx, sim.Runner{Workers: manyWorkers()}, "mcs", 15, 40)
+	parallel, err := runAblation(ctx, sim.Runner{Workers: manyWorkers()}, "mcs", 15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

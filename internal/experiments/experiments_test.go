@@ -208,13 +208,23 @@ func TestRunAblationsTableOrder(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), ablations[0].label+": ") || res != nil {
 		t.Fatalf("cancelled suite = %v, %v; want no result and %q-prefixed context.Canceled", res, err, ablations[0].label)
 	}
-	if _, err := RunAblation(context.Background(), sim.Runner{}, "nope", 1, 4); err == nil {
+	if _, err := ablationByKey("nope"); err == nil {
 		t.Fatal("unknown ablation key accepted")
 	}
 }
 
+// runAblation runs the ablation keyed key at size per configuration on
+// r, as the suite's ablations entry runs each entry of the table.
+func runAblation(ctx context.Context, r sim.Runner, key string, seed int64, size int) (*AblationResult, error) {
+	a, err := ablationByKey(key)
+	if err != nil {
+		return nil, err
+	}
+	return a.run(ctx, r, seed, size)
+}
+
 func TestAblationSwitchMode(t *testing.T) {
-	res, err := RunAblation(context.Background(), sim.Runner{}, "switch", 11, 150)
+	res, err := runAblation(context.Background(), sim.Runner{}, "switch", 11, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func TestAblationSwitchMode(t *testing.T) {
 }
 
 func TestAblationTriggerCount(t *testing.T) {
-	res, err := RunAblation(context.Background(), sim.Runner{}, "trigger", 12, 80)
+	res, err := runAblation(context.Background(), sim.Runner{}, "trigger", 12, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestAblationTriggerCount(t *testing.T) {
 }
 
 func TestAblationFEC(t *testing.T) {
-	res, err := RunAblation(context.Background(), sim.Runner{}, "fec", 13, 4)
+	res, err := runAblation(context.Background(), sim.Runner{}, "fec", 13, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +263,7 @@ func TestAblationFEC(t *testing.T) {
 }
 
 func TestAblationAMPDUSize(t *testing.T) {
-	res, err := RunAblation(context.Background(), sim.Runner{}, "ampdu", 14, 60)
+	res, err := runAblation(context.Background(), sim.Runner{}, "ampdu", 14, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +273,7 @@ func TestAblationAMPDUSize(t *testing.T) {
 }
 
 func TestAblationRobustRate(t *testing.T) {
-	res, err := RunAblation(context.Background(), sim.Runner{}, "mcs", 15, 60)
+	res, err := runAblation(context.Background(), sim.Runner{}, "mcs", 15, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +289,7 @@ func TestAblationRobustRate(t *testing.T) {
 }
 
 func TestAblationEncryption(t *testing.T) {
-	res, err := RunAblation(context.Background(), sim.Runner{}, "crypto", 16, 60)
+	res, err := runAblation(context.Background(), sim.Runner{}, "crypto", 16, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/obs/obstest"
 )
 
 // Campaign logging rides the same determinism contract as the rest of the
@@ -48,7 +49,7 @@ func loggedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 	camp.Finish(nil)
 
 	var canon bytes.Buffer
-	if err := obs.CanonicalizeLog(bytes.NewReader(logBuf.Bytes()), &canon); err != nil {
+	if err := obstest.CanonicalizeLog(bytes.NewReader(logBuf.Bytes()), &canon); err != nil {
 		t.Fatal(err)
 	}
 	return res, canon.String()

@@ -279,7 +279,7 @@ func TestFECAblationReplayWithoutRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	events, _ := campaignTrace(t, func(c *obs.Campaign) error {
-		_, err := RunAblation(context.Background(), sim.Runner{Workers: 1, Campaign: c}, "fec", seed, a.size(0))
+		_, err := runAblation(context.Background(), sim.Runner{Workers: 1, Campaign: c}, "fec", seed, a.size(0))
 		return err
 	})
 	for k := 0; k < a.n; k++ {

@@ -37,7 +37,7 @@ func TestSpanCountsExact(t *testing.T) {
 			return err
 		}, want{}},
 		{"ablation-fec", func(w int, c *obs.Campaign) error {
-			_, err := RunAblation(context.Background(), sim.Runner{Workers: w, Campaign: c}, "fec", 42, 6)
+			_, err := runAblation(context.Background(), sim.Runner{Workers: w, Campaign: c}, "fec", 42, 6)
 			return err
 		}, want{}},
 		{"coding", func(w int, c *obs.Campaign) error {

@@ -70,7 +70,7 @@ func TestTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	var rounds int64
 	for _, w := range wins {
-		rounds += w.CounterDelta("core.rounds")
+		rounds += w.Delta.Counters["core.rounds"]
 	}
 	if rounds == 0 {
 		t.Fatal("timeline windows carry no core.rounds activity")
@@ -115,8 +115,8 @@ func TestCodingTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 	// than rounds.
 	var rounds, evals int64
 	for _, w := range wins {
-		rounds += w.CounterDelta("core.rounds")
-		evals += w.CounterDelta("core.decode_model_evals")
+		rounds += w.Delta.Counters["core.rounds"]
+		evals += w.Delta.Counters["core.decode_model_evals"]
 	}
 	if rounds == 0 || evals >= 2*rounds {
 		t.Errorf("windows carry %d decode-model evaluations over %d rounds: the links were not shared", evals, rounds)

@@ -6,10 +6,9 @@ import (
 	"witag/internal/core"
 )
 
-// Adaptive coding control, mirroring mac.RateController's pattern in the
-// opposite direction: where the rate controller hunts the *fastest* MCS
-// that still delivers, this controller hunts the *lightest* protection
-// that still gets frames through. It walks a ladder of coding levels —
+// Adaptive coding control: where a Minstrel-style rate controller hunts
+// the *fastest* MCS that still delivers, this controller hunts the
+// *lightest* protection that still gets frames through. It walks a ladder of coding levels —
 // FEC off → FEC on → deeper interleaving → shorter segments — reacting
 // AIMD-style to per-frame CRC verdicts: escalation is immediate and one
 // rung at a time when the smoothed frame-error rate crosses EscalateFER

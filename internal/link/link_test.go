@@ -343,7 +343,11 @@ func TestFrameSenderSendAllocs(t *testing.T) {
 	f := NewFrameSender(sys, nil, stats.NewRNG(1))
 	codec := core.Codec{FEC: true, InterleaveDepth: 8}
 	fp := stats.RandomBytes(stats.NewRNG(2), 30)
-	rounds := (codec.PaddedBits(len(fp)) + sys.Spec.DataLen - 1) / sys.Spec.DataLen
+	bits, err := codec.Encode(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := (len(bits) + sys.Spec.DataLen - 1) / sys.Spec.DataLen
 	var st TransferStats
 	send := func() {
 		fr, err := f.Send(context.Background(), codec, fp, &st)

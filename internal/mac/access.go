@@ -12,20 +12,18 @@ import (
 // like any station; contention time is part of the per-round overhead that
 // caps the tag's data rate.
 
-// Contender models one station's backoff state.
+// Contender models one station's backoff. The querier's exchanges never
+// collide in the model, so its contention window stays at CWmin.
 type Contender struct {
-	cwMin, cwMax int
-	cw           int
-	rng          *rand.Rand
+	rng *rand.Rand
 
 	lastSlots int
 	lastBusy  int
 }
 
-// NewContender returns a best-effort access contender (CWmin 15, CWmax
-// 1023).
+// NewContender returns a best-effort access contender (CWmin 15).
 func NewContender(rng *rand.Rand) *Contender {
-	return &Contender{cwMin: dot11.CWmin, cwMax: 1023, cw: dot11.CWmin, rng: rng}
+	return &Contender{rng: rng}
 }
 
 // AccessDelay samples the channel-access delay for one transmission
@@ -36,10 +34,7 @@ func (c *Contender) AccessDelay(busyProb float64, otherFrame time.Duration) (tim
 	if busyProb < 0 || busyProb >= 1 {
 		return 0, fmt.Errorf("mac: busy probability %v outside [0,1)", busyProb)
 	}
-	slots := 0
-	if c.cw > 0 {
-		slots = c.rng.Intn(c.cw + 1)
-	}
+	slots := c.rng.Intn(dot11.CWmin + 1)
 	d := dot11.DIFS
 	busy := 0
 	for i := 0; i < slots; i++ {
@@ -57,17 +52,3 @@ func (c *Contender) AccessDelay(busyProb float64, otherFrame time.Duration) (tim
 // AccessDelay, and how many of them were frozen by other traffic — the
 // observability layer's window into contention without an extra RNG draw.
 func (c *Contender) LastSlots() (slots, busy int) { return c.lastSlots, c.lastBusy }
-
-// Success resets the contention window after a delivered frame.
-func (c *Contender) Success() { c.cw = c.cwMin }
-
-// Collision doubles the contention window after a failed exchange.
-func (c *Contender) Collision() {
-	c.cw = c.cw*2 + 1
-	if c.cw > c.cwMax {
-		c.cw = c.cwMax
-	}
-}
-
-// CW exposes the current contention window (for tests and stats).
-func (c *Contender) CW() int { return c.cw }

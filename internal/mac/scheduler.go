@@ -25,9 +25,6 @@ func NewAMPDUScheduler(src, dst, bssid dot11.MACAddr, tid byte) (*AMPDUScheduler
 	return &AMPDUScheduler{Src: src, Dst: dst, BSSID: bssid, TID: tid}, nil
 }
 
-// NextSeq exposes the next sequence number to be assigned.
-func (s *AMPDUScheduler) NextSeq() uint16 { return s.nextSeq }
-
 // Reserve consumes the sequence numbers of an n-subframe A-MPDU without
 // building it and returns the first: the same window, and the same
 // scheduler state afterwards, as BuildAMPDU with n payloads.

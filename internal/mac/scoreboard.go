@@ -1,7 +1,6 @@
 // Package mac implements the 802.11 MAC-layer machinery WiTAG rides on:
 // the receiver-side block-ACK scoreboard an AP keeps per traffic stream,
-// an A-MPDU scheduler, Minstrel-style rate adaptation for picking the
-// robust query rate, and contention-based channel access timing.
+// an A-MPDU scheduler, and contention-based channel access timing.
 package mac
 
 import (
@@ -51,31 +50,4 @@ func (s *Scoreboard) Reset(startSeq uint16) error {
 	s.startSeq = startSeq
 	s.received = 0
 	return nil
-}
-
-// ReceiveAMPDU runs the AP's receive path over a PSDU: de-aggregate,
-// FCS-check each subframe, record the survivors, and return the number of
-// valid MPDUs. Decrypt failures (when a cipher is in use upstream) surface
-// as FCS failures before this layer, so the scoreboard treats everything
-// uniformly — precisely why WiTAG works under WPA.
-func (s *Scoreboard) ReceiveAMPDU(psdu []byte) (int, error) {
-	subs, err := dot11.Deaggregate(psdu)
-	if err != nil {
-		// A truncated tail still yields the subframes parsed so far.
-		if subs == nil {
-			return 0, err
-		}
-	}
-	valid := 0
-	for _, sub := range subs {
-		f, err := dot11.UnmarshalQoSData(sub.MPDU)
-		if err != nil {
-			continue // corrupt subframe: not recorded, bit stays 0
-		}
-		if err := s.Record(f.SeqNum); err != nil {
-			continue // outside window
-		}
-		valid++
-	}
-	return valid, nil
 }

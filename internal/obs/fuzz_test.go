@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"witag/internal/obs/obstest"
 )
 
 // Fuzz targets for the tolerant export readers. Each checks three
@@ -303,118 +302,6 @@ func FuzzReadTimelineLog(f *testing.F) {
 	})
 }
 
-// FuzzReadRunLedgerTolerant appends records derived from data with the
-// real writer. The ledger has no trailer, so a prefix ending on a line
-// boundary is a shorter complete ledger; every other strict prefix must
-// be reported as a skipped tail (or an error), never as a full record.
-func FuzzReadRunLedgerTolerant(f *testing.F) {
-	good := []byte(`{"kind":"run","tool":"witag-bench","campaign":"a","outcome":"ok","wall_ms":5}` + "\n")
-	f.Add(good)
-	f.Add(append(append([]byte(nil), good...), good[:20]...))
-	f.Add([]byte("not json\n"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadRunLedgerTolerant(bytes.NewReader(data)) // must not panic
-
-		dir := t.TempDir()
-		text := strings.ToValidUTF8(string(fuzzGen(data, 16)), "?") // JSON strings are UTF-8
-		var want []RunRecord
-		for i := 0; i <= len(data)%4; i++ {
-			rec := RunRecord{
-				Tool: "witag-bench", Campaign: fmt.Sprintf("c%d", i),
-				WallMs: int64(i), Artifacts: []string{text},
-			}
-			if i%2 == 1 {
-				rec.Outcome, rec.Error = "error", text
-			}
-			if err := AppendRunRecord(dir, rec); err != nil {
-				t.Fatal(err)
-			}
-			rec.Kind = "run"
-			if rec.Outcome == "" {
-				rec.Outcome = "ok"
-			}
-			want = append(want, rec)
-		}
-		out, err := os.ReadFile(filepath.Join(dir, RunLedgerFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, skipped, err := ReadRunLedgerTolerant(bytes.NewReader(out))
-		if err != nil || skipped != 0 || !reflect.DeepEqual(recs, want) {
-			t.Fatalf("writer output read back changed: %d records (want %d), %d skipped, err %v", len(recs), len(want), skipped, err)
-		}
-		lines := 0
-		for n := 0; n < len(out); n++ {
-			recs, skipped, err := ReadRunLedgerTolerant(bytes.NewReader(out[:n]))
-			switch {
-			case n > 0 && out[n-1] == '\n':
-				lines++
-				if err != nil || skipped != 0 || !reflect.DeepEqual(recs, want[:lines]) {
-					t.Fatalf("line-boundary prefix (%d lines) misread: %d records, %d skipped, err %v", lines, len(recs), skipped, err)
-				}
-			case n > 0 && err == nil && skipped == 0:
-				t.Fatalf("%d-byte prefix cut mid-record read as %d complete records", n, len(recs))
-			}
-		}
-	})
-}
-
-// FuzzCanonicalizeLog checks the log canonicalizer the determinism suite
-// compares campaign logs through: arbitrary input never panics;
-// canonicalizing twice gives what canonicalizing once gave; every line it
-// rewrites comes out as valid JSON; and no output line that parses as a
-// JSON object keeps a top-level VolatileLogKeys key.
-func FuzzCanonicalizeLog(f *testing.F) {
-	f.Add([]byte(`{"ts":"2023-11-14T22:13:21Z","level":"INFO","msg":"a","wall_ms":3,"n":1}` + "\n"))
-	f.Add([]byte(` { "ts" : 1 , "obj" : {"ts": [1, "}"]} } ` + "\nnot json\n[1]\n"))
-	f.Add([]byte(`{"t\u0073":1,"rate_per_s":2}{"ts":3}` + "\n" + `{"ts":"x",`))
-	f.Add([]byte("{\"msg\":\"\\x01\",\"ts\":1}\r\n{\"k\\/\":\"\xff\"}"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var once, twice bytes.Buffer
-		if err := CanonicalizeLog(bytes.NewReader(data), &once); err != nil {
-			t.Fatal(err)
-		}
-		if err := CanonicalizeLog(bytes.NewReader(once.Bytes()), &twice); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
-			t.Fatalf("not idempotent:\nonce  %q\ntwice %q", once.Bytes(), twice.Bytes())
-		}
-		in, out := logLines(data), logLines(once.Bytes())
-		if len(in) != len(out) {
-			t.Fatalf("%d input lines became %d", len(in), len(out))
-		}
-		for i := range in {
-			if !bytes.Equal(in[i], out[i]) && !json.Valid(out[i]) {
-				t.Fatalf("line %q rewritten to invalid JSON %q", in[i], out[i])
-			}
-		}
-		for _, line := range bytes.Split(once.Bytes(), []byte("\n")) {
-			var obj map[string]json.RawMessage
-			if json.Unmarshal(line, &obj) != nil {
-				continue
-			}
-			for k := range obj {
-				if VolatileLogKeys[k] {
-					t.Fatalf("volatile key %q survived in %q", k, line)
-				}
-			}
-		}
-	})
-}
-
-// logLines splits a log into its '\n'-terminated lines; a final line
-// without its newline counts as a line.
-func logLines(b []byte) [][]byte {
-	lines := bytes.Split(b, []byte("\n"))
-	if len(b) == 0 || b[len(b)-1] == '\n' {
-		lines = lines[:len(lines)-1]
-	}
-	return lines
-}
-
 // FuzzJSONLHandler checks that every record the log handler writes is
 // one valid JSON line, whatever the message, keys, group names and
 // values hold, and that CanonicalizeLog strips its ts.
@@ -431,7 +318,7 @@ func FuzzJSONLHandler(f *testing.F) {
 			t.Fatalf("record is not one valid JSON line: %q", buf.Bytes())
 		}
 		var canon bytes.Buffer
-		if err := CanonicalizeLog(bytes.NewReader(buf.Bytes()), &canon); err != nil {
+		if err := obstest.CanonicalizeLog(bytes.NewReader(buf.Bytes()), &canon); err != nil {
 			t.Fatal(err)
 		}
 		var obj map[string]json.RawMessage

@@ -67,7 +67,7 @@ func TestHubTimeseriesEndpoint(t *testing.T) {
 		if w.Kind != WindowLogical {
 			t.Errorf("?kind=logical leaked a %q window", w.Kind)
 		}
-		if w.CounterDelta("core.rounds") != 10 {
+		if w.Delta.Counters["core.rounds"] != 10 {
 			t.Errorf("window delta did not survive the HTTP round-trip: %+v", w)
 		}
 	}

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -65,28 +63,4 @@ func AppendRunRecord(dir string, rec RunRecord) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// ReadRunLedgerTolerant decodes a RUNS.jsonl stream, tolerating exactly
-// the damage a crash during AppendRunRecord leaves behind: a corrupt,
-// partial or newline-less *trailing* line (see scanJSONL) is skipped and
-// counted instead of failing — a record is committed only once its
-// newline lands. Damage anywhere before the tail is still an error —
-// mid-file garbage means corruption, not an interrupted append.
-func ReadRunLedgerTolerant(r io.Reader) (recs []RunRecord, skipped int, err error) {
-	tail, err := scanJSONL(r, 1<<20, func(line int, raw []byte) error {
-		var rec RunRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("obs: ledger line %d: %w", line, err)
-		}
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if tail {
-		skipped = 1
-	}
-	return recs, skipped, nil
 }

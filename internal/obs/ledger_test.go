@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,17 +23,23 @@ func TestRunLedgerAppendAndRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(filepath.Join(dir, RunLedgerFile))
+	raw, err := os.ReadFile(filepath.Join(dir, RunLedgerFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	recs, skipped, err := ReadRunLedgerTolerant(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 {
-		t.Fatalf("ledger has %d damaged trailing line(s)", skipped)
+	var recs []RunRecord
+	for i, line := range strings.SplitAfter(string(raw), "\n") {
+		if line == "" {
+			continue
+		}
+		if !strings.HasSuffix(line, "\n") {
+			t.Fatalf("ledger line %d has no newline: %q", i+1, line)
+		}
+		var rec RunRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("ledger line %d: %v", i+1, err)
+		}
+		recs = append(recs, rec)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("ledger has %d records, want 2 (append-only)", len(recs))
@@ -45,35 +52,5 @@ func TestRunLedgerAppendAndRead(t *testing.T) {
 	}
 	if recs[1].Outcome != "error" || recs[1].Error != "boom" {
 		t.Errorf("record 1 = %+v, want error/boom", recs[1])
-	}
-}
-
-func TestReadRunLedgerTolerantSkipsTruncatedTail(t *testing.T) {
-	good := `{"kind":"run","tool":"witag-bench","campaign":"a","outcome":"ok","wall_ms":5}` + "\n"
-
-	// A crash mid-append leaves a partial trailing line: skip and count.
-	recs, skipped, err := ReadRunLedgerTolerant(strings.NewReader(good + good + `{"kind":"run","to`))
-	if err != nil {
-		t.Fatalf("truncated tail must not error: %v", err)
-	}
-	if len(recs) != 2 || skipped != 1 {
-		t.Fatalf("got %d records, %d skipped; want 2 records, 1 skipped", len(recs), skipped)
-	}
-	if recs[0].Tool != "witag-bench" || recs[0].WallMs != 5 {
-		t.Errorf("surviving record lost fields: %+v", recs[0])
-	}
-
-	// A clean ledger reads with nothing skipped.
-	recs, skipped, err = ReadRunLedgerTolerant(strings.NewReader(good + good))
-	if err != nil || len(recs) != 2 || skipped != 0 {
-		t.Fatalf("clean ledger: recs=%d skipped=%d err=%v", len(recs), skipped, err)
-	}
-
-	// Garbage before the tail is corruption.
-	if _, _, err := ReadRunLedgerTolerant(strings.NewReader("not json\n" + good)); err == nil {
-		t.Fatal("mid-file damage must still error")
-	}
-	if _, _, err := ReadRunLedgerTolerant(strings.NewReader(good + "not json\n" + good)); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("mid-file damage error = %v, want line-2 error", err)
 	}
 }

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -24,10 +22,10 @@ import (
 //     WithAttrs), then the record's attrs in call order — so two runs
 //     logging the same things produce line-for-line comparable files.
 //   - The only nondeterministic field is "ts" (wall clock). It is named
-//     in VolatileLogKeys, and CanonicalizeLog strips every such key, so
-//     the determinism suite can require canonicalized logs to be
-//     byte-identical across worker counts while the raw file still
-//     carries real timestamps for humans.
+//     in obstest.VolatileLogKeys, and obstest.CanonicalizeLog strips
+//     every such key, so the determinism suite can require canonicalized
+//     logs to be byte-identical across worker counts while the raw file
+//     still carries real timestamps for humans.
 //   - Logging is a pure sink: nothing in the simulation reads a logger,
 //     and the harness-level call sites run sequentially (per experiment,
 //     per campaign), never per trial on worker goroutines — so enabling
@@ -35,10 +33,6 @@ import (
 //
 // The handler is safe for concurrent use; a single mutex serialises line
 // writes (log volume is tens of lines per campaign, not a hot path).
-
-// VolatileLogKeys names the log fields that carry wall-clock data and are
-// stripped by CanonicalizeLog before determinism comparisons.
-var VolatileLogKeys = map[string]bool{"ts": true, "wall_ms": true, "rate_per_s": true}
 
 // JSONLHandler is a deterministic slog.Handler writing JSONL to one
 // writer. Construct with NewJSONLHandler.
@@ -229,71 +223,4 @@ func appendAttr(buf []byte, prefix string, a slog.Attr) []byte {
 		buf = appendJSONString(buf, fmt.Sprint(v.Any()))
 	}
 	return buf
-}
-
-// CanonicalizeLog copies a JSONL log from r to w with every
-// VolatileLogKeys field removed from every line, preserving field order
-// otherwise. Two campaign logs that differ only in wall-clock data
-// canonicalize to identical bytes — the form the determinism tests
-// compare. Lines that are not exactly one JSON object pass through
-// unchanged; lines end at '\n' alone, so canonicalizing is idempotent.
-func CanonicalizeLog(r io.Reader, w io.Writer) error {
-	br := bufio.NewReader(r)
-	bw := bufio.NewWriter(w)
-	for {
-		line, err := br.ReadBytes('\n')
-		if len(line) > 0 {
-			line = bytes.TrimSuffix(line, []byte{'\n'})
-			if out, serr := stripVolatileKeys(line); serr == nil {
-				line = out
-			}
-			bw.Write(line)
-			bw.WriteByte('\n')
-		}
-		if err == io.EOF {
-			return bw.Flush()
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// stripVolatileKeys removes the top-level VolatileLogKeys fields from one
-// JSON object line without re-marshalling (which would reorder keys):
-// keys are re-quoted, values copied byte for byte. A line that is not
-// exactly one JSON object is an error.
-func stripVolatileKeys(line []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
-		return nil, fmt.Errorf("obs: not an object")
-	}
-	out := append(make([]byte, 0, len(line)), '{')
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		key, _ := tok.(string)
-		var val json.RawMessage
-		if err := dec.Decode(&val); err != nil {
-			return nil, err
-		}
-		if VolatileLogKeys[key] {
-			continue
-		}
-		if len(out) > 1 {
-			out = append(out, ',')
-		}
-		out = appendJSONString(out, key)
-		out = append(out, ':')
-		out = append(out, val...)
-	}
-	if _, err := dec.Token(); err != nil { // the closing brace
-		return nil, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("obs: trailing data after object")
-	}
-	return append(out, '}'), nil
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"witag/internal/obs/obstest"
 )
 
 // fixedClock returns a now func stepping one second per record from a
@@ -77,7 +79,7 @@ func TestCanonicalizeLogStripsVolatileKeys(t *testing.T) {
 		`not json at all`,
 	}, "\n") + "\n"
 	var out bytes.Buffer
-	if err := CanonicalizeLog(strings.NewReader(in), &out); err != nil {
+	if err := obstest.CanonicalizeLog(strings.NewReader(in), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != want {
@@ -103,10 +105,10 @@ func TestCanonicalizedLogsIdenticalAcrossClocks(t *testing.T) {
 		t.Fatal("raw logs identical — the clock injection is broken, test is vacuous")
 	}
 	var ca, cb bytes.Buffer
-	if err := CanonicalizeLog(strings.NewReader(a), &ca); err != nil {
+	if err := obstest.CanonicalizeLog(strings.NewReader(a), &ca); err != nil {
 		t.Fatal(err)
 	}
-	if err := CanonicalizeLog(strings.NewReader(b), &cb); err != nil {
+	if err := obstest.CanonicalizeLog(strings.NewReader(b), &cb); err != nil {
 		t.Fatal(err)
 	}
 	if ca.String() != cb.String() {
@@ -197,7 +199,7 @@ func TestCanonicalizeLogCases(t *testing.T) {
 	var in, want strings.Builder
 	for _, c := range cases {
 		var out bytes.Buffer
-		if err := CanonicalizeLog(strings.NewReader(c.in+"\n"), &out); err != nil {
+		if err := obstest.CanonicalizeLog(strings.NewReader(c.in+"\n"), &out); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if out.String() != c.want+"\n" {
@@ -208,7 +210,7 @@ func TestCanonicalizeLogCases(t *testing.T) {
 	}
 	// The same lines as one log: each line is canonicalized on its own.
 	var out bytes.Buffer
-	if err := CanonicalizeLog(strings.NewReader(in.String()), &out); err != nil {
+	if err := obstest.CanonicalizeLog(strings.NewReader(in.String()), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != want.String() {
@@ -250,7 +252,7 @@ func TestJSONLHandlerEscapesToValidJSON(t *testing.T) {
 			t.Errorf("%s: non-finite floats decoded as %v, %v", c.name, got["nan"], got["inf"])
 		}
 		var canon bytes.Buffer
-		if err := CanonicalizeLog(&buf, &canon); err != nil {
+		if err := obstest.CanonicalizeLog(&buf, &canon); err != nil {
 			t.Fatal(err)
 		}
 		if !json.Valid(bytes.TrimSuffix(canon.Bytes(), []byte("\n"))) || strings.Contains(canon.String(), `"ts":`) {

@@ -47,13 +47,6 @@ func (p Phase) String() string {
 // histogram, e.g. "span.viterbi_ns".
 func SpanName(p Phase) string { return "span." + p.String() + "_ns" }
 
-// PhaseNames returns the wire names of every phase in enum order.
-func PhaseNames() []string {
-	out := make([]string, NumPhases)
-	copy(out, phaseNames[:])
-	return out
-}
-
 // Stamp is a span boundary: monotonic nanoseconds since the owning
 // Spans' epoch. The zero Stamp is what a nil *Spans returns; a live Spans
 // never produces it.
@@ -144,12 +137,3 @@ func (s *Spans) Lap(p Phase, start Stamp) Stamp {
 
 // End records the nanoseconds since start under phase p, as Lap does.
 func (s *Spans) End(p Phase, start Stamp) { s.Lap(p, start) }
-
-// Hist returns the histogram backing phase p, all lanes (nil for a nil
-// receiver or out-of-range phase), for tests and the perf aggregator.
-func (s *Spans) Hist(p Phase) *Histogram {
-	if s == nil || p >= NumPhases {
-		return nil
-	}
-	return s.hists[p]
-}

@@ -329,9 +329,6 @@ func (t *Timeline) Dropped() int {
 // Trials returns how many trials the window spans on the logical clock.
 func (w TimelineWindow) Trials() int64 { return w.DoneEnd - w.DoneStart }
 
-// CounterDelta returns the named counter's movement inside the window.
-func (w TimelineWindow) CounterDelta(name string) int64 { return w.Delta.Counters[name] }
-
 // Rate returns the named counter's per-unit rate over the window: per
 // completed trial for logical windows, per second for wall windows.
 // Zero-width windows rate as 0.

@@ -59,7 +59,7 @@ func TestTimelineLogicalWindowsCloseEveryWindowTrials(t *testing.T) {
 				i, w.DoneStart, w.DoneEnd, doneStart, wantTrials[i])
 		}
 		doneStart = w.DoneEnd
-		if got, want := w.CounterDelta("work.units"), 10*wantTrials[i]; got != want {
+		if got, want := w.Delta.Counters["work.units"], 10*wantTrials[i]; got != want {
 			t.Errorf("window %d delta = %d, want %d", i, got, want)
 		}
 		if got := w.Rate("work.units"); got != 10 {
@@ -167,13 +167,13 @@ func TestTimelineWallWindowsKeepVolatileAndStampTime(t *testing.T) {
 		}
 	}
 	// Baseline was taken at NewTimeline, so the pre-attach 5 is excluded.
-	if got := wins[0].CounterDelta("work.units"); got != 3 {
+	if got := wins[0].Delta.Counters["work.units"]; got != 3 {
 		t.Errorf("wall delta work.units = %d, want 3", got)
 	}
-	if got := wins[0].CounterDelta("wall.us"); got != 100 {
+	if got := wins[0].Delta.Counters["wall.us"]; got != 100 {
 		t.Errorf("wall windows must keep volatile counters: got %d, want 100", got)
 	}
-	if got := wins[1].CounterDelta("wall.us"); got != 50 {
+	if got := wins[1].Delta.Counters["wall.us"]; got != 50 {
 		t.Errorf("second wall delta = %d, want 50", got)
 	}
 }
@@ -228,12 +228,12 @@ func TestTimelineSeriesQueries(t *testing.T) {
 	var deltas, missing []int64
 	var rates []float64
 	for _, w := range wins {
-		deltas = append(deltas, w.CounterDelta("work.units"))
+		deltas = append(deltas, w.Delta.Counters["work.units"])
 		rates = append(rates, w.Rate("work.units"))
-		missing = append(missing, w.CounterDelta("nope"))
+		missing = append(missing, w.Delta.Counters["nope"])
 	}
 	if !reflect.DeepEqual(deltas, []int64{2, 6, 12}) {
-		t.Errorf("CounterDelta per window = %v", deltas)
+		t.Errorf("counter delta per window = %v", deltas)
 	}
 	if !reflect.DeepEqual(rates, []float64{1, 3, 6}) {
 		t.Errorf("Rate per window = %v", rates)

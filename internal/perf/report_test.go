@@ -10,7 +10,8 @@ import (
 )
 
 // syntheticDelta builds a metrics delta by driving real instruments — the
-// same shapes FromSnapshot reads in production — with known values.
+// same shapes FromSnapshot reads in production — with known values. A
+// phase's span histogram is the registry's instrument of its SpanName.
 func syntheticDelta(t *testing.T) obs.Snapshot {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -23,11 +24,11 @@ func syntheticDelta(t *testing.T) obs.Snapshot {
 	}
 	// viterbi: 4 spans × 500 µs = 2 ms total, half the 4 ms wall.
 	for i := 0; i < 4; i++ {
-		o.Spans.Hist(obs.PhaseViterbi).Observe(500_000)
+		reg.Histogram(obs.SpanName(obs.PhaseViterbi), nil).Observe(500_000)
 	}
 	// encode: 4 spans × 250 µs = 1 ms, a quarter of the wall.
 	for i := 0; i < 4; i++ {
-		o.Spans.Hist(obs.PhaseEncode).Observe(250_000)
+		reg.Histogram(obs.SpanName(obs.PhaseEncode), nil).Observe(250_000)
 	}
 	o.Runner.AllocBytes.Add(4096)
 	o.Runner.AllocObjects.Add(40)

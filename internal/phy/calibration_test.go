@@ -81,7 +81,7 @@ func TestDistortionModelMatchesCorruptionOutcome(t *testing.T) {
 		hEst := make([]complex128, n)
 		hTrue := make([]complex128, n)
 		for k := 0; k < n; k++ {
-			delta := complex(tagAmp, 0) * Rotate(1, 0.45*float64(k))
+			delta := complex(tagAmp, 0) * rotate(1, 0.45*float64(k))
 			hEst[k] = 1 + delta  // estimated with tag at 0°
 			hTrue[k] = 1 - delta // data symbols with tag at 180°
 		}

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"witag/internal/dot11"
 )
@@ -162,10 +161,4 @@ func EVM(received, reference []complex128) (float64, error) {
 		return 0, fmt.Errorf("phy: EVM undefined for zero reference power")
 	}
 	return math.Sqrt(errP / refP), nil
-}
-
-// Rotate returns the point rotated by theta radians — used by tag and
-// channel models for phase-flip reflections.
-func Rotate(pt complex128, theta float64) complex128 {
-	return pt * cmplx.Exp(complex(0, theta))
 }

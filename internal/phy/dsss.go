@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -74,15 +73,4 @@ func DSSSChannel(chips []float64, gain, noiseStd float64, rng *rand.Rand) []floa
 		out[i] = c*gain + n
 	}
 	return out
-}
-
-// DSSSBitErrorRate returns the analytic DBPSK-with-Barker BER at the given
-// per-chip SNR: despreading provides an 11x processing gain, and DBPSK
-// costs ≈e^{-SNR}/2.
-func DSSSBitErrorRate(chipSNR float64) float64 {
-	if chipSNR < 0 {
-		chipSNR = 0
-	}
-	symbolSNR := 11 * chipSNR
-	return 0.5 * math.Exp(-symbolSNR)
 }

@@ -83,24 +83,3 @@ func TestDSSSChannelNoNoiseWithNilRNG(t *testing.T) {
 		}
 	}
 }
-
-func TestDSSSBitErrorRate(t *testing.T) {
-	// Monotone decreasing, 0.5 at zero SNR.
-	if DSSSBitErrorRate(0) != 0.5 {
-		t.Fatalf("BER at 0 SNR = %v", DSSSBitErrorRate(0))
-	}
-	if DSSSBitErrorRate(-1) != 0.5 {
-		t.Fatal("negative SNR should clamp")
-	}
-	prev := 0.6
-	for snr := 0.0; snr < 2; snr += 0.1 {
-		b := DSSSBitErrorRate(snr)
-		if b > prev {
-			t.Fatal("BER not monotone")
-		}
-		prev = b
-	}
-	if DSSSBitErrorRate(2) > 1e-9 {
-		t.Fatalf("BER at chip SNR 2 = %v, processing gain missing?", DSSSBitErrorRate(2))
-	}
-}

@@ -44,9 +44,6 @@ func NewInterleaver(ncbps, nbpsc, ncol int) (*Interleaver, error) {
 	return &Interleaver{ncbps: ncbps, perm: perm, inv: inv}, nil
 }
 
-// BlockSize returns N_CBPS, the interleaver block length.
-func (il *Interleaver) BlockSize() int { return il.ncbps }
-
 // Interleave permutes one N_CBPS-bit block.
 func (il *Interleaver) Interleave(bits []byte) ([]byte, error) {
 	if len(bits) != il.ncbps {

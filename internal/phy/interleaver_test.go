@@ -86,8 +86,8 @@ func TestInterleaverValidation(t *testing.T) {
 	if _, err := il.DeinterleaveSoft(make([]float64, 51)); err == nil {
 		t.Fatal("wrong soft block size accepted")
 	}
-	if il.BlockSize() != 52 {
-		t.Fatal("BlockSize wrong")
+	if il.ncbps != 52 {
+		t.Fatal("block size wrong")
 	}
 }
 

@@ -148,7 +148,7 @@ func TestDistortionAfterCPE(t *testing.T) {
 	// A pure common rotation must be fully absorbed.
 	rot := make([]complex128, len(h))
 	for i, v := range h {
-		rot[i] = Rotate(v, 0.7)
+		rot[i] = rotate(v, 0.7)
 	}
 	d, _ = DistortionAfterCPE(rot, h)
 	if d > 1e-12 {
@@ -157,7 +157,7 @@ func TestDistortionAfterCPE(t *testing.T) {
 	// A frequency-selective divergence must NOT be absorbed.
 	sel := make([]complex128, len(h))
 	for i, v := range h {
-		sel[i] = Rotate(v, 0.9*float64(i))
+		sel[i] = rotate(v, 0.9*float64(i))
 	}
 	d, _ = DistortionAfterCPE(sel, h)
 	if d < 0.1 {

@@ -220,6 +220,10 @@ func TestGateRefusesFailedCandidate(t *testing.T) {
 		switch {
 		case e.Name == "drifty" && (e.Failed != failure || e.Verdict != ClassRegression):
 			t.Errorf("drifty: failed %q verdict %s, want %q and regression", e.Failed, e.Verdict, failure)
+		case e.Name == "drifty" && len(e.MetricDiffs) > 0:
+			// The candidate's counters are the baseline's: the stamp
+			// alone makes it a regression.
+			t.Errorf("drifty: copied counters differ: %+v", e.MetricDiffs)
 		case e.Name == "clean" && (e.Failed != "" || e.Verdict != ClassOK):
 			t.Errorf("clean: failed %q verdict %s, want none and ok", e.Failed, e.Verdict)
 		}

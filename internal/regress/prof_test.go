@@ -11,7 +11,8 @@ import (
 // phase, the shape witag-bench writes.
 func fixtureProf() *perf.Report {
 	rep := &perf.Report{Trials: 8, WallTotalNs: 8_000_000, WallP50Us: 1000, WallP99Us: 1200, Coverage: 0.95}
-	for _, name := range obs.PhaseNames() {
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		name := p.String()
 		ps := perf.PhaseStat{Phase: name}
 		if name == "viterbi" {
 			ps = perf.PhaseStat{Phase: name, Count: 8, TotalNs: 4_000_000,

@@ -75,7 +75,7 @@ func TestRunnerTimelineWindowAttribution(t *testing.T) {
 	// Window k holds exactly sum(i) over its own trial indices:
 	// [0,4): 0+1+2+3 = 6; [4,8): 4+..+7 = 22; [8,10): 8+9 = 17.
 	for i, want := range []int64{6, 22, 17} {
-		if got := wins[i].CounterDelta("test.work"); got != want {
+		if got := wins[i].Delta.Counters["test.work"]; got != want {
 			t.Errorf("window %d delta = %d, want %d (chunk barrier leaked work)", i, got, want)
 		}
 	}

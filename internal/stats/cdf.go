@@ -23,17 +23,7 @@ func NewCDF(samples []float64) *CDF {
 // Len reports the number of samples behind the CDF.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X <= x), the fraction of samples not exceeding x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Index of first sample strictly greater than x.
-	idx := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > x })
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample x such that At(x) >= q, for
+// Quantile returns the smallest sample x such that P(X <= x) >= q, for
 // q in (0, 1]. Quantile(0) returns the minimum sample.
 func (c *CDF) Quantile(q float64) (float64, error) {
 	if len(c.sorted) == 0 {

@@ -99,14 +99,3 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// MeanCI returns the mean of xs together with the half-width of a normal
-// approximation confidence interval at the given z value (1.96 for 95%).
-func MeanCI(xs []float64, z float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	halfWidth = z * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, halfWidth
-}

@@ -47,17 +47,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + w*(float64(i)+0.5)
 }
 
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
 // Render returns a textual bar plot of the histogram.
 func (h *Histogram) Render(width int, label string) string {
 	var b strings.Builder

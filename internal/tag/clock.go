@@ -63,18 +63,6 @@ func (c *Clock) EffectiveHz(tempC float64) float64 {
 	return c.NominalHz * (1 + ppm*1e-6)
 }
 
-// TickPeriod returns the duration of one clock tick at a temperature,
-// rounded to nanoseconds. Timing arithmetic that accumulates over many
-// ticks must use SecondsPerTick instead: at MHz-class clocks the
-// nanosecond rounding here is a percent-level error that snowballs.
-func (c *Clock) TickPeriod(tempC float64) time.Duration {
-	hz := c.EffectiveHz(tempC)
-	if hz <= 0 {
-		return 0
-	}
-	return time.Duration(float64(time.Second) / hz)
-}
-
 // SecondsPerTick returns the exact tick period in seconds.
 func (c *Clock) SecondsPerTick(tempC float64) float64 {
 	hz := c.EffectiveHz(tempC)
@@ -102,34 +90,4 @@ func (c *Clock) TicksFor(d time.Duration, tempC float64) (int, error) {
 	}
 	ticks := d.Seconds() * hz * (1 + jitter)
 	return int(ticks + 0.5), nil
-}
-
-// DurationOf converts a tick count back to wall time at a temperature —
-// what the tag *believes* an interval lasts.
-func (c *Clock) DurationOf(ticks int, tempC float64) time.Duration {
-	hz := c.EffectiveHz(tempC)
-	if hz <= 0 {
-		return 0
-	}
-	return time.Duration(float64(ticks) / hz * float64(time.Second))
-}
-
-// TimingErrorAfter returns the absolute timing error accumulated when the
-// tag counts out target using a clock calibrated at NominalTempC but
-// running at tempC. Prior systems' ring oscillators fail here: at 6000
-// ppm/°C, a 5 °C shift misplaces a 500 µs window by 15 µs — most of a
-// subframe.
-func (c *Clock) TimingErrorAfter(target time.Duration, tempC float64) time.Duration {
-	calHz := c.EffectiveHz(c.NominalTempC)
-	actHz := c.EffectiveHz(tempC)
-	if calHz <= 0 || actHz <= 0 {
-		return 0
-	}
-	ticks := target.Seconds() * calHz
-	actual := ticks / actHz
-	err := actual - target.Seconds()
-	if err < 0 {
-		err = -err
-	}
-	return time.Duration(err * float64(time.Second))
 }

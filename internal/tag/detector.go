@@ -3,7 +3,6 @@ package tag
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // The tag's receive path is an envelope detector followed by a comparator
@@ -14,31 +13,22 @@ import (
 // signature and — because the trigger subframes are the same length as the
 // data subframes — learns the subframe duration at the same time.
 
-// EnvelopeSample is one comparator-rate observation of the RF envelope.
-type EnvelopeSample struct {
-	Tick      int     // tag clock tick index
-	Amplitude float64 // linear envelope amplitude at the tag
-}
-
-// Detector is the trigger-pattern matcher.
+// Detector is the trigger-pattern matcher's configuration; the query
+// round models its outcome with DetectionProbability.
 type Detector struct {
 	// Threshold separates the comparator's high/low decisions.
 	Threshold float64
 	// Pattern is the expected high/low sequence, one entry per trigger
 	// subframe (e.g. high, low, high, low).
 	Pattern []bool
-	// MinRunTicks is the minimum number of consecutive same-level ticks
-	// to count as one trigger subframe (rejects glitches).
-	MinRunTicks int
 }
 
 // NewDetector returns a detector for the default 4-subframe alternating
 // trigger with the given comparator threshold.
 func NewDetector(threshold float64) *Detector {
 	return &Detector{
-		Threshold:   threshold,
-		Pattern:     []bool{true, false, true, false},
-		MinRunTicks: 2,
+		Threshold: threshold,
+		Pattern:   []bool{true, false, true, false},
 	}
 }
 
@@ -47,115 +37,6 @@ func NewDetector(threshold float64) *Detector {
 type QueryTiming struct {
 	DataStartTick int
 	SubframeTicks int
-}
-
-// Detect scans an envelope sample stream for the trigger pattern. It
-// returns the recovered timing and true on success. The samples must be
-// tick-contiguous.
-func (d *Detector) Detect(samples []EnvelopeSample) (QueryTiming, bool) {
-	if len(d.Pattern) < 2 || len(samples) == 0 {
-		return QueryTiming{}, false
-	}
-	// Comparator pass: run-length encode high/low levels.
-	type run struct {
-		level bool
-		start int // tick
-		n     int
-	}
-	var runs []run
-	for i, s := range samples {
-		if i > 0 && samples[i].Tick != samples[i-1].Tick+1 {
-			return QueryTiming{}, false // discontiguous stream
-		}
-		level := s.Amplitude >= d.Threshold
-		if len(runs) > 0 && runs[len(runs)-1].level == level {
-			runs[len(runs)-1].n++
-			continue
-		}
-		runs = append(runs, run{level: level, start: s.Tick, n: 1})
-	}
-	// Compress the expected pattern into level runs: consecutive
-	// same-level trigger subframes merge in the envelope, so an address
-	// pattern like H L L H L is seen as runs of 1, 2, 1, 1 subframes.
-	type patRun struct {
-		level bool
-		count int
-	}
-	var pat []patRun
-	for _, lv := range d.Pattern {
-		if len(pat) > 0 && pat[len(pat)-1].level == lv {
-			pat[len(pat)-1].count++
-			continue
-		}
-		pat = append(pat, patRun{level: lv, count: 1})
-	}
-	if len(pat) < 2 {
-		return QueryTiming{}, false // no edges to measure timing from
-	}
-	// Pattern pass: find len(pat) consecutive runs whose levels match and
-	// whose lengths are consistent with a single per-subframe tick count.
-	for i := 0; i+len(pat) <= len(runs); i++ {
-		// Estimate the subframe tick count from the first run.
-		sub := (runs[i].n + pat[0].count/2) / pat[0].count
-		if sub < d.MinRunTicks {
-			continue
-		}
-		ok := true
-		for j, want := range pat {
-			r := runs[i+j]
-			if r.level != want.level || r.n < d.MinRunTicks {
-				ok = false
-				break
-			}
-			expected := sub * want.count
-			if j < len(pat)-1 {
-				if absInt(r.n-expected) > 1 {
-					ok = false
-					break
-				}
-			} else if r.n < expected-1 {
-				// The final run may extend into data subframes when the
-				// data level continues the pattern.
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		return QueryTiming{
-			DataStartTick: runs[i].start + sub*len(d.Pattern),
-			SubframeTicks: sub,
-		}, true
-	}
-	return QueryTiming{}, false
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// TriggerEnvelope synthesises the envelope amplitude sequence a query's
-// trigger subframes produce at the tag, for tests and the simulator:
-// alternating high/low levels of subframeTicks each, scaled by the
-// received amplitude, with optional additive noise supplied by the caller.
-func TriggerEnvelope(pattern []bool, subframeTicks int, highAmp, lowAmp float64, startTick int) []EnvelopeSample {
-	var out []EnvelopeSample
-	tick := startTick
-	for _, hi := range pattern {
-		amp := lowAmp
-		if hi {
-			amp = highAmp
-		}
-		for i := 0; i < subframeTicks; i++ {
-			out = append(out, EnvelopeSample{Tick: tick, Amplitude: amp})
-			tick++
-		}
-	}
-	return out
 }
 
 // DetectionProbability estimates how often the comparator resolves the
@@ -183,10 +64,4 @@ func DetectionProbability(highAmp, lowAmp, threshold, noiseStd float64, subframe
 // gaussianTail returns P(Z > x) for standard normal Z.
 func gaussianTail(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// SubframeDuration converts the detector's tick measurement into the tag's
-// belief about subframe airtime.
-func (q QueryTiming) SubframeDuration(c *Clock, tempC float64) time.Duration {
-	return c.DurationOf(q.SubframeTicks, tempC)
 }

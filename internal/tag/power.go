@@ -66,28 +66,18 @@ type Budget struct {
 	LogicW float64
 }
 
-// WiTAGBudget returns the prototype-inspired budget at a given tag bit
-// rate: a 50 kHz crystal, a comparator in the hundreds of nW, and minimal
-// logic.
-func WiTAGBudget(bitsPerSecond float64) Budget {
-	return Budget{
-		Oscillator:       CrystalOscillator,
-		ClockHz:          50_000,
-		SwitchEnergyJ:    10e-12,
-		TogglesPerSecond: bitsPerSecond, // ~half the bits are 0, two toggles each
-		ComparatorW:      300e-9,
-		LogicW:           500e-9,
-	}
-}
-
-// ChannelShiftingBudget returns the budget of a HitchHike/FreeRider-class
-// tag that must clock at ≥20 MHz to move the reflection one channel over.
-func ChannelShiftingBudget(kind OscillatorKind, bitsPerSecond float64) Budget {
+// NewBudget returns §7's budget of a tag clocked by a kind oscillator at
+// clockHz whose switch toggles togglesPerSecond times: the prototype's
+// switch, a comparator in the hundreds of nW and minimal logic. WiTAG
+// toggles about once per tag bit (half the bits are 0, two toggles each);
+// a HitchHike/FreeRider-class channel shifter clocks at ≥20 MHz and
+// toggles at that offset frequency to move the reflection one channel over.
+func NewBudget(kind OscillatorKind, clockHz, togglesPerSecond float64) Budget {
 	return Budget{
 		Oscillator:       kind,
-		ClockHz:          20e6,
+		ClockHz:          clockHz,
 		SwitchEnergyJ:    10e-12,
-		TogglesPerSecond: 20e6, // the shifting itself toggles at the offset frequency
+		TogglesPerSecond: togglesPerSecond,
 		ComparatorW:      300e-9,
 		LogicW:           500e-9,
 	}

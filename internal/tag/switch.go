@@ -7,7 +7,6 @@ package tag
 
 import (
 	"fmt"
-	"math/cmplx"
 )
 
 // SwitchState enumerates the antenna switch positions.
@@ -54,8 +53,7 @@ type AntennaSwitch struct {
 	// settles in well under a microsecond.
 	SwitchTimeNs float64
 
-	state   SwitchState
-	toggles uint64
+	state SwitchState
 }
 
 // NewAntennaSwitch returns a switch with the prototype's parameters.
@@ -66,21 +64,14 @@ func NewAntennaSwitch(gain float64) *AntennaSwitch {
 // State returns the current switch position.
 func (a *AntennaSwitch) State() SwitchState { return a.state }
 
-// Toggles returns how many state changes have occurred (drives the power
-// model: CMOS switch energy is per-transition).
-func (a *AntennaSwitch) Toggles() uint64 { return a.toggles }
-
-// Set moves the switch. Setting the current state is a no-op.
+// Set moves the switch.
 func (a *AntennaSwitch) Set(s SwitchState) error {
 	switch s {
 	case Open, Short, Phase0, Phase180:
 	default:
 		return fmt.Errorf("tag: unknown switch state %d", int(s))
 	}
-	if s != a.state {
-		a.state = s
-		a.toggles++
-	}
+	a.state = s
 	return nil
 }
 
@@ -98,21 +89,4 @@ func (a *AntennaSwitch) ReflectionCoeff() complex128 {
 	default:
 		return 0
 	}
-}
-
-// DeltaMagnitude returns |Γ_a − Γ_b| between two states at this switch's
-// gain — the quantity Figure 3 compares between the on/off and phase-flip
-// designs.
-func (a *AntennaSwitch) DeltaMagnitude(s1, s2 SwitchState) (float64, error) {
-	saved := a.state
-	defer func() { a.state = saved }()
-	if err := a.Set(s1); err != nil {
-		return 0, err
-	}
-	c1 := a.ReflectionCoeff()
-	if err := a.Set(s2); err != nil {
-		return 0, err
-	}
-	c2 := a.ReflectionCoeff()
-	return cmplx.Abs(c1 - c2), nil
 }

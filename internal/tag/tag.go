@@ -49,8 +49,9 @@ func (t *Tag) ExcessPathM() float64 {
 	return t.GroupDelayNs * 1e-9 * 299_792_458.0
 }
 
-// CorruptionCoverage computes, for each data subframe, the fraction of its
-// true airtime the tag spends in FlipState when transmitting bits.
+// CorruptionCoverageSchedule computes, for each data subframe, the
+// fraction of its true airtime the tag spends in FlipState when
+// transmitting bits.
 //
 // The tag counts its own clock ticks: it measured the subframe length as
 // timing.SubframeTicks during the trigger, and replays that count per data
@@ -60,20 +61,11 @@ func (t *Tag) ExcessPathM() float64 {
 // linearly across the aggregate — negligible for a crystal, ruinous for a
 // hot ring oscillator (§7, footnote 4).
 //
-// trueSubframe is the real on-air subframe duration; bits[i] ∈ {0,1}.
-func (t *Tag) CorruptionCoverage(timing QueryTiming, bits []byte, trueSubframe time.Duration, tempC float64) ([]float64, error) {
-	durations := make([]time.Duration, len(bits))
-	for i := range durations {
-		durations[i] = trueSubframe
-	}
-	return t.CorruptionCoverageSchedule(timing, bits, durations, tempC)
-}
-
-// CorruptionCoverageSchedule is CorruptionCoverage for queries whose
-// subframes have (slightly) different true durations — the "size
-// dithering" query shaping where the sender varies MPDU sizes to keep the
-// cumulative subframe boundaries aligned to the tag's tick grid even
-// though a single tick-aligned size does not exist at the chosen rate.
+// trueDurations are the real on-air subframe durations; bits[i] ∈ {0,1}.
+// They may differ slightly — the "size dithering" query shaping where the
+// sender varies MPDU sizes to keep the cumulative subframe boundaries
+// aligned to the tag's tick grid even though a single tick-aligned size
+// does not exist at the chosen rate.
 func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
 	return t.CorruptionCoverageInto(nil, timing, bits, trueDurations, tempC)
 }

@@ -2,6 +2,7 @@ package tag
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 	"time"
 
@@ -39,16 +40,6 @@ func TestSwitchStates(t *testing.T) {
 	}
 }
 
-func TestSwitchTogglesCount(t *testing.T) {
-	s := NewAntennaSwitch(1)
-	_ = s.Set(Phase180)
-	_ = s.Set(Phase180) // no-op
-	_ = s.Set(Phase0)
-	if s.Toggles() != 2 {
-		t.Fatalf("toggles = %d, want 2", s.Toggles())
-	}
-}
-
 func TestSwitchStateStrings(t *testing.T) {
 	for st, want := range map[SwitchState]string{
 		Open: "open", Short: "short", Phase0: "phase0", Phase180: "phase180",
@@ -62,25 +53,42 @@ func TestSwitchStateStrings(t *testing.T) {
 	}
 }
 
+// deltaMagnitude returns |Γ_a − Γ_b| between two states at the switch's
+// gain — the quantity Figure 3 compares between the on/off and phase-flip
+// designs.
+func deltaMagnitude(a *AntennaSwitch, s1, s2 SwitchState) (float64, error) {
+	saved := a.state
+	defer func() { a.state = saved }()
+	if err := a.Set(s1); err != nil {
+		return 0, err
+	}
+	c1 := a.ReflectionCoeff()
+	if err := a.Set(s2); err != nil {
+		return 0, err
+	}
+	c2 := a.ReflectionCoeff()
+	return cmplx.Abs(c1 - c2), nil
+}
+
 func TestPhaseFlipDoublesDelta(t *testing.T) {
 	// Figure 3's design argument at the reflection-coefficient level.
 	s := NewAntennaSwitch(40)
-	onOff, err := s.DeltaMagnitude(Short, Open)
+	onOff, err := deltaMagnitude(s, Short, Open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flip, err := s.DeltaMagnitude(Phase0, Phase180)
+	flip, err := deltaMagnitude(s, Phase0, Phase180)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if flip <= 1.9*onOff {
 		t.Fatalf("flip delta %v should be ≈2x on/off delta %v", flip, onOff)
 	}
-	// DeltaMagnitude must not disturb the state.
+	// deltaMagnitude must not disturb the state.
 	if s.State() != Phase0 {
-		t.Fatal("DeltaMagnitude leaked a state change")
+		t.Fatal("deltaMagnitude leaked a state change")
 	}
-	if _, err := s.DeltaMagnitude(SwitchState(9), Open); err == nil {
+	if _, err := deltaMagnitude(s, SwitchState(9), Open); err == nil {
 		t.Fatal("invalid state accepted")
 	}
 }
@@ -123,13 +131,6 @@ func TestClockTicks(t *testing.T) {
 	if _, err := c.TicksFor(-time.Second, 25); err == nil {
 		t.Fatal("negative duration accepted")
 	}
-	d := c.DurationOf(50, 25)
-	if math.Abs(d.Seconds()-1e-3) > 1e-6 {
-		t.Fatalf("50 ticks = %v", d)
-	}
-	if c.TickPeriod(25) <= 0 {
-		t.Fatal("tick period must be positive")
-	}
 }
 
 func TestClockJitterIsRandomButSeeded(t *testing.T) {
@@ -144,12 +145,25 @@ func TestClockJitterIsRandomButSeeded(t *testing.T) {
 	}
 }
 
+// timingErrorAfter returns the absolute timing error accumulated when the
+// tag counts out target using a clock calibrated at NominalTempC but
+// running at tempC. Prior systems' ring oscillators fail here: at 6000
+// ppm/°C, a 5 °C shift misplaces a 500 µs window by 15 µs — most of a
+// subframe.
+func timingErrorAfter(c *Clock, target time.Duration, tempC float64) time.Duration {
+	calHz := c.EffectiveHz(c.NominalTempC)
+	actHz := c.EffectiveHz(tempC)
+	ticks := target.Seconds() * calHz
+	actual := ticks / actHz
+	return time.Duration(math.Abs(actual-target.Seconds()) * float64(time.Second))
+}
+
 func TestTimingErrorCrystalVsRing(t *testing.T) {
 	crystal := NewCrystal50kHz(nil)
 	ring := NewRingOscillator(20e6, nil)
 	window := 1280 * time.Microsecond // a 64-subframe aggregate
-	ce := crystal.TimingErrorAfter(window, 30)
-	re := ring.TimingErrorAfter(window, 30)
+	ce := timingErrorAfter(crystal, window, 30)
+	re := timingErrorAfter(ring, window, 30)
 	if ce > 5*time.Microsecond {
 		t.Fatalf("crystal error %v over an aggregate", ce)
 	}
@@ -158,81 +172,6 @@ func TestTimingErrorCrystalVsRing(t *testing.T) {
 	}
 	if re < 100*ce {
 		t.Fatalf("ring (%v) should be orders of magnitude worse than crystal (%v)", re, ce)
-	}
-}
-
-func TestDetectorFindsTrigger(t *testing.T) {
-	d := NewDetector(0.5)
-	samples := TriggerEnvelope(d.Pattern, 5, 1.0, 0.1, 100)
-	timing, ok := d.Detect(samples)
-	if !ok {
-		t.Fatal("trigger not detected")
-	}
-	if timing.SubframeTicks != 5 {
-		t.Fatalf("subframe ticks = %d, want 5", timing.SubframeTicks)
-	}
-	if timing.DataStartTick != 120 {
-		t.Fatalf("data start = %d, want 120", timing.DataStartTick)
-	}
-}
-
-func TestDetectorRejectsNoise(t *testing.T) {
-	d := NewDetector(0.5)
-	rng := stats.NewRNG(10)
-	var samples []EnvelopeSample
-	for i := 0; i < 200; i++ {
-		samples = append(samples, EnvelopeSample{Tick: i, Amplitude: stats.Uniform(rng, 0, 1)})
-	}
-	// Pure uniform noise rarely forms 4 clean alternating equal-length runs
-	// of ≥2 ticks; this seed should not false-trigger.
-	if _, ok := d.Detect(samples); ok {
-		t.Fatal("detector false-triggered on noise")
-	}
-}
-
-func TestDetectorRejectsDiscontiguousStream(t *testing.T) {
-	d := NewDetector(0.5)
-	samples := TriggerEnvelope(d.Pattern, 5, 1.0, 0.1, 0)
-	samples[7].Tick += 3
-	if _, ok := d.Detect(samples); ok {
-		t.Fatal("discontiguous stream accepted")
-	}
-}
-
-func TestDetectorEmptyAndShortPattern(t *testing.T) {
-	d := NewDetector(0.5)
-	if _, ok := d.Detect(nil); ok {
-		t.Fatal("empty stream accepted")
-	}
-	d.Pattern = []bool{true}
-	if _, ok := d.Detect(TriggerEnvelope([]bool{true}, 5, 1, 0, 0)); ok {
-		t.Fatal("single-run pattern accepted")
-	}
-}
-
-func TestDetectorWithPrecedingTraffic(t *testing.T) {
-	d := NewDetector(0.5)
-	// Other WiFi traffic first: an irregular burst, then the trigger.
-	var samples []EnvelopeSample
-	tick := 0
-	for _, n := range []int{3, 7, 2} {
-		for i := 0; i < n; i++ {
-			samples = append(samples, EnvelopeSample{Tick: tick, Amplitude: 0.9})
-			tick++
-		}
-		for i := 0; i < 4; i++ {
-			samples = append(samples, EnvelopeSample{Tick: tick, Amplitude: 0.05})
-			tick++
-		}
-	}
-	trigger := TriggerEnvelope(d.Pattern, 6, 1.0, 0.1, tick)
-	samples = append(samples, trigger...)
-	timing, ok := d.Detect(samples)
-	if !ok {
-		t.Fatal("trigger after foreign traffic not detected")
-	}
-	if timing.SubframeTicks != 6 {
-		t.Fatalf("subframe ticks = %d", timing.SubframeTicks)
 	}
 }
 
@@ -258,13 +197,14 @@ func TestDetectionProbability(t *testing.T) {
 	}
 }
 
-func TestQueryTimingSubframeDuration(t *testing.T) {
-	c := NewCrystal50kHz(nil)
-	q := QueryTiming{SubframeTicks: 2}
-	d := q.SubframeDuration(c, 25)
-	if math.Abs(d.Seconds()-40e-6) > 1e-6 {
-		t.Fatalf("2 ticks = %v, want 40µs", d)
+// corruptionCoverage is CorruptionCoverageSchedule for a query whose
+// subframes all last trueSubframe.
+func corruptionCoverage(tg *Tag, timing QueryTiming, bits []byte, trueSubframe time.Duration, tempC float64) ([]float64, error) {
+	durations := make([]time.Duration, len(bits))
+	for i := range durations {
+		durations[i] = trueSubframe
 	}
+	return tg.CorruptionCoverageSchedule(timing, bits, durations, tempC)
 }
 
 func TestCorruptionCoverageAlignedClock(t *testing.T) {
@@ -273,7 +213,7 @@ func TestCorruptionCoverageAlignedClock(t *testing.T) {
 	tg := New(40, NewCrystal50kHz(nil))
 	bits := []byte{1, 0, 1, 0, 0, 1}
 	timing := QueryTiming{SubframeTicks: 1}
-	cov, err := tg.CorruptionCoverage(timing, bits, 20*time.Microsecond, 25)
+	cov, err := corruptionCoverage(tg, timing, bits, 20*time.Microsecond, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +236,7 @@ func TestCorruptionCoverageCrystalStaysAligned(t *testing.T) {
 		bits[i] = byte(i % 2)
 	}
 	timing := QueryTiming{SubframeTicks: 1}
-	cov, err := tg.CorruptionCoverage(timing, bits, 20*time.Microsecond, 30)
+	cov, err := corruptionCoverage(tg, timing, bits, 20*time.Microsecond, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +259,7 @@ func TestCorruptionCoverageRingOscillatorDriftsOff(t *testing.T) {
 	}
 	timing := QueryTiming{SubframeTicks: 1}
 	// 10 °C hotter than calibration: 6000 ppm/°C ⇒ 6% fast.
-	cov, err := tg.CorruptionCoverage(timing, bits, 20*time.Microsecond, 35)
+	cov, err := corruptionCoverage(tg, timing, bits, 20*time.Microsecond, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,14 +283,14 @@ func TestCorruptionCoverageRingOscillatorDriftsOff(t *testing.T) {
 
 func TestCorruptionCoverageValidation(t *testing.T) {
 	tg := New(40, NewCrystal50kHz(nil))
-	if _, err := tg.CorruptionCoverage(QueryTiming{SubframeTicks: 0}, []byte{0}, time.Microsecond, 25); err == nil {
+	if _, err := corruptionCoverage(tg, QueryTiming{SubframeTicks: 0}, []byte{0}, time.Microsecond, 25); err == nil {
 		t.Fatal("zero subframe ticks accepted")
 	}
-	if _, err := tg.CorruptionCoverage(QueryTiming{SubframeTicks: 1}, []byte{0}, 0, 25); err == nil {
+	if _, err := corruptionCoverage(tg, QueryTiming{SubframeTicks: 1}, []byte{0}, 0, 25); err == nil {
 		t.Fatal("zero true subframe accepted")
 	}
 	tg.GuardFraction = 0.6
-	if _, err := tg.CorruptionCoverage(QueryTiming{SubframeTicks: 1}, []byte{0}, time.Microsecond, 25); err == nil {
+	if _, err := corruptionCoverage(tg, QueryTiming{SubframeTicks: 1}, []byte{0}, time.Microsecond, 25); err == nil {
 		t.Fatal("guard ≥ 0.5 accepted")
 	}
 }
@@ -401,7 +341,7 @@ func TestOscillatorPower(t *testing.T) {
 }
 
 func TestWiTAGBudgetIsMicrowatts(t *testing.T) {
-	b := WiTAGBudget(40_000)
+	b := NewBudget(CrystalOscillator, 50e3, 40_000)
 	total, err := b.TotalW()
 	if err != nil {
 		t.Fatal(err)
@@ -412,9 +352,9 @@ func TestWiTAGBudgetIsMicrowatts(t *testing.T) {
 }
 
 func TestChannelShiftingBudgetsExceedWiTAG(t *testing.T) {
-	w, _ := WiTAGBudget(40_000).TotalW()
-	ringB, _ := ChannelShiftingBudget(RingOscillator, 40_000).TotalW()
-	xtalB, _ := ChannelShiftingBudget(CrystalOscillator, 40_000).TotalW()
+	w, _ := NewBudget(CrystalOscillator, 50e3, 40_000).TotalW()
+	ringB, _ := NewBudget(RingOscillator, 20e6, 20e6).TotalW()
+	xtalB, _ := NewBudget(CrystalOscillator, 20e6, 20e6).TotalW()
 	if ringB < 10*w {
 		t.Fatalf("ring-based shifter %v should dwarf WiTAG %v", ringB, w)
 	}
@@ -424,7 +364,7 @@ func TestChannelShiftingBudgetsExceedWiTAG(t *testing.T) {
 }
 
 func TestBudgetValidation(t *testing.T) {
-	b := WiTAGBudget(100)
+	b := NewBudget(CrystalOscillator, 50e3, 100)
 	b.LogicW = -1
 	if _, err := b.TotalW(); err == nil {
 		t.Fatal("negative component accepted")
@@ -438,7 +378,7 @@ func TestBudgetValidation(t *testing.T) {
 func TestBatteryFreeFeasibility(t *testing.T) {
 	// 5 µW ambient income sustains WiTAG...
 	h := Harvester{IncomeW: 5e-6, StorageJ: 0.01}
-	ok, _, err := h.BatteryFreeFeasible(WiTAGBudget(40_000))
+	ok, _, err := h.BatteryFreeFeasible(NewBudget(CrystalOscillator, 50e3, 40_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +386,7 @@ func TestBatteryFreeFeasibility(t *testing.T) {
 		t.Fatal("WiTAG should run battery-free on 5 µW")
 	}
 	// ...but not a crystal-based channel shifter; the cap drains.
-	ok, lifetime, _ := h.BatteryFreeFeasible(ChannelShiftingBudget(CrystalOscillator, 40_000))
+	ok, lifetime, _ := h.BatteryFreeFeasible(NewBudget(CrystalOscillator, 20e6, 20e6))
 	if ok {
 		t.Fatal("channel shifter should not be sustainable on 5 µW")
 	}
@@ -455,7 +395,7 @@ func TestBatteryFreeFeasibility(t *testing.T) {
 	}
 	// Zero storage: lifetime 0.
 	h.StorageJ = 0
-	_, lifetime, _ = h.BatteryFreeFeasible(ChannelShiftingBudget(CrystalOscillator, 40_000))
+	_, lifetime, _ = h.BatteryFreeFeasible(NewBudget(CrystalOscillator, 20e6, 20e6))
 	if lifetime != 0 {
 		t.Fatalf("lifetime = %v with no storage", lifetime)
 	}
