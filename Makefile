@@ -208,9 +208,10 @@ cover:
 	@$(GO) tool cover -func=cover.out | tail -n 1
 
 # Time-boxed coverage-guided fuzzing of the frame codec, the link tape's
-# recorded fault and traffic draws, the erasure coders, the tolerant
-# export readers (trace, timeline), the log handler and the tests' log
-# canonicalizer (obstest), the trace ring's round trip, the
+# recorded fault and traffic draws, the decode table against the coverage
+# sum it replaced, the erasure coders, the tolerant export readers (trace,
+# timeline), the log handler and the tests' log canonicalizer (obstest),
+# the trace ring's round trip and its event lines against encoding/json, the
 # gate's BENCH/PROF artifact loader, NewRNG's math/rand stream and the
 # CLIs' flag validators;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
@@ -218,6 +219,7 @@ cover:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzLinkTapeDraws$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTable$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFountainDecode -fuzztime=$(FUZZTIME) ./internal/coding
 	$(GO) test -run='^$$' -fuzz=FuzzRSDecode -fuzztime=$(FUZZTIME) ./internal/coding
 	$(GO) test -run='^$$' -fuzz='^FuzzReadJSONL$$' -fuzztime=$(FUZZTIME) ./internal/obs
@@ -225,6 +227,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalizeLog$$' -fuzztime=$(FUZZTIME) ./internal/obs/obstest
 	$(GO) test -run='^$$' -fuzz='^FuzzJSONLHandler$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendEventJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 	$(GO) test -run='^$$' -fuzz='^FuzzNewRNGMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzSelectorFlags$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
@@ -273,7 +276,12 @@ fuzzseed:
 # on the worker count. Stage 7 too: the tape's readers must also count the
 # fault and traffic events a local system counts, round by round, a taped
 # sweep must count and trace what a local one does, and a taped transfer
-# must leave its own fault and traffic streams at their first draw. And
+# must leave its own fault and traffic streams at their first draw. Stage
+# 8 too: the decode table must give every subframe of every round the
+# split and success probability the coverage sum gave, with as many
+# decode-model evaluations, and must refuse what the tag's layout
+# refuses; and the trace export's hand-written event lines must equal
+# encoding/json's byte for byte. And
 # instrumentation attaches in one place: no model package (channel,
 # fault, traffic, tag, mac, dot11, stats, bitio) may import internal/obs.
 # And no test-only API in production code: every exported function or
@@ -281,7 +289,7 @@ fuzzseed:
 # repository, or be listed as an interface method.
 determinism:
 	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|ScoreboardBitmapProperty|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|FuzzDecodeTable|TestDecodeTableBounds|FuzzAppendEventJSON' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/mac ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

@@ -14,6 +14,9 @@ import (
 // input that code reads, so reusing it is byte-identical to recomputing.
 
 // successMemo memoises phy.SuccessProbAtBER by (BER, bits) for one round.
+// The round's decode table asks it once per distinct split the round
+// meets, so two splits that share a segment — or a clean and a dirty
+// segment of equal size when the two BERs are equal — pay for it once.
 // How many distinct pairs a round asks for depends on the world: about 5
 // per round on Figures 5 and 6, the coding sweep, robustness and the
 // ablations, where a crystal clock gives every corrupted subframe the

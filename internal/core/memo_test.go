@@ -68,7 +68,7 @@ func TestSuccessMemoMatchesDirect(t *testing.T) {
 			asked := map[pair]bool{}
 			for subBits := range bitsSet {
 				for _, cov := range coverages {
-					got := sys.subframeSuccessProb(cleanBER, dirtyBER, subBits, cov)
+					got := subframeSuccessProb(&sys.memo, cleanBER, dirtyBER, subBits, cov)
 					if want := direct(cleanBER, dirtyBER, subBits, cov); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("BER %g/%g, %d bits, coverage %g: memo %v, direct %v", cleanBER, dirtyBER, subBits, cov, got, want)
 					}
@@ -157,12 +157,12 @@ func cacheTestbed(t *testing.T) *System {
 }
 
 // TestRoundCacheInvalidation edits, mid-trial and in place, every input of the
-// trigger detection, link-power and coverage-boundary caches, one at a
-// time. A twin System runs the same rounds and takes the same edit, but
+// trigger detection, link-power, coverage-boundary and decode-table
+// caches, one at a time. A twin System runs the same rounds and takes the same edit, but
 // with its caches emptied, as a freshly built System's are; from the edit
 // on, the two must agree bit for bit — the rounds, the detection
-// probability, the link power and the coverage the reused boundaries give
-// — and the edit must have moved what it feeds, so it was visible.
+// probability, the link power and the decode table the reused layout
+// gives — and the edit must have moved what it feeds, so it was visible.
 func TestRoundCacheInvalidation(t *testing.T) {
 	ccmp := planCiphers(t)["CCMP"]
 	edits := []struct {
@@ -233,7 +233,7 @@ func TestRoundCacheInvalidation(t *testing.T) {
 			beforeAirs := append([]time.Duration(nil), warm.plan.airs...)
 			c.edit(t, warm)
 			c.edit(t, cold)
-			cold.trig, cold.watts, cold.cov = triggerCache{}, wattsCache{}, tag.CoverageBuffers{}
+			cold.trig, cold.watts, cold.cov, cold.tables = triggerCache{}, wattsCache{}, tag.CoverageBuffers{}, [2]*decodeTable{}
 			for r := 0; r < 4; r++ {
 				a, b := round()
 				if !reflect.DeepEqual(a, b) {
@@ -242,21 +242,20 @@ func TestRoundCacheInvalidation(t *testing.T) {
 				if math.Float64bits(warm.trig.p) != math.Float64bits(cold.trig.p) || warm.watts != cold.watts {
 					t.Fatalf("round %d after the edit: warm p %v, %+v; cold p %v, %+v", r, warm.trig.p, warm.watts, cold.trig.p, cold.watts)
 				}
-				// The warm coverage buffers, as the round left them, must
-				// give what fresh buffers give for the new durations.
+				// The warm decode table, as the round left it, must hold
+				// what a table built on fresh layout buffers holds.
 				timing := tag.QueryTiming{DataStartTick: warm.trig.ticks * warm.Spec.TriggerLen, SubframeTicks: warm.trig.ticks}
-				airs := warm.plan.airs[warm.Spec.TriggerLen:]
-				zeros := make([]byte, warm.Spec.DataLen)
-				got, err := warm.Tag.CorruptionCoverageInto(&warm.cov, timing, zeros, airs, warm.TempC)
+				got, err := warm.tableFor(&warm.plan, true, timing)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := warm.Tag.CorruptionCoverageSchedule(timing, zeros, airs, warm.TempC)
+				fresh := &System{Tag: warm.Tag, TempC: warm.TempC}
+				want, err := fresh.tableFor(&warm.plan, true, timing)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d after the edit: coverage from reused boundaries differs from a fresh build", r)
+				if !reflect.DeepEqual(tableSplits(got), tableSplits(want)) {
+					t.Fatalf("round %d after the edit: the reused decode table differs from a fresh build", r)
 				}
 			}
 			if warm.trig.p == beforeP && warm.trig.ticks == beforeTicks && warm.watts == beforeWatts &&
@@ -265,4 +264,16 @@ func TestRoundCacheInvalidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tableSplits lists t's split for every subframe and window bit
+// combination.
+func tableSplits(t *decodeTable) [][]split {
+	out := make([][]split, len(t.subs))
+	for i, sub := range t.subs {
+		for c := 0; c <= int(sub.mask); c++ {
+			out[i] = append(out[i], t.splits[t.combos[int(sub.off)+c]])
+		}
+	}
+	return out
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // planCiphers are the three network modes a query is planned for.
-func planCiphers(t *testing.T) map[string]crypto80211.Cipher {
+func planCiphers(t testing.TB) map[string]crypto80211.Cipher {
 	t.Helper()
 	wep, err := crypto80211.NewWEP([]byte("12345"), 0)
 	if err != nil {

@@ -166,6 +166,7 @@ func (q QuerySpec) psduLen(cipherOverhead int) (int, error) {
 // aggregate every round.
 type queryPlan struct {
 	ok       bool
+	gen      int       // counts computes, so a cache can tell a plan unchanged
 	spec     QuerySpec // the spec planned for; PayloadSizes is a private copy
 	overhead int
 
@@ -215,6 +216,7 @@ func (p *queryPlan) compute(q QuerySpec, overhead int) error {
 	p.spec.PayloadSizes = slices.Clone(q.PayloadSizes)
 	p.airs, p.trigMean, p.psduLen, p.ppdu = airs, trigAir/time.Duration(q.TriggerLen), psduLen, ppdu
 	p.ok = true
+	p.gen++
 	return nil
 }
 

@@ -98,18 +98,25 @@ type System struct {
 
 	rng      *rand.Rand
 	roundSeq int
+	// stepEnd is the stamp Advance closed its span with, where the next
+	// round's encode span opens; zero when no step is pending.
+	stepEnd obs.Stamp
 
 	// Per-world caches, revalidated against their inputs every round
-	// (memo.go), and the round's decode-model memo.
-	watts wattsCache
-	trig  triggerCache
-	memo  successMemo
+	// (memo.go), the round's decode-model memo, and the decode tables of
+	// the last two plans and window geometries, most recent first
+	// (decodetable.go).
+	watts  wattsCache
+	trig   triggerCache
+	memo   successMemo
+	tables [2]*decodeTable
 
 	// plan caches the round's spec-only work; QueryRound revalidates it
 	// against Spec and the cipher overhead every round.
 	plan queryPlan
 	// Per-round scratch, reused across rounds. RoundResult never aliases
-	// it.
+	// it. cov holds the tag's window layout the decode tables are built
+	// from.
 	link linkScratch
 	cov  tag.CoverageBuffers
 	// linkRound is the next round a taped system reads from Link.
@@ -167,19 +174,22 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 // fault and traffic draws itself, and times its world's steps (Advance).
 // o may be nil (instrumentation off).
 func (s *System) Instrument(o *obs.Observer, id int, labels string) {
-	s.Obs, s.TraceID, s.TraceLabels, s.Spans = o, id, labels, nil
+	s.Obs, s.TraceID, s.TraceLabels, s.Spans, s.stepEnd = o, id, labels, nil, 0
 	if o != nil {
 		s.Spans = o.Spans.Lane(id)
 	}
 }
 
 // Advance steps env through channel.RoundStepS of scatterer motion — the
-// step every measurement and transfer loop takes before each query round
-// — and times it in the channel phase.
+// step every measurement and transfer loop takes right before each query
+// round — and times it in the channel phase. The next QueryRound opens
+// its encode span where this one closed, so the caller's work between
+// the two, drawing the bits the tag sends, is timed as the round's
+// encode.
 func (s *System) Advance(env *channel.Environment) {
 	sp := s.Spans.Start()
 	env.Advance(channel.RoundStepS)
-	s.Spans.End(obs.PhaseChannel, sp)
+	s.stepEnd = s.Spans.Lap(obs.PhaseChannel, sp)
 }
 
 // Reshape re-runs query shaping for the current cipher and spec, using the
@@ -242,9 +252,13 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// round: encode → channel → channel → equalise → viterbi → crc. Spans
 	// are passive wall-clock reads into volatile histograms — no RNG draws,
 	// no branches into the simulation — and error paths simply drop the
-	// open span (the trial aborts anyway).
+	// open span (the trial aborts anyway). After Advance, encode opens
+	// where the world step closed (see Advance).
 	spans := s.Spans
-	sp := spans.Start()
+	sp := s.stepEnd
+	if s.stepEnd = 0; sp == 0 {
+		sp = spans.Start()
+	}
 	// --- Client side: "transmit" the query. Only its shape matters to the
 	// round — airtimes, sizes, the sequence window — so the aggregate is
 	// planned once per spec and its sequence numbers reserved, never built.
@@ -307,17 +321,17 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		detected = false
 	}
 
-	// --- Per-subframe corruption coverage; nil when the tag never flips.
-	var coverage []float64
-	if detected {
-		coverage, err = s.Tag.CorruptionCoverageInto(&s.cov, timing, txBits, plan.airs[trigLen:], s.TempC)
-		if err != nil {
-			return nil, err
-		}
-		// A browned-out switch freezes in its rest state: the window's
-		// subframes go uncorrupted and read as idle 1s at the client.
-		clear(coverage[draws.brownStart : draws.brownStart+draws.brownLen])
+	// --- Which clean/corrupted split each subframe's bits take: the data
+	// subframes under the windows of the tag's flips when it detected the
+	// trigger, every other subframe all clean. A browned-out switch
+	// freezes in its rest state: the window's subframes go uncorrupted and
+	// read as idle 1s at the client.
+	tab, err := s.tableFor(plan, detected, timing)
+	if err != nil {
+		return nil, err
 	}
+	var splits [dot11.MaxSubframes]uint16
+	tab.roundSplits(splits[:total], txBits, detected, int(draws.brownStart), int(draws.brownLen))
 	sp = spans.Lap(obs.PhaseChannel, sp)
 
 	// --- The round's link: channel states, distortion and the decode
@@ -345,13 +359,10 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	s.memo.reset()
+	tab.begin()
 	subOK, subLost := 0, 0
 	for i := 0; i < total; i++ {
-		f := 0.0
-		if coverage != nil && i >= trigLen {
-			f = coverage[i-trigLen]
-		}
-		ok := s.sampleSubframeDecode(link.cleanBER, link.dirtyBER, plan.subBits[i], f)
+		ok := stats.Bernoulli(s.rng, tab.prob(splits[i], &s.memo, link.cleanBER, link.dirtyBER))
 		if s.Faults != nil {
 			if draws.lost>>i&1 != 0 {
 				ok = false
@@ -410,11 +421,12 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, err
 	}
 	res.Airtime = access + plan.ppdu + dot11.SIFS + baAir
-	spans.End(obs.PhaseCRC, sp)
 
 	// Observability flush: passive counters and one trace event per round,
 	// all derived from values already computed — zero RNG draws, zero
-	// influence on the round's outcome.
+	// influence on the round's outcome. It is the round's accounting, so
+	// the crc span times it too: with several workers its counters'
+	// shared cache lines make it a measurable share of the round.
 	if o := s.Obs; o != nil {
 		s.roundSeq++
 		m := o.Core
@@ -453,6 +465,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 			})
 		}
 	}
+	spans.End(obs.PhaseCRC, sp)
 	return res, nil
 }
 
@@ -495,36 +508,6 @@ func (s *System) detectTrigger(subAir time.Duration) (bool, tag.QueryTiming, err
 		DataStartTick: ticks * s.Spec.TriggerLen,
 		SubframeTicks: ticks,
 	}, nil
-}
-
-// sampleSubframeDecode draws whether a subframe survives at
-// subframeSuccessProb.
-func (s *System) sampleSubframeDecode(cleanBER, dirtyBER float64, subBits int, coverage float64) bool {
-	return stats.Bernoulli(s.rng, s.subframeSuccessProb(cleanBER, dirtyBER, subBits, coverage))
-}
-
-// subframeSuccessProb splits a subframe's bits between clean-channel and
-// corrupted-channel segments at the round's two coded BERs —
-// phy.SubframeSuccessProb for each segment, bit for bit, through the
-// round's memo.
-func (s *System) subframeSuccessProb(cleanBER, dirtyBER float64, subBits int, coverage float64) float64 {
-	if coverage <= 0 {
-		// An untouched subframe is one clean segment: 1·p is p exactly.
-		return s.memo.prob(cleanBER, subBits)
-	}
-	if coverage > 1 {
-		coverage = 1
-	}
-	p := 1.0
-	cleanBits := int(math.Round(float64(subBits) * (1 - coverage)))
-	dirtyBits := subBits - cleanBits
-	if cleanBits > 0 {
-		p *= s.memo.prob(cleanBER, cleanBits)
-	}
-	if dirtyBits > 0 {
-		p *= s.memo.prob(dirtyBER, dirtyBits)
-	}
-	return p
 }
 
 // queryPlan returns the plan for the current Spec and cipher, recomputing

@@ -330,3 +330,37 @@ func FuzzJSONLHandler(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendEventJSON holds the trace export's hand-written event line
+// to encoding/json's: for any strings — control bytes, HTML
+// metacharacters, U+2028 and U+2029 and invalid UTF-8 among the seeds —
+// and any field values, zero or not, appendEventJSON must write the bytes
+// json.Encoder.Encode writes for the event.
+func FuzzAppendEventJSON(f *testing.F) {
+	f.Add("round", "fig5/d=3/run=2", "", int64(1), int64(2), int64(-3), uint16(0))
+	f.Add("", "<a&b>\u2028\u2029", "ok\x00\x1f\x7f\b\f\n\r\t\"\\", int64(math.MaxInt64), int64(math.MinInt64), int64(0), uint16(0x5555))
+	f.Add("\xff\xfe", "é\xc3(", "\u00e9\U0001F600\xed\xa0\x80", int64(-1), int64(1<<40), int64(7), uint16(0xaaaa))
+	f.Add("symbol", "coding/pf=office/tr=3", "erased", int64(12), int64(0), int64(300), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, kind, labels, outcome string, a, b, c int64, zero uint16) {
+		v := func(i int) int64 {
+			if zero>>i&1 != 0 {
+				return 0
+			}
+			return [3]int64{a, b, c}[i%3] ^ int64(i)
+		}
+		e := Event{
+			Kind: kind, Trial: int(v(0)), Labels: labels, Round: int(v(1)),
+			Detected: v(2)&1 != 0, BALost: v(3)&1 != 0,
+			Bits: int(v(4)), BitErrors: int(v(5)), AirtimeUs: v(6), SNRmDb: v(7),
+			Offset: int(v(8)), Length: int(v(9)), Level: int(v(10)), Outcome: outcome,
+			Delivered: v(11)&1 != 0, Rounds: int(v(12)), Retries: int(v(13)), WallMs: v(14),
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&e); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendEventJSON(nil, &e); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("event %+v:\nappender %s\nencoder  %s", e, got, want.Bytes())
+		}
+	})
+}

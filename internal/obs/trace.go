@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Event is one structured trace record. A single flat struct with
@@ -361,22 +363,124 @@ const summaryKind = "summary"
 func (r *Recorder) WriteJSONL(w io.Writer) error { return r.WriteJSONLFailed(w, "") }
 
 // WriteJSONLFailed is WriteJSONL with failure on the summary record.
+// Events are written by appendEventJSON, into one line buffer reused
+// across the export.
 func (r *Recorder) WriteJSONLFailed(w io.Writer, failure string) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	sum := TraceSummary{Kind: summaryKind, Error: failure}
 	if r != nil {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if err := r.each(func(e *Event) error { return enc.Encode(e) }); err != nil {
+		var line []byte
+		if err := r.each(func(e *Event) error {
+			line = appendEventJSON(line[:0], e)
+			_, err := bw.Write(line)
+			return err
+		}); err != nil {
 			return err
 		}
 		sum.Retained, sum.Total, sum.Dropped = r.n, r.total, r.dropped
 	}
-	if err := enc.Encode(sum); err != nil {
+	if err := json.NewEncoder(bw).Encode(sum); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// appendEventJSON appends the line json.Encoder.Encode writes for e: its
+// fields in declaration order, the omitempty ones only when non-zero,
+// strings escaped as the encoder escapes them, then a newline.
+func appendEventJSON(b []byte, e *Event) []byte {
+	b = append(b, `{"kind":`...)
+	b = appendEncoderString(b, e.Kind)
+	b = appendJSONInt(b, `,"trial":`, int64(e.Trial))
+	if e.Labels != "" {
+		b = appendEncoderString(append(b, `,"labels":`...), e.Labels)
+	}
+	b = appendJSONInt(b, `,"round":`, int64(e.Round))
+	if e.Detected {
+		b = append(b, `,"detected":true`...)
+	}
+	if e.BALost {
+		b = append(b, `,"ba_lost":true`...)
+	}
+	b = appendJSONInt(b, `,"bits":`, int64(e.Bits))
+	b = appendJSONInt(b, `,"bit_errors":`, int64(e.BitErrors))
+	b = appendJSONInt(b, `,"airtime_us":`, e.AirtimeUs)
+	b = appendJSONInt(b, `,"snr_mdb":`, e.SNRmDb)
+	b = appendJSONInt(b, `,"offset":`, int64(e.Offset))
+	b = appendJSONInt(b, `,"length":`, int64(e.Length))
+	b = appendJSONInt(b, `,"level":`, int64(e.Level))
+	if e.Outcome != "" {
+		b = appendEncoderString(append(b, `,"outcome":`...), e.Outcome)
+	}
+	if e.Delivered {
+		b = append(b, `,"delivered":true`...)
+	}
+	b = appendJSONInt(b, `,"rounds":`, int64(e.Rounds))
+	b = appendJSONInt(b, `,"retries":`, int64(e.Retries))
+	b = appendJSONInt(b, `,"wall_ms":`, e.WallMs)
+	return append(b, "}\n"...)
+}
+
+// appendJSONInt appends key and v when v is non-zero (omitempty).
+func appendJSONInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendEncoderString appends s quoted as encoding/json quotes it, with
+// HTML escaping on (the log handler's appendJSONString quotes for its
+// own format): `"` and `\` backslashed; \b, \f, \n, \r and \t short;
+// other control bytes and <, > and & as \u00XX; invalid UTF-8 as \ufffd;
+// and U+2028 and U+2029 as \u2028 and \u2029.
+func appendEncoderString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // Trace is a decoded JSONL export: the events plus the summary's

@@ -43,6 +43,16 @@ func quadraticCoverage(t *Tag, timing QueryTiming, bits []byte, durations []time
 	return coverage
 }
 
+// layoutCoverage is the coverage of bits over the layout CoverageLayout
+// keeps in buf, as CorruptionCoverageSchedule sums it, with buf's
+// boundaries and contributions reused from call to call.
+func layoutCoverage(tg *Tag, buf *CoverageBuffers, timing QueryTiming, bits []byte, durations []time.Duration, tempC float64) ([]float64, error) {
+	if err := tg.CoverageLayout(buf, timing, durations, tempC); err != nil {
+		return nil, err
+	}
+	return buf.coverage(bits), nil
+}
+
 // TestWindowedCoverageMatchesQuadratic checks the monotone-pointer walk
 // against the all-pairs loop bit for bit, on random bits, dithered
 // subframe durations and clocks from aligned to badly drifting, reusing
@@ -75,7 +85,7 @@ func TestWindowedCoverageMatchesQuadratic(t *testing.T) {
 				tg.GuardFraction = []float64{0, 0.1, 0.3}[trial%3]
 				timing := QueryTiming{SubframeTicks: ticks}
 				want := quadraticCoverage(tg, timing, bits, durations, tempC)
-				got, err := tg.CorruptionCoverageInto(&buf, timing, bits, durations, tempC)
+				got, err := layoutCoverage(tg, &buf, timing, bits, durations, tempC)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +190,7 @@ func TestCoverageContributionsMatchWalk(t *testing.T) {
 						bits = stats.RandomBits(rng, n)
 					}
 					want := walkCoverage(tg, timing, bits, durations, tempC)
-					got, err := tg.CorruptionCoverageInto(&buf, timing, bits, durations, tempC)
+					got, err := layoutCoverage(tg, &buf, timing, bits, durations, tempC)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -246,7 +256,7 @@ func TestCoverageBoundaryCacheInvalidation(t *testing.T) {
 		for i := 1; i < len(bits); i += 2 {
 			bits[i] = 1
 		}
-		got, err := tg.CorruptionCoverageInto(&buf, timing, bits, durations, tempC)
+		got, err := layoutCoverage(tg, &buf, timing, bits, durations, tempC)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,38 +282,13 @@ func TestCoverageBoundaryCacheInvalidation(t *testing.T) {
 	// A bad duration is rejected every time, not cached.
 	durations[3] = 0
 	for i := 0; i < 2; i++ {
-		if _, err := tg.CorruptionCoverageInto(&buf, timing, make([]byte, len(durations)), durations, tempC); err == nil {
+		if _, err := layoutCoverage(tg, &buf, timing, make([]byte, len(durations)), durations, tempC); err == nil {
 			t.Fatalf("call %d accepted a zero duration", i)
 		}
 	}
 	// No subframes: nothing to cover.
-	got, err := tg.CorruptionCoverageInto(&buf, timing, nil, nil, tempC)
+	got, err := layoutCoverage(tg, &buf, timing, nil, nil, tempC)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty query: %v, %v", got, err)
-	}
-}
-
-// BenchmarkCorruptionCoverage times one round's coverage as QueryRound
-// computes it: 60 dithered data subframes, fresh random bits each round,
-// one buffer set reused across rounds.
-func BenchmarkCorruptionCoverage(b *testing.B) {
-	tg := New(40, NewCrystal50kHz(nil))
-	rng := stats.NewRNG(4)
-	durations := make([]time.Duration, 60)
-	for i := range durations {
-		durations[i] = 20*time.Microsecond + time.Duration(rng.Intn(2001)-1000)*time.Nanosecond
-	}
-	bits := make([][]byte, 64)
-	for i := range bits {
-		bits[i] = stats.RandomBits(rng, len(durations))
-	}
-	timing := QueryTiming{SubframeTicks: 1}
-	var buf CoverageBuffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tg.CorruptionCoverageInto(&buf, timing, bits[i%len(bits)], durations, 25); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -66,83 +66,87 @@ func (t *Tag) ExcessPathM() float64 {
 // sender varies MPDU sizes to keep the cumulative subframe boundaries
 // aligned to the tag's tick grid even though a single tick-aligned size
 // does not exist at the chosen rate.
+//
+// Each corruption window is distributed over the true subframes it
+// overlaps, as CoverageLayout lays them out, and the bits only choose
+// which windows add: coverage[j] += frac·(1−b), in window order.
 func (t *Tag) CorruptionCoverageSchedule(timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
-	return t.CorruptionCoverageInto(nil, timing, bits, trueDurations, tempC)
+	if len(trueDurations) != len(bits) {
+		return nil, fmt.Errorf("tag: %d durations for %d bits", len(trueDurations), len(bits))
+	}
+	var buf CoverageBuffers
+	if err := t.CoverageLayout(&buf, timing, trueDurations, tempC); err != nil {
+		return nil, err
+	}
+	return buf.coverage(bits), nil
 }
 
-// CoverageBuffers is reusable storage for CorruptionCoverageInto. It also
-// keeps the true subframe boundaries with a copy of the durations they
-// were summed from, and every window's contributions for those
-// boundaries and one window geometry, so a call with the same durations
-// and geometry reuses both.
+// CoverageBuffers holds a window layout: the true subframe boundaries,
+// with a copy of the durations they were summed from, and every window's
+// contributions for those boundaries and one window geometry, so a
+// layout of the same durations and geometry reuses both.
 type CoverageBuffers struct {
-	coverage, starts []float64
-	durations        []time.Duration // what starts was built from
+	starts    []float64
+	durations []time.Duration // what starts was built from
 
-	// Window i, when it corrupts, adds contribs[k].frac to
-	// coverage[contribs[k].sub] for k in [ends[i-1], ends[i]), with
-	// ends[-1] taken as 0: every subframe it overlaps, in order. Built for starts and the window
-	// geometry (sTag, guard); stale when haveContribs is false.
-	contribs     []contribution
+	// Window i, when it corrupts, adds contribs[k].Frac to the coverage of
+	// subframe contribs[k].Sub for k in [ends[i-1], ends[i]), with
+	// ends[-1] taken as 0: every subframe it overlaps, in order. Built for
+	// starts and the window geometry (sTag, guard); stale when
+	// haveContribs is false.
+	contribs     []Contribution
 	ends         []int
 	sTag, guard  float64
 	haveContribs bool
 }
 
-// contribution is the share of subframe sub's airtime one corruption
+// Contribution is the share of subframe Sub's airtime one corruption
 // window covers.
-type contribution struct {
-	sub  int
-	frac float64
+type Contribution struct {
+	Sub  int
+	Frac float64
 }
 
-// floats returns buf with length n, reusing its storage when it has room.
-func floats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+// Contributions returns window i's contributions in the layout
+// CoverageLayout last built: every subframe the window overlaps, in
+// order. Window i is the one data subframe i's bit opens. The slice
+// aliases buf and is valid until its next layout.
+func (buf *CoverageBuffers) Contributions(i int) []Contribution {
+	lo := 0
+	if i > 0 {
+		lo = buf.ends[i-1]
 	}
-	return buf[:n]
+	return buf.contribs[lo:buf.ends[i]]
 }
 
-// CorruptionCoverageInto is CorruptionCoverageSchedule computing in buf's
-// storage (nil allocates). The returned slice aliases buf and is valid
-// until the next call with the same buf.
-//
-// Each corruption window is distributed over the true subframes it
-// overlaps. Which subframes a window overlaps, and by how much, depends
-// on the boundaries and the window geometry but not on the bits, so buf
-// keeps every window's contributions and a round only sums them:
-// coverage[j] += frac·(1−b), in window order. A resting window adds +0,
-// which leaves every entry's bits as they were, so the sums equal
-// visiting only the corrupting windows.
-func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, bits []byte, trueDurations []time.Duration, tempC float64) ([]float64, error) {
+// CoverageLayout lays one corruption window per subframe of
+// trueDurations over those subframes, for timing at tempC, into buf:
+// which subframes each window overlaps, and by how much. That depends on
+// the boundaries and the window geometry but not on the bits. It rejects
+// what CorruptionCoverageSchedule rejects, with the same errors, and
+// reuses what buf holds for the same durations and geometry.
+func (t *Tag) CoverageLayout(buf *CoverageBuffers, timing QueryTiming, trueDurations []time.Duration, tempC float64) error {
 	if timing.SubframeTicks <= 0 {
-		return nil, fmt.Errorf("tag: non-positive subframe ticks %d", timing.SubframeTicks)
-	}
-	if len(trueDurations) != len(bits) {
-		return nil, fmt.Errorf("tag: %d durations for %d bits", len(trueDurations), len(bits))
+		return fmt.Errorf("tag: non-positive subframe ticks %d", timing.SubframeTicks)
 	}
 	if t.GuardFraction < 0 || t.GuardFraction >= 0.5 {
-		return nil, fmt.Errorf("tag: guard fraction %v outside [0, 0.5)", t.GuardFraction)
+		return fmt.Errorf("tag: guard fraction %v outside [0, 0.5)", t.GuardFraction)
 	}
 	tick := t.Clock.SecondsPerTick(tempC)
 	if tick <= 0 {
-		return nil, fmt.Errorf("tag: clock stopped")
+		return fmt.Errorf("tag: clock stopped")
 	}
 	sTag := float64(timing.SubframeTicks) * tick
 	guard := t.GuardFraction * sTag
 
-	if buf == nil {
-		buf = &CoverageBuffers{}
-	}
 	// True subframe boundaries. Cached durations have passed the check.
 	if !slices.Equal(buf.durations, trueDurations) {
 		for i, d := range trueDurations {
 			if d <= 0 {
-				return nil, fmt.Errorf("tag: non-positive duration for subframe %d", i)
+				return fmt.Errorf("tag: non-positive duration for subframe %d", i)
 			}
 		}
-		buf.starts = floats(buf.starts, len(bits)+1)
+		buf.starts = slices.Grow(buf.starts[:0], len(trueDurations)+1)[:len(trueDurations)+1]
 		buf.starts[0] = 0
 		for i, d := range trueDurations {
 			buf.starts[i+1] = buf.starts[i] + d.Seconds()
@@ -153,16 +157,21 @@ func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, b
 	if !buf.haveContribs || buf.sTag != sTag || buf.guard != guard {
 		buf.buildContribs(sTag, guard)
 	}
+	return nil
+}
 
-	buf.coverage = floats(buf.coverage, len(bits))
-	coverage := buf.coverage
-	clear(coverage)
+// coverage sums the layout's windows for bits: the fraction of each
+// subframe's airtime under a corrupting window, clamped at 1. A resting
+// window adds +0, which leaves every entry's bits as they were, so the
+// sums equal visiting only the corrupting windows.
+func (buf *CoverageBuffers) coverage(bits []byte) []float64 {
+	coverage := make([]float64, len(bits))
 	k := 0
 	for i, b := range bits {
 		flip := float64(1 - b&1) // 1 for a 0 bit, whose window corrupts
 		for ; k < buf.ends[i]; k++ {
 			c := buf.contribs[k]
-			coverage[c.sub] += c.frac * flip
+			coverage[c.Sub] += c.Frac * flip
 		}
 	}
 	for i, c := range coverage {
@@ -170,7 +179,7 @@ func (t *Tag) CorruptionCoverageInto(buf *CoverageBuffers, timing QueryTiming, b
 			coverage[i] = 1
 		}
 	}
-	return coverage, nil
+	return coverage
 }
 
 // buildContribs lays every window of the geometry over the boundaries in
@@ -183,7 +192,7 @@ func (buf *CoverageBuffers) buildContribs(sTag, guard float64) {
 	n := len(starts) - 1
 	if cap(buf.ends) < n {
 		// A window about one subframe long overlaps about two.
-		buf.ends, buf.contribs = make([]int, 0, n), make([]contribution, 0, 2*n)
+		buf.ends, buf.contribs = make([]int, 0, n), make([]Contribution, 0, 2*n)
 	}
 	buf.contribs = buf.contribs[:0]
 	buf.ends = buf.ends[:0]
@@ -199,7 +208,7 @@ func (buf *CoverageBuffers) buildContribs(sTag, guard float64) {
 		}
 		for j := first; j < n && starts[j] < wEnd; j++ {
 			if ov := overlap(wStart, wEnd, starts[j], starts[j+1]); ov > 0 {
-				buf.contribs = append(buf.contribs, contribution{sub: j, frac: ov / (starts[j+1] - starts[j])})
+				buf.contribs = append(buf.contribs, Contribution{Sub: j, Frac: ov / (starts[j+1] - starts[j])})
 			}
 		}
 		buf.ends = append(buf.ends, len(buf.contribs))
