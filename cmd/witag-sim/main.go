@@ -138,56 +138,96 @@ type deployment struct {
 	gain, tempC                                  float64
 }
 
+// site is a deployment's parsed geometry: the AP and tag positions and
+// each vertical wall's x position and attenuation.
+type site struct {
+	ap, tag channel.Point
+	walls   [][2]float64
+}
+
+// parse parses the deployment's positions and walls and checks every
+// number the model takes from the flags, naming the flag at fault: a
+// non-finite coordinate, wall, loss or temperature, or a non-finite or
+// negative gain, would run a whole campaign on a meaningless channel.
+func (d deployment) parse() (site, error) {
+	var s site
+	var err error
+	if s.ap, err = parsePoint(d.apStr); err != nil {
+		return s, fmt.Errorf("-ap: %w", err)
+	}
+	if s.tag, err = parsePoint(d.tagStr); err != nil {
+		return s, fmt.Errorf("-tag: %w", err)
+	}
+	if d.wallsStr != "" {
+		for _, w := range strings.Split(d.wallsStr, ",") {
+			parts := strings.Split(w, ":")
+			if len(parts) != 2 {
+				return s, fmt.Errorf("-walls: wall %q must be x:attenuationDb", w)
+			}
+			var xa [2]float64
+			for i, p := range parts {
+				if xa[i], err = parseFinite(p); err != nil {
+					return s, fmt.Errorf("-walls: wall %q: %w", w, err)
+				}
+			}
+			s.walls = append(s.walls, xa)
+		}
+	}
+	if math.IsNaN(d.tempC) || math.IsInf(d.tempC, 0) {
+		return s, fmt.Errorf("-temp: %v °C is not finite", d.tempC)
+	}
+	if !(d.gain >= 0) || math.IsInf(d.gain, 0) {
+		return s, fmt.Errorf("-gain: %v must be finite and >= 0", d.gain)
+	}
+	return s, nil
+}
+
 func parsePoint(s string) (channel.Point, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 2 {
 		return channel.Point{}, fmt.Errorf("point %q must be x,y", s)
 	}
-	x, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
+	x, err := parseFinite(parts[0])
 	if err != nil {
-		return channel.Point{}, err
+		return channel.Point{}, fmt.Errorf("point %q: %w", s, err)
 	}
-	y, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
+	y, err := parseFinite(parts[1])
 	if err != nil {
-		return channel.Point{}, err
+		return channel.Point{}, fmt.Errorf("point %q: %w", s, err)
 	}
 	return channel.Point{X: x, Y: y}, nil
 }
 
+// parseFinite parses a float, surrounding spaces allowed, and refuses
+// NaN and ±Inf.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%v is not finite", v)
+	}
+	return v, nil
+}
+
 // build constructs one run's deployment from its labeled seed.
 func (d deployment) build(envSeed int64) (*core.System, *channel.Environment, error) {
-	ap, err := parsePoint(d.apStr)
+	s, err := d.parse()
 	if err != nil {
 		return nil, nil, err
 	}
-	tagPos, err := parsePoint(d.tagStr)
-	if err != nil {
-		return nil, nil, err
-	}
+	ap := s.ap
 
 	env := channel.NewEnvironment(envSeed)
 	env.AddReflector(channel.Point{X: ap.X / 2, Y: 3.5}, 60)
 	env.AddReflector(channel.Point{X: ap.X / 2, Y: -3.5}, 60)
 	env.AddScatterers(4, 0, -3, ap.X, 3, 15, 1.0)
-	if d.wallsStr != "" {
-		for _, w := range strings.Split(d.wallsStr, ",") {
-			parts := strings.Split(w, ":")
-			if len(parts) != 2 {
-				return nil, nil, fmt.Errorf("wall %q must be x:attenuationDb", w)
-			}
-			x, err := strconv.ParseFloat(parts[0], 64)
-			if err != nil {
-				return nil, nil, err
-			}
-			att, err := strconv.ParseFloat(parts[1], 64)
-			if err != nil {
-				return nil, nil, err
-			}
-			env.AddWall(channel.Point{X: x, Y: -10}, channel.Point{X: x, Y: 10}, att, "wall")
-		}
+	for _, w := range s.walls {
+		env.AddWall(channel.Point{X: w[0], Y: -10}, channel.Point{X: w[0], Y: 10}, w[1], "wall")
 	}
 
-	sys, err := core.NewSystem(env, channel.Point{}, ap, tagPos, d.gain, envSeed)
+	sys, err := core.NewSystem(env, channel.Point{}, ap, s.tag, d.gain, envSeed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -245,6 +285,9 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 	// internal/cliflags: reject unknown selectors and unusable paths
 	// before any work — a typo must produce a usage error, never a
 	// partial campaign.
+	if _, verr := cfg.parse(); verr != nil {
+		return verr
+	}
 	if verr := cliflags.FaultProfile("-fault", cfg.faultStr, true); verr != nil {
 		return verr
 	}

@@ -18,6 +18,10 @@ import (
 
 // --- GF(256) closed forms -------------------------------------------------
 
+// gfAdd adds two field elements (XOR; identical to subtraction). The
+// codecs XOR bytes inline; the field-law tests name the operation.
+func gfAdd(a, b byte) byte { return a ^ b }
+
 func TestGFClosedForms(t *testing.T) {
 	// 2·0x80 wraps: 0x100 ⊕ 0x11D = 0x1D under the RS-standard polynomial.
 	if got := gfMul(2, 0x80); got != 0x1D {

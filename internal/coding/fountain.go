@@ -126,16 +126,6 @@ func (f *Fountain) SymbolBlocks(id int) []int {
 	return append([]int(nil), idx[:deg]...)
 }
 
-// block returns source block i of payload, zero-padded to BlockBytes.
-func (f *Fountain) block(payload []byte, i int) []byte {
-	b := make([]byte, f.BlockBytes)
-	start := i * f.BlockBytes
-	if start < len(payload) {
-		copy(b, payload[start:])
-	}
-	return b
-}
-
 // Symbol encodes symbol id: the XOR of its source blocks.
 func (f *Fountain) Symbol(payload []byte, id int) ([]byte, error) {
 	if len(payload) != f.PayloadLen {

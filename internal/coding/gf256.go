@@ -44,9 +44,6 @@ func init() {
 	}
 }
 
-// gfAdd adds two field elements (XOR; identical to subtraction).
-func gfAdd(a, b byte) byte { return a ^ b }
-
 // gfMul multiplies two field elements.
 func gfMul(a, b byte) byte {
 	if a == 0 || b == 0 {

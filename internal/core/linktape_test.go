@@ -56,16 +56,23 @@ func linkWorld(tagX float64, seed int64) func() (*System, *channel.Environment, 
 	}
 }
 
-// tapeRound is what a round reports, with its floats as raw bits so the
+// tapeRound is what a round reports, with its SNR as raw bits so the
 // comparison is bit for bit, and the system's fault tally and traffic
 // counters after it.
 type tapeRound struct {
 	Detected, BALost bool
 	BitErrors        int
 	RxBits           []byte
-	SNR, Distortion  uint64
+	SNR              uint64
 	Faults           [4]int
 	Traffic          [4]int64
+}
+
+// linkBits is a link state's four floats as raw bits: SNR, distortion,
+// clean BER and dirty BER.
+func linkBits(st linkState) [4]uint64 {
+	return [4]uint64{math.Float64bits(st.snr), math.Float64bits(st.distortion),
+		math.Float64bits(st.cleanBER), math.Float64bits(st.dirtyBER)}
 }
 
 // linkRounds runs rounds query rounds on sys, which must have an observer
@@ -84,7 +91,7 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 		}
 		in, tm := sys.Injected, sys.Obs.Traffic
 		out = append(out, tapeRound{res.Detected, res.BALost, res.BitErrors, res.RxBits,
-			math.Float64bits(res.SNRDb), math.Float64bits(res.DistortionDb),
+			math.Float64bits(res.SNRDb),
 			[4]int{in.SubframesLost, in.TriggerMisses, in.BALosses, in.Brownouts},
 			[4]int64{tm.Rounds.Value(), tm.Bursts.Value(), tm.SubframesMask.Value(), tm.StateSwitches.Value()}})
 		for pace != nil && pace.Intn(3) == 0 {
@@ -99,8 +106,10 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 // concurrently, each at its own random pace, and requires every round of
 // every reader to equal a system that evaluates the link and draws its
 // faults and traffic itself, bit for bit, with the same fault and traffic
-// counts after it. The tape must evaluate each round exactly once, so the
-// readers' work counters sum to the local system's.
+// counts after it. Every taped round's whole link state must equal a
+// local evaluation of the same world, bit for bit. The tape must evaluate
+// each round exactly once, so the readers' work counters sum to the local
+// system's.
 func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	const rounds, readers = 700, 6
 	build := linkWorld(2, 31)
@@ -151,6 +160,25 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	}
 	if n := tape.n; n != rounds {
 		t.Fatalf("tape recorded %d rounds, want %d", n, rounds)
+	}
+	fresh, freshEnv, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := fresh.geom()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch linkScratch
+	for r := range rounds {
+		freshEnv.Advance(channel.RoundStepS)
+		st, _, _, err := scratch.eval(freshEnv, &g, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tape.chunks[r/tapeChunk][r%tapeChunk].link; linkBits(got) != linkBits(st) {
+			t.Fatalf("round %d: the tape holds link %v, a local evaluation %v", r, linkBits(got), linkBits(st))
+		}
 	}
 	last := want[rounds-1]
 	if last.Faults[0] == 0 || last.Faults[1] == 0 || last.Faults[2] == 0 || last.Faults[3] == 0 || last.Traffic[1] == 0 {

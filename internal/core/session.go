@@ -230,8 +230,7 @@ type RoundResult struct {
 	// bit is unknown and counted as an error.
 	BALost bool
 	// Diagnostics
-	SNRDb        float64 // client→AP link SNR
-	DistortionDb float64 // tag-induced distortion power (10·log10 D)
+	SNRDb float64 // client→AP link SNR
 }
 
 // BER returns the round's bit error rate.
@@ -387,11 +386,10 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	baLost := draws.flags&drawBALost != 0
 
 	res := &RoundResult{
-		TxBits:       txBits,
-		Detected:     detected,
-		BALost:       baLost,
-		SNRDb:        phy.SNRToDb(link.snr),
-		DistortionDb: 10 * math.Log10(math.Max(link.distortion, 1e-30)),
+		TxBits:   txBits,
+		Detected: detected,
+		BALost:   baLost,
+		SNRDb:    phy.SNRToDb(link.snr),
 	}
 	if baLost {
 		// The client never heard the block ACK: no bitmap, every tag bit

@@ -74,33 +74,3 @@ func (ba *BlockAck) BitmapBits(n int) ([]byte, error) {
 	}
 	return bits, nil
 }
-
-// BlockAckReq is the control frame soliciting a block ACK. Senders of
-// A-MPDUs with the implicit BA policy don't need it, but the MAC simulator
-// supports explicit requests for completeness.
-type BlockAckReq struct {
-	Duration uint16
-	RA       MACAddr
-	TA       MACAddr
-	TID      byte
-	StartSeq uint16
-}
-
-// Marshal serialises the BAR including FCS.
-func (r *BlockAckReq) Marshal() ([]byte, error) {
-	if r.TID > 0x0F {
-		return nil, fmt.Errorf("dot11: TID %d exceeds 4 bits", r.TID)
-	}
-	if r.StartSeq > 0x0FFF {
-		return nil, fmt.Errorf("dot11: starting sequence %d exceeds 12 bits", r.StartSeq)
-	}
-	buf := make([]byte, 0, 24)
-	fcb := FrameControl{Type: TypeBlockAckReq}.Marshal()
-	buf = append(buf, fcb[0], fcb[1])
-	buf = binary.LittleEndian.AppendUint16(buf, r.Duration)
-	buf = append(buf, r.RA[:]...)
-	buf = append(buf, r.TA[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, 0x0004|uint16(r.TID)<<12)
-	buf = binary.LittleEndian.AppendUint16(buf, r.StartSeq<<4)
-	return bitio.AppendFCS(buf), nil
-}

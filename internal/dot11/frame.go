@@ -24,9 +24,6 @@ func (a MACAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])
 }
 
-// Broadcast is the all-ones broadcast address.
-var Broadcast = MACAddr{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
-
 // Frame type/subtype constants (IEEE 802.11-2012 §8.2.4.1.3). The values
 // are the (Type<<2 | Subtype<<4) layout folded into a single identifier so
 // that FrameControl can expose one enum-like field.

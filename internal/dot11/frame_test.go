@@ -390,55 +390,6 @@ func TestBlockAckBitmapBits(t *testing.T) {
 	}
 }
 
-// unmarshalBlockAckReq decodes a BAR, verifying FCS and type: the
-// round-trip oracle for Marshal.
-func unmarshalBlockAckReq(p []byte) (*BlockAckReq, error) {
-	body, ok := bitio.CheckFCS(p)
-	if !ok {
-		return nil, ErrBadFCS
-	}
-	if len(body) != 20 {
-		return nil, fmt.Errorf("dot11: BAR body must be 20 bytes, got %d", len(body))
-	}
-	fc := UnmarshalFrameControl([2]byte{body[0], body[1]})
-	if fc.Type != TypeBlockAckReq {
-		return nil, fmt.Errorf("dot11: not a block ACK request: %v", fc.Type)
-	}
-	var r BlockAckReq
-	r.Duration = binary.LittleEndian.Uint16(body[2:4])
-	copy(r.RA[:], body[4:10])
-	copy(r.TA[:], body[10:16])
-	ctl := binary.LittleEndian.Uint16(body[16:18])
-	r.TID = byte(ctl >> 12)
-	r.StartSeq = binary.LittleEndian.Uint16(body[18:20]) >> 4
-	return &r, nil
-}
-
-func TestBlockAckReqRoundTrip(t *testing.T) {
-	r := &BlockAckReq{RA: apAddr, TA: clientAddr, TID: 5, StartSeq: 777}
-	wire, err := r.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := unmarshalBlockAckReq(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TID != 5 || got.StartSeq != 777 || got.RA != apAddr || got.TA != clientAddr {
-		t.Fatalf("BAR mismatch: %+v", got)
-	}
-	if _, err := (&BlockAckReq{TID: 16}).Marshal(); err == nil {
-		t.Fatal("TID 16 accepted")
-	}
-	if _, err := (&BlockAckReq{StartSeq: 4096}).Marshal(); err == nil {
-		t.Fatal("StartSeq 4096 accepted")
-	}
-	wire[1] ^= 0x40
-	if _, err := unmarshalBlockAckReq(wire); err == nil {
-		t.Fatal("corrupt BAR accepted")
-	}
-}
-
 // dataRateMbps returns the PHY data rate in Mbit/s for the given width and
 // guard interval, to check the MCS table against the standard's rates.
 func dataRateMbps(m MCS, w ChannelWidth, gi GuardInterval) float64 {

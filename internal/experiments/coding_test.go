@@ -14,6 +14,7 @@ import (
 	"witag/internal/core"
 	"witag/internal/link"
 	"witag/internal/obs"
+	"witag/internal/traffic"
 )
 
 func TestAdaptiveCodingSweepShape(t *testing.T) {
@@ -362,7 +363,7 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 				start, length int
 				lost          [64]bool
 				mask          []bool
-				state         int
+				traffic       *traffic.Generator // compared deeply: chain state and stream
 			}
 			var d [2]draw
 			for i, s := range []*core.System{sys, fresh} {
@@ -374,7 +375,7 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 				d[i].ba = s.Faults.BALost()
 				mask, _ := s.Traffic.RoundMask(64)
 				d[i].mask = slices.Clone(mask)
-				d[i].state = s.Traffic.State()
+				d[i].traffic = s.Traffic
 			}
 			if !reflect.DeepEqual(d[0], d[1]) {
 				t.Fatalf("%s: round %d after the transfer, the reader drew %+v, a fresh world %+v: the reader drew from its own streams", scheme, r, d[0], d[1])

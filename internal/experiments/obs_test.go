@@ -48,7 +48,7 @@ func TestMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
 	serial := robustnessSnapshot(t, 1)
 	parallel := robustnessSnapshot(t, manyWorkers())
 
-	// The deterministic view drops wall-clock instruments and gauges;
+	// The deterministic view drops wall-clock instruments;
 	// everything left — every counter and every histogram bucket — must
 	// match exactly. Integer-valued observations make the sums exact
 	// regardless of which worker recorded them in which order.

@@ -33,7 +33,7 @@ func timedRobustness(t *testing.T, workers int) (*RobustnessResult, string) {
 	}
 	tl.Flush()
 	var buf bytes.Buffer
-	if err := tl.WriteJSONL(&buf); err != nil {
+	if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	return res, buf.String()
@@ -94,7 +94,7 @@ func TestCodingTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		tl.Flush()
 		var buf bytes.Buffer
-		if err := tl.WriteJSONL(&buf); err != nil {
+		if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -205,15 +205,6 @@ func Analyze(tr *obs.Trace) *Analysis {
 	return a
 }
 
-// Rounds returns the total number of round events across all trials.
-func (a *Analysis) Rounds() int {
-	n := 0
-	for _, ts := range a.Trials {
-		n += ts.Rounds
-	}
-	return n
-}
-
 // meanStd returns the mean and population standard deviation of xs.
 func meanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {

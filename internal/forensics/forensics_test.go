@@ -60,8 +60,8 @@ func TestAnalyzeAggregatesPerTrial(t *testing.T) {
 	if ts.MaxLostRun != 2 {
 		t.Fatalf("max lost run = %d, want 2", ts.MaxLostRun)
 	}
-	if a.Rounds() != 4 {
-		t.Fatalf("total rounds = %d, want 4", a.Rounds())
+	if a.Trials[1].Rounds != 1 {
+		t.Fatalf("second trial rounds = %d, want 1", a.Trials[1].Rounds)
 	}
 }
 

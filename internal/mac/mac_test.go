@@ -36,18 +36,8 @@ func TestScoreboardBasics(t *testing.T) {
 	if ba.TID != 3 || ba.StartSeq != 100 {
 		t.Fatalf("BA header wrong: %+v", ba)
 	}
-	if err := sb.Reset(200); err != nil {
-		t.Fatal(err)
-	}
-	if sb.BlockAck(src, dst, 0).Bitmap != 0 {
-		t.Fatal("reset did not clear")
-	}
-	if _, err := NewScoreboard(4096); err != nil {
-	} else {
+	if _, err := NewScoreboard(4096); err == nil {
 		t.Fatal("13-bit start accepted")
-	}
-	if err := sb.Reset(4096); err == nil {
-		t.Fatal("13-bit reset accepted")
 	}
 }
 
@@ -65,14 +55,9 @@ func TestScoreboardWraparound(t *testing.T) {
 // TestScoreboardBitmapProperty records random sequence numbers, in and
 // out of the window and across the 12-bit wrap, and checks the block
 // ACK against a per-offset bool record: bit i is set exactly when
-// startSeq+i was recorded, Acked agrees, and Reset starts the next
-// window empty.
+// startSeq+i was recorded.
 func TestScoreboardBitmapProperty(t *testing.T) {
 	rng := stats.NewRNG(17)
-	sb, err := NewScoreboard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 500; trial++ {
 		start := uint16(rng.Intn(0x1000))
 		if trial%5 == 0 {
@@ -81,7 +66,8 @@ func TestScoreboardBitmapProperty(t *testing.T) {
 			start = 0
 		}
 		start &= 0x0FFF
-		if err := sb.Reset(start); err != nil {
+		sb, err := NewScoreboard(start)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var want [dot11.MaxSubframes]bool

@@ -41,13 +41,3 @@ func (s *Scoreboard) Record(seq uint16) error {
 func (s *Scoreboard) BlockAck(ra, ta dot11.MACAddr, tid byte) *dot11.BlockAck {
 	return &dot11.BlockAck{RA: ra, TA: ta, TID: tid, StartSeq: s.startSeq, Bitmap: s.received}
 }
-
-// Reset clears the scoreboard and moves the window.
-func (s *Scoreboard) Reset(startSeq uint16) error {
-	if startSeq > 0x0FFF {
-		return fmt.Errorf("mac: starting sequence %d exceeds 12 bits", startSeq)
-	}
-	s.startSeq = startSeq
-	s.received = 0
-	return nil
-}

@@ -405,9 +405,6 @@ func (s Snapshot) WithPrefix(prefix string) Snapshot {
 	for n, v := range s.Counters {
 		out.Counters[prefix+n] = v
 	}
-	for n, v := range s.Gauges {
-		out.Gauges[prefix+n] = v
-	}
 	for n, h := range s.Histograms {
 		out.Histograms[prefix+n] = h
 	}

@@ -237,16 +237,16 @@ func TestHubHTTPEndpoints(t *testing.T) {
 func TestSnapshotWithPrefix(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("c").Add(1)
-	reg.Gauge("g", Volatile).Set(2)
+	reg.Counter("v", Volatile).Add(2)
 	reg.Histogram("h", []int64{1, 10}).Observe(5)
 	s := reg.Snapshot().WithPrefix("p.")
-	if s.Counters["p.c"] != 1 || s.Gauges["p.g"] != 2 {
+	if s.Counters["p.c"] != 1 || s.Counters["p.v"] != 2 {
 		t.Fatalf("prefixed snapshot = %+v", s)
 	}
 	if _, ok := s.Histograms["p.h"]; !ok {
 		t.Fatal("histogram lost in prefix rename")
 	}
-	if !s.Volatile["p.g"] {
+	if !s.Volatile["p.v"] {
 		t.Fatal("volatile marking lost in prefix rename")
 	}
 }

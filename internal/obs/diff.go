@@ -17,8 +17,8 @@ type InstrumentDiff struct {
 }
 
 // DiffDeterministic compares the deterministic views (Snapshot
-// .Deterministic — non-volatile counters and histograms; gauges and
-// wall-clock instruments excluded) of a baseline and a candidate snapshot
+// .Deterministic — non-volatile counters and histograms; wall-clock
+// instruments excluded) of a baseline and a candidate snapshot
 // and returns every difference, sorted by (kind, name) so the output is
 // stable. An empty result means the two runs executed identically as far
 // as instrumentation can see.

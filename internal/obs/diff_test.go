@@ -8,7 +8,6 @@ func diffFixture() Snapshot {
 			"phy.rounds":     100,
 			"gen.wall_polls": 7,
 		},
-		Gauges: map[string]int64{"runner.inflight": 3},
 		Histograms: map[string]HistogramSnapshot{
 			"link.retries":  {Bounds: []int64{1, 2, 4}, Counts: []int64{5, 3, 1, 0}, Sum: 14, Count: 9},
 			"trial_wall_ms": {Bounds: []int64{1, 2}, Counts: []int64{1, 1, 0}, Sum: 3, Count: 2},
@@ -35,15 +34,14 @@ func TestDiffDeterministicCounterOffByOne(t *testing.T) {
 	}
 }
 
-func TestDiffDeterministicIgnoresVolatileAndGauges(t *testing.T) {
+func TestDiffDeterministicIgnoresVolatile(t *testing.T) {
 	c := diffFixture()
 	c.Counters["gen.wall_polls"] = 9999 // volatile counter
-	c.Gauges["runner.inflight"] = 0     // gauge
 	h := c.Histograms["trial_wall_ms"]  // volatile histogram
 	h.Sum = 500
 	c.Histograms["trial_wall_ms"] = h
 	if d := DiffDeterministic(diffFixture(), c); len(d) != 0 {
-		t.Fatalf("volatile/gauge changes leaked into the deterministic diff: %+v", d)
+		t.Fatalf("volatile changes leaked into the deterministic diff: %+v", d)
 	}
 }
 

@@ -68,10 +68,10 @@ func FuzzReadJSONL(f *testing.F) {
 		if err != nil {
 			t.Fatalf("writer output unreadable: %v", err)
 		}
-		if events := rec.Events(); tr.Truncated || tr.Total != rec.Total() || tr.Dropped != rec.Dropped() ||
+		if events := rec.Events(); tr.Truncated || tr.Total != rec.total || tr.Dropped != rec.Dropped() ||
 			len(tr.Events) != len(events) || len(events) > 0 && !reflect.DeepEqual(tr.Events, events) {
 			t.Fatalf("writer output read back changed: truncated %v, total %d/%d, dropped %d/%d",
-				tr.Truncated, tr.Total, rec.Total(), tr.Dropped, rec.Dropped())
+				tr.Truncated, tr.Total, rec.total, tr.Dropped, rec.Dropped())
 		}
 		for n := 0; n < len(out); n++ {
 			if p, err := ReadJSONL(bytes.NewReader(out[:n])); err == nil && !p.Truncated {
@@ -267,7 +267,7 @@ func fuzzTimeline(data []byte) *Timeline {
 func FuzzReadTimelineLog(f *testing.F) {
 	for _, seed := range [][]byte{nil, {1, 2, 3}, {0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7}, []byte("timeline seed")} {
 		var buf bytes.Buffer
-		if err := fuzzTimeline(seed).WriteJSONL(&buf); err != nil {
+		if err := fuzzTimeline(seed).WriteJSONLFailed(&buf, ""); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -278,7 +278,7 @@ func FuzzReadTimelineLog(f *testing.F) {
 
 		tl := fuzzTimeline(data)
 		var buf bytes.Buffer
-		if err := tl.WriteJSONL(&buf); err != nil {
+		if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
 			t.Fatal(err)
 		}
 		out := buf.Bytes()

@@ -84,9 +84,6 @@ func (h *Histogram) observe(lane int, v int64) {
 	c[0].Add(1)
 }
 
-// lanes returns the number of lanes.
-func (h *Histogram) lanes() int { return len(h.cells) / h.stride }
-
 // total sums cell word w across the lanes.
 func (h *Histogram) total(w int) int64 {
 	var n int64
@@ -94,22 +91,6 @@ func (h *Histogram) total(w int) int64 {
 		n += h.cells[base+w].Load()
 	}
 	return n
-}
-
-// Count returns the total number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total(0)
-}
-
-// Sum returns the sum of all observed values (0 for nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total(1)
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {

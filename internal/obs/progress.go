@@ -76,22 +76,6 @@ func (p *Progress) Finish() {
 	p.draw(p.done.Load(), time.Now().UnixNano(), true)
 }
 
-// Rate returns the observed completion rate in items/second.
-func (p *Progress) Rate() float64 {
-	if p == nil {
-		return 0
-	}
-	start := p.startNs.Load()
-	if start == 0 {
-		return 0
-	}
-	el := time.Duration(time.Now().UnixNano() - start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(p.done.Load()) / el
-}
-
 func (p *Progress) draw(done, nowNs int64, final bool) {
 	if p.Out == nil {
 		return

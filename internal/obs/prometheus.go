@@ -52,16 +52,10 @@ func (s Snapshot) writePrometheus(w io.Writer, label string) error {
 	if label != "" {
 		braced = "{" + label + "}"
 	}
-	counters, gauges, hists := s.names()
+	counters, hists := s.names()
 	for _, n := range counters {
 		p := promName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", p, p, braced, s.Counters[n]); err != nil {
-			return err
-		}
-	}
-	for _, n := range gauges {
-		p := promName(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %d\n", p, p, braced, s.Gauges[n]); err != nil {
 			return err
 		}
 	}

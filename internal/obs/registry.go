@@ -53,36 +53,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous value. Last-write-wins semantics make
-// a concurrently written gauge scheduling-dependent, so gauges are
-// registered volatile by every instrument in this repo and never enter
-// the deterministic snapshot view.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v (nil-safe).
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by delta (nil-safe).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry owns a process- or experiment-scoped set of named instruments.
 // Registration takes a lock and may allocate; lookups of existing names
 // and all instrument updates are lock-free. The zero value is not usable;
@@ -90,7 +60,6 @@ func (g *Gauge) Value() int64 {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	volatile map[string]bool
 }
@@ -99,7 +68,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		volatile: make(map[string]bool),
 	}
@@ -133,26 +101,6 @@ func (r *Registry) Counter(name string, opts ...Option) *Counter {
 		o(r, name)
 	}
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string, opts ...Option) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	for _, o := range opts {
-		o(r, name)
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it with
@@ -192,15 +140,11 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 		Volatile:   make(map[string]bool, len(r.volatile)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()
@@ -213,18 +157,14 @@ func (r *Registry) Snapshot() Snapshot {
 
 // names returns every registered instrument name, sorted, for the
 // Prometheus exporter's stable output order.
-func (s Snapshot) names() (counters, gauges, hists []string) {
+func (s Snapshot) names() (counters, hists []string) {
 	for n := range s.Counters {
 		counters = append(counters, n)
-	}
-	for n := range s.Gauges {
-		gauges = append(gauges, n)
 	}
 	for n := range s.Histograms {
 		hists = append(hists, n)
 	}
 	sort.Strings(counters)
-	sort.Strings(gauges)
 	sort.Strings(hists)
 	return
 }

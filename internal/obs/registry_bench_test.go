@@ -18,9 +18,6 @@ func benchRegistry() *Registry {
 	for i := 0; i < 32; i++ {
 		reg.Counter(fmt.Sprintf("core.counter_%d", i)).Add(int64(i * 1000))
 	}
-	for i := 0; i < 4; i++ {
-		reg.Gauge(fmt.Sprintf("g.gauge_%d", i)).Set(int64(i))
-	}
 	bounds := []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	for i := 0; i < 10; i++ {
 		h := reg.Histogram(fmt.Sprintf("span.phase_%d_ns", i), bounds, Volatile)

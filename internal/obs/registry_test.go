@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a.count")
 	c.Inc()
@@ -20,21 +20,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if r.Counter("a.count") != c {
 		t.Fatal("re-registration returned a different counter")
 	}
-	g := r.Gauge("a.gauge", Volatile)
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
 
 	// Nil instruments are inert, not panics.
 	var nc *Counter
 	nc.Inc()
-	var ng *Gauge
-	ng.Set(3)
 	var nh *Histogram
 	nh.Observe(1)
-	if nc.Value() != 0 || ng.Value() != 0 || nh.Count() != 0 {
+	if nc.Value() != 0 || nh.Snapshot().Count != 0 {
 		t.Fatal("nil instruments should read zero")
 	}
 }
@@ -86,8 +78,8 @@ func TestConcurrentUpdatesSumExactly(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if h.Count() != workers*per {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	if h.Snapshot().Count != workers*per {
+		t.Fatalf("histogram count = %d, want %d", h.Snapshot().Count, workers*per)
 	}
 }
 
@@ -95,11 +87,9 @@ func TestSnapshotDeltaAndDeterministic(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("work.items")
 	wall := r.Histogram("work.wall_ms", Exp2Bounds(1, 4), Volatile)
-	g := r.Gauge("work.inflight", Volatile)
 
 	c.Add(3)
 	wall.Observe(7)
-	g.Set(1)
 	before := r.Snapshot()
 	c.Add(5)
 	wall.Observe(9)
@@ -116,9 +106,6 @@ func TestSnapshotDeltaAndDeterministic(t *testing.T) {
 	det := after.Deterministic()
 	if _, ok := det.Histograms["work.wall_ms"]; ok {
 		t.Fatal("volatile histogram leaked into deterministic view")
-	}
-	if len(det.Gauges) != 0 {
-		t.Fatal("gauges must never enter the deterministic view")
 	}
 	if det.Counters["work.items"] != 8 {
 		t.Fatalf("deterministic counter = %d, want 8", det.Counters["work.items"])
@@ -154,7 +141,6 @@ func TestMergeIsOrderIndependent(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.rounds").Add(42)
-	r.Gauge("runner.workers", Volatile).Set(8)
 	h := r.Histogram("core.round_airtime_us", []int64{100, 200})
 	h.Observe(50)
 	h.Observe(150)
@@ -167,7 +153,6 @@ func TestWritePrometheus(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE witag_core_rounds counter\nwitag_core_rounds 42\n",
-		"# TYPE witag_runner_workers gauge\nwitag_runner_workers 8\n",
 		`witag_core_round_airtime_us_bucket{le="100"} 1`,
 		`witag_core_round_airtime_us_bucket{le="200"} 2`,
 		`witag_core_round_airtime_us_bucket{le="+Inf"} 3`,
@@ -251,14 +236,14 @@ func TestMergeMismatchedBucketLayouts(t *testing.T) {
 func TestSnapshotDeltaOnEmptyRegistry(t *testing.T) {
 	r := NewRegistry()
 	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
+	if len(s.Counters) != 0 || len(s.Histograms) != 0 {
 		t.Fatalf("empty registry snapshot not empty: %+v", s)
 	}
 
 	// Delta of two empty snapshots, and against a populated one, must not
 	// panic and must stay well-formed (maps allocated, not nil).
 	d := s.Delta(s)
-	if d.Counters == nil || d.Gauges == nil || d.Histograms == nil {
+	if d.Counters == nil || d.Histograms == nil {
 		t.Fatal("delta returned nil maps")
 	}
 	r2 := NewRegistry()

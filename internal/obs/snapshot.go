@@ -7,7 +7,6 @@ import "math"
 // mergeable across registries, and diffable across time.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	// Volatile names the instruments excluded from Deterministic().
 	Volatile map[string]bool `json:"volatile,omitempty"`
@@ -75,7 +74,6 @@ func NearestRank(q float64, count int64) int64 {
 func emptySnapshot() Snapshot {
 	return Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 		Volatile:   map[string]bool{},
 	}
@@ -83,8 +81,7 @@ func emptySnapshot() Snapshot {
 
 // Deterministic returns the snapshot restricted to instruments whose
 // values are a pure function of the simulated work — every volatile
-// (wall-clock or scheduling-dependent) instrument and every gauge is
-// dropped. This is the view the determinism suite requires to be
+// (wall-clock or scheduling-dependent) instrument is dropped. This is the view the determinism suite requires to be
 // identical for 1 and NumCPU workers.
 func (s Snapshot) Deterministic() Snapshot {
 	out := emptySnapshot()
@@ -103,16 +100,12 @@ func (s Snapshot) Deterministic() Snapshot {
 }
 
 // Delta returns s minus prev for counters and histograms — the activity
-// between two snapshots of the same registry. Gauges keep their current
-// value (a gauge has no meaningful difference), and instruments absent
-// from prev are carried over whole.
+// between two snapshots of the same registry. Instruments absent from
+// prev are carried over whole.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	out := emptySnapshot()
 	for n, v := range s.Counters {
 		out.Counters[n] = v - prev.Counters[n]
-	}
-	for n, v := range s.Gauges {
-		out.Gauges[n] = v
 	}
 	for n, h := range s.Histograms {
 		p, ok := prev.Histograms[n]
@@ -138,7 +131,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 }
 
 // Merge combines snapshots from independent registries (e.g. per-shard
-// runs): counters, gauges and histogram buckets sum, so the result is
+// runs): counters and histogram buckets sum, so the result is
 // independent of argument order and grouping — Merge(a, Merge(b, c)) ==
 // Merge(Merge(a, b), c) exactly, because every field is an int64.
 // Histograms registered under the same name with different bucket layouts
@@ -149,9 +142,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 	for _, s := range snaps {
 		for n, v := range s.Counters {
 			out.Counters[n] += v
-		}
-		for n, v := range s.Gauges {
-			out.Gauges[n] += v
 		}
 		for n, h := range s.Histograms {
 			acc, ok := out.Histograms[n]

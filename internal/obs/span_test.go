@@ -55,7 +55,7 @@ func TestSpansRecordAndAreVolatile(t *testing.T) {
 		if h.Count != want {
 			t.Fatalf("%s count = %d, want %d", name, h.Count, want)
 		}
-		if got := s.hists[p].lanes(); got != SpanLanes {
+		if got := len(s.hists[p].cells) / s.hists[p].stride; got != SpanLanes {
 			t.Fatalf("%s has %d lanes, want %d", name, got, SpanLanes)
 		}
 	}
@@ -143,7 +143,7 @@ func TestSpansLaneSelection(t *testing.T) {
 		l.End(PhaseEncode, l.Start())
 	}
 	h := s.hists[PhaseEncode]
-	if got := h.Count(); got != 6 {
+	if got := h.Snapshot().Count; got != 6 {
 		t.Fatalf("encode count %d over all lanes, want 6", got)
 	}
 	for lane, want := range map[int]int64{0: 3, 5: 1, 7: 2} {

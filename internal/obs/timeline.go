@@ -134,7 +134,7 @@ type TimelineWindow struct {
 	DurMs  int64 `json:"dur_ms,omitempty"`
 	// Delta is the registry activity inside the window. Logical
 	// windows store the Deterministic() view; wall windows keep
-	// volatile instruments and gauges.
+	// volatile instruments.
 	Delta Snapshot `json:"delta"`
 }
 
@@ -326,32 +326,6 @@ func (t *Timeline) Dropped() int {
 	return t.dropped
 }
 
-// Trials returns how many trials the window spans on the logical clock.
-func (w TimelineWindow) Trials() int64 { return w.DoneEnd - w.DoneStart }
-
-// Rate returns the named counter's per-unit rate over the window: per
-// completed trial for logical windows, per second for wall windows.
-// Zero-width windows rate as 0.
-func (w TimelineWindow) Rate(name string) float64 {
-	d := float64(w.Delta.Counters[name])
-	if w.Kind == WindowWall {
-		if w.DurMs <= 0 {
-			return 0
-		}
-		return d / float64(w.DurMs) * 1000
-	}
-	if n := w.Trials(); n > 0 {
-		return d / float64(n)
-	}
-	return 0
-}
-
-// Quantile returns the q-quantile (nearest-rank) of the named histogram
-// restricted to observations made inside the window.
-func (w TimelineWindow) Quantile(name string, q float64) int64 {
-	return w.Delta.Histograms[name].Quantile(q)
-}
-
 // TimelineSummary is the trailing record of a timeline JSONL export,
 // mirroring TraceSummary: it makes a clipped ring self-describing and
 // its absence marks a file truncated mid-write.
@@ -367,13 +341,11 @@ type TimelineSummary struct {
 
 const timelineSummaryKind = "tl_summary"
 
-// WriteJSONL streams the retained windows to w, one JSON object per
-// line, oldest first, followed by one "tl_summary" record. With the
-// wall sampler off the bytes are a pure function of the trial work:
-// identical across worker counts.
-func (t *Timeline) WriteJSONL(w io.Writer) error { return t.WriteJSONLFailed(w, "") }
-
-// WriteJSONLFailed is WriteJSONL with failure on the summary record.
+// WriteJSONLFailed streams the retained windows to w, one JSON object
+// per line, oldest first, followed by one "tl_summary" record that
+// carries failure, the recording run's error or "". With the wall
+// sampler off the bytes are a pure function of the trial work: identical
+// across worker counts.
 func (t *Timeline) WriteJSONLFailed(w io.Writer, failure string) error {
 	t.mu.Lock()
 	wins := make([]TimelineWindow, 0, len(t.buf))

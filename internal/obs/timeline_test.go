@@ -54,16 +54,13 @@ func TestTimelineLogicalWindowsCloseEveryWindowTrials(t *testing.T) {
 		if w.Seq != i {
 			t.Errorf("window %d Seq = %d", i, w.Seq)
 		}
-		if w.DoneStart != doneStart || w.Trials() != wantTrials[i] {
+		if w.DoneStart != doneStart || w.DoneEnd-w.DoneStart != wantTrials[i] {
 			t.Errorf("window %d spans [%d,%d), want start %d width %d",
 				i, w.DoneStart, w.DoneEnd, doneStart, wantTrials[i])
 		}
 		doneStart = w.DoneEnd
 		if got, want := w.Delta.Counters["work.units"], 10*wantTrials[i]; got != want {
 			t.Errorf("window %d delta = %d, want %d", i, got, want)
-		}
-		if got := w.Rate("work.units"); got != 10 {
-			t.Errorf("window %d rate = %v, want 10 per trial", i, got)
 		}
 		if w.WallMs != 0 || w.DurMs != 0 {
 			t.Errorf("window %d carries wall time (%d/%d); logical windows must not", i, w.WallMs, w.DurMs)
@@ -115,7 +112,6 @@ func TestTimelineLogicalDeltasAreDeterministicView(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("work.units")
 	reg.Counter("wall.us", Volatile).Add(12345)
-	reg.Gauge("inflight").Set(7)
 	h := reg.Histogram("lat", []int64{1, 2, 4, 8})
 	tl := NewTimeline(reg, TimelineConfig{WindowTrials: 2})
 
@@ -134,13 +130,10 @@ func TestTimelineLogicalDeltasAreDeterministicView(t *testing.T) {
 	if _, ok := d.Counters["wall.us"]; ok {
 		t.Error("volatile counter leaked into a logical delta")
 	}
-	if len(d.Gauges) != 0 {
-		t.Errorf("gauges leaked into a logical delta: %v", d.Gauges)
-	}
-	if got := wins[0].Quantile("lat", 1.0); got != 8 {
+	if got := d.Histograms["lat"].Quantile(1.0); got != 8 {
 		t.Errorf("window p100(lat) = %d, want 8", got)
 	}
-	if got := wins[0].Quantile("lat", 0.5); got != 4 {
+	if got := d.Histograms["lat"].Quantile(0.5); got != 4 {
 		t.Errorf("window p50(lat) = %d, want 4 (nearest-rank upper bound)", got)
 	}
 }
@@ -229,7 +222,7 @@ func TestTimelineSeriesQueries(t *testing.T) {
 	var rates []float64
 	for _, w := range wins {
 		deltas = append(deltas, w.Delta.Counters["work.units"])
-		rates = append(rates, w.Rate("work.units"))
+		rates = append(rates, float64(w.Delta.Counters["work.units"])/float64(w.DoneEnd-w.DoneStart))
 		missing = append(missing, w.Delta.Counters["nope"])
 	}
 	if !reflect.DeepEqual(deltas, []int64{2, 6, 12}) {
@@ -253,7 +246,7 @@ func TestTimelineJSONLRoundTrip(t *testing.T) {
 	tl.Flush() // windows: 4 total, ring keeps 2
 
 	var buf bytes.Buffer
-	if err := tl.WriteJSONL(&buf); err != nil {
+	if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	log, err := ReadTimelineLog(bytes.NewReader(buf.Bytes()))
@@ -273,6 +266,15 @@ func TestTimelineJSONLRoundTrip(t *testing.T) {
 	if got := len(log.Logical()); got != 2 {
 		t.Errorf("Logical() = %d windows, want 2", got)
 	}
+	// Exports from before the gauge instrument was removed carry an
+	// always-empty "gauges" key in every delta; they read back the same.
+	old := strings.ReplaceAll(buf.String(), `"delta":{`, `"delta":{"gauges":{},`)
+	if old == buf.String() {
+		t.Fatal("no delta to add a gauges key to")
+	}
+	if log, err := ReadTimelineLog(strings.NewReader(old)); err != nil || !reflect.DeepEqual(log.Windows, tl.Windows()) {
+		t.Errorf("an export with a gauges key read back as %+v, %v", log, err)
+	}
 }
 
 func TestReadTimelineLogToleratesTruncatedTail(t *testing.T) {
@@ -282,7 +284,7 @@ func TestReadTimelineLogToleratesTruncatedTail(t *testing.T) {
 	simTrials(t, tl, c, 6, 1)
 
 	var buf bytes.Buffer
-	if err := tl.WriteJSONL(&buf); err != nil {
+	if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.String()

@@ -318,16 +318,6 @@ func (r *Recorder) Len() int {
 	return r.n
 }
 
-// Total returns how many events were ever recorded.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Dropped returns how many events the ring overwrote.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {

@@ -19,8 +19,8 @@ func TestRecorderRetainsInOrder(t *testing.T) {
 		r.Record(Event{Kind: "round", Round: i})
 	}
 	ev := r.Events()
-	if len(ev) != 5 || r.Total() != 5 || r.Dropped() != 0 {
-		t.Fatalf("len=%d total=%d dropped=%d", len(ev), r.Total(), r.Dropped())
+	if len(ev) != 5 || r.total != 5 || r.Dropped() != 0 {
+		t.Fatalf("len=%d total=%d dropped=%d", len(ev), r.total, r.Dropped())
 	}
 	for i, e := range ev {
 		if e.Round != i+1 {
@@ -43,15 +43,15 @@ func TestRecorderWrapsOverwritingOldest(t *testing.T) {
 			t.Fatalf("retained rounds %v, want 7..10", ev)
 		}
 	}
-	if r.Total() != 10 || r.Dropped() != 6 {
-		t.Fatalf("total=%d dropped=%d, want 10/6", r.Total(), r.Dropped())
+	if r.total != 10 || r.Dropped() != 6 {
+		t.Fatalf("total=%d dropped=%d, want 10/6", r.total, r.Dropped())
 	}
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: "round"})
-	if r.Len() != 0 || r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 {
+	if r.Len() != 0 || r.Events() != nil || r.Dropped() != 0 {
 		t.Fatal("nil recorder should ignore everything")
 	}
 }
@@ -88,8 +88,8 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(tr.Events, r.Events()) {
 		t.Fatalf("decoded events differ:\ngot  %+v\nwant %+v", tr.Events, r.Events())
 	}
-	if tr.Total != r.Total() || tr.Dropped != r.Dropped() || tr.Truncated {
-		t.Fatalf("total=%d dropped=%d truncated=%v, want %d/%d/false", tr.Total, tr.Dropped, tr.Truncated, r.Total(), r.Dropped())
+	if tr.Total != r.total || tr.Dropped != r.Dropped() || tr.Truncated {
+		t.Fatalf("total=%d dropped=%d truncated=%v, want %d/%d/false", tr.Total, tr.Dropped, tr.Truncated, r.total, r.Dropped())
 	}
 	if tr.Clipped() {
 		t.Fatal("complete un-wrapped trace reported clipped")
@@ -254,8 +254,8 @@ func TestRecorderConcurrentRecord(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Total() != 8000 || r.Len() != 64 || r.Dropped() != 8000-64 {
-		t.Fatalf("total=%d len=%d dropped=%d", r.Total(), r.Len(), r.Dropped())
+	if r.total != 8000 || r.Len() != 64 || r.Dropped() != 8000-64 {
+		t.Fatalf("total=%d len=%d dropped=%d", r.total, r.Len(), r.Dropped())
 	}
 	if err := r.WriteJSONL(io.Discard); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -140,16 +139,6 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "  coverage %.1f%% of trial wall time; %s + %d objects allocated per trial; %d GC cycles\n",
 		100*r.Coverage, fmtBytes(r.AllocBytesPerTrial), r.AllocObjectsPerTrial, r.GCCycles)
 	return b.String()
-}
-
-// JSON returns the byte-stable encoding used for PROF artifacts: fixed
-// field order (struct order), two-space indent, trailing newline.
-func (r *Report) JSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
 }
 
 func fmtNs(ns int64) string {

@@ -1,8 +1,6 @@
 package perf
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -75,33 +73,6 @@ func TestFromSnapshot(t *testing.T) {
 	}
 	if rep.AllocBytesPerTrial != 1024 || rep.AllocObjectsPerTrial != 10 || rep.GCCycles != 2 {
 		t.Fatalf("allocation accounting wrong: %+v", rep)
-	}
-}
-
-func TestReportJSONByteStable(t *testing.T) {
-	delta := syntheticDelta(t)
-	a, err := FromSnapshot(delta).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromSnapshot(delta).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("JSON encoding is not byte-stable across calls")
-	}
-	if !bytes.HasSuffix(a, []byte("}\n")) {
-		t.Fatal("JSON artifact must end with a trailing newline")
-	}
-
-	// Round trip: the artifact parses back into an equivalent report.
-	var back Report
-	if err := json.Unmarshal(a, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Trials != 4 || len(back.Phases) != int(obs.NumPhases) {
-		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
 

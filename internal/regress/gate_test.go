@@ -39,7 +39,6 @@ func fixtureSnapshot() obs.Snapshot {
 			"phy.rounds":            800,
 			"runner.trials_started": 8,
 		},
-		Gauges: map[string]int64{},
 		Histograms: map[string]obs.HistogramSnapshot{
 			"runner.trial_wall_ms": {
 				Bounds: []int64{1, 2, 4, 8},
@@ -286,6 +285,31 @@ func TestLoadDirLegacyArtifacts(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.file) {
 			t.Errorf("%s %.40s… loaded as %+v, err %v; want an error naming the file", c.file, c.body, arts, err)
 		}
+	}
+}
+
+// TestGateAcceptsGaugesKey: metrics written before the gauge instrument
+// was removed carry a "gauges" key; such a baseline still loads, and gates
+// clean against a candidate without the key.
+func TestGateAcceptsGaugesKey(t *testing.T) {
+	baseDir, candDir := t.TempDir(), t.TempDir()
+	writeFixture(t, baseDir, fixture(), fixtureSnapshot())
+	writeFixture(t, candDir, fixture(), fixtureSnapshot())
+	path := filepath.Join(baseDir, "BENCH_fig5.metrics.json")
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(buf), `"metrics": {`, `"metrics": {`+"\n    \"gauges\": {\"runner.inflight\": 3},", 1)
+	if old == string(buf) {
+		t.Fatal("no metrics object to add a gauges key to")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Gate(baseDir, candDir, DefaultOptions())
+	if err != nil || rep.Verdict != ClassOK {
+		t.Fatalf("a baseline with a gauges key gated %v, %v; want ok", rep, err)
 	}
 }
 

@@ -72,7 +72,6 @@ func goldenFixtures(t *testing.T, baseDir, candDir string) {
 		}
 		return obs.Snapshot{
 			Counters: map[string]int64{"phy.rounds": rounds, "runner.trials_started": 8},
-			Gauges:   map[string]int64{},
 			Histograms: map[string]obs.HistogramSnapshot{
 				"runner.trial_wall_ms": {Bounds: []int64{1, 2, 4, 8}, Counts: counts, Sum: sum, Count: 8},
 			},

@@ -42,7 +42,7 @@ func timelineJSONL(t *testing.T, workers int) []byte {
 	}
 	tl.Flush()
 	var buf bytes.Buffer
-	if err := tl.WriteJSONL(&buf); err != nil {
+	if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -45,20 +45,6 @@ func (c *CDF) Quantile(q float64) (float64, error) {
 	return c.sorted[idx], nil
 }
 
-// Points returns (x, P(X<=x)) pairs suitable for plotting the CDF as a step
-// function, one point per distinct sample value.
-func (c *CDF) Points() (xs, ps []float64) {
-	n := len(c.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && c.sorted[i+1] == c.sorted[i] {
-			continue // collapse ties to the last occurrence
-		}
-		xs = append(xs, c.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
-}
-
 // Render returns a fixed-width textual plot of the CDF, used by the bench
 // harness to reproduce the paper's CDF figures in a terminal.
 func (c *CDF) Render(width int, label string) string {

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty data.
@@ -42,20 +41,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	min := xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-	}
-	return min, nil
-}
-
 // Max returns the largest element of xs.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -68,34 +53,4 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return max, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
-// Percentile returns the p'th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks, matching the common "type 7"
-// definition used by numpy and R.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

@@ -165,59 +165,13 @@ func TestMeanEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestMinMaxMedian(t *testing.T) {
+func TestMax(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if v, err := Min(xs); err != nil || v != 1 {
-		t.Fatalf("Min = %v, %v", v, err)
-	}
 	if v, err := Max(xs); err != nil || v != 9 {
 		t.Fatalf("Max = %v, %v", v, err)
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatal("Min(nil) should return ErrEmpty")
-	}
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Fatal("Max(nil) should return ErrEmpty")
-	}
-	med, err := Median([]float64{1, 2, 3, 4})
-	if err != nil || med != 2.5 {
-		t.Fatalf("Median = %v, %v", med, err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 10}, {25, 20}, {50, 30}, {75, 40}, {100, 50}, {12.5, 15},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.p, err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Fatal("expected error for p>100")
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Fatal("expected ErrEmpty")
-	}
-	if got, _ := Percentile([]float64{7}, 90); got != 7 {
-		t.Fatal("single-element percentile should be that element")
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	_, _ = Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Percentile mutated its input")
 	}
 }
 
@@ -275,14 +229,14 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		}
 		c := NewCDF(raw)
 		prev := -1.0
-		xs, ps := c.Points()
-		for i := range xs {
-			if ps[i] < prev || ps[i] < 0 || ps[i] > 1 {
+		for _, x := range c.sorted {
+			p := cdfAt(c, x)
+			if p < prev || p <= 0 || p > 1 {
 				return false
 			}
-			prev = ps[i]
+			prev = p
 		}
-		return ps[len(ps)-1] == 1
+		return prev == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -324,41 +278,6 @@ func TestCDFRenderContainsLabel(t *testing.T) {
 	}
 	if empty := NewCDF(nil).Render(20, "x"); !contains(empty, "n=0") {
 		t.Fatal("empty CDF render should state n=0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1, 2.5, 9.99, -5, 15} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -5 clamps to first bin, 15 clamps to last.
-	if h.Counts[0] != 3 { // 0, 1, -5
-		t.Fatalf("bin0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.99, 15
-		t.Fatalf("bin4 = %d, want 2", h.Counts[4])
-	}
-	if h.BinCenter(0) != 1 {
-		t.Fatalf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	if out := h.Render(10, "h"); !contains(out, "Histogram h") {
-		t.Fatal("render missing label")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("expected error for empty range")
 	}
 }
 

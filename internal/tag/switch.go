@@ -61,9 +61,6 @@ func NewAntennaSwitch(gain float64) *AntennaSwitch {
 	return &AntennaSwitch{Gain: gain, OpenLeakage: 0.05, SwitchTimeNs: 500, state: Phase0}
 }
 
-// State returns the current switch position.
-func (a *AntennaSwitch) State() SwitchState { return a.state }
-
 // Set moves the switch.
 func (a *AntennaSwitch) Set(s SwitchState) error {
 	switch s {

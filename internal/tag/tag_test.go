@@ -11,7 +11,7 @@ import (
 
 func TestSwitchStates(t *testing.T) {
 	s := NewAntennaSwitch(40)
-	if s.State() != Phase0 {
+	if s.state != Phase0 {
 		t.Fatal("initial state should be Phase0")
 	}
 	if s.ReflectionCoeff() != complex(40, 0) {
@@ -85,7 +85,7 @@ func TestPhaseFlipDoublesDelta(t *testing.T) {
 		t.Fatalf("flip delta %v should be ≈2x on/off delta %v", flip, onOff)
 	}
 	// deltaMagnitude must not disturb the state.
-	if s.State() != Phase0 {
+	if s.state != Phase0 {
 		t.Fatal("deltaMagnitude leaked a state change")
 	}
 	if _, err := deltaMagnitude(s, SwitchState(9), Open); err == nil {

@@ -182,9 +182,6 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	return &Generator{prof: p, rng: stats.NewRNG(seed), state: p.Start}, nil
 }
 
-// State returns the chain's current state index (for tests and traces).
-func (g *Generator) State() int { return g.state }
-
 // Profile returns the profile the generator draws from.
 func (g *Generator) Profile() Profile { return g.prof }
 
