@@ -138,8 +138,10 @@ type tagTerm struct {
 	h      []complex128
 }
 
-// coeffBits returns c's real and imaginary parts as raw bits.
-func coeffBits(c complex128) [2]uint64 {
+// CoeffBits returns c's real and imaginary parts as raw bits: the key
+// under which a reflection coefficient compares exactly, telling +0 from
+// −0.
+func CoeffBits(c complex128) [2]uint64 {
 	return [2]uint64{math.Float64bits(real(c)), math.Float64bits(imag(c))}
 }
 
@@ -148,7 +150,7 @@ func coeffBits(c complex128) [2]uint64 {
 func (t *tagTerm) matches(e *Environment, tx, rx Point, tag *TagReflection) bool {
 	return t.ok && t.tx == tx && t.rx == rx && t.freqHz == e.FreqHz &&
 		len(t.h) == e.NumSubcarriers &&
-		t.pos == tag.Pos && t.coeff == coeffBits(tag.Coeff) && t.excess == tag.ExcessPathM &&
+		t.pos == tag.Pos && t.coeff == CoeffBits(tag.Coeff) && t.excess == tag.ExcessPathM &&
 		slices.Equal(t.walls, e.Walls)
 }
 
@@ -200,7 +202,8 @@ func (e *Environment) Advance(dt float64) {
 		s := &e.Scatterers[i]
 		theta := stats.Uniform(e.rng, 0, 2*math.Pi)
 		step := s.SpeedMps * dt
-		s.Pos = s.Pos.Add(step*math.Cos(theta), step*math.Sin(theta))
+		sin, cos := math.Sincos(theta)
+		s.Pos = s.Pos.Add(step*cos, step*sin)
 	}
 }
 
@@ -301,7 +304,7 @@ func (e *Environment) tagPhasors(tx, rx Point, tag *TagReflection) ([]complex128
 	}
 	t.tx, t.rx, t.freqHz = tx, rx, e.FreqHz
 	t.walls = append(t.walls[:0], e.Walls...)
-	t.pos, t.coeff, t.excess = tag.Pos, coeffBits(tag.Coeff), tag.ExcessPathM
+	t.pos, t.coeff, t.excess = tag.Pos, CoeffBits(tag.Coeff), tag.ExcessPathM
 	t.ok = true
 	e.nextTag ^= 1
 	return t.h, nil

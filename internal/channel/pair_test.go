@@ -7,6 +7,8 @@ import (
 	"math/cmplx"
 	"slices"
 	"testing"
+
+	"witag/internal/stats"
 )
 
 // referenceChannel is the straightforward single-state evaluation: every
@@ -581,5 +583,50 @@ func TestWallLossMemoInvalidation(t *testing.T) {
 		}
 		sameBits(t, fmt.Sprintf("edit %d rest", i), ha, cold(t, e, tx, rx, rest))
 		sameBits(t, fmt.Sprintf("edit %d flip", i), hb, cold(t, e, tx, rx, flip))
+	}
+}
+
+// TestAdvanceSincosMatchesSinCos pins what lets Advance take one
+// math.Sincos per scatterer instead of math.Cos and math.Sin: over
+// Advance's angle range [0, 2π) — a dense grid, every multiple of π/4 and
+// its neighbours, and the ends — Sincos returns Sin's and Cos's values bit
+// for bit. A toolchain whose Sincos rounds differently fails here, before
+// it can move a scatterer. Advance itself must then step every scatterer
+// exactly as the two calls did.
+func TestAdvanceSincosMatchesSinCos(t *testing.T) {
+	const n = 1 << 20
+	angles := []float64{0, math.SmallestNonzeroFloat64, math.Nextafter(2*math.Pi, 0)}
+	for k := 0; k <= 8; k++ {
+		a := float64(k) * math.Pi / 4
+		angles = append(angles, math.Nextafter(a, 0), a, math.Nextafter(a, 8))
+	}
+	for i := range n {
+		angles = append(angles, 2*math.Pi*float64(i)/n)
+	}
+	for _, a := range angles {
+		if a < 0 || a >= 2*math.Pi {
+			continue
+		}
+		s, c := math.Sincos(a)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(a)) || math.Float64bits(c) != math.Float64bits(math.Cos(a)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin and Cos give (%v, %v)", a, s, c, math.Sin(a), math.Cos(a))
+		}
+	}
+
+	env, twin := NewEnvironment(3), NewEnvironment(3)
+	for _, e := range []*Environment{env, twin} {
+		e.AddScatterers(20, 0, -3, 8, 3, 15, 1.3)
+	}
+	for range 200 {
+		env.Advance(RoundStepS)
+		for i := range twin.Scatterers {
+			s := &twin.Scatterers[i]
+			theta := stats.Uniform(twin.rng, 0, 2*math.Pi)
+			step := s.SpeedMps * RoundStepS
+			s.Pos = s.Pos.Add(step*math.Cos(theta), step*math.Sin(theta))
+		}
+		if !slices.Equal(env.Scatterers, twin.Scatterers) {
+			t.Fatal("Advance moved the scatterers other than Cos and Sin did")
+		}
 	}
 }

@@ -152,8 +152,10 @@ func (c Codec) interleave(bits []byte) ([]byte, error) {
 	}
 	cols := (len(bits) + d - 1) / d
 	out := make([]byte, d*cols)
-	for idx, b := range bits {
-		out[idx%cols*d+idx/cols] = b
+	for row := 0; row*cols < len(bits); row++ {
+		for col, b := range bits[row*cols : min(row*cols+cols, len(bits))] {
+			out[col*d+row] = b
+		}
 	}
 	return out, nil
 }

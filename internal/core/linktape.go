@@ -164,10 +164,6 @@ type linkGeom struct {
 	mcs                dot11.MCS
 }
 
-func complexBits(c complex128) [2]uint64 {
-	return [2]uint64{math.Float64bits(real(c)), math.Float64bits(imag(c))}
-}
-
 func bitsComplex(b [2]uint64) complex128 {
 	return complex(math.Float64frombits(b[0]), math.Float64frombits(b[1]))
 }
@@ -185,7 +181,7 @@ func (s *System) geom() (linkGeom, error) {
 	}
 	return linkGeom{
 		client: s.ClientPos, ap: s.APPos, tagPos: s.TagPos,
-		rest: complexBits(rest), flip: complexBits(flip),
+		rest: channel.CoeffBits(rest), flip: channel.CoeffBits(flip),
 		excess: s.Tag.ExcessPathM(), mcs: s.Spec.MCS,
 	}, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"math/rand"
 	"time"
 
@@ -248,11 +249,11 @@ func (r *RoundResult) BER() float64 {
 func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// Phase-attribution spans (DESIGN.md §14). The round is carved into
 	// contiguous, non-overlapping regions so phase totals sum to ~the whole
-	// round: encode → channel → channel → equalise → viterbi → crc. Spans
-	// are passive wall-clock reads into volatile histograms — no RNG draws,
-	// no branches into the simulation — and error paths simply drop the
-	// open span (the trial aborts anyway). After Advance, encode opens
-	// where the world step closed (see Advance).
+	// round: encode → channel → equalise (live links only) → viterbi →
+	// crc. Spans are passive wall-clock reads into volatile histograms — no
+	// RNG draws, no branches into the simulation — and error paths simply
+	// drop the open span (the trial aborts anyway). After Advance, encode
+	// opens where the world step closed (see Advance).
 	spans := s.Spans
 	sp := s.stepEnd
 	if s.stepEnd = 0; sp == 0 {
@@ -272,42 +273,18 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		return nil, fmt.Errorf("core: %d bits exceed the query's %d data subframes", len(bits), dataLen)
 	}
 	txBits := make([]byte, dataLen)
+	var txMask uint64 // bit j: txBits[j]
 	for i := range txBits {
+		txBits[i] = 1
 		if i < len(bits) {
 			txBits[i] = bits[i] & 1
-		} else {
-			txBits[i] = 1
 		}
+		txMask |= uint64(txBits[i]) << i
 	}
-	startSeq, err := s.Scheduler.Reserve(total)
-	if err != nil {
+	if _, err := s.Scheduler.Reserve(total); err != nil {
 		return nil, err
 	}
 	sp = spans.Lap(obs.PhaseEncode, sp)
-
-	// --- The world's round. Faults and ambient traffic draw in a fixed
-	// order regardless of the round's outcome, so their streams depend only
-	// on their seeds. A taped system reads them, with the round's link,
-	// from its world's tape at the top of this channel region; otherwise
-	// they are drawn here from the system's own streams. Either way the
-	// system counts them once, here.
-	var w worldRound
-	var phasors int64
-	linkEvals := 1
-	var g linkGeom
-	if s.Link != nil {
-		if g, err = s.geom(); err != nil {
-			return nil, err
-		}
-		if w, phasors, linkEvals, err = s.Link.at(s.linkRound, s, &g); err != nil {
-			return nil, err
-		}
-		s.linkRound++
-	} else {
-		w.draws = drawRound(s.Faults, s.Traffic, dataLen, total)
-	}
-	draws := &w.draws
-	draws.count(s)
 
 	// --- Tag side: trigger detection. The tag's run-length measurement
 	// spans all trigger subframes, so its per-subframe estimate is the
@@ -316,6 +293,34 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	// --- The world's round, read in this one place: its link (SNR,
+	// distortion and the two coded BERs, the only SINRs the subframes see)
+	// and its fault and traffic draws, which never depend on the round's
+	// outcome. A taped system reads both from its world's tape; otherwise
+	// they come from the system's own streams and environment, and eval
+	// closes the channel and equalise regions. The draws are counted here.
+	g, err := s.geom()
+	if err != nil {
+		return nil, err
+	}
+	var w worldRound
+	var phasors int64
+	linkEvals := 1
+	if s.Link != nil {
+		if w, phasors, linkEvals, err = s.Link.at(s.linkRound, s, &g); err != nil {
+			return nil, err
+		}
+		s.linkRound++
+		sp = spans.Lap(obs.PhaseChannel, sp)
+	} else {
+		w.draws = drawRound(s.Faults, s.Traffic, dataLen, total)
+		if w.link, sp, phasors, err = s.link.eval(s.Env, &g, spans, sp); err != nil {
+			return nil, err
+		}
+	}
+	link, draws := &w.link, &w.draws
+	draws.count(s)
 	if draws.flags&drawTrigMiss != 0 {
 		detected = false
 	}
@@ -331,60 +336,27 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	}
 	var splits [dot11.MaxSubframes]uint16
 	tab.roundSplits(splits[:total], txBits, detected, int(draws.brownStart), int(draws.brownLen))
-	sp = spans.Lap(obs.PhaseChannel, sp)
 
-	// --- The round's link: channel states, distortion and the decode
-	// model's two coded BERs, the only SINRs the subframes see. A taped
-	// system took them from its tape above; otherwise they are evaluated
-	// here over the system's own environment.
-	if s.Link != nil {
-		sp = spans.Lap(obs.PhaseChannel, sp)
-		sp = spans.Lap(obs.PhaseEqualise, sp)
-	} else {
-		if g, err = s.geom(); err != nil {
-			return nil, err
-		}
-		if w.link, sp, phasors, err = s.link.eval(s.Env, &g, spans, sp); err != nil {
-			return nil, err
-		}
-	}
-	link := &w.link
-
-	// --- AP side: per-subframe decode, scoreboard, block ACK. The burst
-	// chain stepped every subframe above, so its dwell times are real
-	// time, not conditioned on decode outcomes.
-	sb, err := mac.NewScoreboard(startSeq)
-	if err != nil {
-		return nil, err
-	}
+	// --- AP side: each subframe's FCS verdict, kept as the block-ACK
+	// bitmap itself — bit i set when subframe i decoded. The i.i.d.
+	// ambient floor draws only after a successful decode and only without
+	// Faults, whose burst losses replace it (draws.lost is 0 without
+	// Faults); the burst and ambient-load masks then erase subframes.
 	s.memo.reset()
 	tab.begin()
-	subOK, subLost := 0, 0
-	for i := 0; i < total; i++ {
-		ok := stats.Bernoulli(s.rng, tab.prob(splits[i], &s.memo, link.cleanBER, link.dirtyBER))
-		if s.Faults != nil {
-			if draws.lost>>i&1 != 0 {
-				ok = false
-			}
-		} else if ok && stats.Bernoulli(s.rng, s.AmbientLossProb) {
-			ok = false // lost to interference outside the model
-		}
-		if draws.ambient>>i&1 != 0 {
-			ok = false // collided with another station's A-MPDU burst
-		}
-		if ok {
-			subOK++
-			if err := sb.Record((startSeq + uint16(i)) & 0x0FFF); err != nil {
-				return nil, err
-			}
-		} else {
-			subLost++
+	var ok uint64
+	for i := range total {
+		if stats.Bernoulli(s.rng, tab.prob(splits[i], &s.memo, link.cleanBER, link.dirtyBER)) &&
+			(s.Faults != nil || !stats.Bernoulli(s.rng, s.AmbientLossProb)) {
+			ok |= 1 << i
 		}
 	}
+	ok &^= draws.lost | draws.ambient
 	sp = spans.Lap(obs.PhaseViterbi, sp)
-	ba := sb.BlockAck(s.Scheduler.Src, s.Scheduler.Dst, 0)
-	baLost := draws.flags&drawBALost != 0
 
+	// --- Client side: read tag bits out of the bitmap, past the trigger
+	// subframes.
+	baLost := draws.flags&drawBALost != 0
 	res := &RoundResult{
 		TxBits:   txBits,
 		Detected: detected,
@@ -396,17 +368,12 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		// of the round unknown.
 		res.BitErrors = len(txBits)
 	} else {
-		// --- Client side: read tag bits out of the bitmap. ---
-		allBits, err := ba.BitmapBits(total)
-		if err != nil {
-			return nil, err
+		data := ok >> trigLen
+		res.RxBits = make([]byte, dataLen)
+		for j := range res.RxBits {
+			res.RxBits[j] = byte(data >> j & 1)
 		}
-		res.RxBits = allBits[trigLen:]
-		for i := range txBits {
-			if txBits[i] != res.RxBits[i] {
-				res.BitErrors++
-			}
-		}
+		res.BitErrors = mathbits.OnesCount64(data ^ txMask)
 	}
 
 	// --- Airtime accounting. ---
@@ -437,8 +404,9 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		if baLost {
 			m.BALosses.Inc()
 		}
+		subOK := mathbits.OnesCount64(ok)
 		m.SubframesOK.Add(int64(subOK))
-		m.SubframesLost.Add(int64(subLost))
+		m.SubframesLost.Add(int64(total - subOK))
 		m.Bits.Add(int64(len(txBits)))
 		m.BitErrors.Add(int64(res.BitErrors))
 		slots, busy := s.Contender.LastSlots()

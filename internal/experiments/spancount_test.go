@@ -12,15 +12,15 @@ import (
 // what PROF's per-phase "count" reports and what the wall-share of a phase
 // is averaged over, so timing changes — one clock read per boundary, laned
 // histograms — must keep them exact at every worker count. Every analytic
-// round records one encode, equalise, viterbi and crc span and two channel
-// spans, plus one channel span for the Advance before it — the first
-// round of a trial or of a sim.Stream included (the FEC ablation streams
-// its frames) — except on the coding sweep, whose rounds read their link from the world's tape: the
-// tape advances its own environment inside the round's link region and
-// records no span, so those rounds record two channel spans. Every
-// transfer round adds one arq_round span, and every backoff one more. The
-// coding phase counts are the values the sweep recorded before spans were
-// laned.
+// round records one encode, channel, equalise, viterbi and crc span, plus
+// one channel span for the Advance before it — the first round of a trial
+// or of a sim.Stream included (the FEC ablation streams its frames) —
+// except on the coding sweep, whose rounds read their whole link from the
+// world's tape: the tape advances its own environment inside the round's
+// channel region and records no span, so those rounds record one channel
+// span and no equalise span. Every transfer round adds one arq_round
+// span, and every backoff one more. The coding phase counts are the
+// values the sweep recorded before spans were laned.
 func TestSpanCountsExact(t *testing.T) {
 	type want struct{ codingEncode, codingDecode int64 }
 	runs := []struct {
@@ -59,10 +59,10 @@ func TestSpanCountsExact(t *testing.T) {
 			if rounds == 0 {
 				t.Fatalf("%s: no rounds ran", r.name)
 			}
-			transferRounds, channel := int64(0), 3*rounds
+			transferRounds, channel, equalise := int64(0), 2*rounds, rounds
 			if r.name == "coding" {
 				transferRounds = rounds + snap.Counters["link.backoff_waits"]
-				channel = 2 * rounds
+				channel, equalise = rounds, 0
 			}
 			for _, c := range []struct {
 				p    obs.Phase
@@ -70,7 +70,7 @@ func TestSpanCountsExact(t *testing.T) {
 			}{
 				{obs.PhaseEncode, rounds},
 				{obs.PhaseChannel, channel},
-				{obs.PhaseEqualise, rounds},
+				{obs.PhaseEqualise, equalise},
 				{obs.PhaseDeinterleave, 0},
 				{obs.PhaseViterbi, rounds},
 				{obs.PhaseCRC, rounds},

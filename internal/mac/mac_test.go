@@ -15,85 +15,6 @@ var (
 	bssid = dst
 )
 
-func TestScoreboardBasics(t *testing.T) {
-	sb, err := NewScoreboard(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Record(100); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Record(163); err != nil {
-		t.Fatal(err)
-	}
-	if err := sb.Record(164); err == nil {
-		t.Fatal("sequence outside 64-frame window accepted")
-	}
-	ba := sb.BlockAck(src, dst, 3)
-	if ba.Bitmap != 1|1<<63 {
-		t.Fatalf("bitmap %#x, want offsets 0 and 63 set", ba.Bitmap)
-	}
-	if ba.TID != 3 || ba.StartSeq != 100 {
-		t.Fatalf("BA header wrong: %+v", ba)
-	}
-	if _, err := NewScoreboard(4096); err == nil {
-		t.Fatal("13-bit start accepted")
-	}
-}
-
-func TestScoreboardWraparound(t *testing.T) {
-	sb, _ := NewScoreboard(4090)
-	if err := sb.Record(3); err != nil { // 4090+9 wraps to 3
-		t.Fatal(err)
-	}
-	ba := sb.BlockAck(src, dst, 0)
-	if ba.Bitmap != 1<<9 {
-		t.Fatalf("bitmap %#x, want the wrapped offset 9 set", ba.Bitmap)
-	}
-}
-
-// TestScoreboardBitmapProperty records random sequence numbers, in and
-// out of the window and across the 12-bit wrap, and checks the block
-// ACK against a per-offset bool record: bit i is set exactly when
-// startSeq+i was recorded.
-func TestScoreboardBitmapProperty(t *testing.T) {
-	rng := stats.NewRNG(17)
-	for trial := 0; trial < 500; trial++ {
-		start := uint16(rng.Intn(0x1000))
-		if trial%5 == 0 {
-			start = 0x1000 - uint16(rng.Intn(dot11.MaxSubframes)) // window spans the wrap
-		} else if trial%5 == 1 {
-			start = 0
-		}
-		start &= 0x0FFF
-		sb, err := NewScoreboard(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want [dot11.MaxSubframes]bool
-		for n := rng.Intn(100); n > 0; n-- {
-			off := rng.Intn(dot11.MaxSubframes + 32)
-			seq := (start + uint16(off)) & 0x0FFF
-			err := sb.Record(seq)
-			if inWindow := off < dot11.MaxSubframes; inWindow != (err == nil) {
-				t.Fatalf("trial %d: Record(%d) at offset %d from %d: err %v", trial, seq, off, start, err)
-			}
-			if off < dot11.MaxSubframes {
-				want[off] = true
-			}
-		}
-		ba := sb.BlockAck(src, dst, 5)
-		if ba.StartSeq != start || ba.TID != 5 || ba.RA != src || ba.TA != dst {
-			t.Fatalf("trial %d: BA header %+v", trial, ba)
-		}
-		for off, ok := range want {
-			if got := ba.Bitmap>>uint(off)&1 == 1; got != ok {
-				t.Fatalf("trial %d: bitmap bit %d = %v, recorded %v", trial, off, got, ok)
-			}
-		}
-	}
-}
-
 func TestSchedulerBuildsDecodableAMPDU(t *testing.T) {
 	s, err := NewAMPDUScheduler(src, dst, bssid, 0)
 	if err != nil {

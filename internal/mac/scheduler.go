@@ -1,3 +1,5 @@
+// Package mac implements the 802.11 MAC-layer machinery WiTAG rides on:
+// an A-MPDU scheduler and contention-based channel access timing.
 package mac
 
 import (

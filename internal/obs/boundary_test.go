@@ -73,7 +73,13 @@ func TestModelPackagesDoNotImportObs(t *testing.T) {
 // perfbench/) references. Code only tests call belongs in the test that
 // calls it, or in a test support package — one whose name ends in
 // "test", whose files count as neither declarations nor references.
+// It type-checks the whole repository on one goroutine, which the race
+// detector slows about sixfold and has nothing to inform, so a -race
+// build skips it; the plain test run and `make determinism` run it.
 func TestNoTestOnlyExports(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a single-goroutine type check; runs without -race")
+	}
 	dead, err := deadDecls(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)

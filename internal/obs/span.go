@@ -10,11 +10,11 @@ type Phase uint8
 
 const (
 	PhaseEncode       Phase = iota // the round's payload bits, query build, frame marshal, airtime plan
-	PhaseChannel                   // trigger detection, reflections, channel + fault/traffic draws
-	PhaseEqualise                  // CPE distortion and effective-SINR computation
+	PhaseChannel                   // trigger detection, the round's world read: channel + fault/traffic draws
+	PhaseEqualise                  // CPE distortion and effective-SINR computation (live links only)
 	PhaseDeinterleave              // bit-true deinterleaving (phy.Receive only)
-	PhaseViterbi                   // subframe decode verdicts (analytic or bit-true Viterbi)
-	PhaseCRC                       // block-ACK verdict, bit-error count, airtime and metric accounting
+	PhaseViterbi                   // window-table lookup and subframe decode verdicts (analytic or bit-true Viterbi)
+	PhaseCRC                       // bitmap read-out, bit-error count, airtime and metric accounting
 	PhaseARQRound                  // transfer-loop round bookkeeping outside QueryRound
 	PhaseCodingEncode              // codec/erasure encode (ARQ ladder, fountain, RS parity)
 	PhaseCodingDecode              // codec/erasure decode and reconstruction

@@ -150,7 +150,7 @@ func TestDecodeTableMatchesLgamma(t *testing.T) {
 		}
 		for _, p := range []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-9, 0.01, 0.3,
 			math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), 0.75, 1, math.NaN()} {
-			if got, want := unionBound(spec, p), oracleUnionBound(spec, p); !sameFloat(got, want) {
+			if got, want := unionBound(spec, p, math.Inf(1)), oracleUnionBound(spec, p); !sameFloat(got, want) {
 				t.Fatalf("rate %v, p=%g: hoisted bound %v, Lgamma oracle %v", rate, p, got, want)
 			}
 		}
@@ -177,6 +177,64 @@ func TestDecodeTableMatchesLgamma(t *testing.T) {
 				t.Fatalf("MCS %d at %.2f dB: CodedBER %v, Lgamma oracle %v", idx, SNRToDb(snr), got, want)
 			}
 		}
+	}
+}
+
+// TestUnionBoundStopsAtClamp proves that stopping the union bound once
+// its running sum passes CodedBER's clamp moves no result: at every code
+// rate, the early-stopped bound clamped at 0.5 is bit-equal to the full
+// sum clamped, for p at 0, at 0.5, at NaN and ±Inf, on both sides of 0.5
+// and over every HT MCS's raw BER on an SNR grid from −10 to 40 dB; and
+// CodedBER is bit-equal to the full sum clamped at those SNRs. The grid
+// must reach the early stop, or the test proves nothing.
+func TestUnionBoundStopsAtClamp(t *testing.T) {
+	clamp := func(ber float64) float64 {
+		if ber > 0.5 {
+			return 0.5
+		}
+		return ber
+	}
+	ps := []float64{0, math.SmallestNonzeroFloat64, 1e-9, 0.01, 0.1, 0.3, math.Nextafter(0.5, 0), 0.5,
+		math.Nextafter(0.5, 1), 0.75, 1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	var snrs []float64
+	for db := -10.0; db <= 40; db += 0.05 {
+		snrs = append(snrs, SNRFromDb(db))
+	}
+	stopped := 0
+	for idx := 0; idx <= 31; idx++ {
+		mcs, err := dot11.HTMCS(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := distanceSpectrum(mcs.CodeRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			if got, want := clamp(unionBound(spec, p, 0.5)), clamp(unionBound(spec, p, math.Inf(1))); !sameFloat(got, want) {
+				t.Fatalf("rate %v, p=%g: stopped bound %v, full sum %v", mcs.CodeRate, p, got, want)
+			}
+		}
+		for _, snr := range snrs {
+			p, err := UncodedBER(mcs.Modulation, snr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			partial, full := unionBound(spec, p, 0.5), unionBound(spec, p, math.Inf(1))
+			if partial != full {
+				stopped++
+			}
+			got, err := CodedBER(mcs, snr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := clamp(full); !sameFloat(got, want) {
+				t.Fatalf("MCS %d at %.2f dB: CodedBER %v, full sum clamped %v", idx, SNRToDb(snr), got, want)
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no bound on the grid stopped early")
 	}
 }
 

@@ -130,19 +130,23 @@ func pairwiseErrorProb(d int, p, lp, lq float64) float64 {
 }
 
 // unionBound returns the truncated union bound Σ β_d·P2(d) over spec at
-// raw bit error probability p, before CodedBER's clamp. ln p and ln(1−p)
-// are the same for every term, so they are taken once per bound instead
-// of once per term (DESIGN.md §17, stage 5). They are taken under
-// pairwiseErrorProb's own range test, so a NaN p still reaches the terms
-// as NaN logs.
-func unionBound(spec []spectrumTerm, p float64) float64 {
+// raw bit error probability p, before CodedBER's clamp, or, once the
+// running sum passes limit, that partial sum: the terms are non-negative,
+// so the rest of the sum cannot bring it back under limit (a NaN sum
+// never passes it). ln p and ln(1−p) are the same for every term, so they
+// are taken once per bound instead of once per term (DESIGN.md §17,
+// stage 5). They are taken under pairwiseErrorProb's own range test, so a
+// NaN p still reaches the terms as NaN logs.
+func unionBound(spec []spectrumTerm, p, limit float64) float64 {
 	var lp, lq float64
 	if !(p <= 0 || p >= 0.5) {
 		lp, lq = math.Log(p), math.Log1p(-p)
 	}
 	ber := 0.0
 	for _, t := range spec {
-		ber += t.beta * pairwiseErrorProb(t.d, p, lp, lq)
+		if ber += t.beta * pairwiseErrorProb(t.d, p, lp, lq); ber > limit {
+			break
+		}
 	}
 	return ber
 }
@@ -158,9 +162,10 @@ func CodedBER(mcs dot11.MCS, snr float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ber := unionBound(spec, p)
 	// The union bound can exceed 1 at low SNR; the raw channel can't do
-	// worse than p against a rate<1 code in practice, so clamp.
+	// worse than p against a rate<1 code in practice, so clamp, and stop
+	// summing once the clamp has decided the result.
+	ber := unionBound(spec, p, 0.5)
 	if ber > 0.5 {
 		ber = 0.5
 	}

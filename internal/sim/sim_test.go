@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"witag/internal/channel"
 	"witag/internal/core"
+	"witag/internal/fault"
 	"witag/internal/stats"
 )
 
@@ -210,5 +212,32 @@ func TestStreamSendMatchesRoundLoop(t *testing.T) {
 	cancel()
 	if err := new(Stream).Send(ctx, sys, env, bits); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestStreamSendRefusesLostBlockAck: a round whose block ACK never
+// reached the client has no bits to deliver, so Send returns an error
+// naming that round — the stream's fourth here, after three clean ones —
+// rather than slicing the round's absent bits.
+func TestStreamSendRefusesLostBlockAck(t *testing.T) {
+	sys, env, err := testTrial(5, 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := stats.RandomBits(stats.NewRNG(6), 2*sys.Spec.DataLen+7)
+	var st Stream
+	if err := st.Send(context.Background(), sys, env, bits); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Faults, err = fault.NewInjector(fault.Profile{BALossProb: 1}, 8); err != nil {
+		t.Fatal(err)
+	}
+	before := st
+	err = st.Send(context.Background(), sys, env, bits)
+	if err == nil || !strings.Contains(err.Error(), "stream round 4 lost its block ACK") {
+		t.Fatalf("err = %v, want the lost block ACK of stream round 4", err)
+	}
+	if !reflect.DeepEqual(st, before) {
+		t.Fatalf("the lost round changed the stream: %+v, was %+v", st, before)
 	}
 }

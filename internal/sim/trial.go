@@ -16,6 +16,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"witag/internal/channel"
@@ -109,7 +110,9 @@ type Stream struct {
 
 // Send streams bits to the reader DataLen at a time, one query round per
 // slice, advancing the environment before each round through sys.Advance,
-// and adds what it received to st. Cancelling ctx aborts between rounds.
+// and adds what it received to st. A round whose block ACK is lost ends
+// the stream with an error naming it: a stream cannot carry unknown bits.
+// Cancelling ctx aborts between rounds.
 func (st *Stream) Send(ctx context.Context, sys *core.System, env *channel.Environment, bits []byte) error {
 	for off := 0; off < len(bits); off += sys.Spec.DataLen {
 		if err := ctx.Err(); err != nil {
@@ -120,6 +123,9 @@ func (st *Stream) Send(ctx context.Context, sys *core.System, env *channel.Envir
 		res, err := sys.QueryRound(bits[off:end])
 		if err != nil {
 			return err
+		}
+		if res.BALost {
+			return fmt.Errorf("sim: stream round %d lost its block ACK: its %d bits are unknown", st.Rounds+1, end-off)
 		}
 		st.RxBits = append(st.RxBits, res.RxBits[:end-off]...)
 		st.Airtime += res.Airtime
