@@ -42,7 +42,7 @@
 //
 // Observability (all opt-in, none changes any result byte):
 //
-//	-metrics-addr :9090   serve the campaign hub for the lifetime of the
+//	-metrics-addr :9090   serve the run's campaign for the lifetime of the
 //	                      run: Prometheus text at /metrics, campaign list
 //	                      and status at /campaigns, a live SSE event
 //	                      stream at /campaigns/bench/events, plus
@@ -258,8 +258,8 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 		}
 	}
 
-	// Campaign wiring: this invocation is one campaign scope under a
-	// process hub — its own registry, trace ring, progress reporter,
+	// Campaign wiring: this invocation is the process's one campaign
+	// scope — its own registry, trace ring, progress reporter,
 	// structured logger and SSE event broker — passed explicitly to every
 	// harness, which instruments the systems, injectors, transferers and
 	// runners it builds through it. The run ledger lands beside the BENCH

@@ -17,7 +17,7 @@
 //
 // Observability (all opt-in, none changes any result byte):
 //
-//	-metrics-addr :9090   serve the campaign hub for the lifetime of the
+//	-metrics-addr :9090   serve the run's campaign for the lifetime of the
 //	                      run: Prometheus text at /metrics, campaign list
 //	                      and status at /campaigns, a live SSE event
 //	                      stream at /campaigns/sim/events, plus
@@ -352,8 +352,8 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 		}()
 	}
 
-	// Campaign wiring: this invocation is one campaign scope under a
-	// process hub — its own registry, trace ring, progress reporter,
+	// Campaign wiring: this invocation is the process's one campaign
+	// scope — its own registry, trace ring, progress reporter,
 	// structured logger and SSE event broker, attached to every run's
 	// system by the runner. Attaching draws no RNG values, so the
 	// measurements below are byte-identical with or without it. The run

@@ -1,8 +1,9 @@
 // Package clirun is the startup and teardown the campaign-running CLIs
-// (witag-bench, witag-sim) share: a signal-cancelled context, one
-// campaign scope under a process hub (progress reporter, JSONL log, trace
-// ring), the optional -metrics-addr server, the -trace export, and the
-// final campaign status plus RUNS.jsonl ledger line however the run ends.
+// (witag-bench, witag-sim) share: a signal-cancelled context, the
+// process's one campaign scope (progress reporter, JSONL log, trace
+// ring), the optional -metrics-addr server over it, the -trace export,
+// and the final campaign status plus RUNS.jsonl ledger line however the
+// run ends.
 // Everything it wires is a sink: attaching it draws no RNG values and
 // changes no result byte.
 package clirun
@@ -37,7 +38,7 @@ func Main(tool string, fn func(ctx context.Context) error) {
 type Options struct {
 	// Tool names the command in messages and the ledger ("witag-bench").
 	Tool string
-	// Campaign is the hub ID ("bench", "sim").
+	// Campaign is the campaign's ID ("bench", "sim").
 	Campaign string
 	// ProgressNoun, when non-empty, turns on live progress on stderr,
 	// counting this unit ("trials", "runs").
@@ -52,7 +53,7 @@ type Options struct {
 	TraceCap int
 	// TracePath, when non-empty, receives the ring as JSONL at Finish.
 	TracePath string
-	// MetricsAddr, when non-empty, serves the hub there for the run.
+	// MetricsAddr, when non-empty, serves the campaign there for the run.
 	MetricsAddr string
 	// LedgerDir, when non-empty, receives one RUNS.jsonl line at Finish.
 	LedgerDir string
@@ -74,11 +75,11 @@ type Run struct {
 	artifacts []string
 }
 
-// Start opens the log file, registers the campaign on a fresh hub, logs
-// "run started" and, with MetricsAddr, serves the hub until Finish or
-// until ctx is cancelled. The caller must call Finish once Start
-// succeeds; when Start fails after the campaign exists (the listener
-// cannot bind), it finishes the run itself, ledger line included.
+// Start opens the log file, builds the campaign, logs "run started" and,
+// with MetricsAddr, serves the campaign until Finish or until ctx is
+// cancelled. The caller must call Finish once Start succeeds; when Start
+// fails after the campaign exists (the listener cannot bind), it
+// finishes the run itself, ledger line included.
 func Start(ctx context.Context, opts Options) (*Run, error) {
 	r := &Run{ctx: ctx, opts: opts}
 	copts := obs.CampaignOptions{TraceCap: opts.TraceCap, LogLevel: opts.LogLevel}
@@ -94,17 +95,12 @@ func Start(ctx context.Context, opts Options) (*Run, error) {
 		r.progress = obs.NewProgress(os.Stderr, opts.ProgressNoun)
 		copts.Progress = r.progress
 	}
-	hub := obs.NewHub()
-	camp, err := hub.Register(opts.Campaign, copts)
-	if err != nil {
-		r.closeFiles()
-		return nil, err
-	}
+	camp := obs.NewCampaign(opts.Campaign, copts)
 	r.Campaign = camp
 	camp.Logger.Info("run started", opts.StartAttrs...)
 
 	if opts.MetricsAddr != "" {
-		srv, err := obs.ServeHub(opts.MetricsAddr, hub)
+		srv, err := obs.Serve(opts.MetricsAddr, camp)
 		if err != nil {
 			r.Finish(err)
 			return nil, err
@@ -113,7 +109,7 @@ func Start(ctx context.Context, opts Options) (*Run, error) {
 		// Tear the listener down on Ctrl-C too, not only at Finish: a
 		// cancelled run must release its port promptly. Close is
 		// idempotent, so the two paths race safely.
-		r.unhook = context.AfterFunc(ctx, func() { hub.CloseAll(); srv.Close() })
+		r.unhook = context.AfterFunc(ctx, func() { srv.Shutdown(); srv.Close() })
 		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
 	}
 	return r, nil

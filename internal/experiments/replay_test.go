@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/obs/obstest"
 	"witag/internal/sim"
 )
 
@@ -117,7 +118,7 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 
 	// The per-trial replays, merged, must reproduce the campaign's whole
 	// deterministic metrics view — same counters, same histogram buckets.
-	merged := obs.Merge(replaySnaps...).Deterministic()
+	merged := obstest.Merge(replaySnaps...).Deterministic()
 	if want := serialSnap.Deterministic(); !reflect.DeepEqual(want, merged) {
 		bw, _ := json.Marshal(want)
 		bm, _ := json.Marshal(merged)
@@ -176,7 +177,7 @@ func TestFigure6ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 
-	merged := obs.Merge(replaySnaps...).Deterministic()
+	merged := obstest.Merge(replaySnaps...).Deterministic()
 	if want := serialSnap.Deterministic(); !reflect.DeepEqual(want, merged) {
 		bw, _ := json.Marshal(want)
 		bm, _ := json.Marshal(merged)
@@ -257,7 +258,7 @@ func TestRobustnessReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	// Simulation-layer metrics: merged replays == campaign, exactly.
-	merged := simNamespaces(obs.Merge(replaySnaps...).Deterministic())
+	merged := simNamespaces(obstest.Merge(replaySnaps...).Deterministic())
 	if want := simNamespaces(serialSnap.Deterministic()); !reflect.DeepEqual(want, merged) {
 		bw, _ := json.Marshal(want)
 		bm, _ := json.Marshal(merged)

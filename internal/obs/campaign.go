@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"sync"
@@ -13,16 +12,17 @@ import (
 // Campaign is one sweep's private telemetry scope: its own registry (and
 // therefore its own typed Observer views, span histograms and perf
 // deltas), its own trace recorder, progress tally, event broker and
-// structured logger. Two campaigns in one process share nothing mutable,
-// so their metrics cannot smear — the substrate a long-lived witag-serve
-// schedules work onto (ROADMAP item 3).
+// structured logger. A process runs one campaign; two campaigns in one
+// process would still share nothing mutable, so their metrics could not
+// smear (TestConcurrentCampaignsIsolated).
 //
 // Everything a Campaign owns is a sink: attaching one to a runner or a
 // system draws no RNG values and feeds nothing back, so science output is
 // byte-identical with or without it (TestLoggingDoesNotPerturbResults,
 // TestConcurrentCampaignsIsolated).
 type Campaign struct {
-	// ID is the hub key ("bench", "sim", a witag-serve job ID …).
+	// ID names the campaign in its URLs, logs and ledger line ("bench",
+	// "sim").
 	ID string
 	// Registry backs Observer; one per campaign, never shared.
 	Registry *Registry
@@ -292,124 +292,4 @@ func (c *Campaign) Status() CampaignStatus {
 		st.Dropped = c.Events.Dropped.Value()
 	}
 	return st
-}
-
-// Hub indexes the process's campaigns by ID and aggregates them into one
-// process-wide rollup. It owns no instruments itself — it is a directory
-// plus a merge rule — so registering a campaign is cheap and removing one
-// leaves the others untouched.
-type Hub struct {
-	mu        sync.RWMutex
-	campaigns map[string]*Campaign
-	order     []string // registration order, for stable /campaigns listings
-	ready     atomic.Bool
-}
-
-// NewHub returns an empty hub, ready to serve.
-func NewHub() *Hub {
-	h := &Hub{campaigns: map[string]*Campaign{}}
-	h.ready.Store(true)
-	return h
-}
-
-// Register creates a campaign under id and indexes it. Duplicate IDs are
-// an error: a hub key must name exactly one scope.
-func (h *Hub) Register(id string, opts CampaignOptions) (*Campaign, error) {
-	if id == "" {
-		return nil, fmt.Errorf("obs: campaign ID must be non-empty")
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, dup := h.campaigns[id]; dup {
-		return nil, fmt.Errorf("obs: campaign %q already registered", id)
-	}
-	c := NewCampaign(id, opts)
-	h.campaigns[id] = c
-	h.order = append(h.order, id)
-	return c, nil
-}
-
-// Get returns the campaign registered under id (nil when absent).
-func (h *Hub) Get(id string) *Campaign {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.campaigns[id]
-}
-
-// List returns every campaign's status in registration order.
-func (h *Hub) List() []CampaignStatus {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]CampaignStatus, 0, len(h.order))
-	for _, id := range h.order {
-		if c := h.campaigns[id]; c != nil {
-			out = append(out, c.Status())
-		}
-	}
-	return out
-}
-
-// Rollup merges every campaign's snapshot into the process-wide view:
-// same-named instruments sum exactly (obs.Merge), so the rollup of two
-// concurrent sweeps equals the rollup of the same sweeps run alone.
-func (h *Hub) Rollup() Snapshot {
-	h.mu.RLock()
-	snaps := make([]Snapshot, 0, len(h.order))
-	for _, id := range h.order {
-		if c := h.campaigns[id]; c != nil {
-			snaps = append(snaps, c.Registry.Snapshot())
-		}
-	}
-	h.mu.RUnlock()
-	return Merge(snaps...)
-}
-
-// PrefixedRollup merges every campaign's snapshot with each instrument
-// renamed to campaign.<id>.<name> — the label-prefixed aggregate that
-// keeps per-campaign series distinguishable in one flat scrape.
-func (h *Hub) PrefixedRollup() Snapshot {
-	h.mu.RLock()
-	snaps := make([]Snapshot, 0, len(h.order))
-	for _, id := range h.order {
-		if c := h.campaigns[id]; c != nil {
-			snaps = append(snaps, c.Registry.Snapshot().WithPrefix("campaign."+id+"."))
-		}
-	}
-	h.mu.RUnlock()
-	return Merge(snaps...)
-}
-
-// Ready reports whether the hub accepts traffic (true from NewHub until
-// CloseAll).
-func (h *Hub) Ready() bool { return h.ready.Load() }
-
-// CloseAll marks the hub not-ready and closes every campaign's event
-// broker — the shutdown path of a serving process.
-func (h *Hub) CloseAll() {
-	h.ready.Store(false)
-	h.mu.RLock()
-	cs := make([]*Campaign, 0, len(h.campaigns))
-	for _, c := range h.campaigns {
-		cs = append(cs, c)
-	}
-	h.mu.RUnlock()
-	for _, c := range cs {
-		c.Events.Close()
-	}
-}
-
-// WithPrefix returns a copy of the snapshot with every instrument name
-// prefixed — the building block of the hub's label-prefixed rollup.
-func (s Snapshot) WithPrefix(prefix string) Snapshot {
-	out := emptySnapshot()
-	for n, v := range s.Counters {
-		out.Counters[prefix+n] = v
-	}
-	for n, h := range s.Histograms {
-		out.Histograms[prefix+n] = h
-	}
-	for n := range s.Volatile {
-		out.Volatile[prefix+n] = true
-	}
-	return out
 }

@@ -3,15 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"log/slog"
 	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
-
-	"witag/internal/obs/obstest"
 )
 
 // Fuzz targets for the tolerant export readers. Each checks three
@@ -298,35 +294,6 @@ func FuzzReadTimelineLog(f *testing.F) {
 			if p, err := ReadTimelineLog(bytes.NewReader(out[:n])); err == nil && !p.Truncated {
 				t.Fatalf("%d-byte prefix of a %d-byte export read as complete", n, len(out))
 			}
-		}
-	})
-}
-
-// FuzzJSONLHandler checks that every record the log handler writes is
-// one valid JSON line, whatever the message, keys, group names and
-// values hold, and that CanonicalizeLog strips its ts.
-func FuzzJSONLHandler(f *testing.F) {
-	f.Add("run started", "campaign", "bench", 68.5, int64(3))
-	f.Add("a\x01\a\v\x7f", "k\n\"ey", "\xff\xfe\U000e0001\u2028", 0.0, int64(-1))
-	f.Add("", "", "", -1e308, int64(0))
-	f.Fuzz(func(t *testing.T, msg, key, val string, x float64, n int64) {
-		var buf bytes.Buffer
-		log := NewLogger(&buf, slog.LevelDebug).With(key, val).WithGroup(val)
-		log.Warn(msg, key, val, "x", x, slog.Int64("n", n), slog.Any("err", errors.New(val)), slog.Group(key, "v", val))
-		line, ok := bytes.CutSuffix(buf.Bytes(), []byte("\n"))
-		if !ok || bytes.IndexByte(line, '\n') >= 0 || !json.Valid(line) {
-			t.Fatalf("record is not one valid JSON line: %q", buf.Bytes())
-		}
-		var canon bytes.Buffer
-		if err := obstest.CanonicalizeLog(bytes.NewReader(buf.Bytes()), &canon); err != nil {
-			t.Fatal(err)
-		}
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(canon.Bytes(), &obj); err != nil {
-			t.Fatalf("canonicalized record %q: %v", canon.Bytes(), err)
-		}
-		if _, ok := obj["ts"]; ok {
-			t.Fatalf("ts survived canonicalization: %q", canon.Bytes())
 		}
 	})
 }

@@ -1,7 +1,8 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,8 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"witag/internal/obs"
 	"witag/internal/obs/obstest"
 )
+
+// The log tests sit outside package obs: obstest imports obs, so only an
+// external test package may use both.
 
 // fixedClock returns a now func stepping one second per record from a
 // fixed origin, so tests exercise real, distinct timestamps.
@@ -24,44 +29,71 @@ func fixedClock(origin time.Time) func() time.Time {
 	}
 }
 
-func testLogger(w *bytes.Buffer, level slog.Leveler, origin time.Time) *slog.Logger {
-	h := NewJSONLHandler(w, level)
-	h.now = fixedClock(origin)
-	return slog.New(h)
+// clockHandler stamps every record with the next reading of now before
+// the wrapped handler writes it.
+type clockHandler struct {
+	slog.Handler
+	now func() time.Time
 }
 
-func TestJSONLHandlerFixedFieldOrder(t *testing.T) {
+func (h clockHandler) Handle(ctx context.Context, r slog.Record) error {
+	r.Time = h.now()
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h clockHandler) WithAttrs(as []slog.Attr) slog.Handler {
+	return clockHandler{h.Handler.WithAttrs(as), h.now}
+}
+
+func (h clockHandler) WithGroup(name string) slog.Handler {
+	return clockHandler{h.Handler.WithGroup(name), h.now}
+}
+
+// testLogger is obs.NewLogger on w with its record times drawn from a
+// fixed clock starting one second after origin.
+func testLogger(w *bytes.Buffer, level slog.Leveler, origin time.Time) *slog.Logger {
+	return slog.New(clockHandler{obs.NewLogger(w, level).Handler(), fixedClock(origin)})
+}
+
+func TestLoggerFixedFieldOrder(t *testing.T) {
 	var buf bytes.Buffer
-	log := testLogger(&buf, slog.LevelInfo, time.Unix(1700000000, 0).UTC())
+	// A clock outside UTC: ts is written in UTC all the same.
+	origin := time.Unix(1700000000, 5).In(time.FixedZone("UTC+1", 3600))
+	log := testLogger(&buf, slog.LevelInfo, origin)
 	log = log.With(slog.String("campaign", "bench"))
 	log.Info("run started", slog.Int("runs", 3), slog.Float64("gain", 68.5), slog.Bool("ok", true))
 	log.Debug("filtered out")
-	log.WithGroup("xfer").Warn("stall", slog.Int("rounds", 12))
+	log.Warn("anomaly", slog.String("rule", "trial_failed"), slog.Int64("wall_ms", -2))
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2 (debug filtered):\n%s", len(lines), buf.String())
 	}
-	want0 := `{"ts":"2023-11-14T22:13:21Z","level":"INFO","msg":"run started","campaign":"bench","runs":3,"gain":68.5,"ok":true}`
+	want0 := `{"ts":"2023-11-14T22:13:21.000000005Z","level":"INFO","msg":"run started","campaign":"bench","runs":3,"gain":68.5,"ok":true}`
 	if lines[0] != want0 {
 		t.Errorf("line 0:\n got %s\nwant %s", lines[0], want0)
 	}
-	// WithGroup flattens to dotted keys, keeping lines single flat
-	// objects like the trace events beside them.
-	want1 := `{"ts":"2023-11-14T22:13:22Z","level":"WARN","msg":"stall","campaign":"bench","xfer.rounds":12}`
+	want1 := `{"ts":"2023-11-14T22:13:22.000000005Z","level":"WARN","msg":"anomaly","campaign":"bench","rule":"trial_failed","wall_ms":-2}`
 	if lines[1] != want1 {
 		t.Errorf("line 1:\n got %s\nwant %s", lines[1], want1)
 	}
 }
 
-func TestJSONLHandlerLevelGate(t *testing.T) {
+func TestLoggerLevelGate(t *testing.T) {
 	var buf bytes.Buffer
-	log := testLogger(&buf, slog.LevelError, time.Unix(0, 0))
+	log := obs.NewLogger(&buf, slog.LevelError)
 	log.Info("no")
 	log.Warn("no")
 	log.Error("yes")
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
-		t.Fatalf("LevelError handler wrote %d lines, want 1:\n%s", n, buf.String())
+		t.Fatalf("LevelError logger wrote %d lines, want 1:\n%s", n, buf.String())
+	}
+	buf.Reset()
+	log = obs.NewLogger(&buf, nil)
+	log.Debug("no")
+	log.Info("yes")
+	if n := strings.Count(buf.String(), "\n"); n != 1 {
+		t.Fatalf("nil-level logger wrote %d lines, want 1 (info and up):\n%s", n, buf.String())
 	}
 }
 
@@ -120,7 +152,7 @@ func TestCanonicalizedLogsIdenticalAcrossClocks(t *testing.T) {
 }
 
 // TestCanonicalizeLogCases pins CanonicalizeLog byte for byte on the
-// shapes it meets: JSONLHandler output (groups, escapes, durations,
+// shapes it meets: the logger's output (groups, escapes, durations,
 // errors), other JSONL lines, non-objects, nesting, padding and
 // truncation. Lines that are not one complete JSON object pass through
 // unchanged.
@@ -182,14 +214,14 @@ func TestCanonicalizeLogCases(t *testing.T) {
 		{"truncated nested", `{"obj":{"ts":1}`, `{"obj":{"ts":1}`},
 		{"truncated escape", `{"msg":"abc\"`, `{"msg":"abc\"`},
 	}
-	// Lines written by the handler itself.
+	// Lines written by the logger itself.
 	var hb bytes.Buffer
 	log := testLogger(&hb, slog.LevelInfo, time.Unix(1700000000, 0).UTC()).With(slog.String("campaign", "bench"))
 	log.WithGroup("xfer").Info("done \"quoted\"", slog.Duration("elapsed", 1500*time.Millisecond),
 		slog.Any("err", errors.New("open x:\tno such file")), slog.Group("link", slog.Int("retries", 2)))
 	log.Error("run finished", slog.String("outcome", "error"), slog.Int64("wall_ms", 7), slog.Float64("rate_per_s", 0.25))
 	handlerWant := []string{
-		`{"level":"INFO","msg":"done \"quoted\"","campaign":"bench","xfer.elapsed":"1.5s","xfer.err":"open x:\tno such file","xfer.link.retries":2}`,
+		`{"level":"INFO","msg":"done \"quoted\"","campaign":"bench","xfer":{"elapsed":1500000000,"err":"open x:\tno such file","link":{"retries":2}}}`,
 		`{"level":"ERROR","msg":"run finished","campaign":"bench","outcome":"error"}`,
 	}
 	for i, line := range strings.Split(strings.TrimSuffix(hb.String(), "\n"), "\n") {
@@ -218,12 +250,12 @@ func TestCanonicalizeLogCases(t *testing.T) {
 	}
 }
 
-// TestJSONLHandlerEscapesToValidJSON logs text that Go quoting would
-// render as invalid JSON (\x01, \a, \v, \U000e0001, raw invalid UTF-8)
-// in messages, keys and values, and non-finite floats. Every line must be
+// TestLoggerEscapesToValidJSON logs text that Go quoting would render
+// as invalid JSON (\x01, \a, \v, \U000e0001, raw invalid UTF-8) in
+// messages, keys and values, and non-finite floats. Every line must be
 // valid JSON that decodes back to the text logged (invalid bytes as
 // U+FFFD), and CanonicalizeLog must strip its ts.
-func TestJSONLHandlerEscapesToValidJSON(t *testing.T) {
+func TestLoggerEscapesToValidJSON(t *testing.T) {
 	cases := []struct{ name, text, want string }{
 		{"c0 controls", "a\x00\x01\a\b\t\n\v\f\r\x1fz", "a\x00\x01\a\b\t\n\v\f\r\x1fz"},
 		{"delete", "x\x7fy", "x\x7fy"},
@@ -248,8 +280,12 @@ func TestJSONLHandlerEscapesToValidJSON(t *testing.T) {
 		if got["msg"] != c.want || got[c.want] != c.want || got["err"] != c.want {
 			t.Errorf("%s: decoded %q, want msg, key and values %q", c.name, got, c.want)
 		}
-		if got["nan"] != "NaN" || got["inf"] != "-Inf" {
-			t.Errorf("%s: non-finite floats decoded as %v, %v", c.name, got["nan"], got["inf"])
+		// JSON has no NaN or infinity: log/slog writes an error string.
+		if nan, _ := got["nan"].(string); !strings.Contains(nan, "NaN") {
+			t.Errorf("%s: NaN decoded as %v", c.name, got["nan"])
+		}
+		if inf, _ := got["inf"].(string); !strings.Contains(inf, "-Inf") {
+			t.Errorf("%s: -Inf decoded as %v", c.name, got["inf"])
 		}
 		var canon bytes.Buffer
 		if err := obstest.CanonicalizeLog(&buf, &canon); err != nil {
@@ -259,4 +295,33 @@ func TestJSONLHandlerEscapesToValidJSON(t *testing.T) {
 			t.Errorf("%s: canonicalized line kept ts or is invalid: %q", c.name, canon.String())
 		}
 	}
+}
+
+// FuzzLogger checks that every record the logger writes is one valid
+// JSON line, whatever the message, keys, group names and values hold, and
+// that CanonicalizeLog strips its ts.
+func FuzzLogger(f *testing.F) {
+	f.Add("run started", "campaign", "bench", 68.5, int64(3))
+	f.Add("a\x01\a\v\x7f", "k\n\"ey", "\xff\xfe\U000e0001\u2028", 0.0, int64(-1))
+	f.Add("", "", "", -1e308, int64(0))
+	f.Fuzz(func(t *testing.T, msg, key, val string, x float64, n int64) {
+		var buf bytes.Buffer
+		log := obs.NewLogger(&buf, slog.LevelDebug).With(key, val).WithGroup(val)
+		log.Warn(msg, key, val, "x", x, slog.Int64("n", n), slog.Any("err", errors.New(val)), slog.Group(key, "v", val))
+		line, ok := bytes.CutSuffix(buf.Bytes(), []byte("\n"))
+		if !ok || bytes.IndexByte(line, '\n') >= 0 || !json.Valid(line) {
+			t.Fatalf("record is not one valid JSON line: %q", buf.Bytes())
+		}
+		var canon bytes.Buffer
+		if err := obstest.CanonicalizeLog(bytes.NewReader(buf.Bytes()), &canon); err != nil {
+			t.Fatal(err)
+		}
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(canon.Bytes(), &obj); err != nil {
+			t.Fatalf("canonicalized record %q: %v", canon.Bytes(), err)
+		}
+		if _, ok := obj["ts"]; ok {
+			t.Fatalf("ts survived canonicalization: %q", canon.Bytes())
+		}
+	})
 }

@@ -1,5 +1,6 @@
 // Package obstest holds test helpers shared by the tests of the packages
-// that write campaign logs through obs's JSONL handler.
+// that write campaign logs and metrics through obs: the log canonicalizer
+// and the snapshot merge.
 package obstest
 
 import (
@@ -8,6 +9,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+
+	"witag/internal/obs"
 )
 
 // VolatileLogKeys names the log fields that carry wall-clock data and are
@@ -83,4 +86,50 @@ func stripVolatileKeys(line []byte) ([]byte, error) {
 		return nil, errors.New("obstest: trailing data after object")
 	}
 	return append(out, '}'), nil
+}
+
+// Merge combines snapshots from independent registries (per-trial replays,
+// say): counters and histogram buckets sum, so the result is independent
+// of argument order and grouping — Merge(a, Merge(b, c)) ==
+// Merge(Merge(a, b), c) exactly, because every field is an int64.
+// Histograms registered under the same name with different bucket layouts
+// keep the first layout seen and fold the other's total into its overflow
+// bucket.
+func Merge(snaps ...obs.Snapshot) obs.Snapshot {
+	out := obs.Snapshot{
+		Counters:   map[string]int64{},
+		Histograms: map[string]obs.HistogramSnapshot{},
+		Volatile:   map[string]bool{},
+	}
+	for _, s := range snaps {
+		for n, v := range s.Counters {
+			out.Counters[n] += v
+		}
+		for n, h := range s.Histograms {
+			acc, ok := out.Histograms[n]
+			if !ok {
+				out.Histograms[n] = obs.HistogramSnapshot{
+					Bounds: append([]int64(nil), h.Bounds...),
+					Counts: append([]int64(nil), h.Counts...),
+					Sum:    h.Sum,
+					Count:  h.Count,
+				}
+				continue
+			}
+			if len(acc.Counts) == len(h.Counts) {
+				for i := range h.Counts {
+					acc.Counts[i] += h.Counts[i]
+				}
+			} else if len(acc.Counts) > 0 {
+				acc.Counts[len(acc.Counts)-1] += h.Count
+			}
+			acc.Sum += h.Sum
+			acc.Count += h.Count
+			out.Histograms[n] = acc
+		}
+		for n := range s.Volatile {
+			out.Volatile[n] = true
+		}
+	}
+	return out
 }

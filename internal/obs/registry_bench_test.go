@@ -6,7 +6,7 @@ import (
 )
 
 // Benchmarks for the snapshot path — the hot loop behind live /metrics
-// scrapes, timeline window closes and hub rollups. `make bench` archives
+// scrapes and timeline window closes. `make bench` archives
 // these alongside the science benchmarks so a regression in the
 // observability layer itself (say, a snapshot turning O(n²)) surfaces in
 // benchcmp, not in production wall time.
@@ -46,24 +46,6 @@ func BenchmarkDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cur.Delta(base)
-	}
-}
-
-func BenchmarkRollup(b *testing.B) {
-	h := NewHub()
-	for i := 0; i < 8; i++ {
-		c, err := h.Register(fmt.Sprintf("camp-%d", i), CampaignOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 32; j++ {
-			c.Registry.Counter(fmt.Sprintf("core.counter_%d", j)).Add(int64(j))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.Rollup()
 	}
 }
 

@@ -129,46 +129,3 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	}
 	return out
 }
-
-// Merge combines snapshots from independent registries (e.g. per-shard
-// runs): counters and histogram buckets sum, so the result is
-// independent of argument order and grouping — Merge(a, Merge(b, c)) ==
-// Merge(Merge(a, b), c) exactly, because every field is an int64.
-// Histograms registered under the same name with different bucket layouts
-// keep the first layout seen and fold the other's total into its overflow
-// bucket.
-func Merge(snaps ...Snapshot) Snapshot {
-	out := emptySnapshot()
-	for _, s := range snaps {
-		for n, v := range s.Counters {
-			out.Counters[n] += v
-		}
-		for n, h := range s.Histograms {
-			acc, ok := out.Histograms[n]
-			if !ok {
-				acc = HistogramSnapshot{
-					Bounds: append([]int64(nil), h.Bounds...),
-					Counts: append([]int64(nil), h.Counts...),
-					Sum:    h.Sum,
-					Count:  h.Count,
-				}
-				out.Histograms[n] = acc
-				continue
-			}
-			if len(acc.Counts) == len(h.Counts) {
-				for i := range h.Counts {
-					acc.Counts[i] += h.Counts[i]
-				}
-			} else if len(acc.Counts) > 0 {
-				acc.Counts[len(acc.Counts)-1] += h.Count
-			}
-			acc.Sum += h.Sum
-			acc.Count += h.Count
-			out.Histograms[n] = acc
-		}
-		for n := range s.Volatile {
-			out.Volatile[n] = true
-		}
-	}
-	return out
-}

@@ -422,8 +422,7 @@ func appendJSONInt(b []byte, key string, v int64) []byte {
 }
 
 // appendEncoderString appends s quoted as encoding/json quotes it, with
-// HTML escaping on (the log handler's appendJSONString quotes for its
-// own format): `"` and `\` backslashed; \b, \f, \n, \r and \t short;
+// HTML escaping on: `"` and `\` backslashed; \b, \f, \n, \r and \t short;
 // other control bytes and <, > and & as \u00XX; invalid UTF-8 as \ufffd;
 // and U+2028 and U+2029 as \u2028 and \u2029.
 func appendEncoderString(b []byte, s string) []byte {

@@ -15,8 +15,9 @@ import (
 // The acceptance test for campaign scoping: two campaigns running
 // concurrently in one process — same trials, separate scopes — must
 // produce byte-identical science, keep their metrics fully disjoint, and
-// roll up to exactly the sum. This is the isolation a long-lived serving
-// process depends on: one tenant's sweep cannot smear another's numbers.
+// sum to exactly twice one campaign's work. A CLI runs one campaign per
+// process, but nothing in a campaign is process-global: one sweep cannot
+// smear another's numbers.
 
 // campaignTrials builds the shared trial set; the runner's campaign
 // instruments each trial's system.
@@ -40,15 +41,8 @@ func TestConcurrentCampaignsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hub := obs.NewHub()
-	campA, err := hub.Register("tenant-a", obs.CampaignOptions{TraceCap: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	campB, err := hub.Register("tenant-b", obs.CampaignOptions{TraceCap: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	campA := obs.NewCampaign("tenant-a", obs.CampaignOptions{TraceCap: 1 << 10})
+	campB := obs.NewCampaign("tenant-b", obs.CampaignOptions{TraceCap: 1 << 10})
 
 	// Both campaigns run simultaneously, each through its own scope.
 	results := make(map[string][]RunStats)
@@ -114,17 +108,10 @@ func TestConcurrentCampaignsIsolated(t *testing.T) {
 		}
 	}
 
-	// The hub rollup is the exact sum; the prefixed rollup keeps the
-	// per-campaign series apart under campaign.<id>. prefixes.
-	roll := hub.Rollup()
-	if got := roll.Counters["core.rounds"]; got != int64(2*trials*rounds) {
-		t.Errorf("rollup core.rounds = %d, want %d (exact sum of both campaigns)", got, 2*trials*rounds)
-	}
-	pre := hub.PrefixedRollup()
-	for _, id := range []string{"tenant-a", "tenant-b"} {
-		name := "campaign." + id + ".core.rounds"
-		if got := pre.Counters[name]; got != int64(trials*rounds) {
-			t.Errorf("prefixed rollup %s = %d, want %d", name, got, trials*rounds)
+	// The two registries sum to exactly both campaigns' work.
+	for name, want := range map[string]int64{"core.rounds": 2 * trials * rounds, "runner.trials_done": 2 * trials} {
+		if got := snapA.Counters[name] + snapB.Counters[name]; got != want {
+			t.Errorf("%s summed over both registries = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -146,8 +146,9 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 	if o != nil {
 		// Process-global runtime deltas attributed to this campaign. They
 		// are exact only while no other campaign allocates in the same
-		// process; the hub runs campaigns concurrently, and then each
-		// campaign's delta also counts its neighbours' allocations.
+		// process. A CLI runs one campaign per process; where two run at
+		// once (TestConcurrentCampaignsIsolated), each campaign's delta
+		// also counts its neighbour's allocations.
 		d := obs.ReadRuntimeStats().Sub(rtBefore)
 		m := o.Runner
 		m.AllocBytes.Add(int64(d.AllocBytes))
