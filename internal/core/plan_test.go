@@ -183,27 +183,6 @@ func TestQueryPlanFollowsSpecChanges(t *testing.T) {
 	}
 }
 
-// TestQueryRoundReservesSequenceWindow checks that a round consumes one
-// A-MPDU's worth of sequence numbers, as building the query did.
-func TestQueryRoundReservesSequenceWindow(t *testing.T) {
-	sys, env := testbed(t, 2, 32)
-	env.Advance(0.05)
-	before, err := sys.Scheduler.Reserve(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.QueryRound(nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sys.Scheduler.Reserve(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (before + 1 + uint16(sys.Spec.Total())) & 0x0FFF; got != want {
-		t.Fatalf("next sequence %d after one round, want %d", got, want)
-	}
-}
-
 // TestQueryRoundResultsOwnTheirBits checks results never alias the
 // System's per-round scratch: a later round must not rewrite an earlier
 // result.

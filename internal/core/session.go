@@ -260,9 +260,8 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		sp = spans.Start()
 	}
 	// --- Client side: "transmit" the query. Only its shape matters to the
-	// round — airtimes, sizes, the sequence window — so the aggregate is
-	// planned once per spec and its sequence numbers reserved, never built.
-	// Planning validates the spec.
+	// round — airtimes and sizes — so the aggregate is planned once per
+	// spec, never built. Planning validates the spec.
 	plan, err := s.queryPlan()
 	if err != nil {
 		return nil, err
@@ -280,9 +279,6 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 			txBits[i] = bits[i] & 1
 		}
 		txMask |= uint64(txBits[i]) << i
-	}
-	if _, err := s.Scheduler.Reserve(total); err != nil {
-		return nil, err
 	}
 	sp = spans.Lap(obs.PhaseEncode, sp)
 

@@ -57,41 +57,6 @@ func TestSchedulerSeqWraps12Bits(t *testing.T) {
 	}
 }
 
-// TestReserveMatchesBuildAMPDU runs a reserving scheduler beside a building
-// one across the 12-bit wrap: every window start and every next sequence
-// number must agree.
-func TestReserveMatchesBuildAMPDU(t *testing.T) {
-	built, _ := NewAMPDUScheduler(src, dst, bssid, 0)
-	reserved, _ := NewAMPDUScheduler(src, dst, bssid, 0)
-	built.nextSeq, reserved.nextSeq = 0x0F80, 0x0F80
-	for round, n := range []int{64, 1, 60, 63, 2, 64, 64, 7} {
-		payloads := make([][]byte, n)
-		for i := range payloads {
-			payloads[i] = []byte{0xFF}
-		}
-		_, wantStart, err := built.BuildAMPDU(payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start, err := reserved.Reserve(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if start != wantStart || reserved.nextSeq != built.nextSeq {
-			t.Fatalf("round %d (%d subframes): Reserve start=%#x next=%#x, BuildAMPDU start=%#x next=%#x",
-				round, n, start, reserved.nextSeq, wantStart, built.nextSeq)
-		}
-	}
-	if built.nextSeq >= 0x0F80 {
-		t.Fatalf("sequence never wrapped: next=%#x", built.nextSeq)
-	}
-	for _, n := range []int{0, -1, dot11.MaxSubframes + 1} {
-		if _, err := reserved.Reserve(n); err == nil {
-			t.Fatalf("Reserve(%d) accepted", n)
-		}
-	}
-}
-
 func TestSchedulerValidation(t *testing.T) {
 	if _, err := NewAMPDUScheduler(src, dst, bssid, 16); err == nil {
 		t.Fatal("TID 16 accepted")

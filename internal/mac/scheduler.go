@@ -27,18 +27,6 @@ func NewAMPDUScheduler(src, dst, bssid dot11.MACAddr, tid byte) (*AMPDUScheduler
 	return &AMPDUScheduler{Src: src, Dst: dst, BSSID: bssid, TID: tid}, nil
 }
 
-// Reserve consumes the sequence numbers of an n-subframe A-MPDU without
-// building it and returns the first: the same window, and the same
-// scheduler state afterwards, as BuildAMPDU with n payloads.
-func (s *AMPDUScheduler) Reserve(n int) (uint16, error) {
-	if n < 1 || n > dot11.MaxSubframes {
-		return 0, fmt.Errorf("mac: %d payloads outside [1,%d]", n, dot11.MaxSubframes)
-	}
-	start := s.nextSeq
-	s.nextSeq = (s.nextSeq + uint16(n)) & 0x0FFF
-	return start, nil
-}
-
 // BuildAMPDU aggregates payloads into one A-MPDU, consuming sequence
 // numbers. Empty payloads become QoS null subframes. It returns the
 // aggregate and the starting sequence number of its BA window.
