@@ -207,6 +207,41 @@ func TestCRC16KnownVector(t *testing.T) {
 	}
 }
 
+// crc16Bitwise is CRC16 as it was before the lookup table: eight
+// conditional shifts per byte.
+func crc16Bitwise(p []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range p {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+// TestCRC16MatchesBitwise holds the table-driven CRC16 to the bitwise
+// loop it replaced on random inputs of every length from 0 to 300.
+func TestCRC16MatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for n := 0; n <= 300; n++ {
+		for rep := 0; rep < 4; rep++ {
+			p := make([]byte, n)
+			rng.Read(p)
+			if got, want := CRC16(p), crc16Bitwise(p); got != want {
+				t.Fatalf("CRC16(% x) = %04x, the bitwise loop gives %04x", p, got, want)
+			}
+		}
+	}
+	if got := crc16Bitwise([]byte("123456789")); got != 0x29B1 {
+		t.Fatalf("bitwise oracle = %04x, want 29B1", got)
+	}
+}
+
 func TestCRC16DetectsSingleBitErrors(t *testing.T) {
 	p := []byte{0x00, 0xFF, 0x55}
 	want := CRC16(p)

@@ -58,3 +58,32 @@ func CRC8(p []byte) byte {
 	}
 	return crc ^ 0xFF
 }
+
+// crc16Table is the lookup table for CRC16, one entry per leading byte:
+// the polynomial 0x1021's remainder after shifting that byte through.
+var crc16Table [256]uint16
+
+func init() {
+	const poly = 0x1021
+	for i := 0; i < 256; i++ {
+		crc := uint16(i) << 8
+		for bit := 0; bit < 8; bit++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ poly
+			} else {
+				crc <<= 1
+			}
+		}
+		crc16Table[i] = crc
+	}
+}
+
+// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no
+// reflection, no final XOR), used to protect WiTAG tag-data frames.
+func CRC16(p []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range p {
+		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
+	}
+	return crc
+}

@@ -109,20 +109,3 @@ func HammingDecode(bits []byte) (data []byte, correctedBits int, err error) {
 	}
 	return data, correctedBits, nil
 }
-
-// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), used to
-// protect WiTAG tag-data frames.
-func CRC16(p []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range p {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
