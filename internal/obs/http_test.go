@@ -99,7 +99,9 @@ func TestTwoServersCoexist(t *testing.T) {
 	}
 }
 
-func TestCampaignEndpoints(t *testing.T) {
+// TestHubHTTPEndpoints covers the URLs Serve answers for its one campaign;
+// they are the URLs the multi-campaign hub answered.
+func TestHubHTTPEndpoints(t *testing.T) {
 	srv, _, base := serveCampaign(t, "a", 5)
 
 	if code, body := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
@@ -160,7 +162,9 @@ func TestCampaignEndpoints(t *testing.T) {
 	}
 }
 
-func TestTimeseriesEndpoint(t *testing.T) {
+// TestHubTimeseriesEndpoint covers /campaigns/<id>/timeseries, the URL the
+// multi-campaign hub answered it at.
+func TestHubTimeseriesEndpoint(t *testing.T) {
 	_, a, base := serveCampaign(t, "a", 0)
 
 	// No timeline attached: 404 with a hint, not an empty 200.
@@ -259,7 +263,10 @@ func TestWritePrometheusLabeledEscaping(t *testing.T) {
 	}
 }
 
-func TestReadyzGoes503DuringShutdownWithLiveStream(t *testing.T) {
+// TestReadyzGoes503DuringCloseAllWithLiveStream holds Server.Shutdown, which
+// took over the hub's CloseAll, to turning /readyz 503 while an SSE client
+// is attached.
+func TestReadyzGoes503DuringCloseAllWithLiveStream(t *testing.T) {
 	srv, a, base := serveCampaign(t, "a", 0)
 
 	// Attach a real SSE client and wait for the open comment, so Shutdown

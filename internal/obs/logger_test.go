@@ -55,7 +55,9 @@ func testLogger(w *bytes.Buffer, level slog.Leveler, origin time.Time) *slog.Log
 	return slog.New(clockHandler{obs.NewLogger(w, level).Handler(), fixedClock(origin)})
 }
 
-func TestLoggerFixedFieldOrder(t *testing.T) {
+// TestJSONLHandlerFixedFieldOrder holds the JSON-lines handler NewLogger
+// builds to the key order ts, level, msg, then the attributes.
+func TestJSONLHandlerFixedFieldOrder(t *testing.T) {
 	var buf bytes.Buffer
 	// A clock outside UTC: ts is written in UTC all the same.
 	origin := time.Unix(1700000000, 5).In(time.FixedZone("UTC+1", 3600))
@@ -79,7 +81,7 @@ func TestLoggerFixedFieldOrder(t *testing.T) {
 	}
 }
 
-func TestLoggerLevelGate(t *testing.T) {
+func TestJSONLHandlerLevelGate(t *testing.T) {
 	var buf bytes.Buffer
 	log := obs.NewLogger(&buf, slog.LevelError)
 	log.Info("no")
@@ -250,12 +252,12 @@ func TestCanonicalizeLogCases(t *testing.T) {
 	}
 }
 
-// TestLoggerEscapesToValidJSON logs text that Go quoting would render
+// TestJSONLHandlerEscapesToValidJSON logs text that Go quoting would render
 // as invalid JSON (\x01, \a, \v, \U000e0001, raw invalid UTF-8) in
 // messages, keys and values, and non-finite floats. Every line must be
 // valid JSON that decodes back to the text logged (invalid bytes as
 // U+FFFD), and CanonicalizeLog must strip its ts.
-func TestLoggerEscapesToValidJSON(t *testing.T) {
+func TestJSONLHandlerEscapesToValidJSON(t *testing.T) {
 	cases := []struct{ name, text, want string }{
 		{"c0 controls", "a\x00\x01\a\b\t\n\v\f\r\x1fz", "a\x00\x01\a\b\t\n\v\f\r\x1fz"},
 		{"delete", "x\x7fy", "x\x7fy"},
@@ -297,10 +299,10 @@ func TestLoggerEscapesToValidJSON(t *testing.T) {
 	}
 }
 
-// FuzzLogger checks that every record the logger writes is one valid
+// FuzzJSONLHandler checks that every record the logger writes is one valid
 // JSON line, whatever the message, keys, group names and values hold, and
 // that CanonicalizeLog strips its ts.
-func FuzzLogger(f *testing.F) {
+func FuzzJSONLHandler(f *testing.F) {
 	f.Add("run started", "campaign", "bench", 68.5, int64(3))
 	f.Add("a\x01\a\v\x7f", "k\n\"ey", "\xff\xfe\U000e0001\u2028", 0.0, int64(-1))
 	f.Add("", "", "", -1e308, int64(0))
