@@ -8,9 +8,9 @@
 //	            [-seed N] [-runs N] [-rounds N] [-parallel N] [-json DIR]
 //	            [-fault PROFILE] [-transfers N]
 //	            [-transfer all|arq|fountain|rs] [-traffic all|PROFILE]
-//	            [-profile DIR] [-metrics-addr HOST:PORT] [-trace FILE]
+//	            [-profile DIR] [-metrics-addr HOST:PORT]
 //	            [-trace-out DIR] [-trace-cap N] [-progress]
-//	            [-timeline] [-timeline-window N] [-timeline-wall DUR]
+//	            [-timeline] [-timeline-window N]
 //	            [-log FILE] [-log-level debug|info|warn|error] [-version]
 //
 // Scale note: "-rounds" stands in for the paper's one-minute measurement
@@ -38,7 +38,10 @@
 // With -profile DIR, every experiment is additionally wrapped in pprof
 // capture: cpu_<name>.pprof across the run, then heap_<name>.pprof and
 // allocs_<name>.pprof after a forced GC — ready for `go tool pprof` —
-// and the phase-attribution table is printed to stderr.
+// and the phase-attribution table is printed to stderr, followed by a
+// warning when the spans attribute under 90% of the trial wall time.
+// Without -profile stderr holds no wall-clock figure; the coverage figure
+// is always in PROF_<name>.json.
 //
 // Observability (all opt-in, none changes any result byte):
 //
@@ -48,12 +51,11 @@
 //	                      stream at /campaigns/bench/events, plus
 //	                      /debug/vars and /debug/pprof/ (":0" picks a
 //	                      port, printed on stderr)
-//	-trace trace.jsonl    record structured per-round/per-transfer events
-//	                      into a bounded ring (-trace-cap events) and write
-//	                      them as JSONL on exit
-//	-trace-out DIR        like -trace, but one fresh ring per experiment,
-//	                      written as TRACE_<name>.jsonl under DIR — the
-//	                      files witag-trace analyze/flag/replay consume
+//	-trace-out DIR        record structured per-round/per-transfer events
+//	                      into a bounded ring (-trace-cap events), fresh
+//	                      for each experiment, written as
+//	                      TRACE_<name>.jsonl under DIR — the files
+//	                      witag-trace analyze/flag/replay consume
 //	-progress             live trials/sec and ETA on stderr
 //	-timeline             capture a windowed metric time-series per
 //	                      experiment (one logical window every
@@ -61,10 +63,7 @@
 //	                      as TL_<name>.jsonl beside the BENCH artifacts;
 //	                      requires -json DIR. Logical windows are
 //	                      deterministic: the TL bytes are identical at
-//	                      any -parallel. -timeline-wall DUR additionally
-//	                      samples volatile wall-clock windows every DUR
-//	                      (these are excluded from determinism, like any
-//	                      Volatile instrument). Live view: witag-top, or
+//	                      any -parallel. Live view:
 //	                      /campaigns/bench/timeseries with -metrics-addr
 //	-log run.jsonl        write the campaign's structured JSONL log there;
 //	                      with -json DIR, a RUNS.jsonl run-ledger line is
@@ -119,16 +118,14 @@ type benchConfig struct {
 	profileDir string
 
 	metricsAddr string
-	tracePath   string
 	traceOut    string
 	traceCap    int
 	progress    bool
 	logPath     string
 	logLevel    string
 
-	timeline     bool
-	timelineWin  int
-	timelineWall time.Duration
+	timeline    bool
+	timelineWin int
 }
 
 func main() {
@@ -145,7 +142,6 @@ func main() {
 	flag.StringVar(&cfg.Traffic, "traffic", "all", "ambient-traffic profile for the coding sweep: all (the full profile grid), "+strings.Join(traffic.Names(), ", "))
 	flag.StringVar(&cfg.profileDir, "profile", "", "write cpu/heap/allocs pprof profiles per experiment under this directory (empty: off)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run (empty: off)")
-	flag.StringVar(&cfg.tracePath, "trace", "", "write per-round/per-transfer trace events as JSONL to this file (empty: off)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write one TRACE_<name>.jsonl per experiment under this directory (empty: off)")
 	flag.IntVar(&cfg.traceCap, "trace-cap", obs.DefaultTraceCap, "trace ring capacity in events; oldest events are dropped beyond it")
 	flag.BoolVar(&cfg.progress, "progress", false, "live trial progress (rate, ETA) on stderr")
@@ -153,7 +149,6 @@ func main() {
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "minimum log level: "+strings.Join(cliflags.LogLevels, ", "))
 	flag.BoolVar(&cfg.timeline, "timeline", false, "write a TL_<name>.jsonl windowed time-series per experiment under -json DIR")
 	flag.IntVar(&cfg.timelineWin, "timeline-window", obs.DefaultTimelineWindow, "completed trials per logical timeline window")
-	flag.DurationVar(&cfg.timelineWall, "timeline-wall", 0, "also sample volatile wall-clock timeline windows at this interval (0: off)")
 	version := flag.Bool("version", false, "print build provenance (git SHA, Go version) and exit")
 	flag.Parse()
 	if *version {
@@ -216,7 +211,7 @@ func provenance(cfg benchConfig) regress.Provenance {
 // artifacts are stamped with the failure, and the walk goes on: only a
 // cancelled ctx stops it early. The returned error only names the failed
 // experiments, since each failure was printed in full already; the run's
-// ledger line and -trace stamp carry them in full.
+// ledger line carries them in full.
 func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, stdout, stderr io.Writer) error {
 	// Up-front flag validation, shared with the other CLIs via
 	// internal/cliflags: reject unknown selectors and unusable paths
@@ -232,9 +227,6 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 			return v
 		}
 	}
-	if cfg.tracePath != "" && cfg.traceOut != "" {
-		return fmt.Errorf("-trace and -trace-out are exclusive: one ring for the whole run, or one per experiment")
-	}
 	if cfg.timeline && cfg.jsonDir == "" {
 		return fmt.Errorf("-timeline writes TL_<name>.jsonl beside the BENCH artifacts and needs -json DIR")
 	}
@@ -249,7 +241,6 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 		cliflags.OutputDir("-profile", cfg.profileDir),
 		cliflags.OutputDir("-json", cfg.jsonDir),
 		cliflags.OutputDir("-trace-out", cfg.traceOut),
-		cliflags.OutputFile("-trace", cfg.tracePath),
 		cliflags.OutputFile("-log", cfg.logPath),
 		cliflags.MetricsAddr("-metrics-addr", cfg.metricsAddr),
 	} {
@@ -265,7 +256,7 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 	// runners it builds through it. The run ledger lands beside the BENCH
 	// artifacts (no -json directory, no ledger).
 	traceCap := 0
-	if cfg.tracePath != "" || cfg.traceOut != "" {
+	if cfg.traceOut != "" {
 		traceCap = cfg.traceCap
 		if traceCap <= 0 {
 			traceCap = obs.DefaultTraceCap
@@ -279,9 +270,8 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 			slog.String("experiment", cfg.experiment), slog.Int64("seed", cfg.Seed),
 			slog.Int("runs", cfg.Runs), slog.Int("rounds", cfg.Rounds),
 		},
-		TraceCap: traceCap, TracePath: cfg.tracePath,
-		MetricsAddr: cfg.metricsAddr,
-		LedgerDir:   cfg.jsonDir, Provenance: runProv,
+		TraceCap: traceCap, MetricsAddr: cfg.metricsAddr,
+		LedgerDir: cfg.jsonDir, Provenance: runProv,
 	}
 	if cfg.progress {
 		opts.ProgressNoun = "trials"
@@ -310,17 +300,10 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 		name := e.Name
 		camp.Logger.Info("experiment started", slog.String("experiment", name))
 		var tl *obs.Timeline
-		stopWall := func() {}
 		if cfg.timeline {
 			tl = obs.NewTimeline(reg, obs.TimelineConfig{WindowTrials: cfg.timelineWin})
 			camp.SetTimeline(tl)
-			if cfg.timelineWall > 0 {
-				stopWall = tl.StartWallSampler(cfg.timelineWall)
-			}
-			defer func() {
-				stopWall() // idempotent
-				camp.SetTimeline(nil)
-			}()
+			defer camp.SetTimeline(nil)
 		}
 		var cpuFile *os.File
 		if cfg.profileDir != "" {
@@ -349,15 +332,16 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 		lastSnap = now
 		rep := perf.FromSnapshot(delta)
 		if cfg.profileDir != "" && rep.Trials > 0 {
-			fmt.Fprintf(os.Stderr, "perf %s:\n%s", name, rep.Render())
-		}
-		// Low coverage on a span-bearing experiment means untimed work
-		// crept into the trials. Analytic experiments (fig3, s41, compare)
-		// record no spans at all (zero coverage) and stay quiet — losing
-		// instrumentation entirely is the gate's structural check, not
-		// this warning.
-		if rep.Trials > 0 && rep.Coverage > 0 && rep.Coverage < 0.9 {
-			fmt.Fprintf(os.Stderr, "perf: %s: spans attribute only %.1f%% of trial wall time\n", name, 100*rep.Coverage)
+			fmt.Fprintf(stderr, "perf %s:\n%s", name, rep.Render())
+			// Low coverage on a span-bearing experiment means untimed
+			// work crept into the trials. Analytic experiments (fig3,
+			// s41, compare) record no spans at all (zero coverage) and
+			// stay quiet — losing instrumentation entirely is the gate's
+			// structural check, not this warning. Coverage is a ratio
+			// of wall times, so it prints only beside the table.
+			if rep.Coverage > 0 && rep.Coverage < 0.9 {
+				fmt.Fprintf(stderr, "perf: %s: spans attribute only %.1f%% of trial wall time\n", name, 100*rep.Coverage)
+			}
 		}
 		// Live phase-attribution snapshot for /campaigns/bench/events
 		// watchers, mirroring the PROF artifact written below.
@@ -381,13 +365,12 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 			errs = append(errs, cpuFile.Close(), writeMemProfiles(cfg.profileDir, name))
 		}
 		if tl != nil {
-			stopWall()
 			tl.Flush()
 			path := filepath.Join(cfg.jsonDir, "TL_"+name+".jsonl")
 			errs = append(errs, clirun.WriteJSONL(path, tl, stamp))
 			cr.AddArtifact("TL_" + name + ".jsonl")
 			if d := tl.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "timeline: wrote %d windows to %s (%d older windows dropped)\n", tl.Total()-d, path, d)
+				fmt.Fprintf(stderr, "timeline: wrote %d windows to %s (%d older windows dropped)\n", tl.Total()-d, path, d)
 			}
 		}
 		if cfg.traceOut != "" {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"witag/internal/experiments"
 	"witag/internal/obs"
@@ -181,5 +182,49 @@ func TestExperimentChoices(t *testing.T) {
 	cfg.experiment = "gamma"
 	if err := run(context.Background(), cfg, suite, &stdout, io.Discard); err == nil || !strings.Contains(err.Error(), "all, alpha, beta") {
 		t.Fatalf("-experiment gamma returned %v, want an error listing the choices", err)
+	}
+}
+
+// TestRunPrintsCoverageOnlyWithProfile runs an experiment whose spans
+// attribute a sliver of its trials' wall time. The coverage warning is a
+// wall-clock figure: it prints only with -profile, right below that
+// experiment's attribution table, while PROF_<name>.json keeps the
+// figure either way.
+func TestRunPrintsCoverageOnlyWithProfile(t *testing.T) {
+	suite := []experiments.Experiment{{Name: "slow", Run: func(ctx context.Context, r sim.Runner, _ experiments.SuiteConfig) (*experiments.Result, error) {
+		spans := r.Campaign.Observer.Spans
+		err := r.Each(ctx, 2, func(context.Context, int) error {
+			spans.End(0, spans.Start())
+			time.Sleep(2 * time.Millisecond)
+			return nil
+		})
+		return fakeResult("slow", ""), err
+	}}}
+	for _, profile := range []bool{false, true} {
+		cfg := testConfig(t)
+		if profile {
+			cfg.profileDir = t.TempDir()
+		}
+		var stderr bytes.Buffer
+		if err := run(context.Background(), cfg, suite, io.Discard, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		arts, err := regress.LoadDir(cfg.jsonDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cov := arts["slow"].Prof.Coverage; cov <= 0 || cov >= 0.9 {
+			t.Fatalf("PROF coverage = %v, want a sliver", cov)
+		}
+		warn := strings.Index(stderr.String(), "perf: slow: spans attribute only ")
+		if !profile {
+			if stderr.Len() != 0 {
+				t.Errorf("without -profile stderr = %q, want nothing", stderr.String())
+			}
+			continue
+		}
+		if table := strings.Index(stderr.String(), "perf slow:\n"); table != 0 || warn <= table {
+			t.Errorf("with -profile stderr = %q, want the table then the coverage warning", stderr.String())
+		}
 	}
 }

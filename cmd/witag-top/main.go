@@ -1,24 +1,28 @@
 // Command witag-top is a live terminal dashboard over a running witag
-// campaign hub — the `top` for Monte-Carlo sweeps. Point it at the
-// -metrics-addr of a witag-bench or witag-sim run (or a future
-// witag-serve) and it renders every campaign's progress bar, rolling
-// BER/goodput/fault-rate with sparklines, event-drop counters and the
-// latest anomalies, refreshing in place.
+// campaign — the `top` for Monte-Carlo sweeps. Point it at the
+// -metrics-addr of a witag-bench or witag-sim run, which serves that
+// process's one campaign, and it renders the campaign's progress bar,
+// rolling BER/goodput/fault-rate with sparklines, event-drop counters and
+// the latest anomalies, refreshing in place.
 //
 // Usage:
 //
 //	witag-top [-addr HOST:PORT] [-refresh DUR] [-once] [-plain] [-version]
 //
-// It consumes only the hub's public HTTP surface: /campaigns for the
-// status rows, /campaigns/<id>/metrics?format=json for the counters the
-// rolling rates are derived from, and the /campaigns/<id>/events SSE
-// stream for anomalies. Rates are deltas between successive polls:
+// It consumes only the server's public HTTP surface: /campaigns for the
+// status row (a list that is not exactly one row is an error),
+// /campaigns/<id>/metrics?format=json for the counters the rolling rates
+// are derived from, and the /campaigns/<id>/events SSE stream for
+// anomalies. Rates are deltas between successive polls:
 //
 //	rate     Δ runner.trials_done        per second
 //	BER      Δ core.bit_errors           / Δ core.bits
 //	goodput  Δ (core.bits − bit_errors)  per second, as Kb/s
 //	fault%   Δ (trigger_missed+ba_lost)  / Δ core.rounds
 //	drops    Δ events.dropped            (slow SSE watchers shedding load)
+//
+// When the server stops answering — usually because the run finished —
+// a row still marked running shows as lost.
 //
 // -once renders a single frame (no ANSI clear, no rates that need two
 // samples) and exits — usable from scripts and CI logs. -plain keeps the
@@ -36,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -48,7 +51,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9090", "campaign hub address (the run's -metrics-addr)")
+	addr := flag.String("addr", "127.0.0.1:9090", "campaign server address (the run's -metrics-addr)")
 	refresh := flag.Duration("refresh", time.Second, "poll/redraw interval")
 	once := flag.Bool("once", false, "render one frame and exit")
 	plain := flag.Bool("plain", false, "no ANSI screen clearing; append frames")
@@ -70,22 +73,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	app := &app{
-		base:  "http://" + *addr,
-		http:  &http.Client{Timeout: 5 * time.Second},
-		views: map[string]*campaignView{},
-	}
+	app := &app{base: "http://" + *addr, http: &http.Client{Timeout: 5 * time.Second}}
 	if err := app.run(ctx, *refresh, *once, *plain); err != nil && ctx.Err() == nil {
 		fmt.Fprintln(os.Stderr, "witag-top:", err)
 		os.Exit(1)
 	}
 }
 
-// historyLen bounds the per-campaign rolling sample window; at a 1s
-// refresh this is ~half a minute of trajectory per sparkline.
+// historyLen bounds the rolling sample window; at a 1s refresh this is
+// ~half a minute of trajectory per sparkline.
 const historyLen = 32
 
-// anomalyKeep bounds the per-campaign anomaly feed shown under the row.
+// anomalyKeep bounds the anomaly feed shown under the row.
 const anomalyKeep = 4
 
 // sample is one polled metrics snapshot with its arrival time.
@@ -94,28 +93,23 @@ type sample struct {
 	snap obs.Snapshot
 }
 
-// campaignView is everything witag-top knows about one campaign: the
-// last status row, the rolling snapshot window, and the SSE feed state.
-type campaignView struct {
-	status   obs.CampaignStatus
-	samples  []sample
-	anoms    []obs.Anomaly
-	events   int64 // SSE events received
-	watching bool  // an SSE watcher goroutine is attached
-	gone     bool  // no longer listed by /campaigns
-}
-
+// app is everything witag-top knows about the campaign: the last status
+// row, the rolling snapshot window, and the SSE feed state.
 type app struct {
 	base string
 	http *http.Client
 
-	mu    sync.Mutex
-	views map[string]*campaignView
+	mu       sync.Mutex
+	status   obs.CampaignStatus
+	samples  []sample
+	anoms    []obs.Anomaly
+	watching bool // an SSE watcher goroutine is attached
+	gone     bool // the server stopped answering
 }
 
 func (a *app) run(ctx context.Context, refresh time.Duration, once, plain bool) error {
 	if err := a.poll(ctx); err != nil {
-		return fmt.Errorf("cannot reach hub at %s: %w", a.base, err)
+		return fmt.Errorf("cannot read the campaign at %s: %w", a.base, err)
 	}
 	if once {
 		fmt.Print(a.render(refresh))
@@ -134,63 +128,50 @@ func (a *app) run(ctx context.Context, refresh time.Duration, once, plain bool) 
 			return nil
 		case <-tick.C:
 		}
-		if err := a.poll(ctx); err != nil {
-			// A vanished hub usually means the run finished: render the
-			// last state once more with a note rather than erroring out.
-			a.mu.Lock()
-			for _, v := range a.views {
-				v.gone = true
-			}
-			a.mu.Unlock()
-		}
+		// A failed poll marks the row lost, usually because the run
+		// finished; the next frame shows the last state with that note
+		// rather than erroring out.
+		_ = a.poll(ctx)
 	}
 }
 
-// poll refreshes the campaign list and each campaign's metrics snapshot,
-// and attaches an SSE watcher to campaigns that lack one.
+// poll refreshes the status row and the metrics snapshot, and attaches
+// the SSE watcher while the campaign runs and none is attached. When the
+// server does not answer, the row is marked gone.
 func (a *app) poll(ctx context.Context) error {
 	var statuses []obs.CampaignStatus
-	if err := a.getJSON(ctx, "/campaigns", &statuses); err != nil {
+	err := a.getJSON(ctx, "/campaigns", &statuses)
+	if err == nil && len(statuses) != 1 {
+		err = fmt.Errorf("/campaigns lists %d campaigns, want exactly one", len(statuses))
+	}
+	if err != nil {
+		a.mu.Lock()
+		a.gone = true
+		a.mu.Unlock()
 		return err
 	}
-	now := time.Now()
-	listed := map[string]bool{}
-	for _, st := range statuses {
-		listed[st.ID] = true
-		var snap obs.Snapshot
-		snapErr := a.getJSON(ctx, "/campaigns/"+st.ID+"/metrics?format=json", &snap)
+	st := statuses[0]
+	var snap obs.Snapshot
+	snapErr := a.getJSON(ctx, "/campaigns/"+st.ID+"/metrics?format=json", &snap)
 
-		a.mu.Lock()
-		v := a.views[st.ID]
-		if v == nil {
-			v = &campaignView{}
-			a.views[st.ID] = v
-		}
-		v.status = st
-		v.gone = false
-		if snapErr == nil {
-			v.samples = append(v.samples, sample{t: now, snap: snap})
-			if len(v.samples) > historyLen {
-				v.samples = v.samples[len(v.samples)-historyLen:]
-			}
-		}
-		watch := !v.watching && st.State == "running"
-		if watch {
-			v.watching = true
-		}
-		a.mu.Unlock()
-
-		if watch {
-			go a.watchEvents(ctx, st.ID)
+	a.mu.Lock()
+	a.status = st
+	a.gone = false
+	if snapErr == nil {
+		a.samples = append(a.samples, sample{t: time.Now(), snap: snap})
+		if len(a.samples) > historyLen {
+			a.samples = a.samples[len(a.samples)-historyLen:]
 		}
 	}
-	a.mu.Lock()
-	for id, v := range a.views {
-		if !listed[id] {
-			v.gone = true
-		}
+	watch := !a.watching && st.State == "running"
+	if watch {
+		a.watching = true
 	}
 	a.mu.Unlock()
+
+	if watch {
+		go a.watchEvents(ctx, st.ID)
+	}
 	return nil
 }
 
@@ -211,16 +192,14 @@ func (a *app) getJSON(ctx context.Context, path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// watchEvents follows one campaign's SSE stream, feeding anomalies into
-// the view. The stream ends when the campaign finishes or the hub shuts
-// down; the watcher then detaches so a later poll can re-attach if the
-// campaign is still live.
+// watchEvents follows the campaign's SSE stream, feeding anomalies into
+// the view. The stream ends when the campaign finishes or the server
+// shuts down; the watcher then detaches so a later poll can re-attach if
+// the campaign is still live.
 func (a *app) watchEvents(ctx context.Context, id string) {
 	defer func() {
 		a.mu.Lock()
-		if v := a.views[id]; v != nil {
-			v.watching = false
-		}
+		a.watching = false
 		a.mu.Unlock()
 	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.base+"/campaigns/"+id+"/events", nil)
@@ -259,38 +238,33 @@ func (a *app) watchEvents(ctx context.Context, id string) {
 func (a *app) handleEvent(id, event, data string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	v := a.views[id]
-	if v == nil {
-		return
-	}
-	v.events++
 	switch event {
 	case "anomaly":
 		var an obs.Anomaly
 		if json.Unmarshal([]byte(data), &an) == nil {
-			v.anoms = append(v.anoms, an)
-			if len(v.anoms) > anomalyKeep {
-				v.anoms = v.anoms[len(v.anoms)-anomalyKeep:]
+			a.anoms = append(a.anoms, an)
+			if len(a.anoms) > anomalyKeep {
+				a.anoms = a.anoms[len(a.anoms)-anomalyKeep:]
 			}
 		}
 	case "status":
 		var st obs.CampaignStatus
 		if json.Unmarshal([]byte(data), &st) == nil && st.ID == id {
-			v.status = st
+			a.status = st
 		}
 	}
 }
 
 // series derives one rolling per-poll series from the sample window:
 // f(prev, cur, dt) for each consecutive pair, oldest first.
-func (v *campaignView) series(f func(prev, cur obs.Snapshot, dt float64) float64) []float64 {
+func (a *app) series(f func(prev, cur obs.Snapshot, dt float64) float64) []float64 {
 	var out []float64
-	for i := 1; i < len(v.samples); i++ {
-		dt := v.samples[i].t.Sub(v.samples[i-1].t).Seconds()
+	for i := 1; i < len(a.samples); i++ {
+		dt := a.samples[i].t.Sub(a.samples[i-1].t).Seconds()
 		if dt <= 0 {
 			dt = 1e-9
 		}
-		out = append(out, f(v.samples[i-1].snap, v.samples[i].snap, dt))
+		out = append(out, f(a.samples[i-1].snap, a.samples[i].snap, dt))
 	}
 	return out
 }
@@ -350,63 +324,54 @@ func (a *app) render(refresh time.Duration) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	ids := make([]string, 0, len(a.views))
-	for id := range a.views {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	var b strings.Builder
-	fmt.Fprintf(&b, "witag-top — %s  refresh %s  %d campaign(s)  %s\n\n",
-		a.base, refresh, len(ids), time.Now().Format("15:04:05"))
+	fmt.Fprintf(&b, "witag-top — %s  refresh %s  1 campaign(s)  %s\n\n",
+		a.base, refresh, time.Now().Format("15:04:05"))
 	fmt.Fprintf(&b, "%-10s %-8s %-28s %9s %10s %12s %7s %6s %5s\n",
 		"CAMPAIGN", "STATE", "PROGRESS", "TRIALS/S", "BER", "GOODPUT", "FAULT%", "DROPS", "ANOM")
 
-	for _, id := range ids {
-		v := a.views[id]
-		st := v.status
-		state := st.State
-		if v.gone && state == "running" {
-			state = "lost"
-		}
+	st := a.status
+	state := st.State
+	if a.gone && state == "running" {
+		state = "lost"
+	}
 
-		rate := v.series(func(p, c obs.Snapshot, dt float64) float64 {
-			return counterDelta(p, c, "runner.trials_done") / dt
-		})
-		ber := v.series(func(p, c obs.Snapshot, _ float64) float64 {
-			if bits := counterDelta(p, c, "core.bits"); bits > 0 {
-				return counterDelta(p, c, "core.bit_errors") / bits
-			}
-			return 0
-		})
-		goodput := v.series(func(p, c obs.Snapshot, dt float64) float64 {
-			return (counterDelta(p, c, "core.bits") - counterDelta(p, c, "core.bit_errors")) / dt / 1e3
-		})
-		faults := v.series(func(p, c obs.Snapshot, _ float64) float64 {
-			if rounds := counterDelta(p, c, "core.rounds"); rounds > 0 {
-				return 100 * (counterDelta(p, c, "core.rounds_trigger_missed") + counterDelta(p, c, "core.rounds_ba_lost")) / rounds
-			}
-			return 0
-		})
-		drops := v.series(func(p, c obs.Snapshot, _ float64) float64 {
-			return counterDelta(p, c, "events.dropped")
-		})
+	rate := a.series(func(p, c obs.Snapshot, dt float64) float64 {
+		return counterDelta(p, c, "runner.trials_done") / dt
+	})
+	ber := a.series(func(p, c obs.Snapshot, _ float64) float64 {
+		if bits := counterDelta(p, c, "core.bits"); bits > 0 {
+			return counterDelta(p, c, "core.bit_errors") / bits
+		}
+		return 0
+	})
+	goodput := a.series(func(p, c obs.Snapshot, dt float64) float64 {
+		return (counterDelta(p, c, "core.bits") - counterDelta(p, c, "core.bit_errors")) / dt / 1e3
+	})
+	faults := a.series(func(p, c obs.Snapshot, _ float64) float64 {
+		if rounds := counterDelta(p, c, "core.rounds"); rounds > 0 {
+			return 100 * (counterDelta(p, c, "core.rounds_trigger_missed") + counterDelta(p, c, "core.rounds_ba_lost")) / rounds
+		}
+		return 0
+	})
+	drops := a.series(func(p, c obs.Snapshot, _ float64) float64 {
+		return counterDelta(p, c, "events.dropped")
+	})
 
-		pct := 0.0
-		if st.Total > 0 {
-			pct = 100 * float64(st.Done) / float64(st.Total)
-		}
-		progress := fmt.Sprintf("[%s] %3.0f%% %d/%d", bar(st.Done, st.Total, 12), pct, st.Done, st.Total)
-		fmt.Fprintf(&b, "%-10s %-8s %-28s %9.1f %10.2e %9.1fKb/s %7.1f %6.0f %5d\n",
-			id, state, progress, last(rate), last(ber), last(goodput), last(faults),
-			last(drops), len(v.anoms))
-		if len(v.samples) >= 3 {
-			fmt.Fprintf(&b, "%-10s %-8s ber %-14s goodput %-14s fault %-14s drops %s\n",
-				"", "", spark(ber), spark(goodput), spark(faults), spark(drops))
-		}
-		for _, an := range v.anoms {
-			fmt.Fprintf(&b, "  ! %-12s trial=%-5d %s\n", an.Rule, an.Trial, an.Detail)
-		}
+	pct := 0.0
+	if st.Total > 0 {
+		pct = 100 * float64(st.Done) / float64(st.Total)
+	}
+	progress := fmt.Sprintf("[%s] %3.0f%% %d/%d", bar(st.Done, st.Total, 12), pct, st.Done, st.Total)
+	fmt.Fprintf(&b, "%-10s %-8s %-28s %9.1f %10.2e %9.1fKb/s %7.1f %6.0f %5d\n",
+		st.ID, state, progress, last(rate), last(ber), last(goodput), last(faults),
+		last(drops), len(a.anoms))
+	if len(a.samples) >= 3 {
+		fmt.Fprintf(&b, "%-10s %-8s ber %-14s goodput %-14s fault %-14s drops %s\n",
+			"", "", spark(ber), spark(goodput), spark(faults), spark(drops))
+	}
+	for _, an := range a.anoms {
+		fmt.Fprintf(&b, "  ! %-12s trial=%-5d %s\n", an.Rule, an.Trial, an.Detail)
 	}
 	return b.String()
 }

@@ -1,0 +1,88 @@
+package main
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"witag/internal/obs"
+)
+
+// waitFor polls cond until it holds or a few seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPollRendersTheCampaign serves a live campaign, moves its counters
+// and publishes an anomaly: the frame must show the campaign's id, state,
+// progress and the anomaly, and once the server is gone the next poll
+// must show the row as lost.
+func TestPollRendersTheCampaign(t *testing.T) {
+	camp := obs.NewCampaign("bench", obs.CampaignOptions{})
+	srv, err := obs.Serve("127.0.0.1:0", camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := &app{base: "http://" + srv.Addr.String(), http: &http.Client{Timeout: 5 * time.Second}}
+
+	camp.ProgressStart(8)
+	camp.ProgressDone(3)
+	camp.Registry.Counter("core.bits").Add(1000)
+	if err := a.poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the SSE watcher", func() bool { return camp.Events.Subscribers() == 1 })
+	camp.PublishAnomaly("burst_loss", "9 consecutive lost rounds", 41)
+	waitFor(t, "the anomaly", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.anoms) == 1
+	})
+	camp.Registry.Counter("core.bits").Add(500)
+	if err := a.poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	frame := a.render(time.Second)
+	for _, want := range []string{"bench ", " running ", "3/8", "burst_loss", "trial=41", "9 consecutive lost rounds"} {
+		if !strings.Contains(frame, want) {
+			t.Errorf("frame lacks %q:\n%s", want, frame)
+		}
+	}
+
+	srv.Close()
+	if err := a.poll(ctx); err == nil {
+		t.Fatal("poll of a closed server succeeded")
+	}
+	if frame := a.render(time.Second); !strings.Contains(frame, "bench      lost ") {
+		t.Errorf("after Close the row must read lost:\n%s", frame)
+	}
+}
+
+// TestPollRefusesAListNotOfOne checks that a /campaigns list without
+// exactly one row is an error, not an empty frame.
+func TestPollRefusesAListNotOfOne(t *testing.T) {
+	for _, body := range []string{`[]`, `[{"id":"a"},{"id":"b"}]`} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Write([]byte(body))
+		}))
+		a := &app{base: ts.URL, http: ts.Client()}
+		err := a.poll(context.Background())
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), "want exactly one") {
+			t.Errorf("/campaigns = %s: poll returned %v, want an error", body, err)
+		}
+	}
+}

@@ -176,7 +176,7 @@ func cmdAnalyze(args []string) error {
 		return nil
 	}
 	fmt.Printf("\nanomaly timeline alignment (%d logical windows of %d trials):\n",
-		len(tlog.Logical()), tlog.WindowTrials)
+		len(tlog.Windows), tlog.WindowTrials)
 	fmt.Print(forensics.RenderAlignment(aligned))
 	return nil
 }

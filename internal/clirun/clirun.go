@@ -68,7 +68,6 @@ type Run struct {
 
 	ctx       context.Context
 	opts      Options
-	progress  *obs.Progress
 	logFile   *os.File
 	server    *obs.Server // the -metrics-addr listener (nil when off)
 	unhook    func() bool
@@ -92,8 +91,7 @@ func Start(ctx context.Context, opts Options) (*Run, error) {
 		copts.LogW = f
 	}
 	if opts.ProgressNoun != "" {
-		r.progress = obs.NewProgress(os.Stderr, opts.ProgressNoun)
-		copts.Progress = r.progress
+		copts.Progress = obs.NewProgress(os.Stderr, opts.ProgressNoun)
 	}
 	camp := obs.NewCampaign(opts.Campaign, copts)
 	r.Campaign = camp
@@ -138,10 +136,11 @@ func (r *Run) ExportTrace(path, failure string) error {
 }
 
 // Finish ends the run with outcome err: it writes the -trace export,
-// stops the metrics server, marks the campaign done or failed, logs "run
-// finished" and appends the ledger line ("ok", "error", or "cancelled"
-// when err follows a cancelled context). Export and ledger failures are
-// reported on stderr, never returned: they must not mask err.
+// stops the metrics server, marks the campaign done or failed (which
+// ends the progress line), logs "run finished", appends the ledger line
+// ("ok", "error", or "cancelled" when err follows a cancelled context)
+// and closes the log file. Export and ledger failures are reported on
+// stderr, never returned: they must not mask err.
 func (r *Run) Finish(err error) {
 	if r.opts.TracePath != "" {
 		if terr := r.ExportTrace(r.opts.TracePath, ErrorText(err)); terr != nil {
@@ -175,15 +174,9 @@ func (r *Run) Finish(err error) {
 			fmt.Fprintf(os.Stderr, "%s: ledger: %v\n", r.opts.Tool, lerr)
 		}
 	}
-	r.closeFiles()
-}
-
-// closeFiles closes the log file and ends the progress line.
-func (r *Run) closeFiles() {
 	if r.logFile != nil {
 		r.logFile.Close()
 	}
-	r.progress.Finish()
 }
 
 // WriteJSONL creates path and writes src's JSONL export into it (a trace

@@ -64,7 +64,7 @@ func TestTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := log.Logical()
+	wins := log.Windows
 	if len(wins) < 2 {
 		t.Fatalf("sweep produced only %d logical windows", len(wins))
 	}
@@ -107,7 +107,7 @@ func TestCodingTimelineWindowsIdenticalAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := log.Logical()
+	wins := log.Windows
 	if len(wins) < 10 {
 		t.Fatalf("sweep produced only %d logical windows", len(wins))
 	}

@@ -8,15 +8,15 @@ import (
 )
 
 // Timeline alignment: placing flagged trials on the campaign's clock.
-// Anomaly rules say *which* trial misbehaved; the timeline's logical
-// windows say *when* in the campaign it ran. Joining the two turns "trial
-// 41 had a 9-round loss burst" into "windows 5–6, trials 320–448 — the
-// same stretch where goodput dipped", which is what an operator staring
-// at witag-top actually wants to know.
+// Anomaly rules say *which* trial misbehaved; the timeline's windows
+// say *when* in the campaign it ran. Joining the two turns "trial 41 had
+// a 9-round loss burst" into "windows 5–6, trials 320–448 — the same
+// stretch where goodput dipped", which is what an operator staring at
+// witag-top actually wants to know.
 
 // WindowRef names one timeline window an anomaly falls into.
 type WindowRef struct {
-	// Seq is the window's per-kind sequence number.
+	// Seq is the window's sequence number.
 	Seq int `json:"seq"`
 	// DoneStart/DoneEnd bound the window on the campaign's logical
 	// clock (cumulative completed trials).
@@ -24,7 +24,7 @@ type WindowRef struct {
 	DoneEnd   int64 `json:"done_end"`
 }
 
-// AlignedAnomaly is one anomaly joined with the logical windows whose
+// AlignedAnomaly is one anomaly joined with the timeline windows whose
 // trial spans contain its trial index. Windows is empty when the trial
 // never appears in the timeline (e.g. the ring dropped its windows, or
 // the trace and timeline come from different runs).
@@ -33,23 +33,19 @@ type AlignedAnomaly struct {
 	Windows []WindowRef `json:"windows"`
 }
 
-// AlignAnomalies maps each anomaly onto the logical timeline windows
+// AlignAnomalies maps each anomaly onto the timeline windows
 // covering its trial index. A trial index can recur across segments
 // (successive Runner.Each calls restart at 0), and trace events carry no
 // segment, so an anomaly matches every window span containing its index
-// — over-approximate but never silently wrong. Wall windows carry no
-// spans and never match. Output order follows anoms; window refs are in
-// window order.
+// — over-approximate but never silently wrong. Output order follows
+// anoms; window refs are in window order.
 func AlignAnomalies(anoms []Anomaly, wins []obs.TimelineWindow) []AlignedAnomaly {
 	out := make([]AlignedAnomaly, 0, len(anoms))
 	for _, an := range anoms {
 		al := AlignedAnomaly{Anomaly: an}
 		for _, w := range wins {
-			if w.Kind != obs.WindowLogical {
-				continue
-			}
 			for _, sp := range w.Spans {
-				if sp.Contains(0, an.Trial) {
+				if sp.Contains(an.Trial) {
 					al.Windows = append(al.Windows, WindowRef{
 						Seq: w.Seq, DoneStart: w.DoneStart, DoneEnd: w.DoneEnd,
 					})

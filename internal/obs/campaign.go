@@ -31,7 +31,8 @@ type Campaign struct {
 	Observer *Observer
 	// Trace is the campaign's bounded event ring (nil: tracing off).
 	Trace *Recorder
-	// Progress is the campaign's terminal reporter (nil: quiet).
+	// Progress draws the campaign's progress tally on a terminal (nil:
+	// quiet).
 	Progress *Progress
 	// Events fans live progress/phase/anomaly snapshots to SSE clients.
 	Events *Broker
@@ -39,7 +40,8 @@ type Campaign struct {
 	// writer it discards below LevelError+1.
 	Logger *slog.Logger
 
-	// MinEventInterval rate-limits progress events (default 250 ms).
+	// MinEventInterval is the minimum time between two progress events,
+	// each of which also redraws Progress (default 250 ms).
 	MinEventInterval time.Duration
 
 	// timeline, when set, receives per-window registry deltas from
@@ -49,7 +51,7 @@ type Campaign struct {
 	startNs atomic.Int64 // wall clock, volatile — status/ledger only
 	done    atomic.Int64
 	total   atomic.Int64
-	lastNs  atomic.Int64 // last progress event, for rate limiting
+	lastNs  atomic.Int64 // last progress event and redraw, for rate limiting
 
 	mu      sync.Mutex
 	state   string // "running", "done", "failed"
@@ -62,7 +64,7 @@ type CampaignOptions struct {
 	// TraceCap > 0 attaches a trace recorder with that ring capacity;
 	// < 0 attaches one at DefaultTraceCap; 0 means no tracing.
 	TraceCap int
-	// Progress, when non-nil, receives live terminal updates.
+	// Progress, when non-nil, draws live terminal updates.
 	Progress *Progress
 	// LogW, when non-nil, receives the campaign's JSONL log at LogLevel.
 	LogW io.Writer
@@ -113,25 +115,25 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// ProgressStart registers n more expected work items, mirroring
-// Progress.Start onto the campaign's own tally (nil-safe).
+// ProgressStart registers n more expected work items (nil-safe).
+// Successive calls accumulate, so one tally spans every sweep of the
+// campaign.
 func (c *Campaign) ProgressStart(n int) {
 	if c == nil || n <= 0 {
 		return
 	}
 	c.total.Add(int64(n))
-	c.Progress.Start(n)
 }
 
 // ProgressDone records n completed items and, at most once per
 // MinEventInterval (plus always on completion), publishes a "progress"
-// event with the campaign's tally and counters.
+// event with the campaign's tally and counters and redraws Progress.
+// Between those it costs one atomic add and one clock read.
 func (c *Campaign) ProgressDone(n int) {
 	if c == nil {
 		return
 	}
 	done := c.done.Add(int64(n))
-	c.Progress.Done(n)
 	total := c.total.Load()
 	min := c.MinEventInterval
 	if min <= 0 {
@@ -145,7 +147,9 @@ func (c *Campaign) ProgressDone(n int) {
 	if !c.lastNs.CompareAndSwap(last, now) {
 		return // another worker just published
 	}
-	c.Events.Publish("progress", c.progressSnapshot(done, total, now))
+	snap := c.progressSnapshot(done, total, now)
+	c.Events.Publish("progress", snap)
+	c.Progress.draw(snap, false)
 }
 
 // ProgressSnapshot is the payload of a "progress" SSE event.
@@ -226,9 +230,9 @@ func (c *Campaign) PublishPhase(v any) {
 	c.Events.Publish("phase", v)
 }
 
-// Finish marks the campaign done (or failed, when err != nil), publishes
-// a final "status" event, and closes the event broker so live SSE
-// streams terminate. Idempotent; nil-safe.
+// Finish marks the campaign done (or failed, when err != nil), draws the
+// final progress line, publishes a final "status" event, and closes the
+// event broker so live SSE streams terminate. Idempotent; nil-safe.
 func (c *Campaign) Finish(err error) {
 	if c == nil {
 		return
@@ -245,6 +249,7 @@ func (c *Campaign) Finish(err error) {
 		c.state = "done"
 	}
 	c.mu.Unlock()
+	c.Progress.draw(c.progressSnapshot(c.done.Load(), c.total.Load(), time.Now().UnixNano()), true)
 	c.Events.Publish("status", c.Status())
 	c.Events.Close()
 }

@@ -269,6 +269,9 @@ func FuzzReadTimelineLog(f *testing.F) {
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2])
 	}
+	// A wall-clock window line, a kind this reader refuses.
+	f.Add([]byte(`{"kind":"wall","seq":0,"done_start":0,"done_end":4,"wall_ms":12,"dur_ms":3,"delta":{}}` + "\n" +
+		`{"kind":"tl_summary","retained":1,"total":1,"dropped":0,"window_trials":4}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ReadTimelineLog(bytes.NewReader(data)) // must not panic
 

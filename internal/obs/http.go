@@ -20,7 +20,7 @@ import (
 //	/campaigns/<id>               the campaign's status JSON
 //	/campaigns/<id>/metrics       Prometheus text (default) or ?format=json snapshot
 //	/campaigns/<id>/events        SSE stream of progress/phase/anomaly/status events
-//	/campaigns/<id>/timeseries    windowed metric time-series JSON (?kind=logical|wall, ?last=N)
+//	/campaigns/<id>/timeseries    windowed metric time-series JSON (?last=N)
 //	/metrics                      the campaign's metrics as unlabelled Prometheus text
 //	/healthz                      liveness (always 200 while the process serves)
 //	/readyz                       readiness (503 once shutdown begins)
@@ -150,15 +150,6 @@ func (s *Server) mux() *http.ServeMux {
 				return
 			}
 			wins := tl.Windows()
-			if kind := r.URL.Query().Get("kind"); kind != "" {
-				kept := wins[:0]
-				for _, win := range wins {
-					if win.Kind == kind {
-						kept = append(kept, win)
-					}
-				}
-				wins = kept
-			}
 			if lastStr := r.URL.Query().Get("last"); lastStr != "" {
 				var last int
 				if _, err := fmt.Sscanf(lastStr, "%d", &last); err != nil || last < 0 {

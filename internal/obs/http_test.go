@@ -180,7 +180,6 @@ func TestHubTimeseriesEndpoint(t *testing.T) {
 		c.Add(10)
 		tl.NoteTrials(2*i, 2*i+2)
 	}
-	tl.SampleWall()
 
 	code, body := get(t, base+"/campaigns/a/timeseries")
 	if code != 200 {
@@ -190,33 +189,22 @@ func TestHubTimeseriesEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &ts); err != nil {
 		t.Fatalf("timeseries not JSON: %v", err)
 	}
-	if ts.Campaign != "a" || ts.WindowTrials != 2 || ts.Total != 4 || len(ts.Windows) != 4 {
+	if ts.Campaign != "a" || ts.WindowTrials != 2 || ts.Total != 3 || len(ts.Windows) != 3 {
 		t.Fatalf("timeseries = campaign %q window %d total %d windows %d",
 			ts.Campaign, ts.WindowTrials, ts.Total, len(ts.Windows))
 	}
-
-	_, body = get(t, base+"/campaigns/a/timeseries?kind=logical")
-	if err := json.Unmarshal([]byte(body), &ts); err != nil {
-		t.Fatal(err)
-	}
-	if len(ts.Windows) != 3 {
-		t.Errorf("?kind=logical returned %d windows, want 3", len(ts.Windows))
-	}
 	for _, w := range ts.Windows {
-		if w.Kind != WindowLogical {
-			t.Errorf("?kind=logical leaked a %q window", w.Kind)
-		}
-		if w.Delta.Counters["core.rounds"] != 10 {
-			t.Errorf("window delta did not survive the HTTP round-trip: %+v", w)
+		if w.Kind != WindowLogical || w.Delta.Counters["core.rounds"] != 10 {
+			t.Errorf("window did not survive the HTTP round-trip: %+v", w)
 		}
 	}
 
-	_, body = get(t, base+"/campaigns/a/timeseries?kind=wall&last=1")
+	_, body = get(t, base+"/campaigns/a/timeseries?last=1")
 	if err := json.Unmarshal([]byte(body), &ts); err != nil {
 		t.Fatal(err)
 	}
-	if len(ts.Windows) != 1 || ts.Windows[0].Kind != WindowWall {
-		t.Errorf("?kind=wall&last=1 = %+v", ts.Windows)
+	if len(ts.Windows) != 1 || ts.Windows[0].Seq != 2 {
+		t.Errorf("?last=1 = %+v, want the newest window", ts.Windows)
 	}
 
 	if code, _ := get(t, base+"/campaigns/a/timeseries?last=bogus"); code != 400 {

@@ -4,29 +4,20 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Progress is a live campaign progress reporter: trials done/total,
-// rate and ETA, redrawn in place on a terminal-style writer. It is safe
-// for concurrent Done calls from worker goroutines and rate-limits its
-// own output, so attaching it to a tight trial loop costs two atomic ops
-// per item between redraws. It reads the wall clock and is therefore
-// strictly a sink: nothing in the simulation observes it. A nil
-// *Progress ignores every call.
+// Progress draws a campaign's progress tally as one line redrawn in
+// place on a terminal-style writer: items done/total, rate and ETA. It
+// keeps no tally and no rate limit of its own; the Campaign it is
+// attached to redraws it from its ProgressDone and Finish. It reads
+// the wall clock and is therefore strictly a sink: nothing in the
+// simulation observes it. A nil *Progress draws nothing.
 type Progress struct {
 	// Out receives the redrawn line (normally os.Stderr).
 	Out io.Writer
 	// Label prefixes every line ("trials" when empty).
 	Label string
-	// MinInterval is the minimum time between redraws (default 200 ms).
-	MinInterval time.Duration
-
-	total   atomic.Int64
-	done    atomic.Int64
-	startNs atomic.Int64
-	lastNs  atomic.Int64
 
 	mu sync.Mutex // serialises writes to Out
 }
@@ -36,70 +27,25 @@ func NewProgress(out io.Writer, label string) *Progress {
 	return &Progress{Out: out, Label: label}
 }
 
-// Start registers n more items of expected work and starts the clock on
-// first use. Successive calls accumulate, so one reporter can span a
-// multi-experiment campaign.
-func (p *Progress) Start(n int) {
-	if p == nil || n <= 0 {
+// draw redraws the line from s; final ends it.
+func (p *Progress) draw(s ProgressSnapshot, final bool) {
+	if p == nil || p.Out == nil {
 		return
 	}
-	p.total.Add(int64(n))
-	p.startNs.CompareAndSwap(0, time.Now().UnixNano())
-}
-
-// Done records n completed items and redraws if the rate limit allows.
-func (p *Progress) Done(n int) {
-	if p == nil {
-		return
-	}
-	done := p.done.Add(int64(n))
-	now := time.Now().UnixNano()
-	min := p.MinInterval
-	if min <= 0 {
-		min = 200 * time.Millisecond
-	}
-	last := p.lastNs.Load()
-	if now-last < int64(min) && done < p.total.Load() {
-		return
-	}
-	if !p.lastNs.CompareAndSwap(last, now) {
-		return // another worker is redrawing
-	}
-	p.draw(done, now, false)
-}
-
-// Finish forces a final redraw and terminates the line.
-func (p *Progress) Finish() {
-	if p == nil {
-		return
-	}
-	p.draw(p.done.Load(), time.Now().UnixNano(), true)
-}
-
-func (p *Progress) draw(done, nowNs int64, final bool) {
-	if p.Out == nil {
-		return
-	}
-	total := p.total.Load()
 	label := p.Label
 	if label == "" {
 		label = "trials"
 	}
-	elapsed := time.Duration(nowNs - p.startNs.Load())
-	rate := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		rate = float64(done) / s
-	}
 	eta := "?"
-	if rate > 0 && total > done {
-		eta = (time.Duration(float64(total-done) / rate * float64(time.Second))).Round(time.Second).String()
+	if s.RatePerS > 0 && s.Total > s.Done {
+		eta = (time.Duration(float64(s.Total-s.Done) / s.RatePerS * float64(time.Second))).Round(time.Second).String()
 	}
 	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(done) / float64(total)
+	if s.Total > 0 {
+		pct = 100 * float64(s.Done) / float64(s.Total)
 	}
 	p.mu.Lock()
-	fmt.Fprintf(p.Out, "\r%s %d/%d (%.1f%%) %.1f/s ETA %s   ", label, done, total, pct, rate, eta)
+	fmt.Fprintf(p.Out, "\r%s %d/%d (%.1f%%) %.1f/s ETA %s   ", label, s.Done, s.Total, pct, s.RatePerS, eta)
 	if final {
 		fmt.Fprintln(p.Out)
 	}

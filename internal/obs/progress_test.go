@@ -29,29 +29,33 @@ func (b *syncBuffer) String() string {
 
 func TestProgressReportsCompletion(t *testing.T) {
 	var out syncBuffer
-	p := NewProgress(&out, "trials")
-	p.MinInterval = time.Nanosecond
-	p.Start(4)
+	c := NewCampaign("job", CampaignOptions{Progress: NewProgress(&out, "runs")})
+	c.MinEventInterval = time.Nanosecond
+	c.ProgressStart(4)
 	for i := 0; i < 4; i++ {
-		p.Done(1)
+		c.ProgressDone(1)
 	}
-	p.Finish()
+	c.Finish(nil)
 	s := out.String()
-	if !strings.Contains(s, "trials 4/4 (100.0%)") {
+	if !strings.Contains(s, "\rruns 4/4 (100.0%)") {
 		t.Fatalf("final line missing completion: %q", s)
 	}
-	if !strings.HasSuffix(s, "\n") {
-		t.Fatalf("Finish must terminate the line: %q", s)
+	if !strings.HasSuffix(s, "\n") || strings.Count(s, "\n") != 1 {
+		t.Fatalf("Finish must terminate the line once: %q", s)
+	}
+	c.Finish(nil) // idempotent: no second final line
+	if got := out.String(); got != s {
+		t.Fatalf("second Finish redrew: %q", got)
 	}
 }
 
 func TestProgressAccumulatesAcrossStarts(t *testing.T) {
 	var out syncBuffer
-	p := NewProgress(&out, "")
-	p.Start(2)
-	p.Start(3)
-	p.Done(5)
-	p.Finish()
+	c := NewCampaign("job", CampaignOptions{Progress: NewProgress(&out, "")})
+	c.ProgressStart(2)
+	c.ProgressStart(3)
+	c.ProgressDone(5)
+	c.Finish(nil)
 	if s := out.String(); !strings.Contains(s, "trials 5/5") {
 		t.Fatalf("multi-Start total wrong: %q", s)
 	}
@@ -59,29 +63,43 @@ func TestProgressAccumulatesAcrossStarts(t *testing.T) {
 
 func TestProgressConcurrentDone(t *testing.T) {
 	var out syncBuffer
-	p := NewProgress(&out, "trials")
+	c := NewCampaign("job", CampaignOptions{Progress: NewProgress(&out, "")})
 	const n = 64
-	p.Start(n)
+	c.ProgressStart(n)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				p.Done(1)
+				c.ProgressDone(1)
 			}
 		}()
 	}
 	wg.Wait()
-	p.Finish()
+	c.Finish(nil)
 	if s := out.String(); !strings.Contains(s, "trials 64/64") {
 		t.Fatalf("concurrent Done lost items: %q", s)
+	}
+	if st := c.Status(); st.Done != n || st.Total != n {
+		t.Fatalf("status tally %d/%d, want %d/%d", st.Done, st.Total, n, n)
 	}
 }
 
 func TestNilProgressIsInert(t *testing.T) {
 	var p *Progress
-	p.Start(10)
-	p.Done(3)
-	p.Finish()
+	p.draw(ProgressSnapshot{Done: 3, Total: 10}, true)
+	var c *Campaign
+	c.ProgressStart(10)
+	c.ProgressDone(3)
+	c.Finish(nil)
+
+	// A campaign without a reporter keeps its tally silently.
+	q := NewCampaign("quiet", CampaignOptions{})
+	q.ProgressStart(2)
+	q.ProgressDone(2)
+	q.Finish(nil)
+	if st := q.Status(); st.Done != 2 || st.Total != 2 {
+		t.Fatalf("quiet tally %d/%d, want 2/2", st.Done, st.Total)
+	}
 }

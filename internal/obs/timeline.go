@@ -6,28 +6,19 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Timeline turns a registry's cumulative counters into a bounded ring of
-// per-window deltas — the time axis the rest of the obs layer lacks. It
-// carries two window streams over one registry:
-//
-//   - Logical windows close every WindowTrials completed trials, sampled
-//     from sim.Runner's completion stream. The runner executes trials in
-//     window-sized chunks and samples only at chunk barriers, so a
-//     window's delta is exactly the sum of its own trials' contributions
-//     — a pure function of the work, independent of worker count and
-//     scheduling. Logical deltas are stored through
-//     Snapshot.Deterministic(), so they hold no wall-clock instrument at
-//     all and the exported TL_*.jsonl bytes are identical at 1 and
-//     NumCPU workers (TestTimelineWindowsIdenticalAcrossWorkerCounts).
-//
-//   - Wall windows are taken by an optional interval sampler goroutine.
-//     They keep the full delta (volatile wall/alloc instruments
-//     included) plus real timestamps, and are marked Kind "wall" so
-//     every deterministic consumer excludes them, exactly as Volatile
-//     instruments are excluded from deterministic snapshots.
+// per-window deltas — the time axis the rest of the obs layer lacks. Its
+// axis is logical: a window closes every WindowTrials completed trials,
+// sampled from sim.Runner's completion stream. The runner executes trials
+// in window-sized chunks and samples only at chunk barriers, so a
+// window's delta is exactly the sum of its own trials' contributions — a
+// pure function of the work, independent of worker count and scheduling.
+// Deltas are stored through Snapshot.Deterministic(), so they hold no
+// wall-clock instrument at all and the exported TL_*.jsonl bytes are
+// identical at 1 and NumCPU workers
+// (TestTimelineWindowsIdenticalAcrossWorkerCounts).
 //
 // A Timeline is a pure sink: it draws no RNG values and feeds nothing
 // back into trials, so science output is byte-identical with a timeline
@@ -37,30 +28,22 @@ type Timeline struct {
 	cfg TimelineConfig
 
 	mu       sync.Mutex
-	baseLog  Snapshot // registry state when the last logical window closed
-	baseWall Snapshot // registry state at the last wall sample
+	base     Snapshot // registry state when the last window closed
 	done     int64    // cumulative trials noted complete
 	winStart int64    // value of done when the open window began
 	segment  int      // current Each-call segment (1-based)
 	spans    []TrialSpan
-	logSeq   int
-	wallSeq  int
+	seq      int
 
 	buf     []TimelineWindow // ring, wraps at cfg.Cap
 	next    int
 	total   int
 	dropped int
-
-	startNs    int64 // wall sampler epoch
-	lastWallNs int64
 }
 
-// Window kinds. Logical windows are deterministic; wall windows are
-// volatile by construction.
-const (
-	WindowLogical = "logical"
-	WindowWall    = "wall"
-)
+// WindowLogical is every window's Kind. It tells a window line of a
+// timeline export from the trailing "tl_summary" record.
+const WindowLogical = "logical"
 
 // DefaultTimelineWindow is the logical window width (trials per window)
 // when TimelineConfig.WindowTrials is zero.
@@ -104,51 +87,36 @@ type TrialSpan struct {
 	Hi  int `json:"hi"`
 }
 
-// Contains reports whether the span covers trial index i of segment seg
-// (seg <= 0 matches any segment — trace events don't carry the segment,
-// so per-trial alignment is by index across all segments).
-func (s TrialSpan) Contains(seg, i int) bool {
-	return (seg <= 0 || s.Seg == seg) && i >= s.Lo && i < s.Hi
+// Contains reports whether the span covers trial index i, in any
+// segment: trace events don't carry the segment, so per-trial alignment
+// is by index across all segments.
+func (s TrialSpan) Contains(i int) bool {
+	return i >= s.Lo && i < s.Hi
 }
 
 // TimelineWindow is one closed window: the registry's activity between
-// two points on the campaign's logical (or wall) clock.
+// two points on the campaign's logical clock.
 type TimelineWindow struct {
-	// Kind is WindowLogical or WindowWall.
+	// Kind is always WindowLogical.
 	Kind string `json:"kind"`
-	// Seq numbers windows per kind, from 0.
+	// Seq numbers windows from 0.
 	Seq int `json:"seq"`
 	// DoneStart/DoneEnd bound the window on the logical clock: the
 	// cumulative completed-trial count when the window opened and
-	// closed. Wall windows carry the counts too (read at sample time)
-	// so the two streams can be aligned.
+	// closed.
 	DoneStart int64 `json:"done_start"`
 	DoneEnd   int64 `json:"done_end"`
-	// Spans lists the trial-index ranges the window covers (logical
-	// windows only).
+	// Spans lists the trial-index ranges the window covers.
 	Spans []TrialSpan `json:"spans,omitempty"`
-	// WallMs/DurMs stamp wall windows: ms since the timeline was
-	// created, and the window's own duration. Always zero on logical
-	// windows — wall time never enters the deterministic stream.
-	WallMs int64 `json:"wall_ms,omitempty"`
-	DurMs  int64 `json:"dur_ms,omitempty"`
-	// Delta is the registry activity inside the window. Logical
-	// windows store the Deterministic() view; wall windows keep
-	// volatile instruments.
+	// Delta is the registry activity inside the window, in its
+	// Deterministic() view.
 	Delta Snapshot `json:"delta"`
 }
 
 // NewTimeline attaches a timeline to reg, snapshotting it now as the
 // baseline so deltas never include activity from before the attach.
 func NewTimeline(reg *Registry, cfg TimelineConfig) *Timeline {
-	base := reg.Snapshot()
-	return &Timeline{
-		reg:      reg,
-		cfg:      cfg,
-		baseLog:  base,
-		baseWall: base,
-		startNs:  time.Now().UnixNano(),
-	}
+	return &Timeline{reg: reg, cfg: cfg, base: reg.Snapshot()}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -168,7 +136,7 @@ func (t *Timeline) BeginSegment() {
 	t.mu.Unlock()
 }
 
-// ChunkLimit returns how many more trials the open logical window
+// ChunkLimit returns how many more trials the open window
 // accepts — the barrier size the runner must use for its next chunk.
 // Always >= 1 (a full window closes before the limit is re-read).
 func (t *Timeline) ChunkLimit() int {
@@ -182,7 +150,7 @@ func (t *Timeline) ChunkLimit() int {
 
 // NoteTrials records that trials [lo, hi) of the current segment have
 // all completed (the runner's chunk barrier guarantees their counter
-// contributions are fully visible). Closes the logical window whenever
+// contributions are fully visible). Closes the window whenever
 // it reaches WindowTrials (nil-safe).
 func (t *Timeline) NoteTrials(lo, hi int) {
 	if t == nil || hi <= lo {
@@ -198,11 +166,11 @@ func (t *Timeline) NoteTrials(lo, hi int) {
 	}
 	t.done += int64(hi - lo)
 	if t.done-t.winStart >= int64(t.cfg.windowTrials()) {
-		t.closeLogicalLocked()
+		t.closeLocked()
 	}
 }
 
-// Flush closes the open partial logical window, if any — call it once
+// Flush closes the open partial window, if any — call it once
 // the campaign's trial work is finished, before exporting (nil-safe).
 func (t *Timeline) Flush() {
 	if t == nil {
@@ -211,80 +179,25 @@ func (t *Timeline) Flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done > t.winStart {
-		t.closeLogicalLocked()
+		t.closeLocked()
 	}
 }
 
-func (t *Timeline) closeLogicalLocked() {
+func (t *Timeline) closeLocked() {
 	snap := t.reg.Snapshot()
 	w := TimelineWindow{
 		Kind:      WindowLogical,
-		Seq:       t.logSeq,
+		Seq:       t.seq,
 		DoneStart: t.winStart,
 		DoneEnd:   t.done,
 		Spans:     t.spans,
-		Delta:     snap.Delta(t.baseLog).Deterministic(),
+		Delta:     snap.Delta(t.base).Deterministic(),
 	}
-	t.logSeq++
-	t.baseLog = snap
+	t.seq++
+	t.base = snap
 	t.winStart = t.done
 	t.spans = nil
 	t.appendLocked(w)
-}
-
-// SampleWall closes one wall window now: the full registry delta since
-// the previous wall sample, stamped with real time. Safe to call
-// concurrently with trial execution — wall windows are volatile, so the
-// mid-chunk smear they capture is exactly what they exist to show.
-func (t *Timeline) SampleWall() {
-	if t == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	snap := t.reg.Snapshot()
-	last := t.lastWallNs
-	if last == 0 {
-		last = t.startNs
-	}
-	w := TimelineWindow{
-		Kind:      WindowWall,
-		Seq:       t.wallSeq,
-		DoneStart: t.winStart,
-		DoneEnd:   t.done,
-		WallMs:    (now - t.startNs) / int64(time.Millisecond),
-		DurMs:     (now - last) / int64(time.Millisecond),
-		Delta:     snap.Delta(t.baseWall),
-	}
-	t.wallSeq++
-	t.baseWall = snap
-	t.lastWallNs = now
-	t.appendLocked(w)
-}
-
-// StartWallSampler closes a wall window every interval until the
-// returned stop function is called (idempotent). interval <= 0 is a
-// no-op sampler.
-func (t *Timeline) StartWallSampler(interval time.Duration) (stop func()) {
-	if t == nil || interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				t.SampleWall()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 func (t *Timeline) appendLocked(w TimelineWindow) {
@@ -343,9 +256,8 @@ const timelineSummaryKind = "tl_summary"
 
 // WriteJSONLFailed streams the retained windows to w, one JSON object
 // per line, oldest first, followed by one "tl_summary" record that
-// carries failure, the recording run's error or "". With the wall
-// sampler off the bytes are a pure function of the trial work: identical
-// across worker counts.
+// carries failure, the recording run's error or "". The bytes are a pure
+// function of the trial work: identical across worker counts.
 func (t *Timeline) WriteJSONLFailed(w io.Writer, failure string) error {
 	t.mu.Lock()
 	wins := make([]TimelineWindow, 0, len(t.buf))
@@ -391,22 +303,11 @@ type TimelineLog struct {
 	Truncated bool
 }
 
-// Logical returns only the deterministic logical windows, in order.
-func (l *TimelineLog) Logical() []TimelineWindow {
-	out := make([]TimelineWindow, 0, len(l.Windows))
-	for _, w := range l.Windows {
-		if w.Kind == WindowLogical {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // ReadTimelineLog decodes a JSONL timeline written by WriteJSONL. Like
 // ReadJSONL it tolerates a truncated tail (see scanJSONL): a final line
 // that is unparseable or missing its newline marks the log Truncated
 // instead of failing; garbage before the final line is corruption and
-// errors.
+// errors, and so does a window line whose kind is not "logical".
 func ReadTimelineLog(r io.Reader) (*TimelineLog, error) {
 	tl := &TimelineLog{Truncated: true}
 	tail, err := scanJSONL(r, 1<<22, func(line int, raw []byte) error {
@@ -423,6 +324,9 @@ func ReadTimelineLog(r io.Reader) (*TimelineLog, error) {
 			}
 			tl.Total, tl.Dropped, tl.WindowTrials, tl.Error, tl.Truncated = sum.Total, sum.Dropped, sum.WindowTrials, sum.Error, false
 			return nil
+		}
+		if kind.Kind != WindowLogical {
+			return fmt.Errorf("obs: timeline line %d: unknown kind %q", line, kind.Kind)
 		}
 		var w TimelineWindow
 		if err := json.Unmarshal(raw, &w); err != nil {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // simTrials drives a timeline the way sim.Runner does: BeginSegment once
@@ -62,9 +61,6 @@ func TestTimelineLogicalWindowsCloseEveryWindowTrials(t *testing.T) {
 		if got, want := w.Delta.Counters["work.units"], 10*wantTrials[i]; got != want {
 			t.Errorf("window %d delta = %d, want %d", i, got, want)
 		}
-		if w.WallMs != 0 || w.DurMs != 0 {
-			t.Errorf("window %d carries wall time (%d/%d); logical windows must not", i, w.WallMs, w.DurMs)
-		}
 	}
 	// Flushing with nothing pending is a no-op.
 	tl.Flush()
@@ -98,13 +94,14 @@ func TestTimelineSpansTrackSegmentsAcrossEachCalls(t *testing.T) {
 			t.Errorf("window %d spans = %+v, want %+v", i, w.Spans, wantSpans[i])
 		}
 	}
-	// Span lookup: trial 1 appears in both segments, in windows 0 and 1.
+	// Span lookup is by index across segments: trial 1 appears in both,
+	// in windows 0 and 1; trial 2 only in segment 1's first span.
 	straddle := wins[1].Spans
-	if !straddle[1].Contains(2, 1) || straddle[1].Contains(1, 1) {
-		t.Errorf("segment-qualified Contains misses: %+v", straddle)
+	if !wins[0].Spans[0].Contains(1) || !straddle[1].Contains(1) || straddle[1].Contains(2) {
+		t.Errorf("Contains misses: %+v %+v", wins[0].Spans, straddle)
 	}
-	if !straddle[1].Contains(0, 1) {
-		t.Errorf("seg<=0 must match any segment: %+v", straddle[1])
+	if straddle[0].Contains(6) || !straddle[0].Contains(4) {
+		t.Errorf("Contains must cover [Lo, Hi): %+v", straddle[0])
 	}
 }
 
@@ -136,53 +133,6 @@ func TestTimelineLogicalDeltasAreDeterministicView(t *testing.T) {
 	if got := d.Histograms["lat"].Quantile(0.5); got != 4 {
 		t.Errorf("window p50(lat) = %d, want 4 (nearest-rank upper bound)", got)
 	}
-}
-
-func TestTimelineWallWindowsKeepVolatileAndStampTime(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("work.units").Add(5)
-	wallC := reg.Counter("wall.us", Volatile)
-	tl := NewTimeline(reg, TimelineConfig{})
-
-	wallC.Add(100)
-	reg.Counter("work.units").Add(3)
-	tl.SampleWall()
-	wallC.Add(50)
-	tl.SampleWall()
-
-	wins := tl.Windows()
-	if len(wins) != 2 {
-		t.Fatalf("%d windows, want 2", len(wins))
-	}
-	for i, w := range wins {
-		if w.Kind != WindowWall || w.Seq != i {
-			t.Errorf("window %d: kind %q seq %d", i, w.Kind, w.Seq)
-		}
-	}
-	// Baseline was taken at NewTimeline, so the pre-attach 5 is excluded.
-	if got := wins[0].Delta.Counters["work.units"]; got != 3 {
-		t.Errorf("wall delta work.units = %d, want 3", got)
-	}
-	if got := wins[0].Delta.Counters["wall.us"]; got != 100 {
-		t.Errorf("wall windows must keep volatile counters: got %d, want 100", got)
-	}
-	if got := wins[1].Delta.Counters["wall.us"]; got != 50 {
-		t.Errorf("second wall delta = %d, want 50", got)
-	}
-}
-
-func TestTimelineWallSamplerStopIsIdempotent(t *testing.T) {
-	reg := NewRegistry()
-	tl := NewTimeline(reg, TimelineConfig{})
-	stop := tl.StartWallSampler(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	stop() // second call must not panic (close of closed channel)
-	if tl.Total() == 0 {
-		t.Error("sampler closed no wall windows in 5ms at 1ms interval")
-	}
-	noop := tl.StartWallSampler(0)
-	noop()
 }
 
 func TestTimelineRingDropsOldestAndCounts(t *testing.T) {
@@ -263,9 +213,6 @@ func TestTimelineJSONLRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(log.Windows, tl.Windows()) {
 		t.Errorf("windows did not round-trip:\n got %+v\nwant %+v", log.Windows, tl.Windows())
 	}
-	if got := len(log.Logical()); got != 2 {
-		t.Errorf("Logical() = %d windows, want 2", got)
-	}
 	// Exports from before the gauge instrument was removed carry an
 	// always-empty "gauges" key in every delta; they read back the same.
 	old := strings.ReplaceAll(buf.String(), `"delta":{`, `"delta":{"gauges":{},`)
@@ -322,13 +269,34 @@ func TestReadTimelineLogToleratesTruncatedTail(t *testing.T) {
 	}
 }
 
+func TestReadTimelineLogRejectsUnknownKind(t *testing.T) {
+	reg := NewRegistry()
+	tl := NewTimeline(reg, TimelineConfig{WindowTrials: 2})
+	simTrials(t, tl, reg.Counter("work.units"), 4, 1)
+	var buf bytes.Buffer
+	if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"wall", "bogus", ""} {
+		line := `{"kind":"` + kind + `","seq":0,"done_start":0,"done_end":2,"delta":{}}` + "\n"
+		// Before the last line it is corruption, named by line and kind.
+		_, err := ReadTimelineLog(strings.NewReader(line + buf.String()))
+		if err == nil || !strings.Contains(err.Error(), "line 1") || !strings.Contains(err.Error(), `"`+kind+`"`) {
+			t.Errorf("kind %q: err = %v, want an error naming line 1 and the kind", kind, err)
+		}
+		// As the last line it is a damaged tail: never counted as a window.
+		log, err := ReadTimelineLog(strings.NewReader(buf.String() + line))
+		if err != nil || !log.Truncated || len(log.Windows) != 2 {
+			t.Errorf("kind %q as the tail: %+v, %v, want 2 windows, Truncated", kind, log, err)
+		}
+	}
+}
+
 func TestTimelineNilSafety(t *testing.T) {
 	var tl *Timeline
 	tl.BeginSegment()
 	tl.NoteTrials(0, 4)
 	tl.Flush()
-	tl.SampleWall()
-	tl.StartWallSampler(time.Second)()
 	if tl.Windows() != nil {
 		t.Error("nil timeline Windows() != nil")
 	}
@@ -338,8 +306,8 @@ func TestTimelineNilSafety(t *testing.T) {
 }
 
 func TestTimelineWindowJSONShape(t *testing.T) {
-	// Logical windows must not serialise wall fields at all — the JSONL
-	// determinism guarantee depends on omitempty dropping them.
+	// Windows carry no wall-clock field at all: the JSONL determinism
+	// guarantee depends on it.
 	w := TimelineWindow{Kind: WindowLogical, Seq: 0, DoneEnd: 4, Delta: emptySnapshot().Deterministic()}
 	raw, err := json.Marshal(w)
 	if err != nil {
