@@ -283,6 +283,8 @@ func run(ctx context.Context, cfg benchConfig, suite []experiments.Experiment, s
 	var full error // every failure, and a cancellation, in full
 	defer func() { cr.Finish(full) }()
 	camp := cr.Campaign
+	// Every note from here on first ends an open -progress line.
+	stderr = camp.Progress.Notes(stderr)
 	reg := camp.Registry
 
 	// runExperiment runs e on a runner scoped to the campaign, prints its

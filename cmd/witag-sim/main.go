@@ -402,7 +402,7 @@ func run(ctx context.Context, cfg deployment, ocfg obsConfig, rounds, runs, para
 		defer func() {
 			tl.Flush()
 			if terr := clirun.WriteJSONL(ocfg.tlPath, tl, clirun.ErrorText(err)); terr != nil {
-				fmt.Fprintln(os.Stderr, "witag-sim: timeline:", terr)
+				fmt.Fprintln(cr.Stderr, "witag-sim: timeline:", terr)
 			}
 		}()
 	}

@@ -65,6 +65,9 @@ type Options struct {
 type Run struct {
 	// Campaign is the invocation's one instrumentation handle.
 	Campaign *obs.Campaign
+	// Stderr takes the run's notes for standard error. With progress on,
+	// each note first ends the open progress line.
+	Stderr io.Writer
 
 	ctx       context.Context
 	opts      Options
@@ -94,7 +97,7 @@ func Start(ctx context.Context, opts Options) (*Run, error) {
 		copts.Progress = obs.NewProgress(os.Stderr, opts.ProgressNoun)
 	}
 	camp := obs.NewCampaign(opts.Campaign, copts)
-	r.Campaign = camp
+	r.Campaign, r.Stderr = camp, camp.Progress.Notes(os.Stderr)
 	camp.Logger.Info("run started", opts.StartAttrs...)
 
 	if opts.MetricsAddr != "" {
@@ -108,7 +111,7 @@ func Start(ctx context.Context, opts Options) (*Run, error) {
 		// cancelled run must release its port promptly. Close is
 		// idempotent, so the two paths race safely.
 		r.unhook = context.AfterFunc(ctx, func() { srv.Shutdown(); srv.Close() })
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
+		fmt.Fprintf(r.Stderr, "metrics: http://%s/metrics (also /campaigns, /campaigns/%s/events, /debug/pprof/)\n", srv.Addr, camp.ID)
 	}
 	return r, nil
 }
@@ -127,9 +130,9 @@ func (r *Run) ExportTrace(path, failure string) error {
 		return err
 	}
 	if d := rec.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", rec.Len(), path, d)
+		fmt.Fprintf(r.Stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", rec.Len(), path, d)
 	} else {
-		fmt.Fprintf(os.Stderr, "trace: wrote %d events to %s\n", rec.Len(), path)
+		fmt.Fprintf(r.Stderr, "trace: wrote %d events to %s\n", rec.Len(), path)
 	}
 	rec.Reset()
 	return nil
@@ -144,7 +147,7 @@ func (r *Run) ExportTrace(path, failure string) error {
 func (r *Run) Finish(err error) {
 	if r.opts.TracePath != "" {
 		if terr := r.ExportTrace(r.opts.TracePath, ErrorText(err)); terr != nil {
-			fmt.Fprintf(os.Stderr, "%s: trace: %v\n", r.opts.Tool, terr)
+			fmt.Fprintf(r.Stderr, "%s: trace: %v\n", r.opts.Tool, terr)
 		}
 	}
 	if r.server != nil {
@@ -171,7 +174,7 @@ func (r *Run) Finish(err error) {
 			rec.Error = err.Error()
 		}
 		if lerr := obs.AppendRunRecord(r.opts.LedgerDir, rec); lerr != nil {
-			fmt.Fprintf(os.Stderr, "%s: ledger: %v\n", r.opts.Tool, lerr)
+			fmt.Fprintf(r.Stderr, "%s: ledger: %v\n", r.opts.Tool, lerr)
 		}
 	}
 	if r.logFile != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"witag/internal/channel"
 	"witag/internal/crypto80211"
 	"witag/internal/dot11"
 	"witag/internal/obs"
@@ -203,6 +205,101 @@ func TestQueryRoundResultsOwnTheirBits(t *testing.T) {
 	}
 	if !slices.Equal(first.TxBits, tx) || !slices.Equal(first.RxBits, rx) {
 		t.Fatal("a later round rewrote an earlier round's bits")
+	}
+}
+
+// TestQueryRoundIntoMatchesQueryRound drives one reused result through
+// QueryRoundInto and fresh QueryRound calls on a twin system over 500
+// rounds of a bursty, trafficked world, and requires every field, the
+// fault tally, the counters and the trace to agree: reusing the result
+// moves no draw. The reused result starts with slices too short for a
+// round and stale fields, every third round sends fewer bits than DataLen
+// (padded with idle 1s), and a lost block ACK must leave RxBits empty
+// and the next delivered round must fill it again from the same storage.
+func TestQueryRoundIntoMatchesQueryRound(t *testing.T) {
+	type twin struct {
+		sys *System
+		env *channel.Environment
+		o   *obs.Observer
+	}
+	var twins [2]twin
+	for i := range twins {
+		sys, env, err := linkWorld(1, 77)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.NewObserver(nil, obs.NewRecorder(1<<12))
+		sys.Instrument(o, 1, "into")
+		twins[i] = twin{sys, env, o}
+	}
+	reused := RoundResult{TxBits: []byte{0, 0, 0}, RxBits: make([]byte, 1, 2), BitErrors: 99, BALost: true, SNRDb: -1}
+	var txData, rxData *byte
+	lost, refilled, prevLost := 0, 0, false
+	dataLen := twins[0].sys.Spec.DataLen
+	bitsRNG := stats.NewRNG(78)
+	for r := range 500 {
+		n := dataLen
+		if r%3 == 1 {
+			n = bitsRNG.Intn(n) // a short round, padded with idle 1s
+		}
+		bits := stats.RandomBits(bitsRNG, n)
+		for _, tw := range twins {
+			tw.env.Advance(channel.RoundStepS)
+		}
+		if err := twins[0].sys.QueryRoundInto(bits, &reused); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		fresh, err := twins[1].sys.QueryRound(bits)
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		got, want := reused, *fresh
+		if !slices.Equal(got.TxBits, want.TxBits) || !slices.Equal(got.RxBits, want.RxBits) {
+			t.Fatalf("round %d: QueryRoundInto bits %v → %v, QueryRound %v → %v", r, got.TxBits, got.RxBits, want.TxBits, want.RxBits)
+		}
+		got.TxBits, got.RxBits, want.TxBits, want.RxBits = nil, nil, nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: QueryRoundInto gave %+v, QueryRound %+v", r, got, want)
+		}
+		switch {
+		case got.BALost:
+			lost++
+			if len(reused.RxBits) != 0 {
+				t.Fatalf("round %d: a lost block ACK left %d received bits", r, len(reused.RxBits))
+			}
+		case len(reused.RxBits) != dataLen:
+			t.Fatalf("round %d: %d received bits, want %d", r, len(reused.RxBits), dataLen)
+		case prevLost:
+			refilled++
+		}
+		prevLost = got.BALost
+		// Past the first round the result's storage is the first round's.
+		if txData == nil {
+			txData = &reused.TxBits[0]
+		} else if &reused.TxBits[0] != txData {
+			t.Fatalf("round %d: TxBits moved to new storage", r)
+		}
+		if cap(reused.RxBits) >= dataLen {
+			if rxData == nil {
+				rxData = &reused.RxBits[:1][0]
+			} else if &reused.RxBits[:1][0] != rxData {
+				t.Fatalf("round %d: RxBits moved to new storage", r)
+			}
+		}
+	}
+	if lost == 0 || refilled == 0 {
+		t.Fatalf("%d lost block ACKs, %d followed by a delivered round; the world must lose some", lost, refilled)
+	}
+	a, b := twins[0], twins[1]
+	if a.sys.Injected != b.sys.Injected {
+		t.Fatalf("fault tally %+v, QueryRound's %+v", a.sys.Injected, b.sys.Injected)
+	}
+	sa, sb := a.o.Registry.Snapshot().Deterministic(), b.o.Registry.Snapshot().Deterministic()
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("metrics %+v, QueryRound's %+v", sa, sb)
+	}
+	if !reflect.DeepEqual(a.o.Trace.Events(), b.o.Trace.Events()) {
+		t.Fatal("trace events differ from QueryRound's")
 	}
 }
 

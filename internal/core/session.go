@@ -222,7 +222,7 @@ func (s *System) cipherOverhead() int {
 // RoundResult reports one query round.
 type RoundResult struct {
 	TxBits    []byte // bits the tag attempted to send
-	RxBits    []byte // bits the client read from the block ACK; nil when BALost
+	RxBits    []byte // bits the client read from the block ACK; empty when BALost
 	Detected  bool   // did the tag see the trigger?
 	BitErrors int
 	Airtime   time.Duration
@@ -245,8 +245,21 @@ func (r *RoundResult) BER() float64 {
 // QueryRound runs one §4 exchange: the client transmits a query A-MPDU,
 // the tag modulates it, the AP block-ACKs, the client reads tag bits from
 // the bitmap. bits must have length ≤ Spec.DataLen; missing bits are
-// padded with 1 (tag idle).
+// padded with 1 (tag idle). The result is fresh and owns its bits.
 func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
+	res := new(RoundResult)
+	if err := s.QueryRoundInto(bits, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// QueryRoundInto runs QueryRound's exchange, with exactly its draws, into
+// res, overwriting every field. It reuses the storage of res.TxBits and
+// res.RxBits, so a caller that keeps a round's bits past the next round
+// into the same res must copy them (DESIGN.md §17, stage 10). RxBits is
+// left empty when the block ACK is lost. On error *res is unspecified.
+func (s *System) QueryRoundInto(bits []byte, res *RoundResult) error {
 	// Phase-attribution spans (DESIGN.md §14). The round is carved into
 	// contiguous, non-overlapping regions so phase totals sum to ~the whole
 	// round: encode → channel → equalise (live links only) → viterbi →
@@ -264,14 +277,14 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// spec, never built. Planning validates the spec.
 	plan, err := s.queryPlan()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	trigLen, dataLen := s.Spec.TriggerLen, s.Spec.DataLen
 	total := trigLen + dataLen
 	if len(bits) > dataLen {
-		return nil, fmt.Errorf("core: %d bits exceed the query's %d data subframes", len(bits), dataLen)
+		return fmt.Errorf("core: %d bits exceed the query's %d data subframes", len(bits), dataLen)
 	}
-	txBits := make([]byte, dataLen)
+	txBits := resize(res.TxBits, dataLen)
 	var txMask uint64 // bit j: txBits[j]
 	for i := range txBits {
 		txBits[i] = 1
@@ -287,7 +300,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// trigger mean — which averages out the shaper's size dither.
 	detected, timing, err := s.detectTrigger(plan.trigMean)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// --- The world's round, read in this one place: its link (SNR,
@@ -298,21 +311,21 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// closes the channel and equalise regions. The draws are counted here.
 	g, err := s.geom()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var w worldRound
 	var phasors int64
 	linkEvals := 1
 	if s.Link != nil {
 		if w, phasors, linkEvals, err = s.Link.at(s.linkRound, s, &g); err != nil {
-			return nil, err
+			return err
 		}
 		s.linkRound++
 		sp = spans.Lap(obs.PhaseChannel, sp)
 	} else {
 		w.draws = drawRound(s.Faults, s.Traffic, dataLen, total)
 		if w.link, sp, phasors, err = s.link.eval(s.Env, &g, spans, sp); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	link, draws := &w.link, &w.draws
@@ -328,7 +341,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// read as idle 1s at the client.
 	tab, err := s.tableFor(plan, detected, timing)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var splits [dot11.MaxSubframes]uint16
 	tab.roundSplits(splits[:total], txBits, detected, int(draws.brownStart), int(draws.brownLen))
@@ -353,8 +366,9 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// --- Client side: read tag bits out of the bitmap, past the trigger
 	// subframes.
 	baLost := draws.flags&drawBALost != 0
-	res := &RoundResult{
+	*res = RoundResult{
 		TxBits:   txBits,
+		RxBits:   res.RxBits[:0],
 		Detected: detected,
 		BALost:   baLost,
 		SNRDb:    phy.SNRToDb(link.snr),
@@ -365,7 +379,7 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		res.BitErrors = len(txBits)
 	} else {
 		data := ok >> trigLen
-		res.RxBits = make([]byte, dataLen)
+		res.RxBits = resize(res.RxBits, dataLen)
 		for j := range res.RxBits {
 			res.RxBits[j] = byte(data >> j & 1)
 		}
@@ -375,11 +389,11 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 	// --- Airtime accounting. ---
 	access, err := s.Contender.AccessDelay(s.BusyProb, time.Millisecond)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	baAir, err := dot11.BlockAckAirtime(s.BARateMbps)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Airtime = access + plan.ppdu + dot11.SIFS + baAir
 
@@ -428,7 +442,15 @@ func (s *System) QueryRound(bits []byte) (*RoundResult, error) {
 		}
 	}
 	spans.End(obs.PhaseCRC, sp)
-	return res, nil
+	return nil
+}
+
+// resize returns b at length n, reusing its storage when it has room.
+func resize(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }
 
 // ProtocolGrid is the WiTAG shaping contract: every query subframe lasts a

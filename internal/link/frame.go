@@ -74,8 +74,9 @@ type FrameSender struct {
 	// dynamics sim.MeasureRun applies.
 	env    *channel.Environment
 	rng    *rand.Rand
-	erased int    // consecutive erased frames
-	rx     []byte // received bits, reused from frame to frame
+	erased int              // consecutive erased frames
+	rx     []byte           // received bits, reused from frame to frame
+	res    core.RoundResult // every round's result, its bits copied into rx
 }
 
 // NewFrameSender wires the frame loop over sys. rng is the backoff
@@ -124,8 +125,8 @@ func (f *FrameSender) Send(ctx context.Context, codec core.Codec, fp []byte, st 
 		if f.env != nil {
 			f.Sys.Advance(f.env)
 		}
-		res, err := f.Sys.QueryRound(bits[off:end])
-		if err != nil {
+		res := &f.res
+		if err := f.Sys.QueryRoundInto(bits[off:end], res); err != nil {
 			return Frame{}, err
 		}
 		sp = spans.Start()

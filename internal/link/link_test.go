@@ -334,10 +334,9 @@ func TestSendCancelsMidFrame(t *testing.T) {
 }
 
 // TestFrameSenderSendAllocs pins what a frame costs once the sender's
-// receive buffer has grown: every Send after the first on one sender
-// allocates three times per query round (the round's result and its two
-// bit slices), three times in Encode and twice in Decode, and nothing to
-// collect the received bits.
+// receive buffer and reused round result have grown: every Send after the
+// first on one sender allocates three times in Encode and twice in Decode,
+// and nothing per query round or to collect the received bits.
 func TestFrameSenderSendAllocs(t *testing.T) {
 	sys, _ := linkTestbed(t, 5)
 	f := NewFrameSender(sys, nil, stats.NewRNG(1))
@@ -361,7 +360,7 @@ func TestFrameSenderSendAllocs(t *testing.T) {
 		}
 	}
 	send()
-	if want, allocs := float64(3*rounds+3+2), testing.AllocsPerRun(10, send); allocs != want {
+	if want, allocs := float64(3+2), testing.AllocsPerRun(10, send); allocs != want {
 		t.Fatalf("Send allocates %v times per %d-round frame, want %v", allocs, rounds, want)
 	}
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +85,43 @@ func TestProgressConcurrentDone(t *testing.T) {
 	}
 	if st := c.Status(); st.Done != n || st.Total != n {
 		t.Fatalf("status tally %d/%d, want %d/%d", st.Done, st.Total, n, n)
+	}
+}
+
+// TestProgressNotesEndTheOpenLine: a note written through Notes while a
+// progress line is drawn starts a line of its own (the line is ended
+// first, once), a note after a note or after the final line adds no blank
+// line, and the next redraw goes below the note.
+func TestProgressNotesEndTheOpenLine(t *testing.T) {
+	var out syncBuffer
+	c := NewCampaign("job", CampaignOptions{Progress: NewProgress(&out, "runs")})
+	c.MinEventInterval = time.Nanosecond
+	notes := c.Progress.Notes(&out)
+	c.ProgressStart(4)
+	c.ProgressDone(1)
+	fmt.Fprintln(notes, "trace: wrote 3 events to D")
+	fmt.Fprintln(notes, "timeline: wrote 2 windows")
+	c.ProgressDone(3)
+	fmt.Fprintln(notes, "witag-bench: fig5: failed")
+	c.Finish(nil)
+	fmt.Fprintln(notes, "trace: wrote 0 events to E")
+	lines := strings.Split(out.String(), "\n")
+	want := []string{"\rruns 1/4 ", "trace: wrote 3 events to D", "timeline: wrote 2 windows",
+		"\rruns 4/4 ", "witag-bench: fig5: failed", "\rruns 4/4 ", "trace: wrote 0 events to E", ""}
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines, want %d: %q", len(lines), len(want), out.String())
+	}
+	for i, w := range want {
+		ok := lines[i] == w
+		if strings.HasPrefix(w, "\r") {
+			ok = strings.HasPrefix(lines[i], w) // rate and ETA read the wall clock
+		}
+		if !ok {
+			t.Fatalf("line %d = %q, want %q: %q", i, lines[i], w, out.String())
+		}
+	}
+	if w := io.Writer(&out); (*Progress)(nil).Notes(w) != w {
+		t.Fatal("a nil Progress must hand notes straight to the writer")
 	}
 }
 

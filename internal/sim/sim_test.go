@@ -12,6 +12,7 @@ import (
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/fault"
+	"witag/internal/obs"
 	"witag/internal/stats"
 )
 
@@ -166,6 +167,39 @@ func TestMeasureRunCancellation(t *testing.T) {
 	}
 	if _, err := MeasureRun(ctx, sys, env, 1000, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMeasureRunAllocsFlat pins the measurement loop's allocations to its
+// set-up: a run of 1,000 rounds allocates exactly as often as one of 100,
+// so no round allocates — detached, and with an observer, a trace ring and
+// a bursty fault injector attached.
+func TestMeasureRunAllocsFlat(t *testing.T) {
+	bursty, err := fault.Named("bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, instrumented := range []bool{false, true} {
+		sys, env, err := testTrial(5, 0).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if instrumented {
+			sys.Instrument(obs.NewObserver(nil, obs.NewRecorder(256)), 1, "allocs")
+			if sys.Faults, err = fault.NewInjector(bursty, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := MeasureRun(context.Background(), sys, env, rounds, 4); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(100), allocs(1000); short != long {
+			t.Fatalf("instrumented %v: MeasureRun allocates %v times over 100 rounds and %v over 1,000", instrumented, short, long)
+		}
 	}
 }
 

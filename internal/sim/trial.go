@@ -74,14 +74,17 @@ func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment,
 	rng := stats.NewRNG(seed)
 	var rs RunStats
 	detected := 0
+	// One payload buffer and one result serve every round: the loop keeps
+	// only their tallies, so it allocates nothing per round.
+	bits := make([]byte, sys.Spec.DataLen)
+	var res core.RoundResult
 	for r := 0; r < rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return rs, err
 		}
 		sys.Advance(env)
-		bits := stats.RandomBits(rng, sys.Spec.DataLen)
-		res, err := sys.QueryRound(bits)
-		if err != nil {
+		stats.FillBits(rng, bits)
+		if err := sys.QueryRoundInto(bits, &res); err != nil {
 			return rs, err
 		}
 		rs.Errors += res.BitErrors
@@ -114,14 +117,14 @@ type Stream struct {
 // the stream with an error naming it: a stream cannot carry unknown bits.
 // Cancelling ctx aborts between rounds.
 func (st *Stream) Send(ctx context.Context, sys *core.System, env *channel.Environment, bits []byte) error {
+	var res core.RoundResult // reused by every round; its bits are copied out
 	for off := 0; off < len(bits); off += sys.Spec.DataLen {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		end := min(off+sys.Spec.DataLen, len(bits))
 		sys.Advance(env)
-		res, err := sys.QueryRound(bits[off:end])
-		if err != nil {
+		if err := sys.QueryRoundInto(bits[off:end], &res); err != nil {
 			return err
 		}
 		if res.BALost {

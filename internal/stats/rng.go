@@ -97,12 +97,18 @@ func Uniform(r *rand.Rand, lo, hi float64) float64 {
 // RandomBits fills a fresh slice of n pseudo-random bits (0 or 1).
 func RandomBits(r *rand.Rand, n int) []byte {
 	bits := make([]byte, n)
-	for i := range bits {
+	FillBits(r, bits)
+	return bits
+}
+
+// FillBits overwrites b with pseudo-random bits (0 or 1), drawing what
+// RandomBits(r, len(b)) draws.
+func FillBits(r *rand.Rand, b []byte) {
+	for i := range b {
 		// Exactly r.Intn(2): math/rand takes a power-of-two bound's draw
 		// from bit 32 of Int63.
-		bits[i] = byte(r.Int63() >> 32 & 1)
+		b[i] = byte(r.Int63() >> 32 & 1)
 	}
-	return bits
 }
 
 // RandomBytes fills a fresh slice of n pseudo-random bytes.

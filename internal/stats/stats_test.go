@@ -125,21 +125,32 @@ func TestRandomBitsAndBytes(t *testing.T) {
 	}
 }
 
-// TestRandomBitsMatchesIntn pins RandomBits to the stream r.Intn(2) draws,
-// which every seeded experiment's tag data was generated from: the same
-// bits, and the generator left in the same state.
+// TestRandomBitsMatchesIntn pins RandomBits, and FillBits over a reused
+// buffer of stale bytes, to the stream r.Intn(2) draws, which every
+// seeded experiment's tag data was generated from: the same bits, and the
+// generator left in the same state.
 func TestRandomBitsMatchesIntn(t *testing.T) {
+	buf := make([]byte, 997)
 	for _, seed := range []int64{0, 1, 6, 42, -7, 1 << 40} {
-		a, b := NewRNG(seed), NewRNG(seed)
+		a, b, c := NewRNG(seed), NewRNG(seed), NewRNG(seed)
 		for _, n := range []int{0, 1, 60, 997} {
 			got := RandomBits(a, n)
+			for i := range buf {
+				buf[i] = 7
+			}
+			filled := buf[:n]
+			FillBits(c, filled)
 			for i := range got {
-				if want := byte(b.Intn(2)); got[i] != want {
+				want := byte(b.Intn(2))
+				if got[i] != want {
 					t.Fatalf("seed %d, n %d: bit %d = %d, Intn(2) gives %d", seed, n, i, got[i], want)
+				}
+				if filled[i] != want {
+					t.Fatalf("seed %d, n %d: FillBits bit %d = %d, Intn(2) gives %d", seed, n, i, filled[i], want)
 				}
 			}
 		}
-		if a.Int63() != b.Int63() {
+		if x := a.Int63(); x != b.Int63() || x != c.Int63() {
 			t.Fatalf("seed %d: generators diverged", seed)
 		}
 	}
