@@ -12,10 +12,10 @@
 // experiment (DESIGN.md §12): deterministic metrics must match exactly,
 // stochastic science series are classified ok/drift/regression/improvement
 // per point via tolerance bands plus Welch's t (or a deterministic
-// bootstrap over raw trials), and volatile wall-clock histograms are held
-// to a quantile-ratio perf budget (-budget 0 turns the perf tier into
-// ratio reporting only — the right setting when baseline and candidate
-// come from different machines).
+// bootstrap over raw trials), and the PROF profiles' trial wall time and
+// per-phase span durations are held to a p50/p99 ratio perf budget
+// (-budget 0 turns the perf tier into ratio reporting only — the right
+// setting when baseline and candidate come from different machines).
 //
 // Exit status: 0 when the overall verdict is ok, improvement or drift;
 // 1 on regression (or on drift too, with -strict); 2 on usage or I/O
@@ -38,7 +38,7 @@ func main() {
 	baseline := flag.String("baseline", "bench", "baseline artifact directory (the committed reference)")
 	candidate := flag.String("candidate", "", "candidate artifact directory to gate (required)")
 	asJSON := flag.Bool("json", false, "emit the drift report as JSON instead of aligned text")
-	flag.Float64Var(&opts.Budget, "budget", opts.Budget, "volatile-histogram quantile ratio ceiling; 0 reports ratios without gating")
+	flag.Float64Var(&opts.Budget, "budget", opts.Budget, "PROF p50/p99 ratio ceiling (trial wall time and phase spans); 0 reports ratios without gating")
 	flag.Float64Var(&opts.Tolerance, "tol", opts.Tolerance, "relative tolerance band for science series points")
 	flag.Float64Var(&opts.Alpha, "alpha", opts.Alpha, "significance level for the Welch/bootstrap tests")
 	strict := flag.Bool("strict", false, "also exit non-zero on drift (not just regression)")

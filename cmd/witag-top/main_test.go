@@ -38,7 +38,8 @@ func TestPollRendersTheCampaign(t *testing.T) {
 	a := &app{base: "http://" + srv.Addr.String(), http: &http.Client{Timeout: 5 * time.Second}}
 
 	camp.ProgressStart(8)
-	camp.ProgressDone(3)
+	camp.Observer.Runner.TrialsDone.Add(3)
+	camp.ProgressDone()
 	camp.Registry.Counter("core.bits").Add(1000)
 	if err := a.poll(ctx); err != nil {
 		t.Fatal(err)

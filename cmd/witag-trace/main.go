@@ -29,8 +29,8 @@
 // trace holds several label paths under one trial ID) through the same
 // experiment code path, seeded from the stats.SubSeed label path the
 // trace events carry. It then compares the replayed events against the
-// original trace's slice — excluding the runner's volatile wall-time
-// "trial" records — and exits non-zero unless they are byte-identical.
+// original trace's slice, every event of the trial, and exits non-zero
+// unless they are byte-identical.
 // -seed must be the campaign's root seed; -rounds defaults to the
 // trial's round-event count in the trace (ablation/fec trials ignore it
 // and run the ablation's fixed frame count); -payload and -fault mirror the
@@ -294,7 +294,7 @@ func cmdReplay(ctx context.Context, args []string) error {
 		fmt.Printf("replayed trace written to %s\n", *out)
 	}
 
-	replayed := dropVolatile(rec.Events())
+	replayed := rec.Events()
 	if i, ok := firstDivergence(orig, replayed); !ok {
 		fmt.Printf("verified: %d replayed events byte-identical to the original trace slice\n", len(orig))
 	} else {
@@ -314,13 +314,13 @@ func cmdReplay(ctx context.Context, args []string) error {
 	return nil
 }
 
-// selectTrial pulls one trial's non-volatile events out of the trace and
-// resolves its label path.
+// selectTrial pulls one trial's events out of the trace and resolves its
+// label path.
 func selectTrial(tr *obs.Trace, trial int, labels string) ([]obs.Event, string, error) {
 	var out []obs.Event
 	paths := map[string]bool{}
 	for _, e := range tr.Events {
-		if e.Trial != trial || e.Kind == "trial" {
+		if e.Trial != trial {
 			continue
 		}
 		if labels != "" && e.Labels != labels {
@@ -355,18 +355,6 @@ func labelSuffix(labels string) string {
 		return ""
 	}
 	return fmt.Sprintf(" with labels %q", labels)
-}
-
-// dropVolatile removes the runner's wall-time "trial" records, the only
-// events whose payload is not a pure function of the seeds.
-func dropVolatile(events []obs.Event) []obs.Event {
-	out := events[:0]
-	for _, e := range events {
-		if e.Kind != "trial" {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // firstDivergence compares two event slices by their JSON encodings and

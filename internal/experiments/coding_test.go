@@ -280,7 +280,6 @@ func TestCodingTapesMatchLocalLinks(t *testing.T) {
 	events := func(c *obs.Campaign) map[string][]obs.Event {
 		m := map[string][]obs.Event{}
 		for _, e := range c.Trace.Events() {
-			e.WallMs = 0
 			k := fmt.Sprint(e.Trial, e.Labels)
 			m[k] = append(m[k], e)
 		}
@@ -412,11 +411,12 @@ func TestCodingTapesReleasedOnCancel(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}
-	// The runner records one "trial" event per transfer that started.
+	// Every transfer that started records its own "transfer" event on
+	// each exit path, cancellation included.
 	started := map[int]int{} // world → transfers started
 	n := 0
 	for _, e := range camp.Trace.Events() {
-		if e.Kind == "trial" {
+		if e.Kind == "transfer" {
 			pi, _, tr := codingTrial(e.Trial, len(CodingSchemes), cfg.Transfers)
 			started[pi*cfg.Transfers+tr]++
 			n++

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"witag/internal/obs"
@@ -75,11 +77,11 @@ func TestMetricsIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	// The volatile wall-time histogram must have been filtered out of the
 	// deterministic view (it is real time and legitimately differs).
-	if _, ok := ds.Histograms["runner.trial_wall_ms"]; ok {
-		t.Error("volatile runner.trial_wall_ms leaked into the deterministic view")
+	if _, ok := ds.Histograms["runner.trial_wall_us"]; ok {
+		t.Error("volatile runner.trial_wall_us leaked into the deterministic view")
 	}
-	if _, ok := serial.Histograms["runner.trial_wall_ms"]; !ok {
-		t.Error("runner.trial_wall_ms missing from the full snapshot")
+	if _, ok := serial.Histograms["runner.trial_wall_us"]; !ok {
+		t.Error("runner.trial_wall_us missing from the full snapshot")
 	}
 }
 
@@ -150,6 +152,59 @@ func TestInstrumentationDoesNotPerturbResults(t *testing.T) {
 	}
 	if bare.Render() != instrumented.Render() {
 		t.Fatal("attaching instrumentation changed the rendered table")
+	}
+}
+
+// TestTraceExportDeterministic exports the Figure 5 trace ring of fresh
+// campaigns: every event is a pure function of the seeds and names its
+// trial's label path, so two campaigns at one worker write the same
+// bytes, and one at two workers writes the same lines in another order.
+func TestTraceExportDeterministic(t *testing.T) {
+	export := func(workers int) []byte {
+		camp := traceCampaign()
+		cfg := Figure5Config{Seed: 42, Runs: 2, Round: 60, Workers: workers, Campaign: camp}
+		if _, err := Figure5Ctx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if d := camp.Trace.Dropped(); d != 0 {
+			t.Fatalf("trace ring dropped %d events; enlarge the test capacity", d)
+		}
+		var buf bytes.Buffer
+		if err := camp.Trace.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sortedLines := func(b []byte) []string {
+		lines := strings.Split(string(b), "\n")
+		sort.Strings(lines)
+		return lines
+	}
+
+	first, second := export(1), export(1)
+	if !bytes.Equal(first, second) {
+		a, b := strings.Split(string(first), "\n"), strings.Split(string(second), "\n")
+		for i := 0; i < len(a) && i < len(b); i++ {
+			if a[i] != b[i] {
+				t.Fatalf("two 1-worker exports differ at line %d:\n%s\n%s", i+1, a[i], b[i])
+			}
+		}
+		t.Fatalf("two 1-worker exports differ in length: %d and %d lines", len(a), len(b))
+	}
+	tr, err := obs.ReadJSONL(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) < 2*60 {
+		t.Fatalf("export holds %d events — too few to compare", len(tr.Events))
+	}
+	for i, e := range tr.Events {
+		if e.Labels == "" {
+			t.Fatalf("event %d (%+v) carries no label path", i+1, e)
+		}
+	}
+	if !reflect.DeepEqual(sortedLines(first), sortedLines(export(2))) {
+		t.Fatal("the 2-worker export holds other lines than the 1-worker one")
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 // fresh observer attached. The replay invariant (proved by the
 // determinism suite, see DESIGN.md §11): because a trial's outcome is a
 // pure function of its labeled seeds, the replayed trial's deterministic
-// metrics and its trace events — minus the runner's volatile wall-time
-// "trial" records — are byte-identical to the original campaign's slice,
-// at any worker count.
+// metrics and its trace events are byte-identical to the original
+// campaign's slice, at any worker count.
 //
 // The label tokens from the trace are used VERBATIM as seed-path
 // elements (never re-formatted), so replay exactness cannot be lost to a
@@ -110,7 +109,7 @@ func labelInt(tok, key string) (int, error) {
 
 // replayRunTrial runs the rebuilt trial, of req.Rounds rounds, on a
 // single-worker runner scoped to the replay campaign (so runner.* counters
-// and the volatile "trial" record match a campaign slice's shape).
+// match a campaign slice's shape).
 func replayRunTrial(ctx context.Context, req ReplayRequest, t sim.Trial) (sim.RunStats, error) {
 	if req.Rounds < 1 {
 		return sim.RunStats{}, fmt.Errorf("experiments: replaying %s needs the per-trial round count", req.Labels)

@@ -39,13 +39,12 @@ func campaignTrace(t *testing.T, fn func(c *obs.Campaign) error) ([]obs.Event, o
 	return c.Trace.Events(), c.Registry.Snapshot()
 }
 
-// trialSlice filters one trial's events, excluding the runner's volatile
-// wall-time "trial" records — the only events that are not a pure
-// function of the seeds.
+// trialSlice filters one trial's events: all of them, since every event
+// is a pure function of the seeds.
 func trialSlice(events []obs.Event, trial int) []obs.Event {
 	var out []obs.Event
 	for _, e := range events {
-		if e.Trial == trial && e.Kind != "trial" {
+		if e.Trial == trial {
 			out = append(out, e)
 		}
 	}

@@ -179,8 +179,7 @@ func Analyze(tr *obs.Trace) *Analysis {
 			ts := get(e)
 			ts.Faults[e.Outcome]++
 		}
-		// "trial" (runner wall time) and unknown kinds carry nothing to
-		// aggregate per trial.
+		// Unknown kinds carry nothing to aggregate per trial.
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].trial != order[j].trial {

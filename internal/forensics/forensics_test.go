@@ -27,7 +27,7 @@ func TestAnalyzeAggregatesPerTrial(t *testing.T) {
 		round(0, "fig5/d=1/run=0", false, false, 0, 0, 900, 15_000),
 		round(0, "fig5/d=1/run=0", true, true, 28, 3, 1100, 25_000),
 		round(1, "fig5/d=1/run=1", true, false, 28, 0, 1000, 22_000),
-		obs.Event{Kind: "trial", Trial: 0, WallMs: 12}, // volatile; ignored
+		obs.Event{Kind: "future", Trial: 0, Rounds: 12}, // unknown kind; ignored
 	)
 	if len(a.Trials) != 2 {
 		t.Fatalf("trials = %d, want 2", len(a.Trials))

@@ -49,7 +49,6 @@ type Campaign struct {
 	timeline atomic.Pointer[Timeline]
 
 	startNs atomic.Int64 // wall clock, volatile — status/ledger only
-	done    atomic.Int64
 	total   atomic.Int64
 	lastNs  atomic.Int64 // last progress event and redraw, for rate limiting
 
@@ -125,15 +124,16 @@ func (c *Campaign) ProgressStart(n int) {
 	c.total.Add(int64(n))
 }
 
-// ProgressDone records n completed items and, at most once per
-// MinEventInterval (plus always on completion), publishes a "progress"
-// event with the campaign's tally and counters and redraws Progress.
-// Between those it costs one atomic add and one clock read.
-func (c *Campaign) ProgressDone(n int) {
+// ProgressDone notes that an item completed: the runner has just
+// counted it in runner.trials_done, the campaign's one done tally. At
+// most once per MinEventInterval (plus always on completion) it
+// publishes a "progress" event with the tally and counters and redraws
+// Progress. Between those it costs three atomic loads and one clock read.
+func (c *Campaign) ProgressDone() {
 	if c == nil {
 		return
 	}
-	done := c.done.Add(int64(n))
+	done := c.done()
 	total := c.total.Load()
 	min := c.MinEventInterval
 	if min <= 0 {
@@ -161,11 +161,11 @@ type ProgressSnapshot struct {
 	RatePerS float64 `json:"rate_per_s"` // volatile: wall-clock rate
 }
 
+// done reads the campaign's done tally, runner.trials_done.
+func (c *Campaign) done() int64 { return c.Observer.Runner.TrialsDone.Value() }
+
 func (c *Campaign) progressSnapshot(done, total int64, nowNs int64) ProgressSnapshot {
-	s := ProgressSnapshot{Campaign: c.ID, Done: done, Total: total}
-	if c.Observer != nil {
-		s.Failed = c.Observer.Runner.TrialsFailed.Value()
-	}
+	s := ProgressSnapshot{Campaign: c.ID, Done: done, Total: total, Failed: c.Observer.Runner.TrialsFailed.Value()}
 	if el := time.Duration(nowNs - c.startNs.Load()).Seconds(); el > 0 {
 		s.RatePerS = float64(done) / el
 	}
@@ -249,7 +249,7 @@ func (c *Campaign) Finish(err error) {
 		c.state = "done"
 	}
 	c.mu.Unlock()
-	c.Progress.draw(c.progressSnapshot(c.done.Load(), c.total.Load(), time.Now().UnixNano()), true)
+	c.Progress.draw(c.progressSnapshot(c.done(), c.total.Load(), time.Now().UnixNano()), true)
 	c.Events.Publish("status", c.Status())
 	c.Events.Close()
 }
@@ -285,13 +285,11 @@ func (c *Campaign) Status() CampaignStatus {
 		ID:       c.ID,
 		State:    state,
 		Outcome:  outcome,
-		Done:     c.done.Load(),
+		Done:     c.done(),
 		Total:    c.total.Load(),
+		Failed:   c.Observer.Runner.TrialsFailed.Value(),
 		WallMs:   c.WallMs(),
 		Watchers: c.Events.Subscribers(),
-	}
-	if c.Observer != nil {
-		st.Failed = c.Observer.Runner.TrialsFailed.Value()
 	}
 	if c.Events != nil {
 		st.Dropped = c.Events.Dropped.Value()

@@ -18,7 +18,7 @@ func TestCampaignProgressEventsAndStatus(t *testing.T) {
 
 	c.ProgressStart(3)
 	for i := 0; i < 3; i++ {
-		c.ProgressDone(1)
+		doneTrials(c, 1)
 	}
 	st := c.Status()
 	if st.State != "running" || st.Done != 3 || st.Total != 3 || st.Watchers != 1 {

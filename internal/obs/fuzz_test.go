@@ -35,7 +35,7 @@ func fuzzRecorder(data []byte) *Recorder {
 	for i, b := range data {
 		rec.Record(Event{
 			Kind: kinds[int(b)%len(kinds)], Trial: int(b >> 3), Round: i + 1,
-			Labels: strings.ToValidUTF8(string(data[:i%7]), "?"), Detected: b&1 == 1, Bits: int(b), WallMs: int64(i),
+			Labels: strings.ToValidUTF8(string(data[:i%7]), "?"), Detected: b&1 == 1, Bits: int(b),
 		})
 	}
 	return rec
@@ -107,13 +107,13 @@ func fuzzRingOps(ops []byte, record func(Event), reset func()) {
 				Detected: op&1 == 1, BALost: op&2 == 2, Bits: a * b, BitErrors: b,
 				AirtimeUs: int64(a) << 40, SNRmDb: -int64(b), Offset: k, Length: a,
 				Level: int(op), Outcome: str(a + b), Delivered: op&4 == 4,
-				Rounds: -k, Retries: b - a, WallMs: int64(i) * int64(k),
+				Rounds: -k, Retries: b - a,
 			}
 			switch op >> 3 & 3 {
 			case 1:
 				x := func(f int) int64 { return ringExtremes[(a+f)%len(ringExtremes)] }
 				e.Trial, e.Round, e.Bits, e.BitErrors = int(x(0)), int(x(1)), int(x(2)), int(x(3))
-				e.AirtimeUs, e.SNRmDb, e.WallMs = x(4), x(5), x(6)
+				e.AirtimeUs, e.SNRmDb = x(4), x(5)
 				e.Offset, e.Length, e.Level, e.Rounds, e.Retries = int(x(7)), int(x(8)), int(x(9)), int(x(10)), int(x(11))
 			case 2:
 				e = Event{}
@@ -323,7 +323,7 @@ func FuzzAppendEventJSON(f *testing.F) {
 			Detected: v(2)&1 != 0, BALost: v(3)&1 != 0,
 			Bits: int(v(4)), BitErrors: int(v(5)), AirtimeUs: v(6), SNRmDb: v(7),
 			Offset: int(v(8)), Length: int(v(9)), Level: int(v(10)), Outcome: outcome,
-			Delivered: v(11)&1 != 0, Rounds: int(v(12)), Retries: int(v(13)), WallMs: v(14),
+			Delivered: v(11)&1 != 0, Rounds: int(v(12)), Retries: int(v(13)),
 		}
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(&e); err != nil {

@@ -29,13 +29,20 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// doneTrials completes n trials at once the way sim.Runner completes
+// one: counted in runner.trials_done, then reported through ProgressDone.
+func doneTrials(c *Campaign, n int) {
+	c.Observer.Runner.TrialsDone.Add(int64(n))
+	c.ProgressDone()
+}
+
 func TestProgressReportsCompletion(t *testing.T) {
 	var out syncBuffer
 	c := NewCampaign("job", CampaignOptions{Progress: NewProgress(&out, "runs")})
 	c.MinEventInterval = time.Nanosecond
 	c.ProgressStart(4)
 	for i := 0; i < 4; i++ {
-		c.ProgressDone(1)
+		doneTrials(c, 1)
 	}
 	c.Finish(nil)
 	s := out.String()
@@ -56,7 +63,7 @@ func TestProgressAccumulatesAcrossStarts(t *testing.T) {
 	c := NewCampaign("job", CampaignOptions{Progress: NewProgress(&out, "")})
 	c.ProgressStart(2)
 	c.ProgressStart(3)
-	c.ProgressDone(5)
+	doneTrials(c, 5)
 	c.Finish(nil)
 	if s := out.String(); !strings.Contains(s, "trials 5/5") {
 		t.Fatalf("multi-Start total wrong: %q", s)
@@ -74,7 +81,7 @@ func TestProgressConcurrentDone(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				c.ProgressDone(1)
+				doneTrials(c, 1)
 			}
 		}()
 	}
@@ -98,10 +105,10 @@ func TestProgressNotesEndTheOpenLine(t *testing.T) {
 	c.MinEventInterval = time.Nanosecond
 	notes := c.Progress.Notes(&out)
 	c.ProgressStart(4)
-	c.ProgressDone(1)
+	doneTrials(c, 1)
 	fmt.Fprintln(notes, "trace: wrote 3 events to D")
 	fmt.Fprintln(notes, "timeline: wrote 2 windows")
-	c.ProgressDone(3)
+	doneTrials(c, 3)
 	fmt.Fprintln(notes, "witag-bench: fig5: failed")
 	c.Finish(nil)
 	fmt.Fprintln(notes, "trace: wrote 0 events to E")
@@ -130,13 +137,13 @@ func TestNilProgressIsInert(t *testing.T) {
 	p.draw(ProgressSnapshot{Done: 3, Total: 10}, true)
 	var c *Campaign
 	c.ProgressStart(10)
-	c.ProgressDone(3)
+	c.ProgressDone()
 	c.Finish(nil)
 
 	// A campaign without a reporter keeps its tally silently.
 	q := NewCampaign("quiet", CampaignOptions{})
 	q.ProgressStart(2)
-	q.ProgressDone(2)
+	doneTrials(q, 2)
 	q.Finish(nil)
 	if st := q.Status(); st.Done != 2 || st.Total != 2 {
 		t.Fatalf("quiet tally %d/%d, want 2/2", st.Done, st.Total)

@@ -252,7 +252,7 @@ func TestObserverWiresEveryView(t *testing.T) {
 			t.Fatalf("%s = %d, want 1", name, s.Counters[name])
 		}
 	}
-	if !s.Volatile["runner.trial_wall_ms"] {
+	if !s.Volatile["runner.trial_wall_us"] {
 		t.Fatal("trial wall-time histogram must be volatile")
 	}
 }

@@ -16,9 +16,9 @@ import (
 // allocation-free and the JSONL schema self-describing.
 type Event struct {
 	// Kind discriminates the record: "round", "segment", "transfer",
-	// "symbol" (one LT symbol), "shard" (one RS shard), "fault" or
-	// "trial". WriteJSONL appends one extra "summary" record
-	// that is not an event (see TraceSummary).
+	// "symbol" (one LT symbol), "shard" (one RS shard) or "fault".
+	// WriteJSONL appends one extra "summary" record that is not an
+	// event (see TraceSummary).
 	Kind string `json:"kind"`
 	// Trial is the trace ID of the deployment that emitted the event
 	// (the trial index in Monte-Carlo campaigns).
@@ -47,10 +47,6 @@ type Event struct {
 	Delivered bool   `json:"delivered,omitempty"`
 	Rounds    int    `json:"rounds,omitempty"`
 	Retries   int    `json:"retries,omitempty"`
-
-	// Trial fields (wall time is diagnostic; it never feeds back into
-	// the simulation).
-	WallMs int64 `json:"wall_ms,omitempty"`
 }
 
 // Recorder is a bounded ring buffer of events. Recording is mutex-guarded
@@ -95,7 +91,7 @@ type chunk struct {
 // field, in recordFields order. Mask bits 0-2 are the three booleans; bit
 // flagBits+f says field f is present. Kind, Labels and Outcome are stored
 // as string table IDs. The events of a coding campaign encode in 14
-// bytes on average and 18 at most; a record with every field at a 64-bit
+// bytes on average and 19 at most; a record with every field at a 64-bit
 // extreme takes maxRecordBytes.
 const (
 	flagDetected = 1 << iota
@@ -103,8 +99,8 @@ const (
 	flagDelivered
 	flagBits = iota
 
-	recordFields   = 15
-	maxRecordBytes = (flagBits+recordFields+6)/7 + recordFields*binary.MaxVarintLen64 // 153
+	recordFields   = 14
+	maxRecordBytes = (flagBits+recordFields+6)/7 + recordFields*binary.MaxVarintLen64 // 143
 
 	// chunkBytes is the size of a chunk, cut to the worst case of the
 	// whole ring for small capacities.
@@ -113,7 +109,7 @@ const (
 
 // DefaultTraceCap bounds a recorder created with capacity <= 0. A
 // retained event of a coding campaign costs about 14 bytes in memory (at
-// most maxRecordBytes, 153, for any event), plus one string table entry
+// most maxRecordBytes, 143, for any event), plus one string table entry
 // per distinct label, so a full ring of such events holds about 3.5 MiB.
 const DefaultTraceCap = 1 << 18
 
@@ -180,7 +176,7 @@ func (r *Recorder) encode(b []byte, e *Event) []byte {
 		int64(r.intern(e.Kind)), int64(e.Trial), int64(r.intern(e.Labels)), int64(e.Round),
 		int64(e.Bits), int64(e.BitErrors), e.AirtimeUs, e.SNRmDb,
 		int64(e.Offset), int64(e.Length), int64(e.Level), int64(r.intern(e.Outcome)),
-		int64(e.Rounds), int64(e.Retries), e.WallMs,
+		int64(e.Rounds), int64(e.Retries),
 	}
 	var mask uint64
 	if e.Detected {
@@ -224,7 +220,6 @@ func (r *Recorder) decode(b []byte, e *Event) []byte {
 		Bits: int(v[4]), BitErrors: int(v[5]), AirtimeUs: v[6], SNRmDb: v[7],
 		Offset: int(v[8]), Length: int(v[9]), Level: int(v[10]), Outcome: r.str(v[11]),
 		Delivered: mask&flagDelivered != 0, Rounds: int(v[12]), Retries: int(v[13]),
-		WallMs: v[14],
 	}
 	return b
 }
@@ -409,7 +404,6 @@ func appendEventJSON(b []byte, e *Event) []byte {
 	}
 	b = appendJSONInt(b, `,"rounds":`, int64(e.Rounds))
 	b = appendJSONInt(b, `,"retries":`, int64(e.Retries))
-	b = appendJSONInt(b, `,"wall_ms":`, e.WallMs)
 	return append(b, "}\n"...)
 }
 

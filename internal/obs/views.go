@@ -152,18 +152,15 @@ func NewTrafficMetrics(r *Registry) *TrafficMetrics {
 	}
 }
 
-// RunnerMetrics instruments sim.Runner. Trial wall time, worker busy time
-// and the runtime allocation deltas are all real-time or scheduling
-// dependent, so those instruments are volatile: they show up on /metrics
-// but are excluded from the deterministic snapshot the worker-count suite
-// compares.
+// RunnerMetrics instruments sim.Runner. Trial wall time and the runtime
+// allocation deltas are real-time or scheduling dependent, so those
+// instruments are volatile: they show up on /metrics but are excluded
+// from the deterministic snapshot the worker-count suite compares.
 type RunnerMetrics struct {
 	TrialsStarted *Counter
 	TrialsDone    *Counter
 	TrialsFailed  *Counter
-	TrialWall     *Histogram // per-trial wall time, ms (volatile)
-	TrialWallUs   *Histogram // per-trial wall time, µs (volatile) — perf-report denominator
-	WorkerBusy    *Histogram // per-worker busy wall time across a campaign, ms (volatile)
+	TrialWallUs   *Histogram // per-trial wall time, µs (volatile) — the PROF report's wall figures
 	AllocBytes    *Counter   // heap bytes allocated across campaigns (volatile)
 	AllocObjects  *Counter   // heap objects allocated across campaigns (volatile)
 	GCCycles      *Counter   // GC cycles completed across campaigns (volatile)
@@ -175,9 +172,7 @@ func NewRunnerMetrics(r *Registry) *RunnerMetrics {
 		TrialsStarted: r.Counter("runner.trials_started"),
 		TrialsDone:    r.Counter("runner.trials_done"),
 		TrialsFailed:  r.Counter("runner.trials_failed"),
-		TrialWall:     r.Histogram("runner.trial_wall_ms", Exp2Bounds(1, 16), Volatile),
 		TrialWallUs:   r.Histogram("runner.trial_wall_us", Exp2Bounds(64, 22), Volatile),
-		WorkerBusy:    r.Histogram("runner.worker_busy_ms", Exp2Bounds(1, 20), Volatile),
 		AllocBytes:    r.Counter("runner.alloc_bytes", Volatile),
 		AllocObjects:  r.Counter("runner.alloc_objects", Volatile),
 		GCCycles:      r.Counter("runner.gc_cycles", Volatile),

@@ -15,10 +15,12 @@
 //     count, a deterministic bootstrap when raw per-trial samples are
 //     present. Each point classifies as ok, drift, regression or
 //     improvement.
-//   - Budget: volatile wall-clock histograms are never expected to match;
-//     they are compared by quantile ratio against a configurable perf
-//     budget (and skipped entirely when the budget is off, since wall
-//     clocks from different machines are not comparable).
+//   - Budget: wall-clock figures are never expected to match. They live
+//     in one place, the PROF profile (trial wall time and per-phase span
+//     durations), and are compared by p50/p99 ratio against a
+//     configurable perf budget (reported but never gating when the budget
+//     is off, since wall clocks from different machines are not
+//     comparable).
 //
 // Everything in this package is deterministic: no wall clock, no
 // environment reads, fixed-seed resampling — two runs over the same

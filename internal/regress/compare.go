@@ -55,8 +55,8 @@ type Options struct {
 	// test: a point with no std/raw trials regresses when its relative
 	// change exceeds HardFactor × Tolerance.
 	HardFactor float64
-	// Budget is the volatile-histogram quantile ratio ceiling; <= 0
-	// disables the perf tier (wall clocks across machines do not gate).
+	// Budget is the PROF p50/p99 ratio ceiling; <= 0 only reports the
+	// perf tier's ratios (wall clocks across machines do not gate).
 	Budget float64
 	// BootstrapResamples sizes BootstrapP (0 = its default).
 	BootstrapResamples int

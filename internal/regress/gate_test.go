@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/perf"
 )
 
 // fixtureSeries is a fig5-shaped science series for gate tests.
@@ -145,17 +146,26 @@ func TestGateVolatileHistogramNeverEqualityGated(t *testing.T) {
 }
 
 func TestGatePerfBudgetBreach(t *testing.T) {
-	rep := gateFixture(t, func(_ *fixtureSeries, snap *obs.Snapshot) {
-		h := snap.Histograms["runner.trial_wall_ms"]
-		h.Counts = []int64{0, 0, 0, 0, 8} // everything lands in overflow: p50 8 vs baseline 2
-		h.Sum, h.Count = 900, 8
-		snap.Histograms["runner.trial_wall_ms"] = h
-	}, DefaultOptions()) // budget 1.3
-	if rep.Verdict != ClassRegression {
-		t.Fatalf("4x wall-clock gated %s under a 1.3x budget, want regression", rep.Verdict)
+	baseDir, candDir := t.TempDir(), t.TempDir()
+	slow := fixtureProf()
+	slow.WallTotalNs *= 4
+	slow.WallP50Us *= 4 // p50 4000 µs vs baseline 1000
+	slow.WallP99Us *= 4
+	for dir, prof := range map[string]*perf.Report{baseDir: fixtureProf(), candDir: slow} {
+		writeFixture(t, dir, fixture(), fixtureSnapshot())
+		if err := WriteProf(dir, "fig5", fixtureProv(), prof); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := perfBreaches(rep.Experiments[0].Perf); n == 0 {
-		t.Fatalf("no perf breaches recorded: %+v", rep.Experiments[0].Perf)
+	rep, err := Gate(baseDir, candDir, DefaultOptions()) // budget 1.3
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != ClassRegression {
+		t.Fatalf("4x trial wall time gated %s under a 1.3x budget, want regression", rep.Verdict)
+	}
+	if n := perfBreaches(rep.Experiments[0].Perf); n != 2 {
+		t.Fatalf("%d perf breaches recorded, want the trial wall's p50 and p99: %+v", n, rep.Experiments[0].Perf)
 	}
 }
 
@@ -204,6 +214,11 @@ func TestGateRefusesFailedCandidate(t *testing.T) {
 		}
 		if a.Metrics != nil {
 			if err := WriteMetrics(candDir, name, prov, *a.Metrics); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a.Prof != nil {
+			if err := WriteProf(candDir, name, prov, a.Prof); err != nil {
 				t.Fatal(err)
 			}
 		}

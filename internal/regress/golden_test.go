@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"witag/internal/obs"
+	"witag/internal/perf"
 )
 
 // -update regenerates both the fixture artifact dirs and the golden files;
@@ -35,7 +36,8 @@ func goldenCompare(t *testing.T, path, got string) {
 
 // goldenFixtures writes the two artifact dirs the golden report compares:
 // a clean experiment and one with a BER regression, a counter diff and a
-// perf-budget breach — every detail-block shape the renderer has.
+// PROF trial-wall breach of the perf budget — every detail-block shape the
+// renderer has.
 func goldenFixtures(t *testing.T, baseDir, candDir string) {
 	t.Helper()
 	prov := func(exp string, sha string) Provenance {
@@ -63,34 +65,30 @@ func goldenFixtures(t *testing.T, baseDir, candDir string) {
 		},
 		"Runs": 4,
 	}
-	snap := func(rounds int64, slow bool) obs.Snapshot {
-		counts := []int64{0, 2, 4, 2, 0}
-		sum := int64(30)
-		if slow {
-			counts = []int64{0, 0, 0, 0, 8}
-			sum = 900
-		}
-		return obs.Snapshot{
-			Counters: map[string]int64{"phy.rounds": rounds, "runner.trials_started": 8},
-			Histograms: map[string]obs.HistogramSnapshot{
-				"runner.trial_wall_ms": {Bounds: []int64{1, 2, 4, 8}, Counts: counts, Sum: sum, Count: 8},
-			},
-			Volatile: map[string]bool{"runner.trial_wall_ms": true},
-		}
+	snap := func(rounds int64) obs.Snapshot {
+		return obs.Snapshot{Counters: map[string]int64{"phy.rounds": rounds, "runner.trials_started": 8}}
 	}
+	slow := fixtureProf()
+	slow.WallTotalNs *= 4
+	slow.WallP50Us *= 4
+	slow.WallP99Us *= 4
 	for _, w := range []struct {
 		dir    string
 		sha    string
 		series map[string]any
 		snap   obs.Snapshot
+		prof   *perf.Report
 	}{
-		{baseDir, "baseba5e0001", badBase, snap(800, false)},
-		{candDir, "cand1da7e002", badCand, snap(801, true)},
+		{baseDir, "baseba5e0001", badBase, snap(800), fixtureProf()},
+		{candDir, "cand1da7e002", badCand, snap(801), slow},
 	} {
 		if err := WriteSeries(w.dir, "drifty", prov("drifty", w.sha), w.series); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteMetrics(w.dir, "drifty", prov("drifty", w.sha), w.snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteProf(w.dir, "drifty", prov("drifty", w.sha), w.prof); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteSeries(w.dir, "clean", prov("clean", w.sha), cleanSeries); err != nil {

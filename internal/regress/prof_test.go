@@ -49,8 +49,8 @@ func TestCompareProfIdentical(t *testing.T) {
 	if len(diffs) != 0 {
 		t.Fatalf("identical profiles produced diffs: %+v", diffs)
 	}
-	if len(checks) != 2 { // p50 + p99 for the one firing phase
-		t.Fatalf("got %d checks, want 2: %+v", len(checks), checks)
+	if len(checks) != 4 { // p50 + p99 for the trial wall and the one firing phase
+		t.Fatalf("got %d checks, want 4: %+v", len(checks), checks)
 	}
 	for _, c := range checks {
 		if c.Class != ClassOK || c.Ratio != 1 {
@@ -83,6 +83,41 @@ func TestCompareProfBudgetBreach(t *testing.T) {
 		if c.Class != ClassOK {
 			t.Fatalf("budget off still gated: %+v", c)
 		}
+	}
+}
+
+// TestCompareProfTrialWallBudget: the trial wall time is the PROF
+// figure the budget gates beside the phases. A 4x p50 breaches a 1.3x
+// budget under its own name; with the budget off it is only reported.
+func TestCompareProfTrialWallBudget(t *testing.T) {
+	cand := fixtureProf()
+	cand.WallP50Us *= 4
+
+	checks, diffs := CompareProf(fixtureProf(), cand, 1.3)
+	if len(diffs) != 0 {
+		t.Fatalf("unexpected structural diffs: %+v", diffs)
+	}
+	var breaches []PerfCheck
+	for _, c := range checks {
+		if c.Class != ClassOK {
+			breaches = append(breaches, c)
+		}
+	}
+	if len(breaches) != 1 || breaches[0].Name != "prof.trial_wall_us" || breaches[0].Quantile != 0.50 ||
+		breaches[0].Base != 1000 || breaches[0].Cand != 4000 || breaches[0].Ratio != 4 {
+		t.Fatalf("4x trial-wall p50 under a 1.3x budget: breaches %+v, want the p50 alone", breaches)
+	}
+
+	checks, _ = CompareProf(fixtureProf(), cand, 0)
+	reported := false
+	for _, c := range checks {
+		if c.Class != ClassOK {
+			t.Fatalf("budget off still gated: %+v", c)
+		}
+		reported = reported || c.Name == "prof.trial_wall_us" && c.Quantile == 0.50 && c.Ratio == 4
+	}
+	if !reported {
+		t.Fatalf("budget off dropped the trial-wall p50 ratio: %+v", checks)
 	}
 }
 

@@ -3,57 +3,20 @@ package regress
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"witag/internal/obs"
 )
 
-// PerfCheck is one volatile histogram's quantile-ratio comparison — the
-// budget tier. Ratio is candidate/baseline at the given quantile.
+// PerfCheck is one PROF figure's quantile-ratio comparison — the budget
+// tier. Ratio is candidate/baseline at the given quantile.
 type PerfCheck struct {
 	Name     string  `json:"name"`
 	Quantile float64 `json:"quantile"`
-	Base     int64   `json:"base"` // instrument units (ms, µs …)
+	Base     int64   `json:"base"` // the figure's units (µs, ns)
 	Cand     int64   `json:"cand"`
 	Ratio    float64 `json:"ratio"`
 	Class    Class   `json:"class"`
-}
-
-// perfQuantiles are the tail points the budget tier checks.
-var perfQuantiles = []float64{0.50, 0.99}
-
-// ComparePerf compares every volatile histogram present in both snapshots
-// by quantile ratio against the budget. Budget <= 0 still reports the
-// ratios but classifies everything ok — informational mode for
-// cross-machine comparisons where wall clocks cannot gate.
-func ComparePerf(base, cand obs.Snapshot, budget float64) []PerfCheck {
-	var names []string
-	for n := range base.Histograms {
-		if base.Volatile[n] || cand.Volatile[n] {
-			if _, ok := cand.Histograms[n]; ok {
-				names = append(names, n)
-			}
-		}
-	}
-	sort.Strings(names)
-	var out []PerfCheck
-	for _, n := range names {
-		bh, ch := base.Histograms[n], cand.Histograms[n]
-		for _, q := range perfQuantiles {
-			bq, cq := bh.Quantile(q), ch.Quantile(q)
-			if bq <= 0 || bh.Count == 0 || ch.Count == 0 {
-				continue
-			}
-			pc := PerfCheck{Name: n, Quantile: q, Base: bq, Cand: cq,
-				Ratio: float64(cq) / float64(bq), Class: ClassOK}
-			if budget > 0 && pc.Ratio > budget {
-				pc.Class = ClassRegression
-			}
-			out = append(out, pc)
-		}
-	}
-	return out
 }
 
 // ExperimentReport is the sentinel's verdict on one experiment.
@@ -166,8 +129,7 @@ func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentRepor
 		er.Points = pts
 	}
 
-	// Tier 1 — exact equality of deterministic metrics; tier 3 — perf
-	// budget on the volatile histograms.
+	// Tier 1 — exact equality of deterministic metrics.
 	switch {
 	case b.Metrics == nil && c.Metrics == nil:
 	case b.Metrics == nil || c.Metrics == nil:
@@ -179,13 +141,13 @@ func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentRepor
 			Kind: "snapshot", Name: "(all)", Detail: "metrics artifact missing in " + side})
 	default:
 		er.MetricDiffs = obs.DiffDeterministic(*b.Metrics, *c.Metrics)
-		er.Perf = ComparePerf(*b.Metrics, *c.Metrics, opts.Budget)
 	}
 
-	// Tier 3b — phase-attribution profiles. A baseline without a PROF
-	// artifact predates the profiling layer: skip silently so old baselines
-	// stay comparable. A candidate missing one that the baseline has means
-	// the profiling pipeline broke — that gates regardless of budget.
+	// Tier 3 — the perf budget, over the PROF profiles alone. A baseline
+	// without a PROF artifact predates the profiling layer: skip silently
+	// so old baselines stay comparable. A candidate missing one that the
+	// baseline has means the profiling pipeline broke — that gates
+	// regardless of budget.
 	switch {
 	case b.Prof == nil:
 	case c.Prof == nil:
@@ -193,7 +155,7 @@ func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentRepor
 			Kind: "prof", Name: "(profile)", Detail: "PROF artifact missing in candidate"})
 	default:
 		checks, diffs := CompareProf(b.Prof, c.Prof, opts.Budget)
-		er.Perf = append(er.Perf, checks...)
+		er.Perf = checks
 		er.MetricDiffs = append(er.MetricDiffs, diffs...)
 	}
 

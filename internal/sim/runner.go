@@ -17,10 +17,11 @@ type Runner struct {
 	Workers int
 	// Campaign, when non-nil, is the runner's one instrumentation handle,
 	// and purely a sink. Its observer counts items started/done/failed
-	// and records each item's wall time (volatile: real time, excluded
-	// from the deterministic snapshot view); its progress tally and SSE
-	// broker receive live completion updates ("progress" events, one
-	// "anomaly" event per failed trial). When the campaign carries a
+	// and records each item's wall time once, in runner.trial_wall_us
+	// (volatile: real time, excluded from the deterministic snapshot
+	// view; the PROF report reads it); its progress tally and SSE broker
+	// receive live completion updates ("progress" events, one "anomaly"
+	// event per failed trial). When the campaign carries a
 	// timeline, Each executes in window-sized chunks so the per-window
 	// registry deltas stay worker-count deterministic: every trial of a
 	// window completes (a pool barrier) before the window's delta is
@@ -77,7 +78,6 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var busy time.Duration
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= hi || ctx.Err() != nil {
@@ -90,17 +90,13 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 					}
 					err := fn(ctx, i)
 					if o != nil {
-						wall := time.Since(start)
-						busy += wall
 						m := o.Runner
+						m.TrialWallUs.Observe(time.Since(start).Microseconds())
 						if err != nil {
 							m.TrialsFailed.Inc()
 						} else {
 							m.TrialsDone.Inc()
 						}
-						m.TrialWall.Observe(wall.Milliseconds())
-						m.TrialWallUs.Observe(wall.Microseconds())
-						o.Trace.Record(obs.Event{Kind: "trial", Trial: i, WallMs: wall.Milliseconds()})
 					}
 					if err != nil {
 						if ctx.Err() == nil {
@@ -112,10 +108,7 @@ func (r Runner) Each(ctx context.Context, n int, fn func(ctx context.Context, i 
 						})
 						break
 					}
-					r.Campaign.ProgressDone(1)
-				}
-				if o != nil && busy > 0 {
-					o.Runner.WorkerBusy.Observe(busy.Milliseconds())
+					r.Campaign.ProgressDone()
 				}
 			}()
 		}
