@@ -15,7 +15,12 @@ import "fmt"
 // BytesToBits unpacks packed bytes into a bit slice, LSB first within each
 // byte — the order in which 802.11 serialises octets onto the air.
 func BytesToBits(p []byte) []byte {
-	bits := make([]byte, 0, len(p)*8)
+	return AppendBits(make([]byte, 0, len(p)*8), p)
+}
+
+// AppendBits appends p unpacked as BytesToBits unpacks it to bits and
+// returns the extended slice.
+func AppendBits(bits, p []byte) []byte {
 	for _, b := range p {
 		for i := 0; i < 8; i++ {
 			bits = append(bits, b>>uint(i)&1)
@@ -27,13 +32,22 @@ func BytesToBits(p []byte) []byte {
 // BitsToBytes packs a bit slice (one bit per element, LSB first) into
 // bytes. Trailing bits that do not fill a byte are zero-padded.
 func BitsToBytes(bits []byte) []byte {
-	out := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b != 0 {
-			out[i/8] |= 1 << uint(i%8)
+	return AppendBytes(make([]byte, 0, (len(bits)+7)/8), bits)
+}
+
+// AppendBytes appends bits packed as BitsToBytes packs them to p and
+// returns the extended slice.
+func AppendBytes(p, bits []byte) []byte {
+	for i := 0; i < len(bits); i += 8 {
+		var b byte
+		for j, bit := range bits[i:min(i+8, len(bits))] {
+			if bit != 0 {
+				b |= 1 << uint(j)
+			}
 		}
+		p = append(p, b)
 	}
-	return out
+	return p
 }
 
 // HammingDistance counts positions where the two equal-length bit slices

@@ -155,9 +155,9 @@ func TestHammingDecodeNibbleBadLength(t *testing.T) {
 
 func TestHammingStreamRoundTripProperty(t *testing.T) {
 	f := func(p []byte) bool {
-		enc := HammingEncode(p)
-		dec, corrected, err := HammingDecode(enc)
-		return err == nil && corrected == 0 && bytes.Equal(dec, p)
+		enc := AppendHammingEncode(nil, p)
+		dec, corrected, err := AppendHammingDecode([]byte{0xEE}, enc)
+		return err == nil && corrected == 0 && dec[0] == 0xEE && bytes.Equal(dec[1:], p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -168,12 +168,12 @@ func TestHammingStreamCorrectsScatteredErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	payload := make([]byte, 64)
 	r.Read(payload)
-	enc := HammingEncode(payload)
+	enc := AppendHammingEncode(nil, payload)
 	// One error per codeword is always correctable.
 	for cw := 0; cw < len(enc)/8; cw++ {
 		enc[cw*8+r.Intn(8)] ^= 1
 	}
-	dec, corrected, err := HammingDecode(enc)
+	dec, corrected, err := AppendHammingDecode(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +186,21 @@ func TestHammingStreamCorrectsScatteredErrors(t *testing.T) {
 }
 
 func TestHammingStreamReportsUncorrectable(t *testing.T) {
-	enc := HammingEncode([]byte{0x5A, 0xC3})
+	enc := AppendHammingEncode(nil, []byte{0x5A, 0xC3})
 	enc[17] ^= 1 // two flips in the third codeword
 	enc[20] ^= 1
-	if _, _, err := HammingDecode(enc); !errors.Is(err, ErrUncorrectable) {
+	dec, _, err := AppendHammingDecode([]byte{0xEE}, enc)
+	if !errors.Is(err, ErrUncorrectable) {
 		t.Fatalf("got %v, want ErrUncorrectable", err)
+	}
+	// The first byte decoded; the failed one is not appended.
+	if !bytes.Equal(dec, []byte{0xEE, 0x5A}) {
+		t.Fatalf("decoded % x before the failure, want ee 5a", dec)
 	}
 }
 
 func TestHammingDecodeBadLength(t *testing.T) {
-	if _, _, err := HammingDecode(make([]byte, 15)); err == nil {
+	if _, _, err := AppendHammingDecode(nil, make([]byte, 15)); err == nil {
 		t.Fatal("expected multiple-of-16 error")
 	}
 }
@@ -256,11 +261,27 @@ func TestCRC16DetectsSingleBitErrors(t *testing.T) {
 	}
 }
 
-// TestHammingEncodeAllocs pins HammingEncode to its one output slice:
-// codewords are appended in place, not built per nibble.
+// TestHammingEncodeAllocs pins the append-form SECDED coder and the bit
+// packers to their output slices: into storage that has room, encode,
+// decode, unpack and pack allocate nothing (codewords are appended in
+// place, not built per nibble).
 func TestHammingEncodeAllocs(t *testing.T) {
 	p := []byte("temperature=23.5C humidity=40%")
-	if allocs := testing.AllocsPerRun(100, func() { HammingEncode(p) }); allocs != 1 {
-		t.Fatalf("HammingEncode allocates %v times per call, want 1", allocs)
+	bits := make([]byte, 0, 16*len(p))
+	back := make([]byte, 0, len(p))
+	allocs := testing.AllocsPerRun(100, func() {
+		bits = AppendHammingEncode(bits[:0], p)
+		var err error
+		if back, _, err = AppendHammingDecode(back[:0], bits); err != nil {
+			t.Fatal(err)
+		}
+		bits = AppendBits(bits[:0], p)
+		back = AppendBytes(back[:0], bits)
+	})
+	if allocs != 0 {
+		t.Fatalf("the append forms allocate %v times per round trip, want 0", allocs)
+	}
+	if !bytes.Equal(back, p) {
+		t.Fatal("round trip changed the bytes")
 	}
 }

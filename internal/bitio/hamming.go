@@ -42,7 +42,7 @@ func HammingDecodeNibble(cw []byte) (data byte, corrected bool, err error) {
 	if len(cw) != 8 {
 		return 0, false, fmt.Errorf("bitio: SECDED codeword must be 8 bits, got %d", len(cw))
 	}
-	c := make([]byte, 8)
+	var c [8]byte
 	for i, b := range cw {
 		c[i] = b & 1
 	}
@@ -71,33 +71,34 @@ func HammingDecodeNibble(cw []byte) (data byte, corrected bool, err error) {
 	return data, corrected, nil
 }
 
-// HammingEncode encodes packed bytes into a SECDED(8,4) bit slice, two
-// codewords per input byte (low nibble first).
-func HammingEncode(p []byte) []byte {
-	out := make([]byte, 0, len(p)*16)
+// AppendHammingEncode appends the SECDED(8,4) bit slice of packed bytes p
+// to bits, two codewords per input byte (low nibble first), and returns
+// the extended slice.
+func AppendHammingEncode(bits, p []byte) []byte {
 	for _, b := range p {
-		out = appendHammingNibble(out, b&0x0F)
-		out = appendHammingNibble(out, b>>4)
+		bits = appendHammingNibble(bits, b&0x0F)
+		bits = appendHammingNibble(bits, b>>4)
 	}
-	return out
+	return bits
 }
 
-// HammingDecode decodes a SECDED bit slice produced by HammingEncode back
-// into packed bytes. It reports the number of corrected single-bit errors
-// and fails with ErrUncorrectable on the first uncorrectable codeword.
-func HammingDecode(bits []byte) (data []byte, correctedBits int, err error) {
+// AppendHammingDecode decodes a SECDED bit slice produced by
+// AppendHammingEncode, appending the packed bytes to p. It reports the
+// number of corrected single-bit errors and fails with ErrUncorrectable
+// on the first uncorrectable codeword; the returned slice then holds the
+// bytes decoded before it, so p's storage is never lost.
+func AppendHammingDecode(p, bits []byte) (data []byte, correctedBits int, err error) {
 	if len(bits)%16 != 0 {
-		return nil, 0, fmt.Errorf("bitio: SECDED stream length %d is not a multiple of 16", len(bits))
+		return p, 0, fmt.Errorf("bitio: SECDED stream length %d is not a multiple of 16", len(bits))
 	}
-	data = make([]byte, 0, len(bits)/16)
 	for i := 0; i < len(bits); i += 16 {
 		lo, c1, err := HammingDecodeNibble(bits[i : i+8])
 		if err != nil {
-			return nil, correctedBits, err
+			return p, correctedBits, err
 		}
 		hi, c2, err := HammingDecodeNibble(bits[i+8 : i+16])
 		if err != nil {
-			return nil, correctedBits, err
+			return p, correctedBits, err
 		}
 		if c1 {
 			correctedBits++
@@ -105,7 +106,7 @@ func HammingDecode(bits []byte) (data []byte, correctedBits int, err error) {
 		if c2 {
 			correctedBits++
 		}
-		data = append(data, lo|hi<<4)
+		p = append(p, lo|hi<<4)
 	}
-	return data, correctedBits, nil
+	return p, correctedBits, nil
 }

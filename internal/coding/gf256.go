@@ -98,14 +98,24 @@ func gfMatMul(dst, src [][]byte, m [][]byte) {
 	}
 }
 
+// gfMatrix returns a zeroed rows×cols matrix, its rows cut from one
+// backing array.
+func gfMatrix(rows, cols int) [][]byte {
+	cells := make([]byte, rows*cols)
+	m := make([][]byte, rows)
+	for r := range m {
+		m[r] = cells[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return m
+}
+
 // gfInvertMatrix inverts the square matrix m in place by Gauss–Jordan
 // elimination, returning an error when m is singular. m is destroyed on
 // failure.
 func gfInvertMatrix(m [][]byte) error {
 	n := len(m)
-	inv := make([][]byte, n)
+	inv := gfMatrix(n, n)
 	for i := range inv {
-		inv[i] = make([]byte, n)
 		inv[i][i] = 1
 		if len(m[i]) != n {
 			return fmt.Errorf("coding: matrix row %d has %d columns, want %d", i, len(m[i]), n)

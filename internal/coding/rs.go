@@ -38,43 +38,54 @@ func NewRS(k, m int) (*RS, error) {
 	n := k + m
 	// Vandermonde rows α_r^c, α_r = 2^r. α_r are distinct for r < 255,
 	// so every k×k submatrix is invertible.
-	vand := make([][]byte, n)
+	vand := gfMatrix(n, k)
 	for r := 0; r < n; r++ {
-		vand[r] = make([]byte, k)
 		for c := 0; c < k; c++ {
 			vand[r][c] = gfExp(r * c % 255)
 		}
 	}
 	// Normalise by the top block's inverse to make the code systematic.
-	top := make([][]byte, k)
+	top := gfMatrix(k, k)
 	for r := range top {
-		top[r] = append([]byte(nil), vand[r]...)
+		copy(top[r], vand[r])
 	}
 	if err := gfInvertMatrix(top); err != nil {
 		return nil, err
 	}
-	matrix := make([][]byte, n)
-	for r := 0; r < n; r++ {
-		matrix[r] = make([]byte, k)
-	}
+	matrix := gfMatrix(n, k)
 	// gfMatMul(dst, B, M) computes dst = M·B with B's rows as vectors, so
 	// this is matrix = V · top⁻¹.
 	gfMatMul(matrix, top, vand)
 	return &RS{K: k, M: m, matrix: matrix}, nil
 }
 
-// Parity computes the m parity shards for k equal-length data shards.
+// Parity computes the m parity shards for k equal-length data shards, in
+// fresh storage.
 func (c *RS) Parity(data [][]byte) ([][]byte, error) {
 	if err := c.checkShards(data, c.K); err != nil {
 		return nil, err
 	}
-	size := len(data[0])
-	parity := make([][]byte, c.M)
-	for i := range parity {
-		parity[i] = make([]byte, size)
+	parity := gfMatrix(c.M, len(data[0]))
+	return parity, c.ParityInto(parity, data)
+}
+
+// ParityInto writes the m parity shards for k equal-length data shards
+// into parity, m shards of the data shards' length.
+func (c *RS) ParityInto(parity, data [][]byte) error {
+	if err := c.checkShards(data, c.K); err != nil {
+		return err
+	}
+	if len(parity) != c.M {
+		return fmt.Errorf("coding: got %d parity shards, want %d", len(parity), c.M)
+	}
+	for _, p := range parity {
+		if len(p) != len(data[0]) {
+			return fmt.Errorf("coding: parity shard is %dB, data shards %dB", len(p), len(data[0]))
+		}
+		clear(p)
 	}
 	gfMatMul(parity, data, c.matrix[c.K:])
-	return parity, nil
+	return nil
 }
 
 // Reconstruct fills the missing data shards of a partially received
@@ -113,21 +124,18 @@ func (c *RS) Reconstruct(shards [][]byte) error {
 		return nil
 	}
 	// Solve with the first k surviving rows: rows · data = received.
-	rows := make([][]byte, 0, c.K)
+	rows := gfMatrix(c.K, c.K)
 	rhs := make([][]byte, 0, c.K)
-	for i := 0; i < len(shards) && len(rows) < c.K; i++ {
+	for i := 0; i < len(shards) && len(rhs) < c.K; i++ {
 		if shards[i] != nil {
-			rows = append(rows, append([]byte(nil), c.matrix[i]...))
+			copy(rows[len(rhs)], c.matrix[i])
 			rhs = append(rhs, shards[i])
 		}
 	}
 	if err := gfInvertMatrix(rows); err != nil {
 		return fmt.Errorf("coding: RS decode matrix: %w", err)
 	}
-	data := make([][]byte, c.K)
-	for i := range data {
-		data[i] = make([]byte, size)
-	}
+	data := gfMatrix(c.K, size)
 	gfMatMul(data, rhs, rows)
 	for i := 0; i < c.K; i++ {
 		if shards[i] == nil {

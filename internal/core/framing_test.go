@@ -62,6 +62,47 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestCodecBuffersReuseMatchesFresh drives one CodecBuffers through a
+// sequence of frames of random lengths, FEC on and off and interleave
+// depths 1–16, and requires every EncodeInto, Deinterleave and
+// DecodeCoded to give the bytes, corrections and error that a fresh
+// Encode and Decode give — on the clean bits and on bits with random
+// flips. A shorter frame after a longer one catches stale storage, such
+// as interleaver padding that is not zeroed again.
+func TestCodecBuffersReuseMatchesFresh(t *testing.T) {
+	rng := stats.NewRNG(41)
+	var b CodecBuffers
+	for frame := 0; frame < 3000; frame++ {
+		c := Codec{FEC: rng.Intn(2) == 1, InterleaveDepth: 1 + rng.Intn(16)}
+		payload := stats.RandomBytes(rng, rng.Intn(MaxPayload+1))
+		want, err := c.Encode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.EncodeInto(&b, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d %+v, %d bytes: reused encode differs from a fresh one", frame, c, len(payload))
+		}
+		rx := slices.Clone(want)
+		for flips := rng.Intn(4); flips > 0; flips-- {
+			rx[rng.Intn(len(rx))] ^= 1
+		}
+		wantPayload, wantCorrected, wantErr := c.Decode(rx)
+		coded, err := c.Deinterleave(&b, rx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPayload, gotCorrected, gotErr := c.DecodeCoded(&b, coded)
+		if !bytes.Equal(gotPayload, wantPayload) || gotCorrected != wantCorrected || gotErr != wantErr {
+			t.Fatalf("frame %d %+v: reused decode (%x, %d, %v), fresh (%x, %d, %v)",
+				frame, c, gotPayload, gotCorrected, gotErr, wantPayload, wantCorrected, wantErr)
+		}
+	}
+}
+
 func TestCodecRejectsOversizedPayload(t *testing.T) {
 	if _, err := (Codec{}).Encode(make([]byte, 256)); err == nil {
 		t.Fatal("256-byte payload accepted")
@@ -264,8 +305,10 @@ func TestAddressedDetectorSelectivity(t *testing.T) {
 	}
 }
 
-// TestCodecEncodeAllocs pins a FEC+interleaved Encode's allocations: the
-// frame, its SECDED bits and the interleaved bits.
+// TestCodecEncodeAllocs pins a FEC+interleaved codec's allocations: a
+// fresh Encode allocates its frame, its SECDED bits and its interleaved
+// bits, and an encode, deinterleave and decode into grown CodecBuffers
+// allocate nothing.
 func TestCodecEncodeAllocs(t *testing.T) {
 	c := Codec{FEC: true, InterleaveDepth: 8}
 	payload := []byte("temperature=23.5C humidity=40%")
@@ -276,6 +319,23 @@ func TestCodecEncodeAllocs(t *testing.T) {
 	})
 	if allocs != 3 {
 		t.Fatalf("Encode allocates %v times per call, want 3", allocs)
+	}
+	var b CodecBuffers
+	allocs = testing.AllocsPerRun(100, func() {
+		bits, err := c.EncodeInto(&b, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coded, err := c.Deinterleave(&b, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := c.DecodeCoded(&b, coded); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip: %x, %v", got, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a round trip into reused buffers allocates %v times, want 0", allocs)
 	}
 }
 
@@ -306,9 +366,11 @@ func TestCodecDecodeOwnsPayload(t *testing.T) {
 // loops against the per-bit index formula they replaced, out[idx%cols·d
 // + idx/cols] = bits[idx], over random lengths (0 and lengths that leave
 // the last row short included) and depths, and that deinterleave still
-// inverts it.
+// inverts it. Both write into storage reused across the trials, so
+// padding a longer trial left behind must not show.
 func TestInterleaveMatchesIndexFormula(t *testing.T) {
 	rng := stats.NewRNG(23)
+	var out, back []byte
 	for trial := 0; trial < 2000; trial++ {
 		n, d := rng.Intn(300), 1+rng.Intn(24)
 		bits := make([]byte, n)
@@ -321,17 +383,11 @@ func TestInterleaveMatchesIndexFormula(t *testing.T) {
 			want[idx%cols*d+idx/cols] = b
 		}
 		c := Codec{InterleaveDepth: d}
-		got, err := c.interleave(bits)
-		if err != nil {
-			t.Fatal(err)
+		out = c.interleave(out, bits)
+		if !bytes.Equal(out, want) {
+			t.Fatalf("n=%d depth=%d: interleave %v, index formula %v", n, d, out, want)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d depth=%d: interleave %v, index formula %v", n, d, got, want)
-		}
-		back, err := c.deinterleave(got)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back = deinterleave(back, out, d)
 		if !bytes.Equal(back[:n], bits) {
 			t.Fatalf("n=%d depth=%d: deinterleave did not invert interleave", n, d)
 		}

@@ -93,9 +93,9 @@ func drawRound(in *fault.Injector, g *traffic.Generator, dataLen, total int) rou
 }
 
 // count records d as a round of s: in s.Injected and, when s is
-// instrumented, in the fault.* and traffic.* counters and the fault trace
-// events, which follow the hooks' order (trigger miss, brownout, block-ACK
-// loss). It is the one place a round's draws are counted, whether s drew
+// instrumented, in the fault.* and traffic.* counters, in s's lane as
+// QueryRound counts, and the fault trace events, which follow the hooks'
+// order (trigger miss, brownout, block-ACK loss). It is the one place a round's draws are counted, whether s drew
 // them or read them from its tape. Subframe losses are counted but not
 // traced: at one draw per subframe they would flood the bounded ring.
 func (d *roundDraws) count(s *System) {
@@ -116,20 +116,20 @@ func (d *roundDraws) count(s *System) {
 		}
 		if o != nil {
 			m := o.Fault
-			m.SubframesLost.Add(int64(lost))
+			m.SubframesLost.AddLane(s.TraceID, int64(lost))
 			ev := obs.Event{Kind: "fault", Trial: s.TraceID, Labels: s.TraceLabels}
 			if trig {
-				m.TriggerMisses.Inc()
+				m.TriggerMisses.AddLane(s.TraceID, 1)
 				ev.Outcome = "trigger_miss"
 				o.Trace.Record(ev)
 			}
 			if d.brownLen > 0 {
-				m.Brownouts.Inc()
+				m.Brownouts.AddLane(s.TraceID, 1)
 				ev.Outcome, ev.Offset, ev.Length = "brownout", int(d.brownStart), int(d.brownLen)
 				o.Trace.Record(ev)
 			}
 			if ba {
-				m.BALosses.Inc()
+				m.BALosses.AddLane(s.TraceID, 1)
 				ev.Outcome, ev.Offset, ev.Length = "ba_loss", 0, 0
 				o.Trace.Record(ev)
 			}
@@ -137,11 +137,11 @@ func (d *roundDraws) count(s *System) {
 	}
 	if s.Traffic != nil && o != nil {
 		m := o.Traffic
-		m.Rounds.Inc()
-		m.Bursts.Add(int64(d.bursts))
-		m.SubframesMask.Add(int64(d.masked))
+		m.Rounds.AddLane(s.TraceID, 1)
+		m.Bursts.AddLane(s.TraceID, int64(d.bursts))
+		m.SubframesMask.AddLane(s.TraceID, int64(d.masked))
 		if d.flags&drawSwitched != 0 {
-			m.StateSwitches.Inc()
+			m.StateSwitches.AddLane(s.TraceID, 1)
 		}
 	}
 }

@@ -400,32 +400,33 @@ func (s *System) QueryRoundInto(bits []byte, res *RoundResult) error {
 	// Observability flush: passive counters and one trace event per round,
 	// all derived from values already computed — zero RNG draws, zero
 	// influence on the round's outcome. It is the round's accounting, so
-	// the crc span times it too: with several workers its counters'
-	// shared cache lines make it a measurable share of the round.
+	// the crc span times it too. The counters and the airtime histogram
+	// take the lane Instrument took the spans in, the trace ID's, so
+	// concurrent trials do not write one cache line every round.
 	if o := s.Obs; o != nil {
 		s.roundSeq++
-		m := o.Core
-		m.Rounds.Inc()
+		m, lane := o.Core, s.TraceID
+		m.Rounds.AddLane(lane, 1)
 		if detected {
-			m.Detections.Inc()
+			m.Detections.AddLane(lane, 1)
 		} else {
-			m.TriggerMisses.Inc()
+			m.TriggerMisses.AddLane(lane, 1)
 		}
 		if baLost {
-			m.BALosses.Inc()
+			m.BALosses.AddLane(lane, 1)
 		}
 		subOK := mathbits.OnesCount64(ok)
-		m.SubframesOK.Add(int64(subOK))
-		m.SubframesLost.Add(int64(total - subOK))
-		m.Bits.Add(int64(len(txBits)))
-		m.BitErrors.Add(int64(res.BitErrors))
+		m.SubframesOK.AddLane(lane, int64(subOK))
+		m.SubframesLost.AddLane(lane, int64(total-subOK))
+		m.Bits.AddLane(lane, int64(len(txBits)))
+		m.BitErrors.AddLane(lane, int64(res.BitErrors))
 		slots, busy := s.Contender.LastSlots()
-		m.BackoffSlots.Add(int64(slots))
-		m.BusySlots.Add(int64(busy))
-		m.RoundAirtime.Observe(res.Airtime.Microseconds())
-		m.DecodeModelEvals.Add(int64(2 * linkEvals))
-		m.SuccessProbEvals.Add(int64(s.memo.evals()))
-		m.ChannelPathEvals.Add(phasors)
+		m.BackoffSlots.AddLane(lane, int64(slots))
+		m.BusySlots.AddLane(lane, int64(busy))
+		m.RoundAirtime.ObserveLane(lane, res.Airtime.Microseconds())
+		m.DecodeModelEvals.AddLane(lane, int64(2*linkEvals))
+		m.SuccessProbEvals.AddLane(lane, int64(s.memo.evals()))
+		m.ChannelPathEvals.AddLane(lane, phasors)
 		if o.Trace != nil {
 			o.Trace.Record(obs.Event{
 				Kind:      "round",

@@ -19,10 +19,14 @@ import (
 // world's tape: the tape advances its own environment inside the round's
 // channel region and records no span, so those rounds record one channel
 // span and no equalise span. Every transfer round adds one arq_round
-// span, and every backoff one more. The coding phase counts are the
-// values the sweep recorded before spans were laned.
+// span, and every backoff one more. Every frame whose rounds all
+// completed records one deinterleave span, the frame codec's, whatever
+// its interleave depth: the frames sent less the frames erased. The
+// coding encode and decode counts are the values the sweep recorded
+// before spans were laned, and the deinterleave count the one it recorded
+// when the frame sender first timed the codec's deinterleave.
 func TestSpanCountsExact(t *testing.T) {
-	type want struct{ codingEncode, codingDecode int64 }
+	type want struct{ deinterleave, codingEncode, codingDecode int64 }
 	runs := []struct {
 		name string
 		run  func(workers int, c *obs.Campaign) error
@@ -45,7 +49,7 @@ func TestSpanCountsExact(t *testing.T) {
 			cfg.Transfers, cfg.Workers, cfg.Campaign = 2, w, c
 			_, err := AdaptiveCodingCtx(context.Background(), cfg)
 			return err
-		}, want{codingEncode: 2059, codingDecode: 1351}},
+		}, want{deinterleave: 1271, codingEncode: 2059, codingDecode: 1351}},
 	}
 	for _, r := range runs {
 		for _, workers := range []int{1, 2} {
@@ -63,6 +67,11 @@ func TestSpanCountsExact(t *testing.T) {
 			if r.name == "coding" {
 				transferRounds = rounds + snap.Counters["link.backoff_waits"]
 				channel, equalise = rounds, 0
+				c := snap.Counters
+				decoded := c["link.segments_sent"] - c["link.round_failures"] + c["coding.frames_sent"] - c["coding.frame_erasures"]
+				if decoded != r.want.deinterleave {
+					t.Errorf("coding at %d workers: %d frames decoded, want %d", workers, decoded, r.want.deinterleave)
+				}
 			}
 			for _, c := range []struct {
 				p    obs.Phase
@@ -71,7 +80,7 @@ func TestSpanCountsExact(t *testing.T) {
 				{obs.PhaseEncode, rounds},
 				{obs.PhaseChannel, channel},
 				{obs.PhaseEqualise, equalise},
-				{obs.PhaseDeinterleave, 0},
+				{obs.PhaseDeinterleave, r.want.deinterleave},
 				{obs.PhaseViterbi, rounds},
 				{obs.PhaseCRC, rounds},
 				{obs.PhaseARQRound, transferRounds},

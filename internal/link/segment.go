@@ -56,14 +56,11 @@ func splitRanges(segs []segment, chunk int) []segment {
 }
 
 // buildFrame assembles the link-frame payload for one segment of the
-// transfer: header ‖ chunk. The core.Codec then adds SYNC/LEN/CRC and the
-// configured coding.
-func buildFrame(payload []byte, seg segment) []byte {
-	fp := make([]byte, 0, HeaderLen+seg.len())
-	fp = append(fp,
-		byte(seg.start>>8), byte(seg.start),
-		byte(len(payload)>>8), byte(len(payload)))
-	return append(fp, payload[seg.start:seg.end]...)
+// transfer, header ‖ chunk, in f's frame-payload storage. The core.Codec
+// then adds SYNC/LEN/CRC and the configured coding.
+func buildFrame(f *FrameSender, payload []byte, seg segment) []byte {
+	hdr := [HeaderLen]byte{byte(seg.start >> 8), byte(seg.start), byte(len(payload) >> 8), byte(len(payload))}
+	return f.Payload(hdr[:], payload[seg.start:seg.end])
 }
 
 // parseFrame splits a decoded link-frame payload into its header fields

@@ -149,8 +149,9 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 		}
 		// Selective repeat: rotate the failed range to the back so the
 		// rest of the transfer progresses while this patch of channel
-		// time is bad.
-		pending = append(pending[1:], seg)
+		// time is bad. Rotating in place keeps the queue's storage.
+		copy(pending, pending[1:])
+		pending[len(pending)-1] = seg
 	}
 
 	st.FinalLevel = t.Controller.Index()
@@ -167,7 +168,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 // client's view: delivered (ok), erased by a round that taught us nothing
 // about coding, or a frame error.
 func (t *Transferer) attempt(ctx context.Context, payload []byte, seg segment, lvl Level, rx *Reassembler, st *Stats) (ok, erased bool, err error) {
-	fr, err := t.frames.Send(ctx, lvl.Codec, buildFrame(payload, seg), &st.TransferStats)
+	fr, err := t.frames.Send(ctx, lvl.Codec, buildFrame(t.frames, payload, seg), &st.TransferStats)
 	if err != nil {
 		return false, false, err
 	}

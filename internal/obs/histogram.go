@@ -12,39 +12,66 @@ import "sync/atomic"
 // milliseconds of wall time, milli-dB of SNR — rather than observe
 // floats.
 //
-// A histogram records into one or more lanes. Each lane is a full copy of
-// the state (count, sum, buckets); readers sum the lanes, so every read is
-// exactly what a single lane fed the same observations would hold. Hot
-// instruments written by several workers at once (the phase spans) use
-// several lanes, padded so that no two share a cache line, and each writer
-// picks its own lane; the atomic adds then stop contending.
+// A histogram records into one lane or into Lanes lanes (see laneCells):
+// hot instruments written by several workers at once (the phase spans and
+// the per-round airtime) use Lanes, and each writer picks its own lane, so
+// the atomic adds stop contending. Readers sum the lanes, so every read is
+// exactly what a single lane fed the same observations would hold.
 type Histogram struct {
 	bounds []int64
-	// cells holds every lane, stride words apart: count, sum, then
-	// len(bounds)+1 bucket counts (the last is overflow).
-	cells  []atomic.Int64
-	stride int
+	// laneCells holds count, sum, then len(bounds)+1 bucket counts (the
+	// last is overflow) per lane.
+	laneCells
 }
+
+// Lanes is the lane count of every laned instrument: the phase spans'
+// histograms and the per-round core, fault and traffic counters and
+// airtime histogram. It is a power of two, so a writer id maps to its
+// lane with a mask.
+const Lanes = 8
 
 // cacheLineWords is one cache line in int64 words. Lanes are separated by
 // at least this much padding, so no 64-byte line holds words of two lanes
 // whatever the alignment of the cell array.
 const cacheLineWords = 8
 
+// laneCells is the storage of an instrument of width words per lane, in
+// one lane or in Lanes lanes padded apart. Its one lane rule, which every
+// laned counter, histogram and Spans view shares: writer id records into
+// lane id mod Lanes (id&(Lanes-1), negative ids included), and a
+// single-lane instrument folds every id into its one lane.
+type laneCells struct {
+	cells  []atomic.Int64
+	stride int // words from one lane to the next
+	mask   int // the lane count minus one: 0 or Lanes-1
+}
+
+func newLaneCells(width, lanes int) laneCells {
+	if lanes <= 1 {
+		return laneCells{cells: make([]atomic.Int64, width), stride: width}
+	}
+	stride := width + cacheLineWords
+	return laneCells{cells: make([]atomic.Int64, Lanes*stride), stride: stride, mask: Lanes - 1}
+}
+
+// lane returns the cells of writer id's lane.
+func (l *laneCells) lane(id int) []atomic.Int64 {
+	return l.cells[(id&l.mask)*l.stride:]
+}
+
+// total sums cell word w across the lanes.
+func (l *laneCells) total(w int) int64 {
+	var n int64
+	for base := 0; base < len(l.cells); base += l.stride {
+		n += l.cells[base+w].Load()
+	}
+	return n
+}
+
 func newHistogram(bounds []int64, lanes int) *Histogram {
 	b := make([]int64, len(bounds))
 	copy(b, bounds)
-	stride := len(b) + 3
-	if lanes > 1 {
-		stride += cacheLineWords
-	} else {
-		lanes = 1
-	}
-	return &Histogram{
-		bounds: b,
-		cells:  make([]atomic.Int64, lanes*stride),
-		stride: stride,
-	}
+	return &Histogram{bounds: b, laneCells: newLaneCells(len(b)+3, lanes)}
 }
 
 // NewHistogram returns a standalone histogram not bound to any registry,
@@ -70,27 +97,26 @@ func (h *Histogram) Observe(v int64) {
 	h.observe(0, v)
 }
 
-// observe records one value in lane, which must be in range.
-func (h *Histogram) observe(lane int, v int64) {
+// ObserveLane records one value in writer id's lane (nil-safe).
+func (h *Histogram) ObserveLane(id int, v int64) {
+	if h == nil {
+		return
+	}
+	h.observe(id, v)
+}
+
+// observe records one value in writer id's lane.
+func (h *Histogram) observe(id int, v int64) {
 	// Linear scan: instrument histograms have ≤ ~24 buckets, where the
 	// scan beats binary search and allocates nothing.
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	c := h.cells[lane*h.stride:]
+	c := h.lane(id)
 	c[2+i].Add(1)
 	c[1].Add(v)
 	c[0].Add(1)
-}
-
-// total sums cell word w across the lanes.
-func (h *Histogram) total(w int) int64 {
-	var n int64
-	for base := 0; base < len(h.cells); base += h.stride {
-		n += h.cells[base+w].Load()
-	}
-	return n
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {

@@ -26,31 +26,38 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter, in one lane or in
+// Lanes lanes (see laneCells) that reads sum.
 type Counter struct {
-	v atomic.Int64
+	laneCells
 }
 
-// Add increments the counter by n. Nil counters are silently ignored so
-// partially wired instrumentation never panics.
+// Add increments the counter by n in its first lane. Nil counters are
+// silently ignored so partially wired instrumentation never panics.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.v.Add(n)
+		c.cells[0].Add(n)
+	}
+}
+
+// AddLane increments the counter by n in writer id's lane (nil-safe).
+func (c *Counter) AddLane(id int, n int64) {
+	if c != nil {
+		c.lane(id)[0].Add(n)
 	}
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count (0 for nil).
+// Value returns the current count, summed over the lanes (0 for nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.total(0)
 }
 
 // Registry owns a process- or experiment-scoped set of named instruments.
@@ -85,6 +92,11 @@ func Volatile(r *Registry, name string) { r.volatile[name] = true }
 // Counter returns the counter registered under name, creating it on first
 // use. Repeated registrations return the same instrument.
 func (r *Registry) Counter(name string, opts ...Option) *Counter {
+	return r.counter(name, 1, opts...)
+}
+
+// counter is Counter with lanes lanes (1 or Lanes) on first registration.
+func (r *Registry) counter(name string, lanes int, opts ...Option) *Counter {
 	r.mu.RLock()
 	c := r.counters[name]
 	r.mu.RUnlock()
@@ -94,7 +106,7 @@ func (r *Registry) Counter(name string, opts ...Option) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = &Counter{}
+		c = &Counter{newLaneCells(1, lanes)}
 		r.counters[name] = c
 	}
 	for _, o := range opts {
@@ -110,8 +122,8 @@ func (r *Registry) Histogram(name string, bounds []int64, opts ...Option) *Histo
 	return r.histogram(name, bounds, 1, opts...)
 }
 
-// histogram is Histogram with lanes recording lanes (see Histogram) on
-// first registration.
+// histogram is Histogram with lanes lanes (1 or Lanes) on first
+// registration.
 func (r *Registry) histogram(name string, bounds []int64, lanes int, opts ...Option) *Histogram {
 	r.mu.RLock()
 	h := r.hists[name]

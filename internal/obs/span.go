@@ -12,12 +12,12 @@ const (
 	PhaseEncode       Phase = iota // the round's payload bits, query build, frame marshal, airtime plan
 	PhaseChannel                   // trigger detection, the round's world read: channel + fault/traffic draws
 	PhaseEqualise                  // CPE distortion and effective-SINR computation (live links only)
-	PhaseDeinterleave              // bit-true deinterleaving (phy.Receive only)
+	PhaseDeinterleave              // deinterleaving: a tag-data frame's (link.FrameSender) and the bit-true chain's (phy.Receive)
 	PhaseViterbi                   // window-table lookup and subframe decode verdicts (analytic or bit-true Viterbi)
 	PhaseCRC                       // bitmap read-out, bit-error count, airtime and metric accounting
 	PhaseARQRound                  // transfer-loop round bookkeeping outside QueryRound
 	PhaseCodingEncode              // codec/erasure encode (ARQ ladder, fountain, RS parity)
-	PhaseCodingDecode              // codec/erasure decode and reconstruction
+	PhaseCodingDecode              // frame SECDED/CRC decode, erasure decode and reconstruction
 
 	// NumPhases bounds the enum; it is not a phase.
 	NumPhases
@@ -52,10 +52,6 @@ func SpanName(p Phase) string { return "span." + p.String() + "_ns" }
 // never produces it.
 type Stamp int64
 
-// SpanLanes is the number of lanes (see Histogram) in each span
-// histogram.
-const SpanLanes = 8
-
 // Spans is the phase-span timer: one volatile integer histogram per phase,
 // recording nanosecond durations. Like every instrument here it is a
 // passive sink — recording a span never draws randomness or branches into
@@ -67,28 +63,29 @@ const SpanLanes = 8
 //
 // A boundary costs one monotonic clock read, and Lap closes one phase and
 // opens the next with that single read, so contiguous regions are timed
-// without gaps. Each span histogram has SpanLanes lanes; a Spans records
-// into one of them, and Lane hands every trial its own, so concurrent
-// workers do not contend on the histograms' cache lines. Readers see the
-// lanes summed, which is exact.
+// without gaps. Each span histogram has Lanes lanes; a Spans records into
+// one of them, and Lane hands every trial its own by the lane rule every
+// laned instrument shares (see laneCells), so concurrent workers do not
+// contend on the histograms' cache lines. Readers see the lanes summed,
+// which is exact.
 type Spans struct {
 	epoch time.Time
 	hists [NumPhases]*Histogram
 	lane  int
 	// lanes holds the views of every lane; they share epoch and hists.
-	lanes *[SpanLanes]Spans
+	lanes *[Lanes]Spans
 }
 
 // NewSpans registers the span namespace on r. Bounds double from 256 ns to
 // ~2.1 s, covering sub-µs equalise slices through whole-transfer rounds.
 // The returned Spans records into lane 0.
 func NewSpans(r *Registry) *Spans {
-	lanes := new([SpanLanes]Spans)
+	lanes := new([Lanes]Spans)
 	// One nanosecond in the past, so that no live stamp is zero.
 	epoch := time.Now().Add(-time.Nanosecond)
 	var hists [NumPhases]*Histogram
 	for p := Phase(0); p < NumPhases; p++ {
-		hists[p] = r.histogram(SpanName(p), Exp2Bounds(256, 24), SpanLanes, Volatile)
+		hists[p] = r.histogram(SpanName(p), Exp2Bounds(256, 24), Lanes, Volatile)
 	}
 	for i := range lanes {
 		lanes[i] = Spans{epoch: epoch, hists: hists, lane: i, lanes: lanes}
@@ -96,18 +93,14 @@ func NewSpans(r *Registry) *Spans {
 	return &lanes[0]
 }
 
-// Lane returns the view of s that records into lane id mod SpanLanes, for
-// a trial or transfer to time itself with id as its trace ID (nil for a
-// nil receiver).
+// Lane returns the view of s that records into writer id's lane, id mod
+// Lanes, for a trial or transfer to time itself with id as its trace ID
+// (nil for a nil receiver).
 func (s *Spans) Lane(id int) *Spans {
 	if s == nil {
 		return nil
 	}
-	l := id % SpanLanes
-	if l < 0 {
-		l += SpanLanes
-	}
-	return &s.lanes[l]
+	return &s.lanes[id&(Lanes-1)]
 }
 
 // Start returns a stamp opening a span, or the zero Stamp when s is nil so

@@ -55,8 +55,8 @@ func TestSpansRecordAndAreVolatile(t *testing.T) {
 		if h.Count != want {
 			t.Fatalf("%s count = %d, want %d", name, h.Count, want)
 		}
-		if got := len(s.hists[p].cells) / s.hists[p].stride; got != SpanLanes {
-			t.Fatalf("%s has %d lanes, want %d", name, got, SpanLanes)
+		if got := len(s.hists[p].cells) / s.hists[p].stride; got != Lanes {
+			t.Fatalf("%s has %d lanes, want %d", name, got, Lanes)
 		}
 	}
 	if h := snap.Histograms[SpanName(PhaseViterbi)]; h.Sum < 0 {

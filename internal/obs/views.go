@@ -5,7 +5,10 @@ package obs
 // names below are the complete metric namespace of the simulator and the
 // single place it is defined.
 
-// CoreMetrics instruments core.System.QueryRound.
+// CoreMetrics instruments core.System.QueryRound. Its instruments, and
+// the fault and traffic ones a round counts, have Lanes lanes: a system
+// writes them every round, into its trace ID's lane (AddLane,
+// ObserveLane), so concurrent trials do not share their cache lines.
 type CoreMetrics struct {
 	Rounds        *Counter   // completed query rounds
 	Detections    *Counter   // rounds where the tag detected the trigger
@@ -30,22 +33,22 @@ type CoreMetrics struct {
 // NewCoreMetrics registers the core namespace on r.
 func NewCoreMetrics(r *Registry) *CoreMetrics {
 	return &CoreMetrics{
-		Rounds:        r.Counter("core.rounds"),
-		Detections:    r.Counter("core.rounds_detected"),
-		TriggerMisses: r.Counter("core.rounds_trigger_missed"),
-		BALosses:      r.Counter("core.rounds_ba_lost"),
-		SubframesOK:   r.Counter("core.subframes_ok"),
-		SubframesLost: r.Counter("core.subframes_lost"),
-		Bits:          r.Counter("core.bits"),
-		BitErrors:     r.Counter("core.bit_errors"),
-		BackoffSlots:  r.Counter("core.backoff_slots"),
-		BusySlots:     r.Counter("core.busy_slots"),
-		RoundAirtime:  r.Histogram("core.round_airtime_us", Exp2Bounds(256, 14)),
+		Rounds:        r.counter("core.rounds", Lanes),
+		Detections:    r.counter("core.rounds_detected", Lanes),
+		TriggerMisses: r.counter("core.rounds_trigger_missed", Lanes),
+		BALosses:      r.counter("core.rounds_ba_lost", Lanes),
+		SubframesOK:   r.counter("core.subframes_ok", Lanes),
+		SubframesLost: r.counter("core.subframes_lost", Lanes),
+		Bits:          r.counter("core.bits", Lanes),
+		BitErrors:     r.counter("core.bit_errors", Lanes),
+		BackoffSlots:  r.counter("core.backoff_slots", Lanes),
+		BusySlots:     r.counter("core.busy_slots", Lanes),
+		RoundAirtime:  r.histogram("core.round_airtime_us", Exp2Bounds(256, 14), Lanes),
 
-		DecodeModelEvals: r.Counter("core.decode_model_evals"),
-		SuccessProbEvals: r.Counter("core.success_prob_evals"),
-		ChannelPathEvals: r.Counter("core.channel_path_evals"),
-		QueryBytesBuilt:  r.Counter("core.query_bytes_built"),
+		DecodeModelEvals: r.counter("core.decode_model_evals", Lanes),
+		SuccessProbEvals: r.counter("core.success_prob_evals", Lanes),
+		ChannelPathEvals: r.counter("core.channel_path_evals", Lanes),
+		QueryBytesBuilt:  r.counter("core.query_bytes_built", Lanes),
 	}
 }
 
@@ -96,10 +99,10 @@ type FaultMetrics struct {
 // NewFaultMetrics registers the fault namespace on r.
 func NewFaultMetrics(r *Registry) *FaultMetrics {
 	return &FaultMetrics{
-		SubframesLost: r.Counter("fault.subframes_lost"),
-		TriggerMisses: r.Counter("fault.trigger_misses"),
-		BALosses:      r.Counter("fault.ba_losses"),
-		Brownouts:     r.Counter("fault.brownouts"),
+		SubframesLost: r.counter("fault.subframes_lost", Lanes),
+		TriggerMisses: r.counter("fault.trigger_misses", Lanes),
+		BALosses:      r.counter("fault.ba_losses", Lanes),
+		Brownouts:     r.counter("fault.brownouts", Lanes),
 	}
 }
 
@@ -145,10 +148,10 @@ type TrafficMetrics struct {
 // NewTrafficMetrics registers the traffic namespace on r.
 func NewTrafficMetrics(r *Registry) *TrafficMetrics {
 	return &TrafficMetrics{
-		Rounds:        r.Counter("traffic.rounds"),
-		Bursts:        r.Counter("traffic.bursts"),
-		SubframesMask: r.Counter("traffic.subframes_masked"),
-		StateSwitches: r.Counter("traffic.state_switches"),
+		Rounds:        r.counter("traffic.rounds", Lanes),
+		Bursts:        r.counter("traffic.bursts", Lanes),
+		SubframesMask: r.counter("traffic.subframes_masked", Lanes),
+		StateSwitches: r.counter("traffic.state_switches", Lanes),
 	}
 }
 
