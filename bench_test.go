@@ -316,17 +316,26 @@ func BenchmarkChannelPair(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecFECEncodeDecode times a frame's codec work as
+// link.FrameSender does it: encode, deinterleave and decode into one
+// reused set of buffers.
 func BenchmarkCodecFECEncodeDecode(b *testing.B) {
 	codec := core.Codec{FEC: true, InterleaveDepth: 12}
 	payload := stats.RandomBytes(stats.NewRNG(8), 64)
+	var buf core.CodecBuffers
 	b.SetBytes(64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bits, err := codec.Encode(payload)
+		bits, err := codec.EncodeInto(&buf, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := codec.Decode(bits); err != nil {
+		coded, err := codec.Deinterleave(&buf, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := codec.DecodeCoded(&buf, coded); err != nil {
 			b.Fatal(err)
 		}
 	}
