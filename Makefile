@@ -319,7 +319,7 @@ fuzzseed:
 # what it reports, and a package it cannot type-check fails it.
 determinism:
 	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|FuzzDecodeTable|TestDecodeTableBounds|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|FuzzDecodeTable|TestDecodeTableBounds|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

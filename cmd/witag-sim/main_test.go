@@ -3,19 +3,25 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"witag/internal/clirun"
+	"witag/internal/experiments"
 )
 
 // TestRunRejectsNonFiniteDeployment runs each bad deployment and requires
-// an error naming its flag before any trial: the campaign's timeline,
-// written whenever a campaign starts, must not exist.
+// an error naming its flag before any trial: the campaign's artifacts,
+// written whenever it runs the deployment, must not exist.
 func TestRunRejectsNonFiniteDeployment(t *testing.T) {
-	good := deployment{apStr: "8,0", tagStr: "1,0.3", cipherStr: "open", gain: 68, tempC: 25}
+	good := deployment{apStr: "8,0", tagStr: "1,0.3", DeploymentConfig: experiments.DeploymentConfig{
+		Cipher: "open", Gain: 68, TempC: 25, Seed: 1, Runs: 1, Rounds: 1,
+	}}
 	cases := []struct {
 		name, flag string
 		edit       func(d *deployment)
@@ -27,30 +33,44 @@ func TestRunRejectsNonFiniteDeployment(t *testing.T) {
 		{"wall loss NaN", "-walls", func(d *deployment) { d.wallsStr = "5:NaN" }},
 		{"second wall Inf", "-walls", func(d *deployment) { d.wallsStr = "3.5:7,Inf:9" }},
 		{"wall garbage", "-walls", func(d *deployment) { d.wallsStr = "garbage" }},
-		{"temp NaN", "-temp", func(d *deployment) { d.tempC = math.NaN() }},
-		{"gain NaN", "-gain", func(d *deployment) { d.gain = math.NaN() }},
-		{"gain negative", "-gain", func(d *deployment) { d.gain = -5 }},
+		{"temp NaN", "-temp", func(d *deployment) { d.TempC = math.NaN() }},
+		{"gain NaN", "-gain", func(d *deployment) { d.Gain = math.NaN() }},
+		{"gain negative", "-gain", func(d *deployment) { d.Gain = -5 }},
+	}
+	// runIn runs d with its artifacts under a fresh directory and returns
+	// how many of BENCH_sim.json and TL_sim.jsonl exist, and the error.
+	runIn := func(t *testing.T, d deployment) (int, error) {
+		dir := t.TempDir()
+		cfg := clirun.Config{Flags: clirun.Flags{Parallel: 1, JSONDir: dir, LogLevel: "info", Timeline: true, TimelineWin: 1}}
+		err := run(context.Background(), d, cfg, io.Discard, io.Discard)
+		exist := 0
+		for _, name := range []string{"BENCH_sim.json", "TL_sim.jsonl"} {
+			if _, serr := os.Stat(filepath.Join(dir, name)); serr == nil {
+				exist++
+			} else if !errors.Is(serr, fs.ErrNotExist) {
+				t.Fatal(serr)
+			}
+		}
+		return exist, err
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			d := good
 			c.edit(&d)
-			tl := filepath.Join(t.TempDir(), "tl.jsonl")
-			ocfg := obsConfig{logLevel: "info", tlPath: tl, tlWindow: 1}
-			err := run(context.Background(), d, ocfg, 1, 1, 1, 1)
+			exist, err := runIn(t, d)
 			if err == nil || !strings.HasPrefix(err.Error(), c.flag+":") {
 				t.Fatalf("run = %v, want an error naming %s", err, c.flag)
 			}
-			if _, serr := os.Stat(tl); !errors.Is(serr, fs.ErrNotExist) {
-				t.Fatalf("the campaign started before %s was refused (timeline: %v)", c.flag, serr)
+			if exist != 0 {
+				t.Fatalf("the campaign ran before %s was refused", c.flag)
 			}
 		})
 	}
-	if _, err := good.parse(); err != nil {
-		t.Fatalf("the default deployment was refused: %v", err)
+	if exist, err := runIn(t, good); err != nil || exist != 2 {
+		t.Fatalf("the default deployment: run = %v with %d of its 2 artifacts written; want nil and both", err, exist)
 	}
 	zero := good
-	zero.gain, zero.wallsStr = 0, " 3.5 : 7 ,9:9"
+	zero.Gain, zero.wallsStr = 0, " 3.5 : 7 ,9:9"
 	if _, err := zero.parse(); err != nil {
 		t.Fatalf("a zero gain or spaced walls were refused: %v", err)
 	}

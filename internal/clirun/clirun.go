@@ -1,9 +1,10 @@
-// Package clirun is the startup and teardown the campaign-running CLIs
-// (witag-bench, witag-sim) share: a signal-cancelled context, the
-// process's one campaign scope (progress reporter, JSONL log, trace
-// ring), the optional -metrics-addr server over it, the -trace export,
-// and the final campaign status plus RUNS.jsonl ledger line however the
-// run ends.
+// Package clirun is the batch path the campaign-running CLIs
+// (witag-bench, witag-sim) share: their common flags, a signal-cancelled
+// context, the process's one campaign scope (progress reporter, JSONL
+// log, trace ring), the optional -metrics-addr server over it, the
+// per-experiment loop that writes each experiment's artifacts, and the
+// final campaign status plus RUNS.jsonl ledger line however the run
+// ends.
 // Everything it wires is a sink: attaching it draws no RNG values and
 // changes no result byte.
 package clirun
@@ -51,8 +52,6 @@ type Options struct {
 	StartAttrs []any
 	// TraceCap > 0 gives the campaign a trace ring of that capacity.
 	TraceCap int
-	// TracePath, when non-empty, receives the ring as JSONL at Finish.
-	TracePath string
 	// MetricsAddr, when non-empty, serves the campaign there for the run.
 	MetricsAddr string
 	// LedgerDir, when non-empty, receives one RUNS.jsonl line at Finish.
@@ -138,18 +137,13 @@ func (r *Run) ExportTrace(path, failure string) error {
 	return nil
 }
 
-// Finish ends the run with outcome err: it writes the -trace export,
-// stops the metrics server, marks the campaign done or failed (which
-// ends the progress line), logs "run finished", appends the ledger line
-// ("ok", "error", or "cancelled" when err follows a cancelled context)
-// and closes the log file. Export and ledger failures are reported on
-// stderr, never returned: they must not mask err.
+// Finish ends the run with outcome err: it stops the metrics server,
+// marks the campaign done or failed (which ends the progress line), logs
+// "run finished", appends the ledger line ("ok", "error", or "cancelled"
+// when err follows a cancelled context) and closes the log file. A
+// ledger failure is reported on stderr, never returned: it must not mask
+// err.
 func (r *Run) Finish(err error) {
-	if r.opts.TracePath != "" {
-		if terr := r.ExportTrace(r.opts.TracePath, ErrorText(err)); terr != nil {
-			fmt.Fprintf(r.Stderr, "%s: trace: %v\n", r.opts.Tool, terr)
-		}
-	}
 	if r.server != nil {
 		r.unhook()
 		r.server.Close()

@@ -90,9 +90,12 @@ func record(r *Run, n int) {
 
 func TestTraceExportEndsInSummary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	r := start(t, context.Background(), Options{Tool: "witag-test", Campaign: "test", TraceCap: 4, TracePath: path})
+	r := start(t, context.Background(), Options{Tool: "witag-test", Campaign: "test", TraceCap: 4})
+	defer r.Finish(nil)
 	record(r, 6)
-	r.Finish(nil)
+	if err := r.ExportTrace(path, ""); err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)

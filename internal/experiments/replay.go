@@ -68,7 +68,7 @@ func ReplayTrial(ctx context.Context, req ReplayRequest) (string, error) {
 	case "fig3", "s41", "compare":
 		return "", fmt.Errorf("experiments: %s has no Monte-Carlo trials to replay — re-run `witag-bench -experiment %[1]s` instead", toks[0])
 	case "sim":
-		return "", fmt.Errorf("experiments: witag-sim traces depend on CLI flags (-dist, -fault) the trace does not carry — re-run witag-sim with the original flags and seed")
+		return "", fmt.Errorf("experiments: witag-sim trials depend on its deployment flags (-ap, -tag, -walls, -cipher, -gain, -temp, -fault, -traffic, -transfer, -payload), which the trace does not carry — re-run witag-sim with the original flags and -seed; the Config of its BENCH_sim.json series holds them all")
 	default:
 		return "", fmt.Errorf("experiments: unrecognised label path %q (want fig5/…, fig6/…, robust/…, power/…, ablation/…)", req.Labels)
 	}

@@ -126,6 +126,14 @@ func TestFigure5ReplayDeterministicAcrossWorkerCounts(t *testing.T) {
 	if serialSnap.Counters["core.rounds"] == 0 {
 		t.Fatal("campaign recorded no rounds — vacuous comparison")
 	}
+
+	// A witag-sim trial cannot be rebuilt from its labels: the refusal
+	// must name the deployment flags witag-sim really has and point to
+	// the series that records them.
+	_, err := ReplayTrial(context.Background(), ReplayRequest{Labels: "sim/run=0", Seed: 1, Rounds: 1, Campaign: traceCampaign()})
+	if err == nil || strings.Contains(err.Error(), "-dist") || !strings.Contains(err.Error(), "-walls") || !strings.Contains(err.Error(), "BENCH_sim.json") {
+		t.Fatalf("replaying sim/run=0 returned %v, want a refusal naming the deployment flags and BENCH_sim.json", err)
+	}
 }
 
 // TestFigure6ReplayDeterministicAcrossWorkerCounts runs Figure 6 the way
