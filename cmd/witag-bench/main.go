@@ -33,7 +33,8 @@
 // BENCH_<name>.metrics.json holding the experiment's metrics-registry
 // delta (rounds, subframe verdicts, faults injected, ARQ activity) and a
 // PROF_<name>.json phase-attribution profile (per-phase span quantiles,
-// wall-time shares, allocations per trial) the gate budgets against.
+// wall-time shares, allocations per trial) whose phase schema the gate
+// checks.
 //
 // With -profile DIR, every experiment is additionally wrapped in pprof
 // capture: cpu_<name>.pprof across the run, then heap_<name>.pprof and

@@ -86,7 +86,7 @@ func main() {
 	flag.StringVar(&d.apStr, "ap", "8,0", "AP position as x,y metres")
 	flag.StringVar(&d.tagStr, "tag", "1,0.3", "tag position as x,y metres")
 	flag.StringVar(&d.wallsStr, "walls", "", "comma-separated x:attenuationDb vertical walls")
-	flag.StringVar(&d.Cipher, "cipher", "open", "link cipher: open, wep, ccmp")
+	flag.StringVar(&d.Cipher, "cipher", "open", "link cipher: "+strings.Join(experiments.Ciphers, ", "))
 	flag.StringVar(&d.Fault, "fault", "", "fault profile injecting burst interference: "+strings.Join(fault.Names(), ", ")+" (empty: clean channel)")
 	flag.StringVar(&d.Traffic, "traffic", "", "ambient-traffic profile masking colliding subframes: "+strings.Join(traffic.Names(), ", ")+" (empty: no ambient load)")
 	flag.StringVar(&d.Transfer, "transfer", "", "measure payload transfers instead of raw rounds, using this scheme: "+strings.Join(experiments.CodingSchemes, ", ")+" (empty: round campaign)")
@@ -123,6 +123,7 @@ func run(ctx context.Context, d deployment, cfg clirun.Config, stdout, stderr io
 		return err
 	}
 	for _, v := range []error{
+		cliflags.Choice("-cipher", dc.Cipher, experiments.Ciphers, false),
 		cliflags.FaultProfile("-fault", dc.Fault, true),
 		cliflags.TrafficProfile("-traffic", dc.Traffic, true, false),
 		cliflags.Choice("-transfer", dc.Transfer, experiments.CodingSchemes, true),
@@ -131,17 +132,25 @@ func run(ctx context.Context, d deployment, cfg clirun.Config, stdout, stderr io
 			return v
 		}
 	}
-	if dc.Transfer != "" && (dc.PayloadBytes < 1 || dc.PayloadBytes > link.MaxTransfer) {
+	// A transfer runs until its payload is through and never reads
+	// -rounds, so its provenance and start log carry no round count.
+	rounds := dc.Rounds
+	switch {
+	case dc.Transfer != "" && (dc.PayloadBytes < 1 || dc.PayloadBytes > link.MaxTransfer):
 		return fmt.Errorf("payload %d bytes outside [1,%d]", dc.PayloadBytes, link.MaxTransfer)
+	case dc.Transfer != "":
+		rounds = 0
+	case rounds < 1:
+		return fmt.Errorf("-rounds: need at least 1 round, got %d", rounds)
 	}
 	cfg.Tool, cfg.Campaign, cfg.ProgressNoun = "witag-sim", "sim", "runs"
 	cfg.StartAttrs = []any{
 		slog.String("ap", d.apStr), slog.String("tag", d.tagStr),
 		slog.String("cipher", dc.Cipher), slog.Int64("seed", dc.Seed),
-		slog.Int("runs", dc.Runs), slog.Int("rounds", dc.Rounds),
+		slog.Int("runs", dc.Runs), slog.Int("rounds", rounds),
 	}
 	cfg.SuiteConfig = experiments.SuiteConfig{
-		Seed: dc.Seed, Runs: dc.Runs, Rounds: dc.Rounds,
+		Seed: dc.Seed, Runs: dc.Runs, Rounds: rounds,
 		FaultProfile: dc.Fault, Scheme: dc.Transfer, Traffic: dc.Traffic,
 	}
 	return clirun.RunSuite(ctx, cfg, []experiments.Experiment{experiments.Deployment(dc)}, stdout, stderr)

@@ -36,6 +36,9 @@ func TestRunRejectsNonFiniteDeployment(t *testing.T) {
 		{"temp NaN", "-temp", func(d *deployment) { d.TempC = math.NaN() }},
 		{"gain NaN", "-gain", func(d *deployment) { d.Gain = math.NaN() }},
 		{"gain negative", "-gain", func(d *deployment) { d.Gain = -5 }},
+		{"cipher unknown", "-cipher", func(d *deployment) { d.Cipher = "foo" }},
+		{"rounds zero", "-rounds", func(d *deployment) { d.Rounds = 0 }},
+		{"rounds negative", "-rounds", func(d *deployment) { d.Rounds, d.Runs = -5, 2 }},
 	}
 	// runIn runs d with its artifacts under a fresh directory and returns
 	// how many of BENCH_sim.json and TL_sim.jsonl exist, and the error.
@@ -73,5 +76,32 @@ func TestRunRejectsNonFiniteDeployment(t *testing.T) {
 	zero.Gain, zero.wallsStr = 0, " 3.5 : 7 ,9:9"
 	if _, err := zero.parse(); err != nil {
 		t.Fatalf("a zero gain or spaced walls were refused: %v", err)
+	}
+}
+
+// TestTransferProvenanceHasNoRounds: a transfer run never reads -rounds,
+// so no provenance stamp of its artifacts or its ledger line carries a
+// round count; a round run's all do.
+func TestTransferProvenanceHasNoRounds(t *testing.T) {
+	d := deployment{apStr: "8,0", tagStr: "1,0.3", DeploymentConfig: experiments.DeploymentConfig{
+		Cipher: "open", Gain: experiments.TagGain, TempC: 25, PayloadBytes: 16, Seed: 1, Runs: 1, Rounds: 40,
+	}}
+	for _, transfer := range []string{"fountain", ""} {
+		d.Transfer = transfer
+		dir := t.TempDir()
+		cfg := clirun.Config{Flags: clirun.Flags{Parallel: 1, JSONDir: dir, LogLevel: "info", TimelineWin: 1}}
+		if err := run(context.Background(), d, cfg, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"BENCH_sim.json", "BENCH_sim.metrics.json", "PROF_sim.json", "RUNS.jsonl"} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only the provenance stamp has a lower-case "rounds" key.
+			if got, want := strings.Contains(string(b), `"rounds"`), transfer == ""; got != want {
+				t.Errorf("-transfer %q: %s stamps rounds: %v, want %v", transfer, name, got, want)
+			}
+		}
 	}
 }

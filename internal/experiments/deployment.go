@@ -21,7 +21,7 @@ import (
 type DeploymentConfig struct {
 	AP, Tag channel.Point // the client sits at the origin
 	Walls   [][2]float64  // vertical walls: x position (m), attenuation (dB)
-	Cipher  string        // link cipher: open, wep or ccmp
+	Cipher  string        // link cipher, one of Ciphers
 	Fault   string        // fault.Named profile; "" for a clean channel
 	Traffic string        // traffic.Named profile; "" for no ambient load
 	Gain    float64       // tag effective reflection gain
@@ -35,6 +35,10 @@ type DeploymentConfig struct {
 	Runs         int
 	Rounds       int
 }
+
+// Ciphers names the link ciphers a deployment takes: open, WEP and CCMP
+// (WPA2), the values build switches on.
+var Ciphers = []string{"open", "wep", "ccmp"}
 
 // DeploymentSeries is the deployment's BENCH series: its configuration
 // and each run's stats, or each run's transfer outcome in transfer mode.
@@ -100,7 +104,7 @@ func (d DeploymentConfig) build(envSeed int64) (*core.System, *channel.Environme
 		sys.Cipher = c
 		sys.Scheduler.Cipher = c
 	default:
-		return nil, nil, fmt.Errorf("unknown cipher %q (open, wep, ccmp)", d.Cipher)
+		return nil, nil, fmt.Errorf("unknown cipher %q (valid: %s)", d.Cipher, strings.Join(Ciphers, ", "))
 	}
 	if d.Fault != "" {
 		prof, err := fault.Named(d.Fault)

@@ -4,8 +4,8 @@ import "time"
 
 // Phase identifies one stage of the simulated receive/transfer chain for
 // phase-attribution profiling. The enum is fixed and closed: perf reports,
-// PROF artifacts and the witag-gate budgets all key on these names, so a
-// new phase is a schema change, not a registration.
+// PROF artifacts and witag-gate's phase-schema check all key on these
+// names, so a new phase is a schema change, not a registration.
 type Phase uint8
 
 const (

@@ -55,9 +55,6 @@ type Options struct {
 	// test: a point with no std/raw trials regresses when its relative
 	// change exceeds HardFactor × Tolerance.
 	HardFactor float64
-	// Budget is the PROF p50/p99 ratio ceiling; <= 0 only reports the
-	// perf tier's ratios (wall clocks across machines do not gate).
-	Budget float64
 	// BootstrapResamples sizes BootstrapP (0 = its default).
 	BootstrapResamples int
 }
@@ -69,7 +66,6 @@ func DefaultOptions() Options {
 		AbsTolerance: 1e-9,
 		Alpha:        0.05,
 		HardFactor:   3,
-		Budget:       1.3,
 	}
 }
 

@@ -35,9 +35,9 @@ func goldenCompare(t *testing.T, path, got string) {
 }
 
 // goldenFixtures writes the two artifact dirs the golden report compares:
-// a clean experiment and one with a BER regression, a counter diff and a
-// PROF trial-wall breach of the perf budget — every detail-block shape the
-// renderer has.
+// a clean experiment and one with a BER regression and a counter diff
+// beside a PROF profile whose trial wall time quadrupled, which the gate
+// does not compare.
 func goldenFixtures(t *testing.T, baseDir, candDir string) {
 	t.Helper()
 	prov := func(exp string, sha string) Provenance {

@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"reflect"
 	"testing"
 
 	"witag/internal/obs"
@@ -45,89 +46,52 @@ func TestProfWriteRoundTrip(t *testing.T) {
 }
 
 func TestCompareProfIdentical(t *testing.T) {
-	checks, diffs := CompareProf(fixtureProf(), fixtureProf(), 1.3)
-	if len(diffs) != 0 {
+	if diffs := CompareProf(fixtureProf(), fixtureProf()); len(diffs) != 0 {
 		t.Fatalf("identical profiles produced diffs: %+v", diffs)
 	}
-	if len(checks) != 4 { // p50 + p99 for the trial wall and the one firing phase
-		t.Fatalf("got %d checks, want 4: %+v", len(checks), checks)
-	}
-	for _, c := range checks {
-		if c.Class != ClassOK || c.Ratio != 1 {
-			t.Fatalf("identical profiles breached the budget: %+v", c)
-		}
-	}
 }
 
-func TestCompareProfBudgetBreach(t *testing.T) {
-	cand := fixtureProf()
-	cand.Phase("viterbi").P50Ns *= 2 // 2x over a 1.3x budget
-
-	checks, diffs := CompareProf(fixtureProf(), cand, 1.3)
-	if len(diffs) != 0 {
-		t.Fatalf("unexpected structural diffs: %+v", diffs)
-	}
-	breached := false
-	for _, c := range checks {
-		if c.Name == "prof.span.viterbi" && c.Quantile == 0.50 && c.Class == ClassRegression {
-			breached = true
+// withoutPhase returns rep with the named phase's entry removed.
+func withoutPhase(rep *perf.Report, name string) *perf.Report {
+	var kept []perf.PhaseStat
+	for _, ps := range rep.Phases {
+		if ps.Phase != name {
+			kept = append(kept, ps)
 		}
 	}
-	if !breached {
-		t.Fatalf("2x p50 not flagged under a 1.3x budget: %+v", checks)
-	}
-
-	// Budget off: informational only, nothing gates.
-	checks, _ = CompareProf(fixtureProf(), cand, 0)
-	for _, c := range checks {
-		if c.Class != ClassOK {
-			t.Fatalf("budget off still gated: %+v", c)
-		}
-	}
+	rep.Phases = kept
+	return rep
 }
 
-// TestCompareProfTrialWallBudget: the trial wall time is the PROF
-// figure the budget gates beside the phases. A 4x p50 breaches a 1.3x
-// budget under its own name; with the budget off it is only reported.
-func TestCompareProfTrialWallBudget(t *testing.T) {
-	cand := fixtureProf()
-	cand.WallP50Us *= 4
-
-	checks, diffs := CompareProf(fixtureProf(), cand, 1.3)
-	if len(diffs) != 0 {
-		t.Fatalf("unexpected structural diffs: %+v", diffs)
+// TestCompareProfStructuralDiffs: each way the phase schema can break is
+// one instrument diff naming the phase, whatever the wall clocks read.
+func TestCompareProfStructuralDiffs(t *testing.T) {
+	silent := fixtureProf()
+	*silent.Phase("viterbi") = perf.PhaseStat{Phase: "viterbi"} // instrumentation lost
+	slower := fixtureProf()
+	slower.WallP50Us *= 4
+	slower.Phase("viterbi").P99Ns *= 4
+	cases := []struct {
+		name       string
+		base, cand *perf.Report
+		want       []obs.InstrumentDiff
+	}{
+		{"silent phase", fixtureProf(), silent, []obs.InstrumentDiff{{Kind: "prof", Name: "prof.span.viterbi",
+			Base: 8, Cand: 0, Detail: "phase recorded no spans in candidate"}}},
+		{"phase absent from candidate", fixtureProf(), withoutPhase(fixtureProf(), "viterbi"), []obs.InstrumentDiff{{Kind: "prof",
+			Name: "prof.span.viterbi", Base: 8, Cand: 0, Detail: "phase absent from candidate profile"}}},
+		{"phase absent from baseline", withoutPhase(fixtureProf(), "viterbi"), fixtureProf(), []obs.InstrumentDiff{{Kind: "prof",
+			Name: "prof.span.viterbi", Base: 0, Cand: 8, Detail: "phase absent from baseline profile"}}},
+		{"idle phase absent from candidate", fixtureProf(), withoutPhase(fixtureProf(), "crc"), []obs.InstrumentDiff{{Kind: "prof",
+			Name: "prof.span.crc", Base: 0, Cand: 0, Detail: "phase absent from candidate profile"}}},
+		{"slower wall clocks", fixtureProf(), slower, nil},
 	}
-	var breaches []PerfCheck
-	for _, c := range checks {
-		if c.Class != ClassOK {
-			breaches = append(breaches, c)
-		}
-	}
-	if len(breaches) != 1 || breaches[0].Name != "prof.trial_wall_us" || breaches[0].Quantile != 0.50 ||
-		breaches[0].Base != 1000 || breaches[0].Cand != 4000 || breaches[0].Ratio != 4 {
-		t.Fatalf("4x trial-wall p50 under a 1.3x budget: breaches %+v, want the p50 alone", breaches)
-	}
-
-	checks, _ = CompareProf(fixtureProf(), cand, 0)
-	reported := false
-	for _, c := range checks {
-		if c.Class != ClassOK {
-			t.Fatalf("budget off still gated: %+v", c)
-		}
-		reported = reported || c.Name == "prof.trial_wall_us" && c.Quantile == 0.50 && c.Ratio == 4
-	}
-	if !reported {
-		t.Fatalf("budget off dropped the trial-wall p50 ratio: %+v", checks)
-	}
-}
-
-func TestCompareProfSilentPhaseGatesWithoutBudget(t *testing.T) {
-	cand := fixtureProf()
-	*cand.Phase("viterbi") = perf.PhaseStat{Phase: "viterbi"} // instrumentation lost
-
-	_, diffs := CompareProf(fixtureProf(), cand, 0)
-	if len(diffs) != 1 || diffs[0].Name != "prof.span.viterbi" {
-		t.Fatalf("silent phase not flagged: %+v", diffs)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := CompareProf(c.base, c.cand); !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("CompareProf = %+v, want %+v", got, c.want)
+			}
+		})
 	}
 }
 
@@ -164,18 +128,13 @@ func TestGateProfTier(t *testing.T) {
 		t.Fatalf("legacy baseline without PROF gated %s\n%s", rep.Verdict, j)
 	}
 	// Baseline has a PROF but the candidate lost it: the profiling
-	// pipeline broke, which gates regardless of budget.
+	// pipeline broke, which gates.
 	rep := gate(t, true, false)
 	if rep.Verdict != ClassRegression {
 		t.Fatalf("candidate missing PROF gated %s, want regression", rep.Verdict)
 	}
-	found := false
-	for _, d := range rep.Experiments[0].MetricDiffs {
-		if d.Kind == "prof" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no prof diff recorded: %+v", rep.Experiments[0].MetricDiffs)
+	want := []obs.InstrumentDiff{{Kind: "prof", Name: "(profile)", Detail: "PROF artifact missing in candidate"}}
+	if got := rep.Experiments[0].MetricDiffs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("candidate missing PROF recorded %+v, want %+v", got, want)
 	}
 }

@@ -8,17 +8,6 @@ import (
 	"witag/internal/obs"
 )
 
-// PerfCheck is one PROF figure's quantile-ratio comparison — the budget
-// tier. Ratio is candidate/baseline at the given quantile.
-type PerfCheck struct {
-	Name     string  `json:"name"`
-	Quantile float64 `json:"quantile"`
-	Base     int64   `json:"base"` // the figure's units (µs, ns)
-	Cand     int64   `json:"cand"`
-	Ratio    float64 `json:"ratio"`
-	Class    Class   `json:"class"`
-}
-
 // ExperimentReport is the sentinel's verdict on one experiment.
 type ExperimentReport struct {
 	Name string `json:"name"`
@@ -35,7 +24,6 @@ type ExperimentReport struct {
 
 	Points      []PointVerdict       `json:"points,omitempty"`
 	MetricDiffs []obs.InstrumentDiff `json:"metricDiffs,omitempty"`
-	Perf        []PerfCheck          `json:"perf,omitempty"`
 
 	Verdict Class `json:"verdict"`
 }
@@ -143,20 +131,17 @@ func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentRepor
 		er.MetricDiffs = obs.DiffDeterministic(*b.Metrics, *c.Metrics)
 	}
 
-	// Tier 3 — the perf budget, over the PROF profiles alone. A baseline
-	// without a PROF artifact predates the profiling layer: skip silently
-	// so old baselines stay comparable. A candidate missing one that the
-	// baseline has means the profiling pipeline broke — that gates
-	// regardless of budget.
+	// Tier 3 — the PROF profiles' structure. A baseline without a PROF
+	// artifact predates the profiling layer: skip silently so old
+	// baselines stay comparable. A candidate missing one that the
+	// baseline has means the profiling pipeline broke, which gates.
 	switch {
 	case b.Prof == nil:
 	case c.Prof == nil:
 		er.MetricDiffs = append(er.MetricDiffs, obs.InstrumentDiff{
 			Kind: "prof", Name: "(profile)", Detail: "PROF artifact missing in candidate"})
 	default:
-		checks, diffs := CompareProf(b.Prof, c.Prof, opts.Budget)
-		er.Perf = checks
-		er.MetricDiffs = append(er.MetricDiffs, diffs...)
+		er.MetricDiffs = append(er.MetricDiffs, CompareProf(b.Prof, c.Prof)...)
 	}
 
 	for _, p := range er.Points {
@@ -164,9 +149,6 @@ func gateExperiment(name string, b, c *Artifact, opts Options) (*ExperimentRepor
 	}
 	if len(er.MetricDiffs) > 0 || er.Failed != "" {
 		er.Verdict = ClassRegression
-	}
-	for _, pc := range er.Perf {
-		er.Verdict = Worse(er.Verdict, pc.Class)
 	}
 	return er, nil
 }
@@ -214,14 +196,9 @@ func (r *Report) JSON() (string, error) {
 func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "regression gate: %s (baseline) vs %s (candidate)\n", r.BaselineDir, r.CandidateDir)
-	budget := "off"
-	if r.Options.Budget > 0 {
-		budget = fmt.Sprintf("%gx", r.Options.Budget)
-	}
-	fmt.Fprintf(&b, "tolerance ±%g%% · alpha %g · perf budget %s\n\n",
-		r.Options.Tolerance*100, r.Options.Alpha, budget)
+	fmt.Fprintf(&b, "tolerance ±%g%% · alpha %g\n\n", r.Options.Tolerance*100, r.Options.Alpha)
 
-	fmt.Fprintf(&b, "%-12s %-26s %-10s %-6s %s\n", "experiment", "points ok/drift/regr/impr", "metrics", "perf", "verdict")
+	fmt.Fprintf(&b, "%-12s %-26s %-10s %s\n", "experiment", "points ok/drift/regr/impr", "metrics", "verdict")
 	for i := range r.Experiments {
 		e := &r.Experiments[i]
 		ok, drift, regr, impr := e.Counts()
@@ -229,18 +206,12 @@ func (r *Report) Render() string {
 		if len(e.MetricDiffs) > 0 {
 			metrics = fmt.Sprintf("%d diffs", len(e.MetricDiffs))
 		}
-		perf := "-"
-		if n := perfBreaches(e.Perf); n > 0 {
-			perf = fmt.Sprintf("%d over", n)
-		} else if len(e.Perf) > 0 {
-			perf = "ok"
-		}
 		verdict := string(e.Verdict)
 		if e.Missing != "" {
 			verdict = fmt.Sprintf("%s (missing in %s)", verdict, e.Missing)
 		}
-		fmt.Fprintf(&b, "%-12s %-26s %-10s %-6s %s\n",
-			e.Name, fmt.Sprintf("%d/%d/%d/%d", ok, drift, regr, impr), metrics, perf, verdict)
+		fmt.Fprintf(&b, "%-12s %-26s %-10s %s\n",
+			e.Name, fmt.Sprintf("%d/%d/%d/%d", ok, drift, regr, impr), metrics, verdict)
 	}
 
 	for i := range r.Experiments {
@@ -268,25 +239,8 @@ func (r *Report) Render() string {
 		for _, d := range e.MetricDiffs {
 			fmt.Fprintf(&b, "  metric      %-9s %-28s %d → %d  %s\n", d.Kind, d.Name, d.Base, d.Cand, d.Detail)
 		}
-		for _, pc := range e.Perf {
-			if pc.Class == ClassOK {
-				continue
-			}
-			fmt.Fprintf(&b, "  perf        %-28s p%g %d → %d  %.2fx over budget\n",
-				pc.Name, pc.Quantile*100, pc.Base, pc.Cand, pc.Ratio)
-		}
 	}
 
 	fmt.Fprintf(&b, "\noverall: %s\n", strings.ToUpper(string(r.Verdict)))
 	return b.String()
-}
-
-func perfBreaches(perf []PerfCheck) int {
-	n := 0
-	for _, pc := range perf {
-		if pc.Class != ClassOK {
-			n++
-		}
-	}
-	return n
 }
