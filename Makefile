@@ -80,8 +80,9 @@ benchcmp:
 # machine falls on both sides alike, and prints `perfbench -compare` (A =
 # REF, B = this checkout) for each pair. One pair's verdict is noise-bound
 # (a metric of a few milliseconds, such as setup_s, reads `worse` in some
-# pairs of identical trees), so it exits 1 only for a workload and metric
-# that is `worse` in more than half of the pairs, and names them.
+# pairs of identical trees), so it fails (`make` exits 2) only for a
+# workload and metric that is `worse` in more than half of the pairs, and
+# names them, sorted.
 # PERFARGS adds perfbench flags, e.g. PERFARGS='-workload coding-sweep
 # -seed 1001'. Go caches stay under .bench_build/, as with
 # perfbench/run.sh.
@@ -109,8 +110,9 @@ perfcmp:
 		$$1 == "workload" { n = 0; for (f = 2; f <= NF; f++) if ($$f !~ /^\(/) metric[++n] = $$f; next } \
 		n && NF > 1 && $$2 ~ /^(ok|worse|unresolved|missing)$$/ { \
 			m = 0; for (f = 2; f <= NF; f++) { if ($$f ~ /^[-+]/) continue; m++; if ($$f == "worse") worse[$$1 " " metric[m]]++ } } \
-		END { status = 0; for (k in worse) if (2 * worse[k] > passes) { \
-			printf "perfcmp: %s worse in %d of %d pairs\n", k, worse[k], passes; status = 1 } \
+		END { status = 0; sorter = "LC_ALL=C sort"; for (k in worse) if (2 * worse[k] > passes) { \
+			printf "perfcmp: %s worse in %d of %d pairs\n", k, worse[k], passes | sorter; status = 1 } \
+			close(sorter); \
 			if (!status) printf "perfcmp: no workload and metric worse in more than half of %d pairs\n", passes; \
 			exit status }'
 
@@ -306,7 +308,12 @@ fuzzseed:
 # give, a steady-state FrameSender.Send must allocate nothing, a taped
 # ARQ, LT or RS transfer must allocate as often over twice the frames,
 # and a laned counter must read what a single-lane one fed the same adds
-# reads. The
+# reads. Stage 12 too: a stream on a reused or reseeded register must
+# draw math/rand v1's stream, a released stream must panic, a world on
+# storage a released world emptied must count and give what a fresh one
+# does, a campaign on warm pools what one on empty pools gives, a warm
+# Figure 5 trial must allocate under 8 KiB, and the fountain decoder's
+# elimination must reuse its scratch. The
 # trace export itself is held to the contract: two fresh Figure 5
 # campaigns at one worker write byte-identical TRACE JSONL, every event
 # naming its label path, and one at two workers the same lines. And
@@ -320,7 +327,7 @@ fuzzseed:
 # what it reports, and a package it cannot type-check fails it.
 determinism:
 	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|FuzzDecodeTable|TestDecodeTableBounds|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|FuzzDecodeTable|TestDecodeTableBounds|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned|ReleasedStreamPanics|EnvironmentReleaseStartsCold|SystemReleaseStartsCold|WarmPoolsMatchCold|Figure5TrialAllocs|FountainGaussianReusesScratch' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

@@ -116,7 +116,7 @@ func main() {
 // batch path.
 func run(ctx context.Context, d deployment, cfg clirun.Config, stdout, stderr io.Writer) error {
 	if d.Runs < 1 {
-		return fmt.Errorf("need at least 1 run, got %d", d.Runs)
+		return fmt.Errorf("-runs: need at least 1 run, got %d", d.Runs)
 	}
 	dc, err := d.parse()
 	if err != nil {

@@ -39,6 +39,8 @@ func TestRunRejectsNonFiniteDeployment(t *testing.T) {
 		{"cipher unknown", "-cipher", func(d *deployment) { d.Cipher = "foo" }},
 		{"rounds zero", "-rounds", func(d *deployment) { d.Rounds = 0 }},
 		{"rounds negative", "-rounds", func(d *deployment) { d.Rounds, d.Runs = -5, 2 }},
+		{"runs zero", "-runs", func(d *deployment) { d.Runs = 0 }},
+		{"runs negative", "-runs", func(d *deployment) { d.Runs = -3 }},
 	}
 	// runIn runs d with its artifacts under a fresh directory and returns
 	// how many of BENCH_sim.json and TL_sim.jsonl exist, and the error.

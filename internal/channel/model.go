@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"witag/internal/stats"
 )
@@ -45,6 +46,7 @@ type TagReflection struct {
 // then place walls, reflectors and scatterers. An Environment is not safe
 // for concurrent use: Advance moves its scatterers, and every channel
 // evaluation reads and refreshes its static-prefix and tag-term caches.
+// Release ends it and gives its storage to the next environment built.
 type Environment struct {
 	FreqHz         float64
 	PathLossExp    float64 // direct-path exponent (2 = free space)
@@ -55,8 +57,17 @@ type Environment struct {
 	Reflectors     []Reflector
 	Scatterers     []Scatterer
 
-	rng *rand.Rand
+	rng   *rand.Rand
+	cache *envCache
+	// phasorEvals counts path × subcarrier phasor evaluations.
+	phasorEvals int64
+}
 
+// envCache is an environment's evaluation storage, pooled between
+// environments: Release empties every cache in it and NewEnvironment
+// takes it back, so an environment reuses an earlier one's buffers yet
+// starts cold.
+type envCache struct {
 	// prefix caches the static part of the last tx→rx channel: the direct
 	// path plus the reflectors, summed in that order.
 	prefix staticPrefix
@@ -68,8 +79,17 @@ type Environment struct {
 	loss lossMemo
 	// rotors is the scratch the fused scatterer pass reuses every round.
 	rotors []rotor
-	// phasorEvals counts path × subcarrier phasor evaluations.
-	phasorEvals int64
+}
+
+// envCaches holds the caches of released environments.
+var envCaches sync.Pool
+
+// empty marks every cache in c empty, keeping its storage.
+func (c *envCache) empty() {
+	c.prefix.ok = false
+	c.tags[0].ok, c.tags[1].ok = false, false
+	c.nextTag = 0
+	c.loss = lossMemo{}
 }
 
 // lossMemo memoises DbToAmplitude for the last few wall-loss sums a path
@@ -158,6 +178,10 @@ func (t *tagTerm) matches(e *Environment, tx, rx Point, tag *TagReflection) bool
 // free-space LoS exponent, 15 dBm transmit power, 56 used subcarriers
 // (20 MHz HT).
 func NewEnvironment(seed int64) *Environment {
+	c, _ := envCaches.Get().(*envCache)
+	if c == nil {
+		c = new(envCache)
+	}
 	return &Environment{
 		FreqHz:         DefaultFreqHz,
 		PathLossExp:    2.0,
@@ -165,6 +189,21 @@ func NewEnvironment(seed int64) *Environment {
 		NoiseFloorDbm:  NoiseFloorDbm20MHz,
 		NumSubcarriers: 56,
 		rng:            stats.NewRNG(seed),
+		cache:          c,
+	}
+}
+
+// Release ends e: its scatterer stream is released (stats.Release) and
+// its caches go, emptied, to the next environment built. e must not be
+// used again: advancing it or evaluating a channel over it panics.
+// Releasing twice does nothing more. An environment that is never
+// released is garbage-collected as before.
+func (e *Environment) Release() {
+	stats.Release(e.rng)
+	if c := e.cache; c != nil {
+		c.empty()
+		envCaches.Put(c)
+		e.cache = nil
 	}
 }
 
@@ -237,7 +276,7 @@ func (e *Environment) appendBounce(rotors []rotor, tx, rx, p Point, gain float64
 	if err != nil {
 		return rotors, err
 	}
-	a *= e.loss.amplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
+	a *= e.cache.loss.amplitude(-PathAttenuationDb(e.Walls, tx, p) - PathAttenuationDb(e.Walls, p, rx))
 	r, step := e.ramp(e.NumSubcarriers, a, ds+dr, 0)
 	return append(rotors, rotor{r, step}), nil
 }
@@ -283,19 +322,20 @@ func (e *Environment) addTag(h []complex128, tx, rx Point, tag *TagReflection) e
 // toggles between two states, so after a trial's first round only the
 // scatterers are evaluated.
 func (e *Environment) tagPhasors(tx, rx Point, tag *TagReflection) ([]complex128, error) {
-	for i := range e.tags {
-		if t := &e.tags[i]; t.matches(e, tx, rx, tag) {
+	c := e.cache
+	for i := range c.tags {
+		if t := &c.tags[i]; t.matches(e, tx, rx, tag) {
 			return t.h, nil
 		}
 	}
-	t := &e.tags[e.nextTag]
+	t := &c.tags[c.nextTag]
 	t.ok = false
 	ds, dr := tx.Dist(tag.Pos), tag.Pos.Dist(rx)
 	a, err := BackscatterAmplitude(ds, dr, e.FreqHz, cmplx.Abs(tag.Coeff))
 	if err != nil {
 		return nil, err
 	}
-	a *= e.loss.amplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
+	a *= c.loss.amplitude(-PathAttenuationDb(e.Walls, tx, tag.Pos) - PathAttenuationDb(e.Walls, tag.Pos, rx))
 	t.h = resize(t.h, e.NumSubcarriers)
 	r, step := e.ramp(len(t.h), a, ds+dr+tag.ExcessPathM, cmplx.Phase(tag.Coeff))
 	for k := range t.h {
@@ -306,7 +346,7 @@ func (e *Environment) tagPhasors(tx, rx Point, tag *TagReflection) ([]complex128
 	t.walls = append(t.walls[:0], e.Walls...)
 	t.pos, t.coeff, t.excess = tag.Pos, CoeffBits(tag.Coeff), tag.ExcessPathM
 	t.ok = true
-	e.nextTag ^= 1
+	c.nextTag ^= 1
 	return t.h, nil
 }
 
@@ -314,7 +354,8 @@ func (e *Environment) tagPhasors(tx, rx Point, tag *TagReflection) ([]complex128
 // summed in that order: from the cache when nothing it depends on has
 // changed, else freshly computed into the cache.
 func (e *Environment) staticSum(tx, rx Point) ([]complex128, error) {
-	p := &e.prefix
+	c := e.cache
+	p := &c.prefix
 	if p.matches(e, tx, rx) {
 		return p.h, nil
 	}
@@ -326,15 +367,15 @@ func (e *Environment) staticSum(tx, rx Point) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	amp *= e.loss.amplitude(-PathAttenuationDb(e.Walls, tx, rx))
+	amp *= c.loss.amplitude(-PathAttenuationDb(e.Walls, tx, rx))
 	r, step := e.ramp(len(p.h), amp, d, 0)
-	rotors := append(e.rotors[:0], rotor{r, step})
+	rotors := append(c.rotors[:0], rotor{r, step})
 	for _, refl := range e.Reflectors {
 		if rotors, err = e.appendBounce(rotors, tx, rx, refl.Pos, refl.Gain); err != nil {
 			return nil, err
 		}
 	}
-	e.rotors = rotors
+	c.rotors = rotors
 	sumRotors(p.h, p.h, rotors)
 	p.tx, p.rx, p.freqHz, p.pathLossExp = tx, rx, e.FreqHz, e.PathLossExp
 	p.walls = append(p.walls[:0], e.Walls...)
@@ -364,13 +405,14 @@ func (e *Environment) untaggedSum(h []complex128, tx, rx Point) ([]complex128, e
 	if err != nil {
 		return nil, err
 	}
-	rotors := e.rotors[:0]
+	c := e.cache
+	rotors := c.rotors[:0]
 	for _, s := range e.Scatterers {
 		if rotors, err = e.appendBounce(rotors, tx, rx, s.Pos, s.Gain); err != nil {
 			return nil, err
 		}
 	}
-	e.rotors = rotors
+	c.rotors = rotors
 	h = resize(h, e.NumSubcarriers)
 	sumRotors(h, base, rotors)
 	return h, nil

@@ -133,16 +133,14 @@ func nlosEnv(seed int64) *Environment {
 
 // fresh returns an environment with e's current geometry and empty caches.
 func fresh(e *Environment) *Environment {
-	return &Environment{
-		FreqHz:         e.FreqHz,
-		PathLossExp:    e.PathLossExp,
-		TxPowerDbm:     e.TxPowerDbm,
-		NoiseFloorDbm:  e.NoiseFloorDbm,
-		NumSubcarriers: e.NumSubcarriers,
-		Walls:          slices.Clone(e.Walls),
-		Reflectors:     slices.Clone(e.Reflectors),
-		Scatterers:     slices.Clone(e.Scatterers),
-	}
+	f := NewEnvironment(0)
+	f.FreqHz, f.PathLossExp = e.FreqHz, e.PathLossExp
+	f.TxPowerDbm, f.NoiseFloorDbm = e.TxPowerDbm, e.NoiseFloorDbm
+	f.NumSubcarriers = e.NumSubcarriers
+	f.Walls = slices.Clone(e.Walls)
+	f.Reflectors = slices.Clone(e.Reflectors)
+	f.Scatterers = slices.Clone(e.Scatterers)
+	return f
 }
 
 // cold returns tag's tx→rx channel from a fresh copy of e: a single-state
@@ -628,5 +626,55 @@ func TestAdvanceSincosMatchesSinCos(t *testing.T) {
 		if !slices.Equal(env.Scatterers, twin.Scatterers) {
 			t.Fatal("Advance moved the scatterers other than Cos and Sin did")
 		}
+	}
+}
+
+// TestEnvironmentReleaseStartsCold: an environment on the caches a
+// released environment emptied evaluates every round's channel pair bit
+// for bit as one on fresh caches, with the same phasor count, so no
+// cache of the old world answers for the new one; the released
+// environment panics when advanced or evaluated.
+func TestEnvironmentReleaseStartsCold(t *testing.T) {
+	tx, rx := Point{0, 0}, Point{17, 0}
+	rest := &TagReflection{Pos: Point{1, 0.3}, Coeff: 40, ExcessPathM: 7.5}
+	flip := &TagReflection{Pos: Point{1, 0.3}, Coeff: -40, ExcessPathM: 7.5}
+	pairs := func(e *Environment) (h [][]complex128, phasors int64) {
+		t.Helper()
+		for range 5 {
+			e.Advance(RoundStepS)
+			ha, hb, err := e.ChannelPair(tx, rx, rest, flip, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h = append(h, ha, hb)
+		}
+		return h, e.PhasorEvals()
+	}
+	old := nlosEnv(3)
+	pairs(old)
+	dirty := old.cache
+	old.Release()
+	old.Release()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Advance after Release", func() { old.Advance(RoundStepS) })
+	mustPanic("ChannelPair after Release", func() { old.ChannelPair(tx, rx, rest, flip, nil, nil) })
+
+	reused, fresh := nlosEnv(3), nlosEnv(3)
+	reused.cache, fresh.cache = dirty, new(envCache)
+	got, gotPhasors := pairs(reused)
+	want, wantPhasors := pairs(fresh)
+	for i := range want {
+		sameBits(t, "channel on reused caches vs fresh", got[i], want[i])
+	}
+	if gotPhasors != wantPhasors {
+		t.Fatalf("reused caches evaluated %d phasors, fresh ones %d", gotPhasors, wantPhasors)
 	}
 }

@@ -339,6 +339,64 @@ func TestSymbolBlocksMatchReference(t *testing.T) {
 	}
 }
 
+// TestFountainGaussianReusesScratch: the elimination builds its system in
+// the decoder's scratch, so an attempt on a rank-deficient system
+// allocates nothing once the scratch has grown and leaves the decoder as
+// it was; a full-rank one recovers every block into storage of the
+// blocks' own, which a later attempt's scratch cannot touch.
+func TestFountainGaussianReusesScratch(t *testing.T) {
+	payload := stats.RandomBytes(stats.NewRNG(3), 96)
+	f, err := NewFountain(len(payload), 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(bi int) []byte { return payload[bi*f.BlockBytes : (bi+1)*f.BlockBytes] }
+	// symbol is the pending equation over blocks.
+	symbol := func(blocks ...int) pendingSymbol {
+		data := make([]byte, f.BlockBytes)
+		for _, bi := range blocks {
+			xorInto(data, block(bi))
+		}
+		return pendingSymbol{data: data, blocks: blocks}
+	}
+
+	// K+1 equations in which blocks 0 and 1 always appear together.
+	d := NewFountainDecoder(f)
+	for i := 0; i <= f.K; i++ {
+		if i < 2 || i == f.K {
+			d.pending = append(d.pending, symbol(0, 1))
+		} else {
+			d.pending = append(d.pending, symbol(0, 1, i))
+		}
+	}
+	before := slices.Clone(d.pending)
+	d.gaussian()
+	attempts := d.Attempts
+	if allocs := testing.AllocsPerRun(20, d.gaussian); allocs != 0 {
+		t.Fatalf("a rank-deficient elimination allocates %v times on grown scratch, want 0", allocs)
+	}
+	if d.Attempts != attempts+21 || d.decoded != 0 || !reflect.DeepEqual(d.pending, before) {
+		t.Fatalf("a rank-deficient elimination changed the decoder: %d attempts, %d decoded", d.Attempts-attempts, d.decoded)
+	}
+
+	// Full rank: {0}, {0,1}, {1,2}, …, {K−2,K−1}.
+	d.pending = []pendingSymbol{symbol(0)}
+	for bi := 1; bi < f.K; bi++ {
+		d.pending = append(d.pending, symbol(bi-1, bi))
+	}
+	d.gaussian()
+	if !d.Done() || len(d.pending) != 0 {
+		t.Fatalf("full-rank elimination decoded %d of %d blocks", d.decoded, f.K)
+	}
+	clear(d.elim.data)
+	clear(d.elim.masks)
+	for bi := range f.K {
+		if !bytes.Equal(d.blocks[bi], block(bi)) {
+			t.Fatalf("block %d = %x after the scratch was cleared, want %x", bi, d.blocks[bi], block(bi))
+		}
+	}
+}
+
 func TestFountainDecoderRejectsGarbage(t *testing.T) {
 	f, err := NewFountain(60, 10, 3)
 	if err != nil {

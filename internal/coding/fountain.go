@@ -190,6 +190,25 @@ type FountainDecoder struct {
 	decoded int
 	// Attempts counts peeling passes, for the decode-attempt metrics.
 	Attempts int
+
+	elim elimination // gaussian's scratch, reused by every attempt
+}
+
+// elimination is the dense GF(2) system gaussian solves: the unknown
+// blocks, each block's column (col[bi], for unknown blocks only), and one
+// row per pending symbol, whose masks and data copies live in masks and
+// data.
+type elimination struct {
+	unknowns []int
+	col      []int
+	rows     []elimRow
+	masks    []uint64
+	data     []byte
+}
+
+type elimRow struct {
+	mask []uint64
+	data []byte
 }
 
 // pendingSymbol is a received symbol with the unknown blocks it still
@@ -256,40 +275,44 @@ func (d *FountainDecoder) Add(id int, data []byte) (bool, error) {
 // peeling resolves the easy majority, elimination mops up). On success
 // every block is recovered and the pending set is cleared; on rank
 // deficiency the decoder state is left untouched and the stream simply
-// continues.
+// continues. The system is built in the decoder's scratch, so an attempt
+// that finds it rank-deficient allocates nothing once the scratch has
+// grown.
 func (d *FountainDecoder) gaussian() {
-	unknowns := make([]int, 0, d.f.K-d.decoded)
-	pos := map[int]int{}
+	e := &d.elim
+	e.unknowns = e.unknowns[:0]
+	e.col = slices.Grow(e.col[:0], d.f.K)[:d.f.K]
 	for bi := 0; bi < d.f.K; bi++ {
 		if d.blocks[bi] == nil {
-			pos[bi] = len(unknowns)
-			unknowns = append(unknowns, bi)
+			e.col[bi] = len(e.unknowns)
+			e.unknowns = append(e.unknowns, bi)
 		}
 	}
-	nu := len(unknowns)
+	nu := len(e.unknowns)
 	if nu == 0 || len(d.pending) < nu {
 		return
 	}
 	d.Attempts++
-	words := (nu + 63) / 64
-	type row struct {
-		mask []uint64
-		data []byte
-	}
-	rows := make([]row, 0, len(d.pending))
-	for _, ps := range d.pending {
-		r := row{mask: make([]uint64, words), data: append([]byte(nil), ps.data...)}
+	words, bb, n := (nu+63)/64, d.f.BlockBytes, len(d.pending)
+	e.masks = slices.Grow(e.masks[:0], n*words)[:n*words]
+	clear(e.masks)
+	e.data = slices.Grow(e.data[:0], n*bb)[:n*bb]
+	e.rows = slices.Grow(e.rows[:0], n)[:n]
+	rows := e.rows
+	for i, ps := range d.pending {
+		r := elimRow{mask: e.masks[i*words : (i+1)*words], data: e.data[i*bb : (i+1)*bb]}
+		copy(r.data, ps.data)
 		for _, bi := range ps.blocks {
-			j := pos[bi]
+			j := e.col[bi]
 			r.mask[j/64] |= 1 << (j % 64)
 		}
-		rows = append(rows, r)
+		rows[i] = r
 	}
-	// Forward elimination with column pivoting.
-	solvedRows := make([]row, 0, nu)
+	// Forward elimination with column pivoting: rows[:col] are the rows
+	// solved so far.
 	for col := 0; col < nu; col++ {
 		pivot := -1
-		for i := len(solvedRows); i < len(rows); i++ {
+		for i := col; i < len(rows); i++ {
 			if rows[i].mask[col/64]&(1<<(col%64)) != 0 {
 				pivot = i
 				break
@@ -298,25 +321,26 @@ func (d *FountainDecoder) gaussian() {
 		if pivot < 0 {
 			return // rank-deficient: wait for more symbols
 		}
-		at := len(solvedRows)
-		rows[at], rows[pivot] = rows[pivot], rows[at]
+		rows[col], rows[pivot] = rows[pivot], rows[col]
 		for i := range rows {
-			if i == at {
+			if i == col {
 				continue
 			}
 			if rows[i].mask[col/64]&(1<<(col%64)) != 0 {
 				for w := range rows[i].mask {
-					rows[i].mask[w] ^= rows[at].mask[w]
+					rows[i].mask[w] ^= rows[col].mask[w]
 				}
-				xorInto(rows[i].data, rows[at].data)
+				xorInto(rows[i].data, rows[col].data)
 			}
 		}
-		solvedRows = append(solvedRows, rows[at])
 	}
-	// Full rank: after Gauss–Jordan above, solvedRows[j] holds exactly
-	// unknown j.
-	for j, bi := range unknowns {
-		d.blocks[bi] = solvedRows[j].data
+	// Full rank: after Gauss–Jordan above, rows[j] holds exactly unknown
+	// j. The blocks take a copy: the scratch is the decoder's.
+	solved := make([]byte, nu*bb)
+	for j, bi := range e.unknowns {
+		b := solved[j*bb : (j+1)*bb : (j+1)*bb]
+		copy(b, rows[j].data)
+		d.blocks[bi] = b
 		d.decoded++
 	}
 	d.pending = d.pending[:0]

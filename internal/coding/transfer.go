@@ -132,6 +132,9 @@ func NewFountainTransferer(sys *core.System, env *channel.Environment, cfg Fount
 		frames: link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff")))}
 }
 
+// Release ends the transferer's backoff stream (link.FrameSender.Release).
+func (t *FountainTransferer) Release() { t.frames.Release() }
+
 // fountainHeader is the per-symbol frame header: the 16-bit symbol ID.
 const fountainHeader = 2
 
@@ -305,6 +308,9 @@ func NewRSTransferer(sys *core.System, env *channel.Environment, cfg RSConfig, s
 		window: newLossWindow(rsWindowFrames),
 	}
 }
+
+// Release ends the transferer's backoff stream (link.FrameSender.Release).
+func (t *RSTransferer) Release() { t.frames.Release() }
 
 // rsHeader is the per-shard frame header: block index and shard index.
 // The block geometry (k, n) is shared transferer state — in a real

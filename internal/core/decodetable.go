@@ -60,6 +60,11 @@ type decodeTable struct {
 	round uint32
 }
 
+// empty marks t built for no plan, keeping its storage.
+func (t *decodeTable) empty() {
+	t.subBits, t.gen = t.subBits[:0], 0
+}
+
 // forPlan reports whether t was built for plan's subframes, comparing
 // them only when the plan was recomputed since t last matched it.
 func (t *decodeTable) forPlan(plan *queryPlan) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -232,6 +233,13 @@ func (b *linkScratch) eval(env *channel.Environment, g *linkGeom, spans *obs.Spa
 // tapeChunk is how many rounds one chunk of a tape holds (14 KiB).
 const tapeChunk = 256
 
+// tapeChunks holds the chunks of released tapes. A chunk's old rounds
+// need no clearing: a tape reads only the rounds it has recorded.
+var tapeChunks sync.Pool
+
+// errTapeReleased is what a read of a released tape returns.
+var errTapeReleased = errors.New("core: link tape read after its release")
+
 // LinkTape is an append-only record of one world, round by round, shared
 // by every System that replays that world: each round's link and its
 // draws. Round r is the link after r+1 steps of channel.RoundStepS
@@ -247,17 +255,18 @@ const tapeChunk = 256
 // A System with a tape (System.Link) takes its link and its draws from the
 // tape rather than from its own environment and streams, which it then
 // never needs advanced; it counts and traces the draws as its own. The
-// private world counts nothing. A LinkTape is safe for concurrent use.
+// private world counts nothing, and evaluates the link in its own scratch.
+// A LinkTape is safe for concurrent use. Release ends it and hands its
+// world and chunks to the next ones built.
 type LinkTape struct {
-	mu      sync.Mutex
-	build   func() (*System, *channel.Environment, error)
-	world   *System              // the private build; nil until the first read
-	env     *channel.Environment // its environment
-	geom    linkGeom
-	scratch linkScratch
-	err     error // a failed build or evaluation, returned to every reader
-	chunks  []*[tapeChunk]worldRound
-	n       int // rounds recorded
+	mu     sync.Mutex
+	build  func() (*System, *channel.Environment, error)
+	world  *System              // the private build; nil until the first read
+	env    *channel.Environment // its environment
+	geom   linkGeom
+	err    error // a failed build or evaluation, returned to every reader
+	chunks []*[tapeChunk]worldRound
+	n      int // rounds recorded
 }
 
 // NewLinkTape returns an empty tape over the world build constructs. The
@@ -290,13 +299,17 @@ func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int6
 	dataLen, total := ws.Spec.DataLen, ws.Spec.TriggerLen+ws.Spec.DataLen
 	for t.n <= r {
 		t.env.Advance(channel.RoundStepS)
-		next, _, p, err := t.scratch.eval(t.env, &t.geom, nil, 0)
+		next, _, p, err := ws.link.eval(t.env, &t.geom, nil, 0)
 		if err != nil {
 			t.err = err
 			return w, phasors, evals, err
 		}
 		if t.n%tapeChunk == 0 {
-			t.chunks = append(t.chunks, new([tapeChunk]worldRound))
+			c, _ := tapeChunks.Get().(*[tapeChunk]worldRound)
+			if c == nil {
+				c = new([tapeChunk]worldRound)
+			}
+			t.chunks = append(t.chunks, c)
 		}
 		t.chunks[t.n/tapeChunk][t.n%tapeChunk] = worldRound{next, drawRound(ws.Faults, ws.Traffic, dataLen, total)}
 		t.n++
@@ -304,6 +317,24 @@ func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int6
 		evals++
 	}
 	return t.chunks[r/tapeChunk][r%tapeChunk], phasors, evals, nil
+}
+
+// Release ends the tape once no reader will read it again: its private
+// world and environment are released (System.Release,
+// channel.Environment.Release) and its chunks go to the next tapes
+// recorded. A later read returns an error. A tape that is never released
+// is garbage-collected as before.
+func (t *LinkTape) Release() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.world != nil {
+		t.world.Release()
+		t.env.Release()
+	}
+	for _, c := range t.chunks {
+		tapeChunks.Put(c)
+	}
+	t.world, t.env, t.chunks, t.err = nil, nil, nil, errTapeReleased
 }
 
 // refuse returns an error when reader s, with link geometry g, is not of

@@ -249,7 +249,7 @@ func TestRoundCacheInvalidation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := &System{Tag: warm.Tag, TempC: warm.TempC}
+				fresh := &System{Tag: warm.Tag, TempC: warm.TempC, systemScratch: new(systemScratch)}
 				want, err := fresh.tableFor(&warm.plan, true, timing)
 				if err != nil {
 					t.Fatal(err)

@@ -95,15 +95,20 @@ func minOnAirBytes(cipherOverhead int) int {
 
 // SubframeAirtimes returns every subframe's on-air duration.
 func (q QuerySpec) SubframeAirtimes(cipherOverhead int) ([]time.Duration, error) {
-	out := make([]time.Duration, q.Total())
-	for i := range out {
+	return q.appendSubframeAirtimes(nil, cipherOverhead)
+}
+
+// appendSubframeAirtimes appends every subframe's on-air duration to dst.
+func (q QuerySpec) appendSubframeAirtimes(dst []time.Duration, cipherOverhead int) ([]time.Duration, error) {
+	dst = slices.Grow(dst, q.Total())
+	for i := range q.Total() {
 		d, err := dot11.SubframeAirtime(q.onAirBytesAt(i, cipherOverhead), q.MCS, q.Width, q.GI)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = d
+		dst = append(dst, d)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ShapeForTick fills PayloadSizes so each subframe lasts ticks·tick of
@@ -186,13 +191,14 @@ func (p *queryPlan) matches(q *QuerySpec, overhead int) bool {
 		slices.Equal(p.spec.PayloadSizes, q.PayloadSizes)
 }
 
-// compute fills the plan for q and overhead.
+// compute fills the plan for q and overhead, in the storage of the plan
+// it replaces.
 func (p *queryPlan) compute(q QuerySpec, overhead int) error {
 	p.ok = false
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	airs, err := q.SubframeAirtimes(overhead)
+	airs, err := q.appendSubframeAirtimes(p.airs[:0], overhead)
 	if err != nil {
 		return err
 	}
@@ -212,8 +218,11 @@ func (p *queryPlan) compute(q QuerySpec, overhead int) error {
 	for i := range airs {
 		p.subBits = append(p.subBits, q.onAirBytesAt(i, overhead)*8)
 	}
+	sizes := p.spec.PayloadSizes[:0]
 	p.spec, p.overhead = q, overhead
-	p.spec.PayloadSizes = slices.Clone(q.PayloadSizes)
+	if q.PayloadSizes != nil { // Validate refuses an empty one
+		p.spec.PayloadSizes = append(sizes, q.PayloadSizes...)
+	}
 	p.airs, p.trigMean, p.psduLen, p.ppdu = airs, trigAir/time.Duration(q.TriggerLen), psduLen, ppdu
 	p.ok = true
 	p.gen++

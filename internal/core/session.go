@@ -5,6 +5,7 @@ import (
 	"math"
 	mathbits "math/bits"
 	"math/rand"
+	"sync"
 	"time"
 
 	"witag/internal/channel"
@@ -103,11 +104,22 @@ type System struct {
 	// round's encode span opens; zero when no step is pending.
 	stepEnd obs.Stamp
 
+	// watts caches the link budget in watts for detectionProb (memo.go).
+	watts wattsCache
+	// The world's other caches and its scratch, pooled between worlds
+	// (Release).
+	*systemScratch
+	// linkRound is the next round a taped system reads from Link.
+	linkRound int
+}
+
+// systemScratch is what a System reuses from round to round and what
+// Release hands, emptied, to the next System built.
+type systemScratch struct {
 	// Per-world caches, revalidated against their inputs every round
 	// (memo.go), the round's decode-model memo, and the decode tables of
 	// the last two plans and window geometries, most recent first
 	// (decodetable.go).
-	watts  wattsCache
 	trig   triggerCache
 	memo   successMemo
 	tables [2]*decodeTable
@@ -120,8 +132,32 @@ type System struct {
 	// from.
 	link linkScratch
 	cov  tag.CoverageBuffers
-	// linkRound is the next round a taped system reads from Link.
-	linkRound int
+}
+
+// systemScratches holds the scratch of released systems.
+var systemScratches sync.Pool
+
+// newSystemScratch returns a released system's scratch, or a new one.
+func newSystemScratch() *systemScratch {
+	if c, _ := systemScratches.Get().(*systemScratch); c != nil {
+		return c
+	}
+	return new(systemScratch)
+}
+
+// empty marks every cache in c empty, keeping its storage, so the next
+// world computes everything afresh and counts the same work.
+func (c *systemScratch) empty() {
+	c.trig = triggerCache{walls: c.trig.walls[:0]}
+	c.memo.reset()
+	for _, t := range c.tables {
+		if t != nil {
+			t.empty()
+		}
+	}
+	c.plan.ok = false
+	c.link.watts = wattsCache{}
+	c.cov.Reset()
 }
 
 // DefaultQuerySpec returns the paper-flavoured query: 4 trigger subframes
@@ -161,11 +197,35 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 		DetectorNoiseFigure: 10,
 		AmbientLossProb:     0.01,
 		rng:                 rng,
+		systemScratch:       newSystemScratch(),
 	}
 	if err := sys.Reshape(); err != nil {
 		return nil, err
 	}
 	return sys, nil
+}
+
+// Release ends the world s: its own stream and those of its tag clock,
+// contender, Faults and Traffic are released (stats.Release), and its
+// scratch goes, emptied, to the next System built. It does not release
+// Env, which has a Release of its own. s must not be used again: a round
+// on it panics. A System that is never released is garbage-collected as
+// before.
+func (s *System) Release() {
+	stats.Release(s.rng)
+	s.Tag.Clock.Release()
+	s.Contender.Release()
+	if s.Faults != nil {
+		s.Faults.Release()
+	}
+	if s.Traffic != nil {
+		s.Traffic.Release()
+	}
+	if c := s.systemScratch; c != nil {
+		c.empty()
+		systemScratches.Put(c)
+		s.systemScratch = nil
+	}
 }
 
 // Instrument attaches observer o and the trace identity (id, labels) to

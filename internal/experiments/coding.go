@@ -133,7 +133,8 @@ type TransferOutcome struct {
 // RunTransfer moves payload over one deployment with the named scheme
 // from CodingSchemes — arq (selective-repeat ARQ on the adaptive coding
 // ladder), fountain (LT) or rs (adaptive Reed-Solomon) — each at its
-// default operating point, with the transferer seeded from seed.
+// default operating point, with the transferer seeded from seed. The
+// transferer is RunTransfer's own, so it releases its backoff stream.
 func RunTransfer(ctx context.Context, scheme string, sys *core.System, env *channel.Environment, payload []byte, seed int64) (TransferOutcome, error) {
 	var out TransferOutcome
 	switch scheme {
@@ -142,19 +143,25 @@ func RunTransfer(ctx context.Context, scheme string, sys *core.System, env *chan
 		if err != nil {
 			return out, err
 		}
-		s, err := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, seed).Send(ctx, payload)
+		x := link.NewTransferer(sys, env, link.DefaultPolicy(), cc, seed)
+		defer x.Release()
+		s, err := x.Send(ctx, payload)
 		if err != nil {
 			return out, err
 		}
 		out.TransferStats = s.TransferStats
 	case "fountain", "rs":
-		var s *coding.Stats
-		var err error
-		if scheme == "fountain" {
-			s, err = coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), seed).Send(ctx, payload)
-		} else {
-			s, err = coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), seed).Send(ctx, payload)
+		var x interface {
+			Send(context.Context, []byte) (*coding.Stats, error)
+			Release()
 		}
+		if scheme == "fountain" {
+			x = coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), seed)
+		} else {
+			x = coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), seed)
+		}
+		defer x.Release()
+		s, err := x.Send(ctx, payload)
 		if err != nil {
 			return out, err
 		}
@@ -345,13 +352,15 @@ func (s *tapeSet) acquire(world int, build func() (*core.System, *channel.Enviro
 	return t.tape
 }
 
-// release gives world's tape back, dropping it after its last transfer.
+// release gives world's tape back, releasing it (core.LinkTape.Release)
+// after its last transfer.
 func (s *tapeSet) release(world int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tapes[world]
 	if t.left--; t.left == 0 {
 		delete(s.tapes, world)
+		t.tape.Release()
 	}
 }
 
@@ -362,12 +371,16 @@ func (s *tapeSet) release(world int) {
 // comparison isolates the scheme; the scheme name deliberately never
 // enters the seed tree, only the trace label path
 // ("coding/pf=…/tr=…/scheme=…"). With a tape the system reads the world's
-// link from it, and the transferer gets no environment to advance.
+// link from it, and the transferer gets no environment to advance. The
+// world is the transfer's alone, so it is released when the transfer
+// returns.
 func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer, tape *core.LinkTape) (TransferOutcome, error) {
 	sys, env, payload, label, err := codingWorld(cfg, prof, scheme, traceID, tr, o)
 	if err != nil {
 		return TransferOutcome{}, err
 	}
+	defer env.Release()
+	defer sys.Release()
 	if tape != nil {
 		sys.Link, env = tape, nil
 	}

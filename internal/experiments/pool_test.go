@@ -1,0 +1,125 @@
+package experiments
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"witag/internal/obs"
+)
+
+// World storage is pooled between trials (DESIGN.md §17, stage 12): a
+// trial's RNG registers and its system's and environment's scratch go,
+// emptied, to the next world built. These tests hold the pools to the
+// determinism contract, and the reuse to its allocation figure.
+
+// pooledRun is everything a campaign leaves behind that must not depend
+// on what the pools held when it started.
+type pooledRun struct {
+	result, render, timeline string
+	metrics                  obs.Snapshot
+}
+
+// runPooled runs a small Figure 5 or coding campaign under a campaign
+// scope with a timeline attached.
+func runPooled(t *testing.T, experiment string, workers int) pooledRun {
+	t.Helper()
+	camp := obs.NewCampaign("pool", obs.CampaignOptions{})
+	tl := obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: 8})
+	camp.SetTimeline(tl)
+	var res interface{ Render() string }
+	var err error
+	switch experiment {
+	case "fig5":
+		res, err = Figure5Ctx(context.Background(), Figure5Config{Seed: 42, Runs: 2, Round: 120, Workers: workers, Campaign: camp})
+	case "coding":
+		cfg := obsCodingConfig(workers)
+		cfg.Campaign = camp
+		res, err = AdaptiveCodingCtx(context.Background(), cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl.Flush()
+	var buf bytes.Buffer
+	if err := tl.WriteJSONLFailed(&buf, ""); err != nil {
+		t.Fatal(err)
+	}
+	return pooledRun{string(js), res.Render(), buf.String(), camp.Registry.Snapshot().Deterministic()}
+}
+
+// TestWarmPoolsMatchCold runs the Figure 5 and coding campaigns with
+// empty world pools, then twice more in the same process at one and at
+// two workers, on pools the earlier runs filled: the series, the
+// rendered table, the timeline export and every deterministic counter
+// and histogram must equal the cold run's. (Released RNG registers are
+// kept outside the collector's reach; a reused one is overwritten whole,
+// which stats' TestNewRNGMatchesMathRandOnReusedRegisters holds.)
+func TestWarmPoolsMatchCold(t *testing.T) {
+	for _, experiment := range []string{"fig5", "coding"} {
+		// Two collections empty the world pools, which are sync.Pools.
+		runtime.GC()
+		runtime.GC()
+		cold := runPooled(t, experiment, 1)
+		if cold.metrics.Counters["core.rounds"] == 0 {
+			t.Fatalf("%s: the cold run counted no rounds", experiment)
+		}
+		for _, workers := range []int{1, 2, 1, 2} {
+			warm := runPooled(t, experiment, workers)
+			switch {
+			case warm.result != cold.result:
+				t.Fatalf("%s at %d workers on warm pools: result\n%s\ncold:\n%s", experiment, workers, warm.result, cold.result)
+			case warm.render != cold.render:
+				t.Fatalf("%s at %d workers on warm pools: table\n%s\ncold:\n%s", experiment, workers, warm.render, cold.render)
+			case warm.timeline != cold.timeline:
+				t.Fatalf("%s at %d workers on warm pools: timeline\n%s\ncold:\n%s", experiment, workers, warm.timeline, cold.timeline)
+			case !reflect.DeepEqual(warm.metrics, cold.metrics):
+				bw, _ := json.Marshal(warm.metrics)
+				bc, _ := json.Marshal(cold.metrics)
+				t.Fatalf("%s at %d workers on warm pools: metrics\n%s\ncold:\n%s", experiment, workers, bw, bc)
+			}
+		}
+	}
+}
+
+// TestFigure5TrialAllocs holds a Figure 5 trial, once the pools are
+// warm, under 8 KiB of allocation: its RNG registers and its world's
+// scratch come from the trials before it. Before the pools a trial
+// allocated about 42 KiB.
+func TestFigure5TrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	tr := figure5Trial(42, 4, "d=4", "run=0", 300)
+	o := obs.NewObserver(nil, nil)
+	run := func() {
+		if _, err := tr.Run(context.Background(), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	run()
+	// The least of a few batches: a collection between trials empties
+	// the pools, and the next trial refills them.
+	const batches, trials = 5, 4
+	least := ^uint64(0)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range trials {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/trials)
+	}
+	if least >= 8<<10 {
+		t.Fatalf("a warm Figure 5 trial allocates %d B, want under 8 KiB", least)
+	}
+}

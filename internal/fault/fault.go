@@ -191,6 +191,10 @@ func NewInjector(p Profile, seed int64) (*Injector, error) {
 	}, nil
 }
 
+// Release ends the injector's fault stream (stats.Release): a later
+// draw panics.
+func (in *Injector) Release() { stats.Release(in.rng) }
+
 // SubframeLost steps the burst chain one subframe and reports whether the
 // interferer destroyed it at the AP.
 func (in *Injector) SubframeLost() bool {

@@ -8,6 +8,7 @@ import (
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/obs"
+	"witag/internal/stats"
 )
 
 // Backoff pacing, shared by every transfer discipline: the wait after the
@@ -92,6 +93,10 @@ type FrameSender struct {
 func NewFrameSender(sys *core.System, env *channel.Environment, rng *rand.Rand) *FrameSender {
 	return &FrameSender{Sys: sys, env: env, rng: rng}
 }
+
+// Release ends the sender's backoff stream (stats.Release): a later
+// Backoff panics.
+func (f *FrameSender) Release() { stats.Release(f.rng) }
 
 // Frame is one frame attempt's outcome.
 type Frame struct {

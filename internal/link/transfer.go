@@ -57,6 +57,9 @@ func NewTransferer(sys *core.System, env *channel.Environment, pol Policy, cc *C
 	}
 }
 
+// Release ends the transferer's backoff stream (FrameSender.Release).
+func (t *Transferer) Release() { t.frames.Release() }
+
 // Send moves payload tag→client reliably: segment, query, verify each
 // frame's CRC, selectively re-query failed ranges, back off after round
 // erasures, and adapt coding to the observed frame-error rate. It returns

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"witag/internal/dot11"
+	"witag/internal/stats"
 )
 
 // Contention-based channel access (DCF/EDCA). The WiTAG client contends
@@ -25,6 +26,10 @@ type Contender struct {
 func NewContender(rng *rand.Rand) *Contender {
 	return &Contender{rng: rng}
 }
+
+// Release ends the contender's backoff stream (stats.Release): a later
+// AccessDelay panics.
+func (c *Contender) Release() { stats.Release(c.rng) }
 
 // AccessDelay samples the channel-access delay for one transmission
 // attempt: DIFS plus a uniform backoff in [0, CW] slots. busyProb models

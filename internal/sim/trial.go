@@ -56,12 +56,17 @@ type Trial struct {
 
 // Run builds the deployment, instruments it with observer o (nil: off)
 // under the trial's trace identity, and measures it. Runner.RunTrials
-// passes its campaign's observer.
+// passes its campaign's observer. The deployment is the trial's alone, so
+// Run releases it when the measurement ends (core.System.Release,
+// channel.Environment.Release) and the next trial built reuses its
+// storage.
 func (t Trial) Run(ctx context.Context, o *obs.Observer) (RunStats, error) {
 	sys, env, err := t.Build()
 	if err != nil {
 		return RunStats{}, err
 	}
+	defer env.Release()
+	defer sys.Release()
 	sys.Instrument(o, t.ID, t.Labels)
 	return MeasureRun(ctx, sys, env, t.Rounds, t.DataSeed)
 }
@@ -72,6 +77,7 @@ func (t Trial) Run(ctx context.Context, o *obs.Observer) (RunStats, error) {
 // Cancelling ctx aborts between rounds.
 func MeasureRun(ctx context.Context, sys *core.System, env *channel.Environment, rounds int, seed int64) (RunStats, error) {
 	rng := stats.NewRNG(seed)
+	defer stats.Release(rng)
 	var rs RunStats
 	detected := 0
 	// One payload buffer and one result serve every round: the loop keeps

@@ -29,6 +29,22 @@ func NewRNG(seed int64) *rand.Rand {
 	return &l.r
 }
 
+// Release ends stream r, which NewRNG or Split returned, and gives its
+// register to the next stream that builds one. A later draw from r, or a
+// reseed, panics. Releasing nil or an already released stream does
+// nothing; releasing a stream of any other origin panics. A stream that is
+// never released is garbage-collected as any other value.
+func Release(r *rand.Rand) {
+	if r == nil {
+		return
+	}
+	l := lazyRandOf(r)
+	if l == nil {
+		panic("stats: Release of a stream NewRNG did not return")
+	}
+	l.src.release()
+}
+
 // Split derives a new independent generator from r. The derived stream is a
 // deterministic function of r's current state, so a parent seed fully
 // determines the whole tree of generators.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math/rand"
 	"sync"
+	"unsafe"
 )
 
 // A lazily seeded math/rand v1 source.
@@ -102,16 +103,63 @@ func lehmerWord(x0 uint64, i int) uint64 {
 }
 
 // source is rand.NewSource's generator, seeded lazily. Until vec is
-// built, n counts the draws taken from the seed.
+// built, n counts the draws taken from the seed. spare is a register a
+// reseed kept, which the next build fills instead of taking one from the
+// pool. A released source has n = released and no register, so its next
+// draw reaches lazy and panics.
 type source struct {
-	x0        uint64 // the seed reduced as math/rand reduces it
-	n         int
-	tap, feed int
-	vec       *[rngLen]uint64
+	x0         uint64 // the seed reduced as math/rand reduces it
+	n          int
+	tap, feed  int
+	vec, spare *[rngLen]uint64
 }
 
-// Seed resets s to rand.NewSource(seed)'s initial state.
+// released marks a source Release returned.
+const released = -1
+
+// registers holds up to maxFreeRegisters registers of released streams,
+// most recent last. A register's old words need no clearing: lazy
+// overwrites all of them. It is a locked stack, not a sync.Pool, so that
+// reuse does not depend on the build: under -race a sync.Pool drops
+// items at random, and a stream's allocations are held exact there too
+// (sim's TestMeasureRunAllocsFlat).
+var registers struct {
+	sync.Mutex
+	free []*[rngLen]uint64
+}
+
+// maxFreeRegisters bounds what registers keeps: 64 × 4.75 KiB. A worker
+// holds about five long streams at a time.
+const maxFreeRegisters = 64
+
+// takeRegister returns a released register, or a new one.
+func takeRegister() *[rngLen]uint64 {
+	registers.Lock()
+	defer registers.Unlock()
+	n := len(registers.free)
+	if n == 0 {
+		return new([rngLen]uint64)
+	}
+	vec := registers.free[n-1]
+	registers.free = registers.free[:n-1]
+	return vec
+}
+
+// giveRegister keeps vec for a later stream, unless registers is full.
+func giveRegister(vec *[rngLen]uint64) {
+	registers.Lock()
+	defer registers.Unlock()
+	if len(registers.free) < maxFreeRegisters {
+		registers.free = append(registers.free, vec)
+	}
+}
+
+// Seed resets s to rand.NewSource(seed)'s initial state, keeping its
+// register's storage for the next build.
 func (s *source) Seed(seed int64) {
+	if s.n == released {
+		panic("stats: Seed on a released stream")
+	}
 	seed %= int32max
 	if seed < 0 {
 		seed += int32max
@@ -119,7 +167,11 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	*s = source{x0: uint64(seed)}
+	spare := s.spare
+	if s.vec != nil {
+		spare = s.vec
+	}
+	*s = source{x0: uint64(seed), spare: spare}
 }
 
 // Int63 keeps the built register's draw in its own body: routing it
@@ -164,11 +216,18 @@ func (s *source) Uint64() uint64 {
 // lazyDraws draws have been answered and draws from it.
 func (s *source) lazy() uint64 {
 	if s.n < lazyDraws {
+		if s.n == released {
+			panic("stats: draw from a released stream")
+		}
 		s.n++
 		feed, tap := rngLen-rngTap-s.n, rngLen-s.n
 		return (lehmerWord(s.x0, feed) ^ rngCooked[feed]) + (lehmerWord(s.x0, tap) ^ rngCooked[tap])
 	}
-	vec := new([rngLen]uint64)
+	vec := s.spare
+	if vec == nil {
+		vec = takeRegister()
+	}
+	s.spare = nil
 	for i := range vec {
 		vec[i] = lehmerWord(s.x0, i) ^ rngCooked[i]
 	}
@@ -179,8 +238,30 @@ func (s *source) lazy() uint64 {
 	return s.Uint64()
 }
 
+// release gives s's register to registers and marks s released.
+func (s *source) release() {
+	for _, vec := range [...]*[rngLen]uint64{s.vec, s.spare} {
+		if vec != nil {
+			giveRegister(vec)
+		}
+	}
+	*s = source{n: released}
+}
+
 // lazyRand puts a Rand and its source in one allocation.
 type lazyRand struct {
 	r   rand.Rand
 	src source
+}
+
+// lazyRandOf returns the lazyRand r is the Rand of, or nil when r is not
+// one NewRNG returned. r's first word is math/rand's Source interface;
+// its data word points at the source the Rand draws from, which sits at
+// a fixed offset past r in a lazyRand.
+func lazyRandOf(r *rand.Rand) *lazyRand {
+	src := (*[2]uintptr)(unsafe.Pointer(r))[1]
+	if src != uintptr(unsafe.Pointer(r))+unsafe.Offsetof(lazyRand{}.src) {
+		return nil
+	}
+	return (*lazyRand)(unsafe.Pointer(r))
 }

@@ -77,7 +77,14 @@ const reseedOp = -1
 // math/rand v1 and reports the first call whose result differs.
 func compareStreams(t *testing.T, seed int64, ops []int, reseeds []int64) {
 	t.Helper()
-	got, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+	compareStream(t, NewRNG(seed), seed, ops, reseeds)
+}
+
+// compareStream runs the call sequence on got, which must draw
+// rand.NewSource(seed)'s stream, and on math/rand v1.
+func compareStream(t *testing.T, got *rand.Rand, seed int64, ops []int, reseeds []int64) {
+	t.Helper()
+	want := rand.New(rand.NewSource(seed))
 	for i, op := range ops {
 		if op == reseedOp {
 			s := reseeds[i%len(reseeds)]
@@ -125,6 +132,77 @@ func TestNewRNGMatchesMathRand(t *testing.T) {
 			compareStreams(t, int64(n)*977, ops, []int64{int64(n)})
 		}
 	}
+}
+
+// TestNewRNGMatchesMathRandOnReusedRegisters holds a stream whose
+// register was used before to math/rand v1's stream: one built on a
+// dirty register a reseed kept, one on a register a released stream gave
+// to the pool, and one reseeded through rand.Rand.Seed after its register
+// was built. The register's old words must not reach a draw.
+func TestNewRNGMatchesMathRandOnReusedRegisters(t *testing.T) {
+	const draws = 1400
+	plain := make([]int, draws)
+	mixed := make([]int, draws)
+	for i := range mixed {
+		mixed[i] = (i*5 + i/11) % len(rngOps)
+	}
+	for i, seed := range rngSeeds()[:60] {
+		// A register full of garbage, kept by a reseed.
+		dirty := NewRNG(seed)
+		spare := new([rngLen]uint64)
+		for j := range spare {
+			spare[j] = ^uint64(j) * 0x9E3779B97F4A7C15
+		}
+		lazyRandOf(dirty).src.spare = spare
+		compareStream(t, dirty, seed, mixed, []int64{seed})
+
+		// Registers a released stream gave back, then drew into again.
+		old := NewRNG(int64(i) + 1e6)
+		for range rngLen + i {
+			old.Int63()
+		}
+		Release(old)
+		compareStreams(t, seed, plain, []int64{seed})
+
+		// A built register reseeded through rand.Rand.Seed.
+		reseeded := NewRNG(-seed)
+		for range lazyDraws + 1 + i {
+			reseeded.Uint64()
+		}
+		reseeded.Seed(seed)
+		compareStream(t, reseeded, seed, mixed, []int64{seed})
+	}
+}
+
+// TestReleasedStreamPanics: a draw from a released stream, or a reseed,
+// panics rather than drawing; releasing nil or twice does nothing; and a
+// stream NewRNG did not make is refused.
+func TestReleasedStreamPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	for _, built := range []bool{false, true} {
+		r := NewRNG(7)
+		if built {
+			for range rngLen {
+				r.Int63()
+			}
+		}
+		Release(r)
+		Release(r)
+		for i, op := range rngOps {
+			mustPanic("op "+strconv.Itoa(i)+" after Release", func() { op(r) })
+		}
+		mustPanic("Seed after Release", func() { r.Seed(1) })
+	}
+	Release(nil)
+	mustPanic("Release of a math/rand stream", func() { Release(rand.New(rand.NewSource(1))) })
 }
 
 // FuzzNewRNGMatchesMathRand runs arbitrary call sequences against math/rand

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"witag/internal/stats"
 )
 
 // Clock models the tag's timebase. §7 of the paper is an argument about
@@ -71,6 +73,10 @@ func (c *Clock) SecondsPerTick(tempC float64) float64 {
 	}
 	return 1 / hz
 }
+
+// Release ends the clock's jitter stream (stats.Release): a later
+// jittered TicksFor panics.
+func (c *Clock) Release() { stats.Release(c.rng) }
 
 // TicksFor returns how many whole ticks the tag counts during d, including
 // random jitter. This quantisation (20 µs granularity at 50 kHz) is the

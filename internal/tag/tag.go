@@ -100,6 +100,12 @@ type CoverageBuffers struct {
 	haveContribs bool
 }
 
+// Reset empties buf, keeping its storage: the next layout builds its
+// boundaries and contributions afresh.
+func (buf *CoverageBuffers) Reset() {
+	buf.durations, buf.haveContribs = buf.durations[:0], false
+}
+
 // Contribution is the share of subframe Sub's airtime one corruption
 // window covers.
 type Contribution struct {

@@ -182,6 +182,10 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	return &Generator{prof: p, rng: stats.NewRNG(seed), state: p.Start}, nil
 }
 
+// Release ends the generator's stream (stats.Release): a later
+// RoundMask panics.
+func (g *Generator) Release() { stats.Release(g.rng) }
+
 // Profile returns the profile the generator draws from.
 func (g *Generator) Profile() Profile { return g.prof }
 
