@@ -26,9 +26,10 @@ import (
 // rows come back in configuration order regardless of scheduling.
 //
 // Each ablation's per-configuration body is a named row function taking
-// one ablationTrial — the configuration index and an explicit observer
-// among it — so forensic replay can re-run exactly one flagged
-// configuration with a fresh recorder (labels "ablation/<key>/cfg=<i>").
+// one ablationTrial — the configuration index among it — and the world
+// sim.InWorld built for it, so forensic replay can re-run exactly one
+// flagged configuration with a fresh recorder (labels
+// "ablation/<key>/cfg=<i>").
 
 // AblationRow is one configuration of any ablation.
 type AblationRow struct {
@@ -62,14 +63,16 @@ type ablation struct {
 	key   string // replay label path element: "ablation/<key>/cfg=<i>"
 	label string // witag-bench's BENCH series key and error prefix
 	title string
-	n     int // configuration count
+	n     int     // configuration count
+	tagX  float64 // the tag's distance from the client in every configuration, m
 	// per divides witag-bench's -rounds into rounds per configuration.
 	// frames, when non-zero, is instead a fixed frame count per
 	// configuration (fec), the same at any -rounds, so replay takes it
 	// from here rather than from the trace's round events.
 	per, frames int
-	row         func(ctx context.Context, t ablationTrial) (AblationRow, error)
-	check       func(rows []AblationRow) error // the shape claim; nil: none
+	// row measures configuration t.i on its world.
+	row   func(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error)
+	check func(rows []AblationRow) error // the shape claim; nil: none
 }
 
 // size is the ablation's size per configuration at witag-bench's
@@ -85,17 +88,17 @@ func (a *ablation) size(rounds int) int {
 // runAblations and forensic replay both read it.
 var ablations = []ablation{
 	{key: "switch", label: "switch mode", title: "switch design (tag mid-span, the worst case)",
-		n: len(switchModes), per: 2, row: ablationSwitchRow, check: checkSwitchMode},
+		tagX: 4, n: len(switchModes), per: 2, row: ablationSwitchRow, check: checkSwitchMode},
 	{key: "trigger", label: "trigger count", title: "trigger subframes per query",
-		n: len(triggerCounts), per: 4, row: ablationTriggerRow, check: checkTriggerCount},
+		tagX: 2, n: len(triggerCounts), per: 4, row: ablationTriggerRow, check: checkTriggerCount},
 	{key: "fec", label: "FEC framing", title: "tag-data framing and FEC (tag at 2 m, BER ≈ 0.5%)",
-		n: len(fecConfigs), frames: 6, row: ablationFECRow},
+		tagX: 2, n: len(fecConfigs), frames: 6, row: ablationFECRow},
 	{key: "ampdu", label: "A-MPDU size", title: "A-MPDU size",
-		n: len(ampduSizes), per: 4, row: ablationAMPDURow, check: checkAMPDUSize},
+		tagX: 2, n: len(ampduSizes), per: 4, row: ablationAMPDURow, check: checkAMPDUSize},
 	{key: "mcs", label: "robust rate", title: "query MCS (robust-rate rule)",
-		n: len(mcsIndices), per: 4, row: ablationMCSRow},
+		tagX: 2, n: len(mcsIndices), per: 4, row: ablationMCSRow},
 	{key: "crypto", label: "encryption", title: "encryption transparency",
-		n: len(cryptoModes), per: 4, row: ablationCryptoRow, check: checkEncryption},
+		tagX: 1, n: len(cryptoModes), per: 4, row: ablationCryptoRow, check: checkEncryption},
 }
 
 // ablationByKey resolves an ablation's replay key to its table entry.
@@ -113,7 +116,7 @@ func ablationByKey(key string) (*ablation, error) {
 func (a *ablation) run(ctx context.Context, r sim.Runner, seed int64, size int) (*AblationResult, error) {
 	o := r.Campaign.ObserverRef()
 	rows, err := sim.Map(ctx, r, a.n, func(ctx context.Context, i int) (AblationRow, error) {
-		return a.row(ctx, ablationTrial{key: a.key, seed: seed, size: size, i: i, o: o})
+		return a.config(ctx, ablationTrial{key: a.key, seed: seed, size: size, i: i}, o)
 	})
 	if err != nil {
 		return nil, err
@@ -126,31 +129,32 @@ func (a *ablation) run(ctx context.Context, r sim.Runner, seed int64, size int) 
 	return &AblationResult{Title: a.title, Rows: rows}, nil
 }
 
+// config measures configuration t.i, observed by o, in its own world:
+// the LoS testbed with the tag a.tagX metres from the client.
+func (a *ablation) config(ctx context.Context, t ablationTrial, o *obs.Observer) (AblationRow, error) {
+	w := sim.Trial{
+		Build:  losBuild(a.tagX, t.subSeed(), nil),
+		ID:     t.i,
+		Labels: fmt.Sprintf("ablation/%s/cfg=%d", t.key, t.i),
+	}
+	return sim.InWorld(w, o, func(sys *core.System, env *channel.Environment) (AblationRow, error) {
+		return a.row(ctx, t, sys, env)
+	})
+}
+
 // ablationTrial is one configuration's run: configuration i of the
-// ablation keyed key, at size, under the campaign seed, observed by o.
+// ablation keyed key, at size, under the campaign seed.
 type ablationTrial struct {
 	key  string
 	seed int64
 	size int
 	i    int
-	o    *obs.Observer
 }
 
 // subSeed derives a seed under the label "ablation/<key>"; every
 // configuration of the ablation draws the same ones.
 func (t ablationTrial) subSeed(labels ...string) int64 {
 	return stats.SubSeed(t.seed, append([]string{"ablation/" + t.key}, labels...)...)
-}
-
-// testbed builds the ablation's LoS testbed with the tag tagX metres from
-// the client, wired to the trial's observer and trace identity.
-func (t ablationTrial) testbed(tagX float64) (*core.System, *channel.Environment, error) {
-	sys, env, err := LoSTestbed(tagX, t.subSeed())
-	if err != nil {
-		return nil, nil, err
-	}
-	sys.Instrument(t.o, t.i, fmt.Sprintf("ablation/%s/cfg=%d", t.key, t.i))
-	return sys, env, nil
 }
 
 // measure runs size rounds of random tag data on sys and returns the
@@ -179,12 +183,8 @@ var switchModes = []struct {
 
 // ablationSwitchRow compares §5.2's phase-flip signalling with the naive
 // open/short design at the worst-case (mid-span) tag position.
-func ablationSwitchRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+func ablationSwitchRow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
 	mode := switchModes[t.i]
-	sys, env, err := t.testbed(4)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	sys.Tag.RestState = mode.rest
 	sys.Tag.FlipState = mode.flip
 	row, _, err := t.measure(ctx, sys, env)
@@ -207,12 +207,8 @@ var triggerCounts = []int{2, 4, 8, 16}
 // triggers improve detection robustness but spend subframes that could
 // carry data (§7 notes the overhead is small against 64-subframe
 // aggregates).
-func ablationTriggerRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+func ablationTriggerRow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
 	tl := triggerCounts[t.i]
-	sys, env, err := t.testbed(2)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	sys.Spec.TriggerLen = tl
 	sys.Spec.DataLen = 64 - tl
 	if err := sys.Reshape(); err != nil {
@@ -246,15 +242,12 @@ var fecConfigs = []struct {
 // transfers — the error-handling layer §4.1 leaves to future work. The
 // metric is application goodput: payload bits delivered in verified frames
 // per second. Its size is the frame count.
-func ablationFECRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+func ablationFECRow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
 	const payloadBytes = 16
 	cfg := fecConfigs[t.i]
-	sys, env, err := t.testbed(2)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	// Every codec transfers the same payload sequence.
 	rng := stats.NewRNG(t.subSeed("payload"))
+	defer stats.Release(rng)
 	delivered, attempts := 0, 0
 	var st sim.Stream // totals run across frames; RxBits is per frame
 	for f := 0; f < t.size; f++ {
@@ -295,12 +288,8 @@ func ablationFECRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
 var ampduSizes = []int{8, 16, 32, 64}
 
 // ablationAMPDURow sweeps aggregate size at the default MCS.
-func ablationAMPDURow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+func ablationAMPDURow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
 	total := ampduSizes[t.i]
-	sys, env, err := t.testbed(2)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	sys.Spec.TriggerLen = 4
 	sys.Spec.DataLen = total - 4
 	if err := sys.Reshape(); err != nil {
@@ -323,12 +312,8 @@ var mcsIndices = []int{0, 2, 4, 7}
 
 // ablationMCSRow sweeps the query MCS: too aggressive a rate confuses
 // path-loss failures with tag zeros (§4.1's robust-rate rule).
-func ablationMCSRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+func ablationMCSRow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
 	idx := mcsIndices[t.i]
-	sys, env, err := t.testbed(2)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	m, err := dot11.HTMCS(idx)
 	if err != nil {
 		return AblationRow{}, err
@@ -350,12 +335,8 @@ var cryptoModes = []string{"open", "WEP-104", "WPA2-CCMP"}
 
 // ablationCryptoRow re-runs the near-client deployment on open, WEP and
 // WPA2 networks — the §4 transparency claim as a table.
-func ablationCryptoRow(ctx context.Context, t ablationTrial) (AblationRow, error) {
+func ablationCryptoRow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
 	mode := cryptoModes[t.i]
-	sys, env, err := t.testbed(1)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	switch mode {
 	case "WEP-104":
 		c, err := crypto80211.NewWEP(make([]byte, 13), 0)

@@ -209,14 +209,11 @@ func AdaptiveCodingCtx(ctx context.Context, cfg AdaptiveCodingConfig) (*Adaptive
 	}
 	perProfile := len(schemeNames) * cfg.Transfers
 
-	// Overhead and energy need the spec; every testbed uses the default
-	// spec, so derive it once from a throwaway build.
-	sys, _, err := LoSTestbed(2, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	slots := sys.Spec.Total()
-	dataLen := float64(sys.Spec.DataLen)
+	// Overhead and energy need the spec's subframe counts. Every testbed
+	// keeps the default spec's, since shaping only sizes the subframes.
+	spec := core.DefaultQuerySpec()
+	slots := spec.Total()
+	dataLen := float64(spec.DataLen)
 	payloadBits := float64(8 * cfg.PayloadBytes)
 
 	trials, err := codingTrials(ctx, cfg, schemeNames, newTapeSet(len(schemeNames)))
@@ -298,10 +295,7 @@ func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []s
 			var tape *core.LinkTape
 			if tapes != nil {
 				world := pi*cfg.Transfers + tr
-				tape = tapes.acquire(world, func() (*core.System, *channel.Environment, error) {
-					sys, env, _, _, err := codingWorld(cfg, prof, "", -1, tr, nil)
-					return sys, env, err
-				})
+				tape = tapes.acquire(world, codingWorldTrial(cfg, prof, "", -1, tr).Build)
 				defer tapes.release(world)
 			}
 			return codingTransfer(ctx, cfg, prof, schemeNames[si], i, tr, o, tape)
@@ -365,30 +359,25 @@ func (s *tapeSet) release(world int) {
 }
 
 // codingTransfer runs exactly one transfer of the sweep: the paired world
-// identified by (profile, tr) under the given scheme. All three schemes
-// rebuild the same labeled world — environment, fault stream, traffic
-// stream, payload, and even the transferer seed (leaf "xfer") — so the
-// comparison isolates the scheme; the scheme name deliberately never
-// enters the seed tree, only the trace label path
-// ("coding/pf=…/tr=…/scheme=…"). With a tape the system reads the world's
-// link from it, and the transferer gets no environment to advance. The
-// world is the transfer's alone, so it is released when the transfer
-// returns.
+// identified by (profile, tr) under the given scheme, in the world
+// sim.InWorld builds from codingWorldTrial and releases when the transfer
+// returns. All three schemes rebuild the same labeled world —
+// environment, fault stream, traffic stream, payload, and even the
+// transferer seed (leaf "xfer") — so the comparison isolates the scheme.
+// With a tape the system reads the world's link from it, and the
+// transferer gets no environment to advance.
 func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer, tape *core.LinkTape) (TransferOutcome, error) {
-	sys, env, payload, label, err := codingWorld(cfg, prof, scheme, traceID, tr, o)
-	if err != nil {
-		return TransferOutcome{}, err
-	}
-	defer env.Release()
-	defer sys.Release()
-	if tape != nil {
-		sys.Link, env = tape, nil
-	}
-	out, err := RunTransfer(ctx, scheme, sys, env, payload, label("xfer"))
-	if err == nil && out.Delivered && !bytes.Equal(out.Received, payload) {
-		err = fmt.Errorf("experiments: %s delivered a corrupted payload at pf=%s tr=%d", scheme, prof.Name, tr)
-	}
-	return out, err
+	return sim.InWorld(codingWorldTrial(cfg, prof, scheme, traceID, tr), o, func(sys *core.System, env *channel.Environment) (TransferOutcome, error) {
+		if tape != nil {
+			sys.Link, env = tape, nil
+		}
+		payload := stats.SeededBytes(codingSeed(cfg, prof, tr, "payload"), cfg.PayloadBytes)
+		out, err := RunTransfer(ctx, scheme, sys, env, payload, codingSeed(cfg, prof, tr, "xfer"))
+		if err == nil && out.Delivered && !bytes.Equal(out.Received, payload) {
+			err = fmt.Errorf("experiments: %s delivered a corrupted payload at pf=%s tr=%d", scheme, prof.Name, tr)
+		}
+		return out, err
+	})
 }
 
 // codingSeed derives the seed of one leaf of the (profile, tr) world.
@@ -396,41 +385,19 @@ func codingSeed(cfg AdaptiveCodingConfig, prof CodingProfile, tr int, leaf strin
 	return stats.SubSeed(cfg.Seed, "coding", "pf="+prof.Name, fmt.Sprintf("tr=%d", tr), leaf)
 }
 
-// codingWorld rebuilds the labeled world for one (profile, tr) pair:
-// testbed environment, fault injector, traffic generator and payload,
-// every seed derived from the world path alone. scheme affects ONLY the
-// trace labels — the paired-world determinism test drives identical
-// channel realizations through codingWorld for every scheme to pin that
-// property down.
-func codingWorld(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer) (*core.System, *channel.Environment, []byte, func(string) int64, error) {
-	label := func(leaf string) int64 { return codingSeed(cfg, prof, tr, leaf) }
-	sys, env, err := LoSTestbed(2, label("env"))
-	if err != nil {
-		return nil, nil, nil, nil, err
+// codingWorldTrial is trial traceID of the sweep, the (profile, tr)
+// world under scheme: testbed, fault injector and traffic generator, all
+// seeded from the world path alone. The scheme enters only the trace
+// labels ("coding/pf=…/tr=…/scheme=…"), never the seed tree.
+func codingWorldTrial(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int) sim.Trial {
+	seed := func(leaf string) int64 { return codingSeed(cfg, prof, tr, leaf) }
+	return sim.Trial{
+		Build: losBuild(2, seed("env"), func(sys *core.System) error {
+			return attachLayers(sys, prof.Fault, prof.Traffic, seed)
+		}),
+		ID:     traceID,
+		Labels: fmt.Sprintf("coding/pf=%s/tr=%d/scheme=%s", prof.Name, tr, scheme),
 	}
-	if prof.Fault != "" {
-		fp, err := fault.Named(prof.Fault)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		sys.Faults, err = fault.NewInjector(fp, label("fault"))
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	if prof.Traffic != "" {
-		tp, err := traffic.Named(prof.Traffic)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		sys.Traffic, err = traffic.NewGenerator(tp, label("traffic"))
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-	}
-	sys.Instrument(o, traceID, fmt.Sprintf("coding/pf=%s/tr=%d/scheme=%s", prof.Name, tr, scheme))
-	payload := stats.RandomBytes(stats.NewRNG(label("payload")), cfg.PayloadBytes)
-	return sys, env, payload, label, nil
 }
 
 // Render prints the sweep table.

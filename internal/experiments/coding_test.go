@@ -14,6 +14,8 @@ import (
 	"witag/internal/core"
 	"witag/internal/link"
 	"witag/internal/obs"
+	"witag/internal/sim"
+	"witag/internal/stats"
 	"witag/internal/traffic"
 )
 
@@ -65,36 +67,43 @@ func TestAdaptiveCodingConfigValidation(t *testing.T) {
 // scheme under comparison must never enter the seed tree, so the same
 // (profile, tr) world presents byte-identical channel realizations to
 // ARQ, fountain and RS. Build the world through the harness's own
-// codingWorld for each scheme, drive identical query rounds, and require
-// the observable channel behaviour to match bit for bit.
+// codingWorldTrial and sim.InWorld for each scheme, drive identical query
+// rounds, and require the observable channel behaviour to match bit for
+// bit, while the scheme still names the trial.
 func TestCodingSchemeOutsideSeedTree(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	cfg.Seed = 99
+	type roundObs struct {
+		Detected  bool
+		BALost    bool
+		BitErrors int
+		RxBits    []byte
+	}
 	for _, prof := range cfg.Profiles {
-		type roundObs struct {
-			Detected  bool
-			BALost    bool
-			BitErrors int
-			RxBits    []byte
-		}
 		var ref []roundObs
 		for si, scheme := range CodingSchemes {
-			sys, env, payload, _, err := codingWorld(cfg, prof, scheme, 0, 3, nil)
+			w := codingWorldTrial(cfg, prof, scheme, 0, 3)
+			if !strings.HasSuffix(w.Labels, "/scheme="+scheme) {
+				t.Fatalf("profile %q: trial labels %q do not name scheme %q", prof.Name, w.Labels, scheme)
+			}
+			got, err := sim.InWorld(w, nil, func(sys *core.System, env *channel.Environment) ([]roundObs, error) {
+				var got []roundObs
+				bits := make([]byte, sys.Spec.DataLen)
+				for i := range bits {
+					bits[i] = byte(i) & 1
+				}
+				for r := 0; r < 40; r++ {
+					res, err := sys.QueryRound(bits)
+					if err != nil {
+						return nil, err
+					}
+					got = append(got, roundObs{res.Detected, res.BALost, res.BitErrors, res.RxBits})
+					env.Advance(0.05)
+				}
+				return got, nil
+			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			var got []roundObs
-			bits := make([]byte, sys.Spec.DataLen)
-			for i := range bits {
-				bits[i] = byte(i+len(payload)) & 1
-			}
-			for r := 0; r < 40; r++ {
-				res, err := sys.QueryRound(bits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, roundObs{res.Detected, res.BALost, res.BitErrors, res.RxBits})
-				env.Advance(0.05)
 			}
 			if si == 0 {
 				ref = got
@@ -160,23 +169,22 @@ func TestCodingStatsMatchCounters(t *testing.T) {
 		n := 0
 		for _, prof := range cfg.Profiles {
 			for tr := 0; tr < cfg.Transfers; tr++ {
-				sys, env, payload, label, err := codingWorld(cfg, prof, scheme, n, tr, camp.Observer)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var st any
-				switch scheme {
-				case "arq":
-					cc, err := link.NewCodingController(0)
-					if err != nil {
-						t.Fatal(err)
+				payload := stats.SeededBytes(codingSeed(cfg, prof, tr, "payload"), cfg.PayloadBytes)
+				xfer := codingSeed(cfg, prof, tr, "xfer")
+				st, err := sim.InWorld(codingWorldTrial(cfg, prof, scheme, n, tr), camp.Observer, func(sys *core.System, env *channel.Environment) (any, error) {
+					switch scheme {
+					case "arq":
+						cc, err := link.NewCodingController(0)
+						if err != nil {
+							return nil, err
+						}
+						return link.NewTransferer(sys, env, link.DefaultPolicy(), cc, xfer).Send(context.Background(), payload)
+					case "fountain":
+						return coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), xfer).Send(context.Background(), payload)
+					default:
+						return coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), xfer).Send(context.Background(), payload)
 					}
-					st, err = link.NewTransferer(sys, env, link.DefaultPolicy(), cc, label("xfer")).Send(context.Background(), payload)
-				case "fountain":
-					st, err = coding.NewFountainTransferer(sys, env, coding.DefaultFountainConfig(), label("xfer")).Send(context.Background(), payload)
-				case "rs":
-					st, err = coding.NewRSTransferer(sys, env, coding.DefaultRSConfig(), label("xfer")).Send(context.Background(), payload)
-				}
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -310,10 +318,21 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 		t.Fatalf("profile %q lacks faults or traffic", prof.Name)
 	}
 	const tr = 3
-	tape := core.NewLinkTape(func() (*core.System, *channel.Environment, error) {
-		sys, env, _, _, err := codingWorld(cfg, prof, "", -1, tr, nil)
-		return sys, env, err
-	})
+	build := codingWorldTrial(cfg, prof, "", -1, tr).Build
+	tape := core.NewLinkTape(build)
+	payload := stats.SeededBytes(codingSeed(cfg, prof, tr, "payload"), cfg.PayloadBytes)
+	xfer := codingSeed(cfg, prof, tr, "xfer")
+	// The worlds outlive the transfers, so the test builds and
+	// instruments them itself: the reader's streams are drawn afterwards.
+	world := func(o *obs.Observer) (*core.System, *channel.Environment) {
+		t.Helper()
+		sys, env, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Instrument(o, 0, "")
+		return sys, env
+	}
 	counted := func(o *obs.Observer) map[string]int64 {
 		m := map[string]int64{}
 		for name, v := range o.Registry.Snapshot().Counters {
@@ -325,21 +344,15 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 	}
 	for _, scheme := range CodingSchemes {
 		lo := obs.NewObserver(nil, nil)
-		local, env, payload, label, err := codingWorld(cfg, prof, scheme, 0, tr, lo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := RunTransfer(context.Background(), scheme, local, env, payload, label("xfer"))
+		local, env := world(lo)
+		want, err := RunTransfer(context.Background(), scheme, local, env, payload, xfer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ro := obs.NewObserver(nil, nil)
-		sys, _, _, _, err := codingWorld(cfg, prof, scheme, 0, tr, ro)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys, _ := world(ro)
 		sys.Link = tape
-		out, err := RunTransfer(context.Background(), scheme, sys, nil, payload, label("xfer"))
+		out, err := RunTransfer(context.Background(), scheme, sys, nil, payload, xfer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,10 +365,7 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 		if g, w := counted(ro), counted(lo); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s: the taped transfer counted %v, a local one %v", scheme, g, w)
 		}
-		fresh, _, _, _, err := codingWorld(cfg, prof, scheme, 0, tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh, _ := world(nil)
 		for r := range 100 {
 			type draw struct {
 				miss, ba      bool

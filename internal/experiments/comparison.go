@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"witag/internal/baselines"
+	"witag/internal/core"
 	"witag/internal/obs"
 	"witag/internal/sim"
 	"witag/internal/stats"
@@ -29,11 +30,7 @@ func PriorSystemComparison(ctx context.Context, _ sim.Runner, seed int64) (*Comp
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sys, _, err := LoSTestbed(1, stats.SubSeed(seed, "compare"))
-	if err != nil {
-		return nil, err
-	}
-	rate, err := sys.TagRateBps()
+	rate, err := losTagRate(1, stats.SubSeed(seed, "compare"))
 	if err != nil {
 		return nil, err
 	}
@@ -160,14 +157,17 @@ func powerRow(ctx context.Context, seed int64, i int, o *obs.Observer) (PowerRow
 	}
 
 	// End-to-end BER with this clock driving the tag, room at 35 °C.
-	sys, env, err := LoSTestbed(1, envSeed)
-	if err != nil {
-		return PowerRow{}, err
-	}
-	sys.Instrument(o, i, fmt.Sprintf("power/cfg=%d", i))
-	sys.Tag.Clock = c.mk()
-	sys.TempC = 35
-	rs, err := sim.MeasureRun(ctx, sys, env, powerRows, dataSeed)
+	rs, err := sim.Trial{
+		Build: losBuild(1, envSeed, func(sys *core.System) error {
+			sys.Tag.Clock = c.mk()
+			sys.TempC = 35
+			return nil
+		}),
+		Rounds:   powerRows,
+		DataSeed: dataSeed,
+		ID:       i,
+		Labels:   fmt.Sprintf("power/cfg=%d", i),
+	}.Run(ctx, o)
 	if err != nil {
 		return PowerRow{}, err
 	}

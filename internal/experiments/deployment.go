@@ -12,7 +12,6 @@ import (
 	"witag/internal/phy"
 	"witag/internal/sim"
 	"witag/internal/stats"
-	"witag/internal/traffic"
 )
 
 // DeploymentConfig is a deployment of the user's own and the campaign
@@ -106,25 +105,8 @@ func (d DeploymentConfig) build(envSeed int64) (*core.System, *channel.Environme
 	default:
 		return nil, nil, fmt.Errorf("unknown cipher %q (valid: %s)", d.Cipher, strings.Join(Ciphers, ", "))
 	}
-	if d.Fault != "" {
-		prof, err := fault.Named(d.Fault)
-		if err != nil {
-			return nil, nil, err
-		}
-		sys.Faults, err = fault.NewInjector(prof, stats.SubSeed(envSeed, "fault"))
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if d.Traffic != "" {
-		prof, err := traffic.Named(d.Traffic)
-		if err != nil {
-			return nil, nil, err
-		}
-		sys.Traffic, err = traffic.NewGenerator(prof, stats.SubSeed(envSeed, "traffic"))
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := attachLayers(sys, d.Fault, d.Traffic, func(leaf string) int64 { return stats.SubSeed(envSeed, leaf) }); err != nil {
+		return nil, nil, err
 	}
 	if err := sys.Reshape(); err != nil {
 		return nil, nil, err
@@ -132,41 +114,28 @@ func (d DeploymentConfig) build(envSeed int64) (*core.System, *channel.Environme
 	return sys, env, nil
 }
 
+// trial is run i of the deployment, traced as "sim/run=i".
+func (d DeploymentConfig) trial(i int) sim.Trial {
+	runLabel := fmt.Sprintf("run=%d", i)
+	return sim.Trial{
+		Build: func() (*core.System, *channel.Environment, error) {
+			return d.build(stats.SubSeed(d.Seed, "sim", runLabel))
+		},
+		Rounds:   d.Rounds,
+		DataSeed: stats.SubSeed(d.Seed, "sim", runLabel, "data"),
+		ID:       i,
+		Labels:   "sim/" + runLabel,
+	}
+}
+
 // deploymentRounds measures cfg.Rounds query rounds per run and renders
 // the link report, one line each, with the mean and spread across runs.
 func deploymentRounds(ctx context.Context, r sim.Runner, cfg DeploymentConfig) ([]sim.RunStats, string, error) {
 	trials := make([]sim.Trial, cfg.Runs)
 	for i := range trials {
-		runLabel := fmt.Sprintf("run=%d", i)
-		trials[i] = sim.Trial{
-			Build: func() (*core.System, *channel.Environment, error) {
-				return cfg.build(stats.SubSeed(cfg.Seed, "sim", runLabel))
-			},
-			Rounds:   cfg.Rounds,
-			DataSeed: stats.SubSeed(cfg.Seed, "sim", runLabel, "data"),
-			// Trial.Run instruments the system (and its fault injector
-			// and traffic generator) with the runner's campaign after
-			// Build.
-			ID:     i,
-			Labels: "sim/" + runLabel,
-		}
+		trials[i] = cfg.trial(i)
 	}
 	runStats, err := r.RunTrials(ctx, trials)
-	if err != nil {
-		return nil, "", err
-	}
-
-	// Rebuild run 0's deployment once more for the static link report
-	// (rate, SNR, query shape) — it is identical across runs.
-	sys, env, err := cfg.build(stats.SubSeed(cfg.Seed, "sim", "run=0"))
-	if err != nil {
-		return nil, "", err
-	}
-	rate, err := sys.TagRateBps()
-	if err != nil {
-		return nil, "", err
-	}
-	snr, err := env.SNR(sys.ClientPos, sys.APPos)
 	if err != nil {
 		return nil, "", err
 	}
@@ -184,32 +153,48 @@ func deploymentRounds(ctx context.Context, r sim.Runner, cfg DeploymentConfig) (
 	meanBER := stats.Mean(bers)
 	meanDet := stats.Mean(dets)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "deployment: client (0,0), AP %v, tag %v, cipher %s\n", sys.APPos, sys.TagPos, cfg.Cipher)
-	if cfg.Fault != "" {
-		prof, err := fault.Named(cfg.Fault)
+	// Run 0's world once more, uninstrumented, for the static link report
+	// (rate, SNR, query shape): it is identical across runs.
+	text, err := sim.InWorld(cfg.trial(0), nil, func(sys *core.System, env *channel.Environment) (string, error) {
+		rate, err := sys.TagRateBps()
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
-		fmt.Fprintf(&b, "fault profile     : %s (mean subframe loss %.3f, %.1f%% of time in burst)\n",
-			cfg.Fault, prof.AvgLoss(), 100*prof.BadFraction())
+		snr, err := env.SNR(sys.ClientPos, sys.APPos)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "deployment: client (0,0), AP %v, tag %v, cipher %s\n", sys.APPos, sys.TagPos, cfg.Cipher)
+		if cfg.Fault != "" {
+			prof, err := fault.Named(cfg.Fault)
+			if err != nil {
+				return "", err
+			}
+			fmt.Fprintf(&b, "fault profile     : %s (mean subframe loss %.3f, %.1f%% of time in burst)\n",
+				cfg.Fault, prof.AvgLoss(), 100*prof.BadFraction())
+		}
+		fmt.Fprintf(&b, "link SNR          : %.1f dB\n", phy.SNRToDb(snr))
+		fmt.Fprintf(&b, "query shape       : %d triggers + %d data subframes, %d tick(s)/subframe\n",
+			sys.Spec.TriggerLen, sys.Spec.DataLen, sys.Spec.TicksPerSubframe)
+		fmt.Fprintf(&b, "offered tag rate  : %.1f Kbps\n", rate/1e3)
+		if cfg.Runs == 1 {
+			fmt.Fprintf(&b, "rounds            : %d (%.1f s of airtime)\n", cfg.Rounds, airtime)
+			fmt.Fprintf(&b, "detection rate    : %.3f\n", meanDet)
+			fmt.Fprintf(&b, "tag BER           : %.5f (%d/%d bits)\n", meanBER, errBits, bits)
+		} else {
+			fmt.Fprintf(&b, "runs              : %d × %d rounds (%.1f s of airtime)\n", cfg.Runs, cfg.Rounds, airtime)
+			fmt.Fprintf(&b, "detection rate    : %.3f (mean of %d runs)\n", meanDet, cfg.Runs)
+			fmt.Fprintf(&b, "tag BER           : %.5f ± %.5f across runs (%d/%d bits)\n",
+				meanBER, stats.StdDev(bers), errBits, bits)
+		}
+		fmt.Fprintf(&b, "delivered goodput : %.1f Kbps\n", rate/1e3*(1-meanBER))
+		return b.String(), nil
+	})
+	if err != nil {
+		return nil, "", err
 	}
-	fmt.Fprintf(&b, "link SNR          : %.1f dB\n", phy.SNRToDb(snr))
-	fmt.Fprintf(&b, "query shape       : %d triggers + %d data subframes, %d tick(s)/subframe\n",
-		sys.Spec.TriggerLen, sys.Spec.DataLen, sys.Spec.TicksPerSubframe)
-	fmt.Fprintf(&b, "offered tag rate  : %.1f Kbps\n", rate/1e3)
-	if cfg.Runs == 1 {
-		fmt.Fprintf(&b, "rounds            : %d (%.1f s of airtime)\n", cfg.Rounds, airtime)
-		fmt.Fprintf(&b, "detection rate    : %.3f\n", meanDet)
-		fmt.Fprintf(&b, "tag BER           : %.5f (%d/%d bits)\n", meanBER, errBits, bits)
-	} else {
-		fmt.Fprintf(&b, "runs              : %d × %d rounds (%.1f s of airtime)\n", cfg.Runs, cfg.Rounds, airtime)
-		fmt.Fprintf(&b, "detection rate    : %.3f (mean of %d runs)\n", meanDet, cfg.Runs)
-		fmt.Fprintf(&b, "tag BER           : %.5f ± %.5f across runs (%d/%d bits)\n",
-			meanBER, stats.StdDev(bers), errBits, bits)
-	}
-	fmt.Fprintf(&b, "delivered goodput : %.1f Kbps\n", rate/1e3*(1-meanBER))
-	return runStats, b.String(), nil
+	return runStats, text, nil
 }
 
 // deploymentTransfers is transfer mode: each run moves one payload over
@@ -219,13 +204,12 @@ func deploymentRounds(ctx context.Context, r sim.Runner, cfg DeploymentConfig) (
 func deploymentTransfers(ctx context.Context, r sim.Runner, cfg DeploymentConfig) ([]TransferOutcome, string, error) {
 	outs, err := sim.Map(ctx, r, cfg.Runs, func(ctx context.Context, i int) (TransferOutcome, error) {
 		runLabel := fmt.Sprintf("run=%d", i)
-		sys, env, err := cfg.build(stats.SubSeed(cfg.Seed, "sim", runLabel))
-		if err != nil {
-			return TransferOutcome{}, err
-		}
-		sys.Instrument(r.Campaign.ObserverRef(), i, "sim/"+runLabel+"/scheme="+cfg.Transfer)
-		payload := stats.RandomBytes(stats.NewRNG(stats.SubSeed(cfg.Seed, "sim", runLabel, "payload")), cfg.PayloadBytes)
-		return RunTransfer(ctx, cfg.Transfer, sys, env, payload, stats.SubSeed(cfg.Seed, "sim", runLabel, "xfer"))
+		t := cfg.trial(i)
+		t.Labels += "/scheme=" + cfg.Transfer
+		return sim.InWorld(t, r.Campaign.ObserverRef(), func(sys *core.System, env *channel.Environment) (TransferOutcome, error) {
+			payload := stats.SeededBytes(stats.SubSeed(cfg.Seed, "sim", runLabel, "payload"), cfg.PayloadBytes)
+			return RunTransfer(ctx, cfg.Transfer, sys, env, payload, stats.SubSeed(cfg.Seed, "sim", runLabel, "xfer"))
+		})
 	})
 	if err != nil {
 		return nil, "", err

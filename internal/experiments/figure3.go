@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"witag/internal/channel"
+	"witag/internal/core"
 	"witag/internal/phy"
 	"witag/internal/sim"
 	"witag/internal/stats"
@@ -45,78 +46,80 @@ func Figure3Ctx(ctx context.Context, r sim.Runner, seed int64) (*Figure3Result, 
 	o := r.Campaign.ObserverRef()
 	points, err := sim.Map(ctx, r, len(distances), func(ctx context.Context, i int) (Figure3Point, error) {
 		d := distances[i]
-		sys, env, err := LoSTestbed(d, envSeed)
-		if err != nil {
-			return Figure3Point{}, err
-		}
 		// This sweep never calls QueryRound, so no trace events exist to
 		// replay; the identity is stamped anyway so any future event from
 		// this deployment is attributable.
-		sys.Instrument(o, i, fmt.Sprintf("fig3/d=%g", d))
-		sw := sys.Tag.Switch
-		mk := func(st tag.SwitchState) (*channel.TagReflection, error) {
-			if err := sw.Set(st); err != nil {
-				return nil, err
+		w := sim.Trial{
+			Build:  losBuild(d, envSeed, nil),
+			ID:     i,
+			Labels: fmt.Sprintf("fig3/d=%g", d),
+		}
+		return sim.InWorld(w, o, func(sys *core.System, env *channel.Environment) (Figure3Point, error) {
+			sw := sys.Tag.Switch
+			mk := func(st tag.SwitchState) (*channel.TagReflection, error) {
+				if err := sw.Set(st); err != nil {
+					return nil, err
+				}
+				return &channel.TagReflection{
+					Pos:         sys.TagPos,
+					Coeff:       sw.ReflectionCoeff(),
+					ExcessPathM: sys.Tag.ExcessPathM(),
+				}, nil
 			}
-			return &channel.TagReflection{
-				Pos:         sys.TagPos,
-				Coeff:       sw.ReflectionCoeff(),
-				ExcessPathM: sys.Tag.ExcessPathM(),
+			short, err := mk(tag.Short)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+			open, err := mk(tag.Open)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+			p0, err := mk(tag.Phase0)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+			p180, err := mk(tag.Phase180)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+
+			onOff, err := env.TagDeltaPower(sys.ClientPos, sys.APPos, short, open)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+			flip, err := env.TagDeltaPower(sys.ClientPos, sys.APPos, p0, p180)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+
+			dist := func(a, b *channel.TagReflection) (float64, error) {
+				ha, err := env.Channel(sys.ClientPos, sys.APPos, a)
+				if err != nil {
+					return 0, err
+				}
+				hb, err := env.Channel(sys.ClientPos, sys.APPos, b)
+				if err != nil {
+					return 0, err
+				}
+				return phy.DistortionAfterCPE(hb, ha)
+			}
+			dOnOff, err := dist(short, open)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+			dFlip, err := dist(p0, p180)
+			if err != nil {
+				return Figure3Point{}, err
+			}
+
+			return Figure3Point{
+				DistanceM:         d,
+				OnOffDeltaDb:      10 * log10(onOff),
+				FlipDeltaDb:       10 * log10(flip),
+				OnOffDistortionDb: 10 * log10(dOnOff),
+				FlipDistortionDb:  10 * log10(dFlip),
 			}, nil
-		}
-		short, err := mk(tag.Short)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-		open, err := mk(tag.Open)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-		p0, err := mk(tag.Phase0)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-		p180, err := mk(tag.Phase180)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-
-		onOff, err := env.TagDeltaPower(sys.ClientPos, sys.APPos, short, open)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-		flip, err := env.TagDeltaPower(sys.ClientPos, sys.APPos, p0, p180)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-
-		dist := func(a, b *channel.TagReflection) (float64, error) {
-			ha, err := env.Channel(sys.ClientPos, sys.APPos, a)
-			if err != nil {
-				return 0, err
-			}
-			hb, err := env.Channel(sys.ClientPos, sys.APPos, b)
-			if err != nil {
-				return 0, err
-			}
-			return phy.DistortionAfterCPE(hb, ha)
-		}
-		dOnOff, err := dist(short, open)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-		dFlip, err := dist(p0, p180)
-		if err != nil {
-			return Figure3Point{}, err
-		}
-
-		return Figure3Point{
-			DistanceM:         d,
-			OnOffDeltaDb:      10 * log10(onOff),
-			FlipDeltaDb:       10 * log10(flip),
-			OnOffDistortionDb: 10 * log10(dOnOff),
-			FlipDistortionDb:  10 * log10(dFlip),
-		}, nil
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"witag/internal/channel"
-	"witag/internal/core"
 	"witag/internal/obs"
 	"witag/internal/sim"
 	"witag/internal/stats"
@@ -55,21 +53,12 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 	res := &Figure5Result{Runs: cfg.Runs}
 
 	// The offered-rate ceiling depends only on the query shape, which the
-	// LoS testbed fixes regardless of tag position — compute it once, off
-	// the Monte-Carlo path, instead of the old once-guard inside the run
-	// loop.
-	{
-		sys, _, err := LoSTestbed(distances[0], stats.SubSeed(cfg.Seed, "fig5", "rate"))
-		if err != nil {
-			return nil, err
-		}
-		sys.Instrument(cfg.Campaign.ObserverRef(), 0, "")
-		raw, err := sys.TagRateBps()
-		if err != nil {
-			return nil, err
-		}
-		res.RawRateKbps = raw / 1000
+	// LoS testbed fixes at every tag position: probe it once.
+	raw, err := losTagRate(distances[0], stats.SubSeed(cfg.Seed, "fig5", "rate"))
+	if err != nil {
+		return nil, err
 	}
+	res.RawRateKbps = raw / 1000
 
 	trials := make([]sim.Trial, 0, len(distances)*cfg.Runs)
 	for _, d := range distances {
@@ -111,9 +100,7 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 // Figure5Ctx runs and forensic replay rebuilds from its labels.
 func figure5Trial(seed int64, d float64, dLabel, runLabel string, rounds int) sim.Trial {
 	return sim.Trial{
-		Build: func() (*core.System, *channel.Environment, error) {
-			return LoSTestbed(d, stats.SubSeed(seed, "fig5", dLabel, runLabel))
-		},
+		Build:    losBuild(d, stats.SubSeed(seed, "fig5", dLabel, runLabel), nil),
 		Rounds:   rounds,
 		DataSeed: stats.SubSeed(seed, "fig5", dLabel, runLabel, "data"),
 		Labels:   "fig5/" + dLabel + "/" + runLabel,

@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"testing"
 
+	"witag/internal/fault"
 	"witag/internal/obs"
+	"witag/internal/sim"
 )
 
 // World storage is pooled between trials (DESIGN.md §17, stage 12): a
@@ -23,27 +25,33 @@ type pooledRun struct {
 	metrics                  obs.Snapshot
 }
 
-// runPooled runs a small Figure 5 or coding campaign under a campaign
-// scope with a timeline attached.
+// runPooled runs a small Figure 5, coding, robustness or ablations
+// campaign under a campaign scope with a timeline attached.
 func runPooled(t *testing.T, experiment string, workers int) pooledRun {
 	t.Helper()
 	camp := obs.NewCampaign("pool", obs.CampaignOptions{})
 	tl := obs.NewTimeline(camp.Registry, obs.TimelineConfig{WindowTrials: 8})
 	camp.SetTimeline(tl)
-	var res interface{ Render() string }
+	var res *Result
 	var err error
 	switch experiment {
 	case "fig5":
-		res, err = Figure5Ctx(context.Background(), Figure5Config{Seed: 42, Runs: 2, Round: 120, Workers: workers, Campaign: camp})
+		res, err = whole(Figure5Ctx(context.Background(), Figure5Config{Seed: 42, Runs: 2, Round: 120, Workers: workers, Campaign: camp}))
 	case "coding":
 		cfg := obsCodingConfig(workers)
 		cfg.Campaign = camp
-		res, err = AdaptiveCodingCtx(context.Background(), cfg)
+		res, err = whole(AdaptiveCodingCtx(context.Background(), cfg))
+	case "robustness":
+		cfg := DefaultRobustnessConfig()
+		cfg.Transfers, cfg.LossBadPoints, cfg.Workers, cfg.Campaign = 6, []float64{0, 0.8}, workers, camp
+		res, err = whole(RobustnessCtx(context.Background(), cfg))
+	case "ablations":
+		res, err = runAblations(context.Background(), sim.Runner{Workers: workers, Campaign: camp}, SuiteConfig{Seed: 42, Rounds: 80})
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := json.Marshal(res)
+	js, err := json.Marshal(res.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +63,16 @@ func runPooled(t *testing.T, experiment string, workers int) pooledRun {
 	return pooledRun{string(js), res.Render(), buf.String(), camp.Registry.Snapshot().Deterministic()}
 }
 
-// TestWarmPoolsMatchCold runs the Figure 5 and coding campaigns with
-// empty world pools, then twice more in the same process at one and at
-// two workers, on pools the earlier runs filled: the series, the
-// rendered table, the timeline export and every deterministic counter
-// and histogram must equal the cold run's. (Released RNG registers are
-// kept outside the collector's reach; a reused one is overwritten whole,
-// which stats' TestNewRNGMatchesMathRandOnReusedRegisters holds.)
+// TestWarmPoolsMatchCold runs small Figure 5, coding, robustness and
+// ablations campaigns with empty world pools, then twice more in the
+// same process at one and at two workers, on pools the earlier runs
+// filled: the series, the rendered table, the timeline export and every
+// deterministic counter and histogram must equal the cold run's.
+// (Released RNG registers are kept outside the collector's reach; a
+// reused one is overwritten whole, which stats'
+// TestNewRNGMatchesMathRandOnReusedRegisters holds.)
 func TestWarmPoolsMatchCold(t *testing.T) {
-	for _, experiment := range []string{"fig5", "coding"} {
+	for _, experiment := range []string{"fig5", "coding", "robustness", "ablations"} {
 		// Two collections empty the world pools, which are sync.Pools.
 		runtime.GC()
 		runtime.GC()
@@ -121,5 +130,44 @@ func TestFigure5TrialAllocs(t *testing.T) {
 	}
 	if least >= 8<<10 {
 		t.Fatalf("a warm Figure 5 trial allocates %d B, want under 8 KiB", least)
+	}
+}
+
+// TestRobustnessTransferAllocs holds a robustness transfer, once the
+// pools are warm, under 16 KiB of allocation: its world, its payload
+// stream and its transferer's backoff stream are released when it ends,
+// so the next transfer reuses their storage. Before the sweep released
+// them a transfer allocated about 47 KiB.
+func TestRobustnessTransferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	cfg := DefaultRobustnessConfig()
+	base, err := fault.Named(cfg.BaseProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver(nil, nil)
+	run := func() {
+		if _, err := robustnessTransfer(context.Background(), cfg, base, 0.6, 1, 0, 3, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	run()
+	// The least of a few batches, as in TestFigure5TrialAllocs.
+	const batches, transfers = 5, 4
+	least := ^uint64(0)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range transfers {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/transfers)
+	}
+	if least >= 16<<10 {
+		t.Fatalf("a warm robustness transfer allocates %d B, want under 16 KiB", least)
 	}
 }

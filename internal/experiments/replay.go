@@ -242,7 +242,7 @@ func replayAblation(ctx context.Context, req ReplayRequest, toks []string) (stri
 	} else if size < 1 {
 		return "", fmt.Errorf("experiments: ablation replay needs the campaign's round count")
 	}
-	res, err := a.row(ctx, ablationTrial{key: a.key, seed: req.Seed, size: size, i: i, o: req.Campaign.ObserverRef()})
+	res, err := a.config(ctx, ablationTrial{key: a.key, seed: req.Seed, size: size, i: i}, req.Campaign.ObserverRef())
 	if err != nil {
 		return "", err
 	}

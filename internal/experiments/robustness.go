@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 
+	"witag/internal/channel"
+	"witag/internal/core"
 	"witag/internal/fault"
 	"witag/internal/link"
 	"witag/internal/obs"
@@ -171,7 +173,8 @@ func robustnessModeName(mode int) string {
 
 // robustnessTransfer runs exactly one transfer of the sweep: the paired
 // world identified by (lossBad, tr) under the given mode (0: single-shot
-// no-ARQ baseline, 1: selective-repeat ARQ + adaptive coding). Extracted
+// no-ARQ baseline, 1: selective-repeat ARQ + adaptive coding), in the
+// world sim.InWorld builds, instruments with o and releases. Extracted
 // from the campaign closure so forensic replay can re-run one flagged
 // transfer with a fresh observer. Both modes rebuild the same labeled
 // world — environment, fault stream and payload — so the comparison
@@ -185,46 +188,48 @@ func robustnessTransfer(ctx context.Context, cfg RobustnessConfig, base fault.Pr
 	label := func(leaf string) int64 {
 		return stats.SubSeed(cfg.Seed, append(append([]string(nil), world...), leaf)...)
 	}
-	sys, env, err := LoSTestbed(2, label("env"))
-	if err != nil {
-		return robustnessTrial{}, err
+	t := sim.Trial{
+		Build: losBuild(2, label("env"), func(sys *core.System) (err error) {
+			sys.Faults, err = fault.NewInjector(prof, label("fault"))
+			return err
+		}),
+		ID:     traceID,
+		Labels: strings.Join(world, "/") + "/mode=" + robustnessModeName(mode),
 	}
-	sys.Faults, err = fault.NewInjector(prof, label("fault"))
-	if err != nil {
-		return robustnessTrial{}, err
-	}
-	sys.Instrument(o, traceID, strings.Join(world, "/")+"/mode="+robustnessModeName(mode))
-	payload := stats.RandomBytes(stats.NewRNG(label("payload")), cfg.PayloadBytes)
-
-	pol := link.DefaultPolicy()
-	var cc *link.CodingController
-	if mode == 0 {
-		pol.RetryBudget = 0
-		cc = link.NewFixedController(link.DefaultLadder()[1])
-	} else {
-		cc, err = link.NewCodingController(0)
+	return sim.InWorld(t, o, func(sys *core.System, env *channel.Environment) (robustnessTrial, error) {
+		payload := stats.SeededBytes(label("payload"), cfg.PayloadBytes)
+		pol := link.DefaultPolicy()
+		var cc *link.CodingController
+		if mode == 0 {
+			pol.RetryBudget = 0
+			cc = link.NewFixedController(link.DefaultLadder()[1])
+		} else {
+			var err error
+			if cc, err = link.NewCodingController(0); err != nil {
+				return robustnessTrial{}, err
+			}
+		}
+		x := link.NewTransferer(sys, env, pol, cc, label("arq"))
+		defer x.Release()
+		st, err := x.Send(ctx, payload)
 		if err != nil {
 			return robustnessTrial{}, err
 		}
-	}
-	st, err := link.NewTransferer(sys, env, pol, cc, label("arq")).Send(ctx, payload)
-	if err != nil {
-		return robustnessTrial{}, err
-	}
-	if st.Delivered && !bytes.Equal(st.Received, payload) {
-		return robustnessTrial{}, fmt.Errorf("experiments: ARQ delivered a corrupted payload at lb=%g tr=%d", prof.LossBad, tr)
-	}
-	return robustnessTrial{
-		delivered: st.Delivered,
-		retries:   st.Retries,
-		rounds:    st.Rounds,
-		level:     st.FinalLevel,
-		goodput:   st.GoodputBps(),
-		injSub:    sys.Injected.SubframesLost,
-		injTrig:   sys.Injected.TriggerMisses,
-		injBA:     sys.Injected.BALosses,
-		injBrown:  sys.Injected.Brownouts,
-	}, nil
+		if st.Delivered && !bytes.Equal(st.Received, payload) {
+			return robustnessTrial{}, fmt.Errorf("experiments: ARQ delivered a corrupted payload at lb=%g tr=%d", prof.LossBad, tr)
+		}
+		return robustnessTrial{
+			delivered: st.Delivered,
+			retries:   st.Retries,
+			rounds:    st.Rounds,
+			level:     st.FinalLevel,
+			goodput:   st.GoodputBps(),
+			injSub:    sys.Injected.SubframesLost,
+			injTrig:   sys.Injected.TriggerMisses,
+			injBA:     sys.Injected.BALosses,
+			injBrown:  sys.Injected.Brownouts,
+		}, nil
+	})
 }
 
 // Render prints the sweep table.

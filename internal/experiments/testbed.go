@@ -10,6 +10,9 @@ import (
 
 	"witag/internal/channel"
 	"witag/internal/core"
+	"witag/internal/fault"
+	"witag/internal/sim"
+	"witag/internal/traffic"
 )
 
 // TagGain is the calibrated effective reflection gain of the prototype tag
@@ -38,6 +41,56 @@ func LoSTestbed(tagX float64, seed int64) (*core.System, *channel.Environment, e
 		return nil, nil, err
 	}
 	return sys, env, nil
+}
+
+// losBuild is a sim.Trial's Build for LoSTestbed(tagX, seed), with setup,
+// when non-nil, applied to the built system. A world whose setup fails is
+// left to the collector: only sim.InWorld releases worlds.
+func losBuild(tagX float64, seed int64, setup func(*core.System) error) func() (*core.System, *channel.Environment, error) {
+	return func() (*core.System, *channel.Environment, error) {
+		sys, env, err := LoSTestbed(tagX, seed)
+		if err == nil && setup != nil {
+			err = setup(sys)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return sys, env, nil
+	}
+}
+
+// losTagRate is the offered tag rate, in bits per second, of the LoS
+// testbed, read off an uninstrumented world of its own.
+func losTagRate(tagX float64, seed int64) (float64, error) {
+	return sim.InWorld(sim.Trial{Build: losBuild(tagX, seed, nil)}, nil, func(sys *core.System, _ *channel.Environment) (float64, error) {
+		return sys.TagRateBps()
+	})
+}
+
+// attachLayers gives sys the injector of the fault.Named preset
+// faultName, then the generator of the traffic.Named preset trafficName,
+// seeded from seed's leaves "fault" and "traffic". An empty name leaves
+// that layer off.
+func attachLayers(sys *core.System, faultName, trafficName string, seed func(leaf string) int64) error {
+	if faultName != "" {
+		p, err := fault.Named(faultName)
+		if err != nil {
+			return err
+		}
+		if sys.Faults, err = fault.NewInjector(p, seed("fault")); err != nil {
+			return err
+		}
+	}
+	if trafficName != "" {
+		p, err := traffic.Named(trafficName)
+		if err != nil {
+			return err
+		}
+		if sys.Traffic, err = traffic.NewGenerator(p, seed("traffic")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NLoSLocation selects Figure 4's non-line-of-sight AP placements.

@@ -34,41 +34,49 @@ type RunStats struct {
 	Airtime       time.Duration
 }
 
-// Trial is one independent Monte-Carlo measurement.
+// Trial is one independent Monte-Carlo measurement, or, with no Rounds,
+// any one world an experiment builds (InWorld).
 type Trial struct {
 	// Build constructs the fully-configured deployment for this trial. It
 	// runs on a worker goroutine, so it must derive everything it needs
 	// from values captured at construction time and share no mutable
 	// state with other trials.
 	Build func() (*core.System, *channel.Environment, error)
-	// Rounds is the number of query rounds to measure.
+	// Rounds is the number of query rounds Run measures.
 	Rounds int
-	// DataSeed seeds the random tag payload bits.
+	// DataSeed seeds the random tag payload bits Run sends.
 	DataSeed int64
-	// ID is the trial's index in its campaign; Run stamps it into the
+	// ID is the trial's index in its campaign; InWorld stamps it into the
 	// built system as the trace ID.
 	ID int
 	// Labels is the trial's stats.SubSeed label path ("fig5/d=3/run=2").
-	// Run stamps it into the built system so every trace event the trial
-	// emits names the seed tree needed to replay it in isolation.
+	// InWorld stamps it into the built system so every trace event the
+	// trial emits names the seed tree needed to replay it in isolation.
 	Labels string
 }
 
-// Run builds the deployment, instruments it with observer o (nil: off)
-// under the trial's trace identity, and measures it. Runner.RunTrials
-// passes its campaign's observer. The deployment is the trial's alone, so
-// Run releases it when the measurement ends (core.System.Release,
-// channel.Environment.Release) and the next trial built reuses its
-// storage.
-func (t Trial) Run(ctx context.Context, o *obs.Observer) (RunStats, error) {
+// InWorld is the one owner of every world an experiment builds: it calls
+// t.Build, attaches observer o (nil: off) under t's trace identity, runs
+// fn and then releases the system and the environment, so the next world
+// built reuses their storage. fn must not keep the world.
+func InWorld[T any](t Trial, o *obs.Observer, fn func(*core.System, *channel.Environment) (T, error)) (T, error) {
 	sys, env, err := t.Build()
 	if err != nil {
-		return RunStats{}, err
+		var zero T
+		return zero, err
 	}
 	defer env.Release()
 	defer sys.Release()
 	sys.Instrument(o, t.ID, t.Labels)
-	return MeasureRun(ctx, sys, env, t.Rounds, t.DataSeed)
+	return fn(sys, env)
+}
+
+// Run measures the trial's world, built and released by InWorld, for
+// t.Rounds rounds. Runner.RunTrials passes its campaign's observer as o.
+func (t Trial) Run(ctx context.Context, o *obs.Observer) (RunStats, error) {
+	return InWorld(t, o, func(sys *core.System, env *channel.Environment) (RunStats, error) {
+		return MeasureRun(ctx, sys, env, t.Rounds, t.DataSeed)
+	})
 }
 
 // MeasureRun performs rounds query rounds against sys, advancing the

@@ -135,3 +135,12 @@ func RandomBytes(r *rand.Rand, n int) []byte {
 	}
 	return buf
 }
+
+// SeededBytes returns n pseudo-random bytes from a stream of its own,
+// seeded with seed, and releases that stream: RandomBytes(NewRNG(seed), n)
+// without leaving a register to the collector.
+func SeededBytes(seed int64, n int) []byte {
+	r := NewRNG(seed)
+	defer Release(r)
+	return RandomBytes(r, n)
+}
