@@ -109,7 +109,7 @@ func BenchmarkSection41ThroughputSweep(b *testing.B) {
 
 func BenchmarkPriorSystemComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.PriorSystemComparison(context.Background(), sim.Runner{}, 5)
+		res, err := experiments.PriorSystemComparison(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

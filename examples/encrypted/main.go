@@ -52,9 +52,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys.Cipher = cipher
-	sys.Scheduler.Cipher = cipher
-	if err := sys.Reshape(); err != nil {
+	if err := sys.SetCipher(cipher); err != nil {
 		return err
 	}
 	fmt.Printf("cipher: %s (+%d bytes per MPDU → %d-tick subframes)\n",

@@ -70,7 +70,9 @@ func FuzzDecodeTable(f *testing.F) {
 			sys.TempC = 35
 		}
 		if world&4 != 0 {
-			sys.Cipher = ccmp
+			if err := sys.SetCipher(ccmp); err != nil {
+				t.Fatal(err)
+			}
 		}
 		rng := stats.NewRNG(seed)
 		mcss := []int{2, 2 + rng.Intn(6)}

@@ -23,8 +23,7 @@ func TestSuccessMemoMatchesDirect(t *testing.T) {
 	sys, _ := testbed(t, 2, 34)
 	bitsSet := map[int]bool{}
 	for _, c := range planCiphers(t) {
-		sys.Cipher = c
-		if err := sys.Reshape(); err != nil {
+		if err := sys.SetCipher(c); err != nil {
 			t.Fatal(err)
 		}
 		plan, err := sys.queryPlan()
@@ -198,8 +197,7 @@ func TestRoundCacheInvalidation(t *testing.T) {
 			}
 		}},
 		{"CCMP reshape", func(t *testing.T, s *System) {
-			s.Cipher = ccmp
-			if err := s.Reshape(); err != nil {
+			if err := s.SetCipher(ccmp); err != nil {
 				t.Fatal(err)
 			}
 		}},

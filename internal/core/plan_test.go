@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -27,14 +28,11 @@ func planCiphers(t testing.TB) map[string]crypto80211.Cipher {
 	return map[string]crypto80211.Cipher{"open": nil, "WEP": wep, "CCMP": ccmp}
 }
 
-// checkPlan compares a plan with the query actually built and marshalled
-// through a scheduler carrying cipher.
-func checkPlan(t *testing.T, what string, p *queryPlan, spec QuerySpec, cipher crypto80211.Cipher) {
+// builtPSDU builds and marshals spec's query through a scheduler carrying
+// cipher, the reference the spec arithmetic answers to, and checks
+// psduLen against it.
+func builtPSDU(t *testing.T, what string, spec QuerySpec, cipher crypto80211.Cipher) []byte {
 	t.Helper()
-	overhead := 0
-	if cipher != nil {
-		overhead = cipher.Overhead()
-	}
 	sched := newSched(t)
 	sched.Cipher = cipher
 	agg, _, err := spec.BuildQuery(sched)
@@ -45,9 +43,26 @@ func checkPlan(t *testing.T, what string, p *queryPlan, spec QuerySpec, cipher c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.psduLen != len(psdu) {
-		t.Fatalf("%s: planned PSDU %d bytes, built %d", what, p.psduLen, len(psdu))
+	if n, err := spec.psduLen(overheadOf(cipher)); err != nil || n != len(psdu) {
+		t.Fatalf("%s: PSDU %d bytes (%v), built %d", what, n, err, len(psdu))
 	}
+	return psdu
+}
+
+// overheadOf is cipher's per-MPDU expansion, 0 for an open network.
+func overheadOf(cipher crypto80211.Cipher) int {
+	if cipher == nil {
+		return 0
+	}
+	return cipher.Overhead()
+}
+
+// checkPlan compares a plan with the query actually built and marshalled
+// through a scheduler carrying cipher.
+func checkPlan(t *testing.T, what string, p *queryPlan, spec QuerySpec, cipher crypto80211.Cipher) {
+	t.Helper()
+	overhead := overheadOf(cipher)
+	psdu := builtPSDU(t, what, spec, cipher)
 	airs, err := spec.SubframeAirtimes(overhead)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +96,7 @@ func checkPlan(t *testing.T, what string, p *queryPlan, spec QuerySpec, cipher c
 // networks, at several rates.
 func TestQueryPlanMatchesBuiltQuery(t *testing.T) {
 	for name, cipher := range planCiphers(t) {
-		overhead := 0
-		if cipher != nil {
-			overhead = cipher.Overhead()
-		}
+		overhead := overheadOf(cipher)
 		for _, mcsIdx := range []int{0, 2, 4, 7} {
 			mcs, err := dot11.HTMCS(mcsIdx)
 			if err != nil {
@@ -111,6 +123,58 @@ func TestQueryPlanMatchesBuiltQuery(t *testing.T) {
 	}
 }
 
+// TestRoundAirtimeMatchesBuiltQuery pins the spec-level round airtime to
+// the real A-MPDU build over the §4.1 sweep's whole grid — MCS 0/2/4/7 ×
+// 8/16/32/64 subframes × 1/2/4-tick subframes — on open, WEP and CCMP
+// networks: the PSDU length to the marshalled aggregate's, and the round
+// airtime and tag rate to what that PSDU gives.
+func TestRoundAirtimeMatchesBuiltQuery(t *testing.T) {
+	shaped := 0
+	for name, cipher := range planCiphers(t) {
+		overhead := overheadOf(cipher)
+		for _, mcsIdx := range []int{0, 2, 4, 7} {
+			mcs, err := dot11.HTMCS(mcsIdx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, total := range []int{8, 16, 32, 64} {
+				for _, ticks := range []int{1, 2, 4} {
+					spec := QuerySpec{TriggerLen: 4, DataLen: total - 4, MCS: mcs, Width: dot11.Width20, GI: dot11.LongGI}
+					if spec.ShapeForTick(ProtocolGrid, ticks, overhead) != nil {
+						continue // below the MPDU minimum, as the sweep skips it
+					}
+					shaped++
+					what := fmt.Sprintf("%s MCS %d, %d subframes × %d ticks", name, mcsIdx, total, ticks)
+					psdu := builtPSDU(t, what, spec, cipher)
+					want, err := dot11.QueryRoundAirtime(len(psdu), mcs, dot11.Width20, dot11.LongGI, DefaultBARateMbps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := spec.RoundAirtime(overhead, DefaultBARateMbps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s: round airtime %+v, built query's %+v", what, got, want)
+					}
+					rate, err := spec.TagRateBps(overhead, DefaultBARateMbps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r := float64(spec.DataLen) / want.Total().Seconds(); rate != r {
+						t.Fatalf("%s: tag rate %v, built query's %v", what, rate, r)
+					}
+				}
+			}
+		}
+	}
+	// 44 of the 48 cells shape on an open network, as in the sweep, and
+	// fewer under WEP's and CCMP's per-MPDU overhead: 116 of the 144.
+	if shaped != 116 {
+		t.Fatalf("%d of the grid's 144 cells shaped, want 116", shaped)
+	}
+}
+
 func TestQueryPlanRejectsOversizedMPDU(t *testing.T) {
 	spec := DefaultQuerySpec()
 	spec.PayloadSizes = make([]int, spec.Total())
@@ -124,6 +188,9 @@ func TestQueryPlanRejectsOversizedMPDU(t *testing.T) {
 	}
 	if _, _, err := spec.BuildQuery(newSched(t)); err == nil {
 		t.Fatal("BuildQuery accepted an MPDU over the delimiter's 12-bit length")
+	}
+	if _, err := spec.RoundAirtime(0, DefaultBARateMbps); err == nil {
+		t.Fatal("RoundAirtime accepted an MPDU over the delimiter's 12-bit length")
 	}
 }
 
@@ -146,8 +213,7 @@ func TestQueryPlanFollowsSpecChanges(t *testing.T) {
 		}},
 		{"payload edited in place", func() { sys.Spec.PayloadSizes[5] += 4 }},
 		{"cipher and Reshape", func() {
-			sys.Cipher, sys.Scheduler.Cipher = ccmp, ccmp
-			if err := sys.Reshape(); err != nil {
+			if err := sys.SetCipher(ccmp); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -162,20 +228,29 @@ func TestQueryPlanFollowsSpecChanges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	psduLen := func() int {
+		t.Helper()
+		n, err := sys.Spec.psduLen(sys.cipherOverhead())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 	round()
 	for _, c := range changes {
-		before := sys.plan.psduLen
+		before := psduLen()
 		c.change()
 		round()
 		checkPlan(t, c.name, &sys.plan, sys.Spec, sys.Cipher)
-		if sys.plan.psduLen == before {
+		after := psduLen()
+		if after == before {
 			t.Fatalf("%s: PSDU length stayed %d bytes", c.name, before)
 		}
 		rate, err := sys.TagRateBps()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := dot11.QueryRoundAirtime(sys.plan.psduLen, sys.Spec.MCS, sys.Spec.Width, sys.Spec.GI, sys.BARateMbps)
+		ex, err := dot11.QueryRoundAirtime(after, sys.Spec.MCS, sys.Spec.Width, sys.Spec.GI, sys.BARateMbps)
 		if err != nil {
 			t.Fatal(err)
 		}

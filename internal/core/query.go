@@ -62,6 +62,11 @@ func (q QuerySpec) Validate() error {
 	if q.PayloadSizes != nil && len(q.PayloadSizes) != q.Total() {
 		return fmt.Errorf("core: %d payload sizes for %d subframes", len(q.PayloadSizes), q.Total())
 	}
+	for i, size := range q.PayloadSizes {
+		if size < 1 {
+			return fmt.Errorf("core: subframe %d payload of %d bytes, need ≥1", i, size)
+		}
+	}
 	return nil
 }
 
@@ -78,15 +83,6 @@ func (q QuerySpec) payloadAt(i int) int {
 // A-MPDU grid.
 func (q QuerySpec) onAirBytesAt(i, cipherOverhead int) int {
 	n := dot11.DelimiterLen + dot11.QoSHeaderLen + q.payloadAt(i) + cipherOverhead + 4
-	for n%4 != 0 {
-		n++
-	}
-	return n
-}
-
-// minOnAirBytes is the smallest shapeable subframe (1-byte payload).
-func minOnAirBytes(cipherOverhead int) int {
-	n := dot11.DelimiterLen + dot11.QoSHeaderLen + 1 + cipherOverhead + 4
 	for n%4 != 0 {
 		n++
 	}
@@ -129,7 +125,7 @@ func (q *QuerySpec) ShapeForTick(tick time.Duration, ticks, cipherOverhead int) 
 	}
 	bytesPerSec := float64(ndbps) / 8 / q.GI.SymbolDuration().Seconds()
 	targetBytes := float64(ticks) * tick.Seconds() * bytesPerSec
-	min := minOnAirBytes(cipherOverhead)
+	min := q.onAirBytesAt(0, cipherOverhead) // unshaped: a 1-byte payload, the smallest
 	if targetBytes < float64(min)-2 {
 		return fmt.Errorf("core: %d-tick subframe (%.1f on-air bytes) below the %d-byte minimum at %v — raise ticks or lower the MCS",
 			ticks, targetBytes, min, q.MCS)
@@ -150,19 +146,58 @@ func (q *QuerySpec) ShapeForTick(tick time.Duration, ticks, cipherOverhead int) 
 	return nil
 }
 
-// psduLen returns len(BuildQuery(...).Marshal()) without building anything:
-// each subframe is a delimiter plus its MPDU (QoS header, payload sealed
-// with cipherOverhead bytes, FCS), padded to 4 bytes except the last.
+// ShapeMinTicks shapes the query for the fewest ticks per subframe, up to
+// 8, that fit the MPDU overhead, as ShapeForTick does for each count in
+// turn, and returns the last count's error when none fits.
+func (q *QuerySpec) ShapeMinTicks(tick time.Duration, cipherOverhead int) error {
+	var err error
+	for ticks := 1; ticks <= 8; ticks++ {
+		if err = q.ShapeForTick(tick, ticks, cipherOverhead); err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
+// psduLen returns len(BuildQuery(...).Marshal()) without building anything,
+// and refuses the specs BuildQuery refuses: each subframe is a delimiter
+// plus its MPDU (QoS header, payload sealed with cipherOverhead bytes,
+// FCS), padded to 4 bytes except the last.
 func (q QuerySpec) psduLen(cipherOverhead int) (int, error) {
+	if err := q.Validate(); err != nil {
+		return 0, err
+	}
 	n := 0
 	for i := 0; i < q.Total(); i++ {
-		mpdu := dot11.QoSHeaderLen + max(q.payloadAt(i), 1) + cipherOverhead + 4
+		mpdu := dot11.QoSHeaderLen + q.payloadAt(i) + cipherOverhead + 4
 		if mpdu > dot11.MaxMPDULen {
 			return 0, fmt.Errorf("core: subframe %d MPDU of %d bytes exceeds %d", i, mpdu, dot11.MaxMPDULen)
 		}
 		n = (n+3)/4*4 + dot11.DelimiterLen + mpdu
 	}
 	return n, nil
+}
+
+// RoundAirtime returns the airtime of one query round of this spec (§4.1):
+// channel access, the query PPDU, SIFS and a block ACK at baRateMbps, with
+// cipherOverhead bytes sealed into every MPDU. It is arithmetic on the
+// spec's shape; nothing is built.
+func (q QuerySpec) RoundAirtime(cipherOverhead int, baRateMbps float64) (dot11.TXOPExchange, error) {
+	n, err := q.psduLen(cipherOverhead)
+	if err != nil {
+		return dot11.TXOPExchange{}, err
+	}
+	return dot11.QueryRoundAirtime(n, q.MCS, q.Width, q.GI, baRateMbps)
+}
+
+// TagRateBps returns the spec's steady-state tag data rate: one tag bit
+// per data subframe, over RoundAirtime (bit errors aside).
+func (q QuerySpec) TagRateBps(cipherOverhead int, baRateMbps float64) (float64, error) {
+	ex, err := q.RoundAirtime(cipherOverhead, baRateMbps)
+	if err != nil {
+		return 0, err
+	}
+	return float64(q.DataLen) / ex.Total().Seconds(), nil
 }
 
 // queryPlan is everything a round needs from its query A-MPDU. All of it
@@ -178,8 +213,7 @@ type queryPlan struct {
 	airs     []time.Duration // per-subframe airtime, as SubframeAirtimes
 	subBits  []int           // per-subframe on-air bits
 	trigMean time.Duration   // mean trigger subframe airtime
-	psduLen  int             // len(BuildQuery(...).Marshal())
-	ppdu     time.Duration   // PPDU airtime of that PSDU
+	ppdu     time.Duration   // PPDU airtime of len(BuildQuery(...).Marshal())
 }
 
 // matches reports whether the plan was computed for q and overhead.
@@ -195,14 +229,11 @@ func (p *queryPlan) matches(q *QuerySpec, overhead int) bool {
 // it replaces.
 func (p *queryPlan) compute(q QuerySpec, overhead int) error {
 	p.ok = false
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	airs, err := q.appendSubframeAirtimes(p.airs[:0], overhead)
+	psduLen, err := q.psduLen(overhead) // validates q
 	if err != nil {
 		return err
 	}
-	psduLen, err := q.psduLen(overhead)
+	airs, err := q.appendSubframeAirtimes(p.airs[:0], overhead)
 	if err != nil {
 		return err
 	}
@@ -223,7 +254,7 @@ func (p *queryPlan) compute(q QuerySpec, overhead int) error {
 	if q.PayloadSizes != nil { // Validate refuses an empty one
 		p.spec.PayloadSizes = append(sizes, q.PayloadSizes...)
 	}
-	p.airs, p.trigMean, p.psduLen, p.ppdu = airs, trigAir/time.Duration(q.TriggerLen), psduLen, ppdu
+	p.airs, p.trigMean, p.ppdu = airs, trigAir/time.Duration(q.TriggerLen), ppdu
 	p.ok = true
 	p.gen++
 	return nil
@@ -242,11 +273,7 @@ func (q QuerySpec) BuildQuery(s *mac.AMPDUScheduler) (*dot11.AMPDU, uint16, erro
 		if i < q.TriggerLen && i%2 == 1 {
 			fill = TriggerLowByte
 		}
-		size := q.payloadAt(i)
-		if size < 1 {
-			size = 1
-		}
-		p := make([]byte, size)
+		p := make([]byte, q.payloadAt(i))
 		for j := range p {
 			p[j] = fill
 		}

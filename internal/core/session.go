@@ -35,7 +35,7 @@ type System struct {
 	Spec       QuerySpec
 	Scheduler  *mac.AMPDUScheduler
 	Contender  *mac.Contender
-	Cipher     crypto80211.Cipher // nil for an open network
+	Cipher     crypto80211.Cipher // nil for an open network; set by SetCipher
 	TempC      float64
 	BARateMbps float64
 	// BusyProb is the per-slot probability other traffic occupies the
@@ -173,6 +173,10 @@ func DefaultQuerySpec() QuerySpec {
 	}
 }
 
+// DefaultBARateMbps is the legacy OFDM rate a new System's AP sends its
+// block ACKs at.
+const DefaultBARateMbps = 24
+
 // NewSystem builds a ready-to-run deployment. tagGain is the tag's
 // effective reflection gain (see DESIGN.md's calibration note).
 func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGain float64, seed int64) (*System, error) {
@@ -193,7 +197,7 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 		Scheduler:           sched,
 		Contender:           mac.NewContender(stats.Split(rng)),
 		TempC:               25,
-		BARateMbps:          24,
+		BARateMbps:          DefaultBARateMbps,
 		DetectorNoiseFigure: 10,
 		AmbientLossProb:     0.01,
 		rng:                 rng,
@@ -254,22 +258,24 @@ func (s *System) Advance(env *channel.Environment) {
 }
 
 // Reshape re-runs query shaping for the current cipher and spec, using the
-// smallest per-subframe tick count that fits the MPDU overhead. Call it
-// after changing Cipher or Spec. The querier knows the tag's *nominal*
-// 50 kHz clock, not its actual temperature-dependent frequency — that
-// residual is the tag's problem, which its measured-ticks replay cancels
-// to first order. Note the physical cost of encryption: CCMP's 16-byte
+// smallest per-subframe tick count that fits the MPDU overhead
+// (ShapeMinTicks). Call it after changing Spec; SetCipher calls it. The
+// querier knows the tag's *nominal* 50 kHz clock, not its actual
+// temperature-dependent frequency — that residual is the tag's problem,
+// which its measured-ticks replay cancels to first order. Note the physical cost of encryption: CCMP's 16-byte
 // per-MPDU expansion can push the minimum subframe past one tick, halving
 // the tag's data rate.
 func (s *System) Reshape() error {
 	tick := time.Duration(float64(time.Second) / s.Tag.Clock.NominalHz)
-	var err error
-	for ticks := 1; ticks <= 8; ticks++ {
-		if err = s.Spec.ShapeForTick(tick, ticks, s.cipherOverhead()); err == nil {
-			return nil
-		}
-	}
-	return err
+	return s.Spec.ShapeMinTicks(tick, s.cipherOverhead())
+}
+
+// SetCipher makes c the link cipher, nil for an open network, both for
+// the MPDUs the scheduler seals and for the query's shape, and reshapes
+// the query for c's per-MPDU overhead.
+func (s *System) SetCipher(c crypto80211.Cipher) error {
+	s.Cipher, s.Scheduler.Cipher = c, c
+	return s.Reshape()
 }
 
 func (s *System) cipherOverhead() int {
@@ -569,13 +575,5 @@ func (s *System) queryPlan() (*queryPlan, error) {
 // TagRateBps returns the steady-state tag data rate this system achieves:
 // data bits per query divided by round airtime (excluding bit errors).
 func (s *System) TagRateBps() (float64, error) {
-	plan, err := s.queryPlan()
-	if err != nil {
-		return 0, err
-	}
-	ex, err := dot11.QueryRoundAirtime(plan.psduLen, s.Spec.MCS, s.Spec.Width, s.Spec.GI, s.BARateMbps)
-	if err != nil {
-		return 0, err
-	}
-	return float64(s.Spec.DataLen) / ex.Total().Seconds(), nil
+	return s.Spec.TagRateBps(s.cipherOverhead(), s.BARateMbps)
 }

@@ -150,11 +150,9 @@ func TestEncryptionTransparency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc.Cipher = cipher
-	enc.Scheduler.Cipher = cipher
-	// Re-shape for the cipher's per-MPDU overhead (CCMP forces 2-tick
-	// subframes at this MCS).
-	if err := enc.Reshape(); err != nil {
+	// SetCipher re-shapes for the cipher's per-MPDU overhead (CCMP forces
+	// 2-tick subframes at this MCS).
+	if err := enc.SetCipher(cipher); err != nil {
 		t.Fatal(err)
 	}
 	if enc.Spec.TicksPerSubframe != 2 {
@@ -170,9 +168,7 @@ func TestEncryptionTransparency(t *testing.T) {
 	// And WEP too.
 	wep, envW := testbed(t, 1, 16)
 	wcipher, _ := crypto80211.NewWEP([]byte("12345"), 0)
-	wep.Cipher = wcipher
-	wep.Scheduler.Cipher = wcipher
-	if err := wep.Reshape(); err != nil {
+	if err := wep.SetCipher(wcipher); err != nil {
 		t.Fatal(err)
 	}
 	errsW, totalW, _ := runRounds(t, wep, envW, 60, 3)
@@ -275,6 +271,15 @@ func TestQuerySpecValidate(t *testing.T) {
 	spec.PayloadSizes = []int{1, 2}
 	if spec.Validate() == nil {
 		t.Fatal("mismatched PayloadSizes accepted")
+	}
+	spec = DefaultQuerySpec()
+	spec.PayloadSizes = make([]int, spec.Total())
+	for i := range spec.PayloadSizes {
+		spec.PayloadSizes[i] = 1
+	}
+	spec.PayloadSizes[9] = 0
+	if spec.Validate() == nil {
+		t.Fatal("zero-byte payload accepted")
 	}
 }
 

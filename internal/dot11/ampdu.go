@@ -123,13 +123,12 @@ func (a *AMPDU) Marshal() ([]byte, error) {
 // The tag's timing logic uses these, scaled by the PHY rate, to know when
 // each subframe is on the air.
 func (a *AMPDU) SubframeBounds() ([][2]int, error) {
-	psdu, err := a.Marshal()
-	if err != nil {
-		return nil, err
-	}
 	bounds := make([][2]int, 0, len(a.Subframes))
 	off := 0
 	for i, m := range a.Subframes {
+		if len(m) > MaxMPDULen { // the one error Marshal can return
+			return nil, fmt.Errorf("dot11: subframe %d: MPDU length %d outside delimiter's 12-bit range", i, len(m))
+		}
 		off += DelimiterLen
 		bounds = append(bounds, [2]int{off, off + len(m)})
 		off += len(m)
@@ -139,7 +138,6 @@ func (a *AMPDU) SubframeBounds() ([][2]int, error) {
 			}
 		}
 	}
-	_ = psdu
 	return bounds, nil
 }
 

@@ -275,6 +275,15 @@ func TestSubframeBoundsConsistent(t *testing.T) {
 			t.Fatalf("bounds of subframe %d do not slice back its MPDU", i)
 		}
 	}
+	// An MPDU the delimiter cannot carry fails SubframeBounds as it fails
+	// Marshal.
+	agg.Subframes[2] = make([]byte, MaxMPDULen+1)
+	if _, err := agg.Marshal(); err == nil {
+		t.Fatal("Marshal accepted an oversized MPDU")
+	}
+	if _, err := agg.SubframeBounds(); err == nil {
+		t.Fatal("SubframeBounds accepted an oversized MPDU")
+	}
 }
 
 func TestSubframeAlignment(t *testing.T) {

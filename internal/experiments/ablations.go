@@ -7,7 +7,6 @@ import (
 
 	"witag/internal/channel"
 	"witag/internal/core"
-	"witag/internal/crypto80211"
 	"witag/internal/dot11"
 	"witag/internal/obs"
 	"witag/internal/sim"
@@ -330,34 +329,22 @@ func ablationMCSRow(ctx context.Context, t ablationTrial, sys *core.System, env 
 	return row, err
 }
 
-// cryptoModes are the network ciphers ablationCryptoRow compares.
+// cryptoModes label the rows of ablationCryptoRow, one for each link
+// cipher of Ciphers, in its order.
 var cryptoModes = []string{"open", "WEP-104", "WPA2-CCMP"}
 
 // ablationCryptoRow re-runs the near-client deployment on open, WEP and
 // WPA2 networks — the §4 transparency claim as a table.
 func ablationCryptoRow(ctx context.Context, t ablationTrial, sys *core.System, env *channel.Environment) (AblationRow, error) {
-	mode := cryptoModes[t.i]
-	switch mode {
-	case "WEP-104":
-		c, err := crypto80211.NewWEP(make([]byte, 13), 0)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		sys.Cipher = c
-		sys.Scheduler.Cipher = c
-	case "WPA2-CCMP":
-		c, err := crypto80211.NewCCMP(make([]byte, 16), [6]byte{2, 0, 0, 0, 0, 0x10}, 0)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		sys.Cipher = c
-		sys.Scheduler.Cipher = c
+	c, err := newCipher(Ciphers[t.i], make([]byte, 13))
+	if err != nil {
+		return AblationRow{}, err
 	}
-	if err := sys.Reshape(); err != nil {
+	if err := sys.SetCipher(c); err != nil {
 		return AblationRow{}, err
 	}
 	row, _, err := t.measure(ctx, sys, env)
-	row.Label = mode
+	row.Label = cryptoModes[t.i]
 	row.Note = fmt.Sprintf("%d-tick subframes", sys.Spec.TicksPerSubframe)
 	return row, err
 }

@@ -23,14 +23,14 @@ type ComparisonResult struct {
 	DeployableSystems []string
 }
 
-// PriorSystemComparison renders the comparison, measuring WiTAG's rate on
-// the LoS testbed. It takes a runner like its siblings, but its one
-// closed-form rate measurement runs inline and uninstrumented.
-func PriorSystemComparison(ctx context.Context, _ sim.Runner, seed int64) (*ComparisonResult, error) {
+// PriorSystemComparison renders the comparison, with WiTAG's offered rate
+// on the LoS testbed: arithmetic on the testbed's query shape
+// (losTagRate), so it builds no world and draws nothing.
+func PriorSystemComparison(ctx context.Context) (*ComparisonResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rate, err := losTagRate(1, stats.SubSeed(seed, "compare"))
+	rate, err := losTagRate()
 	if err != nil {
 		return nil, err
 	}

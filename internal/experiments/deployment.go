@@ -36,8 +36,23 @@ type DeploymentConfig struct {
 }
 
 // Ciphers names the link ciphers a deployment takes: open, WEP and CCMP
-// (WPA2), the values build switches on.
+// (WPA2), the names newCipher maps.
 var Ciphers = []string{"open", "wep", "ccmp"}
+
+// newCipher returns the link cipher named by one of Ciphers: nil for an
+// open network, WEP under wepKey, or CCMP under an all-zero temporal key
+// for the client's address.
+func newCipher(name string, wepKey []byte) (crypto80211.Cipher, error) {
+	switch name {
+	case "open":
+		return nil, nil
+	case "wep":
+		return crypto80211.NewWEP(wepKey, 0)
+	case "ccmp":
+		return crypto80211.NewCCMP(make([]byte, 16), [6]byte{2, 0, 0, 0, 0, 0x10}, 0)
+	}
+	return nil, fmt.Errorf("unknown cipher %q (valid: %s)", name, strings.Join(Ciphers, ", "))
+}
 
 // DeploymentSeries is the deployment's BENCH series: its configuration
 // and each run's stats, or each run's transfer outcome in transfer mode.
@@ -86,29 +101,14 @@ func (d DeploymentConfig) build(envSeed int64) (*core.System, *channel.Environme
 		return nil, nil, err
 	}
 	sys.TempC = d.TempC
-	switch d.Cipher {
-	case "open":
-	case "wep":
-		c, err := crypto80211.NewWEP([]byte("witag"), 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		sys.Cipher = c
-		sys.Scheduler.Cipher = c
-	case "ccmp":
-		c, err := crypto80211.NewCCMP(make([]byte, 16), [6]byte{2, 0, 0, 0, 0, 0x10}, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		sys.Cipher = c
-		sys.Scheduler.Cipher = c
-	default:
-		return nil, nil, fmt.Errorf("unknown cipher %q (valid: %s)", d.Cipher, strings.Join(Ciphers, ", "))
-	}
-	if err := attachLayers(sys, d.Fault, d.Traffic, func(leaf string) int64 { return stats.SubSeed(envSeed, leaf) }); err != nil {
+	c, err := newCipher(d.Cipher, []byte("witag"))
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := sys.Reshape(); err != nil {
+	if err := sys.SetCipher(c); err != nil {
+		return nil, nil, err
+	}
+	if err := attachLayers(sys, d.Fault, d.Traffic, func(leaf string) int64 { return stats.SubSeed(envSeed, leaf) }); err != nil {
 		return nil, nil, err
 	}
 	return sys, env, nil

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"witag/internal/channel"
+	"witag/internal/core"
+	"witag/internal/dot11"
 	"witag/internal/sim"
 )
 
@@ -154,7 +157,7 @@ func TestSection41Shape(t *testing.T) {
 }
 
 func TestComparisonShape(t *testing.T) {
-	res, err := PriorSystemComparison(context.Background(), sim.Runner{}, 5)
+	res, err := PriorSystemComparison(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +166,49 @@ func TestComparisonShape(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "WiTAG") {
 		t.Fatal("render malformed")
+	}
+}
+
+// TestLoSTagRateMatchesWorld pins the world-free rate probe, bit for bit,
+// to the rate built LoS testbeds report, and to the query each world's
+// scheduler builds and marshals: the probe's spec, tick, cipher and
+// block-ACK rate must be the ones NewSystem gives a world.
+func TestLoSTagRateMatchesWorld(t *testing.T) {
+	want, err := losTagRate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tagX := range []float64{1, 4, 7} {
+		for _, seed := range []int64{0, 42} {
+			got, err := sim.InWorld(sim.Trial{Build: losBuild(tagX, seed, nil)}, nil, func(sys *core.System, _ *channel.Environment) (float64, error) {
+				agg, _, err := sys.Spec.BuildQuery(sys.Scheduler)
+				if err != nil {
+					return 0, err
+				}
+				psdu, err := agg.Marshal()
+				if err != nil {
+					return 0, err
+				}
+				ex, err := dot11.QueryRoundAirtime(len(psdu), sys.Spec.MCS, sys.Spec.Width, sys.Spec.GI, sys.BARateMbps)
+				if err != nil {
+					return 0, err
+				}
+				rate, err := sys.TagRateBps()
+				if err != nil {
+					return 0, err
+				}
+				if built := float64(sys.Spec.DataLen) / ex.Total().Seconds(); rate != built {
+					t.Errorf("tag at %g m, seed %d: TagRateBps %v, built query's %v", tagX, seed, rate, built)
+				}
+				return rate, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("tag at %g m, seed %d: world's rate %v, probe's %v", tagX, seed, got, want)
+			}
+		}
 	}
 }
 

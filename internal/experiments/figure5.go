@@ -44,7 +44,8 @@ type Figure5Result struct {
 }
 
 // Figure5Ctx runs the sweep on the shared trial runner, with
-// cancellation.
+// cancellation. RawRateKbps, the error-free ceiling, is arithmetic on the
+// testbed's query shape (losTagRate); only the points are measured.
 func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) {
 	if cfg.Runs < 1 || cfg.Round < 1 {
 		return nil, fmt.Errorf("experiments: need ≥1 run and ≥1 round, got %d×%d", cfg.Runs, cfg.Round)
@@ -52,9 +53,7 @@ func Figure5Ctx(ctx context.Context, cfg Figure5Config) (*Figure5Result, error) 
 	distances := []float64{1, 2, 3, 4, 5, 6, 7}
 	res := &Figure5Result{Runs: cfg.Runs}
 
-	// The offered-rate ceiling depends only on the query shape, which the
-	// LoS testbed fixes at every tag position: probe it once.
-	raw, err := losTagRate(distances[0], stats.SubSeed(cfg.Seed, "fig5", "rate"))
+	raw, err := losTagRate()
 	if err != nil {
 		return nil, err
 	}

@@ -171,3 +171,32 @@ func TestRobustnessTransferAllocs(t *testing.T) {
 		t.Fatalf("a warm robustness transfer allocates %d B, want under 16 KiB", least)
 	}
 }
+
+// TestSection41SweepAllocs holds one §4.1 sweep on one worker under
+// 64 KiB of allocation: each row is airtime arithmetic on its shaped spec,
+// with no aggregate built or marshalled. Building and marshalling every
+// row's query allocated about 2.4 MB.
+func TestSection41SweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	r := sim.Runner{Workers: 1}
+	run := func() {
+		if _, err := Section41SweepCtx(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	// The least of a few sweeps, as in TestFigure5TrialAllocs.
+	least := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("a §4.1 sweep allocates %d B, want under 64 KiB", least)
+	}
+}

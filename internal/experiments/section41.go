@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"witag/internal/core"
 	"witag/internal/dot11"
-	"witag/internal/mac"
 	"witag/internal/sim"
 )
 
@@ -34,12 +32,10 @@ type Section41Result struct {
 
 // Section41SweepCtx computes the tag rate for single-stream HT MCS 0–7,
 // aggregate sizes 8–64, and 1–4-tick subframes, with cancellation, on an
-// explicit runner. The sweep is pure airtime arithmetic — no Monte Carlo
-// — so the runner fans the MCS rows.
+// explicit runner. The sweep is pure airtime arithmetic on each shaped
+// spec — no Monte Carlo, nothing built — so the runner fans the MCS rows.
 func Section41SweepCtx(ctx context.Context, r sim.Runner) (*Section41Result, error) {
-	src := dot11.MACAddr{2, 0, 0, 0, 0, 1}
-	dst := dot11.MACAddr{2, 0, 0, 0, 0, 2}
-	tick := 20 * time.Microsecond
+	tick := core.ProtocolGrid
 	mcsIdxs := []int{0, 2, 4, 7}
 	perMCS, err := sim.Map(ctx, r, len(mcsIdxs), func(ctx context.Context, i int) ([]Section41Row, error) {
 		mcsIdx := mcsIdxs[i]
@@ -60,19 +56,7 @@ func Section41SweepCtx(ctx context.Context, r sim.Runner) (*Section41Result, err
 				if err := spec.ShapeForTick(tick, ticks, 0); err != nil {
 					continue // infeasible (subframe below the MPDU minimum)
 				}
-				sched, err := mac.NewAMPDUScheduler(src, dst, dst, 0)
-				if err != nil {
-					return nil, err
-				}
-				agg, _, err := spec.BuildQuery(sched)
-				if err != nil {
-					return nil, err
-				}
-				psdu, err := agg.Marshal()
-				if err != nil {
-					return nil, err
-				}
-				ex, err := dot11.QueryRoundAirtime(len(psdu), mcs, dot11.Width20, dot11.LongGI, 24)
+				ex, err := spec.RoundAirtime(0, core.DefaultBARateMbps)
 				if err != nil {
 					return nil, err
 				}

@@ -51,8 +51,8 @@ var Suite = []Experiment{
 	{"s41", func(ctx context.Context, r sim.Runner, _ SuiteConfig) (*Result, error) {
 		return whole(Section41SweepCtx(ctx, r))
 	}},
-	{"compare", func(ctx context.Context, r sim.Runner, cfg SuiteConfig) (*Result, error) {
-		return whole(PriorSystemComparison(ctx, r, cfg.Seed))
+	{"compare", func(ctx context.Context, _ sim.Runner, _ SuiteConfig) (*Result, error) {
+		return whole(PriorSystemComparison(ctx))
 	}},
 	{"power", func(ctx context.Context, r sim.Runner, cfg SuiteConfig) (*Result, error) {
 		return whole(Section7PowerCtx(ctx, r, cfg.Seed))

@@ -11,7 +11,6 @@ import (
 	"witag/internal/channel"
 	"witag/internal/core"
 	"witag/internal/fault"
-	"witag/internal/sim"
 	"witag/internal/traffic"
 )
 
@@ -60,11 +59,16 @@ func losBuild(tagX float64, seed int64, setup func(*core.System) error) func() (
 }
 
 // losTagRate is the offered tag rate, in bits per second, of the LoS
-// testbed, read off an uninstrumented world of its own.
-func losTagRate(tagX float64, seed int64) (float64, error) {
-	return sim.InWorld(sim.Trial{Build: losBuild(tagX, seed, nil)}, nil, func(sys *core.System, _ *channel.Environment) (float64, error) {
-		return sys.TagRateBps()
-	})
+// testbed at any tag position. Its query is the one NewSystem shapes: the
+// default spec on an open network, at the nominal 50 kHz tick, answered
+// at the default block-ACK rate. So the rate is that spec's arithmetic,
+// and no world is built.
+func losTagRate() (float64, error) {
+	spec := core.DefaultQuerySpec()
+	if err := spec.ShapeMinTicks(core.ProtocolGrid, 0); err != nil {
+		return 0, err
+	}
+	return spec.TagRateBps(0, core.DefaultBARateMbps)
 }
 
 // attachLayers gives sys the injector of the fault.Named preset
