@@ -79,6 +79,9 @@ type envCache struct {
 	loss lossMemo
 	// rotors is the scratch the fused scatterer pass reuses every round.
 	rotors []rotor
+	// The storage AddReflector and AddScatterers append to.
+	reflectors []Reflector
+	scatterers []Scatterer
 }
 
 // envCaches holds the caches of released environments.
@@ -188,6 +191,8 @@ func NewEnvironment(seed int64) *Environment {
 		TxPowerDbm:     15,
 		NoiseFloorDbm:  NoiseFloorDbm20MHz,
 		NumSubcarriers: 56,
+		Reflectors:     c.reflectors[:0],
+		Scatterers:     c.scatterers[:0],
 		rng:            stats.NewRNG(seed),
 		cache:          c,
 	}
@@ -214,14 +219,32 @@ func (e *Environment) AddWall(a, b Point, attenuationDb float64, material string
 
 // AddReflector appends a static reflector.
 func (e *Environment) AddReflector(p Point, gain float64) {
-	e.Reflectors = append(e.Reflectors, Reflector{Pos: p, Gain: gain})
+	e.Reflectors = appendOwned(&e.cache.reflectors, e.Reflectors, Reflector{Pos: p, Gain: gain})
+}
+
+// appendOwned appends v to s, a slice of the environment, and returns the
+// result. When s is the cache's storage *store, or the append moves s to
+// an array of its own, the result becomes the storage the next
+// environment built appends to; a slice a caller assigned is never taken.
+func appendOwned[T any](store *[]T, s []T, v T) []T {
+	own := len(s) == cap(s) || sameArray(s, *store)
+	s = append(s, v)
+	if own {
+		*store = s[:0]
+	}
+	return s
+}
+
+// sameArray reports whether a and b end in the same backing array.
+func sameArray[T any](a, b []T) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // AddScatterers sprinkles n moving scatterers uniformly over the rectangle
 // [x0,x1]×[y0,y1].
 func (e *Environment) AddScatterers(n int, x0, y0, x1, y1, gain, speedMps float64) {
 	for i := 0; i < n; i++ {
-		e.Scatterers = append(e.Scatterers, Scatterer{
+		e.Scatterers = appendOwned(&e.cache.scatterers, e.Scatterers, Scatterer{
 			Pos:      Point{stats.Uniform(e.rng, x0, x1), stats.Uniform(e.rng, y0, y1)},
 			Gain:     gain,
 			SpeedMps: speedMps,

@@ -101,7 +101,7 @@ func TestGFMatrixInverse(t *testing.T) {
 // pins the implementation to them.
 func TestRobustSolitonClosedForm(t *testing.T) {
 	const k, c, delta = 32, 0.2, 0.05
-	p, err := RobustSoliton(k, c, delta)
+	p, err := appendRobustSoliton(nil, k, c, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRobustSolitonClosedForm(t *testing.T) {
 	}
 	// Invalid parameters are rejected.
 	for _, bad := range [][3]float64{{0, c, delta}, {k, 0, delta}, {k, c, 0}, {k, c, 1}} {
-		if _, err := RobustSoliton(int(bad[0]), bad[1], bad[2]); err == nil {
+		if _, err := appendRobustSoliton(nil, int(bad[0]), bad[1], bad[2]); err == nil {
 			t.Fatalf("accepted k=%v c=%v delta=%v", bad[0], bad[1], bad[2])
 		}
 	}
@@ -262,15 +262,15 @@ func TestFountainSymbolBlocksDeterministic(t *testing.T) {
 	c, _ := NewFountain(100, 10, stats.SubSeed(8, "lt"))
 	same, diff := 0, 0
 	for id := 0; id < 64; id++ {
-		if !reflect.DeepEqual(a.SymbolBlocks(id), b.SymbolBlocks(id)) {
+		if !reflect.DeepEqual(a.AppendSymbolBlocks(nil, id), b.AppendSymbolBlocks(nil, id)) {
 			t.Fatalf("symbol %d differs across equal seeds", id)
 		}
-		if reflect.DeepEqual(a.SymbolBlocks(id), c.SymbolBlocks(id)) {
+		if reflect.DeepEqual(a.AppendSymbolBlocks(nil, id), c.AppendSymbolBlocks(nil, id)) {
 			same++
 		} else {
 			diff++
 		}
-		for _, bi := range a.SymbolBlocks(id) {
+		for _, bi := range a.AppendSymbolBlocks(nil, id) {
 			if bi < 0 || bi >= a.K {
 				t.Fatalf("symbol %d references block %d outside [0,%d)", id, bi, a.K)
 			}
@@ -281,8 +281,9 @@ func TestFountainSymbolBlocksDeterministic(t *testing.T) {
 	}
 }
 
-// referenceSymbolBlocks is SymbolBlocks as it was before the shuffle
-// scratch: an fmt label and a fresh K-long index slice per symbol.
+// referenceSymbolBlocks is AppendSymbolBlocks(nil, id) as it was before
+// the shuffle scratch: an fmt label and a fresh K-long index slice per
+// symbol.
 func referenceSymbolBlocks(f *Fountain, id int) []int {
 	rng := stats.NewRNG(stats.SubSeed(f.seed, "lt", fmt.Sprintf("sym=%d", id)))
 	u := rng.Float64()
@@ -325,13 +326,13 @@ func TestSymbolBlocksMatchReference(t *testing.T) {
 	}
 	for id := 0; id < 512; id++ {
 		for _, f := range fountains {
-			got := f.SymbolBlocks(id)
+			got := f.AppendSymbolBlocks(nil, id)
 			want := referenceSymbolBlocks(f, id)
 			held := slices.Clone(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("K=%d seed %d symbol %d: blocks %v, reference %v", f.K, f.seed, id, got, want)
 			}
-			f.SymbolBlocks(id + 1)
+			f.AppendSymbolBlocks(nil, id+1)
 			if !slices.Equal(got, held) {
 				t.Fatalf("K=%d seed %d symbol %d: the next call rewrote the returned set to %v", f.K, f.seed, id, got)
 			}
@@ -565,6 +566,6 @@ func BenchmarkSymbolBlocks(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.SymbolBlocks(i & 1023)
+		f.AppendSymbolBlocks(nil, i&1023)
 	}
 }

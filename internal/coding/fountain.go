@@ -25,18 +25,22 @@ const (
 	solitonDelta = 0.05
 )
 
-// RobustSoliton returns the robust soliton degree distribution for k
-// source blocks: p[d] is the probability of degree d (p[0] unused). It
-// is the ideal soliton rho(d) plus Luby's tau(d) spike at k/R, then
-// normalised — the closed forms the unit tests pin down.
-func RobustSoliton(k int, c, delta float64) ([]float64, error) {
+// appendRobustSoliton appends the robust soliton degree distribution for
+// k source blocks to dst and returns the extended slice: p[d], d = 0…k,
+// is the probability of degree d (p[0] unused). It is the ideal soliton
+// rho(d) plus Luby's tau(d) spike at k/R, then normalised — the closed
+// forms the unit tests pin down.
+func appendRobustSoliton(dst []float64, k int, c, delta float64) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("coding: soliton needs ≥1 block, got %d", k)
 	}
 	if c <= 0 || delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("coding: soliton parameters c=%v delta=%v outside c>0, 0<delta<1", c, delta)
 	}
-	p := make([]float64, k+1)
+	n := len(dst)
+	dst = slices.Grow(dst, k+1)[:n+k+1]
+	p := dst[n:]
+	clear(p)
 	// Ideal soliton: rho(1) = 1/k, rho(d) = 1/(d(d-1)).
 	p[1] = 1 / float64(k)
 	for d := 2; d <= k; d++ {
@@ -58,14 +62,15 @@ func RobustSoliton(k int, c, delta float64) ([]float64, error) {
 	for d := range p {
 		p[d] /= sum
 	}
-	return p, nil
+	return dst, nil
 }
 
 // Fountain is one transfer's encoder state: the block geometry plus the
-// degree CDF. It is deterministic — SymbolBlocks(id) is a pure function
-// of (seed, id) — so the decoding side rebuilds block sets locally. Not
-// safe for concurrent use: SymbolBlocks reseeds a generator and shuffles
-// in a scratch, both of which the Fountain owns.
+// degree CDF. It is deterministic — AppendSymbolBlocks(dst, id) appends a
+// pure function of (seed, id) — so the decoding side rebuilds block sets
+// locally. Not safe for concurrent use: a block set is drawn by reseeding
+// a generator and shuffling in a scratch, both of which the Fountain
+// owns.
 type Fountain struct {
 	K          int // source blocks
 	BlockBytes int
@@ -74,39 +79,49 @@ type Fountain struct {
 	seed int64
 	cdf  []float64
 	rng  *rand.Rand // reseeded for every symbol
-	idx  []int      // SymbolBlocks' shuffle scratch
+	idx  []int      // blocks' shuffle scratch
 }
 
 // NewFountain sets up the code for a payload of payloadLen bytes cut
 // into blockBytes-sized source blocks.
 func NewFountain(payloadLen, blockBytes int, seed int64) (*Fountain, error) {
-	if payloadLen < 1 || blockBytes < 1 {
-		return nil, fmt.Errorf("coding: fountain payload %dB / block %dB must be ≥1", payloadLen, blockBytes)
-	}
-	k := (payloadLen + blockBytes - 1) / blockBytes
-	dist, err := RobustSoliton(k, solitonC, solitonDelta)
-	if err != nil {
+	f := new(Fountain)
+	if err := f.init(payloadLen, blockBytes, seed); err != nil {
 		return nil, err
 	}
-	cdf := make([]float64, len(dist))
+	return f, nil
+}
+
+// init sets f up as NewFountain(payloadLen, blockBytes, seed) does, in
+// f's storage: its CDF, its generator and its shuffle scratch.
+func (f *Fountain) init(payloadLen, blockBytes int, seed int64) error {
+	if payloadLen < 1 || blockBytes < 1 {
+		return fmt.Errorf("coding: fountain payload %dB / block %dB must be ≥1", payloadLen, blockBytes)
+	}
+	k := (payloadLen + blockBytes - 1) / blockBytes
+	cdf, err := appendRobustSoliton(f.cdf[:0], k, solitonC, solitonDelta)
+	if err != nil {
+		return err
+	}
 	cum := 0.0
-	for d, p := range dist {
+	for d, p := range cdf {
 		cum += p
 		cdf[d] = cum
 	}
-	return &Fountain{K: k, BlockBytes: blockBytes, PayloadLen: payloadLen, seed: seed, cdf: cdf}, nil
+	f.K, f.BlockBytes, f.PayloadLen, f.seed, f.cdf = k, blockBytes, payloadLen, seed, cdf
+	return nil
 }
 
-// SymbolBlocks returns the source-block indices XORed into symbol id,
-// derived deterministically from the transfer seed and the id alone. The
-// slice is the caller's.
-func (f *Fountain) SymbolBlocks(id int) []int {
-	return append([]int(nil), f.blocks(id)...)
+// AppendSymbolBlocks appends the source-block indices XORed into symbol
+// id, derived deterministically from the transfer seed and the id alone,
+// to dst and returns the extended slice.
+func (f *Fountain) AppendSymbolBlocks(dst []int, id int) []int {
+	return append(dst, f.blocks(id)...)
 }
 
-// blocks is SymbolBlocks in the Fountain's scratch, valid until the next
-// call. Reseeding one generator draws what a generator freshly seeded
-// from the same seed would.
+// blocks is AppendSymbolBlocks' set in the Fountain's scratch, valid
+// until the next call. Reseeding one generator draws what a generator
+// freshly seeded from the same seed would.
 func (f *Fountain) blocks(id int) []int {
 	// The label is built on the stack: strconv.Itoa allocates from id 100.
 	var buf [24]byte
@@ -133,7 +148,7 @@ func (f *Fountain) blocks(id int) []int {
 	}
 	// Partial Fisher–Yates over [0,K) for a uniform distinct subset.
 	if len(f.idx) != f.K {
-		f.idx = make([]int, f.K)
+		f.idx = slices.Grow(f.idx[:0], f.K)[:f.K]
 	}
 	idx := f.idx
 	for i := range idx {
@@ -181,17 +196,29 @@ func (f *Fountain) AppendSymbol(dst, payload []byte, id int) ([]byte, error) {
 // job (see gaussian), which keeps the reception overhead near K+1 even
 // for the small K of short transfers. Add never panics on
 // duplicate, truncated or corrupted symbols — wrong-length data is
-// rejected and unknown IDs are just new equations.
+// rejected and unknown IDs are just new equations. An LT transferer
+// decodes in storage it keeps from transfer to transfer.
 type FountainDecoder struct {
 	f       *Fountain
-	blocks  [][]byte // decoded source blocks (nil = unknown)
-	pending []pendingSymbol
-	seen    map[int]bool
 	decoded int
 	// Attempts counts peeling passes, for the decode-attempt metrics.
 	Attempts int
 
-	elim elimination // gaussian's scratch, reused by every attempt
+	*decoderStorage
+}
+
+// decoderStorage is what a FountainDecoder decodes in. A symbol's copy
+// and its unknown blocks are cut from syms and sets, back to back; when an
+// append moves either to a larger array, the copies already cut stay
+// valid in the old one, and the next decoder starts on the larger.
+type decoderStorage struct {
+	blocks  [][]byte // decoded source blocks (nil = unknown)
+	pending []pendingSymbol
+	seen    map[int]bool
+	syms    []byte      // the received symbols' copies
+	sets    []int       // the pending symbols' unknown blocks
+	solved  []byte      // the blocks the elimination recovers
+	elim    elimination // gaussian's scratch, reused by every attempt
 }
 
 // elimination is the dense GF(2) system gaussian solves: the unknown
@@ -233,7 +260,24 @@ func (ps *pendingSymbol) release(bi int) {
 
 // NewFountainDecoder builds the decoder for f's geometry.
 func NewFountainDecoder(f *Fountain) *FountainDecoder {
-	return &FountainDecoder{f: f, blocks: make([][]byte, f.K), seen: map[int]bool{}}
+	return newFountainDecoder(f, new(decoderStorage))
+}
+
+// newFountainDecoder builds the decoder for f's geometry in s, which is
+// new or was emptied after an earlier decoder used it.
+func newFountainDecoder(f *Fountain, s *decoderStorage) *FountainDecoder {
+	if s.seen == nil {
+		s.seen = map[int]bool{}
+	}
+	s.blocks = slices.Grow(s.blocks[:0], f.K)[:f.K]
+	clear(s.blocks)
+	return &FountainDecoder{f: f, decoderStorage: s}
+}
+
+// empty readies s for the next decoder, keeping its storage.
+func (s *decoderStorage) empty() {
+	clear(s.seen)
+	s.pending, s.syms, s.sets, s.solved = s.pending[:0], s.syms[:0], s.sets[:0], s.solved[:0]
 }
 
 // Add feeds one received symbol and peels as far as possible. It reports
@@ -251,17 +295,21 @@ func (d *FountainDecoder) Add(id int, data []byte) (bool, error) {
 	d.seen[id] = true
 	// data is the caller's (a frame's payload), so the decoder keeps a
 	// copy.
-	buf := append([]byte(nil), data...)
-	blocks := d.f.SymbolBlocks(id)
-	unknown := blocks[:0]
-	for _, bi := range blocks {
+	at := len(d.syms)
+	d.syms = append(d.syms, data...)
+	buf := d.syms[at:len(d.syms):len(d.syms)]
+	at = len(d.sets)
+	d.sets = d.f.AppendSymbolBlocks(d.sets, id)
+	unknown := d.sets[at:at]
+	for _, bi := range d.sets[at:] {
 		if kb := d.blocks[bi]; kb != nil {
 			xorInto(buf, kb) // already-released block: subtract immediately
 		} else {
 			unknown = append(unknown, bi)
 		}
 	}
-	d.pending = append(d.pending, pendingSymbol{data: buf, blocks: unknown})
+	d.sets = d.sets[:at+len(unknown)]
+	d.pending = append(d.pending, pendingSymbol{data: buf, blocks: unknown[:len(unknown):len(unknown)]})
 	d.peel()
 	if !d.Done() {
 		d.gaussian()
@@ -335,10 +383,12 @@ func (d *FountainDecoder) gaussian() {
 		}
 	}
 	// Full rank: after Gauss–Jordan above, rows[j] holds exactly unknown
-	// j. The blocks take a copy: the scratch is the decoder's.
-	solved := make([]byte, nu*bb)
+	// j. The blocks take a copy, since the scratch serves the next
+	// attempt; a solved system leaves no unknown, so solved is written
+	// once.
+	d.solved = slices.Grow(d.solved[:0], nu*bb)[:nu*bb]
 	for j, bi := range e.unknowns {
-		b := solved[j*bb : (j+1)*bb : (j+1)*bb]
+		b := d.solved[j*bb : (j+1)*bb : (j+1)*bb]
 		copy(b, rows[j].data)
 		d.blocks[bi] = b
 		d.decoded++

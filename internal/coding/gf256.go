@@ -74,25 +74,29 @@ func gfExp(n int) byte { return gfExpTab[n%255] }
 // row-major in src (each of length n bytes), accumulating into dst
 // (length r, each row n bytes). dst rows must be zeroed by the caller.
 func gfMatMul(dst, src [][]byte, m [][]byte) {
-	for r := range m {
-		row := m[r]
-		out := dst[r]
-		for c, coef := range row {
-			if coef == 0 {
-				continue
-			}
-			in := src[c]
-			if coef == 1 {
-				for i := range out {
-					out[i] ^= in[i]
-				}
-				continue
-			}
-			lc := int(gfLogTab[coef])
+	for r, row := range m {
+		gfRowMul(dst[r], row, src)
+	}
+}
+
+// gfRowMul accumulates into out the combination of the vectors src with
+// the coefficients row: out ^= Σ row[c]·src[c].
+func gfRowMul(out, row []byte, src [][]byte) {
+	for c, coef := range row {
+		if coef == 0 {
+			continue
+		}
+		in := src[c]
+		if coef == 1 {
 			for i := range out {
-				if in[i] != 0 {
-					out[i] ^= gfExpTab[lc+int(gfLogTab[in[i]])]
-				}
+				out[i] ^= in[i]
+			}
+			continue
+		}
+		lc := int(gfLogTab[coef])
+		for i := range out {
+			if in[i] != 0 {
+				out[i] ^= gfExpTab[lc+int(gfLogTab[in[i]])]
 			}
 		}
 	}
@@ -101,25 +105,57 @@ func gfMatMul(dst, src [][]byte, m [][]byte) {
 // gfMatrix returns a zeroed rows×cols matrix, its rows cut from one
 // backing array.
 func gfMatrix(rows, cols int) [][]byte {
-	cells := make([]byte, rows*cols)
-	m := make([][]byte, rows)
-	for r := range m {
-		m[r] = cells[r*cols : (r+1)*cols : (r+1)*cols]
+	var m shardSet
+	return m.resize(rows, cols)
+}
+
+// shardSet is a matrix or a block's shards, its rows cut from one backing
+// array that is reused while it is large enough.
+type shardSet struct {
+	buf    []byte
+	shards [][]byte
+}
+
+// resize returns the set as n rows of size bytes. Their contents are
+// whatever the storage held; fresh storage is zeroed.
+func (s *shardSet) resize(n, size int) [][]byte {
+	if cap(s.buf) < n*size {
+		s.buf = make([]byte, n*size)
 	}
-	return m
+	if cap(s.shards) < n {
+		s.shards = make([][]byte, n)
+	}
+	s.shards = s.shards[:n]
+	for i := range s.shards {
+		s.shards[i] = s.buf[i*size : (i+1)*size : (i+1)*size]
+	}
+	return s.shards
 }
 
 // gfInvertMatrix inverts the square matrix m in place by Gauss–Jordan
 // elimination, returning an error when m is singular. m is destroyed on
 // failure.
 func gfInvertMatrix(m [][]byte) error {
+	inv := gfMatrix(len(m), len(m))
+	if err := gfInvertInto(inv, m); err != nil {
+		return err
+	}
+	copy(m, inv)
+	return nil
+}
+
+// gfInvertInto writes the inverse of the square matrix m into inv, a
+// matrix of m's size whose contents are overwritten, by Gauss–Jordan
+// elimination; m is destroyed. It returns an error when m is singular.
+// Row swaps permute the row slices of both matrices.
+func gfInvertInto(inv, m [][]byte) error {
 	n := len(m)
-	inv := gfMatrix(n, n)
 	for i := range inv {
-		inv[i][i] = 1
 		if len(m[i]) != n {
 			return fmt.Errorf("coding: matrix row %d has %d columns, want %d", i, len(m[i]), n)
 		}
+		clear(inv[i])
+		inv[i][i] = 1
 	}
 	for col := 0; col < n; col++ {
 		pivot := -1
@@ -152,6 +188,5 @@ func gfInvertMatrix(m [][]byte) error {
 			}
 		}
 	}
-	copy(m, inv)
 	return nil
 }

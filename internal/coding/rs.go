@@ -20,7 +20,8 @@ const MaxShards = 255
 
 // RS is one (k, m) erasure-code instance. Instances are immutable and
 // safe for concurrent use; building one costs a k×k matrix inversion, so
-// the adaptive transferer caches them per (k, m).
+// an RS transferer keeps the code of each k in its storage, which outlives
+// the transferer (RSTransferer.Release).
 type RS struct {
 	K int // data shards
 	M int // parity shards
@@ -66,26 +67,16 @@ func (c *RS) Parity(data [][]byte) ([][]byte, error) {
 		return nil, err
 	}
 	parity := gfMatrix(c.M, len(data[0]))
-	return parity, c.ParityInto(parity, data)
+	gfMatMul(parity, data, c.matrix[c.K:])
+	return parity, nil
 }
 
-// ParityInto writes the m parity shards for k equal-length data shards
-// into parity, m shards of the data shards' length.
-func (c *RS) ParityInto(parity, data [][]byte) error {
-	if err := c.checkShards(data, c.K); err != nil {
-		return err
-	}
-	if len(parity) != c.M {
-		return fmt.Errorf("coding: got %d parity shards, want %d", len(parity), c.M)
-	}
-	for _, p := range parity {
-		if len(p) != len(data[0]) {
-			return fmt.Errorf("coding: parity shard is %dB, data shards %dB", len(p), len(data[0]))
-		}
-		clear(p)
-	}
-	gfMatMul(parity, data, c.matrix[c.K:])
-	return nil
+// parityShard writes parity shard j of the data shards into p, which has
+// their length: one row of the encoding matrix applied to the data, the
+// row Parity computes with all the others.
+func (c *RS) parityShard(p []byte, data [][]byte, j int) {
+	clear(p)
+	gfRowMul(p, c.matrix[c.K+j], data)
 }
 
 // Reconstruct fills the missing data shards of a partially received
@@ -94,20 +85,33 @@ func (c *RS) ParityInto(parity, data [][]byte) error {
 // (index < k) is non-nil; parity shards are left as received. It fails
 // when fewer than k shards survive.
 func (c *RS) Reconstruct(shards [][]byte) error {
+	return c.reconstruct(shards, new(rsScratch))
+}
+
+// rsScratch is the storage a reconstruction solves in: the decode matrix,
+// its inverse, the surviving shards it reads and the data shards it
+// recovers. The recovered shards stay valid until its next use.
+type rsScratch struct {
+	rows, inv, data shardSet
+	rhs             [][]byte
+}
+
+// reconstruct is Reconstruct in s: the data shards it fills in are s's.
+func (c *RS) reconstruct(shards [][]byte, s *rsScratch) error {
 	if len(shards) != c.K+c.M {
 		return fmt.Errorf("coding: RS got %d shards, want %d", len(shards), c.K+c.M)
 	}
 	size := -1
 	present := 0
-	for _, s := range shards {
-		if s == nil {
+	for _, sh := range shards {
+		if sh == nil {
 			continue
 		}
 		present++
 		if size < 0 {
-			size = len(s)
-		} else if len(s) != size {
-			return fmt.Errorf("coding: RS shard lengths differ (%d vs %d)", size, len(s))
+			size = len(sh)
+		} else if len(sh) != size {
+			return fmt.Errorf("coding: RS shard lengths differ (%d vs %d)", size, len(sh))
 		}
 	}
 	if present < c.K {
@@ -124,19 +128,24 @@ func (c *RS) Reconstruct(shards [][]byte) error {
 		return nil
 	}
 	// Solve with the first k surviving rows: rows · data = received.
-	rows := gfMatrix(c.K, c.K)
-	rhs := make([][]byte, 0, c.K)
+	rows := s.rows.resize(c.K, c.K)
+	rhs := s.rhs[:0]
 	for i := 0; i < len(shards) && len(rhs) < c.K; i++ {
 		if shards[i] != nil {
 			copy(rows[len(rhs)], c.matrix[i])
 			rhs = append(rhs, shards[i])
 		}
 	}
-	if err := gfInvertMatrix(rows); err != nil {
+	s.rhs = rhs
+	inv := s.inv.resize(c.K, c.K)
+	if err := gfInvertInto(inv, rows); err != nil {
 		return fmt.Errorf("coding: RS decode matrix: %w", err)
 	}
-	data := gfMatrix(c.K, size)
-	gfMatMul(data, rhs, rows)
+	data := s.data.resize(c.K, size)
+	for _, d := range data {
+		clear(d)
+	}
+	gfMatMul(data, rhs, inv)
 	for i := 0; i < c.K; i++ {
 		if shards[i] == nil {
 			shards[i] = data[i]

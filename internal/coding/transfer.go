@@ -3,6 +3,7 @@ package coding
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"witag/internal/channel"
 	"witag/internal/core"
@@ -121,19 +122,47 @@ type FountainTransferer struct {
 
 	seed   int64
 	frames *link.FrameSender
-	sym    []byte // the symbol being sent
+	*fountainStorage
 }
+
+// fountainStorage is what a FountainTransferer codes in, and what
+// Release hands to the next one built: the code, set up afresh by every
+// Send, the symbol being sent and the decoder's storage, emptied after
+// every Send.
+type fountainStorage struct {
+	code Fountain
+	sym  []byte
+	dec  decoderStorage
+}
+
+// fountainStorages holds the storage of released fountain transferers.
+var fountainStorages sync.Pool
 
 // NewFountainTransferer wires the rateless loop over sys; seed both the
 // symbol pseudo-randomness and the backoff jitter from one labeled
 // stats.SubSeed path.
 func NewFountainTransferer(sys *core.System, env *channel.Environment, cfg FountainConfig, seed int64) *FountainTransferer {
+	s, _ := fountainStorages.Get().(*fountainStorage)
+	if s == nil {
+		s = new(fountainStorage)
+	}
 	return &FountainTransferer{Config: cfg, seed: seed,
-		frames: link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff")))}
+		frames:          link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff"))),
+		fountainStorage: s}
 }
 
-// Release ends the transferer's backoff stream (link.FrameSender.Release).
-func (t *FountainTransferer) Release() { t.frames.Release() }
+// Release ends the transferer: its frame sender is released
+// (link.FrameSender.Release) and its storage goes to the next
+// FountainTransferer built; Send empties the decoder's storage when it
+// returns and overwrites the rest. t must not be used again. Releasing
+// twice does nothing more.
+func (t *FountainTransferer) Release() {
+	t.frames.Release()
+	if s := t.fountainStorage; s != nil {
+		fountainStorages.Put(s)
+		t.fountainStorage = nil
+	}
+}
 
 // fountainHeader is the per-symbol frame header: the 16-bit symbol ID.
 const fountainHeader = 2
@@ -150,23 +179,26 @@ func (t *FountainTransferer) Send(ctx context.Context, payload []byte) (*Stats, 
 	if cfg.BlockBytes+fountainHeader > core.MaxPayload {
 		return nil, fmt.Errorf("coding: fountain block %dB exceeds the %dB frame", cfg.BlockBytes, core.MaxPayload)
 	}
-	f, err := NewFountain(len(payload), cfg.BlockBytes, stats.SubSeed(t.seed, "sym"))
-	if err != nil {
+	f := &t.code
+	if err := f.init(len(payload), cfg.BlockBytes, stats.SubSeed(t.seed, "sym")); err != nil {
 		return nil, err
 	}
 	st := &Stats{TransferStats: link.TransferStats{PayloadBytes: len(payload)}}
 	defer begin(t.frames, "fountain", st)()
 	spans := t.frames.Sys.Spans
 
-	dec := NewFountainDecoder(f)
+	dec := newFountainDecoder(f, &t.dec)
+	defer t.dec.empty()
 	// The symbol cap is an undeliverable-channel escape, not an operating
-	// point.
-	maxSymbols := 16*f.K + 64
+	// point. It never passes the 16-bit header's IDs: a wrapped ID would
+	// be decoded against another symbol's blocks.
+	maxSymbols := min(16*f.K+64, 1<<16)
 	for id := 0; id < maxSymbols && !dec.Done(); id++ {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
 		sp := spans.Start()
+		var err error
 		if t.sym, err = f.AppendSymbol(t.sym[:0], payload, id); err != nil {
 			return st, err
 		}
@@ -251,6 +283,12 @@ type lossWindow struct {
 
 func newLossWindow(frames int) *lossWindow { return &lossWindow{ring: make([]bool, frames)} }
 
+// reset empties the window, keeping its ring.
+func (w *lossWindow) reset() {
+	clear(w.ring)
+	w.n, w.idx, w.lost = 0, 0, 0
+}
+
 // Observe pushes one frame verdict (true = erased/corrupted).
 func (w *lossWindow) Observe(lost bool) {
 	if len(w.ring) == 0 {
@@ -281,36 +319,63 @@ func (w *lossWindow) Rate(prior float64) float64 {
 
 // RSTransferer moves payloads in RS-coded blocks whose parity budget is
 // re-sized from the loss window before every block — GuardRider's
-// adaptation loop.
-//
-// A transferer reuses its block storage from block to block: the last
-// (k, m) code, the data and parity shards, the received shards' storage
-// and the wave's shard list.
+// adaptation loop. Its storage outlives it: Release hands it, emptied, to
+// the next RSTransferer built.
 type RSTransferer struct {
 	Config RSConfig
 
-	frames  *link.FrameSender
-	window  *lossWindow
-	rs      *RS      // the last block's code
-	data    shardSet // the block's data shards
-	parity  shardSet // its parity shards
-	rxBuf   shardSet // its received shards' storage
-	rx      [][]byte // its received shards by index; nil marks an erasure
-	targets []int    // the wave's shard indices
+	frames *link.FrameSender
+	*rsStorage
 }
+
+// rsStorage is what an RSTransferer reuses from block to block, and what
+// Release hands to the next transferer: the code of each block size, the
+// block's data, parity and received shards, the received shards by index,
+// the wave's shard list, the loss window and the reconstruction's
+// scratch.
+type rsStorage struct {
+	// codes[k] is the code of a k-shard block at its parity ceiling. A
+	// code is immutable and counts no work, so it is kept, not emptied.
+	codes      []*RS
+	data       shardSet
+	parity     shardSet
+	parityDone int      // the block's parity shards computed so far
+	rxBuf      shardSet // the received shards' storage
+	rx         [][]byte // the received shards by index; nil marks an erasure
+	targets    []int    // the wave's shard indices
+	window     *lossWindow
+	solve      rsScratch
+}
+
+// rsStorages holds the storage of released RS transferers.
+var rsStorages sync.Pool
 
 // NewRSTransferer wires the adaptive-RS loop over sys; seed the backoff
 // jitter from a labeled stats.SubSeed path.
 func NewRSTransferer(sys *core.System, env *channel.Environment, cfg RSConfig, seed int64) *RSTransferer {
+	s, _ := rsStorages.Get().(*rsStorage)
+	if s == nil {
+		s = &rsStorage{window: newLossWindow(rsWindowFrames)}
+	}
 	return &RSTransferer{
-		Config: cfg,
-		frames: link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff"))),
-		window: newLossWindow(rsWindowFrames),
+		Config:    cfg,
+		frames:    link.NewFrameSender(sys, env, stats.NewRNG(stats.SubSeed(seed, "backoff"))),
+		rsStorage: s,
 	}
 }
 
-// Release ends the transferer's backoff stream (link.FrameSender.Release).
-func (t *RSTransferer) Release() { t.frames.Release() }
+// Release ends the transferer: its frame sender is released
+// (link.FrameSender.Release) and its storage goes, with an empty loss
+// window, to the next RSTransferer built; every block overwrites the
+// rest. t must not be used again. Releasing twice does nothing more.
+func (t *RSTransferer) Release() {
+	t.frames.Release()
+	if s := t.rsStorage; s != nil {
+		s.window.reset()
+		rsStorages.Put(s)
+		t.rsStorage = nil
+	}
+}
 
 // rsHeader is the per-shard frame header: block index and shard index.
 // The block geometry (k, n) is shared transferer state — in a real
@@ -338,41 +403,35 @@ func (t *RSTransferer) parityFor(k int, p float64) int {
 	return m
 }
 
-// code returns the (k, m) RS instance, building it only when the last
-// block's differed.
-func (t *RSTransferer) code(k, m int) (*RS, error) {
-	if c := t.rs; c != nil && c.K == k && c.M == m {
-		return c, nil
+// code returns the (k, m) code, building it only when the storage holds
+// none for k.
+func (s *rsStorage) code(k, m int) (*RS, error) {
+	if k < len(s.codes) {
+		if c := s.codes[k]; c != nil && c.M == m {
+			return c, nil
+		}
 	}
 	c, err := NewRS(k, m)
 	if err != nil {
 		return nil, err
 	}
-	t.rs = c
+	if k >= len(s.codes) {
+		s.codes = append(s.codes, make([]*RS, k+1-len(s.codes))...)
+	}
+	s.codes[k] = c
 	return c, nil
 }
 
-// shardSet is a block's shards, cut from one backing array that is
-// reused while it is large enough.
-type shardSet struct {
-	buf    []byte
-	shards [][]byte
-}
-
-// resize returns the set as n shards of size bytes. Their contents are
-// whatever the storage held.
-func (s *shardSet) resize(n, size int) [][]byte {
-	if cap(s.buf) < n*size {
-		s.buf = make([]byte, n*size)
+// parityShard returns parity shard j of the block in data, computing it,
+// and any shard before it still uncomputed, the first time a wave sends
+// it. Each computation is one coding_encode span.
+func (s *rsStorage) parityShard(rs *RS, data [][]byte, j int, spans *obs.Spans) []byte {
+	for ; s.parityDone <= j; s.parityDone++ {
+		sp := spans.Start()
+		rs.parityShard(s.parity.shards[s.parityDone], data, s.parityDone)
+		spans.End(obs.PhaseCodingEncode, sp)
 	}
-	if cap(s.shards) < n {
-		s.shards = make([][]byte, n)
-	}
-	s.shards = s.shards[:n]
-	for i := range s.shards {
-		s.shards[i] = s.buf[i*size : (i+1)*size : (i+1)*size]
-	}
-	return s.shards
+	return s.parity.shards[j]
 }
 
 // Send moves payload tag→client in adaptive RS blocks.
@@ -422,12 +481,10 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 		if err != nil {
 			return st, err
 		}
-		sp := spans.Start()
-		parity := t.parity.resize(mCap, cfg.ShardBytes)
-		if err := rs.ParityInto(parity, data); err != nil {
-			return st, err
-		}
-		spans.End(obs.PhaseCodingEncode, sp)
+		// Parity shards are computed as the waves send them: a block
+		// sends a few of its mCap.
+		t.parity.resize(mCap, cfg.ShardBytes)
+		t.parityDone = 0
 		// First wave: data shards plus a parity budget sized from the
 		// windowed erasure rate.
 		m0 := t.parityFor(k, t.window.Rate(rsPriorLoss))
@@ -465,7 +522,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 				if si < k {
 					shard = data[si]
 				} else {
-					shard = parity[si-k]
+					shard = t.parityShard(rs, data, si-k, spans)
 				}
 				hdr := [rsHeader]byte{byte(blockIdx), byte(si)}
 				dec, outcome, err := sendFrame(ctx, t.frames, t.frames.Payload(hdr[:], shard), st)
@@ -500,7 +557,7 @@ func (t *RSTransferer) Send(ctx context.Context, payload []byte) (*Stats, error)
 			if got >= k {
 				st.DecodeAttempts++
 				sp := spans.Start()
-				if err := rs.Reconstruct(rx); err != nil {
+				if err := rs.reconstruct(rx, &t.solve); err != nil {
 					return st, err
 				}
 				spans.End(obs.PhaseCodingDecode, sp)

@@ -112,6 +112,12 @@ func (q QuerySpec) appendSubframeAirtimes(dst []time.Duration, cipherOverhead in
 // on-air bytes. It fails when the target is shorter than the smallest
 // possible subframe.
 func (q *QuerySpec) ShapeForTick(tick time.Duration, ticks, cipherOverhead int) error {
+	return q.shapeForTick(nil, tick, ticks, cipherOverhead)
+}
+
+// shapeForTick is ShapeForTick writing the sizes into sizes' storage when
+// it has room.
+func (q *QuerySpec) shapeForTick(sizes []int, tick time.Duration, ticks, cipherOverhead int) error {
 	q.PayloadSizes = nil // re-shaping replaces any previous sizing
 	if err := q.Validate(); err != nil {
 		return err
@@ -130,7 +136,7 @@ func (q *QuerySpec) ShapeForTick(tick time.Duration, ticks, cipherOverhead int) 
 		return fmt.Errorf("core: %d-tick subframe (%.1f on-air bytes) below the %d-byte minimum at %v — raise ticks or lower the MCS",
 			ticks, targetBytes, min, q.MCS)
 	}
-	sizes := make([]int, q.Total())
+	sizes = slices.Grow(sizes[:0], q.Total())[:q.Total()]
 	cum := 0.0
 	for i := range sizes {
 		want := float64(i+1)*targetBytes - cum
@@ -150,9 +156,15 @@ func (q *QuerySpec) ShapeForTick(tick time.Duration, ticks, cipherOverhead int) 
 // 8, that fit the MPDU overhead, as ShapeForTick does for each count in
 // turn, and returns the last count's error when none fits.
 func (q *QuerySpec) ShapeMinTicks(tick time.Duration, cipherOverhead int) error {
+	return q.shapeMinTicks(nil, tick, cipherOverhead)
+}
+
+// shapeMinTicks is ShapeMinTicks writing the sizes into sizes' storage
+// when it has room.
+func (q *QuerySpec) shapeMinTicks(sizes []int, tick time.Duration, cipherOverhead int) error {
 	var err error
 	for ticks := 1; ticks <= 8; ticks++ {
-		if err = q.ShapeForTick(tick, ticks, cipherOverhead); err == nil {
+		if err = q.shapeForTick(sizes, tick, ticks, cipherOverhead); err == nil {
 			return nil
 		}
 	}

@@ -132,6 +132,8 @@ type systemScratch struct {
 	// from.
 	link linkScratch
 	cov  tag.CoverageBuffers
+	// sizes is the storage NewSystem shapes the query's payload sizes in.
+	sizes []int
 }
 
 // systemScratches holds the scratch of released systems.
@@ -203,9 +205,13 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 		rng:                 rng,
 		systemScratch:       newSystemScratch(),
 	}
-	if err := sys.Reshape(); err != nil {
+	// The world's first shaping writes its sizes into the scratch. Every
+	// later one allocates, so a spec copied from the world never changes
+	// under its holder while the world lives.
+	if err := sys.reshape(sys.sizes); err != nil {
 		return nil, err
 	}
+	sys.sizes = sys.Spec.PayloadSizes
 	return sys, nil
 }
 
@@ -265,9 +271,13 @@ func (s *System) Advance(env *channel.Environment) {
 // which its measured-ticks replay cancels to first order. Note the physical cost of encryption: CCMP's 16-byte
 // per-MPDU expansion can push the minimum subframe past one tick, halving
 // the tag's data rate.
-func (s *System) Reshape() error {
+func (s *System) Reshape() error { return s.reshape(nil) }
+
+// reshape is Reshape writing the sizes into sizes' storage when it has
+// room.
+func (s *System) reshape(sizes []int) error {
 	tick := time.Duration(float64(time.Second) / s.Tag.Clock.NominalHz)
-	return s.Spec.ShapeMinTicks(tick, s.cipherOverhead())
+	return s.Spec.shapeMinTicks(sizes, tick, s.cipherOverhead())
 }
 
 // SetCipher makes c the link cipher, nil for an open network, both for

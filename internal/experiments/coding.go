@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -288,25 +289,25 @@ func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []s
 	nS := len(schemeNames)
 	perProfile := nS * cfg.Transfers
 	o := cfg.Campaign.ObserverRef()
-	run, err := sim.Map(ctx, sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}, len(cfg.Profiles)*perProfile,
-		func(ctx context.Context, i int) (TransferOutcome, error) {
-			pi, si, tr := codingTrial(i, nS, cfg.Transfers)
-			prof := cfg.Profiles[pi]
-			var tape *core.LinkTape
-			if tapes != nil {
-				world := pi*cfg.Transfers + tr
-				tape = tapes.acquire(world, codingWorldTrial(cfg, prof, "", -1, tr).Build)
-				defer tapes.release(world)
-			}
-			return codingTransfer(ctx, cfg, prof, schemeNames[si], i, tr, o, tape)
-		})
+	out := make([]TransferOutcome, len(cfg.Profiles)*perProfile)
+	err := sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}.Each(ctx, len(out), func(ctx context.Context, i int) error {
+		pi, si, tr := codingTrial(i, nS, cfg.Transfers)
+		prof := cfg.Profiles[pi]
+		var tape *core.LinkTape
+		if tapes != nil {
+			world := pi*cfg.Transfers + tr
+			tape = tapes.acquire(world, cfg, prof, tr)
+			defer tapes.release(world)
+		}
+		t, err := codingTransfer(ctx, cfg, prof, schemeNames[si], i, tr, o, tape)
+		if err != nil {
+			return err
+		}
+		out[pi*perProfile+si*cfg.Transfers+tr] = t
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]TransferOutcome, len(run))
-	for i, t := range run {
-		pi, si, tr := codingTrial(i, nS, cfg.Transfers)
-		out[pi*perProfile+si*cfg.Transfers+tr] = t
 	}
 	return out, nil
 }
@@ -334,13 +335,14 @@ func newTapeSet(schemes int) *tapeSet {
 	return &tapeSet{schemes: schemes, tapes: map[int]*sharedTape{}}
 }
 
-// acquire returns world's tape, making it over build if it has none yet.
-func (s *tapeSet) acquire(world int, build func() (*core.System, *channel.Environment, error)) *core.LinkTape {
+// acquire returns the tape of world, the sweep's (prof, tr) world, making
+// it if it has none yet.
+func (s *tapeSet) acquire(world int, cfg AdaptiveCodingConfig, prof CodingProfile, tr int) *core.LinkTape {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tapes[world]
 	if t == nil {
-		t = &sharedTape{tape: core.NewLinkTape(build), left: s.schemes}
+		t = &sharedTape{tape: core.NewLinkTape(codingWorldBuild(cfg, prof, tr)), left: s.schemes}
 		s.tapes[world] = t
 	}
 	return t.tape
@@ -371,8 +373,8 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 		if tape != nil {
 			sys.Link, env = tape, nil
 		}
-		payload := stats.SeededBytes(codingSeed(cfg, prof, tr, "payload"), cfg.PayloadBytes)
-		out, err := RunTransfer(ctx, scheme, sys, env, payload, codingSeed(cfg, prof, tr, "xfer"))
+		payload := stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes)
+		out, err := RunTransfer(ctx, scheme, sys, env, payload, codingSeed(cfg.Seed, prof.Name, tr, "xfer"))
 		if err == nil && out.Delivered && !bytes.Equal(out.Received, payload) {
 			err = fmt.Errorf("experiments: %s delivered a corrupted payload at pf=%s tr=%d", scheme, prof.Name, tr)
 		}
@@ -380,24 +382,33 @@ func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingPr
 	})
 }
 
-// codingSeed derives the seed of one leaf of the (profile, tr) world.
-func codingSeed(cfg AdaptiveCodingConfig, prof CodingProfile, tr int, leaf string) int64 {
-	return stats.SubSeed(cfg.Seed, "coding", "pf="+prof.Name, fmt.Sprintf("tr=%d", tr), leaf)
+// codingSeed derives the seed of one leaf of the world of profile and
+// transfer tr, under the sweep's root seed.
+func codingSeed(root int64, profile string, tr int, leaf string) int64 {
+	return stats.SubSeed(root, "coding", "pf="+profile, "tr="+strconv.Itoa(tr), leaf)
 }
 
 // codingWorldTrial is trial traceID of the sweep, the (profile, tr)
-// world under scheme: testbed, fault injector and traffic generator, all
-// seeded from the world path alone. The scheme enters only the trace
-// labels ("coding/pf=…/tr=…/scheme=…"), never the seed tree.
+// world under scheme. The scheme enters only the trace labels
+// ("coding/pf=…/tr=…/scheme=…"), never the seed tree.
 func codingWorldTrial(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int) sim.Trial {
-	seed := func(leaf string) int64 { return codingSeed(cfg, prof, tr, leaf) }
 	return sim.Trial{
-		Build: losBuild(2, seed("env"), func(sys *core.System) error {
-			return attachLayers(sys, prof.Fault, prof.Traffic, seed)
-		}),
+		Build:  codingWorldBuild(cfg, prof, tr),
 		ID:     traceID,
-		Labels: fmt.Sprintf("coding/pf=%s/tr=%d/scheme=%s", prof.Name, tr, scheme),
+		Labels: "coding/pf=" + prof.Name + "/tr=" + strconv.Itoa(tr) + "/scheme=" + scheme,
 	}
+}
+
+// codingWorldBuild builds the (profile, tr) world: testbed, fault
+// injector and traffic generator, all seeded from the world path alone.
+// Its closures keep the world's names and seed, not the whole
+// configuration.
+func codingWorldBuild(cfg AdaptiveCodingConfig, prof CodingProfile, tr int) func() (*core.System, *channel.Environment, error) {
+	root, name, faultName, trafficName := cfg.Seed, prof.Name, prof.Fault, prof.Traffic
+	seed := func(leaf string) int64 { return codingSeed(root, name, tr, leaf) }
+	return losBuild(2, seed("env"), func(sys *core.System) error {
+		return attachLayers(sys, faultName, trafficName, seed)
+	})
 }
 
 // Render prints the sweep table.

@@ -169,8 +169,8 @@ func TestCodingStatsMatchCounters(t *testing.T) {
 		n := 0
 		for _, prof := range cfg.Profiles {
 			for tr := 0; tr < cfg.Transfers; tr++ {
-				payload := stats.SeededBytes(codingSeed(cfg, prof, tr, "payload"), cfg.PayloadBytes)
-				xfer := codingSeed(cfg, prof, tr, "xfer")
+				payload := stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes)
+				xfer := codingSeed(cfg.Seed, prof.Name, tr, "xfer")
 				st, err := sim.InWorld(codingWorldTrial(cfg, prof, scheme, n, tr), camp.Observer, func(sys *core.System, env *channel.Environment) (any, error) {
 					switch scheme {
 					case "arq":
@@ -320,8 +320,8 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 	const tr = 3
 	build := codingWorldTrial(cfg, prof, "", -1, tr).Build
 	tape := core.NewLinkTape(build)
-	payload := stats.SeededBytes(codingSeed(cfg, prof, tr, "payload"), cfg.PayloadBytes)
-	xfer := codingSeed(cfg, prof, tr, "xfer")
+	payload := stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes)
+	xfer := codingSeed(cfg.Seed, prof.Name, tr, "xfer")
 	// The worlds outlive the transfers, so the test builds and
 	// instruments them itself: the reader's streams are drawn afterwards.
 	world := func(o *obs.Observer) (*core.System, *channel.Environment) {

@@ -200,3 +200,46 @@ func TestSection41SweepAllocs(t *testing.T) {
 		t.Fatalf("a §4.1 sweep allocates %d B, want under 64 KiB", least)
 	}
 }
+
+// TestCodingTrialAllocs holds a coding trial, once the pools are warm,
+// under 4 KiB of allocation: one paired world runs ARQ, LT and RS over
+// its tape, as the sweep runs it, and every transferer's storage — its
+// frame bytes, ranges, shards, codes, symbol copies and controller — goes
+// back to the pools with its world. Before the transferers kept their
+// storage a coding trial allocated about 17 KiB.
+func TestCodingTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	cfg := DefaultAdaptiveCodingConfig()
+	prof := cfg.Profiles[1] // office: bursty faults and ambient traffic
+	const tr = 3
+	o := obs.NewObserver(nil, nil)
+	run := func() {
+		tapes := newTapeSet(len(CodingSchemes))
+		for si, scheme := range CodingSchemes {
+			tape := tapes.acquire(0, cfg, prof, tr)
+			if _, err := codingTransfer(context.Background(), cfg, prof, scheme, si, tr, o, tape); err != nil {
+				t.Fatal(err)
+			}
+			tapes.release(0)
+		}
+	}
+	run()
+	run()
+	// The least of a few batches, as in TestFigure5TrialAllocs.
+	const batches, worlds = 5, 4
+	least := ^uint64(0)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range worlds {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/(worlds*uint64(len(CodingSchemes))))
+	}
+	if least >= 4<<10 {
+		t.Fatalf("a warm coding trial allocates %d B, want under 4 KiB", least)
+	}
+}

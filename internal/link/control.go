@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"sync"
 
 	"witag/internal/core"
 )
@@ -30,14 +31,17 @@ type Level struct {
 // lightest first. Interleave depths are chosen against the burst lengths
 // the fault profiles produce (mean bad-state dwell 4–12 subframes): depth
 // ≥ 2× dwell spreads a burst to ≤1 error per SECDED codeword.
-func DefaultLadder() []Level {
-	return []Level{
-		{Codec: core.Codec{}, SegBytes: 48},
-		{Codec: core.Codec{FEC: true}, SegBytes: 32},
-		{Codec: core.Codec{FEC: true, InterleaveDepth: 8}, SegBytes: 24},
-		{Codec: core.Codec{FEC: true, InterleaveDepth: 16}, SegBytes: 16},
-		{Codec: core.Codec{FEC: true, InterleaveDepth: 32}, SegBytes: 8},
-	}
+func DefaultLadder() []Level { return appendDefaultLadder(nil) }
+
+// appendDefaultLadder appends DefaultLadder's rungs to dst.
+func appendDefaultLadder(dst []Level) []Level {
+	return append(dst,
+		Level{Codec: core.Codec{}, SegBytes: 48},
+		Level{Codec: core.Codec{FEC: true}, SegBytes: 32},
+		Level{Codec: core.Codec{FEC: true, InterleaveDepth: 8}, SegBytes: 24},
+		Level{Codec: core.Codec{FEC: true, InterleaveDepth: 16}, SegBytes: 16},
+		Level{Codec: core.Codec{FEC: true, InterleaveDepth: 32}, SegBytes: 8},
+	)
 }
 
 // CodingController adapts the coding level from frame verdicts.
@@ -56,19 +60,41 @@ type CodingController struct {
 	ewma   float64
 	seeded bool
 	okRun  int
+	// reusable marks a controller a constructor made: the Release of the
+	// transferer it was given hands it to the next one they make.
+	reusable bool
+}
+
+// controllers holds the controllers of released transferers.
+var controllers sync.Pool
+
+// newController returns a released transferer's controller, or a new
+// one, with an empty ladder that keeps its storage.
+func newController() *CodingController {
+	cc, _ := controllers.Get().(*CodingController)
+	if cc == nil {
+		cc = new(CodingController)
+	}
+	*cc = CodingController{Ladder: cc.Ladder[:0], reusable: true}
+	return cc
+}
+
+// release hands cc to the next controller a constructor makes, if a
+// constructor made it and it is not released yet.
+func (cc *CodingController) release() {
+	if cc.reusable {
+		cc.reusable = false
+		controllers.Put(cc)
+	}
 }
 
 // NewCodingController returns a controller on the default ladder,
 // starting at the given rung.
 func NewCodingController(startLevel int) (*CodingController, error) {
-	cc := &CodingController{
-		Ladder:      DefaultLadder(),
-		Alpha:       0.3,
-		EscalateFER: 0.35,
-		RelaxFER:    0.05,
-		RelaxAfter:  8,
-		level:       startLevel,
-	}
+	cc := newController()
+	cc.Ladder = appendDefaultLadder(cc.Ladder)
+	cc.Alpha, cc.EscalateFER, cc.RelaxFER, cc.RelaxAfter = 0.3, 0.35, 0.05, 8
+	cc.level = startLevel
 	if startLevel < 0 || startLevel >= len(cc.Ladder) {
 		return nil, fmt.Errorf("link: start level %d outside ladder [0,%d)", startLevel, len(cc.Ladder))
 	}
@@ -78,13 +104,13 @@ func NewCodingController(startLevel int) (*CodingController, error) {
 // NewFixedController returns a degenerate controller pinned to a single
 // level — the no-adaptation baseline for robustness experiments.
 func NewFixedController(lvl Level) *CodingController {
-	return &CodingController{
-		Ladder:      []Level{lvl},
-		Alpha:       0.3,
-		EscalateFER: 2, // unreachable
-		RelaxFER:    -1,
-		RelaxAfter:  1 << 30,
-	}
+	cc := newController()
+	cc.Ladder = append(cc.Ladder, lvl)
+	cc.Alpha = 0.3
+	cc.EscalateFER = 2 // unreachable
+	cc.RelaxFER = -1
+	cc.RelaxAfter = 1 << 30
+	return cc
 }
 
 // Level returns the current rung's coding parameters.

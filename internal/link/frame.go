@@ -3,6 +3,7 @@ package link
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"time"
 
 	"witag/internal/channel"
@@ -69,8 +70,9 @@ func (s *TransferStats) GoodputBps() float64 {
 // and every byte a frame passes through: the frame payload (Payload),
 // the codec's frame bytes and bits, the received bits and the decoded
 // payload, all reused from frame to frame, so a frame allocates nothing
-// once they have grown. Like the core.System it drives, it is not safe
-// for concurrent use.
+// once they have grown. That storage outlives the sender: Release hands
+// it to the next FrameSender built. Like the core.System it drives, it is
+// not safe for concurrent use.
 type FrameSender struct {
 	Sys *core.System
 
@@ -79,24 +81,44 @@ type FrameSender struct {
 	// dynamics sim.MeasureRun applies.
 	env    *channel.Environment
 	rng    *rand.Rand
-	erased int               // consecutive erased frames
-	fp     []byte            // the frame payload Payload builds
-	codec  core.CodecBuffers // the frame's bytes and bits, sent and decoded
-	rx     []byte            // received bits
-	res    core.RoundResult  // every round's result, its bits copied into rx
+	erased int // consecutive erased frames
+	*frameStorage
 }
+
+// frameStorage is the bytes a FrameSender's frames pass through.
+type frameStorage struct {
+	fp    []byte            // the frame payload Payload builds
+	codec core.CodecBuffers // the frame's bytes and bits, sent and decoded
+	rx    []byte            // received bits
+	res   core.RoundResult  // every round's result, its bits copied into rx
+}
+
+// frameStorages holds the storage of released frame senders.
+var frameStorages sync.Pool
 
 // NewFrameSender wires the frame loop over sys. rng is the backoff
 // jitter's only source; seed it from a labeled stats.SubSeed path, never
 // a shared or wall-clock one (the worker-count determinism contract,
 // DESIGN.md §8).
 func NewFrameSender(sys *core.System, env *channel.Environment, rng *rand.Rand) *FrameSender {
-	return &FrameSender{Sys: sys, env: env, rng: rng}
+	s, _ := frameStorages.Get().(*frameStorage)
+	if s == nil {
+		s = new(frameStorage)
+	}
+	return &FrameSender{Sys: sys, env: env, rng: rng, frameStorage: s}
 }
 
-// Release ends the sender's backoff stream (stats.Release): a later
-// Backoff panics.
-func (f *FrameSender) Release() { stats.Release(f.rng) }
+// Release ends the sender: its backoff stream is released
+// (stats.Release), so a later Backoff panics, and its storage goes to the
+// next FrameSender built, whose frames overwrite it, so a later Send
+// panics. Releasing twice does nothing more.
+func (f *FrameSender) Release() {
+	stats.Release(f.rng)
+	if s := f.frameStorage; s != nil {
+		frameStorages.Put(s)
+		f.frameStorage = nil
+	}
+}
 
 // Frame is one frame attempt's outcome.
 type Frame struct {
@@ -106,8 +128,8 @@ type Frame struct {
 	// Payload, Corrected and DecodeErr are the codec's verdict on a frame
 	// whose rounds all completed. core.DesyncError splits framing loss
 	// from residual errors. Payload is the sender's storage: it stays
-	// valid until the sender's next Send, so a caller copies what it
-	// keeps (DESIGN.md §17, stage 11).
+	// valid until the sender's next Send or its Release, so a caller
+	// copies what it keeps (DESIGN.md §17, stage 11).
 	Payload   []byte
 	Corrected int
 	DecodeErr error

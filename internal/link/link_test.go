@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -16,26 +17,26 @@ import (
 )
 
 func TestSplitRanges(t *testing.T) {
-	segs := splitRanges([]segment{{0, 64}}, 24)
+	segs := splitRange(nil, segment{0, 64}, 24)
 	want := []segment{{0, 24}, {24, 48}, {48, 64}}
 	if !reflect.DeepEqual(segs, want) {
 		t.Fatalf("split = %v", segs)
 	}
 	// Re-splitting a pending range preserves its offsets.
-	segs = splitRanges([]segment{{24, 48}}, 8)
+	segs = splitRange(nil, segment{24, 48}, 8)
 	want = []segment{{24, 32}, {32, 40}, {40, 48}}
 	if !reflect.DeepEqual(segs, want) {
 		t.Fatalf("re-split = %v", segs)
 	}
 	// Degenerate chunk sizes clamp rather than loop forever.
-	if got := splitRanges([]segment{{0, 3}}, 0); len(got) != 3 {
+	if got := splitRange(nil, segment{0, 3}, 0); len(got) != 3 {
 		t.Fatalf("chunk 0 → %v", got)
 	}
 }
 
 func TestFrameHeaderRoundTrip(t *testing.T) {
 	payload := stats.RandomBytes(stats.NewRNG(1), 300)
-	fp := buildFrame(&FrameSender{}, payload, segment{256, 300})
+	fp := buildFrame(NewFrameSender(nil, nil, nil), payload, segment{256, 300})
 	off, total, chunk, err := parseFrame(fp)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 		t.Fatal("short frame payload accepted")
 	}
 	// Header promising a chunk past the transfer end must be rejected.
-	bad := buildFrame(&FrameSender{}, payload, segment{256, 300})
+	bad := buildFrame(NewFrameSender(nil, nil, nil), payload, segment{256, 300})
 	bad[2], bad[3] = 0, 10 // total = 10 < off
 	if _, _, _, err := parseFrame(bad); err == nil {
 		t.Fatal("overrunning chunk accepted")
@@ -362,5 +363,80 @@ func TestFrameSenderSendAllocs(t *testing.T) {
 	send()
 	if want, allocs := 0.0, testing.AllocsPerRun(10, send); allocs != want {
 		t.Fatalf("Send allocates %v times per %d-round frame, want %v", allocs, rounds, want)
+	}
+}
+
+// TestTransfererReleaseStartsCold: an ARQ transferer built on the storage
+// a released one emptied — its frame storage, its ranges and reassembler,
+// and its adaptive controller, all grown and written by a longer transfer
+// over a more hostile world that climbed the ladder — must give every stat
+// and the received bytes a transferer on fresh storage gives, and a
+// controller on a released one's storage must start as a fresh one does.
+// The fresh run is not released, so no warm run inherits its storage.
+// The pools hand released storage back most of the time, not always, so
+// the warm run repeats until it has run on all of the dirty storage, and
+// the test fails if that never happens.
+func TestTransfererReleaseStartsCold(t *testing.T) {
+	type storage struct {
+		frames *frameStorage
+		arq    *arqStorage
+		cc     *CodingController
+	}
+	freshCC := CodingController{Ladder: DefaultLadder(), Alpha: 0.3, EscalateFER: 0.35, RelaxFER: 0.05, RelaxAfter: 8, reusable: true}
+	run := func(seed int64, lossBad float64, n int, fresh bool) (string, storage) {
+		p, err := fault.Named("bursty")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.LossBad = lossBad
+		sys, env := linkTestbed(t, seed)
+		if sys.Faults, err = fault.NewInjector(p, stats.SubSeed(seed, "fault")); err != nil {
+			t.Fatal(err)
+		}
+		cc, err := NewCodingController(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := NewTransferer(sys, env, DefaultPolicy(), cc, stats.SubSeed(seed, "arq"))
+		if fresh {
+			c := freshCC
+			x.frames.frameStorage, x.arqStorage, x.Controller = new(frameStorage), new(arqStorage), &c
+		} else if !reflect.DeepEqual(*cc, freshCC) {
+			t.Fatalf("a new controller reads %+v, want %+v", *cc, freshCC)
+		}
+		used := storage{x.frames.frameStorage, x.arqStorage, x.Controller}
+		payload := stats.RandomBytes(stats.NewRNG(stats.SubSeed(seed, "payload")), n)
+		st, err := x.Send(context.Background(), payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fresh {
+			x.Release()
+		}
+		return fmt.Sprintf("%+v received=%x", st.TransferStats, st.Received) +
+			fmt.Sprintf(" retries=%d failures=%d desync=%d residual=%d corrected=%d level=%d",
+				st.Retries, st.RoundFailures, st.DesyncErrors, st.ResidualErrors, st.CorrectedBits, st.FinalLevel), used
+	}
+	cold, _ := run(9, 0.9, 96, true)
+	var reused storage
+	for i := 0; i < 20 && (reused.frames == nil || reused.arq == nil || reused.cc == nil); i++ {
+		_, dirty := run(10, 0.95, 300, false)
+		warm, used := run(9, 0.9, 96, false)
+		if warm != cold {
+			t.Fatalf("ARQ on released storage:\n got %s\nwant %s", warm, cold)
+		}
+		if used.frames == dirty.frames {
+			reused.frames = used.frames
+		}
+		if used.arq == dirty.arq {
+			reused.arq = used.arq
+		}
+		if used.cc == dirty.cc {
+			reused.cc = used.cc
+		}
+	}
+	if reused.frames == nil || reused.arq == nil || reused.cc == nil {
+		t.Errorf("no transferer ran on all the storage a released one left: frames %v, ranges %v, controller %v",
+			reused.frames != nil, reused.arq != nil, reused.cc != nil)
 	}
 }

@@ -11,6 +11,7 @@ package link
 
 import (
 	"fmt"
+	"slices"
 
 	"witag/internal/core"
 )
@@ -34,25 +35,19 @@ type segment struct{ start, end int }
 
 func (s segment) len() int { return s.end - s.start }
 
-// splitRanges re-splits ranges so none exceeds chunk bytes.
-func splitRanges(segs []segment, chunk int) []segment {
+// splitRange appends s, split into ranges of at most chunk bytes, to dst
+// and returns the extended slice.
+func splitRange(dst []segment, s segment, chunk int) []segment {
 	if chunk < 1 {
 		chunk = 1
 	}
 	if chunk > MaxChunk {
 		chunk = MaxChunk
 	}
-	var out []segment
-	for _, s := range segs {
-		for at := s.start; at < s.end; at += chunk {
-			end := at + chunk
-			if end > s.end {
-				end = s.end
-			}
-			out = append(out, segment{at, end})
-		}
+	for at := s.start; at < s.end; at += chunk {
+		dst = append(dst, segment{at, min(at+chunk, s.end)})
 	}
-	return out
+	return dst
 }
 
 // buildFrame assembles the link-frame payload for one segment of the
@@ -81,11 +76,15 @@ func parseFrame(fp []byte) (off, total int, chunk []byte, err error) {
 // Reassembler is the client-side buffer: it learns the transfer length
 // from the first frame header and fills byte ranges as frames arrive, in
 // any order and with duplicates (a retransmitted range overwrites with
-// identical bytes — every chunk passed frame CRC).
+// identical bytes — every chunk passed frame CRC). The zero value is
+// ready.
 type Reassembler struct {
-	buf []byte
+	buf []byte // the transfer; empty until the first frame fixes its length
 	got []bool
 }
+
+// reset empties r for a new transfer, keeping its storage.
+func (r *Reassembler) reset() { r.buf, r.got = r.buf[:0], r.got[:0] }
 
 // Add stores one verified chunk. The first call fixes the transfer
 // length; later frames must agree.
@@ -93,9 +92,10 @@ func (r *Reassembler) Add(off, total int, chunk []byte) error {
 	if total < 1 || total > MaxTransfer {
 		return fmt.Errorf("link: transfer length %d outside [1,%d]", total, MaxTransfer)
 	}
-	if r.buf == nil {
-		r.buf = make([]byte, total)
-		r.got = make([]bool, total)
+	if len(r.buf) == 0 {
+		r.buf = slices.Grow(r.buf, total)[:total]
+		r.got = slices.Grow(r.got, total)[:total]
+		clear(r.got)
 	}
 	if total != len(r.buf) {
 		return fmt.Errorf("link: frame says %d-byte transfer, earlier frames said %d", total, len(r.buf))
@@ -112,7 +112,7 @@ func (r *Reassembler) Add(off, total int, chunk []byte) error {
 
 // Missing counts bytes not yet received.
 func (r *Reassembler) Missing() int {
-	if r.buf == nil {
+	if len(r.buf) == 0 {
 		return -1 // length unknown until the first frame
 	}
 	n := 0
@@ -124,7 +124,8 @@ func (r *Reassembler) Missing() int {
 	return n
 }
 
-// Payload returns the reassembled transfer; it fails while gaps remain.
+// Payload returns the reassembled transfer, in fresh storage; it fails
+// while gaps remain.
 func (r *Reassembler) Payload() ([]byte, error) {
 	if m := r.Missing(); m != 0 {
 		return nil, fmt.Errorf("link: transfer incomplete (%d bytes missing)", m)

@@ -3,6 +3,8 @@ package link
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"witag/internal/channel"
 	"witag/internal/core"
@@ -35,7 +37,8 @@ type Stats struct {
 
 // Transferer runs reliable transfers over one deployment. Like the
 // core.System it drives, it is not safe for concurrent use; parallel
-// campaigns build one per trial.
+// campaigns build one per trial. Its storage outlives it: Release hands
+// it to the next Transferer built.
 type Transferer struct {
 	Policy Policy
 	// Controller adapts the coding; use NewFixedController for a no-ARQ
@@ -43,22 +46,55 @@ type Transferer struct {
 	Controller *CodingController
 
 	frames *FrameSender
+	*arqStorage
 }
+
+// arqStorage is what a Transferer reuses from transfer to transfer: the
+// ranges still to deliver, a range's re-split pieces and the reassembler.
+// Send empties each before it uses it.
+type arqStorage struct {
+	pending []segment
+	split   []segment
+	rx      Reassembler
+}
+
+// arqStorages holds the storage of released transferers.
+var arqStorages sync.Pool
 
 // NewTransferer wires a transfer loop over sys; env, when non-nil, moves
 // between query rounds (see FrameSender). Seed every instance from a
 // labeled stats.SubSeed path — the backoff jitter is the loop's only
 // randomness.
 func NewTransferer(sys *core.System, env *channel.Environment, pol Policy, cc *CodingController, seed int64) *Transferer {
+	s, _ := arqStorages.Get().(*arqStorage)
+	if s == nil {
+		s = new(arqStorage)
+	}
 	return &Transferer{
 		Policy:     pol,
 		Controller: cc,
 		frames:     NewFrameSender(sys, env, stats.NewRNG(seed)),
+		arqStorage: s,
 	}
 }
 
-// Release ends the transferer's backoff stream (FrameSender.Release).
-func (t *Transferer) Release() { t.frames.Release() }
+// Release ends the transferer: its frame sender is released
+// (FrameSender.Release), its storage goes to the next Transferer built,
+// and its controller, when NewCodingController or
+// NewFixedController made it, to the next controller they make. Neither
+// t nor its controller may be used again. Releasing twice does nothing
+// more.
+func (t *Transferer) Release() {
+	t.frames.Release()
+	if s := t.arqStorage; s != nil {
+		arqStorages.Put(s)
+		t.arqStorage = nil
+	}
+	if cc := t.Controller; cc != nil {
+		cc.release()
+		t.Controller = nil
+	}
+}
 
 // Send moves payload tag→client reliably: segment, query, verify each
 // frame's CRC, selectively re-query failed ranges, back off after round
@@ -107,8 +143,12 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 			})
 		}()
 	}
-	rx := &Reassembler{}
-	pending := splitRanges([]segment{{0, len(payload)}}, t.Controller.Level().SegBytes)
+	rx := &t.rx
+	rx.reset()
+	// pending always starts at its array's start, so the storage keeps
+	// the whole array when an append moves it.
+	pending := splitRange(t.pending[:0], segment{0, len(payload)}, t.Controller.Level().SegBytes)
+	t.pending = pending
 	budget := t.Policy.RetryBudget
 
 	for len(pending) > 0 {
@@ -122,7 +162,9 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 		// queued; re-split it in place, keeping already-delivered ranges
 		// untouched (offsets, not sequence numbers, make this free).
 		if seg.len() > lvl.SegBytes {
-			pending = append(splitRanges([]segment{seg}, lvl.SegBytes), pending[1:]...)
+			t.split = splitRange(t.split[:0], seg, lvl.SegBytes)
+			pending = slices.Replace(pending, 0, 1, t.split...)
+			t.pending = pending
 			continue
 		}
 		ok, erased, err := t.attempt(ctx, payload, seg, lvl, rx, st)
@@ -131,7 +173,7 @@ func (t *Transferer) Send(ctx context.Context, payload []byte) (*Stats, error) {
 			return st, err
 		}
 		if ok {
-			pending = pending[1:]
+			pending = slices.Delete(pending, 0, 1)
 			continue
 		}
 		if budget <= 0 {

@@ -1,48 +1,29 @@
 package obs
 
-import "runtime/metrics"
+import "runtime"
 
 // RuntimeStats is a point-in-time reading of the process-global Go
 // runtime accounting the perf report cares about. All fields are
 // cumulative since process start; subtract two readings for a campaign
 // delta.
 type RuntimeStats struct {
-	AllocBytes   uint64 // /gc/heap/allocs:bytes
-	AllocObjects uint64 // /gc/heap/allocs:objects
-	GCCycles     uint64 // /gc/cycles/total:gc-cycles
+	AllocBytes   uint64 // runtime.MemStats.TotalAlloc
+	AllocObjects uint64 // runtime.MemStats.Mallocs
+	GCCycles     uint64 // runtime.MemStats.NumGC
 }
 
-var runtimeSampleNames = []string{
-	"/gc/heap/allocs:bytes",
-	"/gc/heap/allocs:objects",
-	"/gc/cycles/total:gc-cycles",
-}
-
-// ReadRuntimeStats samples the runtime/metrics counters behind
-// RuntimeStats. The readings are process-global, not per-goroutine — the
-// runner snapshots them around a whole campaign, so the difference is that
-// campaign's alone only while no other campaign allocates in the process.
+// ReadRuntimeStats reads the runtime.MemStats counters behind
+// RuntimeStats. runtime.ReadMemStats stops the world and flushes every
+// P's allocation cache first, so the counters are exact to the object;
+// the runtime/metrics heap counters instead count a whole span as
+// allocated when a P takes it, and moved in steps of up to 8 KiB. The
+// readings are process-global, not per-goroutine — the runner reads them
+// around a whole campaign, so the difference is that campaign's alone
+// only while no other campaign allocates in the process.
 func ReadRuntimeStats() RuntimeStats {
-	samples := make([]metrics.Sample, len(runtimeSampleNames))
-	for i, name := range runtimeSampleNames {
-		samples[i].Name = name
-	}
-	metrics.Read(samples)
-	var rs RuntimeStats
-	for i, s := range samples {
-		if s.Value.Kind() != metrics.KindUint64 {
-			continue
-		}
-		switch runtimeSampleNames[i] {
-		case "/gc/heap/allocs:bytes":
-			rs.AllocBytes = s.Value.Uint64()
-		case "/gc/heap/allocs:objects":
-			rs.AllocObjects = s.Value.Uint64()
-		case "/gc/cycles/total:gc-cycles":
-			rs.GCCycles = s.Value.Uint64()
-		}
-	}
-	return rs
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return RuntimeStats{AllocBytes: ms.TotalAlloc, AllocObjects: ms.Mallocs, GCCycles: uint64(ms.NumGC)}
 }
 
 // Sub returns the component-wise difference rs − prev.

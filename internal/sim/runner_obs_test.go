@@ -74,3 +74,51 @@ func TestEachCancellationWithInstrumentation(t *testing.T) {
 		t.Errorf("started %d != done %d with no failures", started, done)
 	}
 }
+
+// allocSink holds what TestCampaignAllocationExact's items allocate, so
+// every allocation reaches the heap.
+var allocSink [12][]byte
+
+// TestCampaignAllocationExact: PROF's allocation figures are the runner's
+// runtime deltas around a campaign, so they must count a campaign's
+// allocations to the object. A campaign whose 4 items each allocate three
+// 48-byte objects must read 576 bytes and 12 objects more than the same
+// campaign whose items allocate nothing, within one object. Counters that
+// move a whole span at a time read 0 or about a span's 8 KiB more instead.
+// A stray allocation elsewhere in the process can land in a measurement,
+// and under -race the runner's own allocation varies from campaign to
+// campaign (by 456 B in 6 objects, in about half the campaigns), so the
+// test passes on the first of 20 tries whose two campaigns differ by the
+// items' work alone.
+func TestCampaignAllocationExact(t *testing.T) {
+	const items, perItem, size = 4, 3, 48
+	measure := func(alloc bool) (bytes, objects int64) {
+		c := obs.NewCampaign("allocs", obs.CampaignOptions{})
+		err := Runner{Workers: 1, Campaign: c}.Each(context.Background(), items, func(ctx context.Context, i int) error {
+			if alloc {
+				for j := range perItem {
+					allocSink[i*perItem+j] = make([]byte, size)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := c.Registry.Snapshot()
+		return snap.Counters["runner.alloc_bytes"], snap.Counters["runner.alloc_objects"]
+	}
+	measure(true) // warms the runner's goroutine and the observer
+	var gotBytes, gotObjects int64
+	for range 20 {
+		baseBytes, baseObjects := measure(false)
+		allocBytes, allocObjects := measure(true)
+		gotBytes, gotObjects = allocBytes-baseBytes, allocObjects-baseObjects
+		if gotBytes >= (items*perItem-1)*size && gotBytes <= (items*perItem+1)*size &&
+			gotObjects >= items*perItem-1 && gotObjects <= items*perItem+1 {
+			return
+		}
+	}
+	t.Fatalf("a campaign allocating %d B in %d objects read %d B in %d objects more than an empty one",
+		items*perItem*size, items*perItem, gotBytes, gotObjects)
+}

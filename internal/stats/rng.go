@@ -11,6 +11,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // NewRNG returns a deterministic pseudo-random source for the given seed.
@@ -137,10 +138,24 @@ func RandomBytes(r *rand.Rand, n int) []byte {
 }
 
 // SeededBytes returns n pseudo-random bytes from a stream of its own,
-// seeded with seed, and releases that stream: RandomBytes(NewRNG(seed), n)
-// without leaving a register to the collector.
+// seeded with seed: RandomBytes(NewRNG(seed), n) without leaving a
+// register or a stream to the collector. No caller sees the stream, so
+// it serves a later call, reseeded, and its register goes back to the
+// registers.
 func SeededBytes(seed int64, n int) []byte {
-	r := NewRNG(seed)
-	defer Release(r)
-	return RandomBytes(r, n)
+	seedTablesOnce.Do(buildSeedTables)
+	l, _ := seededStreams.Get().(*lazyRand)
+	if l == nil {
+		l = new(lazyRand)
+		l.r = *rand.New(&l.src)
+	}
+	l.src = source{}
+	l.r.Seed(seed)
+	b := RandomBytes(&l.r, n)
+	l.src.release()
+	seededStreams.Put(l)
+	return b
 }
+
+// seededStreams holds the streams SeededBytes drew from.
+var seededStreams sync.Pool
