@@ -265,10 +265,9 @@ fuzzseed:
 # static-prefix and tag-term caches must notice every in-place edit of
 # their inputs, the rotation phase ramp must stay within tolerance of the
 # per-subcarrier oracle, and the union bound's log-coefficient table must
-# be bit-equal to the Lgamma expression it replaces. The per-round memos
-# answer to the same bar: the memoised decode model must be bit-equal to
-# the direct one, the trigger, link-power and coverage caches must notice
-# every in-place edit of their inputs, RandomBits must draw Intn(2)'s
+# be bit-equal to the Lgamma expression it replaces. The per-world caches
+# answer to the same bar: the trigger, link-power and coverage caches must
+# notice every in-place edit of their inputs, RandomBits must draw Intn(2)'s
 # stream, and the phase spans must stay exact in count — laned histograms
 # read like single-lane ones, Lap chains are contiguous, and every
 # experiment records the same spans per phase at any worker count. The
@@ -297,9 +296,10 @@ fuzzseed:
 # sweep must count and trace what a local one does, and a taped transfer
 # must leave its own fault and traffic streams at their first draw. Stage
 # 8 too: the decode table must give every subframe of every round the
-# split and success probability the coverage sum gave, with as many
-# decode-model evaluations, and must refuse what the tag's layout
-# refuses; and the trace export's hand-written event lines must equal
+# split and success probability the coverage sum gave, with one
+# decode-model evaluation per distinct (BER, bits) pair, must price
+# everything afresh when its round stamp wraps, and must refuse what the
+# tag's layout refuses; and the trace export's hand-written event lines must equal
 # encoding/json's byte for byte. Stage 9 too: a round into a reused result
 # must give every field, counter and trace event a fresh QueryRound gives,
 # and MeasureRun must allocate no more over 1,000 rounds than over 100.
@@ -309,7 +309,8 @@ fuzzseed:
 # ARQ, LT or RS transfer must allocate as often over twice the frames,
 # and a laned counter must read what a single-lane one fed the same adds
 # reads. Stage 12 too: a stream on a reused or reseeded register must
-# draw math/rand v1's stream, a released stream must panic, a world on
+# draw math/rand v1's stream, SeededBytes after dirty registers were
+# released what a fresh stream draws, a released stream must panic, a world on
 # storage a released world emptied must count and give what a fresh one
 # does, a campaign on warm pools what one on empty pools gives, a warm
 # Figure 5 trial must allocate under 8 KiB, and the fountain decoder's
@@ -336,10 +337,12 @@ fuzzseed:
 # must be referenced by a non-test file of the repository, resolved by
 # go/types (a method also by an interface it implements that the standard
 # library or the repository calls through); the rule's own fixture pins
-# what it reports, and a package it cannot type-check fails it.
+# what it reports, and a package it cannot type-check fails it. And no
+# name in this target's -run lists may match no Test, Fuzz or Benchmark
+# function of the packages its command lists.
 determinism:
 	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|SuccessMemo|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|FuzzDecodeTable|TestDecodeTableBounds|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned|ReleasedStreamPanics|EnvironmentReleaseStartsCold|SystemReleaseStartsCold|WarmPoolsMatchCold|Figure5TrialAllocs|FountainGaussianReusesScratch|OnlySimInstruments|RobustnessTransferAllocs|RoundAirtimeMatchesBuiltQuery|LoSTagRateMatchesWorld|Section41SweepAllocs|TransfererReleaseStartsCold|FountainDecoderStorageStartsCold|RSParityOnDemandMatchesParity|CodingTrialAllocs' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|DeterminismRunListNamesTests|FuzzDecodeTable|TestDecodeTableBounds|DecodeTableRoundWrap|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned|ReleasedStreamPanics|SeededBytesMatchesRandomBytes|EnvironmentReleaseStartsCold|SystemReleaseStartsCold|WarmPoolsMatchCold|Figure5TrialAllocs|FountainGaussianReusesScratch|OnlySimInstruments|RobustnessTransferAllocs|RoundAirtimeMatchesBuiltQuery|LoSTagRateMatchesWorld|Section41SweepAllocs|TransfererReleaseStartsCold|FountainDecoderStorageStartsCold|RSParityOnDemandMatchesParity|CodingTrialAllocs' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

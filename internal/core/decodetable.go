@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"witag/internal/dot11"
+	"witag/internal/phy"
 	"witag/internal/tag"
 )
 
@@ -17,7 +18,8 @@ import (
 // the subframe. A decodeTable therefore holds, per subframe, the split
 // for every bit combination of its windows, built once per plan and
 // window geometry with the arithmetic the per-round coverage sum used; a
-// round only indexes it, and prices each split it meets once.
+// round only indexes it, and prices each split and each part size it
+// meets once.
 
 // maxTableWindows bounds how many corruption windows one subframe may
 // lie under: the table holds 2^k splits for a subframe under k windows.
@@ -38,7 +40,7 @@ type tableSub struct {
 }
 
 // decodeTable holds every subframe's split for one query plan and one
-// window geometry, and the current round's price of each split.
+// window geometry, and the current round's prices.
 type decodeTable struct {
 	// The key: the plan's per-subframe bits and data subframe airtimes,
 	// and the window geometry (ticks 0: no windows). gen is the plan
@@ -52,11 +54,29 @@ type decodeTable struct {
 	subs   []tableSub // one per subframe, triggers first
 	combos []uint16   // indices into splits
 	splits []split
+	// sizes lists the distinct bit counts of the splits' clean and
+	// corrupted parts; parts[i] indexes split i's two parts in it, −1
+	// for a part of no bits.
+	sizes []int
+	parts []splitParts
 
-	// price[i] is split i's success probability this round when
-	// stamp[i] == round.
-	price []float64
-	stamp []uint32
+	// The round's prices, each valid when stamped with round: price[i]
+	// is split i's success probability, and at[0][j] and at[1][j] that
+	// of sizes[j] bits at the clean and at the corrupted BER. evals
+	// counts the size prices the round has paid for.
+	price []stamped
+	at    [2][]stamped
+	round uint32
+	evals int
+}
+
+// splitParts is a split's clean and corrupted part as indices into the
+// table's sizes.
+type splitParts struct{ clean, dirty int32 }
+
+// stamped is a price and the round it was paid in.
+type stamped struct {
+	p     float64
 	round uint32
 }
 
@@ -189,11 +209,37 @@ func (t *decodeTable) build(plan *queryPlan, lay *tag.CoverageBuffers) error {
 			t.combos = append(t.combos, uint16(id))
 		}
 	}
-	t.price = slices.Grow(t.price[:0], len(t.splits))[:len(t.splits)]
-	t.stamp = slices.Grow(t.stamp[:0], len(t.splits))[:len(t.splits)]
-	clear(t.stamp)
+	t.sizes, t.parts = t.sizes[:0], t.parts[:0]
+	for _, sp := range t.splits {
+		t.parts = append(t.parts, splitParts{t.sizeIndex(sp.clean), t.sizeIndex(sp.dirty)})
+	}
+	t.price = resetPrices(t.price, len(t.splits))
+	for i := range t.at {
+		t.at[i] = resetPrices(t.at[i], len(t.sizes))
+	}
 	t.round = 0
 	return nil
+}
+
+// sizeIndex returns the index of bits in t.sizes, adding it if absent,
+// or −1 for no bits.
+func (t *decodeTable) sizeIndex(bits int) int32 {
+	if bits == 0 {
+		return -1
+	}
+	i := slices.Index(t.sizes, bits)
+	if i < 0 {
+		i = len(t.sizes)
+		t.sizes = append(t.sizes, bits)
+	}
+	return int32(i)
+}
+
+// resetPrices returns p at length n, every price unstamped.
+func resetPrices(p []stamped, n int) []stamped {
+	p = slices.Grow(p[:0], n)[:n]
+	clear(p)
+	return p
 }
 
 // roundSplits fills ids[i] with the split subframe i takes this round:
@@ -218,30 +264,50 @@ func (t *decodeTable) roundSplits(ids []uint16, txBits []byte, detected bool, br
 	}
 }
 
-// begin starts a round: no split has a price yet.
+// begin starts a round: nothing has a price yet.
 func (t *decodeTable) begin() {
+	t.evals = 0
 	t.round++
 	if t.round == 0 { // wrapped: an old stamp could match again
-		clear(t.stamp)
+		clear(t.price)
+		clear(t.at[0])
+		clear(t.at[1])
 		t.round = 1
 	}
 }
 
 // prob returns split id's success probability at the round's coded BERs
-// — phy.SuccessProbAtBER of its clean and of its corrupted bits, through
-// the round's memo — evaluating it on the split's first use this round.
-// An all-clean split is 1·p, which is p exactly.
-func (t *decodeTable) prob(id uint16, m *successMemo, cleanBER, dirtyBER float64) float64 {
-	if t.stamp[id] == t.round {
-		return t.price[id]
+// — the product of its clean and its corrupted part's prices — computing
+// it on the split's first use this round. An all-clean split is 1·p,
+// which is p exactly.
+func (t *decodeTable) prob(id uint16, cleanBER, dirtyBER float64) float64 {
+	s := &t.price[id]
+	if s.round == t.round {
+		return s.p
 	}
-	sp, p := t.splits[id], 1.0
-	if sp.clean > 0 {
-		p *= m.prob(cleanBER, sp.clean)
+	pt, p := t.parts[id], 1.0
+	if pt.clean >= 0 {
+		p *= t.sizeProb(0, cleanBER, pt.clean)
 	}
-	if sp.dirty > 0 {
-		p *= m.prob(dirtyBER, sp.dirty)
+	if pt.dirty >= 0 {
+		at := 1
+		if dirtyBER == cleanBER { // one BER: the corrupted part reads the clean prices
+			at = 0
+		}
+		p *= t.sizeProb(at, dirtyBER, pt.dirty)
 	}
-	t.price[id], t.stamp[id] = p, t.round
+	*s = stamped{p, t.round}
 	return p
+}
+
+// sizeProb returns phy.SuccessProbAtBER(ber, t.sizes[j]) from the prices
+// at[at], evaluating it on its first use this round: one evaluation per
+// distinct (BER, bits) pair the round meets.
+func (t *decodeTable) sizeProb(at int, ber float64, j int32) float64 {
+	s := &t.at[at][j]
+	if s.round != t.round {
+		*s = stamped{phy.SuccessProbAtBER(ber, t.sizes[j]), t.round}
+		t.evals++
+	}
+	return s.p
 }

@@ -6,19 +6,32 @@ import (
 
 	"witag/internal/channel"
 	"witag/internal/dot11"
+	"witag/internal/phy"
 	"witag/internal/stats"
 	"witag/internal/tag"
 )
 
+// berBits is one (BER, bits) pair the decode model prices. As a map key
+// its BER compares with ==, so +0 and −0 are one key.
+type berBits struct {
+	ber  float64
+	bits int
+}
+
 // subframeSuccessProb is the per-subframe decode model QueryRound used
 // before the decode table, kept as its oracle: split a subframe's bits by
 // its corruption coverage into clean-channel and corrupted segments at
-// the round's two coded BERs, and multiply their success probabilities
-// through the round's memo.
-func subframeSuccessProb(m *successMemo, cleanBER, dirtyBER float64, subBits int, coverage float64) float64 {
+// the round's two coded BERs, and multiply their success probabilities.
+// Each (BER, bits) pair it prices goes into asked, whose size is then the
+// evaluations a round that pays once per pair makes.
+func subframeSuccessProb(asked map[berBits]bool, cleanBER, dirtyBER float64, subBits int, coverage float64) float64 {
+	prob := func(ber float64, bits int) float64 {
+		asked[berBits{ber, bits}] = true
+		return phy.SuccessProbAtBER(ber, bits)
+	}
 	if coverage <= 0 {
 		// An untouched subframe is one clean segment: 1·p is p exactly.
-		return m.prob(cleanBER, subBits)
+		return prob(cleanBER, subBits)
 	}
 	if coverage > 1 {
 		coverage = 1
@@ -27,10 +40,10 @@ func subframeSuccessProb(m *successMemo, cleanBER, dirtyBER float64, subBits int
 	cleanBits := int(math.Round(float64(subBits) * (1 - coverage)))
 	dirtyBits := subBits - cleanBits
 	if cleanBits > 0 {
-		p *= m.prob(cleanBER, cleanBits)
+		p *= prob(cleanBER, cleanBits)
 	}
 	if dirtyBits > 0 {
-		p *= m.prob(dirtyBER, dirtyBits)
+		p *= prob(dirtyBER, dirtyBits)
 	}
 	return p
 }
@@ -47,9 +60,9 @@ func oracleSplit(subBits int, coverage float64) split {
 
 // FuzzDecodeTable holds the decode table to the arithmetic it replaces,
 // round by round: the tag's coverage sum (tag.CorruptionCoverageSchedule),
-// the brownout clear, then subframeSuccessProb through a memo of its own.
-// Every subframe's split and success probability must match bit for bit,
-// and the round's memo must pay for as many (BER, bits) pairs. The worlds
+// the brownout clear, then subframeSuccessProb. Every subframe's split
+// and success probability must match bit for bit, and the round must pay
+// for one evaluation per distinct (BER, bits) pair it prices. The worlds
 // cover crystal and ring clocks at 25 and 35 °C, dithered open and
 // CCMP-shaped queries, an MCS that alternates between rounds, measured
 // ticks off by one, trigger misses, brownouts and equal clean and dirty
@@ -116,7 +129,6 @@ func FuzzDecodeTable(f *testing.F) {
 			}
 			var ids [dot11.MaxSubframes]uint16
 			tab.roundSplits(ids[:trig+data], txBits, detected, brownStart, brownLen)
-			sys.memo.reset()
 			tab.begin()
 
 			coverage := make([]float64, data)
@@ -126,15 +138,14 @@ func FuzzDecodeTable(f *testing.F) {
 				}
 				clear(coverage[brownStart : brownStart+brownLen])
 			}
-			var memo successMemo
-			memo.reset()
+			asked := map[berBits]bool{}
 			for i := range trig + data {
 				f := 0.0
 				if i >= trig {
 					f = coverage[i-trig]
 				}
-				want := subframeSuccessProb(&memo, cleanBER, dirtyBER, plan.subBits[i], f)
-				got := tab.prob(ids[i], &sys.memo, cleanBER, dirtyBER)
+				want := subframeSuccessProb(asked, cleanBER, dirtyBER, plan.subBits[i], f)
+				got := tab.prob(ids[i], cleanBER, dirtyBER)
 				if sp, wantSp := tab.splits[ids[i]], oracleSplit(plan.subBits[i], f); sp != wantSp {
 					t.Fatalf("round %d subframe %d (coverage %v): split %+v, oracle %+v", round, i, f, sp, wantSp)
 				}
@@ -142,8 +153,8 @@ func FuzzDecodeTable(f *testing.F) {
 					t.Fatalf("round %d subframe %d (coverage %v): p %v, oracle %v", round, i, f, got, want)
 				}
 			}
-			if sys.memo.evals() != memo.evals() {
-				t.Fatalf("round %d: %d decode-model evaluations, oracle %d", round, sys.memo.evals(), memo.evals())
+			if tab.evals != len(asked) {
+				t.Fatalf("round %d: %d decode-model evaluations for %d distinct (BER, bits) pairs", round, tab.evals, len(asked))
 			}
 		}
 	})
@@ -178,6 +189,61 @@ func TestDecodeTableBounds(t *testing.T) {
 	sys.Tag.GuardFraction = 0.1
 	if _, err := sys.tableFor(plan, true, timing); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeTableRoundWrap checks the table's round stamps across a wrap:
+// when round passes math.MaxUint32, begin must clear the stamps of both
+// the split and the size prices rather than let a past round's prices
+// answer the new round 1, so every price is evaluated again, equal to the
+// first round's, and counted again.
+func TestDecodeTableRoundWrap(t *testing.T) {
+	sys, _ := testbed(t, 2, 5)
+	plan, err := sys.queryPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	detected, timing, err := sys.detectTrigger(plan.trigMean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !detected {
+		t.Fatal("trigger missed: the table would lay no windows")
+	}
+	tab, err := sys.tableFor(plan, true, timing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.splits) < 2 || len(tab.sizes) < 3 {
+		t.Fatalf("%d splits over %d sizes: too few to show a wrap", len(tab.splits), len(tab.sizes))
+	}
+	const cleanBER, dirtyBER = 1e-4, 3e-2
+	priceAll := func() ([]float64, int) {
+		ps := make([]float64, len(tab.splits))
+		for id := range tab.splits {
+			ps[id] = tab.prob(uint16(id), cleanBER, dirtyBER)
+		}
+		return ps, tab.evals
+	}
+	tab.begin()
+	first, evals := priceAll()
+	tab.round = math.MaxUint32
+	tab.begin()
+	for _, level := range [][]stamped{tab.price, tab.at[0], tab.at[1]} {
+		for i, s := range level {
+			if s.round != 0 {
+				t.Fatalf("after the wrap a price %d still carries round %d", i, s.round)
+			}
+		}
+	}
+	again, evalsAgain := priceAll()
+	if evalsAgain != evals {
+		t.Fatalf("after the wrap: %d evaluations, first round %d", evalsAgain, evals)
+	}
+	for id := range first {
+		if math.Float64bits(again[id]) != math.Float64bits(first[id]) {
+			t.Fatalf("split %d after the wrap: p %v, first round %v", id, again[id], first[id])
+		}
 	}
 }
 
@@ -231,10 +297,9 @@ func BenchmarkSubframeDecode(b *testing.B) {
 		}
 		var ids [dot11.MaxSubframes]uint16
 		tab.roundSplits(ids[:total], bits[i%len(bits)], true, 0, 0)
-		sys.memo.reset()
 		tab.begin()
 		for j := range total {
-			stats.Bernoulli(sys.rng, tab.prob(ids[j], &sys.memo, link.cleanBER, link.dirtyBER))
+			stats.Bernoulli(sys.rng, tab.prob(ids[j], link.cleanBER, link.dirtyBER))
 		}
 	}
 }

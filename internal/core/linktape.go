@@ -193,6 +193,25 @@ type linkScratch struct {
 	watts                wattsCache
 }
 
+// wattsCache holds the transmit power and noise floor in watts for the
+// dBm values they were converted from.
+type wattsCache struct {
+	ok              bool
+	txDbm, noiseDbm float64
+	txW, noiseW     float64
+}
+
+// get returns channel.DbmToWatts of txDbm and noiseDbm, converting again
+// only when either differs from the cached key.
+func (c *wattsCache) get(txDbm, noiseDbm float64) (txW, noiseW float64) {
+	if !c.ok || c.txDbm != txDbm || c.noiseDbm != noiseDbm {
+		c.txDbm, c.noiseDbm = txDbm, noiseDbm
+		c.txW, c.noiseW = channel.DbmToWatts(txDbm), channel.DbmToWatts(noiseDbm)
+		c.ok = true
+	}
+	return c.txW, c.noiseW
+}
+
 // eval evaluates the link of g over env's scatterers as they stand. With
 // spans attached it closes the channel region after the channel pair and
 // the equalise region after the distortion, and returns the open stamp,

@@ -8,127 +8,9 @@ import (
 
 	"witag/internal/channel"
 	"witag/internal/dot11"
-	"witag/internal/phy"
 	"witag/internal/stats"
 	"witag/internal/tag"
 )
-
-// TestSuccessMemoMatchesDirect proves the memoised decode model bit-equal
-// to calling phy.SuccessProbAtBER per segment: across coverage in [0, 1]
-// (and clamped beyond it), every subframe size the query plans give under
-// each cipher, and pairs of BERs swept log-uniformly. Each BER pair is one
-// round, so the memo is reset between pairs and must pay for exactly the
-// distinct (BER, bits) pairs the round asked for.
-func TestSuccessMemoMatchesDirect(t *testing.T) {
-	sys, _ := testbed(t, 2, 34)
-	bitsSet := map[int]bool{}
-	for _, c := range planCiphers(t) {
-		if err := sys.SetCipher(c); err != nil {
-			t.Fatal(err)
-		}
-		plan, err := sys.queryPlan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range plan.subBits {
-			bitsSet[b] = true
-		}
-	}
-	if len(bitsSet) < 3 {
-		t.Fatalf("only %d distinct subframe sizes across the plans", len(bitsSet))
-	}
-	bers := []float64{0}
-	for i := 0; i <= 24; i++ {
-		bers = append(bers, math.Pow(10, -9+float64(i)*8.7/24)) // 1e-9 … 0.5
-	}
-	coverages := []float64{-0.25, 1.25}
-	for i := 0; i <= 64; i++ {
-		coverages = append(coverages, float64(i)/64)
-	}
-	direct := func(cleanBER, dirtyBER float64, subBits int, coverage float64) float64 {
-		coverage = math.Min(math.Max(coverage, 0), 1)
-		cleanBits := int(math.Round(float64(subBits) * (1 - coverage)))
-		p := 1.0
-		if cleanBits > 0 {
-			p *= phy.SuccessProbAtBER(cleanBER, cleanBits)
-		}
-		if dirtyBits := subBits - cleanBits; dirtyBits > 0 {
-			p *= phy.SuccessProbAtBER(dirtyBER, dirtyBits)
-		}
-		return p
-	}
-	for i, cleanBER := range bers {
-		for _, dirtyBER := range []float64{bers[i], bers[(i*7+3)%len(bers)], bers[len(bers)-1-i]} {
-			sys.memo.reset()
-			type pair struct {
-				ber  float64
-				bits int
-			}
-			asked := map[pair]bool{}
-			for subBits := range bitsSet {
-				for _, cov := range coverages {
-					got := subframeSuccessProb(&sys.memo, cleanBER, dirtyBER, subBits, cov)
-					if want := direct(cleanBER, dirtyBER, subBits, cov); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("BER %g/%g, %d bits, coverage %g: memo %v, direct %v", cleanBER, dirtyBER, subBits, cov, got, want)
-					}
-					c := math.Min(math.Max(cov, 0), 1)
-					cleanBits := int(math.Round(float64(subBits) * (1 - c)))
-					if cleanBits > 0 {
-						asked[pair{cleanBER, cleanBits}] = true
-					}
-					if subBits-cleanBits > 0 {
-						asked[pair{dirtyBER, subBits - cleanBits}] = true
-					}
-				}
-			}
-			if got := sys.memo.evals(); got != len(asked) {
-				t.Fatalf("BER %g/%g: %d evaluations for %d distinct (BER, bits) pairs", cleanBER, dirtyBER, got, len(asked))
-			}
-		}
-	}
-}
-
-// TestSuccessMemoRoundStamps checks the memo's table across round
-// boundaries: an entry from an earlier round never answers a later one,
-// a memo used before its first reset still evaluates, growth keeps the
-// round's entries, and when the round stamp wraps the old entries are
-// cleared rather than revived.
-func TestSuccessMemoRoundStamps(t *testing.T) {
-	var m successMemo
-	if got, want := m.prob(0, 0), phy.SuccessProbAtBER(0, 0); got != want || m.evals() != 1 {
-		t.Fatalf("before any reset: p %v (want %v), %d evaluations", got, want, m.evals())
-	}
-	ask := func(ber float64, n int) {
-		t.Helper()
-		for bits := 1; bits <= n; bits++ {
-			if got, want := m.prob(ber, bits), phy.SuccessProbAtBER(ber, bits); got != want {
-				t.Fatalf("BER %g, %d bits: memo %v, direct %v", ber, bits, got, want)
-			}
-		}
-	}
-	m.reset()
-	ask(1e-3, 100) // grows the table past 16 slots
-	ask(1e-3, 100) // all hits, whatever slot each entry moved to
-	if m.evals() != 100 {
-		t.Fatalf("%d evaluations for 100 distinct pairs", m.evals())
-	}
-	m.reset()
-	ask(1e-3, 100) // last round's entries answer nothing
-	if m.evals() != 100 {
-		t.Fatalf("next round: %d evaluations for 100 distinct pairs", m.evals())
-	}
-	// The stamp after the wrap is 1, which the first round's entries
-	// carry: they must be gone.
-	m = successMemo{}
-	m.reset()
-	ask(1e-3, 100)
-	m.round = math.MaxUint32
-	m.reset()
-	ask(1e-3, 100)
-	if m.evals() != 100 {
-		t.Fatalf("after the stamp wrapped: %d evaluations for 100 distinct pairs", m.evals())
-	}
-}
 
 func TestWattsCacheColdStart(t *testing.T) {
 	var c wattsCache
@@ -227,18 +109,18 @@ func TestRoundCacheInvalidation(t *testing.T) {
 			if p := warm.trig.p; p < 0.05 || p > 0.95 {
 				t.Fatalf("detection probability %v too close to 0 or 1 for the edits to show", p)
 			}
-			beforeP, beforeTicks, beforeWatts := warm.trig.p, warm.trig.ticks, warm.watts
+			beforeP, beforeTicks, beforeWatts := warm.trig.p, warm.trig.ticks, warm.link.watts
 			beforeAirs := append([]time.Duration(nil), warm.plan.airs...)
 			c.edit(t, warm)
 			c.edit(t, cold)
-			cold.trig, cold.watts, cold.cov, cold.tables = triggerCache{}, wattsCache{}, tag.CoverageBuffers{}, [2]*decodeTable{}
+			cold.trig, cold.link.watts, cold.cov, cold.tables = triggerCache{}, wattsCache{}, tag.CoverageBuffers{}, [2]*decodeTable{}
 			for r := 0; r < 4; r++ {
 				a, b := round()
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("round %d after the edit:\nwarm caches: %+v\ncold caches: %+v", r, a, b)
 				}
-				if math.Float64bits(warm.trig.p) != math.Float64bits(cold.trig.p) || warm.watts != cold.watts {
-					t.Fatalf("round %d after the edit: warm p %v, %+v; cold p %v, %+v", r, warm.trig.p, warm.watts, cold.trig.p, cold.watts)
+				if math.Float64bits(warm.trig.p) != math.Float64bits(cold.trig.p) || warm.link.watts != cold.link.watts {
+					t.Fatalf("round %d after the edit: warm p %v, %+v; cold p %v, %+v", r, warm.trig.p, warm.link.watts, cold.trig.p, cold.link.watts)
 				}
 				// The warm decode table, as the round left it, must hold
 				// what a table built on fresh layout buffers holds.
@@ -256,7 +138,7 @@ func TestRoundCacheInvalidation(t *testing.T) {
 					t.Fatalf("round %d after the edit: the reused decode table differs from a fresh build", r)
 				}
 			}
-			if warm.trig.p == beforeP && warm.trig.ticks == beforeTicks && warm.watts == beforeWatts &&
+			if warm.trig.p == beforeP && warm.trig.ticks == beforeTicks && warm.link.watts == beforeWatts &&
 				reflect.DeepEqual(warm.plan.airs, beforeAirs) {
 				t.Fatal("detection probability, ticks, link power and subframe airtimes unchanged: the edit was not seen")
 			}

@@ -104,11 +104,10 @@ func oracleRound(s *System, nextSeq *uint16, bits []byte) (*RoundResult, error) 
 	link := &w.link
 
 	sb := &oracleScoreboard{startSeq: startSeq}
-	s.memo.reset()
 	tab.begin()
 	subOK, subLost := 0, 0
 	for i := 0; i < total; i++ {
-		ok := stats.Bernoulli(s.rng, tab.prob(splits[i], &s.memo, link.cleanBER, link.dirtyBER))
+		ok := stats.Bernoulli(s.rng, tab.prob(splits[i], link.cleanBER, link.dirtyBER))
 		if s.Faults != nil {
 			if draws.lost>>i&1 != 0 {
 				ok = false
@@ -183,7 +182,7 @@ func oracleRound(s *System, nextSeq *uint16, bits []byte) (*RoundResult, error) 
 		m.BusySlots.Add(int64(busy))
 		m.RoundAirtime.Observe(res.Airtime.Microseconds())
 		m.DecodeModelEvals.Add(int64(2 * linkEvals))
-		m.SuccessProbEvals.Add(int64(s.memo.evals()))
+		m.SuccessProbEvals.Add(int64(tab.evals))
 		m.ChannelPathEvals.Add(phasors)
 		if o.Trace != nil {
 			o.Trace.Record(obs.Event{

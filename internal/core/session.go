@@ -104,9 +104,7 @@ type System struct {
 	// round's encode span opens; zero when no step is pending.
 	stepEnd obs.Stamp
 
-	// watts caches the link budget in watts for detectionProb (memo.go).
-	watts wattsCache
-	// The world's other caches and its scratch, pooled between worlds
+	// The world's caches and its scratch, pooled between worlds
 	// (Release).
 	*systemScratch
 	// linkRound is the next round a taped system reads from Link.
@@ -116,20 +114,19 @@ type System struct {
 // systemScratch is what a System reuses from round to round and what
 // Release hands, emptied, to the next System built.
 type systemScratch struct {
-	// Per-world caches, revalidated against their inputs every round
-	// (memo.go), the round's decode-model memo, and the decode tables of
-	// the last two plans and window geometries, most recent first
-	// (decodetable.go).
+	// The trigger detection cache, revalidated against its inputs every
+	// round, and the decode tables of the last two plans and window
+	// geometries, most recent first (decodetable.go).
 	trig   triggerCache
-	memo   successMemo
 	tables [2]*decodeTable
 
 	// plan caches the round's spec-only work; QueryRound revalidates it
 	// against Spec and the cipher overhead every round.
 	plan queryPlan
 	// Per-round scratch, reused across rounds. RoundResult never aliases
-	// it. cov holds the tag's window layout the decode tables are built
-	// from.
+	// it. link also caches the link budget in watts, for the link and for
+	// detectionProb; cov holds the tag's window layout the decode tables
+	// are built from.
 	link linkScratch
 	cov  tag.CoverageBuffers
 	// sizes is the storage NewSystem shapes the query's payload sizes in.
@@ -151,7 +148,6 @@ func newSystemScratch() *systemScratch {
 // world computes everything afresh and counts the same work.
 func (c *systemScratch) empty() {
 	c.trig = triggerCache{walls: c.trig.walls[:0]}
-	c.memo.reset()
 	for _, t := range c.tables {
 		if t != nil {
 			t.empty()
@@ -427,11 +423,10 @@ func (s *System) QueryRoundInto(bits []byte, res *RoundResult) error {
 	// ambient floor draws only after a successful decode and only without
 	// Faults, whose burst losses replace it (draws.lost is 0 without
 	// Faults); the burst and ambient-load masks then erase subframes.
-	s.memo.reset()
 	tab.begin()
 	var ok uint64
 	for i := range total {
-		if stats.Bernoulli(s.rng, tab.prob(splits[i], &s.memo, link.cleanBER, link.dirtyBER)) &&
+		if stats.Bernoulli(s.rng, tab.prob(splits[i], link.cleanBER, link.dirtyBER)) &&
 			(s.Faults != nil || !stats.Bernoulli(s.rng, s.AmbientLossProb)) {
 			ok |= 1 << i
 		}
@@ -501,7 +496,7 @@ func (s *System) QueryRoundInto(bits []byte, res *RoundResult) error {
 		m.BusySlots.AddLane(lane, int64(busy))
 		m.RoundAirtime.ObserveLane(lane, res.Airtime.Microseconds())
 		m.DecodeModelEvals.AddLane(lane, int64(2*linkEvals))
-		m.SuccessProbEvals.AddLane(lane, int64(s.memo.evals()))
+		m.SuccessProbEvals.AddLane(lane, int64(tab.evals))
 		m.ChannelPathEvals.AddLane(lane, phasors)
 		if o.Trace != nil {
 			o.Trace.Record(obs.Event{

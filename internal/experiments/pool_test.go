@@ -204,9 +204,9 @@ func TestSection41SweepAllocs(t *testing.T) {
 // TestCodingTrialAllocs holds a coding trial, once the pools are warm,
 // under 4 KiB of allocation: one paired world runs ARQ, LT and RS over
 // its tape, as the sweep runs it, and every transferer's storage — its
-// frame bytes, ranges, shards, codes, symbol copies and controller — goes
-// back to the pools with its world. Before the transferers kept their
-// storage a coding trial allocated about 17 KiB.
+// frame bytes, ranges, shards, codes and symbol copies — goes back to
+// the pools with its world. Before the transferers kept their storage a
+// coding trial allocated about 17 KiB.
 func TestCodingTrialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")

@@ -368,11 +368,9 @@ func TestFrameSenderSendAllocs(t *testing.T) {
 
 // TestTransfererReleaseStartsCold: an ARQ transferer built on the storage
 // a released one emptied — its frame storage, its ranges and reassembler,
-// and its adaptive controller, all grown and written by a longer transfer
-// over a more hostile world that climbed the ladder — must give every stat
-// and the received bytes a transferer on fresh storage gives, and a
-// controller on a released one's storage must start as a fresh one does.
-// The fresh run is not released, so no warm run inherits its storage.
+// all grown and written by a longer transfer over a more hostile world
+// that climbed the ladder — must give every stat and the received bytes a
+// transferer on fresh storage gives. The fresh run is not released, so no warm run inherits its storage.
 // The pools hand released storage back most of the time, not always, so
 // the warm run repeats until it has run on all of the dirty storage, and
 // the test fails if that never happens.
@@ -380,9 +378,7 @@ func TestTransfererReleaseStartsCold(t *testing.T) {
 	type storage struct {
 		frames *frameStorage
 		arq    *arqStorage
-		cc     *CodingController
 	}
-	freshCC := CodingController{Ladder: DefaultLadder(), Alpha: 0.3, EscalateFER: 0.35, RelaxFER: 0.05, RelaxAfter: 8, reusable: true}
 	run := func(seed int64, lossBad float64, n int, fresh bool) (string, storage) {
 		p, err := fault.Named("bursty")
 		if err != nil {
@@ -399,12 +395,9 @@ func TestTransfererReleaseStartsCold(t *testing.T) {
 		}
 		x := NewTransferer(sys, env, DefaultPolicy(), cc, stats.SubSeed(seed, "arq"))
 		if fresh {
-			c := freshCC
-			x.frames.frameStorage, x.arqStorage, x.Controller = new(frameStorage), new(arqStorage), &c
-		} else if !reflect.DeepEqual(*cc, freshCC) {
-			t.Fatalf("a new controller reads %+v, want %+v", *cc, freshCC)
+			x.frames.frameStorage, x.arqStorage = new(frameStorage), new(arqStorage)
 		}
-		used := storage{x.frames.frameStorage, x.arqStorage, x.Controller}
+		used := storage{x.frames.frameStorage, x.arqStorage}
 		payload := stats.RandomBytes(stats.NewRNG(stats.SubSeed(seed, "payload")), n)
 		st, err := x.Send(context.Background(), payload)
 		if err != nil {
@@ -419,7 +412,7 @@ func TestTransfererReleaseStartsCold(t *testing.T) {
 	}
 	cold, _ := run(9, 0.9, 96, true)
 	var reused storage
-	for i := 0; i < 20 && (reused.frames == nil || reused.arq == nil || reused.cc == nil); i++ {
+	for i := 0; i < 20 && (reused.frames == nil || reused.arq == nil); i++ {
 		_, dirty := run(10, 0.95, 300, false)
 		warm, used := run(9, 0.9, 96, false)
 		if warm != cold {
@@ -431,12 +424,9 @@ func TestTransfererReleaseStartsCold(t *testing.T) {
 		if used.arq == dirty.arq {
 			reused.arq = used.arq
 		}
-		if used.cc == dirty.cc {
-			reused.cc = used.cc
-		}
 	}
-	if reused.frames == nil || reused.arq == nil || reused.cc == nil {
-		t.Errorf("no transferer ran on all the storage a released one left: frames %v, ranges %v, controller %v",
-			reused.frames != nil, reused.arq != nil, reused.cc != nil)
+	if reused.frames == nil || reused.arq == nil {
+		t.Errorf("no transferer ran on all the storage a released one left: frames %v, ranges %v",
+			reused.frames != nil, reused.arq != nil)
 	}
 }

@@ -79,20 +79,13 @@ func NewTransferer(sys *core.System, env *channel.Environment, pol Policy, cc *C
 }
 
 // Release ends the transferer: its frame sender is released
-// (FrameSender.Release), its storage goes to the next Transferer built,
-// and its controller, when NewCodingController or
-// NewFixedController made it, to the next controller they make. Neither
-// t nor its controller may be used again. Releasing twice does nothing
-// more.
+// (FrameSender.Release) and its storage goes to the next Transferer
+// built. t must not be used again. Releasing twice does nothing more.
 func (t *Transferer) Release() {
 	t.frames.Release()
 	if s := t.arqStorage; s != nil {
 		arqStorages.Put(s)
 		t.arqStorage = nil
-	}
-	if cc := t.Controller; cc != nil {
-		cc.release()
-		t.Controller = nil
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -128,6 +130,93 @@ func TestDeadDeclsRefusesBrokenPackage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "broken/internal/a") {
 		t.Fatalf("deadDecls = %v, %v; want a type-checking error naming broken/internal/a", dead, err)
 	}
+}
+
+// TestDeterminismRunListNamesTests fails on any alternative of a -run
+// pattern in the Makefile's determinism target that matches no Test, Fuzz
+// or Benchmark function of the packages its command lists: a test deleted
+// or renamed would otherwise leave the target silently running less. A
+// name planted in the list must be reported, so the rule can fail.
+func TestDeterminismRunListNamesTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := staleRunNames(root, mk, "determinism")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stale {
+		t.Errorf("make determinism runs %q, which names no test of its packages", s)
+	}
+	at := bytes.Index(mk, []byte("\ndeterminism:"))
+	if at < 0 {
+		t.Fatal("the Makefile has no determinism target")
+	}
+	const planted = "NoTestHasThisName"
+	planting := slices.Concat(mk[:at], bytes.Replace(mk[at:], []byte("-run='"), []byte("-run='"+planted+"|"), 1))
+	if stale, err := staleRunNames(root, planting, "determinism"); err != nil || !slices.Contains(stale, planted) {
+		t.Errorf("with %s planted in the list: stale %q, %v; want it reported", planted, stale, err)
+	}
+}
+
+// staleRunNames returns, in order, every alternative of the -run
+// patterns in makefile's target that matches no Test, Fuzz or Benchmark
+// function declared in the test files of the packages (./dir arguments,
+// relative to root) the same command line lists.
+func staleRunNames(root string, makefile []byte, target string) ([]string, error) {
+	runFlag := regexp.MustCompile(`-run='([^']*)'`)
+	var stale []string
+	inTarget, found := false, false
+	for _, line := range strings.Split(string(makefile), "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			inTarget = strings.HasPrefix(line, target+":")
+			found = found || inTarget
+			continue
+		}
+		m := runFlag.FindStringSubmatch(line)
+		if !inTarget || m == nil {
+			continue
+		}
+		var names []string
+		for _, arg := range strings.Fields(line) {
+			if !strings.HasPrefix(arg, "./") {
+				continue
+			}
+			dir := filepath.Join(root, filepath.FromSlash(arg))
+			files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			if err != nil {
+				return nil, err
+			}
+			for _, name := range files {
+				f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, err
+				}
+				for _, d := range f.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+						names = append(names, fn.Name.Name)
+					}
+				}
+			}
+		}
+		for _, alt := range strings.Split(strings.ReplaceAll(m[1], "$$", "$"), "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				return nil, fmt.Errorf("%s: -run alternative %q: %w", target, alt, err)
+			}
+			if !slices.ContainsFunc(names, func(n string) bool {
+				return (strings.HasPrefix(n, "Test") || strings.HasPrefix(n, "Fuzz") || strings.HasPrefix(n, "Benchmark")) && re.MatchString(n)
+			}) {
+				stale = append(stale, alt)
+			}
+		}
+	}
+	if !found {
+		return nil, fmt.Errorf("the Makefile has no %s target", target)
+	}
+	return stale, nil
 }
 
 // deadDecls type-checks the non-test files of every package under root,

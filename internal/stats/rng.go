@@ -11,7 +11,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // NewRNG returns a deterministic pseudo-random source for the given seed.
@@ -138,24 +137,10 @@ func RandomBytes(r *rand.Rand, n int) []byte {
 }
 
 // SeededBytes returns n pseudo-random bytes from a stream of its own,
-// seeded with seed: RandomBytes(NewRNG(seed), n) without leaving a
-// register or a stream to the collector. No caller sees the stream, so
-// it serves a later call, reseeded, and its register goes back to the
-// registers.
+// seeded with seed, and releases that stream: RandomBytes(NewRNG(seed), n)
+// without leaving a register to the collector.
 func SeededBytes(seed int64, n int) []byte {
-	seedTablesOnce.Do(buildSeedTables)
-	l, _ := seededStreams.Get().(*lazyRand)
-	if l == nil {
-		l = new(lazyRand)
-		l.r = *rand.New(&l.src)
-	}
-	l.src = source{}
-	l.r.Seed(seed)
-	b := RandomBytes(&l.r, n)
-	l.src.release()
-	seededStreams.Put(l)
-	return b
+	r := NewRNG(seed)
+	defer Release(r)
+	return RandomBytes(r, n)
 }
-
-// seededStreams holds the streams SeededBytes drew from.
-var seededStreams sync.Pool

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -122,6 +123,28 @@ func TestRandomBitsAndBytes(t *testing.T) {
 	}
 	if got := len(RandomBytes(r, 33)); got != 33 {
 		t.Fatalf("RandomBytes length = %d", got)
+	}
+}
+
+// TestSeededBytesMatchesRandomBytes: SeededBytes, which releases its
+// stream's register, must draw what RandomBytes draws from a fresh
+// NewRNG stream of the same seed, for every size from 1 to 300 (short
+// streams never build a register) and many seeds, with the registers on
+// the stack left dirty by other streams that drew into them and were
+// released just before.
+func TestSeededBytesMatchesRandomBytes(t *testing.T) {
+	seeds := rngSeeds()
+	for n := 1; n <= 300; n++ {
+		seed := seeds[n%len(seeds)] + int64(n)
+		dirty := NewRNG(^seed)
+		for range rngLen + n {
+			dirty.Int63()
+		}
+		Release(dirty)
+		got := SeededBytes(seed, n)
+		if want := RandomBytes(NewRNG(seed), n); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d, %d bytes: SeededBytes %x, RandomBytes %x", seed, n, got, want)
+		}
 	}
 }
 
