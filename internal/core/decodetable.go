@@ -287,24 +287,24 @@ func (t *decodeTable) prob(id uint16, cleanBER, dirtyBER float64) float64 {
 	}
 	pt, p := t.parts[id], 1.0
 	if pt.clean >= 0 {
-		p *= t.sizeProb(0, cleanBER, pt.clean)
+		p *= t.sizeProb(t.at[0], cleanBER, pt.clean)
 	}
 	if pt.dirty >= 0 {
-		at := 1
+		prices := t.at[1]
 		if dirtyBER == cleanBER { // one BER: the corrupted part reads the clean prices
-			at = 0
+			prices = t.at[0]
 		}
-		p *= t.sizeProb(at, dirtyBER, pt.dirty)
+		p *= t.sizeProb(prices, dirtyBER, pt.dirty)
 	}
 	*s = stamped{p, t.round}
 	return p
 }
 
-// sizeProb returns phy.SuccessProbAtBER(ber, t.sizes[j]) from the prices
-// at[at], evaluating it on its first use this round: one evaluation per
-// distinct (BER, bits) pair the round meets.
-func (t *decodeTable) sizeProb(at int, ber float64, j int32) float64 {
-	s := &t.at[at][j]
+// sizeProb returns phy.SuccessProbAtBER(ber, t.sizes[j]) from prices,
+// ber's array in t.at, evaluating it on its first use this round: one
+// evaluation per distinct (BER, bits) pair the round meets.
+func (t *decodeTable) sizeProb(prices []stamped, ber float64, j int32) float64 {
+	s := &prices[j]
 	if s.round != t.round {
 		*s = stamped{phy.SuccessProbAtBER(ber, t.sizes[j]), t.round}
 		t.evals++

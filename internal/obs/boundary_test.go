@@ -195,7 +195,9 @@ func staleRunNames(root string, makefile []byte, target string) ([]string, error
 					return nil, err
 				}
 				for _, d := range f.Decls {
-					if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					fn, ok := d.(*ast.FuncDecl)
+					if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") ||
+						strings.HasPrefix(fn.Name.Name, "Fuzz") || strings.HasPrefix(fn.Name.Name, "Benchmark")) {
 						names = append(names, fn.Name.Name)
 					}
 				}
@@ -206,9 +208,7 @@ func staleRunNames(root string, makefile []byte, target string) ([]string, error
 			if err != nil {
 				return nil, fmt.Errorf("%s: -run alternative %q: %w", target, alt, err)
 			}
-			if !slices.ContainsFunc(names, func(n string) bool {
-				return (strings.HasPrefix(n, "Test") || strings.HasPrefix(n, "Fuzz") || strings.HasPrefix(n, "Benchmark")) && re.MatchString(n)
-			}) {
+			if !slices.ContainsFunc(names, re.MatchString) {
 				stale = append(stale, alt)
 			}
 		}
