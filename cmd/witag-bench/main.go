@@ -47,9 +47,9 @@
 // Observability (all opt-in, none changes any result byte):
 //
 //	-metrics-addr :9090   serve the run's campaign for the lifetime of the
-//	                      run: Prometheus text at /metrics, campaign list
-//	                      and status at /campaigns, a live SSE event
-//	                      stream at /campaigns/bench/events, plus
+//	                      run: Prometheus text at /metrics (JSON with
+//	                      ?format=json), status at /status, a live SSE
+//	                      event stream at /events, plus /timeseries,
 //	                      /debug/vars and /debug/pprof/ (":0" picks a
 //	                      port, printed on stderr)
 //	-trace-out DIR        record structured per-round/per-transfer events
@@ -65,7 +65,7 @@
 //	                      requires -json DIR. Logical windows are
 //	                      deterministic: the TL bytes are identical at
 //	                      any -parallel. Live view:
-//	                      /campaigns/bench/timeseries with -metrics-addr
+//	                      /timeseries with -metrics-addr
 //	-log run.jsonl        write the campaign's structured JSONL log there;
 //	                      with -json DIR, a RUNS.jsonl run-ledger line is
 //	                      also appended under DIR

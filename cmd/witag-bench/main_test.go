@@ -33,7 +33,7 @@ func TestExperimentChoices(t *testing.T) {
 
 	cfg := benchConfig{experiment: "beta"}
 	cfg.FaultProfile, cfg.Scheme, cfg.Traffic = "bursty", "all", "all"
-	cfg.Parallel, cfg.LogLevel, cfg.TimelineWin = 1, "info", 1
+	cfg.Parallel, cfg.LogLevel, cfg.TimelineWin, cfg.TraceCap = 1, "info", 1, 1
 	var stdout bytes.Buffer
 	if err := run(context.Background(), cfg, suite, &stdout, io.Discard); err != nil || stdout.String() != "table beta\n\n" {
 		t.Fatalf("-experiment beta printed %q, err %v; want beta's table alone", stdout.String(), err)

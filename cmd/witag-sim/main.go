@@ -33,9 +33,9 @@
 //	                      forced GC, and print the phase-attribution
 //	                      table on stderr
 //	-metrics-addr :9090   serve the run's campaign for the lifetime of the
-//	                      run: Prometheus text at /metrics, campaign list
-//	                      and status at /campaigns, a live SSE event
-//	                      stream at /campaigns/sim/events, plus
+//	                      run: Prometheus text at /metrics (JSON with
+//	                      ?format=json), status at /status, a live SSE
+//	                      event stream at /events, plus /timeseries,
 //	                      /debug/vars and /debug/pprof/ (":0" picks a
 //	                      port, printed on stderr)
 //	-trace-out DIR        record one structured event per query round (and

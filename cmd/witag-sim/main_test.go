@@ -46,7 +46,7 @@ func TestRunRejectsNonFiniteDeployment(t *testing.T) {
 	// how many of BENCH_sim.json and TL_sim.jsonl exist, and the error.
 	runIn := func(t *testing.T, d deployment) (int, error) {
 		dir := t.TempDir()
-		cfg := clirun.Config{Flags: clirun.Flags{Parallel: 1, JSONDir: dir, LogLevel: "info", Timeline: true, TimelineWin: 1}}
+		cfg := clirun.Config{Flags: clirun.Flags{Parallel: 1, JSONDir: dir, LogLevel: "info", Timeline: true, TimelineWin: 1, TraceCap: 1}}
 		err := run(context.Background(), d, cfg, io.Discard, io.Discard)
 		exist := 0
 		for _, name := range []string{"BENCH_sim.json", "TL_sim.jsonl"} {
@@ -91,7 +91,7 @@ func TestTransferProvenanceHasNoRounds(t *testing.T) {
 	for _, transfer := range []string{"fountain", ""} {
 		d.Transfer = transfer
 		dir := t.TempDir()
-		cfg := clirun.Config{Flags: clirun.Flags{Parallel: 1, JSONDir: dir, LogLevel: "info", TimelineWin: 1}}
+		cfg := clirun.Config{Flags: clirun.Flags{Parallel: 1, JSONDir: dir, LogLevel: "info", TimelineWin: 1, TraceCap: 1}}
 		if err := run(context.Background(), d, cfg, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}

@@ -9,11 +9,10 @@
 //
 //	witag-top [-addr HOST:PORT] [-refresh DUR] [-once] [-plain] [-version]
 //
-// It consumes only the server's public HTTP surface: /campaigns for the
-// status row (a list that is not exactly one row is an error),
-// /campaigns/<id>/metrics?format=json for the counters the rolling rates
-// are derived from, and the /campaigns/<id>/events SSE stream for
-// anomalies. Rates are deltas between successive polls:
+// It consumes only the server's public HTTP surface: /status for the
+// status row, /metrics?format=json for the counters the rolling rates
+// are derived from, and the /events SSE stream for anomalies. Rates are
+// deltas between successive polls:
 //
 //	rate     Δ runner.trials_done        per second
 //	BER      Δ core.bit_errors           / Δ core.bits
@@ -139,20 +138,15 @@ func (a *app) run(ctx context.Context, refresh time.Duration, once, plain bool) 
 // the SSE watcher while the campaign runs and none is attached. When the
 // server does not answer, the row is marked gone.
 func (a *app) poll(ctx context.Context) error {
-	var statuses []obs.CampaignStatus
-	err := a.getJSON(ctx, "/campaigns", &statuses)
-	if err == nil && len(statuses) != 1 {
-		err = fmt.Errorf("/campaigns lists %d campaigns, want exactly one", len(statuses))
-	}
-	if err != nil {
+	var st obs.CampaignStatus
+	if err := a.getJSON(ctx, "/status", &st); err != nil {
 		a.mu.Lock()
 		a.gone = true
 		a.mu.Unlock()
 		return err
 	}
-	st := statuses[0]
 	var snap obs.Snapshot
-	snapErr := a.getJSON(ctx, "/campaigns/"+st.ID+"/metrics?format=json", &snap)
+	snapErr := a.getJSON(ctx, "/metrics?format=json", &snap)
 
 	a.mu.Lock()
 	a.status = st
@@ -170,7 +164,7 @@ func (a *app) poll(ctx context.Context) error {
 	a.mu.Unlock()
 
 	if watch {
-		go a.watchEvents(ctx, st.ID)
+		go a.watchEvents(ctx)
 	}
 	return nil
 }
@@ -196,13 +190,13 @@ func (a *app) getJSON(ctx context.Context, path string, v any) error {
 // the view. The stream ends when the campaign finishes or the server
 // shuts down; the watcher then detaches so a later poll can re-attach if
 // the campaign is still live.
-func (a *app) watchEvents(ctx context.Context, id string) {
+func (a *app) watchEvents(ctx context.Context) {
 	defer func() {
 		a.mu.Lock()
 		a.watching = false
 		a.mu.Unlock()
 	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.base+"/campaigns/"+id+"/events", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.base+"/events", nil)
 	if err != nil {
 		return
 	}
@@ -222,7 +216,7 @@ func (a *app) watchEvents(ctx context.Context, id string) {
 		switch {
 		case line == "":
 			if event != "" || data.Len() > 0 {
-				a.handleEvent(id, event, data.String())
+				a.handleEvent(event, data.String())
 			}
 			event = ""
 			data.Reset()
@@ -235,7 +229,7 @@ func (a *app) watchEvents(ctx context.Context, id string) {
 	}
 }
 
-func (a *app) handleEvent(id, event, data string) {
+func (a *app) handleEvent(event, data string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	switch event {
@@ -249,7 +243,7 @@ func (a *app) handleEvent(id, event, data string) {
 		}
 	case "status":
 		var st obs.CampaignStatus
-		if json.Unmarshal([]byte(data), &st) == nil && st.ID == id {
+		if json.Unmarshal([]byte(data), &st) == nil {
 			a.status = st
 		}
 	}

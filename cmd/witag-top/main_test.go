@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,18 +73,36 @@ func TestPollRendersTheCampaign(t *testing.T) {
 	}
 }
 
-// TestPollRefusesAListNotOfOne checks that a /campaigns list without
-// exactly one row is an error, not an empty frame.
-func TestPollRefusesAListNotOfOne(t *testing.T) {
-	for _, body := range []string{`[]`, `[{"id":"a"},{"id":"b"}]`} {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.Write([]byte(body))
-		}))
-		a := &app{base: ts.URL, http: ts.Client()}
-		err := a.poll(context.Background())
-		ts.Close()
-		if err == nil || !strings.Contains(err.Error(), "want exactly one") {
-			t.Errorf("/campaigns = %s: poll returned %v, want an error", body, err)
+// TestPollLosesTheRowOnABadStatus checks that a /status answering other
+// than 200 fails the poll and marks the running row lost, as a server
+// that stopped answering does.
+func TestPollLosesTheRowOnABadStatus(t *testing.T) {
+	var failing atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/status" && failing.Load():
+			http.Error(w, "shutting down", http.StatusServiceUnavailable)
+		case r.URL.Path == "/status":
+			w.Write([]byte(`{"id":"bench","state":"running","done":1,"total":2}`))
+		case r.URL.Path == "/metrics":
+			w.Write([]byte(`{}`))
+		default:
+			http.NotFound(w, r)
 		}
+	}))
+	defer ts.Close()
+	a := &app{base: ts.URL, http: ts.Client()}
+	if err := a.poll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if frame := a.render(time.Second); !strings.Contains(frame, "bench      running ") {
+		t.Fatalf("a good /status must read running:\n%s", frame)
+	}
+	failing.Store(true)
+	if err := a.poll(context.Background()); err == nil || !strings.Contains(err.Error(), "/status: 503") {
+		t.Fatalf("poll of a 503 /status returned %v, want its error", err)
+	}
+	if frame := a.render(time.Second); !strings.Contains(frame, "bench      lost ") {
+		t.Errorf("after a 503 /status the row must read lost:\n%s", frame)
 	}
 }

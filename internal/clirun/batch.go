@@ -133,6 +133,9 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 	if cfg.TimelineWin <= 0 {
 		return fmt.Errorf("-timeline-window must be >= 1, got %d", cfg.TimelineWin)
 	}
+	if cfg.TraceCap <= 0 {
+		return fmt.Errorf("-trace-cap must be >= 1, got %d", cfg.TraceCap)
+	}
 	logLevel, verr := cliflags.LogLevel("-log-level", cfg.LogLevel)
 	if verr != nil {
 		return verr
@@ -155,33 +158,70 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 	// harness, which instruments the systems, injectors, transferers and
 	// runners it builds through it. The run ledger lands beside the BENCH
 	// artifacts (no -json directory, no ledger).
-	traceCap := 0
-	if cfg.TraceOut != "" {
-		traceCap = cfg.TraceCap
-		if traceCap <= 0 {
-			traceCap = obs.DefaultTraceCap
-		}
-	}
 	runProv := provenance(cfg)
-	opts := Options{
-		Tool: cfg.Tool, Campaign: cfg.Campaign,
-		LogPath: cfg.LogPath, LogLevel: logLevel,
-		StartAttrs: cfg.StartAttrs,
-		TraceCap:   traceCap, MetricsAddr: cfg.MetricsAddr,
-		LedgerDir: cfg.JSONDir, Provenance: runProv,
+	copts := obs.CampaignOptions{LogLevel: logLevel}
+	if cfg.TraceOut != "" {
+		copts.TraceCap = cfg.TraceCap
+	}
+	if cfg.LogPath != "" {
+		f, err := os.Create(cfg.LogPath)
+		if err != nil {
+			return fmt.Errorf("-log: %w", err)
+		}
+		defer f.Close()
+		copts.LogW = f
 	}
 	if cfg.Progress {
-		opts.ProgressNoun = cfg.ProgressNoun
+		copts.Progress = obs.NewProgress(stderr, cfg.ProgressNoun)
 	}
-	cr, err := Start(ctx, opts)
-	if err != nil {
-		return err
-	}
-	var full error // every failure, and a cancellation, in full
-	defer func() { cr.Finish(full) }()
-	camp := cr.Campaign
+	camp := obs.NewCampaign(cfg.Campaign, copts)
 	// Every note from here on first ends an open -progress line.
 	stderr = camp.Progress.Notes(stderr)
+	camp.Logger.Info("run started", cfg.StartAttrs...)
+
+	// However the run ends, mark the campaign done or failed (which ends
+	// the progress line), log "run finished" and append the ledger line:
+	// "ok", "error", or "cancelled" when the failure follows a cancelled
+	// ctx. A ledger failure is reported on stderr, never returned: it
+	// must not mask the run's own outcome.
+	var full error // every failure, and a cancellation, in full
+	var artifacts []string
+	defer func() {
+		camp.Finish(full)
+		outcome := "ok"
+		switch {
+		case full != nil && ctx.Err() != nil:
+			outcome = "cancelled"
+		case full != nil:
+			outcome = "error"
+		}
+		camp.Logger.Info("run finished", slog.String("outcome", outcome), slog.Int64("wall_ms", camp.WallMs()))
+		if cfg.JSONDir == "" {
+			return
+		}
+		rec := obs.RunRecord{
+			Tool: cfg.Tool, Campaign: camp.ID, Outcome: outcome, Error: ErrorText(full),
+			WallMs: camp.WallMs(), Artifacts: artifacts, Provenance: runProv,
+			Build: buildinfo.Current(cfg.Tool),
+		}
+		if lerr := obs.AppendRunRecord(cfg.JSONDir, rec); lerr != nil {
+			fmt.Fprintf(stderr, "%s: ledger: %v\n", cfg.Tool, lerr)
+		}
+	}()
+
+	if cfg.MetricsAddr != "" {
+		srv, err := obs.Serve(cfg.MetricsAddr, camp)
+		if err != nil {
+			full = err
+			return err
+		}
+		// Tear the listener down on Ctrl-C too, not only when the run
+		// ends: a cancelled run must release its port promptly. Close is
+		// idempotent, so the two paths race safely.
+		unhook := context.AfterFunc(ctx, func() { srv.Shutdown(); srv.Close() })
+		defer func() { unhook(); srv.Close() }()
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /status, /events, /timeseries, /debug/pprof/)\n", srv.Addr)
+	}
 	reg := camp.Registry
 
 	// runExperiment runs e on a runner scoped to the campaign, prints its
@@ -242,8 +282,7 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 				fmt.Fprintf(stderr, "perf: %s: spans attribute only %.1f%% of trial wall time\n", name, 100*rep.Coverage)
 			}
 		}
-		// Live phase-attribution snapshot for /campaigns/<id>/events
-		// watchers, mirroring the PROF artifact written below.
+		// Live phase-attribution snapshot for /events watchers, mirroring the PROF artifact written below.
 		rep.Publish(camp, name)
 		camp.Logger.Info("experiment finished", slog.String("experiment", name),
 			slog.Int64("trials", delta.Counters["runner.trials_started"]),
@@ -253,10 +292,10 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 			prov.Experiment, prov.Trials, prov.Error = name, delta.Counters["runner.trials_started"], stamp
 			if res != nil {
 				errs = append(errs, regress.WriteSeries(cfg.JSONDir, name, prov, res.Series))
-				cr.AddArtifact("BENCH_" + name + ".json")
+				artifacts = append(artifacts, "BENCH_"+name+".json")
 			}
 			errs = append(errs, regress.WriteMetrics(cfg.JSONDir, name, prov, delta), regress.WriteProf(cfg.JSONDir, name, prov, rep))
-			cr.AddArtifact("BENCH_"+name+".metrics.json", "PROF_"+name+".json")
+			artifacts = append(artifacts, "BENCH_"+name+".metrics.json", "PROF_"+name+".json")
 		}
 
 		if cpuFile != nil {
@@ -267,15 +306,15 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 			tl.Flush()
 			path := filepath.Join(cfg.JSONDir, "TL_"+name+".jsonl")
 			errs = append(errs, WriteJSONL(path, tl, stamp))
-			cr.AddArtifact("TL_" + name + ".jsonl")
+			artifacts = append(artifacts, "TL_"+name+".jsonl")
 			if d := tl.Dropped(); d > 0 {
 				fmt.Fprintf(stderr, "timeline: wrote %d windows to %s (%d older windows dropped)\n", tl.Total()-d, path, d)
 			}
 		}
 		if cfg.TraceOut != "" {
 			path := filepath.Join(cfg.TraceOut, "TRACE_"+name+".jsonl")
-			cr.AddArtifact(path)
-			errs = append(errs, cr.ExportTrace(path, stamp))
+			artifacts = append(artifacts, path)
+			errs = append(errs, exportTrace(camp.Trace, path, stamp, stderr))
 		}
 		return errors.Join(errs...)
 	}
@@ -305,4 +344,20 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 		return fmt.Errorf("failed experiments: %s (%w)", names, cerr)
 	}
 	return fmt.Errorf("failed experiments: %s", names)
+}
+
+// exportTrace writes rec to path as JSONL, with failure (empty for none)
+// on its summary record, notes the export on stderr and then resets rec,
+// so the next export reads like one from a fresh ring.
+func exportTrace(rec *obs.Recorder, path, failure string, stderr io.Writer) error {
+	if err := WriteJSONL(path, rec, failure); err != nil {
+		return err
+	}
+	if d := rec.Dropped(); d > 0 {
+		fmt.Fprintf(stderr, "trace: wrote %d events to %s (%d older events dropped; raise -trace-cap)\n", rec.Len(), path, d)
+	} else {
+		fmt.Fprintf(stderr, "trace: wrote %d events to %s\n", rec.Len(), path)
+	}
+	rec.Reset()
+	return nil
 }

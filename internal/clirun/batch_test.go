@@ -70,9 +70,13 @@ func TestRunWalksPastFailures(t *testing.T) {
 	if err == nil || err.Error() != "failed experiments: beta" {
 		t.Fatalf("RunSuite returned %v, want it to name beta alone", err)
 	}
-	// The failure prints once, as it happens; the returned error, which
-	// the command prints last, only names the experiment.
-	if want := "witag-test: beta: beta shape is wrong\n"; stderr.String() != want {
+	// The failure prints once, as it happens, between the experiments'
+	// trace notes; the returned error, which the command prints last,
+	// only names the experiment.
+	traceNote := func(name string) string {
+		return "trace: wrote 1 events to " + filepath.Join(cfg.TraceOut, "TRACE_"+name+".jsonl") + "\n"
+	}
+	if want := traceNote("alpha") + traceNote("beta") + "witag-test: beta: beta shape is wrong\n" + traceNote("gamma"); stderr.String() != want {
 		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
 	}
 	if want := "table alpha\n\ntable beta\n\ntable gamma\n\n"; stdout.String() != want {
@@ -193,15 +197,19 @@ func TestRunPrintsCoverageOnlyWithProfile(t *testing.T) {
 		if cov := arts["slow"].Prof.Coverage; cov <= 0 || cov >= 0.9 {
 			t.Fatalf("PROF coverage = %v, want a sliver", cov)
 		}
-		warn := strings.Index(stderr.String(), "perf: slow: spans attribute only ")
+		// The ring holds no event, and its note comes after the
+		// attribution table and the warning.
+		traceNote := "trace: wrote 0 events to " + filepath.Join(cfg.TraceOut, "TRACE_slow.jsonl") + "\n"
 		if !profile {
-			if stderr.Len() != 0 {
-				t.Errorf("without -profile stderr = %q, want nothing", stderr.String())
+			if stderr.String() != traceNote {
+				t.Errorf("without -profile stderr = %q, want the trace note alone", stderr.String())
 			}
 			continue
 		}
-		if table := strings.Index(stderr.String(), "perf slow:\n"); table != 0 || warn <= table {
-			t.Errorf("with -profile stderr = %q, want the table then the coverage warning", stderr.String())
+		perf, ok := strings.CutSuffix(stderr.String(), traceNote)
+		warn := strings.Index(perf, "perf: slow: spans attribute only ")
+		if table := strings.Index(perf, "perf slow:\n"); !ok || table != 0 || warn <= table || !strings.HasSuffix(perf, "% of trial wall time\n") {
+			t.Errorf("with -profile stderr = %q, want the table, the coverage warning, then the trace note", stderr.String())
 		}
 	}
 }

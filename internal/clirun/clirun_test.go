@@ -5,24 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"witag/internal/experiments"
 	"witag/internal/obs"
+	"witag/internal/sim"
 )
-
-func start(t *testing.T, ctx context.Context, opts Options) *Run {
-	t.Helper()
-	r, err := Start(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
 
 func readLedger(t *testing.T, dir string) []obs.RunRecord {
 	t.Helper()
@@ -47,67 +43,73 @@ func readLedger(t *testing.T, dir string) []obs.RunRecord {
 	return recs
 }
 
+// TestLedgerOutcomes runs a passing suite, a failing one and a cancelled
+// one into one -json directory: each appends its ledger line, with the
+// outcome, the failure in full and the artifacts it wrote.
 func TestLedgerOutcomes(t *testing.T) {
-	dir := t.TempDir()
-	boom := errors.New("boom")
+	cfg := testConfig(t)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range []struct {
 		ctx context.Context
-		err error
+		e   experiments.Experiment
 	}{
-		{context.Background(), nil},
-		{context.Background(), boom},
-		{cancelled, context.Canceled},
+		{context.Background(), fakeExperiment("alpha", 1, "")},
+		{context.Background(), fakeExperiment("beta", 1, "boom")},
+		{cancelled, fakeExperiment("gamma", 1, "")},
 	} {
-		r := start(t, c.ctx, Options{Tool: "witag-test", Campaign: "test", LedgerDir: dir})
-		r.AddArtifact("BENCH_x.json")
-		r.Finish(c.err)
+		RunSuite(c.ctx, cfg, []experiments.Experiment{c.e}, io.Discard, io.Discard)
 	}
-	recs := readLedger(t, dir)
+	recs := readLedger(t, cfg.JSONDir)
 	if len(recs) != 3 {
 		t.Fatalf("%d ledger lines, want 3", len(recs))
 	}
-	for i, want := range []struct{ outcome, err string }{
-		{"ok", ""}, {"error", "boom"}, {"cancelled", "context canceled"},
+	for i, want := range []struct {
+		outcome, err string
+		artifacts    int
+	}{
+		{"ok", "", 5}, {"error", "beta: boom", 5}, {"cancelled", "context canceled", 0},
 	} {
 		got := recs[i]
 		if got.Outcome != want.outcome || got.Error != want.err {
 			t.Errorf("line %d: outcome %q error %q, want %q %q", i, got.Outcome, got.Error, want.outcome, want.err)
 		}
-		if got.Tool != "witag-test" || got.Campaign != "test" || len(got.Artifacts) != 1 {
-			t.Errorf("line %d: %+v", i, got)
+		if got.Tool != "witag-test" || got.Campaign != "test" || len(got.Artifacts) != want.artifacts {
+			t.Errorf("line %d: %+v, want %d artifacts", i, got, want.artifacts)
 		}
+	}
+	if got, want := strings.Join(recs[0].Artifacts, " "), "BENCH_alpha.json BENCH_alpha.metrics.json PROF_alpha.json TL_alpha.jsonl "+
+		filepath.Join(cfg.TraceOut, "TRACE_alpha.jsonl"); got != want {
+		t.Errorf("artifacts %q, want %q", got, want)
 	}
 }
 
-// record fills the campaign's ring with n events.
-func record(r *Run, n int) {
-	for i := 0; i < n; i++ {
-		r.Campaign.Trace.Record(obs.Event{Kind: "round", Trial: i, Round: i + 1})
-	}
+// recording is an experiment that records n events into the campaign's
+// ring.
+func recording(name string, n int) experiments.Experiment {
+	return experiments.Experiment{Name: name, Run: func(_ context.Context, r sim.Runner, _ experiments.SuiteConfig) (*experiments.Result, error) {
+		for i := 0; i < n; i++ {
+			r.Campaign.Trace.Record(obs.Event{Kind: "round", Trial: i, Round: i + 1})
+		}
+		return fakeResult(name, ""), nil
+	}}
 }
 
 func TestTraceExportEndsInSummary(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	r := start(t, context.Background(), Options{Tool: "witag-test", Campaign: "test", TraceCap: 4})
-	defer r.Finish(nil)
-	record(r, 6)
-	if err := r.ExportTrace(path, ""); err != nil {
+	cfg := testConfig(t)
+	cfg.TraceCap = 4
+	var stderr bytes.Buffer
+	if err := RunSuite(context.Background(), cfg, []experiments.Experiment{recording("alpha", 6)}, io.Discard, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, err := obs.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(cfg.TraceOut, "TRACE_alpha.jsonl")
+	tr := readExport(t, path, obs.ReadJSONL)
 	if tr.Truncated || len(tr.Events) != 4 || tr.Total != 6 || tr.Dropped != 2 {
 		t.Fatalf("export read back as %d events, total %d, dropped %d, truncated %v; want 4, 6, 2, false",
 			len(tr.Events), tr.Total, tr.Dropped, tr.Truncated)
+	}
+	if want := "trace: wrote 4 events to " + path + " (2 older events dropped; raise -trace-cap)\n"; stderr.String() != want {
+		t.Fatalf("stderr = %q, want %q", stderr.String(), want)
 	}
 }
 
@@ -115,16 +117,10 @@ func TestTraceExportEndsInSummary(t *testing.T) {
 // the first reads exactly like one from a fresh ring of the same
 // capacity: events, totals and dropped count all start over.
 func TestExportTraceResetsRing(t *testing.T) {
-	dir := t.TempDir()
-	r := start(t, context.Background(), Options{Tool: "witag-test", Campaign: "test", TraceCap: 4})
-	defer r.Finish(nil)
-	record(r, 7)
-	if err := r.ExportTrace(filepath.Join(dir, "TRACE_a.jsonl"), ""); err != nil {
-		t.Fatal(err)
-	}
-	record(r, 3)
-	second := filepath.Join(dir, "TRACE_b.jsonl")
-	if err := r.ExportTrace(second, ""); err != nil {
+	cfg := testConfig(t)
+	cfg.TraceCap = 4
+	suite := []experiments.Experiment{recording("alpha", 7), recording("beta", 3)}
+	if err := RunSuite(context.Background(), cfg, suite, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +132,7 @@ func TestExportTraceResetsRing(t *testing.T) {
 	if err := fresh.WriteJSONL(&want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(second)
+	got, err := os.ReadFile(filepath.Join(cfg.TraceOut, "TRACE_beta.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,49 +141,136 @@ func TestExportTraceResetsRing(t *testing.T) {
 	}
 }
 
-func TestListenerReleasedOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := start(t, ctx, Options{Tool: "witag-test", Campaign: "test", MetricsAddr: "127.0.0.1:0"})
-	defer r.Finish(context.Canceled)
-	addr := r.server.Addr.String()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("listener not serving: %v", err)
-	}
-	conn.Close()
+// metricsNote matches the note that names the -metrics-addr listener.
+var metricsNote = regexp.MustCompile(`^metrics: http://(127\.0\.0\.1:\d+)/metrics \(also /status, /events, /timeseries, /debug/pprof/\)\n`)
 
-	cancel()
-	// The AfterFunc closes the server on its own goroutine; the port must
-	// come free without waiting for Finish.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ln, err := net.Listen("tcp", addr)
-		if err == nil {
-			ln.Close()
-			return
+// TestListenerReleasedOnCancel cancels the run inside its experiment: the
+// port the run served must come free while the experiment still runs,
+// not only when the run ends.
+func TestListenerReleasedOnCancel(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MetricsAddr = "127.0.0.1:0"
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var stderr bytes.Buffer
+	suite := []experiments.Experiment{{Name: "alpha", Run: func(ctx context.Context, _ sim.Runner, _ experiments.SuiteConfig) (*experiments.Result, error) {
+		m := metricsNote.FindStringSubmatch(stderr.String())
+		if m == nil {
+			t.Fatalf("stderr = %q, want the metrics note", stderr.String())
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("listener on %s still bound after cancel: %v", addr, err)
+		addr := m[1]
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("listener not serving: %v", err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		conn.Close()
+
+		cancel()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			ln, err := net.Listen("tcp", addr)
+			if err == nil {
+				ln.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("listener on %s still bound after cancel: %v", addr, err)
+			}
+		}
+		return nil, ctx.Err()
+	}}}
+	if err := RunSuite(ctx, cfg, suite, io.Discard, &stderr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSuite returned %v, want context.Canceled", err)
 	}
 }
 
+// portTaker takes addr when the "run started" log line resolves it as
+// a start attribute: after RunSuite's up-front -metrics-addr probe, and
+// before its listener binds.
+type portTaker struct {
+	addr string
+	ln   net.Listener
+}
+
+func (p *portTaker) LogValue() slog.Value {
+	if ln, err := net.Listen("tcp", p.addr); err == nil {
+		p.ln = ln
+	}
+	return slog.StringValue(p.addr)
+}
+
+// TestStartFailureFinishesRun has the -metrics-addr port taken between
+// the probe and the bind: the run must fail before any experiment and
+// still append its ledger line.
 func TestStartFailureFinishesRun(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	dir := t.TempDir()
-	_, err = Start(context.Background(), Options{
-		Tool: "witag-test", Campaign: "test", MetricsAddr: ln.Addr().String(),
-		LedgerDir: dir,
-	})
-	if err == nil {
-		t.Fatal("Start bound an address already in use")
+	taker := &portTaker{addr: ln.Addr().String()}
+	ln.Close()
+	cfg := testConfig(t)
+	cfg.MetricsAddr, cfg.LogPath = taker.addr, filepath.Join(t.TempDir(), "LOG.jsonl")
+	cfg.StartAttrs = []any{slog.Any("taken", taker)}
+	var stdout bytes.Buffer
+	err = RunSuite(context.Background(), cfg, []experiments.Experiment{fakeExperiment("alpha", 1, "")}, &stdout, io.Discard)
+	if taker.ln == nil {
+		t.Fatal("the port could not be taken after the probe")
 	}
-	if recs := readLedger(t, dir); len(recs) != 1 || recs[0].Outcome != "error" {
-		t.Fatalf("failed start left ledger %+v, want one error line", recs)
+	taker.ln.Close()
+	if err == nil {
+		t.Fatal("RunSuite bound an address already in use")
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("an experiment ran after the failed bind: stdout %q", stdout.String())
+	}
+	if recs := readLedger(t, cfg.JSONDir); len(recs) != 1 || recs[0].Outcome != "error" || recs[0].Error != err.Error() {
+		t.Fatalf("failed start left ledger %+v, want one error line with %q", recs, err)
+	}
+}
+
+// TestRunNotesGoToItsStderr runs with -metrics-addr, -trace-out and
+// -progress: the metrics note, the trace note and the final progress
+// line must all land on the stderr RunSuite is given, in that order.
+func TestRunNotesGoToItsStderr(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MetricsAddr, cfg.Progress = "127.0.0.1:0", true
+	var stderr bytes.Buffer
+	if err := RunSuite(context.Background(), cfg, []experiments.Experiment{fakeExperiment("alpha", 1, "")}, io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	note := metricsNote.FindString(stderr.String())
+	if note == "" {
+		t.Fatalf("stderr = %q, want the metrics note first", stderr.String())
+	}
+	rest := stderr.String()[len(note):]
+	if want := "trace: wrote 1 events to " + filepath.Join(cfg.TraceOut, "TRACE_alpha.jsonl") + "\n" +
+		"\rtrials 0/0 (0.0%) 0.0/s ETA ?   \n"; rest != want {
+		t.Fatalf("stderr after the metrics note = %q, want %q", rest, want)
+	}
+}
+
+// TestRunRefusesBadFlags checks that each unusable batch flag is refused,
+// naming it, before the campaign starts: no ledger line is written.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		name, flag string
+		edit       func(*Config)
+	}{
+		{"timeline-window 0", "-timeline-window", func(c *Config) { c.TimelineWin = 0 }},
+		{"trace-cap 0", "-trace-cap", func(c *Config) { c.TraceCap = 0 }},
+		{"trace-cap -1", "-trace-cap", func(c *Config) { c.TraceCap = -1 }},
+		{"log-level", "-log-level", func(c *Config) { c.LogLevel = "loud" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			c.edit(&cfg)
+			err := RunSuite(context.Background(), cfg, []experiments.Experiment{fakeExperiment("alpha", 1, "")}, io.Discard, io.Discard)
+			if err == nil || !strings.HasPrefix(err.Error(), c.flag) {
+				t.Fatalf("RunSuite = %v, want an error naming %s", err, c.flag)
+			}
+			if _, serr := os.Stat(filepath.Join(cfg.JSONDir, obs.RunLedgerFile)); !errors.Is(serr, os.ErrNotExist) {
+				t.Fatalf("the run started before %s was refused: %v", c.flag, serr)
+			}
+		})
 	}
 }

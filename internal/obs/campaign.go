@@ -21,8 +21,8 @@ import (
 // byte-identical with or without it (TestLoggingDoesNotPerturbResults,
 // TestConcurrentCampaignsIsolated).
 type Campaign struct {
-	// ID names the campaign in its URLs, logs and ledger line ("bench",
-	// "sim").
+	// ID names the campaign in its status, events, logs and ledger line
+	// ("bench", "sim").
 	ID string
 	// Registry backs Observer; one per campaign, never shared.
 	Registry *Registry
@@ -61,7 +61,7 @@ type Campaign struct {
 // ring, no progress reporter, discard logs.
 type CampaignOptions struct {
 	// TraceCap > 0 attaches a trace recorder with that ring capacity;
-	// < 0 attaches one at DefaultTraceCap; 0 means no tracing.
+	// otherwise the campaign traces nothing.
 	TraceCap int
 	// Progress, when non-nil, draws live terminal updates.
 	Progress *Progress
@@ -76,12 +76,8 @@ type CampaignOptions struct {
 func NewCampaign(id string, opts CampaignOptions) *Campaign {
 	reg := NewRegistry()
 	var rec *Recorder
-	if opts.TraceCap != 0 {
-		cap := opts.TraceCap
-		if cap < 0 {
-			cap = DefaultTraceCap
-		}
-		rec = NewRecorder(cap)
+	if opts.TraceCap > 0 {
+		rec = NewRecorder(opts.TraceCap)
 	}
 	c := &Campaign{
 		ID:       id,
@@ -263,7 +259,7 @@ func (c *Campaign) WallMs() int64 {
 	return (time.Now().UnixNano() - c.startNs.Load()) / int64(time.Millisecond)
 }
 
-// CampaignStatus is one campaign's row in /campaigns.
+// CampaignStatus is the campaign's status row, served at /status.
 type CampaignStatus struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`             // running | done | failed

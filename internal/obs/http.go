@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,19 +15,16 @@ import (
 // Live campaign HTTP surface. A process runs one campaign, and its server
 // answers:
 //
-//	/campaigns                    a one-row list of the campaign's status JSON
-//	/campaigns/<id>               the campaign's status JSON
-//	/campaigns/<id>/metrics       Prometheus text (default) or ?format=json snapshot
-//	/campaigns/<id>/events        SSE stream of progress/phase/anomaly/status events
-//	/campaigns/<id>/timeseries    windowed metric time-series JSON (?last=N)
-//	/metrics                      the campaign's metrics as unlabelled Prometheus text
-//	/healthz                      liveness (always 200 while the process serves)
-//	/readyz                       readiness (503 once shutdown begins)
+//	/status       the campaign's status JSON
+//	/metrics      Prometheus text (default) or ?format=json snapshot
+//	/events       SSE stream of progress/phase/anomaly/status events
+//	/timeseries   windowed metric time-series JSON (?last=N)
+//	/healthz      liveness (always 200 while the process serves)
+//	/readyz       readiness (503 once shutdown begins)
 //
 // plus /debug/vars (the expvar table with the campaign's snapshot under
-// "witag") and the net/http/pprof suite at /debug/pprof/. Any other
-// campaign id gets 404. Everything hangs off a private mux, so several
-// servers coexist in one process.
+// "witag") and the net/http/pprof suite at /debug/pprof/. Everything
+// hangs off a private mux, so several servers coexist in one process.
 
 // writeJSON writes v as an indented JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
@@ -116,60 +112,45 @@ func (s *Server) Close() error {
 func (s *Server) mux() *http.ServeMux {
 	c := s.camp
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = c.Registry.Snapshot().WritePrometheus(w)
+	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, c.Status())
 	})
-	mux.HandleFunc("/campaigns", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, []CampaignStatus{c.Status()})
-	})
-	mux.HandleFunc("/campaigns/", func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, "/campaigns/")
-		id, sub, _ := strings.Cut(rest, "/")
-		if id != c.ID {
-			http.NotFound(w, r)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		snap := c.Registry.Snapshot()
+		if r.URL.Query().Get("format") == "json" {
+			writeJSON(w, snap)
 			return
 		}
-		switch sub {
-		case "":
-			writeJSON(w, c.Status())
-		case "metrics":
-			snap := c.Registry.Snapshot()
-			if r.URL.Query().Get("format") == "json" {
-				writeJSON(w, snap)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = snap.WritePrometheusLabeled(w, "campaign", c.ID)
-		case "events":
-			c.Events.ServeSSE(w, r, DefaultEventQueue)
-		case "timeseries":
-			tl := c.TimelineRef()
-			if tl == nil {
-				http.Error(w, "campaign has no timeline (run with -timeline)", http.StatusNotFound)
-				return
-			}
-			wins := tl.Windows()
-			if lastStr := r.URL.Query().Get("last"); lastStr != "" {
-				var last int
-				if _, err := fmt.Sscanf(lastStr, "%d", &last); err != nil || last < 0 {
-					http.Error(w, "bad last parameter", http.StatusBadRequest)
-					return
-				}
-				if last < len(wins) {
-					wins = wins[len(wins)-last:]
-				}
-			}
-			writeJSON(w, TimeseriesResponse{
-				Campaign:     c.ID,
-				WindowTrials: tl.Config().WindowTrials,
-				Total:        tl.Total(),
-				Dropped:      tl.Dropped(),
-				Windows:      wins,
-			})
-		default:
-			http.NotFound(w, r)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = snap.WritePrometheus(w)
+	})
+	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
+		c.Events.ServeSSE(w, r, DefaultEventQueue)
+	})
+	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
+		tl := c.TimelineRef()
+		if tl == nil {
+			http.Error(w, "campaign has no timeline (run with -timeline)", http.StatusNotFound)
+			return
 		}
+		wins := tl.Windows()
+		if lastStr := r.URL.Query().Get("last"); lastStr != "" {
+			var last int
+			if _, err := fmt.Sscanf(lastStr, "%d", &last); err != nil || last < 0 {
+				http.Error(w, "bad last parameter", http.StatusBadRequest)
+				return
+			}
+			if last < len(wins) {
+				wins = wins[len(wins)-last:]
+			}
+		}
+		writeJSON(w, TimeseriesResponse{
+			Campaign:     c.ID,
+			WindowTrials: tl.Config().WindowTrials,
+			Total:        tl.Total(),
+			Dropped:      tl.Dropped(),
+			Windows:      wins,
+		})
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -192,14 +173,14 @@ func (s *Server) mux() *http.ServeMux {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "witag observability: /campaigns /metrics /healthz /readyz /debug/vars /debug/pprof/\n")
+		fmt.Fprint(w, "witag observability: /status /metrics /events /timeseries /healthz /readyz /debug/vars /debug/pprof/\n")
 	})
 	return mux
 }
 
-// TimeseriesResponse is the /campaigns/<id>/timeseries payload: the
-// campaign's retained timeline windows plus the ring's accounting, so a
-// poller knows when windows were dropped between fetches.
+// TimeseriesResponse is the /timeseries payload: the campaign's retained
+// timeline windows plus the ring's accounting, so a poller knows when
+// windows were dropped between fetches.
 type TimeseriesResponse struct {
 	Campaign     string           `json:"campaign"`
 	WindowTrials int              `json:"window_trials"`

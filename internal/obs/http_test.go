@@ -99,48 +99,63 @@ func TestTwoServersCoexist(t *testing.T) {
 	}
 }
 
-// TestHubHTTPEndpoints covers the URLs Serve answers for its one campaign;
-// they are the URLs the multi-campaign hub answered.
+// TestHubHTTPEndpoints holds the server to its route contract: every
+// path the root page lists answers as the table says (an /events stream
+// opens, /timeseries points at -timeline while no timeline is attached),
+// the /metrics forms serve the campaign's snapshot, and the
+// multi-campaign routes are gone.
 func TestHubHTTPEndpoints(t *testing.T) {
-	srv, _, base := serveCampaign(t, "a", 5)
+	srv, _, base := serveCampaign(t, "bench", 5)
 
-	if code, body := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
-		t.Errorf("/healthz = %d %q", code, body)
+	contract := map[string]int{
+		"/status": 200, "/metrics": 200, "/events": 200, "/timeseries": 404,
+		"/healthz": 200, "/readyz": 200, "/debug/vars": 200, "/debug/pprof/": 200,
 	}
-	if code, body := get(t, base+"/readyz"); code != 200 || !strings.Contains(body, "ready") {
-		t.Errorf("/readyz = %d %q", code, body)
+	code, root := get(t, base+"/")
+	listed := strings.Fields(strings.TrimPrefix(root, "witag observability:"))
+	if code != 200 || len(listed) != len(contract) {
+		t.Fatalf("root page = %d %q, want the %d paths of the contract", code, root, len(contract))
 	}
-
-	code, body := get(t, base+"/campaigns")
-	if code != 200 {
-		t.Fatalf("/campaigns = %d", code)
+	for _, path := range listed {
+		want, ok := contract[path]
+		if !ok {
+			t.Errorf("root page lists %s, which the contract does not cover", path)
+			continue
+		}
+		// The status line alone: an /events stream stays open.
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
-	var list []CampaignStatus
-	if err := json.Unmarshal([]byte(body), &list); err != nil {
-		t.Fatalf("/campaigns not JSON: %v", err)
-	}
-	if len(list) != 1 || list[0].ID != "a" || list[0].State != "running" {
-		t.Fatalf("/campaigns = %+v, want the one campaign", list)
-	}
-
-	if code, body := get(t, base+"/campaigns/a"); code != 200 || !strings.Contains(body, `"id": "a"`) {
-		t.Errorf("/campaigns/a = %d %q", code, body)
-	}
-	for _, path := range []string{"/campaigns/nope", "/campaigns/", "/campaigns/nope/metrics", "/campaigns/a/bogus"} {
+	for _, path := range []string{"/campaigns", "/campaigns/bench", "/campaigns/bench/metrics", "/status/x", "/events/x"} {
 		if code, _ := get(t, base+path); code != 404 {
 			t.Errorf("%s = %d, want 404", path, code)
 		}
 	}
 
-	// Per-campaign Prometheus text carries the campaign label on every
-	// series; /metrics carries none.
-	_, prom := get(t, base+"/campaigns/a/metrics")
-	if !strings.Contains(prom, `witag_core_rounds{campaign="a"} 5`) {
-		t.Errorf("labeled metrics missing counter:\n%s", prom)
+	if _, body := get(t, base+"/healthz"); body != "ok\n" {
+		t.Errorf("/healthz body %q, want ok", body)
 	}
-	code, jsonBody := get(t, base+"/campaigns/a/metrics?format=json")
+	if _, body := get(t, base+"/readyz"); body != "ready\n" {
+		t.Errorf("/readyz body %q, want ready", body)
+	}
+	if code, body := get(t, base+"/status"); code != 200 || !strings.Contains(body, `"id": "bench"`) || !strings.Contains(body, `"state": "running"`) {
+		t.Errorf("/status = %d %q, want the running campaign", code, body)
+	}
+	if code, body := get(t, base+"/timeseries"); code != 404 || !strings.Contains(body, "-timeline") {
+		t.Errorf("/timeseries without a timeline = %d %q, want 404 with the -timeline hint", code, body)
+	}
+	if _, body := get(t, base+"/metrics"); !strings.Contains(body, "witag_core_rounds 5\n") {
+		t.Errorf("/metrics missing the unlabelled series:\n%s", body)
+	}
+	code, jsonBody := get(t, base+"/metrics?format=json")
 	if code != 200 {
-		t.Fatalf("metrics?format=json = %d", code)
+		t.Fatalf("/metrics?format=json = %d", code)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(jsonBody), &snap); err != nil {
@@ -148,9 +163,6 @@ func TestHubHTTPEndpoints(t *testing.T) {
 	}
 	if snap.Counters["core.rounds"] != 5 {
 		t.Errorf("JSON snapshot core.rounds = %d, want 5", snap.Counters["core.rounds"])
-	}
-	if _, body := get(t, base+"/metrics"); !strings.Contains(body, "witag_core_rounds 5") {
-		t.Errorf("/metrics missing series:\n%s", body)
 	}
 
 	srv.Shutdown()
@@ -162,13 +174,13 @@ func TestHubHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestHubTimeseriesEndpoint covers /campaigns/<id>/timeseries, the URL the
-// multi-campaign hub answered it at.
+// TestHubTimeseriesEndpoint covers /timeseries: a 404 with a hint until a
+// timeline is attached, then its windows, the newest ?last=N of them.
 func TestHubTimeseriesEndpoint(t *testing.T) {
 	_, a, base := serveCampaign(t, "a", 0)
 
 	// No timeline attached: 404 with a hint, not an empty 200.
-	if code, body := get(t, base+"/campaigns/a/timeseries"); code != 404 || !strings.Contains(body, "-timeline") {
+	if code, body := get(t, base+"/timeseries"); code != 404 || !strings.Contains(body, "-timeline") {
 		t.Errorf("timeseries without timeline = %d %q, want 404 with hint", code, body)
 	}
 
@@ -181,7 +193,7 @@ func TestHubTimeseriesEndpoint(t *testing.T) {
 		tl.NoteTrials(2*i, 2*i+2)
 	}
 
-	code, body := get(t, base+"/campaigns/a/timeseries")
+	code, body := get(t, base+"/timeseries")
 	if code != 200 {
 		t.Fatalf("timeseries = %d", code)
 	}
@@ -199,7 +211,7 @@ func TestHubTimeseriesEndpoint(t *testing.T) {
 		}
 	}
 
-	_, body = get(t, base+"/campaigns/a/timeseries?last=1")
+	_, body = get(t, base+"/timeseries?last=1")
 	if err := json.Unmarshal([]byte(body), &ts); err != nil {
 		t.Fatal(err)
 	}
@@ -207,47 +219,11 @@ func TestHubTimeseriesEndpoint(t *testing.T) {
 		t.Errorf("?last=1 = %+v, want the newest window", ts.Windows)
 	}
 
-	if code, _ := get(t, base+"/campaigns/a/timeseries?last=bogus"); code != 400 {
+	if code, _ := get(t, base+"/timeseries?last=bogus"); code != 400 {
 		t.Errorf("?last=bogus = %d, want 400", code)
 	}
-	if code, _ := get(t, base+"/campaigns/a/timeseries?last=-1"); code != 400 {
+	if code, _ := get(t, base+"/timeseries?last=-1"); code != 400 {
 		t.Errorf("?last=-1 = %d, want 400", code)
-	}
-}
-
-func TestWritePrometheusLabeledEscaping(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("core.rounds").Add(7)
-	reg.Histogram("lat", []int64{1}).Observe(1)
-	snap := reg.Snapshot()
-
-	cases := []struct{ id, want string }{
-		{`plain`, `campaign="plain"`},
-		{`has"quote`, `campaign="has\"quote"`},
-		{`back\slash`, `campaign="back\\slash"`},
-		{"new\nline", `campaign="new\nline"`},
-		{"all\"of\\it\n", `campaign="all\"of\\it\n"`},
-	}
-	for _, tc := range cases {
-		var b strings.Builder
-		if err := snap.WritePrometheusLabeled(&b, "campaign", tc.id); err != nil {
-			t.Fatal(err)
-		}
-		out := b.String()
-		if !strings.Contains(out, "witag_core_rounds{"+tc.want+"} 7") {
-			t.Errorf("label %q: escaped form %s missing:\n%s", tc.id, tc.want, out)
-		}
-		// The exposition format is line-oriented: a raw newline inside a
-		// label value would split a sample in two.
-		for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-			if strings.HasPrefix(line, "witag_") && !strings.Contains(line, " ") {
-				t.Errorf("label %q: sample line split by raw newline: %q", tc.id, line)
-			}
-		}
-		// Histogram bucket lines compose the campaign label with le.
-		if !strings.Contains(out, "witag_lat_bucket{"+tc.want+",le=") {
-			t.Errorf("label %q: bucket lines miss the label:\n%s", tc.id, out)
-		}
 	}
 }
 
@@ -259,7 +235,7 @@ func TestReadyzGoes503DuringCloseAllWithLiveStream(t *testing.T) {
 
 	// Attach a real SSE client and wait for the open comment, so Shutdown
 	// runs with a live stream to tear down.
-	resp, err := http.Get(base + "/campaigns/a/events")
+	resp, err := http.Get(base + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // Broker fans structured events out to live subscribers (the SSE clients
-// of /campaigns/<id>/events). It is strictly a sink on the simulation
-// side: Publish never blocks, so a slow or stalled subscriber can never
-// back-pressure a worker goroutine. Each subscriber owns a bounded queue;
+// of /events). It is strictly a sink on the simulation side: Publish
+// never blocks, so a slow or stalled subscriber can never back-pressure
+// a worker goroutine. Each subscriber owns a bounded queue;
 // when it is full the event is dropped for that subscriber and the drop
 // counter advances — live streaming is best-effort by design, the
 // authoritative record is the metrics registry and the trace ring.

@@ -107,17 +107,17 @@ const (
 	chunkBytes = 64 << 10
 )
 
-// DefaultTraceCap bounds a recorder created with capacity <= 0. A
+// DefaultTraceCap is -trace-cap's default ring capacity. A
 // retained event of a coding campaign costs about 14 bytes in memory (at
 // most maxRecordBytes, 143, for any event), plus one string table entry
 // per distinct label, so a full ring of such events holds about 3.5 MiB.
 const DefaultTraceCap = 1 << 18
 
-// NewRecorder returns a recorder holding at most capacity events
-// (DefaultTraceCap when capacity <= 0).
+// NewRecorder returns a recorder holding at most capacity events; it
+// panics when capacity is below 1.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultTraceCap
+	if capacity < 1 {
+		panic(fmt.Sprintf("obs: trace ring capacity %d, need at least 1", capacity))
 	}
 	size := chunkBytes
 	if capacity < chunkBytes/maxRecordBytes {
