@@ -326,7 +326,7 @@ fuzzseed:
 # to the same bar as world storage: an ARQ, LT or RS transferer on the
 # storage a released one emptied, and an LT decoder on storage an earlier
 # one emptied, must give what one on fresh storage gives, every RS parity shard computed on demand must equal
-# RS.Parity's, and a warm coding trial must allocate under 4 KiB. The
+# RS.Parity's, and a warm coding trial must allocate under 2.25 KiB. The
 # trace export itself is held to the contract: two fresh Figure 5
 # campaigns at one worker write byte-identical TRACE JSONL, every event
 # naming its label path, and one at two workers the same lines. And
@@ -339,10 +339,17 @@ fuzzseed:
 # library or the repository calls through); the rule's own fixture pins
 # what it reports, and a package it cannot type-check fails it. And no
 # name in this target's -run lists may match no Test, Fuzz or Benchmark
-# function of the packages its command lists.
+# function of the packages its command lists. Stage 13 too: a paired
+# world is built once — the readers a link tape hands out must share its
+# one environment, fault injector and traffic generator, a released
+# reader must leave them to the tape for the next one, and a reader that
+# brings layers, a link or a query of its own must be refused; the coding
+# sweep's transfers of one world must borrow its layers; and SNR, summed
+# into the environment's own buffer, must equal the SNR of the channel
+# Channel returns, bit for bit, allocating nothing once warm.
 determinism:
 	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|DeterminismRunListNamesTests|FuzzDecodeTable|TestDecodeTableBounds|DecodeTableRoundWrap|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned|ReleasedStreamPanics|SeededBytesMatchesRandomBytes|EnvironmentReleaseStartsCold|SystemReleaseStartsCold|WarmPoolsMatchCold|Figure5TrialAllocs|FountainGaussianReusesScratch|OnlySimInstruments|RobustnessTransferAllocs|RoundAirtimeMatchesBuiltQuery|LoSTagRateMatchesWorld|Section41SweepAllocs|TransfererReleaseStartsCold|FountainDecoderStorageStartsCold|RSParityOnDemandMatchesParity|CodingTrialAllocs' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
+	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|DeterminismRunListNamesTests|FuzzDecodeTable|TestDecodeTableBounds|DecodeTableRoundWrap|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned|ReleasedStreamPanics|SeededBytesMatchesRandomBytes|EnvironmentReleaseStartsCold|SystemReleaseStartsCold|WarmPoolsMatchCold|Figure5TrialAllocs|FountainGaussianReusesScratch|OnlySimInstruments|RobustnessTransferAllocs|RoundAirtimeMatchesBuiltQuery|LoSTagRateMatchesWorld|Section41SweepAllocs|TransfererReleaseStartsCold|FountainDecoderStorageStartsCold|RSParityOnDemandMatchesParity|CodingTrialAllocs|LinkTapeReadersBorrowOneWorld|PairedWorldReadersShareLayers|SNRMatchesChannel' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,10 +30,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // must show the row as lost.
 func TestPollRendersTheCampaign(t *testing.T) {
 	camp := obs.NewCampaign("bench", obs.CampaignOptions{})
-	srv, err := obs.Serve("127.0.0.1:0", camp)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := obs.Serve(ln, camp)
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -314,6 +315,48 @@ func TestSNRDropsThroughWalls(t *testing.T) {
 	lost := 10 * math.Log10(open/blocked)
 	if math.Abs(lost-18) > 1e-6 {
 		t.Fatalf("walls removed %v dB, want 18", lost)
+	}
+}
+
+// TestSNRMatchesChannel: SNR sums into the environment's own buffer, so
+// once warm it allocates nothing, yet it must equal the SNR of the
+// channel Channel(tx, rx, nil) returns, bit for bit, as the scatterers
+// walk and as a wall's attenuation is edited in place (Figure 6 retunes
+// one between SNR calls), and a fresh Channel buffer must stay its own.
+func TestSNRMatchesChannel(t *testing.T) {
+	e := NewEnvironment(12)
+	e.AddWall(Point{3.5, -6}, Point{3.5, 6}, 7, "wooden wall")
+	e.AddReflector(Point{2, 2.5}, 55)
+	e.AddScatterers(6, 0, -4, 17, 4, 22, 1.2)
+	tx, rx := Point{0, 0}, Point{17, 0}
+	for r := range 20 {
+		if r == 10 {
+			e.Walls[0].AttenuationDb = 12
+		}
+		e.Advance(RoundStepS)
+		h, err := e.Channel(tx, rx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hCopy := slices.Clone(h)
+		got, err := e.SNR(tx, rx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SNRLinear(e.TxPowerDbm, MeanPower(h), e.NoiseFloorDbm)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round %d: SNR %v, the Channel's %v", r, got, want)
+		}
+		if !slices.Equal(h, hCopy) {
+			t.Fatalf("round %d: SNR wrote into a channel Channel returned", r)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.SNR(tx, rx); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm SNR allocates %v times, want 0", allocs)
 	}
 }
 

@@ -79,6 +79,8 @@ type envCache struct {
 	loss lossMemo
 	// rotors is the scratch the fused scatterer pass reuses every round.
 	rotors []rotor
+	// snr is the channel buffer SNR sums into.
+	snr []complex128
 	// The storage AddReflector and AddScatterers append to.
 	reflectors []Reflector
 	scatterers []Scatterer
@@ -493,12 +495,14 @@ func MeanPower(h []complex128) float64 {
 }
 
 // SNR returns the mean per-subcarrier linear SNR of the tx→rx link with the
-// tag absent.
+// tag absent: that of Channel(tx, rx, nil), summed into the environment's
+// own buffer.
 func (e *Environment) SNR(tx, rx Point) (float64, error) {
-	h, err := e.Channel(tx, rx, nil)
+	h, err := e.untaggedSum(e.cache.snr, tx, rx)
 	if err != nil {
 		return 0, err
 	}
+	e.cache.snr = h
 	return SNRLinear(e.TxPowerDbm, MeanPower(h), e.NoiseFloorDbm), nil
 }
 

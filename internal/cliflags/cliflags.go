@@ -139,7 +139,7 @@ func OutputFile(flagName, path string) error {
 }
 
 // MetricsAddrFormat validates that addr parses as host:port without
-// probing it — the client-side twin of MetricsAddr, for tools (like
+// binding it — the client-side twin of MetricsAddr, for tools (like
 // witag-top) that connect to an address another process is serving on.
 func MetricsAddrFormat(flagName, addr string) error {
 	if addr == "" {
@@ -151,21 +151,22 @@ func MetricsAddrFormat(flagName, addr string) error {
 	return nil
 }
 
-// MetricsAddr validates a -metrics-addr value up front: it must parse as
-// host:port and be bindable right now. The probe listener is closed
-// immediately; the real bind follows within the same invocation, so the
-// window for another process to steal the port is negligible — and the
-// failure mode is the same clear error, just later.
-func MetricsAddr(flagName, addr string) error {
+// MetricsAddr binds a -metrics-addr value up front and returns the
+// listener, which the caller serves on (obs.Serve) or closes: addr must
+// parse as host:port and be free. Binding once, before any work, means a
+// busy port is refused naming the flag, and no other process can take
+// the port between the check and the serve. An empty addr is the off
+// switch: no listener and no error.
+func MetricsAddr(flagName, addr string) (net.Listener, error) {
 	if addr == "" {
-		return nil
+		return nil, nil
 	}
 	if _, _, err := net.SplitHostPort(addr); err != nil {
-		return fmt.Errorf("%s: %q is not host:port: %w", flagName, addr, err)
+		return nil, fmt.Errorf("%s: %q is not host:port: %w", flagName, addr, err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("%s: cannot bind %q: %w", flagName, addr, err)
+		return nil, fmt.Errorf("%s: cannot bind %q: %w", flagName, addr, err)
 	}
-	return ln.Close()
+	return ln, nil
 }

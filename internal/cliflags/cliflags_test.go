@@ -2,7 +2,6 @@ package cliflags
 
 import (
 	"log/slog"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,23 +116,24 @@ func TestDirAndFileChecks(t *testing.T) {
 }
 
 func TestMetricsAddr(t *testing.T) {
-	if err := MetricsAddr("-metrics-addr", ""); err != nil {
-		t.Fatal("empty MetricsAddr must be the off switch")
+	if ln, err := MetricsAddr("-metrics-addr", ""); ln != nil || err != nil {
+		t.Fatalf("empty MetricsAddr must be the off switch, got %v, %v", ln, err)
 	}
-	if err := MetricsAddr("-metrics-addr", "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := MetricsAddr("-metrics-addr", "no-port-here"); err == nil || !strings.Contains(err.Error(), "host:port") {
+	if _, err := MetricsAddr("-metrics-addr", "no-port-here"); err == nil || !strings.Contains(err.Error(), "host:port") {
 		t.Fatalf("malformed addr returned %v", err)
 	}
 
-	// A port already held by someone else must fail the up-front probe.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// The listener it returns holds the port: a second bind of the same
+	// address, as by another process, must be refused naming the flag.
+	ln, err := MetricsAddr("-metrics-addr", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if err := MetricsAddr("-metrics-addr", ln.Addr().String()); err == nil {
-		t.Fatal("MetricsAddr accepted a busy port")
+	if busy, err := MetricsAddr("-metrics-addr", ln.Addr().String()); err == nil || !strings.HasPrefix(err.Error(), "-metrics-addr") {
+		if busy != nil {
+			busy.Close()
+		}
+		t.Fatalf("MetricsAddr on a busy port returned %v, want an error naming -metrics-addr", err)
 	}
 }

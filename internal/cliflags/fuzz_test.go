@@ -82,8 +82,8 @@ func hostPort(addr string) bool {
 }
 
 // FuzzMetricsAddrFormat: -metrics-addr style values that parse must have
-// the host:port form. (MetricsAddr also binds the address, so only its
-// parser is fuzzed.)
+// the host:port form. (MetricsAddr binds the address, so only its parser
+// is fuzzed.)
 func FuzzMetricsAddrFormat(f *testing.F) {
 	for _, v := range []string{"", ":0", "localhost:9090", "[::1]:80", "::1", "a:b:c", "[a]b:1", "host", "[x]:", "]:1"} {
 		f.Add(v)

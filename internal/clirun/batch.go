@@ -145,11 +145,17 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 		cliflags.OutputDir("-json", cfg.JSONDir),
 		cliflags.OutputDir("-trace-out", cfg.TraceOut),
 		cliflags.OutputFile("-log", cfg.LogPath),
-		cliflags.MetricsAddr("-metrics-addr", cfg.MetricsAddr),
 	} {
 		if v != nil {
 			return v
 		}
+	}
+	// -metrics-addr is bound here, once, before the log file or the
+	// campaign exists: a busy port is refused like any other bad flag,
+	// and the port stays held until the server takes the listener.
+	ln, err := cliflags.MetricsAddr("-metrics-addr", cfg.MetricsAddr)
+	if err != nil {
+		return err
 	}
 
 	// Campaign wiring: this invocation is the process's one campaign
@@ -166,6 +172,9 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 	if cfg.LogPath != "" {
 		f, err := os.Create(cfg.LogPath)
 		if err != nil {
+			if ln != nil {
+				ln.Close()
+			}
 			return fmt.Errorf("-log: %w", err)
 		}
 		defer f.Close()
@@ -209,12 +218,8 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 		}
 	}()
 
-	if cfg.MetricsAddr != "" {
-		srv, err := obs.Serve(cfg.MetricsAddr, camp)
-		if err != nil {
-			full = err
-			return err
-		}
+	if ln != nil {
+		srv := obs.Serve(ln, camp)
 		// Tear the listener down on Ctrl-C too, not only when the run
 		// ends: a cancelled run must release its port promptly. Close is
 		// idempotent, so the two paths race safely.

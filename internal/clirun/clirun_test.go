@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -183,48 +182,32 @@ func TestListenerReleasedOnCancel(t *testing.T) {
 	}
 }
 
-// portTaker takes addr when the "run started" log line resolves it as
-// a start attribute: after RunSuite's up-front -metrics-addr probe, and
-// before its listener binds.
-type portTaker struct {
-	addr string
-	ln   net.Listener
-}
-
-func (p *portTaker) LogValue() slog.Value {
-	if ln, err := net.Listen("tcp", p.addr); err == nil {
-		p.ln = ln
-	}
-	return slog.StringValue(p.addr)
-}
-
-// TestStartFailureFinishesRun has the -metrics-addr port taken between
-// the probe and the bind: the run must fail before any experiment and
-// still append its ledger line.
-func TestStartFailureFinishesRun(t *testing.T) {
+// TestBusyMetricsAddrRefused holds the -metrics-addr port before the run:
+// the run must be refused naming the flag before anything starts, with
+// no log file, ledger line or artifact written.
+func TestBusyMetricsAddrRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	taker := &portTaker{addr: ln.Addr().String()}
-	ln.Close()
+	defer ln.Close()
 	cfg := testConfig(t)
-	cfg.MetricsAddr, cfg.LogPath = taker.addr, filepath.Join(t.TempDir(), "LOG.jsonl")
-	cfg.StartAttrs = []any{slog.Any("taken", taker)}
-	var stdout bytes.Buffer
-	err = RunSuite(context.Background(), cfg, []experiments.Experiment{fakeExperiment("alpha", 1, "")}, &stdout, io.Discard)
-	if taker.ln == nil {
-		t.Fatal("the port could not be taken after the probe")
+	cfg.MetricsAddr, cfg.LogPath = ln.Addr().String(), filepath.Join(t.TempDir(), "LOG.jsonl")
+	var stdout, stderr bytes.Buffer
+	err = RunSuite(context.Background(), cfg, []experiments.Experiment{fakeExperiment("alpha", 1, "")}, &stdout, &stderr)
+	if err == nil || !strings.HasPrefix(err.Error(), "-metrics-addr") {
+		t.Fatalf("RunSuite = %v, want an error naming -metrics-addr", err)
 	}
-	taker.ln.Close()
-	if err == nil {
-		t.Fatal("RunSuite bound an address already in use")
+	if stdout.Len() != 0 || stderr.Len() != 0 {
+		t.Fatalf("the refused run wrote stdout %q, stderr %q", stdout.String(), stderr.String())
 	}
-	if stdout.Len() != 0 {
-		t.Fatalf("an experiment ran after the failed bind: stdout %q", stdout.String())
+	if _, serr := os.Stat(cfg.LogPath); !errors.Is(serr, os.ErrNotExist) {
+		t.Fatalf("the refused run created its log: %v", serr)
 	}
-	if recs := readLedger(t, cfg.JSONDir); len(recs) != 1 || recs[0].Outcome != "error" || recs[0].Error != err.Error() {
-		t.Fatalf("failed start left ledger %+v, want one error line with %q", recs, err)
+	for _, dir := range []string{cfg.JSONDir, cfg.TraceOut} {
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("the refused run wrote %d files under %s, the first %s", len(entries), dir, entries[0].Name())
+		}
 	}
 }
 

@@ -264,36 +264,85 @@ var errTapeReleased = errors.New("core: link tape read after its release")
 // draws. Round r is the link after r+1 steps of channel.RoundStepS
 // scatterer motion — the step every transfer and measurement loop takes
 // before each query round — and the (r+1)th round of the world's fault
-// and traffic streams. The tape owns a private build of the world, which
-// no System touches: the first reader to reach round r advances that
-// build, evaluates the round's link and draws its faults and traffic
-// through the hooks under the tape's lock, and every later reader copies
-// the stored round. Each entry is a pure function of the world's seeds and
-// the round, so which reader records it never changes a result.
+// and traffic streams.
+//
+// The world is built once. The tape runs its build on the first Reader
+// call or the first read, whichever comes first, and takes the world's
+// layers from it: its environment, fault injector and traffic generator,
+// which the tape owns and releases, and the link geometry and subframe
+// counts every reader is checked against. The built System goes to that
+// first Reader call; every later reader is a System of its own (stream,
+// tag clock, contender) over the tape's environment and layers. The first
+// reader to reach round r advances the environment, evaluates the round's
+// link and draws its faults and traffic through the hooks under the
+// tape's lock, and every later reader copies the stored round. Each entry
+// is a pure function of the world's seeds and the round, so which reader
+// records it never changes a result.
 //
 // A System with a tape (System.Link) takes its link and its draws from the
 // tape rather than from its own environment and streams, which it then
 // never needs advanced; it counts and traces the draws as its own. The
-// private world counts nothing, and evaluates the link in its own scratch.
-// A LinkTape is safe for concurrent use. Release ends it and hands its
-// world and chunks to the next ones built.
+// tape counts nothing, and evaluates the link in its own scratch. A
+// LinkTape is safe for concurrent use. Release ends it and hands its
+// layers, scratch and chunks to the next ones built.
 type LinkTape struct {
-	mu     sync.Mutex
-	build  func() (*System, *channel.Environment, error)
-	world  *System              // the private build; nil until the first read
-	env    *channel.Environment // its environment
-	geom   linkGeom
-	err    error // a failed build or evaluation, returned to every reader
-	chunks []*[tapeChunk]worldRound
-	n      int // rounds recorded
+	mu    sync.Mutex
+	build func() (*System, *channel.Environment, error)
+	// The world's layers, taken from its build; nil until the tape opens.
+	env     *channel.Environment
+	faults  *fault.Injector
+	traffic *traffic.Generator
+	// What a reader must match: the world's link geometry and query shape.
+	geom             linkGeom
+	trigLen, dataLen int
+	link             *linkScratch // the round evaluations' scratch
+	err              error        // a failed build or evaluation, returned to every reader
+	chunks           []*[tapeChunk]worldRound
+	n                int // rounds recorded
 }
 
+// tapeLinks holds the link scratch of released tapes.
+var tapeLinks sync.Pool
+
 // NewLinkTape returns an empty tape over the world build constructs. The
-// build runs once, on the first read; it must construct the same world,
-// from the same seeds, as the systems that read the tape — its
-// environment, its fault injector and its traffic generator alike.
+// build runs once, on the first Reader call or read; it must construct
+// the same world, from the same seeds, as the systems that read the tape
+// — its environment, its fault injector and its traffic generator alike.
 func NewLinkTape(build func() (*System, *channel.Environment, error)) *LinkTape {
 	return &LinkTape{build: build}
+}
+
+// Reader returns a system of t's world that reads its rounds from t. The
+// first call on a tape no read has opened returns the world's build
+// itself; every later one returns the system reader builds over the
+// tape's environment, which must be the world's system — its positions,
+// tag and seed — with no layers of its own: Reader attaches the tape's
+// fault injector and traffic generator. Either way the system borrows its
+// Env, Faults and Traffic from t: it never advances or draws them, and
+// System.Release leaves them to the tape's Release. A failed build, or a
+// released tape, returns the tape's error.
+func (t *LinkTape) Reader(reader func(*channel.Environment) (*System, error)) (*System, error) {
+	t.mu.Lock()
+	var sys *System
+	if t.env == nil && t.err == nil {
+		sys = t.open()
+	}
+	env, faults, gen, err := t.env, t.faults, t.traffic, t.err
+	t.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if sys == nil {
+		if sys, err = reader(env); err != nil {
+			return nil, err
+		}
+		if sys.Env != env || sys.Faults != nil || sys.Traffic != nil {
+			return nil, fmt.Errorf("core: a reader of a link tape brings its own environment, fault injector or traffic generator")
+		}
+		sys.Faults, sys.Traffic = faults, gen
+	}
+	sys.Link, sys.tapeLayers = t, true
+	return sys, nil
 }
 
 // at returns round r of the world for reader s, whose link geometry is g,
@@ -305,8 +354,11 @@ func NewLinkTape(build func() (*System, *channel.Environment, error)) *LinkTape 
 func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int64, evals int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.world == nil && t.err == nil {
-		t.open()
+	if t.env == nil && t.err == nil {
+		if sys := t.open(); sys != nil {
+			// No Reader took the build: the tape keeps only its layers.
+			sys.Release()
+		}
 	}
 	if t.err != nil {
 		return w, 0, 0, t.err
@@ -314,11 +366,9 @@ func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int6
 	if err := t.refuse(s, g); err != nil {
 		return w, 0, 0, err
 	}
-	ws := t.world
-	dataLen, total := ws.Spec.DataLen, ws.Spec.TriggerLen+ws.Spec.DataLen
 	for t.n <= r {
 		t.env.Advance(channel.RoundStepS)
-		next, _, p, err := ws.link.eval(t.env, &t.geom, nil, 0)
+		next, _, p, err := t.link.eval(t.env, &t.geom, nil, 0)
 		if err != nil {
 			t.err = err
 			return w, phasors, evals, err
@@ -330,7 +380,7 @@ func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int6
 			}
 			t.chunks = append(t.chunks, c)
 		}
-		t.chunks[t.n/tapeChunk][t.n%tapeChunk] = worldRound{next, drawRound(ws.Faults, ws.Traffic, dataLen, total)}
+		t.chunks[t.n/tapeChunk][t.n%tapeChunk] = worldRound{next, drawRound(t.faults, t.traffic, t.dataLen, t.trigLen+t.dataLen)}
 		t.n++
 		phasors += p
 		evals++
@@ -338,45 +388,56 @@ func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int6
 	return t.chunks[r/tapeChunk][r%tapeChunk], phasors, evals, nil
 }
 
-// Release ends the tape once no reader will read it again: its private
-// world and environment are released (System.Release,
-// channel.Environment.Release) and its chunks go to the next tapes
-// recorded. A later read returns an error. A tape that is never released
-// is garbage-collected as before.
+// Release ends the tape once no reader will read it again: the world's
+// environment, fault injector and traffic generator are released
+// (channel.Environment.Release, fault.Injector.Release,
+// traffic.Generator.Release), and its scratch and chunks go to the next
+// tapes recorded. A later read returns an error. A tape that is never
+// released is garbage-collected as before.
 func (t *LinkTape) Release() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.world != nil {
-		t.world.Release()
+	if t.env != nil {
 		t.env.Release()
+		if t.faults != nil {
+			t.faults.Release()
+		}
+		if t.traffic != nil {
+			t.traffic.Release()
+		}
+		t.link.watts = wattsCache{}
+		tapeLinks.Put(t.link)
 	}
 	for _, c := range t.chunks {
 		tapeChunks.Put(c)
 	}
-	t.world, t.env, t.chunks, t.err = nil, nil, nil, errTapeReleased
+	t.build, t.env, t.faults, t.traffic, t.link, t.chunks = nil, nil, nil, nil, nil, nil
+	t.err = errTapeReleased
 }
 
 // refuse returns an error when reader s, with link geometry g, is not of
 // the tape's world: its link, its query's subframe counts, or the profile
 // (or the presence) of its fault injector or traffic generator differ.
 func (t *LinkTape) refuse(s *System, g *linkGeom) error {
-	ws := t.world
 	switch {
 	case *g != t.geom:
 		return fmt.Errorf("core: the system's link (MCS, positions or tag coefficients) differs from its tape's")
-	case s.Spec.DataLen != ws.Spec.DataLen || s.Spec.TriggerLen != ws.Spec.TriggerLen:
+	case s.Spec.DataLen != t.dataLen || s.Spec.TriggerLen != t.trigLen:
 		return fmt.Errorf("core: the system's query (%d+%d subframes) differs from its tape's (%d+%d)",
-			s.Spec.TriggerLen, s.Spec.DataLen, ws.Spec.TriggerLen, ws.Spec.DataLen)
-	case (s.Faults == nil) != (ws.Faults == nil) || s.Faults != nil && s.Faults.Profile != ws.Faults.Profile:
+			s.Spec.TriggerLen, s.Spec.DataLen, t.trigLen, t.dataLen)
+	case (s.Faults == nil) != (t.faults == nil) || s.Faults != nil && s.Faults.Profile != t.faults.Profile:
 		return fmt.Errorf("core: the system's fault profile differs from its tape's")
-	case (s.Traffic == nil) != (ws.Traffic == nil) || s.Traffic != nil && !s.Traffic.Profile().Equal(ws.Traffic.Profile()):
+	case (s.Traffic == nil) != (t.traffic == nil) || s.Traffic != nil && !s.Traffic.Profile().Equal(t.traffic.Profile()):
 		return fmt.Errorf("core: the system's traffic profile differs from its tape's")
 	}
 	return nil
 }
 
-// open builds the tape's private world and takes its link geometry.
-func (t *LinkTape) open() {
+// open runs the world's build and takes its layers, link geometry and
+// subframe counts, and returns the built system, whose Env, Faults and
+// Traffic are now the tape's. A failed build sets the tape's error and
+// returns nil.
+func (t *LinkTape) open() *System {
 	sys, env, err := t.build()
 	if err == nil && (sys == nil || env == nil) {
 		err = fmt.Errorf("core: link tape build returned no world")
@@ -389,8 +450,14 @@ func (t *LinkTape) open() {
 	}
 	if err != nil {
 		t.err = fmt.Errorf("core: link tape build: %w", err)
-		return
+		return nil
 	}
-	t.world, t.env = sys, env
+	t.env, t.faults, t.traffic = env, sys.Faults, sys.Traffic
+	t.trigLen, t.dataLen = sys.Spec.TriggerLen, sys.Spec.DataLen
+	if t.link, _ = tapeLinks.Get().(*linkScratch); t.link == nil {
+		t.link = new(linkScratch)
+	}
 	t.build = nil
+	sys.tapeLayers = true
+	return sys
 }

@@ -32,9 +32,7 @@ func linkWorld(tagX float64, seed int64) func() (*System, *channel.Environment, 
 		env.AddReflector(channel.Point{X: -1, Y: 0}, 40)
 		env.AddReflector(channel.Point{X: 9, Y: 0}, 40)
 		env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
-		sys, err := NewSystem(env,
-			channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
-			channel.Point{X: tagX, Y: 0.3}, 68, seed)
+		sys, err := linkReader(tagX, seed)(env)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -53,6 +51,16 @@ func linkWorld(tagX float64, seed int64) func() (*System, *channel.Environment, 
 			return nil, nil, err
 		}
 		return sys, env, nil
+	}
+}
+
+// linkReader builds linkWorld(tagX, seed)'s system over env, with no
+// fault or traffic layer: a reader of the world's tape (LinkTape.Reader).
+func linkReader(tagX float64, seed int64) func(*channel.Environment) (*System, error) {
+	return func(env *channel.Environment) (*System, error) {
+		return NewSystem(env,
+			channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
+			channel.Point{X: tagX, Y: 0.3}, 68, seed)
 	}
 }
 
@@ -103,10 +111,13 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 
 // TestLinkTapeConcurrentReadersMatchLocal has several systems of one world
 // — bursty faults and office traffic included — read one tape
-// concurrently, each at its own random pace, and requires every round of
-// every reader to equal a system that evaluates the link and draws its
-// faults and traffic itself, bit for bit, with the same fault and traffic
-// counts after it. Every taped round's whole link state must equal a
+// concurrently, each at its own random pace: every other one a whole
+// build of the world of its own, the rest handed out by the tape
+// (LinkTape.Reader), borrowing the world's environment, injector and
+// generator, which the tape advances and draws as they read. It requires
+// every round of every reader to equal a system that evaluates the link
+// and draws its faults and traffic itself, bit for bit, with the same
+// fault and traffic counts after it. Every taped round's whole link state must equal a
 // local evaluation of the same world, bit for bit. The tape must evaluate
 // each round exactly once, so the readers' work counters sum to the local
 // system's.
@@ -130,11 +141,17 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	errs := make([]error, readers)
 	var wg sync.WaitGroup
 	for i := range readers {
-		sys, _, err := build()
+		var sys *System
+		if i%2 == 0 {
+			if sys, _, err = build(); err == nil {
+				sys.Link = tape
+			}
+		} else {
+			sys, err = tape.Reader(linkReader(2, 31))
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Link = tape
 		camps[i] = obs.NewCampaign("taped", obs.CampaignOptions{})
 		sys.Instrument(camps[i].Observer, i, "taped")
 		wg.Add(1)
@@ -279,6 +296,107 @@ func TestLinkTapeRejectsOtherLink(t *testing.T) {
 		if _, err := sys.QueryRound(nil); err == nil || !strings.Contains(err.Error(), "link tape build") {
 			t.Errorf("failed build: QueryRound returned %v", err)
 		}
+	}
+}
+
+// TestLinkTapeReadersBorrowOneWorld: the readers a tape hands out share
+// one build of the world. The build runs once and is the first reader;
+// every later reader is built over the tape's environment and carries the
+// tape's fault injector and traffic generator. Releasing a reader leaves
+// those layers to the tape, so the next reader, reading rounds no reader
+// has reached, still gets every round a local system gets, bit for bit. A
+// reader that brings an environment or layers of its own is refused at
+// once, and one whose link or query differs at its first round.
+func TestLinkTapeReadersBorrowOneWorld(t *testing.T) {
+	const rounds, readers = 240, 3
+	local, env, err := linkWorld(2, 31)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.Instrument(obs.NewObserver(nil, nil), 0, "local")
+	want, err := linkRounds(local, env, rounds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	builds := 0
+	tape := NewLinkTape(func() (*System, *channel.Environment, error) {
+		builds++
+		return linkWorld(2, 31)()
+	})
+	defer tape.Release()
+	for i := range readers {
+		sys, err := tape.Reader(linkReader(2, 31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Link != tape || sys.Env != tape.env || sys.Faults != tape.faults || sys.Traffic != tape.traffic {
+			t.Fatalf("reader %d: Link, Env, Faults or Traffic is not its tape's", i)
+		}
+		sys.Instrument(obs.NewObserver(nil, nil), i, "reader")
+		n := rounds * (i + 1) / readers
+		got, err := linkRounds(sys, nil, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[:n]) {
+			t.Fatalf("reader %d: its %d rounds differ from a local system's", i, n)
+		}
+		sys.Release()
+	}
+	if builds != 1 || tape.faults == nil || tape.traffic == nil {
+		t.Fatalf("%d builds for %d readers; the tape holds faults %v, traffic %v", builds, readers, tape.faults, tape.traffic)
+	}
+
+	download, err := traffic.Named("download")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calm, err := fault.Named("calm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := map[string]struct {
+		edit       func(s *System)
+		firstRound bool // refused at its first round, not by Reader
+	}{
+		"environment": {edit: func(s *System) { s.Env = channel.NewEnvironment(31) }},
+		"faults": {edit: func(s *System) {
+			if s.Faults, err = fault.NewInjector(calm, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"traffic": {edit: func(s *System) {
+			if s.Traffic, err = traffic.NewGenerator(download, 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"tag":   {edit: func(s *System) { s.TagPos.X = 3 }, firstRound: true},
+		"query": {edit: func(s *System) { s.Spec.TriggerLen, s.Spec.DataLen = 5, 59 }, firstRound: true},
+	}
+	for name, e := range edits {
+		sys, err := tape.Reader(func(env *channel.Environment) (*System, error) {
+			sys, err := linkReader(2, 31)(env)
+			if err == nil {
+				e.edit(sys)
+			}
+			return sys, err
+		})
+		if !e.firstRound {
+			if err == nil || !strings.Contains(err.Error(), "its own") {
+				t.Errorf("%s: Reader returned %v, want a refusal of the reader's own layers", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := sys.QueryRound(nil); err == nil || !strings.Contains(err.Error(), "differs from its tape") {
+			t.Errorf("%s: QueryRound returned %v, want a mismatch with the tape", name, err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("%d builds after the refused readers", builds)
 	}
 }
 

@@ -68,11 +68,13 @@ type System struct {
 	// verdicts and ambient mask from it rather than evaluating Env and
 	// drawing from Faults and Traffic, and counts the tape's draws as it
 	// counts its own. The caller no longer advances Env between rounds —
-	// the tape advances its own build of the world. The tape must have
-	// been built from the same world; a system whose MCS, positions, tag
+	// the tape advances the world's environment. The tape must have been
+	// built from the same world; a system whose MCS, positions, tag
 	// coefficients, subframe counts, fault profile or traffic profile
-	// differ from the tape's gets an error. Nil evaluates the link over
-	// Env and draws from Faults and Traffic every round.
+	// differ from the tape's gets an error. A system from
+	// LinkTape.Reader borrows its Env, Faults and Traffic from the tape,
+	// which releases them. Nil evaluates the link over Env and draws from
+	// Faults and Traffic every round.
 	Link *LinkTape
 	// Obs, when non-nil, receives per-round metrics and trace events.
 	// Instrumentation is passive: it never draws from an RNG and never
@@ -109,6 +111,9 @@ type System struct {
 	*systemScratch
 	// linkRound is the next round a taped system reads from Link.
 	linkRound int
+	// tapeLayers marks Env, Faults and Traffic as Link's, borrowed from
+	// the tape that owns and releases them (LinkTape.Reader).
+	tapeLayers bool
 }
 
 // systemScratch is what a System reuses from round to round and what
@@ -214,17 +219,18 @@ func NewSystem(env *channel.Environment, client, ap, tagPos channel.Point, tagGa
 // Release ends the world s: its own stream and those of its tag clock,
 // contender, Faults and Traffic are released (stats.Release), and its
 // scratch goes, emptied, to the next System built. It does not release
-// Env, which has a Release of its own. s must not be used again: a round
-// on it panics. A System that is never released is garbage-collected as
-// before.
+// Env, which has a Release of its own, nor Faults and Traffic borrowed
+// from a tape (LinkTape.Reader), which the tape releases. s must not be
+// used again: a round on it panics. A System that is never released is
+// garbage-collected as before.
 func (s *System) Release() {
 	stats.Release(s.rng)
 	s.Tag.Clock.Release()
 	s.Contender.Release()
-	if s.Faults != nil {
+	if s.Faults != nil && !s.tapeLayers {
 		s.Faults.Release()
 	}
-	if s.Traffic != nil {
+	if s.Traffic != nil && !s.tapeLayers {
 		s.Traffic.Release()
 	}
 	if c := s.systemScratch; c != nil {

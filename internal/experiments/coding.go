@@ -283,9 +283,9 @@ func codingTrial(i, schemes, transfers int) (pi, si, tr int) {
 // codingTrials runs every transfer of the sweep in the blocked order and
 // returns the outcomes scheme-major — profile, then scheme, then transfer
 // — the layout the aggregation reads. The trace ID of each transfer is its
-// index in the run order. Every paired world gets one link tape from
-// tapes (nil: no tapes), released when each of its transfers returns.
-func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []string, tapes *tapeSet) ([]TransferOutcome, error) {
+// index in the run order. Every paired world comes from worlds (nil: each
+// transfer builds its own), released when each of its transfers returns.
+func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []string, worlds *tapeSet) ([]TransferOutcome, error) {
 	nS := len(schemeNames)
 	perProfile := nS * cfg.Transfers
 	o := cfg.Campaign.ObserverRef()
@@ -293,13 +293,13 @@ func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []s
 	err := sim.Runner{Workers: cfg.Workers, Campaign: cfg.Campaign}.Each(ctx, len(out), func(ctx context.Context, i int) error {
 		pi, si, tr := codingTrial(i, nS, cfg.Transfers)
 		prof := cfg.Profiles[pi]
-		var tape *core.LinkTape
-		if tapes != nil {
+		var w *pairedWorld
+		if worlds != nil {
 			world := pi*cfg.Transfers + tr
-			tape = tapes.acquire(world, cfg, prof, tr)
-			defer tapes.release(world)
+			w = worlds.acquire(world, cfg, prof, tr)
+			defer worlds.release(world)
 		}
-		t, err := codingTransfer(ctx, cfg, prof, schemeNames[si], i, tr, o, tape)
+		t, err := codingTransfer(ctx, cfg, prof, schemeNames[si], i, tr, o, w)
 		if err != nil {
 			return err
 		}
@@ -312,68 +312,100 @@ func codingTrials(ctx context.Context, cfg AdaptiveCodingConfig, schemeNames []s
 	return out, nil
 }
 
-// tapeSet hands out one core.LinkTape per paired world of a sweep. A tape
-// is made when the first of its world's transfers asks for it and is
-// dropped when the last of them — one per scheme — releases it.
+// tapeSet hands out one pairedWorld per paired world of a sweep. A world
+// is made when the first of its transfers asks for it and is dropped when
+// the last of them — one per scheme — releases it.
 type tapeSet struct {
 	mu      sync.Mutex
 	schemes int
-	tapes   map[int]*sharedTape
+	tapes   map[int]*pairedWorld
 }
 
-type sharedTape struct {
+// pairedWorld is what the transfers of one paired world share: the
+// world's link tape, which owns its environment, fault injector and
+// traffic generator, and its payload, drawn once.
+type pairedWorld struct {
 	tape *core.LinkTape
-	left int // transfers of the world still to release it
+	// build is the sim.Trial.Build of a transfer over the world: a
+	// reader of tape (core.LinkTape.Reader), with no environment of its
+	// own to release.
+	build   func() (*core.System, *channel.Environment, error)
+	payload []byte
+	left    int // transfers of the world still to release it
 }
 
-// newTapeSet returns the tapes of a sweep over schemes schemes, or nil
+// newPairedWorld returns the sweep's (prof, tr) world, whose tape runs
+// codingWorldBuild once and whose other readers build only the testbed's
+// system over the tape's environment, from the same seed.
+func newPairedWorld(cfg AdaptiveCodingConfig, prof CodingProfile, tr int) *pairedWorld {
+	tape := core.NewLinkTape(codingWorldBuild(cfg, prof, tr))
+	seed := codingSeed(cfg.Seed, prof.Name, tr, "env")
+	reader := func(env *channel.Environment) (*core.System, error) { return losSystem(env, codingTagX, seed) }
+	return &pairedWorld{
+		tape: tape,
+		build: func() (*core.System, *channel.Environment, error) {
+			sys, err := tape.Reader(reader)
+			return sys, nil, err
+		},
+		payload: stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes),
+	}
+}
+
+// newTapeSet returns the worlds of a sweep over schemes schemes, or nil
 // when there is a single scheme and so nothing to share.
 func newTapeSet(schemes int) *tapeSet {
 	if schemes < 2 {
 		return nil
 	}
-	return &tapeSet{schemes: schemes, tapes: map[int]*sharedTape{}}
+	return &tapeSet{schemes: schemes, tapes: map[int]*pairedWorld{}}
 }
 
-// acquire returns the tape of world, the sweep's (prof, tr) world, making
-// it if it has none yet.
-func (s *tapeSet) acquire(world int, cfg AdaptiveCodingConfig, prof CodingProfile, tr int) *core.LinkTape {
+// acquire returns world, the sweep's (prof, tr) world, making it if it
+// has not been made yet.
+func (s *tapeSet) acquire(world int, cfg AdaptiveCodingConfig, prof CodingProfile, tr int) *pairedWorld {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.tapes[world]
-	if t == nil {
-		t = &sharedTape{tape: core.NewLinkTape(codingWorldBuild(cfg, prof, tr)), left: s.schemes}
-		s.tapes[world] = t
+	w := s.tapes[world]
+	if w == nil {
+		w = newPairedWorld(cfg, prof, tr)
+		w.left = s.schemes
+		s.tapes[world] = w
 	}
-	return t.tape
+	return w
 }
 
-// release gives world's tape back, releasing it (core.LinkTape.Release)
+// release gives world back, releasing its tape (core.LinkTape.Release)
 // after its last transfer.
 func (s *tapeSet) release(world int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.tapes[world]
-	if t.left--; t.left == 0 {
+	w := s.tapes[world]
+	if w.left--; w.left == 0 {
 		delete(s.tapes, world)
-		t.tape.Release()
+		w.tape.Release()
 	}
 }
 
 // codingTransfer runs exactly one transfer of the sweep: the paired world
 // identified by (profile, tr) under the given scheme, in the world
-// sim.InWorld builds from codingWorldTrial and releases when the transfer
-// returns. All three schemes rebuild the same labeled world —
-// environment, fault stream, traffic stream, payload, and even the
-// transferer seed (leaf "xfer") — so the comparison isolates the scheme.
-// With a tape the system reads the world's link from it, and the
-// transferer gets no environment to advance.
-func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer, tape *core.LinkTape) (TransferOutcome, error) {
-	return sim.InWorld(codingWorldTrial(cfg, prof, scheme, traceID, tr), o, func(sys *core.System, env *channel.Environment) (TransferOutcome, error) {
-		if tape != nil {
-			sys.Link, env = tape, nil
-		}
-		payload := stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes)
+// sim.InWorld builds and releases when the transfer returns. Every scheme
+// sees the same labeled world — environment, fault stream, traffic
+// stream, payload, and even the transferer seed (leaf "xfer") — so the
+// comparison isolates the scheme. Without w the transfer builds the whole
+// world (codingWorldBuild) and draws the payload itself. With w it reads
+// the world's link and draws from w's tape, borrows the world's layers
+// from it, builds only its own system and transferer, and sends w's
+// payload; the transferer gets no environment to advance.
+func codingTransfer(ctx context.Context, cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int, o *obs.Observer, w *pairedWorld) (TransferOutcome, error) {
+	t := sim.Trial{ID: traceID, Labels: codingLabels(prof, scheme, tr)}
+	var payload []byte
+	if w != nil {
+		t.Build, payload = w.build, w.payload
+	} else {
+		t.Build = codingWorldBuild(cfg, prof, tr)
+		payload = stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes)
+	}
+	return sim.InWorld(t, o, func(sys *core.System, env *channel.Environment) (TransferOutcome, error) {
 		out, err := RunTransfer(ctx, scheme, sys, env, payload, codingSeed(cfg.Seed, prof.Name, tr, "xfer"))
 		if err == nil && out.Delivered && !bytes.Equal(out.Received, payload) {
 			err = fmt.Errorf("experiments: %s delivered a corrupted payload at pf=%s tr=%d", scheme, prof.Name, tr)
@@ -388,16 +420,15 @@ func codingSeed(root int64, profile string, tr int, leaf string) int64 {
 	return stats.SubSeed(root, "coding", "pf="+profile, "tr="+strconv.Itoa(tr), leaf)
 }
 
-// codingWorldTrial is trial traceID of the sweep, the (profile, tr)
-// world under scheme. The scheme enters only the trace labels
-// ("coding/pf=…/tr=…/scheme=…"), never the seed tree.
-func codingWorldTrial(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int) sim.Trial {
-	return sim.Trial{
-		Build:  codingWorldBuild(cfg, prof, tr),
-		ID:     traceID,
-		Labels: "coding/pf=" + prof.Name + "/tr=" + strconv.Itoa(tr) + "/scheme=" + scheme,
-	}
+// codingLabels is the trace label path of the (profile, tr) world under
+// scheme. The scheme enters only the labels, never the seed tree.
+func codingLabels(prof CodingProfile, scheme string, tr int) string {
+	return "coding/pf=" + prof.Name + "/tr=" + strconv.Itoa(tr) + "/scheme=" + scheme
 }
+
+// codingTagX is where every world of the sweep puts the tag, in metres
+// from the client of the LoS testbed.
+const codingTagX = 2
 
 // codingWorldBuild builds the (profile, tr) world: testbed, fault
 // injector and traffic generator, all seeded from the world path alone.
@@ -406,7 +437,7 @@ func codingWorldTrial(cfg AdaptiveCodingConfig, prof CodingProfile, scheme strin
 func codingWorldBuild(cfg AdaptiveCodingConfig, prof CodingProfile, tr int) func() (*core.System, *channel.Environment, error) {
 	root, name, faultName, trafficName := cfg.Seed, prof.Name, prof.Fault, prof.Traffic
 	seed := func(leaf string) int64 { return codingSeed(root, name, tr, leaf) }
-	return losBuild(2, seed("env"), func(sys *core.System) error {
+	return losBuild(codingTagX, seed("env"), func(sys *core.System) error {
 		return attachLayers(sys, faultName, trafficName, seed)
 	})
 }

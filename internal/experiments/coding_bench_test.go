@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"witag/internal/core"
 )
 
 // BenchmarkCodingTransfer times one transfer of the coding sweep per
@@ -17,12 +15,12 @@ func BenchmarkCodingTransfer(b *testing.B) {
 	const tr = 3
 	for _, scheme := range CodingSchemes {
 		b.Run(scheme, func(b *testing.B) {
-			tape := core.NewLinkTape(codingWorldBuild(cfg, prof, tr))
-			defer tape.Release()
+			w := newPairedWorld(cfg, prof, tr)
+			defer w.tape.Release()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := codingTransfer(context.Background(), cfg, prof, scheme, i, tr, nil, tape); err != nil {
+				if _, err := codingTransfer(context.Background(), cfg, prof, scheme, i, tr, nil, w); err != nil {
 					b.Fatal(err)
 				}
 			}

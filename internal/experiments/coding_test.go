@@ -67,9 +67,9 @@ func TestAdaptiveCodingConfigValidation(t *testing.T) {
 // scheme under comparison must never enter the seed tree, so the same
 // (profile, tr) world presents byte-identical channel realizations to
 // ARQ, fountain and RS. Build the world through the harness's own
-// codingWorldTrial and sim.InWorld for each scheme, drive identical query
-// rounds, and require the observable channel behaviour to match bit for
-// bit, while the scheme still names the trial.
+// codingWorldBuild, labels and sim.InWorld for each scheme, drive
+// identical query rounds, and require the observable channel behaviour
+// to match bit for bit, while the scheme still names the trial.
 func TestCodingSchemeOutsideSeedTree(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	cfg.Seed = 99
@@ -304,6 +304,37 @@ func TestCodingTapesMatchLocalLinks(t *testing.T) {
 	}
 }
 
+// TestPairedWorldReadersShareLayers: every transfer of a paired world
+// borrows the world's one environment, fault injector and traffic
+// generator from its tape. A transfer's build returns no environment for
+// sim.InWorld to release, and every reader's Env, Faults and Traffic are
+// the first reader's, which is the world's one build.
+func TestPairedWorldReadersShareLayers(t *testing.T) {
+	cfg := DefaultAdaptiveCodingConfig()
+	prof := cfg.Profiles[1]
+	w := newPairedWorld(cfg, prof, 3)
+	defer w.tape.Release()
+	var first *core.System
+	for i, scheme := range CodingSchemes {
+		sys, env, err := w.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env != nil || sys.Link != w.tape || sys.Faults == nil || sys.Traffic == nil {
+			t.Fatalf("%s: env %p, link %p (tape %p), faults %p, traffic %p", scheme, env, sys.Link, w.tape, sys.Faults, sys.Traffic)
+		}
+		if i == 0 {
+			first = sys
+		} else if sys.Env != first.Env || sys.Faults != first.Faults || sys.Traffic != first.Traffic {
+			t.Fatalf("%s: the reader's layers are not the world's", scheme)
+		}
+		defer sys.Release()
+	}
+	if want := stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, 3, "payload"), cfg.PayloadBytes); !slices.Equal(w.payload, want) {
+		t.Fatal("the world's payload is not its seeded draw")
+	}
+}
+
 // TestTapedTransferNeverDraws locks in that a transfer reading its world
 // from a tape never draws from its own fault or traffic stream, though it
 // counts the world's events: each scheme's taped transfer must tally the
@@ -446,5 +477,16 @@ func TestCodingTapesReleasedOnCancel(t *testing.T) {
 	}
 	if len(tapes.tapes) > len(started) {
 		t.Errorf("%d tapes held for %d worlds started", len(tapes.tapes), len(started))
+	}
+}
+
+// codingWorldTrial is trial traceID of the sweep, the (profile, tr)
+// world under scheme, with no tape: the whole world built. The scheme enters only the trace labels
+// ("coding/pf=…/tr=…/scheme=…"), never the seed tree.
+func codingWorldTrial(cfg AdaptiveCodingConfig, prof CodingProfile, scheme string, traceID, tr int) sim.Trial {
+	return sim.Trial{
+		Build:  codingWorldBuild(cfg, prof, tr),
+		ID:     traceID,
+		Labels: codingLabels(prof, scheme, tr),
 	}
 }

@@ -33,13 +33,19 @@ func LoSTestbed(tagX float64, seed int64) (*core.System, *channel.Environment, e
 	env.AddReflector(channel.Point{X: -1, Y: 0}, 40)
 	env.AddReflector(channel.Point{X: 9, Y: 0}, 40)
 	env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
-	sys, err := core.NewSystem(env,
-		channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
-		channel.Point{X: tagX, Y: 0.3}, TagGain, seed)
+	sys, err := losSystem(env, tagX, seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	return sys, env, nil
+}
+
+// losSystem builds LoSTestbed(tagX, seed)'s system over env, which it
+// only keeps: the testbed's system over another build's environment.
+func losSystem(env *channel.Environment, tagX float64, seed int64) (*core.System, error) {
+	return core.NewSystem(env,
+		channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
+		channel.Point{X: tagX, Y: 0.3}, TagGain, seed)
 }
 
 // losBuild is a sim.Trial's Build for LoSTestbed(tagX, seed), with setup,

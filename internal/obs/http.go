@@ -64,12 +64,9 @@ type Server struct {
 	closeErr  error
 }
 
-// Serve binds addr and serves c's endpoints in a background goroutine.
-func Serve(addr string, c *Campaign) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
+// Serve serves c's endpoints on ln in a background goroutine. The server
+// owns ln from here on: Close closes it.
+func Serve(ln net.Listener, c *Campaign) *Server {
 	s := &Server{Addr: ln.Addr(), camp: c, done: make(chan error, 1)}
 	s.srv = &http.Server{Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
 	go func() {
@@ -79,7 +76,7 @@ func Serve(addr string, c *Campaign) (*Server, error) {
 		}
 		s.done <- err
 	}()
-	return s, nil
+	return s
 }
 
 // Shutdown begins the serving process's shutdown: /readyz answers 503

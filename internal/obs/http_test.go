@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -33,10 +34,11 @@ func serveCampaign(t *testing.T, id string, rounds int64) (*Server, *Campaign, s
 	t.Helper()
 	c := NewCampaign(id, CampaignOptions{})
 	c.Registry.Counter("core.rounds").Add(rounds)
-	srv, err := Serve("127.0.0.1:0", c)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := Serve(ln, c)
 	t.Cleanup(func() {
 		if err := srv.Close(); err != nil {
 			t.Error(err)

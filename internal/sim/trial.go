@@ -40,7 +40,9 @@ type Trial struct {
 	// Build constructs the fully-configured deployment for this trial. It
 	// runs on a worker goroutine, so it must derive everything it needs
 	// from values captured at construction time and share no mutable
-	// state with other trials.
+	// state with other trials. It returns a nil environment for a system
+	// that borrows its world's layers from a link tape
+	// (core.LinkTape.Reader), whose release is the tape's.
 	Build func() (*core.System, *channel.Environment, error)
 	// Rounds is the number of query rounds Run measures.
 	Rounds int
@@ -57,15 +59,18 @@ type Trial struct {
 
 // InWorld is the one owner of every world an experiment builds: it calls
 // t.Build, attaches observer o (nil: off) under t's trace identity, runs
-// fn and then releases the system and the environment, so the next world
-// built reuses their storage. fn must not keep the world.
+// fn and then releases the system and the environment, if Build returned
+// one, so the next world built reuses their storage. fn must not keep the
+// world.
 func InWorld[T any](t Trial, o *obs.Observer, fn func(*core.System, *channel.Environment) (T, error)) (T, error) {
 	sys, env, err := t.Build()
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	defer env.Release()
+	if env != nil {
+		defer env.Release()
+	}
 	defer sys.Release()
 	sys.Instrument(o, t.ID, t.Labels)
 	return fn(sys, env)
