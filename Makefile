@@ -227,8 +227,8 @@ cover:
 # sum it replaced, the erasure coders, the tolerant export readers (trace,
 # timeline), the log handler and the tests' log canonicalizer (obstest),
 # the trace ring's round trip and its event lines against encoding/json, the
-# gate's BENCH/PROF artifact loader, NewRNG's math/rand stream and the
-# CLIs' flag validators;
+# live surface's HTTP request reader, the gate's BENCH/PROF artifact
+# loader, NewRNG's math/rand stream and the CLIs' flag validators;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -243,6 +243,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzJSONLHandler$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendEventJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzReadRequest$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 	$(GO) test -run='^$$' -fuzz='^FuzzNewRNGMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzSelectorFlags$$' -fuzztime=$(FUZZTIME) ./internal/cliflags

@@ -8,7 +8,9 @@
 package cliflags
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"net"
 	"os"
@@ -75,13 +77,40 @@ func TrafficProfile(flagName, val string, allowEmpty, allowAll bool) error {
 	return nil
 }
 
-// OutputDir ensures dir exists (creating it) and is writable — the check
-// is the creation, so a read-only parent fails here with the flag named.
+// OutputDir checks that dir is a writable directory or can be made one:
+// its nearest existing ancestor must be a directory that takes a new
+// entry. It creates nothing, so a run refused over a later flag leaves no
+// directory behind; the caller makes dir once every flag has passed.
 func OutputDir(flagName, dir string) error {
 	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	at := dir
+	for {
+		fi, err := os.Stat(at)
+		if err == nil {
+			if !fi.IsDir() {
+				return fmt.Errorf("%s: %s is not a directory", flagName, at)
+			}
+			break
+		}
+		if parent := filepath.Dir(at); errors.Is(err, fs.ErrNotExist) && parent != at {
+			at = parent
+			continue
+		}
+		return fmt.Errorf("%s: %w", flagName, err)
+	}
+	// The probe is the check: it fails as making dir would, also for
+	// root on a read-only file system.
+	probe, err := os.MkdirTemp(at, ".probe-")
+	if err != nil {
+		var pe *fs.PathError
+		if errors.As(err, &pe) {
+			err = pe.Err
+		}
+		return fmt.Errorf("%s: cannot create %s under %s: %w", flagName, dir, at, err)
+	}
+	if err := os.Remove(probe); err != nil {
 		return fmt.Errorf("%s: %w", flagName, err)
 	}
 	return nil

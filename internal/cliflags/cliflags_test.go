@@ -75,13 +75,27 @@ func TestProfileSelectors(t *testing.T) {
 func TestDirAndFileChecks(t *testing.T) {
 	tmp := t.TempDir()
 
-	// OutputDir creates missing directories (the check is the creation).
-	made := filepath.Join(tmp, "new", "deep")
-	if err := OutputDir("-json", made); err != nil {
+	// OutputDir accepts a directory that can be made, and makes nothing:
+	// not it, not its parents, not its probe.
+	deep := filepath.Join(tmp, "new", "deep")
+	if err := OutputDir("-json", deep); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(made); err != nil || !fi.IsDir() {
-		t.Fatalf("OutputDir did not create %s: %v", made, err)
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Fatalf("OutputDir left %d entries under %s (%v)", len(entries), tmp, err)
+	}
+	if err := OutputDir("-json", tmp); err != nil {
+		t.Fatal(err)
+	}
+	// A path under a file can never be made.
+	blocker := filepath.Join(tmp, "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{blocker, filepath.Join(blocker, "sub")} {
+		if err := OutputDir("-json", dir); err == nil || !strings.HasPrefix(err.Error(), "-json: ") {
+			t.Fatalf("OutputDir(%s) = %v, want an error naming -json", dir, err)
+		}
 	}
 	if err := OutputDir("-json", ""); err != nil {
 		t.Fatal("empty OutputDir must be the off switch")

@@ -103,7 +103,7 @@ func FuzzMetricsAddrFormat(f *testing.F) {
 // scratch directory that holds one file and one subdirectory. Whatever a
 // validator accepts must be what it documents: an existing directory, an
 // existing non-directory, a file whose parent directory exists, or a
-// directory that now exists.
+// directory that can be made, without making it.
 func FuzzPathFlags(f *testing.F) {
 	for _, v := range []string{"", ".", "dir", "file", "dir/x", "file/x", "new/deep/dir", "a\x00b", "dir/../file"} {
 		f.Add(v)
@@ -141,8 +141,13 @@ func FuzzPathFlags(f *testing.F) {
 		if OutputFile("-out", path) == nil && path != "" && !isDir(filepath.Dir(path)) {
 			t.Fatalf("OutputFile accepted %q", name)
 		}
-		if OutputDir("-out", path) == nil && path != "" && !isDir(path) {
-			t.Fatalf("OutputDir accepted %q but it is not a directory", name)
+		if existed := exists(path); OutputDir("-out", path) == nil && path != "" {
+			if !existed && exists(path) {
+				t.Fatalf("OutputDir made %q; it only checks", name)
+			}
+			if err := os.MkdirAll(path, 0o755); err != nil {
+				t.Fatalf("OutputDir accepted %q, but it cannot be made: %v", name, err)
+			}
 		}
 	})
 }

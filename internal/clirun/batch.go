@@ -140,14 +140,20 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 	if verr != nil {
 		return verr
 	}
-	for _, v := range []error{
-		cliflags.OutputDir("-profile", cfg.ProfileDir),
-		cliflags.OutputDir("-json", cfg.JSONDir),
-		cliflags.OutputDir("-trace-out", cfg.TraceOut),
-		cliflags.OutputFile("-log", cfg.LogPath),
-	} {
-		if v != nil {
-			return v
+	outDirs := []struct{ flag, dir string }{{"-profile", cfg.ProfileDir}, {"-json", cfg.JSONDir}, {"-trace-out", cfg.TraceOut}}
+	// The -log file may sit in an output directory, or in a parent of
+	// one, that is made below.
+	logDirMade := false
+	for _, d := range outDirs {
+		if err := cliflags.OutputDir(d.flag, d.dir); err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(filepath.Dir(cfg.LogPath), d.dir)
+		logDirMade = logDirMade || (d.dir != "" && err == nil && filepath.IsLocal(rel))
+	}
+	if !logDirMade {
+		if err := cliflags.OutputFile("-log", cfg.LogPath); err != nil {
+			return err
 		}
 	}
 	// -metrics-addr is bound here, once, before the log file or the
@@ -156,6 +162,19 @@ func RunSuite(ctx context.Context, cfg Config, suite []experiments.Experiment, s
 	ln, err := cliflags.MetricsAddr("-metrics-addr", cfg.MetricsAddr)
 	if err != nil {
 		return err
+	}
+	// Every flag passed: only now make the output directories, so a
+	// refused run leaves none behind.
+	for _, d := range outDirs {
+		if d.dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(d.dir, 0o755); err != nil {
+			if ln != nil {
+				ln.Close()
+			}
+			return fmt.Errorf("%s: %w", d.flag, err)
+		}
 	}
 
 	// Campaign wiring: this invocation is the process's one campaign

@@ -211,6 +211,42 @@ func TestBusyMetricsAddrRefused(t *testing.T) {
 	}
 }
 
+// TestBusyMetricsAddrLeavesNoDirectory refuses a run over a busy
+// -metrics-addr port whose -json, -trace-out and -profile directories do
+// not exist yet, with its -log file inside the -json one: the refusal
+// must leave none of them behind. On a free port the same run makes them
+// and writes its log.
+func TestBusyMetricsAddrLeavesNoDirectory(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	root := t.TempDir()
+	cfg := testConfig(t)
+	cfg.MetricsAddr = ln.Addr().String()
+	cfg.JSONDir, cfg.TraceOut, cfg.ProfileDir = filepath.Join(root, "out"), filepath.Join(root, "tr"), filepath.Join(root, "prof", "deep")
+	cfg.LogPath = filepath.Join(cfg.JSONDir, "LOG.jsonl")
+	suite := []experiments.Experiment{fakeExperiment("alpha", 1, "")}
+	err = RunSuite(context.Background(), cfg, suite, io.Discard, io.Discard)
+	if err == nil || !strings.HasPrefix(err.Error(), "-metrics-addr") {
+		t.Fatalf("RunSuite = %v, want an error naming -metrics-addr", err)
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+		t.Fatalf("the refused run left %d entries under its root (%v), want none", len(entries), err)
+	}
+
+	cfg.MetricsAddr = ""
+	if err := RunSuite(context.Background(), cfg, suite, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cfg.LogPath, cfg.TraceOut, cfg.ProfileDir} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("the run on a free port did not make %s: %v", path, err)
+		}
+	}
+}
+
 // TestRunNotesGoToItsStderr runs with -metrics-addr, -trace-out and
 // -progress: the metrics note, the trace note and the final progress
 // line must all land on the stderr RunSuite is given, in that order.

@@ -69,6 +69,63 @@ func TestModelPackagesDoNotImportObs(t *testing.T) {
 	}
 }
 
+// TestBatchCLIsLinkNoHTTPStack walks the non-test imports of the batch
+// CLIs, through the repository's packages and the standard library's,
+// and fails on a path that reaches net/http or a package under it,
+// crypto/tls or expvar. The live surface answers HTTP itself (httpwire.go)
+// so that those, about 4.8 MB of each binary, stay out; witag-top, a
+// client, keeps net/http.
+func TestBatchCLIsLinkNoHTTPStack(t *testing.T) {
+	const module = "witag/"
+	banned := func(p string) bool {
+		return p == "net/http" || strings.HasPrefix(p, "net/http/") || p == "crypto/tls" || p == "expvar"
+	}
+	type node struct{ via, dir string }
+	seen := map[string]node{}
+	var queue []string
+	for _, p := range []string{module + "cmd/witag-bench", module + "cmd/witag-sim"} {
+		seen[p] = node{}
+		queue = append(queue, p)
+	}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		var pkg *build.Package
+		var err error
+		if rel, ok := strings.CutPrefix(p, module); ok {
+			pkg, err = build.ImportDir(filepath.Join("..", "..", filepath.FromSlash(rel)), 0)
+		} else {
+			pkg, err = build.Import(p, seen[p].dir, 0)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		for _, imp := range pkg.Imports {
+			if imp == "C" || imp == "unsafe" {
+				continue
+			}
+			if _, ok := seen[imp]; ok {
+				continue
+			}
+			// Resolve the standard library's vendored imports from the
+			// importing package's directory.
+			seen[imp] = node{via: p, dir: pkg.Dir}
+			if !banned(imp) {
+				queue = append(queue, imp)
+				continue
+			}
+			chain := imp
+			for q := p; q != ""; q = seen[q].via {
+				chain = q + " → " + chain
+			}
+			t.Errorf("%s: a batch CLI links the HTTP stack", chain)
+		}
+	}
+	if len(seen) < 100 {
+		t.Fatalf("walked %d packages, want the whole import graph", len(seen))
+	}
+}
+
 // TestNoTestOnlyExports fails on any package-level function, method,
 // type, var or const under internal/ or cmd/, exported or not, that no
 // non-test Go file of the repository (the module, examples/ and

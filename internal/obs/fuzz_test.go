@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"slices"
@@ -331,6 +333,79 @@ func FuzzAppendEventJSON(f *testing.F) {
 		}
 		if got := appendEventJSON(nil, &e); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("event %+v:\nappender %s\nencoder  %s", e, got, want.Bytes())
+		}
+	})
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzReadRequest feeds arbitrary bytes to the live surface's request
+// reader, as a client would send them before closing its side. It must
+// never panic and never read past the head cap plus the body it accepts;
+// and every request must get an answer, a route or a refusal with a
+// status the responder knows, or, only when nothing at all was sent, a
+// closed connection.
+func FuzzReadRequest(f *testing.F) {
+	for _, seed := range []string{
+		"GET /status HTTP/1.1\r\nHost: localhost:9090\r\nUser-Agent: curl/8.5.0\r\nAccept: */*\r\n\r\n",
+		"GET /timeseries?last=5 HTTP/1.1\r\n\r\n",
+		"HEAD /healthz HTTP/1.0\r\n\r\n",
+		"POST /debug/pprof/symbol HTTP/1.1\r\nContent-Length: 17\r\n\r\n0x401000+0x402000",
+		"GET / HTTP/1.1\r\nX-Big: " + strings.Repeat("a", maxHead) + "\r\n\r\n",
+		"GET /metrics HTTP/1.1\nHost: x\n\n",
+		"\n",
+		"GET /status\r\n\r\n",
+		"GET /sta\x00tus HTTP/1.1\r\n\r\n",
+		"GET / HTTP/1.1\r\nX: a\x00b\r\n\r\n",
+		"POST /debug/pprof/symbol HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n",
+		"POST /debug/pprof/symbol HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n0x1",
+		"GET /status HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
+		"PUT /debug/pprof/symbol HTTP/1.1\r\n\r\n",
+		"GET http://localhost HTTP/2.0\r\n\r\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		cr := &countingReader{r: strings.NewReader(in)}
+		req, err := readRequest(cr)
+		var refused *statusError
+		switch {
+		case err == nil:
+			if cr.n > maxHead+len(req.body) {
+				t.Fatalf("read %d bytes for a %d-byte body, past the %d-byte head cap", cr.n, len(req.body), maxHead)
+			}
+			symbolPost := req.method == "POST" && req.path == symbolPath
+			if req.method != "GET" && req.method != "HEAD" && !symbolPost {
+				t.Fatalf("accepted method %q on %q", req.method, req.path)
+			}
+			if req.path == "" || (len(req.body) > 0 && !symbolPost) || len(req.body) > maxSymbolBody {
+				t.Fatalf("accepted %s %q with a %d-byte body", req.method, req.path, len(req.body))
+			}
+		case errors.As(err, &refused):
+			if cr.n > maxHead+maxSymbolBody {
+				t.Fatalf("read %d bytes before refusing", cr.n)
+			}
+			if strings.HasPrefix(statusText(refused.status), "Status ") || refused.status < 400 {
+				t.Fatalf("refused with unknown status %d: %v", refused.status, err)
+			}
+			if (refused.status == 405) != (refused.allow != "") {
+				t.Fatalf("status %d with Allow %q", refused.status, refused.allow)
+			}
+		default:
+			if in != "" {
+				t.Fatalf("%d bytes sent but neither answered nor refused: %v", len(in), err)
+			}
 		}
 	})
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -75,17 +77,155 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/debug/vars witag = %s, want the campaign's snapshot %s", vars.Witag, snap)
 	}
 
-	code, body = get(t, base+"/debug/pprof/")
-	if code != 200 || !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/: code=%d", code)
-	}
-	if code, _ = get(t, base+"/debug/pprof/cmdline"); code != 200 {
-		t.Fatalf("/debug/pprof/cmdline: code=%d", code)
+	keys := jsonKeys(t, body)
+	if strings.Join(keys, " ") != "cmdline memstats witag" {
+		t.Fatalf("/debug/vars keys = %q, want cmdline memstats witag in that order", keys)
 	}
 
-	if code, _ = get(t, base+"/nope"); code != 404 {
-		t.Fatalf("unknown path: code=%d, want 404", code)
+	code, body = get(t, base+"/debug/pprof/")
+	if code != 200 || !strings.Contains(body, "goroutine") || !strings.Contains(body, "<a href='heap?debug=1'>heap</a>") {
+		t.Fatalf("/debug/pprof/: code=%d body=%q", code, body)
 	}
+	if code, body = get(t, base+"/debug/pprof/heap?debug=1"); code != 200 || !strings.HasPrefix(body, "heap profile:") {
+		t.Fatalf("/debug/pprof/heap?debug=1: code=%d body starts %q", code, body[:min(len(body), 40)])
+	}
+	if code, body = get(t, base+"/debug/pprof/cmdline"); code != 200 || body != strings.Join(os.Args, "\x00") {
+		t.Fatalf("/debug/pprof/cmdline: code=%d body=%q", code, body)
+	}
+	resp := do(t, "GET", base+"/debug/pprof/heap?seconds=1", "")
+	if resp.code != 400 || resp.header.Get("X-Go-Pprof") != "1" || !strings.Contains(resp.body, "delta profile") {
+		t.Fatalf("a delta profile = %d %q, want 400 naming the omission", resp.code, resp.body)
+	}
+	if code, body = get(t, base+"/debug/pprof/nope"); code != 404 || body != "Unknown profile\n" {
+		t.Fatalf("/debug/pprof/nope = %d %q, want 404 Unknown profile", code, body)
+	}
+
+	// symbol, by GET and by POST, names this very test function.
+	pc := fmt.Sprintf("%#x", reflect.ValueOf(TestServeEndpoints).Pointer())
+	sym := "num_symbols: 1\n" + pc + " witag/internal/obs.TestServeEndpoints\n"
+	if code, body = get(t, base+"/debug/pprof/symbol?"+pc); code != 200 || body != sym {
+		t.Fatalf("GET symbol = %d %q, want %q", code, body, sym)
+	}
+	if resp := do(t, "POST", base+"/debug/pprof/symbol", pc); resp.code != 200 || resp.body != sym {
+		t.Fatalf("POST symbol = %d %q, want %q", resp.code, resp.body, sym)
+	}
+
+	// The CPU profile and the execution trace stream for their ?seconds.
+	if resp := do(t, "GET", base+"/debug/pprof/profile?seconds=1", ""); resp.code != 200 || !strings.HasPrefix(resp.body, "\x1f\x8b") {
+		t.Fatalf("profile?seconds=1 = %d, body starts %q, want the gzip magic", resp.code, resp.body[:min(len(resp.body), 8)])
+	}
+	if resp := do(t, "GET", base+"/debug/pprof/trace?seconds=1", ""); resp.code != 200 || !strings.HasPrefix(resp.body, "go 1.") {
+		t.Fatalf("trace?seconds=1 = %d, body starts %q, want a trace header", resp.code, resp.body[:min(len(resp.body), 8)])
+	}
+
+	if code, body = get(t, base+"/nope"); code != 404 || body != "404 page not found\n" {
+		t.Fatalf("unknown path: code=%d body=%q, want 404 page not found", code, body)
+	}
+}
+
+// TestServeProtocol holds the responder to its HTTP contract: HEAD
+// answers the head GET would, every other method but the symbol POST is
+// refused 405 naming the allowed ones, a head over 8 KiB is refused 431,
+// and every answer closes its connection.
+func TestServeProtocol(t *testing.T) {
+	_, _, base := serveCampaign(t, "c", 7)
+
+	get := do(t, "GET", base+"/healthz", "")
+	head := do(t, "HEAD", base+"/healthz", "")
+	if head.code != 200 || head.body != "" || head.length != 3 || head.header.Get("Content-Type") != get.header.Get("Content-Type") {
+		t.Fatalf("HEAD /healthz = %d, length %d, body %q, header %v; want GET's head and no body", head.code, head.length, head.body, head.header)
+	}
+	if !get.close || !head.close {
+		t.Fatal("an answer did not say Connection: close")
+	}
+	// A HEAD of a stream answers its head at once.
+	if head := do(t, "HEAD", base+"/events", ""); head.code != 200 || head.header.Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("HEAD /events = %d %v", head.code, head.header)
+	}
+	if head := do(t, "HEAD", base+"/debug/pprof/profile", ""); head.code != 200 || head.header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("HEAD /debug/pprof/profile = %d %v", head.code, head.header)
+	}
+
+	for _, c := range []struct{ method, path, allow string }{
+		{"POST", "/status", "GET, HEAD"},
+		{"PUT", "/metrics", "GET, HEAD"},
+		{"DELETE", "/nope", "GET, HEAD"},
+		{"PUT", "/debug/pprof/symbol", "GET, HEAD, POST"},
+	} {
+		resp := do(t, c.method, base+c.path, "x")
+		if resp.code != 405 || resp.header.Get("Allow") != c.allow {
+			t.Errorf("%s %s = %d, Allow %q; want 405, Allow %q", c.method, c.path, resp.code, resp.header.Get("Allow"), c.allow)
+		}
+	}
+
+	req, err := http.NewRequest("GET", base+"/status", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Big", strings.Repeat("a", maxHead))
+	r, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != 431 {
+		t.Fatalf("a %d-byte header = %d, want 431", maxHead, r.StatusCode)
+	}
+}
+
+// answer is one response read whole.
+type answer struct {
+	code   int
+	header http.Header
+	length int64
+	close  bool
+	body   string
+}
+
+// do sends one request, with body when it is not empty, and reads the
+// answer whole.
+func do(t *testing.T, method, url, body string) answer {
+	t.Helper()
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return answer{resp.StatusCode, resp.Header, resp.ContentLength, resp.Close, string(b)}
+}
+
+// jsonKeys returns the top-level keys of the JSON object doc, in order.
+func jsonKeys(t *testing.T, doc string) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(doc))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }
 
 // Two servers must coexist: the layer keeps no process-global state (no

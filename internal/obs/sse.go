@@ -3,7 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"sync"
 )
 
@@ -139,30 +139,19 @@ func (b *Broker) Close() {
 }
 
 // ServeSSE streams the broker's events to w as server-sent events until
-// the client disconnects or the broker closes. Each event renders as
-// "event: <kind>" + "data: <json>" frames; a comment frame is written
-// first so proxies flush headers immediately.
-func (b *Broker) ServeSSE(w http.ResponseWriter, r *http.Request, queue int) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
+// gone closes (the client hung up), the broker closes, or a write fails.
+// Each event renders as "event: <kind>" + "data: <json>" frames; a
+// comment frame is written first so the client sees the stream open
+// before the first event.
+func (b *Broker) ServeSSE(w io.Writer, gone <-chan struct{}, queue int) {
 	ch, cancel := b.Subscribe(queue)
 	defer cancel()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, ": stream open\n\n")
-	fl.Flush()
-
-	ctx := r.Context()
+	if _, err := io.WriteString(w, ": stream open\n\n"); err != nil {
+		return
+	}
 	for {
 		select {
-		case <-ctx.Done():
+		case <-gone:
 			return
 		case ev, ok := <-ch:
 			if !ok {
@@ -171,7 +160,6 @@ func (b *Broker) ServeSSE(w http.ResponseWriter, r *http.Request, queue int) {
 			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, ev.Data); err != nil {
 				return
 			}
-			fl.Flush()
 		}
 	}
 }

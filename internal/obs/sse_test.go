@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -179,11 +178,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestServeSSEConcurrentClientsAndCloseMidStream(t *testing.T) {
-	b := NewBroker()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b.ServeSSE(w, r, 32)
-	}))
-	defer srv.Close()
+	_, c, base := serveCampaign(t, "c", 0)
+	b := c.Events
 
 	const clients, events = 4, 10
 	type client struct {
@@ -192,7 +188,7 @@ func TestServeSSEConcurrentClientsAndCloseMidStream(t *testing.T) {
 	}
 	var cs []client
 	for i := 0; i < clients; i++ {
-		frames, stop := sseClient(t, srv.URL)
+		frames, stop := sseClient(t, base+"/events")
 		cs = append(cs, client{frames, stop})
 	}
 	waitFor(t, "all clients subscribed", func() bool { return b.Subscribers() == clients })
@@ -234,24 +230,16 @@ func TestServeSSEConcurrentClientsAndCloseMidStream(t *testing.T) {
 }
 
 func TestServeSSEClientDisconnectReleasesSubscription(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b.ServeSSE(w, r, 8)
-	}))
-	defer srv.Close()
+	_, c, base := serveCampaign(t, "c", 0)
+	b := c.Events
 
-	_, stop := sseClient(t, srv.URL)
+	_, stop := sseClient(t, base+"/events")
 	waitFor(t, "client subscribed", func() bool { return b.Subscribers() == 1 })
 
-	// Dropping the connection must unwind ServeSSE (request context
-	// cancels) and remove the subscriber — no leak, no stuck goroutine.
+	// Dropping the connection must unwind ServeSSE (the server's read on
+	// the connection returns) and remove the subscriber — no leak, no
+	// stuck goroutine. Nothing is published: the hang-up alone must end
+	// the stream.
 	stop()
-	waitFor(t, "subscription released after disconnect", func() bool {
-		// Publish nudges nothing here; ctx.Done alone must fire. Keep a
-		// publish in the loop anyway so a select stuck on the channel arm
-		// still observes the closed connection via the write error path.
-		b.Publish("nudge", 1)
-		return b.Subscribers() == 0
-	})
+	waitFor(t, "subscription released after disconnect", func() bool { return b.Subscribers() == 0 })
 }
