@@ -1,7 +1,9 @@
 # Developer / CI entry points. `make check` is the gate: formatting, vet,
-# the full test suite under the race detector (the concurrent trial runner
-# in internal/sim must stay race-clean), the codec fuzz seed corpus, and
-# the worker-count determinism contract.
+# the full test suite, plain and again under the race detector (the
+# concurrent trial runner in internal/sim must stay race-clean; the plain
+# run is the one the allocation pins and the test-only rule, which skip
+# under -race, run in), the fuzz seed corpora, and the link tape's
+# concurrent readers under the race detector ten times over.
 #
 # Release checklist: `make check` then `make gate` — the regression
 # sentinel reruns every experiment and compares the science against the
@@ -16,7 +18,7 @@ GATEDIR ?=
 
 .PHONY: check fmt vet lint test race bench benchcmp perfcmp bench-series gate seedscan pgo pgocheck build cover fuzz fuzzseed determinism loc
 
-check: fmt vet build lint race fuzzseed determinism
+check: fmt vet build lint test race fuzzseed determinism
 
 build:
 	$(GO) build ./...
@@ -227,8 +229,9 @@ cover:
 # sum it replaced, the erasure coders, the tolerant export readers (trace,
 # timeline), the log handler and the tests' log canonicalizer (obstest),
 # the trace ring's round trip and its event lines against encoding/json, the
-# live surface's HTTP request reader, the gate's BENCH/PROF artifact
-# loader, NewRNG's math/rand stream and the CLIs' flag validators;
+# live surface's HTTP request reader and listen-address parser against
+# package net, the gate's BENCH/PROF artifact loader, NewRNG's math/rand
+# stream and the CLIs' flag validators;
 # `make fuzzseed` replays just the checked-in corpus (fast, deterministic
 # — the CI form).
 fuzz:
@@ -244,113 +247,22 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendEventJSON$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReadRequest$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzListenAddr$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadArtifact$$' -fuzztime=$(FUZZTIME) ./internal/regress
 	$(GO) test -run='^$$' -fuzz='^FuzzNewRNGMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzSelectorFlags$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
-	$(GO) test -run='^$$' -fuzz='^FuzzMetricsAddrFormat$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
+	$(GO) test -run='^$$' -fuzz='^FuzzMetricsAddrFormat$$' -fuzztime=$(FUZZTIME) ./cmd/witag-top
 	$(GO) test -run='^$$' -fuzz='^FuzzPathFlags$$' -fuzztime=$(FUZZTIME) ./internal/cliflags
 
 fuzzseed:
-	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/obs/obstest ./internal/regress ./internal/stats ./internal/cliflags
+	$(GO) test -run='^Fuzz' ./internal/core ./internal/coding ./internal/obs ./internal/obs/obstest ./internal/regress ./internal/stats ./internal/cliflags ./cmd/witag-top
 
-# The worker-count determinism contract, for results AND for the
-# observability layer: metrics snapshots must be identical for 1 vs N
-# workers, attaching instrumentation (or a logging campaign scope, or a
-# timeline) must not change any output, canonicalized campaign logs and
-# logical timeline exports must be worker-count invariant, and concurrent
-# campaigns — and two harnesses running at once, each with its own
-# campaign — must stay byte-identical to solo runs with fully disjoint
-# metrics. The hard-decision Viterbi decoder must match the integer
-# trellis it replaced bit for bit. The hot path's reuse is held to the same bar: the paired
-# channel evaluation must equal two single-state ones bit for bit, the
-# static-prefix and tag-term caches must notice every in-place edit of
-# their inputs, the rotation phase ramp must stay within tolerance of the
-# per-subcarrier oracle, and the union bound's log-coefficient table must
-# be bit-equal to the Lgamma expression it replaces. The per-world caches
-# answer to the same bar: the trigger, link-power and coverage caches must
-# notice every in-place edit of their inputs, RandomBits must draw Intn(2)'s
-# stream, and the phase spans must stay exact in count — laned histograms
-# read like single-lane ones, Lap chains are contiguous, and every
-# experiment records the same spans per phase at any worker count. The
-# transfer loop is pinned too: every discipline's full outcome on a fixed
-# world, seed-for-seed reproducibility, and cancellation inside a frame
-# for ARQ, LT and RS alike. Stage 4's reuse answers to the same bar:
-# NewRNG's lazily seeded source must draw math/rand v1's stream and stay
-# one small allocation for a short stream, the cached coverage
-# contributions must equal the window walk, LT block sets must equal the
-# code before the shuffle scratch, and the reused traffic mask a fresh
-# one. The round's subframe mask must give every result, counter and
-# trace event the per-subframe scoreboard and block-ACK bitmap gave, with
-# and without faults, traffic and a world tape; the union bound stopped
-# at its clamp must equal the full sum clamped, the interleaver's loops
-# its per-bit index formula, and Sincos the Sin and Cos Advance called. Stage 5
-# too: the fused scatterer pass must equal the per-path sum bit for bit,
-# with the same phasor count and errors, and the wall-loss memo must
-# notice every in-place edit of a wall's attenuation. Stage 6 too: readers
-# of one world's link tape, at random paces and under the race detector,
-# must see the link a local evaluation gives bit for bit, a system of
-# another link must be refused, the coding sweep's blocked order must visit
-# every trial once, taped and local sweeps must agree, every tape must be
-# released, and the sweep's metrics and timeline windows must not depend
-# on the worker count. Stage 7 too: the tape's readers must also count the
-# fault and traffic events a local system counts, round by round, a taped
-# sweep must count and trace what a local one does, and a taped transfer
-# must leave its own fault and traffic streams at their first draw. Stage
-# 8 too: the decode table must give every subframe of every round the
-# split and success probability the coverage sum gave, with one
-# decode-model evaluation per distinct (BER, bits) pair, must price
-# everything afresh when its round stamp wraps, and must refuse what the
-# tag's layout refuses; and the trace export's hand-written event lines must equal
-# encoding/json's byte for byte. Stage 9 too: a round into a reused result
-# must give every field, counter and trace event a fresh QueryRound gives,
-# and MeasureRun must allocate no more over 1,000 rounds than over 100.
-# The coding transfers answer to the same bar: a frame encoded and decoded
-# in reused codec buffers must give the bytes a fresh Encode and Decode
-# give, a steady-state FrameSender.Send must allocate nothing, a taped
-# ARQ, LT or RS transfer must allocate as often over twice the frames,
-# and a laned counter must read what a single-lane one fed the same adds
-# reads. Stage 12 too: a stream on a reused or reseeded register must
-# draw math/rand v1's stream, SeededBytes after dirty registers were
-# released what a fresh stream draws, a released stream must panic, a world on
-# storage a released world emptied must count and give what a fresh one
-# does, a campaign on warm pools what one on empty pools gives, a warm
-# Figure 5 trial must allocate under 8 KiB, and the fountain decoder's
-# elimination must reuse its scratch. A world has one owner, sim.InWorld,
-# which builds, instruments and releases it: no non-test file outside
-# internal/sim may call a method named Instrument, and a warm robustness
-# transfer, whose world, payload and backoff streams go back to the pools,
-# must allocate under 16 KiB. A rate is learned without building
-# anything: the spec-level round airtime must equal the built and
-# marshalled query's over the §4.1 grid under every cipher, the
-# world-free rate probe must equal a built LoS world's rate bit for bit,
-# and a §4.1 sweep must allocate under 64 KiB. Transferer storage answers
-# to the same bar as world storage: an ARQ, LT or RS transferer on the
-# storage a released one emptied, and an LT decoder on storage an earlier
-# one emptied, must give what one on fresh storage gives, every RS parity shard computed on demand must equal
-# RS.Parity's, and a warm coding trial must allocate under 2.25 KiB. The
-# trace export itself is held to the contract: two fresh Figure 5
-# campaigns at one worker write byte-identical TRACE JSONL, every event
-# naming its label path, and one at two workers the same lines. And
-# instrumentation attaches in one place: no model package (channel,
-# fault, traffic, tag, mac, dot11, stats, bitio) may import internal/obs.
-# And no test-only code in production: every package-level function,
-# method, type, var and const under internal/ and cmd/, exported or not,
-# must be referenced by a non-test file of the repository, resolved by
-# go/types (a method also by an interface it implements that the standard
-# library or the repository calls through); the rule's own fixture pins
-# what it reports, and a package it cannot type-check fails it. And no
-# name in this target's -run lists may match no Test, Fuzz or Benchmark
-# function of the packages its command lists. Stage 13 too: a paired
-# world is built once — the readers a link tape hands out must share its
-# one environment, fault injector and traffic generator, a released
-# reader must leave them to the tape for the next one, and a reader that
-# brings layers, a link or a query of its own must be refused; the coding
-# sweep's transfers of one world must borrow its layers; and SNR, summed
-# into the environment's own buffer, must equal the SNR of the channel
-# Channel returns, bit for bit, allocating nothing once warm.
+# The link tape's concurrent readers, under the race detector ten times
+# over: readers at random paces must each see the link a local evaluation
+# gives, bit for bit. Every other pin of the determinism contract (DESIGN.md
+# §6) runs in `make test`.
 determinism:
 	$(GO) test -race -count=10 -run='LinkTapeConcurrentReadersMatchLocal' ./internal/core
-	$(GO) test -run='DeterministicAcrossWorkerCounts|MetricsIdenticalAcrossWorkerCounts|InstrumentationDoesNotPerturbResults|LoggingDoesNotPerturbResults|TimelineDoesNotPerturbResults|TimelineWindowsIdenticalAcrossWorkerCounts|ConcurrentCampaignsIsolated|ChannelPairMatchesChannel|ChannelPairLoSMatchesReference|PrefixCacheInvalidation|RotationRampWithinTolerance|TagCacheInvalidation|DecodeTableMatchesLgamma|RoundCacheInvalidation|CoverageBoundaryCacheInvalidation|RandomBitsMatchesIntn|SpanCountsExact|LanedHistogramMatchesSingleLane|LapChainsAreContiguous|ConcurrentHarnessesIsolated|ViterbiHardMatchesReference|TransferOutcomesPinned|TransferDeterministicFromSeeds|SendCancelsMidFrame|CodedTransfersHonorCancellation|NewRNGMatchesMathRand|NewRNGCheap|CoverageContributionsMatchWalk|RoundMaskMatchesScoreboardOracle|UnionBoundStopsAtClamp|InterleaveMatchesIndexFormula|AdvanceSincosMatchesSinCos|SymbolBlocksMatchReference|RoundMaskReuseMatchesFresh|ScatterSumMatchesPerPath|WallLossMemoInvalidation|LinkTapeRejectsOtherLink|CodingTrialOrderBijection|CodingTapesMatchLocalLinks|CodingTapesReleasedOnCancel|TapedTransferNeverDraws|ModelPackagesDoNotImportObs|NoTestOnlyExports|DeadDeclsFixture|DeadDeclsRefusesBrokenPackage|DeterminismRunListNamesTests|FuzzDecodeTable|TestDecodeTableBounds|DecodeTableRoundWrap|FuzzAppendEventJSON|MeasureRunAllocsFlat|QueryRoundIntoMatchesQueryRound|TraceExportDeterministic|CodecBuffersReuseMatchesFresh|FrameSenderSendAllocs|CodedTransferAllocsFlat|LanedCounterMatchesSingleLane|DeploymentRenderPinned|ReleasedStreamPanics|SeededBytesMatchesRandomBytes|EnvironmentReleaseStartsCold|SystemReleaseStartsCold|WarmPoolsMatchCold|Figure5TrialAllocs|FountainGaussianReusesScratch|OnlySimInstruments|RobustnessTransferAllocs|RoundAirtimeMatchesBuiltQuery|LoSTagRateMatchesWorld|Section41SweepAllocs|TransfererReleaseStartsCold|FountainDecoderStorageStartsCold|RSParityOnDemandMatchesParity|CodingTrialAllocs|LinkTapeReadersBorrowOneWorld|PairedWorldReadersShareLayers|SNRMatchesChannel' ./internal/experiments ./internal/sim ./internal/channel ./internal/phy ./internal/core ./internal/tag ./internal/stats ./internal/obs ./internal/link ./internal/coding ./internal/traffic
 
 # Non-test Go lines per package under internal/ and cmd/, plus the total:
 # the size figure a simplification reports before and after.

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -45,7 +46,6 @@ import (
 	"time"
 
 	"witag/internal/buildinfo"
-	"witag/internal/cliflags"
 	"witag/internal/obs"
 )
 
@@ -60,7 +60,7 @@ func main() {
 		buildinfo.Print(os.Stdout, "witag-top")
 		return
 	}
-	if err := cliflags.MetricsAddrFormat("-addr", *addr); err != nil {
+	if err := metricsAddrFormat("-addr", *addr); err != nil {
 		fmt.Fprintln(os.Stderr, "witag-top:", err)
 		os.Exit(2)
 	}
@@ -77,6 +77,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "witag-top:", err)
 		os.Exit(1)
 	}
+}
+
+// metricsAddrFormat validates that addr parses as host:port, the form of
+// the -metrics-addr a run serves on, without connecting to it.
+func metricsAddrFormat(flagName, addr string) error {
+	if addr == "" {
+		return fmt.Errorf("%s: address is required", flagName)
+	}
+	if _, _, err := net.SplitHostPort(addr); err != nil {
+		return fmt.Errorf("%s: %q is not host:port: %w", flagName, addr, err)
+	}
+	return nil
 }
 
 // historyLen bounds the rolling sample window; at a 1s refresh this is

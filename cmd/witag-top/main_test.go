@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,7 +29,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // must show the row as lost.
 func TestPollRendersTheCampaign(t *testing.T) {
 	camp := obs.NewCampaign("bench", obs.CampaignOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := obs.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"witag/internal/fault"
+	"witag/internal/obs"
 	"witag/internal/traffic"
 )
 
@@ -167,34 +167,25 @@ func OutputFile(flagName, path string) error {
 	return nil
 }
 
-// MetricsAddrFormat validates that addr parses as host:port without
-// binding it — the client-side twin of MetricsAddr, for tools (like
-// witag-top) that connect to an address another process is serving on.
-func MetricsAddrFormat(flagName, addr string) error {
-	if addr == "" {
-		return fmt.Errorf("%s: address is required", flagName)
-	}
-	if _, _, err := net.SplitHostPort(addr); err != nil {
-		return fmt.Errorf("%s: %q is not host:port: %w", flagName, addr, err)
-	}
-	return nil
-}
-
 // MetricsAddr binds a -metrics-addr value up front and returns the
 // listener, which the caller serves on (obs.Serve) or closes: addr must
-// parse as host:port and be free. Binding once, before any work, means a
-// busy port is refused naming the flag, and no other process can take
-// the port between the check and the serve. An empty addr is the off
-// switch: no listener and no error.
-func MetricsAddr(flagName, addr string) (net.Listener, error) {
+// parse as host:port, be of a form obs.Listen takes, and be free. Binding
+// once, before any work, means a busy port is refused naming the flag,
+// and no other process can take the port between the check and the serve.
+// An empty addr is the off switch: no listener and no error.
+func MetricsAddr(flagName, addr string) (*obs.Listener, error) {
 	if addr == "" {
 		return nil, nil
 	}
-	if _, _, err := net.SplitHostPort(addr); err != nil {
+	if _, _, err := obs.SplitHostPort(addr); err != nil {
 		return nil, fmt.Errorf("%s: %q is not host:port: %w", flagName, addr, err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	ln, err := obs.Listen(addr)
+	var refused *obs.AddrError
+	switch {
+	case errors.As(err, &refused):
+		return nil, fmt.Errorf("%s: %q is refused: %w", flagName, addr, err)
+	case err != nil:
 		return nil, fmt.Errorf("%s: cannot bind %q: %w", flagName, addr, err)
 	}
 	return ln, nil

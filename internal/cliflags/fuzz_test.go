@@ -67,38 +67,6 @@ func FuzzSelectorFlags(f *testing.F) {
 	})
 }
 
-// hostPort reports whether addr has the host:port form: a host with no
-// colon, or a bracketed one, then a colon and a port with no colon.
-func hostPort(addr string) bool {
-	i := strings.LastIndexByte(addr, ':')
-	if i < 0 || strings.IndexByte(addr[i+1:], ':') >= 0 {
-		return false
-	}
-	host := addr[:i]
-	if strings.HasPrefix(host, "[") {
-		return strings.HasSuffix(host, "]") && !strings.ContainsAny(host[1:len(host)-1], "[]")
-	}
-	return !strings.ContainsAny(host, ":[]")
-}
-
-// FuzzMetricsAddrFormat: -metrics-addr style values that parse must have
-// the host:port form. (MetricsAddr binds the address, so only its parser
-// is fuzzed.)
-func FuzzMetricsAddrFormat(f *testing.F) {
-	for _, v := range []string{"", ":0", "localhost:9090", "[::1]:80", "::1", "a:b:c", "[a]b:1", "host", "[x]:", "]:1"} {
-		f.Add(v)
-	}
-	f.Fuzz(func(t *testing.T, addr string) {
-		err := MetricsAddrFormat("-metrics-addr", addr)
-		if err != nil && !strings.Contains(err.Error(), "-metrics-addr") {
-			t.Fatalf("rejection of %q does not name the flag: %v", addr, err)
-		}
-		if err == nil && !hostPort(addr) {
-			t.Fatalf("MetricsAddrFormat accepted %q", addr)
-		}
-	})
-}
-
 // FuzzPathFlags drives the path validators with arbitrary names inside a
 // scratch directory that holds one file and one subdirectory. Whatever a
 // validator accepts must be what it documents: an existing directory, an

@@ -30,6 +30,14 @@ func TestCodedTransferAllocsFlat(t *testing.T) {
 		sys, env := world()
 		return sys, env, nil
 	})
+	// reader is a system of the world over the tape's environment.
+	reader := func(env *channel.Environment) (*core.System, error) {
+		sys, err := codingSystem(env, seed)
+		if err == nil {
+			sys.AmbientLossProb = 1
+		}
+		return sys, err
+	}
 	payloads := map[int][]byte{}
 	for _, n := range []int{12, 96} {
 		payloads[n] = stats.RandomBytes(stats.NewRNG(stats.SubSeed(seed, "payload")), n)
@@ -78,8 +86,10 @@ func TestCodedTransferAllocsFlat(t *testing.T) {
 			}
 			run := func(n int) (allocs float64, frames int) {
 				allocs = testing.AllocsPerRun(3, func() {
-					sys, _ := world()
-					sys.Link = tape
+					sys, err := tape.Reader(reader)
+					if err != nil {
+						t.Fatal(err)
+					}
 					sys.Instrument(o, 1, "allocs")
 					st, err := sc.send(sys, n)
 					if err != nil {

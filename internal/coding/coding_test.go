@@ -431,13 +431,18 @@ func codingTestbed(t *testing.T, seed int64) (*core.System, *channel.Environment
 	env.AddReflector(channel.Point{X: 4, Y: 3.5}, 60)
 	env.AddReflector(channel.Point{X: 4, Y: -3.5}, 60)
 	env.AddScatterers(4, 0, -3, 8, 3, 15, 1.0)
-	sys, err := core.NewSystem(env,
-		channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
-		channel.Point{X: 1, Y: 0.3}, 68, seed)
+	sys, err := codingSystem(env, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys, env
+}
+
+// codingSystem is codingTestbed's system over env.
+func codingSystem(env *channel.Environment, seed int64) (*core.System, error) {
+	return core.NewSystem(env,
+		channel.Point{X: 0, Y: 0}, channel.Point{X: 8, Y: 0},
+		channel.Point{X: 1, Y: 0.3}, 68, seed)
 }
 
 func TestFountainTransferCleanChannel(t *testing.T) {

@@ -259,6 +259,10 @@ var tapeChunks sync.Pool
 // errTapeReleased is what a read of a released tape returns.
 var errTapeReleased = errors.New("core: link tape read after its release")
 
+// errTapeUnopened is what a read of a tape no Reader opened returns: its
+// system did not come from Reader.
+var errTapeUnopened = errors.New("core: link tape read by a system its Reader did not return")
+
 // LinkTape is an append-only record of one world, round by round, shared
 // by every System that replays that world: each round's link and its
 // draws. Round r is the link after r+1 steps of channel.RoundStepS
@@ -267,10 +271,9 @@ var errTapeReleased = errors.New("core: link tape read after its release")
 // and traffic streams.
 //
 // The world is built once. The tape runs its build on the first Reader
-// call or the first read, whichever comes first, and takes the world's
-// layers from it: its environment, fault injector and traffic generator,
-// which the tape owns and releases, and the link geometry and subframe
-// counts every reader is checked against. The built System goes to that
+// call and takes the world's layers from it: its environment, fault
+// injector and traffic generator, which the tape owns and releases, and
+// the link geometry and subframe counts every reader is checked against. The built System goes to that
 // first Reader call; every later reader is a System of its own (stream,
 // tag clock, contender) over the tape's environment and layers. The first
 // reader to reach round r advances the environment, evaluates the round's
@@ -279,11 +282,11 @@ var errTapeReleased = errors.New("core: link tape read after its release")
 // is a pure function of the world's seeds and the round, so which reader
 // records it never changes a result.
 //
-// A System with a tape (System.Link) takes its link and its draws from the
-// tape rather than from its own environment and streams, which it then
-// never needs advanced; it counts and traces the draws as its own. The
-// tape counts nothing, and evaluates the link in its own scratch. A
-// LinkTape is safe for concurrent use. Release ends it and hands its
+// A System with a tape (System.Link, which only Reader sets) takes its
+// link and its draws from the tape rather than evaluating the environment
+// and drawing from the streams it borrows; it counts and traces the draws
+// as its own. The tape counts nothing, and evaluates the link in its own
+// scratch. A LinkTape is safe for concurrent use. Release ends it and hands its
 // layers, scratch and chunks to the next ones built.
 type LinkTape struct {
 	mu    sync.Mutex
@@ -305,22 +308,22 @@ type LinkTape struct {
 var tapeLinks sync.Pool
 
 // NewLinkTape returns an empty tape over the world build constructs. The
-// build runs once, on the first Reader call or read; it must construct
-// the same world, from the same seeds, as the systems that read the tape
-// — its environment, its fault injector and its traffic generator alike.
+// build runs once, on the first Reader call; its system is the tape's
+// first reader, and its environment, fault injector and traffic generator
+// are the tape's.
 func NewLinkTape(build func() (*System, *channel.Environment, error)) *LinkTape {
 	return &LinkTape{build: build}
 }
 
 // Reader returns a system of t's world that reads its rounds from t. The
-// first call on a tape no read has opened returns the world's build
-// itself; every later one returns the system reader builds over the
-// tape's environment, which must be the world's system — its positions,
-// tag and seed — with no layers of its own: Reader attaches the tape's
-// fault injector and traffic generator. Either way the system borrows its
-// Env, Faults and Traffic from t: it never advances or draws them, and
-// System.Release leaves them to the tape's Release. A failed build, or a
-// released tape, returns the tape's error.
+// first call returns the world's build itself; every later one returns
+// the system reader builds over the tape's environment, which must be the
+// world's system — its positions, tag and seed — with no layers of its
+// own: Reader attaches the tape's fault injector and traffic generator.
+// Either way the system borrows its Env, Faults and Traffic from t: it
+// never advances or draws them, and System.Release leaves them to the
+// tape's Release. A failed build, or a released tape, returns the tape's
+// error.
 func (t *LinkTape) Reader(reader func(*channel.Environment) (*System, error)) (*System, error) {
 	t.mu.Lock()
 	var sys *System
@@ -354,14 +357,11 @@ func (t *LinkTape) Reader(reader func(*channel.Environment) (*System, error)) (*
 func (t *LinkTape) at(r int, s *System, g *linkGeom) (w worldRound, phasors int64, evals int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.env == nil && t.err == nil {
-		if sys := t.open(); sys != nil {
-			// No Reader took the build: the tape keeps only its layers.
-			sys.Release()
-		}
-	}
 	if t.err != nil {
 		return w, 0, 0, t.err
+	}
+	if t.env == nil {
+		return w, 0, 0, errTapeUnopened
 	}
 	if err := t.refuse(s, g); err != nil {
 		return w, 0, 0, err
@@ -416,8 +416,8 @@ func (t *LinkTape) Release() {
 }
 
 // refuse returns an error when reader s, with link geometry g, is not of
-// the tape's world: its link, its query's subframe counts, or the profile
-// (or the presence) of its fault injector or traffic generator differ.
+// the tape's world: its link or its query's subframe counts differ. Its
+// fault injector and traffic generator are the tape's (Reader).
 func (t *LinkTape) refuse(s *System, g *linkGeom) error {
 	switch {
 	case *g != t.geom:
@@ -425,10 +425,6 @@ func (t *LinkTape) refuse(s *System, g *linkGeom) error {
 	case s.Spec.DataLen != t.dataLen || s.Spec.TriggerLen != t.trigLen:
 		return fmt.Errorf("core: the system's query (%d+%d subframes) differs from its tape's (%d+%d)",
 			s.Spec.TriggerLen, s.Spec.DataLen, t.trigLen, t.dataLen)
-	case (s.Faults == nil) != (t.faults == nil) || s.Faults != nil && s.Faults.Profile != t.faults.Profile:
-		return fmt.Errorf("core: the system's fault profile differs from its tape's")
-	case (s.Traffic == nil) != (t.traffic == nil) || s.Traffic != nil && !s.Traffic.Profile().Equal(t.traffic.Profile()):
-		return fmt.Errorf("core: the system's traffic profile differs from its tape's")
 	}
 	return nil
 }

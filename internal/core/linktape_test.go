@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -111,10 +112,10 @@ func linkRounds(sys *System, env *channel.Environment, rounds int, pace *rand.Ra
 
 // TestLinkTapeConcurrentReadersMatchLocal has several systems of one world
 // — bursty faults and office traffic included — read one tape
-// concurrently, each at its own random pace: every other one a whole
-// build of the world of its own, the rest handed out by the tape
-// (LinkTape.Reader), borrowing the world's environment, injector and
-// generator, which the tape advances and draws as they read. It requires
+// concurrently, each at its own random pace: the first the world's build
+// itself, the rest handed out by the tape (LinkTape.Reader), borrowing
+// the world's environment, injector and generator, which the tape
+// advances and draws as they read. It requires
 // every round of every reader to equal a system that evaluates the link
 // and draws its faults and traffic itself, bit for bit, with the same
 // fault and traffic counts after it. Every taped round's whole link state must equal a
@@ -141,14 +142,7 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	errs := make([]error, readers)
 	var wg sync.WaitGroup
 	for i := range readers {
-		var sys *System
-		if i%2 == 0 {
-			if sys, _, err = build(); err == nil {
-				sys.Link = tape
-			}
-		} else {
-			sys, err = tape.Reader(linkReader(2, 31))
-		}
+		sys, err := tape.Reader(linkReader(2, 31))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,67 +207,48 @@ func TestLinkTapeConcurrentReadersMatchLocal(t *testing.T) {
 	}
 }
 
-// TestLinkTapeRejectsOtherLink: a system whose MCS, positions, tag
-// coefficients, query subframe counts, fault profile or traffic profile
-// differ from its tape's — or that has faults or traffic where the tape's
-// world has none, or none where it has some — gets an error, never the
-// tape's round, and a failed build reaches every reader.
+// TestLinkTapeRejectsOtherLink: a reader whose MCS, positions, tag
+// coefficients or query subframe counts differ from its tape's gets an
+// error at its first round, never the tape's round; a system the tape did
+// not hand out gets one too; and a failed build reaches every Reader
+// call. (A reader with a fault injector or traffic generator of its own
+// is refused by Reader itself: TestLinkTapeReadersBorrowOneWorld.)
 func TestLinkTapeRejectsOtherLink(t *testing.T) {
 	mcs4, err := dot11.HTMCS(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	download, err := traffic.Named("download")
-	if err != nil {
-		t.Fatal(err)
-	}
-	noFaults := func(s *System) { s.Faults = nil }
-	noTraffic := func(s *System) { s.Traffic = nil }
 	// want is the part of the world each edit changes, as the error names it.
 	edits := map[string]struct {
-		want          string
-		reader, world func(s *System)
+		want   string
+		reader func(s *System)
 	}{
-		"mcs":           {want: "link", reader: func(s *System) { s.Spec.MCS = mcs4 }},
-		"client":        {want: "link", reader: func(s *System) { s.ClientPos.X += 0.1 }},
-		"ap":            {want: "link", reader: func(s *System) { s.APPos.Y = -0.2 }},
-		"tag":           {want: "link", reader: func(s *System) { s.TagPos.X = 3 }},
-		"gain":          {want: "link", reader: func(s *System) { s.Tag.Switch.Gain *= 1.01 }},
-		"excess":        {want: "link", reader: func(s *System) { s.Tag.GroupDelayNs += 0.5 }},
-		"flip":          {want: "link", reader: func(s *System) { s.Tag.FlipState = tag.Open }},
-		"data_len":      {want: "query", reader: func(s *System) { s.Spec.TriggerLen, s.Spec.DataLen = 5, 59 }},
-		"total":         {want: "query", reader: func(s *System) { s.Spec.DataLen--; s.Spec.PayloadSizes = s.Spec.PayloadSizes[:63] }},
-		"fault_profile": {want: "fault profile", reader: func(s *System) { s.Faults.Profile.LossBad = 0.5 }},
-		"reader_faults": {want: "fault profile", world: noFaults},
-		"tape_faults":   {want: "fault profile", reader: noFaults},
-		"traffic_profile": {want: "traffic profile", reader: func(s *System) {
-			g, err := traffic.NewGenerator(download, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Traffic = g
-		}},
-		"reader_traffic": {want: "traffic profile", world: noTraffic},
-		"tape_traffic":   {want: "traffic profile", reader: noTraffic},
-		"control":        {},
+		"mcs":      {want: "link", reader: func(s *System) { s.Spec.MCS = mcs4 }},
+		"client":   {want: "link", reader: func(s *System) { s.ClientPos.X += 0.1 }},
+		"ap":       {want: "link", reader: func(s *System) { s.APPos.Y = -0.2 }},
+		"tag":      {want: "link", reader: func(s *System) { s.TagPos.X = 3 }},
+		"gain":     {want: "link", reader: func(s *System) { s.Tag.Switch.Gain *= 1.01 }},
+		"excess":   {want: "link", reader: func(s *System) { s.Tag.GroupDelayNs += 0.5 }},
+		"flip":     {want: "link", reader: func(s *System) { s.Tag.FlipState = tag.Open }},
+		"data_len": {want: "query", reader: func(s *System) { s.Spec.TriggerLen, s.Spec.DataLen = 5, 59 }},
+		"total":    {want: "query", reader: func(s *System) { s.Spec.DataLen--; s.Spec.PayloadSizes = s.Spec.PayloadSizes[:63] }},
+		"control":  {},
 	}
 	for name, edit := range edits {
-		build := linkWorld(2, 8)
-		tape := NewLinkTape(func() (*System, *channel.Environment, error) {
-			sys, env, err := build()
-			if err == nil && edit.world != nil {
-				edit.world(sys)
+		tape := NewLinkTape(linkWorld(2, 8))
+		if _, err := tape.Reader(linkReader(2, 8)); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := tape.Reader(func(env *channel.Environment) (*System, error) {
+			sys, err := linkReader(2, 8)(env)
+			if err == nil && edit.reader != nil {
+				edit.reader(sys)
 			}
-			return sys, env, err
+			return sys, err
 		})
-		sys, _, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if edit.reader != nil {
-			edit.reader(sys)
-		}
-		sys.Link = tape
 		_, err = sys.QueryRound(nil)
 		if name == "control" {
 			if err != nil {
@@ -286,15 +261,20 @@ func TestLinkTapeRejectsOtherLink(t *testing.T) {
 		}
 	}
 
-	sys, _, err := linkWorld(2, 8)()
+	// A system attached by hand, on a tape no Reader opened.
+	stray, _, err := linkWorld(2, 8)()
 	if err != nil {
 		t.Fatal(err)
 	}
+	stray.Link = NewLinkTape(linkWorld(2, 8))
+	if _, err := stray.QueryRound(nil); !errors.Is(err, errTapeUnopened) {
+		t.Errorf("a system the tape did not hand out: QueryRound returned %v", err)
+	}
+
 	failing := NewLinkTape(func() (*System, *channel.Environment, error) { return nil, nil, nil })
-	sys.Link = failing
 	for range 2 {
-		if _, err := sys.QueryRound(nil); err == nil || !strings.Contains(err.Error(), "link tape build") {
-			t.Errorf("failed build: QueryRound returned %v", err)
+		if _, err := failing.Reader(linkReader(2, 8)); err == nil || !strings.Contains(err.Error(), "link tape build") {
+			t.Errorf("failed build: Reader returned %v", err)
 		}
 	}
 }
@@ -489,16 +469,15 @@ func FuzzLinkTapeDraws(f *testing.F) {
 			}
 			return sys, env, nil
 		}
-		reader, _, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
 		twin, _, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		tape := NewLinkTape(build)
-		reader.Link = tape
+		reader, err := tape.Reader(nil) // the first reader is the build itself
+		if err != nil {
+			t.Fatal(err)
+		}
 		ro, to := obs.NewObserver(nil, obs.NewRecorder(1<<12)), obs.NewObserver(nil, obs.NewRecorder(1<<12))
 		reader.Instrument(ro, 1, "fuzz")
 		twin.Instrument(to, 1, "fuzz")

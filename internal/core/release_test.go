@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"witag/internal/channel"
 	"witag/internal/obs"
 )
 
@@ -36,14 +37,30 @@ func TestSystemReleaseStartsCold(t *testing.T) {
 		sys.systemScratch = c
 		return sys
 	}
-	// run measures sys over its own environment, or over tape.
-	run := func(sys *System, tape *LinkTape) ([]tapeRound, obs.Snapshot) {
+	// taped returns the first reader of a new tape of the world, on c.
+	taped := func(c *systemScratch) (*System, *LinkTape) {
+		t.Helper()
+		tape := NewLinkTape(func() (*System, *channel.Environment, error) {
+			sys, env, err := build()
+			if err == nil {
+				sys.systemScratch = c
+			}
+			return sys, env, err
+		})
+		sys, err := tape.Reader(nil) // the first reader is the build itself
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, tape
+	}
+	// run measures sys over its own environment, or over its tape.
+	run := func(sys *System) ([]tapeRound, obs.Snapshot) {
 		t.Helper()
 		camp := obs.NewCampaign("release", obs.CampaignOptions{})
 		sys.Instrument(camp.Observer, 0, "release")
 		env := sys.Env
-		if tape != nil {
-			sys.Link, env = tape, nil
+		if sys.Link != nil {
+			env = nil
 		}
 		got, err := linkRounds(sys, env, rounds, nil)
 		if err != nil {
@@ -51,10 +68,10 @@ func TestSystemReleaseStartsCold(t *testing.T) {
 		}
 		return got, camp.Registry.Snapshot().Deterministic()
 	}
-	wantRounds, wantMetrics := run(world(new(systemScratch)), nil)
-	check := func(what string, sys *System, tape *LinkTape) {
+	wantRounds, wantMetrics := run(world(new(systemScratch)))
+	check := func(what string, sys *System) {
 		t.Helper()
-		got, metrics := run(sys, tape)
+		got, metrics := run(sys)
 		if !reflect.DeepEqual(got, wantRounds) {
 			t.Errorf("%s: the rounds differ from a system on fresh scratch", what)
 		}
@@ -63,20 +80,20 @@ func TestSystemReleaseStartsCold(t *testing.T) {
 		}
 	}
 
-	old, oldTape := world(new(systemScratch)), NewLinkTape(build)
-	run(old, nil)
-	run(world(new(systemScratch)), oldTape)
+	old := world(new(systemScratch))
+	reader, oldTape := taped(new(systemScratch))
+	run(old)
+	run(reader)
 	dirty := old.systemScratch
 	old.Release()
 	old.Env.Release()
 	oldTape.Release()
 	mustPanic(t, "a round on a released system", func() { old.QueryRound(nil) })
-	reader := world(new(systemScratch))
-	reader.Link = oldTape
 	if _, err := reader.QueryRound(nil); !errors.Is(err, errTapeReleased) {
 		t.Errorf("a read of a released tape returned %v, want %v", err, errTapeReleased)
 	}
 
-	check("reused scratch", world(dirty), nil)
-	check("a tape recorded after a release", world(new(systemScratch)), NewLinkTape(build))
+	check("reused scratch", world(dirty))
+	fresh, _ := taped(new(systemScratch))
+	check("a tape recorded after a release", fresh)
 }

@@ -68,13 +68,12 @@ type System struct {
 	// verdicts and ambient mask from it rather than evaluating Env and
 	// drawing from Faults and Traffic, and counts the tape's draws as it
 	// counts its own. The caller no longer advances Env between rounds —
-	// the tape advances the world's environment. The tape must have been
-	// built from the same world; a system whose MCS, positions, tag
-	// coefficients, subframe counts, fault profile or traffic profile
-	// differ from the tape's gets an error. A system from
-	// LinkTape.Reader borrows its Env, Faults and Traffic from the tape,
-	// which releases them. Nil evaluates the link over Env and draws from
-	// Faults and Traffic every round.
+	// the tape advances the world's environment. LinkTape.Reader sets it,
+	// on a system that borrows its Env, Faults and Traffic from the tape,
+	// which releases them; a system whose MCS, positions, tag
+	// coefficients or subframe counts differ from the tape's gets an
+	// error. Nil evaluates the link over Env and draws from Faults and
+	// Traffic every round.
 	Link *LinkTape
 	// Obs, when non-nil, receives per-round metrics and trace events.
 	// Instrumentation is passive: it never draws from an RNG and never

@@ -336,12 +336,13 @@ func TestPairedWorldReadersShareLayers(t *testing.T) {
 }
 
 // TestTapedTransferNeverDraws locks in that a transfer reading its world
-// from a tape never draws from its own fault or traffic stream, though it
-// counts the world's events: each scheme's taped transfer must tally the
-// faults (System.Injected) and count the fault and traffic events that
-// the same transfer over a local world does, and after it the reader's
-// injector and generator must still be at their first draw, drawing
-// exactly what fresh ones from the same seeds draw.
+// from a tape never draws from the world's fault or traffic stream
+// itself, though it counts the world's events: each scheme's taped
+// transfer must tally the faults (System.Injected) and count the fault and
+// traffic events that the same transfer over a local world does, and
+// after it the world's injector and generator, which the tape drew once
+// for each round it recorded, must draw exactly what fresh ones from the
+// same seeds draw after as many rounds.
 func TestTapedTransferNeverDraws(t *testing.T) {
 	cfg := DefaultAdaptiveCodingConfig()
 	prof := cfg.Profiles[1]
@@ -350,7 +351,6 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 	}
 	const tr = 3
 	build := codingWorldTrial(cfg, prof, "", -1, tr).Build
-	tape := core.NewLinkTape(build)
 	payload := stats.SeededBytes(codingSeed(cfg.Seed, prof.Name, tr, "payload"), cfg.PayloadBytes)
 	xfer := codingSeed(cfg.Seed, prof.Name, tr, "xfer")
 	// The worlds outlive the transfers, so the test builds and
@@ -381,8 +381,11 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 			t.Fatal(err)
 		}
 		ro := obs.NewObserver(nil, nil)
-		sys, _ := world(ro)
-		sys.Link = tape
+		sys, err := core.NewLinkTape(build).Reader(nil) // the first reader is the build itself
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Instrument(ro, 0, "")
 		out, err := RunTransfer(context.Background(), scheme, sys, nil, payload, xfer)
 		if err != nil {
 			t.Fatal(err)
@@ -397,6 +400,17 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 			t.Fatalf("%s: the taped transfer counted %v, a local one %v", scheme, g, w)
 		}
 		fresh, _ := world(nil)
+		// The tape's rounds, drawn in the hooks' order (core.System.Faults).
+		data, total := fresh.Spec.DataLen, fresh.Spec.TriggerLen+fresh.Spec.DataLen
+		for range out.Rounds {
+			fresh.Faults.TriggerMissed()
+			fresh.Faults.BrownoutWindow(data)
+			for range total {
+				fresh.Faults.SubframeLost()
+			}
+			fresh.Faults.BALost()
+			fresh.Traffic.RoundMask(total)
+		}
 		for r := range 100 {
 			type draw struct {
 				miss, ba      bool
@@ -418,7 +432,7 @@ func TestTapedTransferNeverDraws(t *testing.T) {
 				d[i].traffic = s.Traffic
 			}
 			if !reflect.DeepEqual(d[0], d[1]) {
-				t.Fatalf("%s: round %d after the transfer, the reader drew %+v, a fresh world %+v: the reader drew from its own streams", scheme, r, d[0], d[1])
+				t.Fatalf("%s: round %d after the transfer, the world drew %+v, a fresh one %+v: the transfer drew from the world's streams", scheme, r, d[0], d[1])
 			}
 		}
 	}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"net/netip"
 	"os"
 	"runtime"
 	"sync"
@@ -50,15 +50,15 @@ func writeVars(w io.Writer, snap Snapshot) {
 // Server is a running observability listener over one campaign.
 type Server struct {
 	// Addr is the bound address (useful with ":0").
-	Addr net.Addr
+	Addr netip.AddrPort
 	camp *Campaign
-	ln   net.Listener
+	ln   *Listener
 	done chan error // the accept loop's result
 
 	stopping atomic.Bool // set by Shutdown: /readyz answers 503
 
 	mu       sync.Mutex
-	conns    map[net.Conn]struct{} // live connections, closed by Close
+	conns    map[*os.File]struct{} // live connections, closed by Close
 	closed   bool
 	handlers sync.WaitGroup
 
@@ -68,8 +68,8 @@ type Server struct {
 
 // Serve serves c's endpoints on ln in a background goroutine. The server
 // owns ln from here on: Close closes it.
-func Serve(ln net.Listener, c *Campaign) *Server {
-	s := &Server{Addr: ln.Addr(), camp: c, ln: ln, done: make(chan error, 1), conns: map[net.Conn]struct{}{}}
+func Serve(ln *Listener, c *Campaign) *Server {
+	s := &Server{Addr: ln.Addr(), camp: c, ln: ln, done: make(chan error, 1), conns: map[*os.File]struct{}{}}
 	go func() { s.done <- s.accept() }()
 	return s
 }
@@ -89,7 +89,7 @@ func (s *Server) accept() error {
 			if closed {
 				return nil
 			}
-			if errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, os.ErrClosed) {
 				return err
 			}
 			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
@@ -111,7 +111,7 @@ func (s *Server) accept() error {
 }
 
 // serveConn answers conn's one request and closes it.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn *os.File) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -139,7 +139,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Drain what the client may still be sending, so closing with
 		// unread input does not reset the connection before it reads the
 		// refusal.
-		if tc, ok := conn.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+		if closeWrite(conn) == nil {
 			conn.SetReadDeadline(time.Now().Add(lingerTimeout))
 			io.Copy(io.Discard, io.LimitReader(conn, maxHead+maxSymbolBody))
 		}

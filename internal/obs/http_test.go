@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"reflect"
@@ -36,7 +35,7 @@ func serveCampaign(t *testing.T, id string, rounds int64) (*Server, *Campaign, s
 	t.Helper()
 	c := NewCampaign(id, CampaignOptions{})
 	c.Registry.Counter("core.rounds").Add(rounds)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -194,7 +194,7 @@ func isFieldValue(s string) bool {
 // first; from then on its writes go straight to the connection, the head
 // ahead of the first, and the body ends when the connection closes.
 type response struct {
-	conn      net.Conn
+	conn      *os.File
 	head      bool // a HEAD request: the head alone is sent
 	status    int
 	header    []string // "Name: value" lines, in the order first set
@@ -295,11 +295,11 @@ func (w *response) finish() error {
 		_, err := w.conn.Write(w.headBytes(-1))
 		return err
 	}
-	bufs := net.Buffers{w.headBytes(w.body.Len())}
+	msg := w.headBytes(w.body.Len())
 	if !w.head {
-		bufs = append(bufs, w.body.Bytes())
+		msg = append(msg, w.body.Bytes()...)
 	}
-	_, err := bufs.WriteTo(w.conn)
+	_, err := w.conn.Write(msg)
 	return err
 }
 

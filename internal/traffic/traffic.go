@@ -27,7 +27,6 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"witag/internal/stats"
@@ -90,12 +89,6 @@ func (p Profile) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Equal reports whether p and q describe the same chain, value for value.
-func (p Profile) Equal(q Profile) bool {
-	return p.Start == q.Start && slices.Equal(p.States, q.States) &&
-		slices.EqualFunc(p.Trans, q.Trans, slices.Equal[[]float64])
 }
 
 // profiles are the named presets, ordered mild to severe. Two-state
@@ -185,9 +178,6 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 // Release ends the generator's stream (stats.Release): a later
 // RoundMask panics.
 func (g *Generator) Release() { stats.Release(g.rng) }
-
-// Profile returns the profile the generator draws from.
-func (g *Generator) Profile() Profile { return g.prof }
 
 // Round is what one round's draw produced besides its mask: the bursts
 // placed, the subframes they masked and whether the load chain changed
